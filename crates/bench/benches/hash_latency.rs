@@ -67,8 +67,8 @@ fn bench_aes_backends(c: &mut Criterion) {
 }
 
 /// A 256 B digest through each CRC implementation: the seed-era
-/// byte-at-a-time loop, slice-by-8, and (when the host has it) SSE4.2
-/// hardware CRC-32C.
+/// byte-at-a-time loop, slice-by-8, and (when the host has them) the
+/// PCLMULQDQ-folded CRC-32 and SSE4.2 hardware CRC-32C.
 fn bench_crc_backends(c: &mut Criterion) {
     let line: Vec<u8> = (0..256).map(|i| (i * 31 % 251) as u8).collect();
     let mut group = c.benchmark_group("crc_256B");
@@ -77,9 +77,15 @@ fn bench_crc_backends(c: &mut Criterion) {
     group.bench_function("bytewise", |b| {
         b.iter(|| crc32.checksum_bytewise(std::hint::black_box(&line)));
     });
+    let crc32_portable = Crc32::portable();
     group.bench_function("slice-by-8", |b| {
-        b.iter(|| crc32.checksum(std::hint::black_box(&line)));
+        b.iter(|| crc32_portable.checksum(std::hint::black_box(&line)));
     });
+    if crc32.backend_kind() == CrcBackend::Pclmul {
+        group.bench_function("pclmul", |b| {
+            b.iter(|| crc32.checksum(std::hint::black_box(&line)));
+        });
+    }
     let crc32c = Crc32c::new();
     if crc32c.backend_kind() == CrcBackend::Sse42 {
         group.bench_function("crc32c-sse4.2", |b| {

@@ -14,7 +14,9 @@
 //!
 //! `--quick` (or env `BENCH_QUICK=1`) shortens sampling for CI smoke runs.
 //! `--check` exits non-zero unless the tentpole speedups hold (≥3x on
-//! 256 B line encryption, ≥4x on 256 B CRC digest, ≥3x on dedup-index
+//! 256 B line encryption, ≥4x on 256 B CRC digest, both vs the seed
+//! loops; ≥4x for the pipelined AES-NI line encrypt vs the per-block
+//! loop and ≥5x for the PCLMULQDQ CRC-32 vs slice-by-8; ≥3x on dedup-index
 //! lookup, ≥2x on metadata-cache access, ≥2x on a near-full-arena FSM
 //! claim, all vs the seed/flat implementations) and the `cache_scan`
 //! scan-resistance floor holds (S3-FIFO hot-set hit rate ≥2x LRU's under
@@ -23,16 +25,17 @@
 //! kernel's `digest_256B` must be ≥5x faster than each cryptographic
 //! baseline (SHA-1 and MD5), and the `dedup_commit` verify-free decision
 //! ≥1.5x faster than the crc32-verify decision on a duplicate-heavy mix.
-//! Two floors apply conditionally and report skips honestly (`SKIPPED:`
+//! Some floors apply conditionally and report skips honestly (`SKIPPED:`
 //! on stderr, `check_skipped` in the JSON) instead of passing vacuously:
 //! the `fsm_claim_contended` floor (≥2x at 4 threads) needs ≥4 hardware
-//! threads, and the strong-vs-crypto digest floor needs the kernel's
-//! SIMD leg to be live (not `DEWRITE_PORTABLE`, x86-64 with SSSE3).
+//! threads, the strong-vs-crypto digest floor needs the kernel's SIMD leg
+//! to be live (not `DEWRITE_PORTABLE`, x86-64 with SSSE3), and the
+//! pipelined-encrypt and folded-CRC floors need `aes` / `pclmulqdq`.
 
 use std::time::Instant;
 
 use dewrite_core::Json;
-use dewrite_crypto::{Aes128, Aes128Reference, CounterModeEngine, LineCounter};
+use dewrite_crypto::{Aes128, Aes128Reference, AesBackend, CounterModeEngine, LineCounter};
 use dewrite_hashes::{
     md5_digest, sha1_digest, Crc32, Crc32c, CrcBackend, StrongKeyed, StrongScratch,
 };
@@ -176,6 +179,29 @@ fn seed_encrypt_line(
         .collect()
 }
 
+/// The line encryption the pipelined pad replaced: one dispatched block
+/// call per 16 bytes, XORed as it arrives.
+fn per_block_encrypt_line(aes: &Aes128, plaintext: &[u8], addr: u64, ctr: u32, out: &mut [u8]) {
+    for (i, (pt, ct)) in plaintext.chunks(16).zip(out.chunks_mut(16)).enumerate() {
+        let mut seed = [0u8; 16];
+        seed[0..8].copy_from_slice(&addr.to_le_bytes());
+        seed[8..12].copy_from_slice(&ctr.to_le_bytes());
+        seed[12..16].copy_from_slice(&(i as u32).to_le_bytes());
+        let pad = aes.encrypt_block(&seed);
+        for ((c, p), k) in ct.iter_mut().zip(pt).zip(pad) {
+            *c = p ^ k;
+        }
+    }
+}
+
+/// The byte-at-a-time flip count `dewrite_nvm::bit_flips` replaced.
+fn bit_flips_bytewise(old: &[u8], new: &[u8]) -> u64 {
+    old.iter()
+        .zip(new)
+        .map(|(a, b)| u64::from((a ^ b).count_ones()))
+        .sum()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick")
@@ -198,6 +224,8 @@ fn main() {
     let reference = Aes128Reference::new(&key);
     let ttable = Aes128::portable(&key);
     let hw_aes = Aes128::hardware(&key);
+    // What `engine` (and every `CounterModeEngine`) dispatches to.
+    let dispatched_aes = Aes128::new(&key);
     let engine = CounterModeEngine::new(&key);
 
     let mut samples: Vec<Sample> = Vec::new();
@@ -267,10 +295,29 @@ fn main() {
                 buf[0] as u64
             }),
         );
+        // The same backend `fast` runs on, one block call at a time: what
+        // the batched pad is gated against.
+        push(
+            "line_encrypt_256B",
+            "per-block",
+            256,
+            measure(budget_ns, || {
+                per_block_encrypt_line(
+                    &dispatched_aes,
+                    std::hint::black_box(&line),
+                    0x1000,
+                    ctr.value(),
+                    &mut buf,
+                );
+                buf[0] as u64
+            }),
+        );
     }
 
     // --- 256 B CRC digest ---
     let crc32 = Crc32::new();
+    let crc32_portable = Crc32::portable();
+    let crc_folds = crc32.backend_kind() == CrcBackend::Pclmul;
     let crc32c = Crc32c::new();
     let crc32c_portable = Crc32c::portable();
     push(
@@ -286,9 +333,19 @@ fn main() {
         "slice-by-8",
         256,
         measure(budget_ns, || {
-            u64::from(crc32.checksum(std::hint::black_box(&line)))
+            u64::from(crc32_portable.checksum(std::hint::black_box(&line)))
         }),
     );
+    if crc_folds {
+        push(
+            "crc_256B",
+            "pclmul",
+            256,
+            measure(budget_ns, || {
+                u64::from(crc32.checksum(std::hint::black_box(&line)))
+            }),
+        );
+    }
     push(
         "crc32c_256B",
         "slice-by-8",
@@ -385,6 +442,27 @@ fn main() {
             ))
         }),
     );
+
+    // --- 256 B bit-flip count (the DCW accounting every stored line pays) ---
+    {
+        let old: Vec<u8> = line.iter().map(|b| b.rotate_left(3) ^ 0x5A).collect();
+        push(
+            "bit_flips_256B",
+            "bytewise",
+            256,
+            measure(budget_ns, || {
+                bit_flips_bytewise(std::hint::black_box(&old), std::hint::black_box(&line))
+            }),
+        );
+        push(
+            "bit_flips_256B",
+            "word",
+            256,
+            measure(budget_ns, || {
+                dewrite_nvm::bit_flips(std::hint::black_box(&old), std::hint::black_box(&line))
+            }),
+        );
+    }
 
     // --- Dedup-commit decision: crc32-verify vs strong-keyed verify-free ---
     // The end-to-end host cost of deciding "this write is a duplicate", on
@@ -837,17 +915,23 @@ fn main() {
             .find(|s| s.name == name && s.engine == engine)
             .map(Sample::ns_per_op)
     };
-    let line_speedup = match (
-        ns_of("line_encrypt_256B", "seed"),
-        ns_of("line_encrypt_256B", "fast"),
-    ) {
-        (Some(seed), Some(fast)) => seed / fast,
+    // `old` ns/op over `new` ns/op for two engines of one row family (0
+    // when either row was not measured on this host).
+    let ratio = |name: &str, old: &str, new: &str| match (ns_of(name, old), ns_of(name, new)) {
+        (Some(old), Some(new)) => old / new,
         _ => 0.0,
     };
-    // Best CRC engine vs the seed byte-at-a-time loop (CRC-32 is the
-    // fingerprint DeWrite uses; SSE4.2 only exists for CRC-32C).
+    let line_speedup = ratio("line_encrypt_256B", "seed", "fast");
+    // The kernel gates: the batched AES-NI pad vs the block-at-a-time
+    // loop on the same backend, the folded CRC-32 vs slice-by-8, and the
+    // word-wise flip count vs the byte loop (reported, not gated).
+    let line_pipelined_speedup = ratio("line_encrypt_256B", "per-block", "fast");
+    let crc_pclmul_speedup = ratio("crc_256B", "slice-by-8", "pclmul");
+    let bit_flips_speedup = ratio("bit_flips_256B", "bytewise", "word");
+    // Best CRC engine vs the seed byte-at-a-time loop.
     let crc_fast_ns = [
         ns_of("crc_256B", "slice-by-8"),
+        ns_of("crc_256B", "pclmul"),
         ns_of("crc32c_256B", "sse4.2"),
     ]
     .into_iter()
@@ -857,17 +941,10 @@ fn main() {
         Some(seed) if crc_fast_ns.is_finite() => seed / crc_fast_ns,
         _ => 0.0,
     };
-    let compare_speedup = match (ns_of("compare_256B", "seed"), ns_of("compare_256B", "fast")) {
-        (Some(seed), Some(fast)) => seed / fast,
-        _ => 0.0,
-    };
-    let pair_speedup = |name: &str| match (ns_of(name, "seed"), ns_of(name, "flat")) {
-        (Some(seed), Some(flat)) => seed / flat,
-        _ => 0.0,
-    };
-    let index_lookup_speedup = pair_speedup("index_lookup");
-    let index_store_speedup = pair_speedup("index_store");
-    let cache_access_speedup = pair_speedup("cache_access");
+    let compare_speedup = ratio("compare_256B", "seed", "fast");
+    let index_lookup_speedup = ratio("index_lookup", "seed", "flat");
+    let index_store_speedup = ratio("index_store", "seed", "flat");
+    let cache_access_speedup = ratio("cache_access", "seed", "flat");
     let scan_rate_of = |engine: &str| {
         scan_rates
             .iter()
@@ -879,30 +956,13 @@ fn main() {
     // The 1e-3 floor keeps the ratio finite if LRU ever hits zero; both
     // rates are deterministic functions of the scan pattern.
     let cache_scan_ratio = scan_s3_rate / scan_lru_rate.max(1e-3);
-    let fsm_pair = |name: &str| match (ns_of(name, "flat"), ns_of(name, "tree")) {
-        (Some(flat), Some(tree)) => flat / tree,
-        _ => 0.0,
-    };
-    let fsm_claim_speedup = fsm_pair("fsm_claim");
-    let fsm_claim_contended_speedup = fsm_pair("fsm_claim_contended");
+    let fsm_claim_speedup = ratio("fsm_claim", "flat", "tree");
+    let fsm_claim_contended_speedup = ratio("fsm_claim_contended", "flat", "tree");
     // Strong keyed digest vs each cryptographic baseline, and the
     // commit-decision ratio the verify-free path buys.
-    let digest_vs = |baseline: &str| match (
-        ns_of("digest_256B", baseline),
-        ns_of("digest_256B", "strong-fast"),
-    ) {
-        (Some(base), Some(fast)) => base / fast,
-        _ => 0.0,
-    };
-    let digest_vs_sha1 = digest_vs("sha1");
-    let digest_vs_md5 = digest_vs("md5");
-    let dedup_commit_speedup = match (
-        ns_of("dedup_commit", "crc32-verify"),
-        ns_of("dedup_commit", "strong-verify-free"),
-    ) {
-        (Some(verify), Some(free)) => verify / free,
-        _ => 0.0,
-    };
+    let digest_vs_sha1 = ratio("digest_256B", "sha1", "strong-fast");
+    let digest_vs_md5 = ratio("digest_256B", "md5", "strong-fast");
+    let dedup_commit_speedup = ratio("dedup_commit", "crc32-verify", "strong-verify-free");
     // The digest ratio gate needs the kernel's SIMD leg to actually be
     // live: under DEWRITE_PORTABLE (or on a host without SSSE3) the
     // "fast" construction falls back to scalar code, and the ratio would
@@ -913,11 +973,18 @@ fn main() {
     // and the ratio measures the scheduler, not the allocator.
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let contended_gate = parallelism >= FSM_THREADS;
-    let check_skipped = check && (!contended_gate || !digest_gate);
+    // The kernel floors compare a hardware leg with its scalar leg: without
+    // the instructions (or under DEWRITE_PORTABLE) both rows run the same
+    // code and the ratio says nothing.
+    let pipelined_gate = dispatched_aes.backend_kind() == AesBackend::AesNi;
+    let check_skipped = check && (!contended_gate || !digest_gate || !pipelined_gate || !crc_folds);
 
     eprintln!();
     eprintln!("line_encrypt_256B speedup vs seed: {line_speedup:.2}x (target >= 3x)");
     eprintln!("crc_256B digest speedup vs seed:   {crc_speedup:.2}x (target >= 4x)");
+    eprintln!("line_encrypt_256B vs per-block:    {line_pipelined_speedup:.2}x (target >= 4x)");
+    eprintln!("crc_256B pclmul vs slice-by-8:     {crc_pclmul_speedup:.2}x (target >= 5x)");
+    eprintln!("bit_flips_256B word vs bytewise:   {bit_flips_speedup:.2}x");
     eprintln!("compare_256B speedup vs seed:      {compare_speedup:.2}x");
     eprintln!("index_lookup speedup vs seed:      {index_lookup_speedup:.2}x (target >= 3x)");
     eprintln!("index_store speedup vs seed:       {index_store_speedup:.2}x");
@@ -943,6 +1010,14 @@ fn main() {
     if check && !digest_gate {
         eprintln!("SKIPPED: digest_256B strong-vs-crypto assertion (SIMD leg not active)");
     }
+    if check && !pipelined_gate {
+        eprintln!(
+            "SKIPPED: line_encrypt_256B pipelined-vs-per-block assertion (AES-NI not active)"
+        );
+    }
+    if check && !crc_folds {
+        eprintln!("SKIPPED: crc_256B pclmul-vs-slice-by-8 assertion (PCLMULQDQ not active)");
+    }
 
     let report = Json::Obj(vec![
         ("schema_version".into(), Json::Num(1.0)),
@@ -957,6 +1032,7 @@ fn main() {
                     Json::Bool(crc32c.backend_kind() == CrcBackend::Sse42),
                 ),
                 ("strong_simd".into(), Json::Bool(strong.simd_active())),
+                ("pclmul_crc".into(), Json::Bool(crc_folds)),
             ]),
         ),
         (
@@ -968,6 +1044,18 @@ fn main() {
             Json::Obj(vec![
                 ("line_encrypt_256B_vs_seed".into(), Json::Num(line_speedup)),
                 ("crc_256B_vs_seed".into(), Json::Num(crc_speedup)),
+                (
+                    "line_encrypt_256B_pipelined_vs_per_block".into(),
+                    Json::Num(line_pipelined_speedup),
+                ),
+                (
+                    "crc_256B_pclmul_vs_slice8".into(),
+                    Json::Num(crc_pclmul_speedup),
+                ),
+                (
+                    "bit_flips_256B_word_vs_bytewise".into(),
+                    Json::Num(bit_flips_speedup),
+                ),
                 ("compare_256B_vs_seed".into(), Json::Num(compare_speedup)),
                 (
                     "index_lookup_vs_seed".into(),
@@ -1011,6 +1099,8 @@ fn main() {
     if check
         && (line_speedup < 3.0
             || crc_speedup < 4.0
+            || (pipelined_gate && line_pipelined_speedup < 4.0)
+            || (crc_folds && crc_pclmul_speedup < 5.0)
             || index_lookup_speedup < 3.0
             || cache_access_speedup < 2.0
             || cache_scan_ratio < 2.0

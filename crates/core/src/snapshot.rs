@@ -48,6 +48,8 @@ const RESIDENT_BYTES: u64 = 16;
 const COUNTER_BYTES: u64 = 12;
 /// Payload bytes before the variable sections (`config_fp`, `lines`).
 const FIXED_PAYLOAD_BYTES: u64 = 16;
+/// Bytes of the image header (`magic`, `version u16`, `crc u32`).
+const IMAGE_HEADER_BYTES: u64 = 10;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -170,48 +172,60 @@ impl Snapshot {
         Ok((index, counters))
     }
 
-    /// Encode the payload (everything the CRC covers).
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(
-            (FIXED_PAYLOAD_BYTES
-                + 24
-                + self.mappings.len() as u64 * MAPPING_BYTES
-                + self.residents.len() as u64 * RESIDENT_BYTES
-                + self.counters.len() as u64 * COUNTER_BYTES) as usize,
-        );
-        p.extend_from_slice(&self.config_fp.to_le_bytes());
-        p.extend_from_slice(&self.lines.to_le_bytes());
-        p.extend_from_slice(&(self.mappings.len() as u64).to_le_bytes());
-        for &(a, b) in &self.mappings {
-            p.extend_from_slice(&a.to_le_bytes());
-            p.extend_from_slice(&b.to_le_bytes());
-        }
-        p.extend_from_slice(&(self.residents.len() as u64).to_le_bytes());
-        for &(line, digest) in &self.residents {
-            p.extend_from_slice(&line.to_le_bytes());
-            p.extend_from_slice(&digest.to_le_bytes());
-        }
-        p.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
-        for &(line, ctr) in &self.counters {
-            p.extend_from_slice(&line.to_le_bytes());
-            p.extend_from_slice(&ctr.to_le_bytes());
-        }
-        p
+    /// Exact size of the image [`encode_into`](Self::encode_into) appends.
+    pub fn encoded_len(&self) -> usize {
+        (IMAGE_HEADER_BYTES
+            + FIXED_PAYLOAD_BYTES
+            + 24
+            + self.mappings.len() as u64 * MAPPING_BYTES
+            + self.residents.len() as u64 * RESIDENT_BYTES
+            + self.counters.len() as u64 * COUNTER_BYTES) as usize
     }
 
-    /// Serialize to a writer.
+    /// Append the serialized image to `buf`: the header goes in first with
+    /// the checksum left blank, the payload is encoded in place behind it,
+    /// and the CRC is patched in at the end — one pass, no staging copy.
+    /// Callers embedding the image (the persistence layer's checkpoint
+    /// files) reserve [`encoded_len`](Self::encoded_len) up front.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.reserve(self.encoded_len());
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let crc_at = buf.len();
+        buf.extend_from_slice(&[0u8; 4]);
+        let payload_at = buf.len();
+        buf.extend_from_slice(&self.config_fp.to_le_bytes());
+        buf.extend_from_slice(&self.lines.to_le_bytes());
+        buf.extend_from_slice(&(self.mappings.len() as u64).to_le_bytes());
+        for &(a, b) in &self.mappings {
+            buf.extend_from_slice(&a.to_le_bytes());
+            buf.extend_from_slice(&b.to_le_bytes());
+        }
+        buf.extend_from_slice(&(self.residents.len() as u64).to_le_bytes());
+        for &(line, digest) in &self.residents {
+            buf.extend_from_slice(&line.to_le_bytes());
+            buf.extend_from_slice(&digest.to_le_bytes());
+        }
+        buf.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
+        for &(line, ctr) in &self.counters {
+            buf.extend_from_slice(&line.to_le_bytes());
+            buf.extend_from_slice(&ctr.to_le_bytes());
+        }
+        let crc = Crc32::new().checksum(&buf[payload_at..]);
+        buf[crc_at..payload_at].copy_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(buf.len() - start, self.encoded_len());
+    }
+
+    /// Serialize to a writer (one `write_all` of the encoded image).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let payload = self.encode_payload();
-        let crc = Crc32::new().checksum(&payload);
-        w.write_all(&SNAPSHOT_MAGIC)?;
-        w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        w.write_all(&crc.to_le_bytes())?;
-        w.write_all(&payload)?;
-        Ok(())
+        let mut image = Vec::new();
+        self.encode_into(&mut image);
+        w.write_all(&image)
     }
 
     /// Deserialize from a reader with the default

@@ -13,7 +13,7 @@
 
 use std::arch::x86_64::{
     __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
+    _mm_aesimc_si128, _mm_loadu_si128, _mm_set_epi32, _mm_storeu_si128, _mm_xor_si128,
 };
 
 use crate::aes::expand_key;
@@ -82,7 +82,69 @@ impl Aes128Ni {
             out
         }
     }
+
+    /// XOR the counter-mode pad `AES_K(addr ‖ counter ‖ i)` into `buf`,
+    /// eight blocks at a time (see [`Aes128::ctr_xor`](crate::Aes128)).
+    ///
+    /// One `AESENC` has a latency of several cycles but the unit accepts a
+    /// new one every cycle, so eight independent blocks walked through the
+    /// rounds side by side keep it busy where a block-at-a-time loop
+    /// waits out every round; the round keys are loaded once per call.
+    #[target_feature(enable = "aes")]
+    pub(crate) unsafe fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+        // Little-endian lanes: addr in bytes 0..8, counter in 8..12, the
+        // block index (ORed in per block) in 12..16.
+        let base = _mm_set_epi32(0, counter as i32, (addr >> 32) as i32, addr as i32);
+        let pad8 = |first_block: u32| -> [__m128i; CTR_LANES] {
+            let mut b: [__m128i; CTR_LANES] = std::array::from_fn(|i| {
+                let idx = first_block.wrapping_add(i as u32);
+                let seed = _mm_xor_si128(base, _mm_set_epi32(idx as i32, 0, 0, 0));
+                _mm_xor_si128(seed, self.enc[0])
+            });
+            for rk in &self.enc[1..10] {
+                for x in &mut b {
+                    *x = _mm_aesenc_si128(*x, *rk);
+                }
+            }
+            for x in &mut b {
+                *x = _mm_aesenclast_si128(*x, self.enc[10]);
+            }
+            b
+        };
+
+        let mut first_block = 0u32;
+        let mut chunks = buf.chunks_exact_mut(16 * CTR_LANES);
+        for chunk in &mut chunks {
+            let pad = pad8(first_block);
+            for (block, k) in chunk.chunks_exact_mut(16).zip(pad) {
+                // SAFETY: `block` is exactly 16 bytes; unaligned load/store.
+                unsafe {
+                    let p = block.as_mut_ptr().cast::<__m128i>();
+                    _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), k));
+                }
+            }
+            first_block = first_block.wrapping_add(CTR_LANES as u32);
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            // A short tail still costs one pipelined pass: cheaper than two
+            // serial blocks, and it keeps a single code path.
+            let mut pad = [0u8; 16 * CTR_LANES];
+            for (block, k) in pad.chunks_exact_mut(16).zip(pad8(first_block)) {
+                // SAFETY: `block` is exactly 16 bytes; unaligned store.
+                unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), k) };
+            }
+            for (b, k) in tail.iter_mut().zip(pad) {
+                *b ^= k;
+            }
+        }
+    }
 }
+
+/// Blocks walked through the rounds side by side by [`Aes128Ni::ctr_xor`]:
+/// enough to cover the `AESENC` latency, few enough to stay in the sixteen
+/// xmm registers alongside the round key in flight.
+const CTR_LANES: usize = 8;
 
 #[cfg(test)]
 mod tests {

@@ -50,25 +50,14 @@ impl CounterModeEngine {
         }
     }
 
-    /// Compute the OTP block for (`addr`, `counter`, `block_idx`).
-    fn pad_block(&self, addr: u64, counter: LineCounter, block_idx: u32) -> [u8; 16] {
-        let mut seed = [0u8; 16];
-        seed[0..8].copy_from_slice(&addr.to_le_bytes());
-        seed[8..12].copy_from_slice(&counter.value().to_le_bytes());
-        seed[12..16].copy_from_slice(&block_idx.to_le_bytes());
-        self.aes.encrypt_block(&seed)
-    }
-
     /// Write the one-time pad for a line of `out.len()` bytes into `out`,
     /// without allocating.
     ///
     /// Exposed so callers that overlap pad generation with an NVM read (the
     /// counter-cache-hit fast path) can model the two steps separately.
     pub fn one_time_pad_into(&self, addr: u64, counter: LineCounter, out: &mut [u8]) {
-        for (block_idx, chunk) in out.chunks_mut(16).enumerate() {
-            let pad = self.pad_block(addr, counter, block_idx as u32);
-            chunk.copy_from_slice(&pad[..chunk.len()]);
-        }
+        out.fill(0);
+        self.aes.ctr_xor(addr, counter.value(), out);
     }
 
     /// Generate the full one-time pad for a line of `len` bytes.
@@ -99,12 +88,8 @@ impl CounterModeEngine {
             plaintext.len(),
             "ciphertext buffer must match plaintext length"
         );
-        for (block_idx, (pt, ct)) in plaintext.chunks(16).zip(out.chunks_mut(16)).enumerate() {
-            let pad = self.pad_block(addr, counter, block_idx as u32);
-            for ((c, p), k) in ct.iter_mut().zip(pt.iter()).zip(pad.iter()) {
-                *c = p ^ k;
-            }
-        }
+        out.copy_from_slice(plaintext);
+        self.aes.ctr_xor(addr, counter.value(), out);
     }
 
     /// Decrypt `ciphertext` read from `addr` under `counter` into `out`.
@@ -363,6 +348,28 @@ mod tests {
         let mut dpt = [0u8; 48];
         d.decrypt_into(&dct, 0x80, &mut dpt);
         assert_eq!(dpt, data);
+    }
+
+    // The engine composes copy + batched pad; pin the result to the
+    // definition `ct[i] = pt[i] ^ AES_K(addr ‖ ctr ‖ i/16)[i % 16]`.
+    #[test]
+    fn ciphertext_is_plaintext_xor_per_block_pad() {
+        let e = engine();
+        let c = LineCounter::from_value(crate::counter::COUNTER_MAX);
+        let addr = (1u64 << 32) + 0x40;
+        for len in [0, 1, 16, 64, 255, 256, 257] {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 29 % 253) as u8).collect();
+            let expected: Vec<u8> = pt
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let seed = crate::dispatch::ctr_seed(addr, c.value(), (i / 16) as u32);
+                    p ^ e.aes.encrypt_block(&seed)[i % 16]
+                })
+                .collect();
+            assert_eq!(e.encrypt_line(&pt, addr, c), expected, "len {len}");
+            assert_eq!(e.decrypt_line(&expected, addr, c), pt, "len {len}");
+        }
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Slice-by-8 CRC-32 (IEEE 802.3) and CRC-32C (Castagnoli).
+//! CRC-32 (IEEE 802.3) and CRC-32C (Castagnoli): slice-by-8 tables, with
+//! a hardware leg each on x86-64.
 //!
 //! Both are reflected CRCs with initial value `0xFFFF_FFFF` and final XOR
 //! `0xFFFF_FFFF`. The eight 256-entry lookup tables are generated at
 //! *compile time* (`const fn`), so [`Crc32::new`] / [`Crc32c::new`] are
-//! free — they just borrow a `'static` table set. The hot loop consumes
-//! eight bytes per iteration (slice-by-8); CRC-32C additionally dispatches
-//! to the SSE4.2 `crc32` instruction when the CPU has it (the Castagnoli
-//! polynomial is the one the instruction implements — plain CRC-32 always
-//! takes the slice-by-8 path).
+//! free — they just borrow a `'static` table set. The portable hot loop
+//! consumes eight bytes per iteration (slice-by-8). On x86-64 CRC-32C
+//! dispatches to the SSE4.2 `crc32` instruction (the Castagnoli polynomial
+//! is the one it implements), and plain CRC-32 folds inputs of 64 bytes
+//! and up 512 bits per step with PCLMULQDQ (`crc32_hw.rs`), leaving only
+//! the sub-16-byte tail and short inputs to the tables.
 //!
 //! Backend choice never changes the checksum — the hardware and slice-by-8
-//! paths are differentially tested against a bitwise (table-free) reference
-//! over random inputs. The byte-at-a-time engine the repo started with is
+//! paths are differentially tested against the byte-at-a-time loop and a
+//! bitwise (table-free) reference. `DEWRITE_PORTABLE=1` pins both CRCs to
+//! slice-by-8; [`Crc32::portable`] / [`Crc32c::portable`] do the same for
+//! one instance. The byte-at-a-time engine the repo started with is
 //! retained as [`Crc32::checksum_bytewise`] so benchmarks can measure the
 //! upgrade.
 
@@ -19,7 +23,7 @@ use crate::portable::portable_only;
 use crate::traits::{HashAlgorithm, LineHasher};
 
 /// Reflected polynomial for CRC-32 (IEEE 802.3 / zlib / PNG).
-const POLY_IEEE: u32 = 0xEDB8_8320;
+pub(crate) const POLY_IEEE: u32 = 0xEDB8_8320;
 /// Reflected polynomial for CRC-32C (Castagnoli / iSCSI / SSE4.2).
 const POLY_CASTAGNOLI: u32 = 0x82F6_3B78;
 
@@ -71,10 +75,14 @@ impl CrcEngine {
         CrcEngine { tables }
     }
 
-    /// Slice-by-8: fold eight bytes into the CRC per iteration.
     fn checksum(&self, data: &[u8]) -> u32 {
+        self.update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    /// Slice-by-8 over the raw (un-inverted) register: fold eight bytes
+    /// into the CRC per iteration.
+    fn update(&self, mut crc: u32, data: &[u8]) -> u32 {
         let t = self.tables;
-        let mut crc = 0xFFFF_FFFFu32;
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
             let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
@@ -91,7 +99,7 @@ impl CrcEngine {
         for &b in chunks.remainder() {
             crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
-        crc ^ 0xFFFF_FFFF
+        crc
     }
 
     /// The seed-era byte-at-a-time loop, kept for benchmark baselines.
@@ -124,18 +132,54 @@ impl std::fmt::Debug for CrcEngine {
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     engine: CrcEngine,
+    /// Whether `checksum` may take the PCLMULQDQ folding leg.
+    fold: bool,
 }
 
 impl Crc32 {
-    /// Create a CRC-32 hasher. Free: the tables are compile-time constants.
+    /// Create a CRC-32 hasher. Free: the tables are compile-time constants
+    /// and the backend is picked per call from cached flags.
     pub const fn new() -> Self {
         Crc32 {
             engine: CrcEngine::new(&TABLES_IEEE),
+            fold: true,
         }
     }
 
-    /// Compute the CRC-32 checksum of `data` (slice-by-8).
+    /// Create a hasher pinned to the portable slice-by-8 path.
+    pub const fn portable() -> Self {
+        Crc32 {
+            engine: CrcEngine::new(&TABLES_IEEE),
+            fold: false,
+        }
+    }
+
+    /// The backend [`checksum`](Self::checksum) takes right now for inputs
+    /// long enough to fold: [`CrcBackend::Pclmul`] when the CPU has
+    /// PCLMULQDQ, `DEWRITE_PORTABLE` is off and this instance is not
+    /// [`portable`](Self::portable); slice-by-8 otherwise. Both inputs are
+    /// cached flags, so asking per call is free.
+    pub fn backend_kind(&self) -> CrcBackend {
+        #[cfg(target_arch = "x86_64")]
+        if self.fold && std::arch::is_x86_feature_detected!("pclmulqdq") && !portable_only() {
+            return CrcBackend::Pclmul;
+        }
+        CrcBackend::Slice8
+    }
+
+    /// Compute the CRC-32 checksum of `data`: PCLMULQDQ folding for the
+    /// 16-byte-multiple prefix of inputs of 64 bytes and up on the
+    /// [`CrcBackend::Pclmul`] backend, slice-by-8 for the rest.
     pub fn checksum(&self, data: &[u8]) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= crate::crc32_hw::FOLD_MIN_BYTES
+            && self.backend_kind() == CrcBackend::Pclmul
+        {
+            // SAFETY: a `Pclmul` answer means `pclmulqdq` was detected.
+            #[allow(unsafe_code)]
+            let (state, tail) = unsafe { crate::crc32_hw::crc32_ieee_fold(0xFFFF_FFFF, data) };
+            return self.engine.update(state, tail) ^ 0xFFFF_FFFF;
+        }
         self.engine.checksum(data)
     }
 
@@ -162,13 +206,15 @@ impl LineHasher for Crc32 {
     }
 }
 
-/// Which implementation a [`Crc32c`] instance dispatches to.
+/// Which implementation a [`Crc32`] or [`Crc32c`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrcBackend {
     /// Portable slice-by-8 over compile-time tables.
     Slice8,
-    /// x86 SSE4.2 `crc32` instruction.
+    /// x86 SSE4.2 `crc32` instruction (CRC-32C only).
     Sse42,
+    /// x86 PCLMULQDQ folding (CRC-32 only).
+    Pclmul,
 }
 
 impl std::fmt::Display for CrcBackend {
@@ -176,6 +222,7 @@ impl std::fmt::Display for CrcBackend {
         f.write_str(match self {
             CrcBackend::Slice8 => "slice-by-8",
             CrcBackend::Sse42 => "sse4.2",
+            CrcBackend::Pclmul => "pclmul",
         })
     }
 }
@@ -335,10 +382,52 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    // Differential: the dispatched CRC-32 (PCLMULQDQ fold from 64 bytes up
+    // unless DEWRITE_PORTABLE pins slice-by-8) and the pinned-portable
+    // instance vs the byte-at-a-time loop, at every length around the
+    // fold's 16- and 64-byte steps and at every load alignment.
+    #[test]
+    fn crc32_fold_matches_bytewise() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let data: Vec<u8> = (0..1024 + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for crc in [Crc32::new(), Crc32::portable()] {
+            for start in 0..16 {
+                for len in 0..=1024 {
+                    let slice = &data[start..start + len];
+                    assert_eq!(
+                        crc.checksum(slice),
+                        crc.checksum_bytewise(slice),
+                        "start {start} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    // Known answers long enough to reach the fold (the "123456789" check
+    // is 9 bytes): values from zlib's `crc32()`.
+    #[test]
+    fn crc32_fold_known_answers() {
+        let ramp: Vec<u8> = (0..=255u8).collect();
+        for crc in [Crc32::new(), Crc32::portable()] {
+            assert_eq!(crc.checksum(&ramp[..64]), 0x100E_CE8C);
+            assert_eq!(crc.checksum(&ramp), 0x2905_8C73);
+            assert_eq!(crc.checksum(&[0u8; 256]), 0x0D96_8558);
+            assert_eq!(crc.checksum(&[0xFFu8; 100]), 0x03D2_8681);
+        }
+    }
+
     #[test]
     fn bytewise_baseline_matches_slice8() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let crc = Crc32::new();
+        let crc = Crc32::portable();
         assert_eq!(crc.checksum(&data), crc.checksum_bytewise(&data));
         let crcc = Crc32c::portable();
         assert_eq!(crcc.checksum(&data), crcc.checksum_bytewise(&data));
@@ -349,6 +438,14 @@ mod tests {
         // every random input, at every length (covers ragged tails 0..8).
         #[test]
         fn slice8_matches_bitwise_ieee(data in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let crc = Crc32::portable();
+            prop_assert_eq!(crc.checksum(&data), crc32_bitwise(POLY_IEEE, &data));
+        }
+
+        // Whatever leg `new()` lands on (the PCLMULQDQ fold when the host
+        // has it) must agree with the bitwise reference.
+        #[test]
+        fn dispatched_crc32_matches_bitwise(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             let crc = Crc32::new();
             prop_assert_eq!(crc.checksum(&data), crc32_bitwise(POLY_IEEE, &data));
         }

@@ -24,6 +24,25 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Bytes before the payload: `magic`, `version u16`, `crc u32`.
+const HEADER_BYTES: usize = 10;
+
+/// Encode the checkpoint file image for `snapshot` as of `writes_covered`
+/// data writes, borrowing the snapshot: one exactly-sized buffer, both
+/// headers written ahead of their payloads and both CRCs patched in after,
+/// so the store can hand the file a single `write_all`.
+pub(crate) fn encode_checkpoint(writes_covered: u64, snapshot: &Snapshot) -> Vec<u8> {
+    let mut image = Vec::with_capacity(HEADER_BYTES + 8 + snapshot.encoded_len());
+    image.extend_from_slice(&CHECKPOINT_MAGIC);
+    image.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    image.extend_from_slice(&[0u8; 4]);
+    image.extend_from_slice(&writes_covered.to_le_bytes());
+    snapshot.encode_into(&mut image);
+    let crc = Crc32::new().checksum(&image[HEADER_BYTES..]);
+    image[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    image
+}
+
 /// A durable checkpoint: the full metadata state as of `writes_covered`
 /// data writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,15 +60,7 @@ impl Checkpoint {
     ///
     /// Propagates I/O errors.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.writes_covered.to_le_bytes());
-        self.snapshot.write_to(&mut payload)?;
-        let crc = Crc32::new().checksum(&payload);
-        w.write_all(&CHECKPOINT_MAGIC)?;
-        w.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
-        w.write_all(&crc.to_le_bytes())?;
-        w.write_all(&payload)?;
-        Ok(())
+        w.write_all(&encode_checkpoint(self.writes_covered, &self.snapshot))
     }
 
     /// Decode a checkpoint image, bounding the embedded snapshot's claimed
@@ -60,7 +71,7 @@ impl Checkpoint {
     /// Fails with [`io::ErrorKind::InvalidData`] on bad magic/version, a
     /// checksum mismatch, or an invalid embedded snapshot.
     pub fn read_from_bounded(bytes: &[u8], max_lines: u64) -> io::Result<Self> {
-        if bytes.len() < 10 {
+        if bytes.len() < HEADER_BYTES {
             return Err(bad("checkpoint header truncated"));
         }
         if bytes[0..4] != CHECKPOINT_MAGIC {
@@ -73,7 +84,7 @@ impl Checkpoint {
             )));
         }
         let crc = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
-        let payload = &bytes[10..];
+        let payload = &bytes[HEADER_BYTES..];
         if Crc32::new().checksum(payload) != crc {
             return Err(bad("checkpoint checksum mismatch (corrupt or torn)"));
         }
@@ -112,6 +123,24 @@ mod tests {
         let mut buf = Vec::new();
         ck.write_to(&mut buf).unwrap();
         assert_eq!(Checkpoint::read_from_bounded(&buf, 64).unwrap(), ck);
+    }
+
+    // The on-disk format is pinned byte for byte (computed independently
+    // with zlib's crc32): the encoder may change how it builds the image,
+    // never the image.
+    #[test]
+    fn golden_bytes() {
+        let golden: String = [
+            "4457434b0100e4a21fee7b0000000000000044575353030066a0b31f07000000",
+            "0000000040000000000000000200000000000000000000000000000005000000",
+            "0000000001000000000000000500000000000000010000000000000005000000",
+            "0000000063000000000000000100000000000000050000000000000002000000",
+        ]
+        .concat();
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
     }
 
     #[test]

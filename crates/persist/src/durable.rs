@@ -17,7 +17,6 @@ use dewrite_core::{
 };
 use dewrite_nvm::LineAddr;
 
-use crate::checkpoint::Checkpoint;
 use crate::store::MetaStore;
 use crate::wal::WalRecord;
 use crate::PersistError;
@@ -75,15 +74,7 @@ impl EpochLog {
         initial: &Snapshot,
         opts: DurableOptions,
     ) -> std::io::Result<Self> {
-        let store = MetaStore::create(
-            dir,
-            fingerprint,
-            &Checkpoint {
-                writes_covered: 0,
-                snapshot: initial.clone(),
-            },
-            opts.sync,
-        )?;
+        let store = MetaStore::create(dir, fingerprint, initial, opts.sync)?;
         Ok(EpochLog {
             store,
             pending: Vec::new(),
@@ -139,10 +130,7 @@ impl EpochLog {
     /// Propagates filesystem errors.
     pub fn checkpoint(&mut self, snapshot: &Snapshot) -> std::io::Result<()> {
         self.flush()?;
-        self.store.rotate(&Checkpoint {
-            writes_covered: self.flushed_writes,
-            snapshot: snapshot.clone(),
-        })?;
+        self.store.rotate(self.flushed_writes, snapshot)?;
         self.epochs_since_checkpoint = 0;
         Ok(())
     }

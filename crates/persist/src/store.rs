@@ -19,7 +19,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::Checkpoint;
+use dewrite_core::Snapshot;
+
+use crate::checkpoint::encode_checkpoint;
 use crate::wal::{encode_record, encode_wal_header, WalRecord};
 
 /// File-name prefix of checkpoint files.
@@ -74,6 +76,54 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
+/// Remove `path`; a file that is already gone is not an error (pruning
+/// must not fail a checkpoint because someone tidied the directory).
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        other => other,
+    }
+}
+
+/// Write checkpoint `seq` under `dir`: the whole image in one write to a
+/// temp file, then rename (+ file and directory fsync when `sync`).
+fn write_checkpoint_file(
+    dir: &Path,
+    seq: u64,
+    writes_covered: u64,
+    snapshot: &Snapshot,
+    sync: bool,
+) -> io::Result<()> {
+    let tmp = dir.join(format!("{CKPT_PREFIX}{seq:08}.tmp"));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(&encode_checkpoint(writes_covered, snapshot))?;
+        if sync {
+            f.sync_all()?;
+        }
+    }
+    fs::rename(&tmp, ckpt_path(dir, seq))?;
+    if sync {
+        sync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// Create (or truncate) WAL segment `seq` under `dir` and write its header.
+fn open_segment(dir: &Path, seq: u64, fingerprint: u64, sync: bool) -> io::Result<File> {
+    let mut f = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(wal_path(dir, seq))?;
+    f.write_all(&encode_wal_header(fingerprint))?;
+    if sync {
+        f.sync_all()?;
+        sync_dir(dir)?;
+    }
+    Ok(f)
+}
+
 /// Owner of a store directory: appends epoch records to the active WAL
 /// segment and rotates checkpoint/segment pairs.
 #[derive(Debug)]
@@ -88,7 +138,8 @@ pub struct MetaStore {
 impl MetaStore {
     /// Create a fresh store in `dir` (created if absent; any previous
     /// checkpoint/WAL files are removed), writing checkpoint 0 from
-    /// `initial` and opening WAL segment 0.
+    /// `initial` (the state before any logged write) and opening WAL
+    /// segment 0.
     ///
     /// # Errors
     ///
@@ -96,7 +147,7 @@ impl MetaStore {
     pub fn create(
         dir: &Path,
         fingerprint: u64,
-        initial: &Checkpoint,
+        initial: &Snapshot,
         sync: bool,
     ) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
@@ -106,17 +157,14 @@ impl MetaStore {
         for seq in list_seqs(dir, WAL_PREFIX, WAL_EXT)? {
             fs::remove_file(wal_path(dir, seq))?;
         }
-        let mut store = MetaStore {
+        write_checkpoint_file(dir, 0, 0, initial, sync)?;
+        Ok(MetaStore {
             dir: dir.to_path_buf(),
             fingerprint,
             seq: 0,
-            // Placeholder; replaced by open_segment below.
-            wal: File::create(wal_path(dir, 0))?,
+            wal: open_segment(dir, 0, fingerprint, sync)?,
             sync,
-        };
-        store.write_checkpoint_file(0, initial)?;
-        store.open_segment(0)?;
-        Ok(store)
+        })
     }
 
     /// The store directory.
@@ -127,38 +175,6 @@ impl MetaStore {
     /// Current checkpoint/segment sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    fn write_checkpoint_file(&self, seq: u64, ckpt: &Checkpoint) -> io::Result<()> {
-        let tmp = self.dir.join(format!("{CKPT_PREFIX}{seq:08}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            ckpt.write_to(&mut f)?;
-            if self.sync {
-                f.sync_all()?;
-            }
-        }
-        fs::rename(&tmp, ckpt_path(&self.dir, seq))?;
-        if self.sync {
-            sync_dir(&self.dir)?;
-        }
-        Ok(())
-    }
-
-    fn open_segment(&mut self, seq: u64) -> io::Result<()> {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(wal_path(&self.dir, seq))?;
-        f.write_all(&encode_wal_header(self.fingerprint))?;
-        if self.sync {
-            f.sync_all()?;
-            sync_dir(&self.dir)?;
-        }
-        self.wal = f;
-        self.seq = seq;
-        Ok(())
     }
 
     /// Append one epoch record to the active segment and (when `sync`)
@@ -193,28 +209,24 @@ impl MetaStore {
         sync_dir(&self.dir)
     }
 
-    /// Rotate: write checkpoint `seq+1` (temp + rename + dir fsync), open
-    /// WAL segment `seq+1`, and prune pairs `≤ seq−1` (keeping exactly one
-    /// older pair as the fallback for a torn checkpoint).
+    /// Rotate: write checkpoint `seq+1` capturing `snapshot` as of
+    /// `writes_covered` data writes (temp + rename + dir fsync), open WAL
+    /// segment `seq+1`, and prune pair `seq−1` (keeping exactly one older
+    /// pair as the fallback for a torn checkpoint). Everything below
+    /// `seq−1` is already gone: `create` wipes the directory and every
+    /// earlier rotation pruned its own `seq−1`.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn rotate(&mut self, ckpt: &Checkpoint) -> io::Result<()> {
+    pub fn rotate(&mut self, writes_covered: u64, snapshot: &Snapshot) -> io::Result<()> {
         let next = self.seq + 1;
-        self.write_checkpoint_file(next, ckpt)?;
-        self.open_segment(next)?;
-        if next >= 2 {
-            for old in 0..=(next - 2) {
-                let c = ckpt_path(&self.dir, old);
-                let w = wal_path(&self.dir, old);
-                if c.exists() {
-                    fs::remove_file(c)?;
-                }
-                if w.exists() {
-                    fs::remove_file(w)?;
-                }
-            }
+        write_checkpoint_file(&self.dir, next, writes_covered, snapshot, self.sync)?;
+        self.wal = open_segment(&self.dir, next, self.fingerprint, self.sync)?;
+        self.seq = next;
+        if let Some(old) = next.checked_sub(2) {
+            remove_if_present(&ckpt_path(&self.dir, old))?;
+            remove_if_present(&wal_path(&self.dir, old))?;
         }
         Ok(())
     }
@@ -223,7 +235,6 @@ impl MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dewrite_core::Snapshot;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -232,17 +243,14 @@ mod tests {
         d
     }
 
-    fn ckpt(writes: u64) -> Checkpoint {
-        Checkpoint {
-            writes_covered: writes,
-            snapshot: Snapshot::empty(64, 5),
-        }
+    fn snap() -> Snapshot {
+        Snapshot::empty(64, 5)
     }
 
     #[test]
     fn create_rotate_prune() {
         let dir = tmpdir("rotate");
-        let mut store = MetaStore::create(&dir, 5, &ckpt(0), false).unwrap();
+        let mut store = MetaStore::create(&dir, 5, &snap(), false).unwrap();
         assert_eq!(store.seq(), 0);
         store
             .append(&WalRecord {
@@ -251,22 +259,30 @@ mod tests {
                 ops: vec![],
             })
             .unwrap();
-        store.rotate(&ckpt(4)).unwrap();
-        store.rotate(&ckpt(8)).unwrap();
-        store.rotate(&ckpt(12)).unwrap();
-        // Pairs 0 and 1 pruned; 2 and 3 retained.
-        assert_eq!(list_seqs(&dir, CKPT_PREFIX, CKPT_EXT).unwrap(), vec![2, 3]);
-        assert_eq!(list_seqs(&dir, WAL_PREFIX, WAL_EXT).unwrap(), vec![2, 3]);
+        for seq in 1..=50u64 {
+            store.rotate(4 * seq, &snap()).unwrap();
+            // Exactly the current pair and one fallback survive every
+            // rotation.
+            let kept = vec![seq - 1, seq];
+            assert_eq!(list_seqs(&dir, CKPT_PREFIX, CKPT_EXT).unwrap(), kept);
+            assert_eq!(list_seqs(&dir, WAL_PREFIX, WAL_EXT).unwrap(), kept);
+        }
+        assert_eq!(store.seq(), 50);
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            4,
+            "two pairs, no temp files"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn create_wipes_previous_state() {
         let dir = tmpdir("wipe");
-        let mut store = MetaStore::create(&dir, 5, &ckpt(0), false).unwrap();
-        store.rotate(&ckpt(4)).unwrap();
+        let mut store = MetaStore::create(&dir, 5, &snap(), false).unwrap();
+        store.rotate(4, &snap()).unwrap();
         drop(store);
-        let _fresh = MetaStore::create(&dir, 5, &ckpt(0), false).unwrap();
+        let _fresh = MetaStore::create(&dir, 5, &snap(), false).unwrap();
         assert_eq!(list_seqs(&dir, CKPT_PREFIX, CKPT_EXT).unwrap(), vec![0]);
         assert_eq!(list_seqs(&dir, WAL_PREFIX, WAL_EXT).unwrap(), vec![0]);
         fs::remove_dir_all(&dir).unwrap();
