@@ -915,13 +915,19 @@ fn main() {
             .find(|s| s.name == name && s.engine == engine)
             .map(Sample::ns_per_op)
     };
+    let line_speedup = match (
+        ns_of("line_encrypt_256B", "seed"),
+        ns_of("line_encrypt_256B", "fast"),
+    ) {
+        (Some(seed), Some(fast)) => seed / fast,
+        _ => 0.0,
+    };
     // `old` ns/op over `new` ns/op for two engines of one row family (0
     // when either row was not measured on this host).
     let ratio = |name: &str, old: &str, new: &str| match (ns_of(name, old), ns_of(name, new)) {
         (Some(old), Some(new)) => old / new,
         _ => 0.0,
     };
-    let line_speedup = ratio("line_encrypt_256B", "seed", "fast");
     // The kernel gates: the batched AES-NI pad vs the block-at-a-time
     // loop on the same backend, the folded CRC-32 vs slice-by-8, and the
     // word-wise flip count vs the byte loop (reported, not gated).
@@ -941,10 +947,17 @@ fn main() {
         Some(seed) if crc_fast_ns.is_finite() => seed / crc_fast_ns,
         _ => 0.0,
     };
-    let compare_speedup = ratio("compare_256B", "seed", "fast");
-    let index_lookup_speedup = ratio("index_lookup", "seed", "flat");
-    let index_store_speedup = ratio("index_store", "seed", "flat");
-    let cache_access_speedup = ratio("cache_access", "seed", "flat");
+    let compare_speedup = match (ns_of("compare_256B", "seed"), ns_of("compare_256B", "fast")) {
+        (Some(seed), Some(fast)) => seed / fast,
+        _ => 0.0,
+    };
+    let pair_speedup = |name: &str| match (ns_of(name, "seed"), ns_of(name, "flat")) {
+        (Some(seed), Some(flat)) => seed / flat,
+        _ => 0.0,
+    };
+    let index_lookup_speedup = pair_speedup("index_lookup");
+    let index_store_speedup = pair_speedup("index_store");
+    let cache_access_speedup = pair_speedup("cache_access");
     let scan_rate_of = |engine: &str| {
         scan_rates
             .iter()
@@ -956,13 +969,30 @@ fn main() {
     // The 1e-3 floor keeps the ratio finite if LRU ever hits zero; both
     // rates are deterministic functions of the scan pattern.
     let cache_scan_ratio = scan_s3_rate / scan_lru_rate.max(1e-3);
-    let fsm_claim_speedup = ratio("fsm_claim", "flat", "tree");
-    let fsm_claim_contended_speedup = ratio("fsm_claim_contended", "flat", "tree");
+    let fsm_pair = |name: &str| match (ns_of(name, "flat"), ns_of(name, "tree")) {
+        (Some(flat), Some(tree)) => flat / tree,
+        _ => 0.0,
+    };
+    let fsm_claim_speedup = fsm_pair("fsm_claim");
+    let fsm_claim_contended_speedup = fsm_pair("fsm_claim_contended");
     // Strong keyed digest vs each cryptographic baseline, and the
     // commit-decision ratio the verify-free path buys.
-    let digest_vs_sha1 = ratio("digest_256B", "sha1", "strong-fast");
-    let digest_vs_md5 = ratio("digest_256B", "md5", "strong-fast");
-    let dedup_commit_speedup = ratio("dedup_commit", "crc32-verify", "strong-verify-free");
+    let digest_vs = |baseline: &str| match (
+        ns_of("digest_256B", baseline),
+        ns_of("digest_256B", "strong-fast"),
+    ) {
+        (Some(base), Some(fast)) => base / fast,
+        _ => 0.0,
+    };
+    let digest_vs_sha1 = digest_vs("sha1");
+    let digest_vs_md5 = digest_vs("md5");
+    let dedup_commit_speedup = match (
+        ns_of("dedup_commit", "crc32-verify"),
+        ns_of("dedup_commit", "strong-verify-free"),
+    ) {
+        (Some(verify), Some(free)) => verify / free,
+        _ => 0.0,
+    };
     // The digest ratio gate needs the kernel's SIMD leg to actually be
     // live: under DEWRITE_PORTABLE (or on a host without SSSE3) the
     // "fast" construction falls back to scalar code, and the ratio would

@@ -1,10 +1,11 @@
 //! Forced-portable switch for hash backends.
 //!
 //! Mirrors the switch in `dewrite-crypto` (this crate has no dependency on
-//! it, so the few lines are duplicated rather than coupled): backends are
-//! chosen at construction, and CI's determinism leg forces the portable
-//! path via `DEWRITE_PORTABLE=1` to prove reports are bit-identical across
-//! backends.
+//! it, so the few lines are duplicated rather than coupled): `Crc32c` and
+//! `StrongKeyed` choose their backend at construction, `Crc32` (whose
+//! `new` is `const`) consults the switch on every `checksum` call, and
+//! CI's determinism leg forces the portable path via `DEWRITE_PORTABLE=1`
+//! to prove reports are bit-identical across backends.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// 0 = hardware allowed.
 static PORTABLE_ONLY: AtomicU8 = AtomicU8::new(2);
 
-/// Should hasher constructors refuse hardware backends?
+/// Should hashers refuse hardware backends?
 ///
 /// Lazily seeded from the `DEWRITE_PORTABLE` environment variable (any
 /// non-empty value other than `0` forces portable engines).
@@ -29,9 +30,11 @@ pub fn portable_only() -> bool {
     }
 }
 
-/// Override backend selection for hashers constructed *after* this call:
-/// `true` forces portable paths, `false` re-enables hardware dispatch.
-/// Intended for tests and determinism checks.
+/// Override backend selection: `true` forces portable paths, `false`
+/// re-enables hardware dispatch. Takes effect for `Crc32c`/`StrongKeyed`
+/// hashers constructed *after* this call and for every later
+/// `Crc32::checksum` call, existing instances included (same result
+/// either way). Intended for tests and determinism checks.
 pub fn set_portable_only(portable: bool) {
     PORTABLE_ONLY.store(u8::from(portable), Ordering::Relaxed);
 }

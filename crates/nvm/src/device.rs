@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use crate::bank::{BankSet, BankSlot};
 use crate::config::NvmConfig;
 use crate::energy::EnergyBreakdown;
-use crate::line::{bit_flips, bits_set, LineAddr};
+use crate::line::{bit_flips, LineAddr};
 use crate::wear::WearTracker;
 
 /// Error type for device operations.
@@ -205,11 +205,8 @@ impl NvmDevice {
     ) -> Result<Access, NvmError> {
         self.check_addr(addr)?;
         self.check_len(data.len())?;
-        // A never-written line reads as zeros: every set bit is a flip.
-        let flips = match self.store.get(&addr.index()) {
-            Some(old) => bit_flips(old, data),
-            None => bits_set(data),
-        };
+        let old = self.peek_line(addr)?;
+        let flips = bit_flips(&old, data);
         self.write_line_with_flips(addr, data, flips, now_ns)
     }
 
