@@ -171,6 +171,18 @@ impl EngineConfig {
         };
         requested.clamp(1, self.shards)
     }
+
+    /// The epoch policy every shard's metadata WAL runs under when
+    /// [`persist_dir`](Self::persist_dir) is set: `persist_epoch` writes
+    /// per record, a checkpoint no sooner than every 8 epochs (and only
+    /// once the WAL segment has outgrown the image), `persist_sync`.
+    pub fn durable_options(&self) -> dewrite_persist::DurableOptions {
+        dewrite_persist::DurableOptions {
+            epoch_writes: self.persist_epoch,
+            checkpoint_epochs: 8,
+            sync: self.persist_sync,
+        }
+    }
 }
 
 /// One queued request: a trace record plus its issue timestamp (ns since
@@ -376,13 +388,11 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
                 ctrl.set_digest_mode(config.digest_mode);
                 ctrl.set_coalesce_window(config.coalesce);
                 if let Some(root) = &config.persist_dir {
-                    let opts = dewrite_persist::DurableOptions {
-                        epoch_writes: config.persist_epoch,
-                        checkpoint_epochs: 8,
-                        sync: config.persist_sync,
-                    };
-                    ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), opts)
-                        .expect("attach shard metadata persistence");
+                    ctrl.attach_persistence(
+                        &root.join(format!("shard-{id:02}")),
+                        config.durable_options(),
+                    )
+                    .expect("attach shard metadata persistence");
                 }
                 let want_scrub = config.scrub;
                 let app = app.to_string();

@@ -203,13 +203,11 @@ impl EngineService {
                 ctrl.set_cache_policy(config.cache_policy);
                 ctrl.set_digest_mode(config.digest_mode);
                 if let Some(root) = &config.persist_dir {
-                    let opts = dewrite_persist::DurableOptions {
-                        epoch_writes: config.persist_epoch,
-                        checkpoint_epochs: 8,
-                        sync: config.persist_sync,
-                    };
-                    ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), opts)
-                        .expect("attach shard metadata persistence");
+                    ctrl.attach_persistence(
+                        &root.join(format!("shard-{id:02}")),
+                        config.durable_options(),
+                    )
+                    .expect("attach shard metadata persistence");
                 }
                 let app = app.to_string();
                 let batch = config.batch;

@@ -35,7 +35,7 @@ use dewrite_mem::{
 use dewrite_nvm::{
     AtomicBitmap, EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr, Reservation,
 };
-use dewrite_persist::{DurableOptions, EpochLog};
+use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -565,6 +565,12 @@ impl ShardController {
         self.log.as_ref().map_or(0, EpochLog::unflushed_writes)
     }
 
+    /// What the metadata WAL has written and how far its active segment
+    /// has run ahead of the last checkpoint; `None` without persistence.
+    pub fn persist_stats(&self) -> Option<PersistStats> {
+        self.log.as_ref().map(EpochLog::stats)
+    }
+
     /// Force the open WAL epoch to the log; a no-op without persistence.
     ///
     /// # Errors
@@ -632,14 +638,19 @@ impl ShardController {
     /// so per-shard snapshots compose without collisions.
     pub fn snapshot(&self) -> Snapshot {
         let lines = self.addr_map.len().max(self.slots as usize) as u64 * self.shards as u64;
-        let mut mappings = Vec::new();
+        // Each table is sized exactly before it is filled: a checkpoint
+        // stalls the write path, and a megabyte-sized `Vec` grown by
+        // doubling pays for its final size again in copies and fresh
+        // pages. A counting pass over a dense array is far cheaper.
+        let mapped = self.addr_map.iter().filter(|&&s| s != SLOT_NONE).count();
+        let mut mappings = Vec::with_capacity(mapped);
         for (idx, &slot) in self.addr_map.iter().enumerate() {
             if slot != SLOT_NONE {
                 let init = idx as u64 * self.shards as u64 + self.id as u64;
                 mappings.push((init, self.slot_global(slot)));
             }
         }
-        let mut residents = Vec::new();
+        let mut residents = Vec::with_capacity(self.inverted.len());
         let inverted = &self.inverted;
         self.fsm.for_each_occupied(|slot| {
             let digest = inverted
@@ -647,14 +658,16 @@ impl ShardController {
                 .expect("occupied slot must have an inverted-hash row");
             residents.push((self.slot_global(slot), digest));
         });
-        residents.sort_unstable();
-        let counters = self
-            .counters
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(slot, &c)| (self.slot_global(slot as u64), c))
-            .collect();
+        // `for_each_occupied` walks slots upward and `slot_global` is
+        // monotonic in the slot.
+        debug_assert!(residents.is_sorted());
+        let touched = self.counters.iter().filter(|&&c| c != 0).count();
+        let mut counters = Vec::with_capacity(touched);
+        for (slot, &c) in self.counters.iter().enumerate() {
+            if c != 0 {
+                counters.push((self.slot_global(slot as u64), c));
+            }
+        }
         Snapshot {
             config_fp: Self::persist_fingerprint(
                 self.id,
@@ -674,15 +687,11 @@ impl ShardController {
     /// checkpointing per the epoch policy. Called at the end of every
     /// applied write; a no-op without persistence.
     fn journal_write(&mut self) {
-        if self.log.is_none() {
+        let Some(log) = self.log.as_mut() else {
             return;
-        }
-        let ops = std::mem::take(&mut self.meta_ops);
-        let due = self
-            .log
-            .as_mut()
-            .expect("checked above")
-            .record_write(ops)
+        };
+        let due = log
+            .record_write(self.meta_ops.drain(..))
             .expect("metadata WAL append failed");
         if due {
             let snapshot = self.snapshot();

@@ -17,8 +17,8 @@ use dewrite_core::{
 };
 use dewrite_nvm::LineAddr;
 
-use crate::store::MetaStore;
-use crate::wal::WalRecord;
+use crate::store::{MetaStore, PersistStats};
+use crate::wal::RecordBuf;
 use crate::PersistError;
 
 /// Tuning knobs of the durable layer.
@@ -26,7 +26,21 @@ use crate::PersistError;
 pub struct DurableOptions {
     /// Data writes per epoch record (the atomic unit of loss).
     pub epoch_writes: u32,
-    /// Epochs between checkpoints (WAL segment rotation).
+    /// *Minimum* epochs between automatic checkpoints (WAL segment
+    /// rotation). [`EpochLog::record_write`] reports one due only once
+    /// this many epochs have passed **and** the active segment has grown
+    /// to at least the size of the checkpoint image it is paired with: the
+    /// segment already holds the delta, so an image is rewritten only when
+    /// replaying the log would cost as much as loading it. An image entry
+    /// is never larger than the op that created it, so each image is at
+    /// most twice the segment before it — checkpoint bytes stay within
+    /// 2× the WAL bytes (plus the first image), replay within one
+    /// image-sized segment, the directory within two pairs. A store whose
+    /// image is smaller than this many epochs of WAL checkpoints exactly
+    /// every `checkpoint_epochs` epochs. Explicit
+    /// [`EpochLog::checkpoint`] calls are unconditional: the caller is
+    /// asking for a durability point (drain, shutdown), not bounding
+    /// replay.
     pub checkpoint_epochs: u32,
     /// `fsync` after every append/checkpoint. Disable only in tests that
     /// model the medium with in-memory copies of the files.
@@ -52,7 +66,8 @@ impl Default for DurableOptions {
 #[derive(Debug)]
 pub struct EpochLog {
     store: MetaStore,
-    pending: Vec<MetaOp>,
+    /// The open epoch's record, encoded op by op as writes arrive.
+    record: RecordBuf,
     /// Total data writes observed.
     writes: u64,
     /// Data writes covered by appended records (plus the base checkpoint).
@@ -77,7 +92,7 @@ impl EpochLog {
         let store = MetaStore::create(dir, fingerprint, initial, opts.sync)?;
         Ok(EpochLog {
             store,
-            pending: Vec::new(),
+            record: RecordBuf::new(),
             writes: 0,
             flushed_writes: 0,
             epochs_since_checkpoint: 0,
@@ -87,17 +102,26 @@ impl EpochLog {
 
     /// Feed one data write's journal ops. Returns `true` when a checkpoint
     /// is due — the caller should capture a snapshot and call
-    /// [`checkpoint`](Self::checkpoint).
+    /// [`checkpoint`](Self::checkpoint). One is due at an epoch boundary
+    /// once [`DurableOptions::checkpoint_epochs`] epochs have passed and
+    /// the active WAL segment has outgrown the checkpoint image it is
+    /// paired with.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from an epoch flush.
     pub fn record_write(&mut self, ops: impl IntoIterator<Item = MetaOp>) -> std::io::Result<bool> {
-        self.pending.extend(ops);
+        for op in ops {
+            self.record.push(&op);
+        }
         self.writes += 1;
         if self.writes - self.flushed_writes >= u64::from(self.opts.epoch_writes.max(1)) {
             self.flush()?;
-            return Ok(self.epochs_since_checkpoint >= self.opts.checkpoint_epochs.max(1));
+            let stats = self.store.stats();
+            return Ok(
+                self.epochs_since_checkpoint >= self.opts.checkpoint_epochs.max(1)
+                    && stats.segment_bytes >= stats.image_bytes,
+            );
         }
         Ok(false)
     }
@@ -111,12 +135,9 @@ impl EpochLog {
         if self.writes == self.flushed_writes {
             return Ok(());
         }
-        let record = WalRecord {
-            base_writes: self.flushed_writes,
-            writes_covered: self.writes,
-            ops: std::mem::take(&mut self.pending),
-        };
-        self.store.append(&record)?;
+        self.store
+            .append(self.record.finish(self.flushed_writes, self.writes))?;
+        self.record.clear();
         self.flushed_writes = self.writes;
         self.epochs_since_checkpoint += 1;
         Ok(())
@@ -162,6 +183,12 @@ impl EpochLog {
     /// The underlying store (directory, sequence).
     pub fn store(&self) -> &MetaStore {
         &self.store
+    }
+
+    /// What the log has written so far and how far the active segment has
+    /// run ahead of the last checkpoint.
+    pub fn stats(&self) -> PersistStats {
+        self.store.stats()
     }
 }
 

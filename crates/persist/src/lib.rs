@@ -37,7 +37,7 @@ mod wal;
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use durable::{DurableDeWrite, DurableOptions, EpochLog};
 pub use recover::{recover_state, RecoverDeWrite, RecoveryStats};
-pub use store::MetaStore;
+pub use store::{MetaStore, PersistStats};
 pub use torn::{apply_fault, Fault, TornWriter};
 pub use wal::{
     decode_wal, encode_record, encode_wal_header, DecodedWal, WalRecord, WalTail, MAX_RECORD_BYTES,

@@ -27,7 +27,7 @@ use dewrite_nvm::NvmDevice;
 
 use crate::checkpoint::Checkpoint;
 use crate::store::{ckpt_path, list_seqs, wal_path, CKPT_EXT, CKPT_PREFIX, WAL_EXT, WAL_PREFIX};
-use crate::wal::{decode_wal, WalTail};
+use crate::wal::{WalRecords, WalTail};
 use crate::PersistError;
 
 /// What recovery found and did (the torture summary's per-run payload).
@@ -94,23 +94,73 @@ impl RecoveryStats {
     }
 }
 
-/// Mutable replay state: the snapshot's three tables as maps.
+/// One entry per key in ascending key order; of several entries for one
+/// key the last wins, as applying them in order would. Every writer in
+/// this repo already produces such tables, and on them this is one linear
+/// pass.
+fn normalise<V>(table: &mut Vec<(u64, V)>) {
+    table.sort_by_key(|e| e.0);
+    table.dedup_by(|later, earlier| {
+        let same = later.0 == earlier.0;
+        if same {
+            std::mem::swap(later, earlier);
+        }
+        same
+    });
+}
+
+/// Overlay `delta` on the normalised table `base`: a delta entry replaces
+/// the base entry of its key, and `None` deletes it.
+fn overlay<V>(
+    base: Vec<(u64, V)>,
+    delta: impl IntoIterator<Item = (u64, Option<V>)>,
+) -> Vec<(u64, V)> {
+    let mut delta: Vec<(u64, Option<V>)> = delta.into_iter().collect();
+    if delta.is_empty() {
+        return base;
+    }
+    delta.sort_unstable_by_key(|e| e.0);
+    let mut out = Vec::with_capacity(base.len() + delta.len());
+    let mut base = base.into_iter().peekable();
+    for (key, value) in delta {
+        while let Some(entry) = base.next_if(|e| e.0 < key) {
+            out.push(entry);
+        }
+        let _ = base.next_if(|e| e.0 == key);
+        if let Some(value) = value {
+            out.push((key, value));
+        }
+    }
+    out.extend(base);
+    out
+}
+
+/// A map of assignments as an [`overlay`] delta.
+fn set<V>(map: HashMap<u64, V>) -> impl Iterator<Item = (u64, Option<V>)> {
+    map.into_iter().map(|(key, value)| (key, Some(value)))
+}
+
+/// Mutable replay state: the checkpoint's tables, left as they were
+/// decoded, under an overlay of the keys the replayed ops touched — so
+/// recovery costs what the log changed, not what the image holds.
 struct ReplayState {
-    lines: u64,
-    config_fp: u64,
+    base: Snapshot,
     mappings: HashMap<u64, u64>,
-    residents: HashMap<u64, u64>,
+    /// `None`: deleted by a `ResidentDel`.
+    residents: HashMap<u64, Option<u64>>,
     counters: HashMap<u64, u32>,
 }
 
 impl ReplayState {
-    fn from_snapshot(s: &Snapshot) -> Self {
+    fn from_snapshot(mut base: Snapshot) -> Self {
+        normalise(&mut base.mappings);
+        normalise(&mut base.residents);
+        normalise(&mut base.counters);
         ReplayState {
-            lines: s.lines,
-            config_fp: s.config_fp,
-            mappings: s.mappings.iter().copied().collect(),
-            residents: s.residents.iter().copied().collect(),
-            counters: s.counters.iter().copied().collect(),
+            base,
+            mappings: HashMap::new(),
+            residents: HashMap::new(),
+            counters: HashMap::new(),
         }
     }
 
@@ -120,10 +170,10 @@ impl ReplayState {
                 self.mappings.insert(init, real);
             }
             MetaOp::ResidentSet { real, digest } => {
-                self.residents.insert(real, digest);
+                self.residents.insert(real, Some(digest));
             }
             MetaOp::ResidentDel { real } => {
-                self.residents.remove(&real);
+                self.residents.insert(real, None);
             }
             MetaOp::CounterSet { line, value } => {
                 self.counters.insert(line, value);
@@ -132,18 +182,12 @@ impl ReplayState {
     }
 
     fn into_snapshot(self) -> Snapshot {
-        let mut mappings: Vec<(u64, u64)> = self.mappings.into_iter().collect();
-        let mut residents: Vec<(u64, u64)> = self.residents.into_iter().collect();
-        let mut counters: Vec<(u64, u32)> = self.counters.into_iter().collect();
-        mappings.sort_unstable();
-        residents.sort_unstable();
-        counters.sort_unstable();
         Snapshot {
-            config_fp: self.config_fp,
-            lines: self.lines,
-            mappings,
-            residents,
-            counters,
+            config_fp: self.base.config_fp,
+            lines: self.base.lines,
+            mappings: overlay(self.base.mappings, set(self.mappings)),
+            residents: overlay(self.base.residents, self.residents),
+            counters: overlay(self.base.counters, set(self.counters)),
         }
     }
 }
@@ -209,7 +253,7 @@ pub fn recover_state(
     stats.writes_covered = ckpt.writes_covered;
 
     // 2. Replay WAL segments from the checkpoint's sequence upward.
-    let mut state = ReplayState::from_snapshot(&ckpt.snapshot);
+    let mut state = ReplayState::from_snapshot(ckpt.snapshot);
     let wal_seqs: Vec<u64> = list_seqs(dir, WAL_PREFIX, WAL_EXT)?
         .into_iter()
         .filter(|&s| s >= base_seq)
@@ -217,8 +261,10 @@ pub fn recover_state(
     for seq in wal_seqs {
         stats.segments_scanned += 1;
         let bytes = fs::read(wal_path(dir, seq))?;
-        let decoded = decode_wal(&bytes, fingerprint)?;
-        for rec in decoded.records {
+        // Record by record: a segment can be as large as the image, and
+        // only the record being applied needs to exist decoded.
+        let mut records = WalRecords::new(&bytes, fingerprint)?;
+        for rec in records.by_ref() {
             if rec.writes_covered <= stats.writes_covered {
                 stats.records_skipped += 1;
                 continue;
@@ -240,7 +286,7 @@ pub fn recover_state(
         // the newest segment; a tear in an *earlier* segment is also safe —
         // any record logged after it would break the write-count chain and
         // trip the gap check above.
-        if let WalTail::Torn { bytes: torn, .. } = decoded.tail {
+        if let WalTail::Torn { bytes: torn, .. } = records.tail() {
             stats.torn_tail = true;
             stats.discarded_bytes += torn as u64;
         }
@@ -283,5 +329,49 @@ impl RecoverDeWrite for DeWrite {
             .map_err(PersistError::Recovery)?;
         mem.scrub().map_err(PersistError::Recovery)?;
         Ok((mem, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replay_overlays_the_checkpoint_tables() {
+        // Out of order and with a repeated key: no writer here produces
+        // that, but a checkpoint that does still means "last entry wins".
+        let base = Snapshot {
+            config_fp: 1,
+            lines: 64,
+            mappings: vec![(9, 1), (2, 5), (4, 7), (2, 6)],
+            residents: vec![(1, 11), (5, 55), (7, 77)],
+            counters: vec![(1, 1), (7, 3)],
+        };
+        let mut state = ReplayState::from_snapshot(base);
+        for op in [
+            MetaOp::ResidentDel { real: 5 },
+            MetaOp::ResidentSet {
+                real: 8,
+                digest: 88,
+            },
+            MetaOp::ResidentSet { real: 0, digest: 1 },
+            MetaOp::ResidentDel { real: 0 },
+            MetaOp::ResidentDel { real: 7 },
+            MetaOp::ResidentSet {
+                real: 7,
+                digest: 78,
+            },
+            MetaOp::MapSet { init: 4, real: 8 },
+            MetaOp::MapSet { init: 63, real: 7 },
+            MetaOp::CounterSet { line: 8, value: 1 },
+            MetaOp::CounterSet { line: 7, value: 4 },
+        ] {
+            state.apply(op);
+        }
+        let out = state.into_snapshot();
+        assert_eq!(out.mappings, vec![(2, 6), (4, 8), (9, 1), (63, 7)]);
+        assert_eq!(out.residents, vec![(1, 11), (7, 78), (8, 88)]);
+        assert_eq!(out.counters, vec![(1, 1), (7, 4), (8, 1)]);
+        assert_eq!((out.config_fp, out.lines), (1, 64));
     }
 }

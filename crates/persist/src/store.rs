@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use dewrite_core::Snapshot;
 
 use crate::checkpoint::encode_checkpoint;
-use crate::wal::{encode_record, encode_wal_header, WalRecord};
+use crate::wal::{encode_wal_header, WAL_HEADER_BYTES};
 
 /// File-name prefix of checkpoint files.
 pub(crate) const CKPT_PREFIX: &str = "ckpt-";
@@ -87,17 +87,19 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
 
 /// Write checkpoint `seq` under `dir`: the whole image in one write to a
 /// temp file, then rename (+ file and directory fsync when `sync`).
+/// Returns the image's size in bytes.
 fn write_checkpoint_file(
     dir: &Path,
     seq: u64,
     writes_covered: u64,
     snapshot: &Snapshot,
     sync: bool,
-) -> io::Result<()> {
+) -> io::Result<u64> {
     let tmp = dir.join(format!("{CKPT_PREFIX}{seq:08}.tmp"));
+    let image = encode_checkpoint(writes_covered, snapshot);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&encode_checkpoint(writes_covered, snapshot))?;
+        f.write_all(&image)?;
         if sync {
             f.sync_all()?;
         }
@@ -106,7 +108,7 @@ fn write_checkpoint_file(
     if sync {
         sync_dir(dir)?;
     }
-    Ok(())
+    Ok(image.len() as u64)
 }
 
 /// Create (or truncate) WAL segment `seq` under `dir` and write its header.
@@ -124,6 +126,37 @@ fn open_segment(dir: &Path, seq: u64, fingerprint: u64, sync: bool) -> io::Resul
     Ok(f)
 }
 
+/// What a store has written since [`MetaStore::create`], counted where the
+/// bytes are written (no `stat`), plus the sizes of the current pair: how
+/// far the WAL has run ahead of the last checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PersistStats {
+    /// Epoch records appended.
+    pub epochs: u64,
+    /// Checkpoint images written, the one `create` anchors on included.
+    pub checkpoints: u64,
+    /// Bytes written to WAL segments (headers and records).
+    pub wal_bytes: u64,
+    /// Bytes written as checkpoint images.
+    pub checkpoint_bytes: u64,
+    /// Bytes in the active WAL segment (header and records).
+    pub segment_bytes: u64,
+    /// Bytes of the checkpoint image the active segment is paired with.
+    pub image_bytes: u64,
+}
+
+impl PersistStats {
+    /// Account for checkpoint `image_bytes` and the fresh segment opened
+    /// behind it.
+    fn rotated(&mut self, image_bytes: u64) {
+        self.checkpoints += 1;
+        self.checkpoint_bytes += image_bytes;
+        self.image_bytes = image_bytes;
+        self.wal_bytes += WAL_HEADER_BYTES as u64;
+        self.segment_bytes = WAL_HEADER_BYTES as u64;
+    }
+}
+
 /// Owner of a store directory: appends epoch records to the active WAL
 /// segment and rotates checkpoint/segment pairs.
 #[derive(Debug)]
@@ -133,6 +166,7 @@ pub struct MetaStore {
     seq: u64,
     wal: File,
     sync: bool,
+    stats: PersistStats,
 }
 
 impl MetaStore {
@@ -157,13 +191,16 @@ impl MetaStore {
         for seq in list_seqs(dir, WAL_PREFIX, WAL_EXT)? {
             fs::remove_file(wal_path(dir, seq))?;
         }
-        write_checkpoint_file(dir, 0, 0, initial, sync)?;
+        let image_bytes = write_checkpoint_file(dir, 0, 0, initial, sync)?;
+        let mut stats = PersistStats::default();
+        stats.rotated(image_bytes);
         Ok(MetaStore {
             dir: dir.to_path_buf(),
             fingerprint,
             seq: 0,
             wal: open_segment(dir, 0, fingerprint, sync)?,
             sync,
+            stats,
         })
     }
 
@@ -177,18 +214,28 @@ impl MetaStore {
         self.seq
     }
 
-    /// Append one epoch record to the active segment and (when `sync`)
-    /// fsync it — the "append → fsync" half of the ordered discipline; the
-    /// caller applies the epoch's effects only after this returns.
+    /// Byte and event counts since creation, and the current pair's sizes
+    /// (public as [`EpochLog::stats`](crate::EpochLog::stats)).
+    pub(crate) fn stats(&self) -> PersistStats {
+        self.stats
+    }
+
+    /// Append one encoded epoch record to the active segment and (when
+    /// `sync`) fsync it — the "append → fsync" half of the ordered
+    /// discipline; the caller applies the epoch's effects only after this
+    /// returns.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.wal.write_all(&encode_record(record))?;
+    pub(crate) fn append(&mut self, record: &[u8]) -> io::Result<()> {
+        self.wal.write_all(record)?;
         if self.sync {
             self.wal.sync_data()?;
         }
+        self.stats.epochs += 1;
+        self.stats.wal_bytes += record.len() as u64;
+        self.stats.segment_bytes += record.len() as u64;
         Ok(())
     }
 
@@ -221,9 +268,11 @@ impl MetaStore {
     /// Propagates filesystem errors.
     pub fn rotate(&mut self, writes_covered: u64, snapshot: &Snapshot) -> io::Result<()> {
         let next = self.seq + 1;
-        write_checkpoint_file(&self.dir, next, writes_covered, snapshot, self.sync)?;
+        let image_bytes =
+            write_checkpoint_file(&self.dir, next, writes_covered, snapshot, self.sync)?;
         self.wal = open_segment(&self.dir, next, self.fingerprint, self.sync)?;
         self.seq = next;
+        self.stats.rotated(image_bytes);
         if let Some(old) = next.checked_sub(2) {
             remove_if_present(&ckpt_path(&self.dir, old))?;
             remove_if_present(&wal_path(&self.dir, old))?;
@@ -235,6 +284,7 @@ impl MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{encode_record, WalRecord};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -253,11 +303,11 @@ mod tests {
         let mut store = MetaStore::create(&dir, 5, &snap(), false).unwrap();
         assert_eq!(store.seq(), 0);
         store
-            .append(&WalRecord {
+            .append(&encode_record(&WalRecord {
                 base_writes: 0,
                 writes_covered: 4,
                 ops: vec![],
-            })
+            }))
             .unwrap();
         for seq in 1..=50u64 {
             store.rotate(4 * seq, &snap()).unwrap();

@@ -176,6 +176,57 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     out
 }
 
+/// Bytes ahead of a record's ops: `len · crc` plus the fixed payload head.
+const RECORD_HEAD_BYTES: usize = 8 + RECORD_FIXED_BYTES;
+
+/// The streamed encoder behind [`EpochLog`](crate::EpochLog): one reused
+/// buffer holding the open epoch's record. Ops are encoded as they arrive
+/// behind a reserved head; [`finish`](Self::finish) patches the head in,
+/// yielding the bytes [`encode_record`] builds for the same record.
+#[derive(Debug)]
+pub(crate) struct RecordBuf {
+    bytes: Vec<u8>,
+    ops: u32,
+}
+
+impl RecordBuf {
+    pub(crate) fn new() -> Self {
+        RecordBuf {
+            bytes: vec![0u8; RECORD_HEAD_BYTES],
+            ops: 0,
+        }
+    }
+
+    /// Encode `op` at the end of the open record.
+    pub(crate) fn push(&mut self, op: &MetaOp) {
+        encode_op(op, &mut self.bytes);
+        self.ops += 1;
+    }
+
+    /// Close the record over data writes `(base_writes, writes_covered]`
+    /// and return its `len · crc · payload` bytes, ready to append.
+    pub(crate) fn finish(&mut self, base_writes: u64, writes_covered: u64) -> &[u8] {
+        let len = self.bytes.len() - 8;
+        assert!(
+            len <= MAX_RECORD_BYTES,
+            "epoch record exceeds MAX_RECORD_BYTES"
+        );
+        self.bytes[8..16].copy_from_slice(&base_writes.to_le_bytes());
+        self.bytes[16..24].copy_from_slice(&writes_covered.to_le_bytes());
+        self.bytes[24..28].copy_from_slice(&self.ops.to_le_bytes());
+        let crc = Crc32::new().checksum(&self.bytes[8..]);
+        self.bytes[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        &self.bytes
+    }
+
+    /// Start the next record, keeping the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.truncate(RECORD_HEAD_BYTES);
+        self.ops = 0;
+    }
+}
+
 /// Decode one record payload (already checksum-verified). `None` means the
 /// payload is structurally invalid despite the matching CRC (possible only
 /// under a checksum collision) — callers treat it as torn.
@@ -203,83 +254,132 @@ fn decode_payload(mut cur: &[u8]) -> Option<WalRecord> {
     })
 }
 
-/// Decode a WAL segment image.
-///
-/// A missing/short/corrupt *header* classifies the whole segment as torn
-/// at offset 0 (the crash happened before the header reached the medium).
-/// A valid header whose fingerprint differs from `fingerprint` is a hard
-/// [`PersistError::ConfigMismatch`]; an unsupported version is
-/// [`PersistError::Corrupt`]. From the first structurally invalid or
-/// checksum-failing record onward, everything is a torn tail: detected,
-/// reported, and excluded from `records`.
+/// Decode the record at the head of `rest`, returning it and the bytes it
+/// occupies. `None` when `rest` does not start with a complete valid
+/// record: short, over-long, checksum-failing or structurally invalid.
+fn decode_record(rest: &[u8]) -> Option<(WalRecord, usize)> {
+    if rest.len() < 8 {
+        return None;
+    }
+    let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+    if len > MAX_RECORD_BYTES || rest.len() - 8 < len {
+        return None;
+    }
+    let payload = &rest[8..8 + len];
+    if Crc32::new().checksum(payload) != crc {
+        return None;
+    }
+    Some((decode_payload(payload)?, 8 + len))
+}
+
+/// Streaming decoder over a WAL segment image: yields every complete,
+/// checksum-valid record in file order, one at a time, and stops at the
+/// end of the image or at the first torn byte.
+#[derive(Debug)]
+pub(crate) struct WalRecords<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next undecoded byte; `bytes.len()` once stopped.
+    offset: usize,
+    tail: WalTail,
+}
+
+impl<'a> WalRecords<'a> {
+    /// Check the segment header and position the decoder on the first
+    /// record.
+    ///
+    /// A missing/short/corrupt *header* classifies the whole segment as
+    /// torn at offset 0 (the crash happened before the header reached the
+    /// medium). From the first structurally invalid or checksum-failing
+    /// record onward, everything is a torn tail: detected, reported by
+    /// [`tail`](Self::tail), and never yielded.
+    ///
+    /// # Errors
+    ///
+    /// A valid header whose fingerprint differs from `fingerprint` is a
+    /// hard [`PersistError::ConfigMismatch`]; an unsupported version is
+    /// [`PersistError::Corrupt`]. Torn data never errors.
+    pub(crate) fn new(bytes: &'a [u8], fingerprint: u64) -> Result<Self, PersistError> {
+        let mut records = WalRecords {
+            bytes,
+            offset: WAL_HEADER_BYTES,
+            tail: WalTail::Clean,
+        };
+        if bytes.len() < WAL_HEADER_BYTES || bytes[0..4] != WAL_MAGIC {
+            records.tear(0);
+            return Ok(records);
+        }
+        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let crc = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
+        let fp_bytes: [u8; 8] = bytes[10..18].try_into().expect("8 bytes");
+        if Crc32::new().checksum(&fp_bytes) != crc {
+            records.tear(0);
+            return Ok(records);
+        }
+        if version != WAL_VERSION {
+            return Err(PersistError::Corrupt(format!(
+                "unsupported WAL version {version} (expected {WAL_VERSION})"
+            )));
+        }
+        let fp = u64::from_le_bytes(fp_bytes);
+        if fp != fingerprint {
+            return Err(PersistError::ConfigMismatch(format!(
+                "WAL was written under config fingerprint {fp:#018x}, expected {fingerprint:#018x}"
+            )));
+        }
+        Ok(records)
+    }
+
+    /// How the segment ended; final once `next` has returned `None`.
+    pub(crate) fn tail(&self) -> WalTail {
+        self.tail
+    }
+
+    /// Stop decoding: everything from `offset` on is a torn tail.
+    fn tear(&mut self, offset: usize) {
+        self.tail = WalTail::Torn {
+            offset,
+            bytes: self.bytes.len() - offset,
+        };
+        self.offset = self.bytes.len();
+    }
+}
+
+impl Iterator for WalRecords<'_> {
+    type Item = WalRecord;
+
+    fn next(&mut self) -> Option<WalRecord> {
+        let rest = &self.bytes[self.offset..];
+        if rest.is_empty() {
+            return None;
+        }
+        match decode_record(rest) {
+            Some((record, used)) => {
+                self.offset += used;
+                Some(record)
+            }
+            None => {
+                self.tear(self.offset);
+                None
+            }
+        }
+    }
+}
+
+/// Decode a whole WAL segment image: every record [`WalRecords`] yields,
+/// plus the tail state — same header rules, same torn-tail classification.
 ///
 /// # Errors
 ///
-/// Only the two hard cases above error; torn data never does.
+/// Only the two hard header cases (fingerprint mismatch, unsupported
+/// version) error; torn data never does.
 pub fn decode_wal(bytes: &[u8], fingerprint: u64) -> Result<DecodedWal, PersistError> {
-    let torn_all = || DecodedWal {
-        records: Vec::new(),
-        tail: WalTail::Torn {
-            offset: 0,
-            bytes: bytes.len(),
-        },
-    };
-    if bytes.len() < WAL_HEADER_BYTES || bytes[0..4] != WAL_MAGIC {
-        return Ok(torn_all());
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    let crc = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
-    let fp_bytes: [u8; 8] = bytes[10..18].try_into().expect("8 bytes");
-    if Crc32::new().checksum(&fp_bytes) != crc {
-        return Ok(torn_all());
-    }
-    if version != WAL_VERSION {
-        return Err(PersistError::Corrupt(format!(
-            "unsupported WAL version {version} (expected {WAL_VERSION})"
-        )));
-    }
-    let fp = u64::from_le_bytes(fp_bytes);
-    if fp != fingerprint {
-        return Err(PersistError::ConfigMismatch(format!(
-            "WAL was written under config fingerprint {fp:#018x}, expected {fingerprint:#018x}"
-        )));
-    }
-
-    let mut records = Vec::new();
-    let mut offset = WAL_HEADER_BYTES;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.is_empty() {
-            return Ok(DecodedWal {
-                records,
-                tail: WalTail::Clean,
-            });
-        }
-        let torn = DecodedWal {
-            records: Vec::new(),
-            tail: WalTail::Torn {
-                offset,
-                bytes: rest.len(),
-            },
-        };
-        if rest.len() < 8 {
-            return Ok(DecodedWal { records, ..torn });
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES || rest.len() - 8 < len {
-            return Ok(DecodedWal { records, ..torn });
-        }
-        let payload = &rest[8..8 + len];
-        if Crc32::new().checksum(payload) != crc {
-            return Ok(DecodedWal { records, ..torn });
-        }
-        match decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => return Ok(DecodedWal { records, ..torn }),
-        }
-        offset += 8 + len;
-    }
+    let mut decoder = WalRecords::new(bytes, fingerprint)?;
+    let records = decoder.by_ref().collect();
+    Ok(DecodedWal {
+        records,
+        tail: decoder.tail(),
+    })
 }
 
 #[cfg(test)]
@@ -323,6 +423,81 @@ mod tests {
         let decoded = decode_wal(&bytes, 42).expect("decode");
         assert_eq!(decoded.records, recs);
         assert_eq!(decoded.tail, WalTail::Clean);
+    }
+
+    // The on-disk format is pinned byte for byte (computed independently
+    // with Python's struct + zlib.crc32): header for fingerprint 42, then
+    // one record holding one op of each kind. Both encoders must produce
+    // it.
+    #[test]
+    fn golden_bytes() {
+        let golden: String = [
+            "4457574c0200f7a1940d2a000000000000004c0000006799b322000000000000",
+            "0000040000000000000004000000010300000000000000090000000000000000",
+            "0000000000000000030000000000000003030000000000000001000000020700",
+            "000000000000",
+        ]
+        .concat();
+        let rec = WalRecord {
+            base_writes: 0,
+            writes_covered: 4,
+            ops: vec![
+                MetaOp::ResidentSet { real: 3, digest: 9 },
+                MetaOp::MapSet { init: 0, real: 3 },
+                MetaOp::CounterSet { line: 3, value: 1 },
+                MetaOp::ResidentDel { real: 7 },
+            ],
+        };
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(&encode_segment(std::slice::from_ref(&rec), 42)), golden);
+
+        let mut streamed = RecordBuf::new();
+        for op in &rec.ops {
+            streamed.push(op);
+        }
+        let mut bytes = encode_wal_header(42).to_vec();
+        bytes.extend_from_slice(streamed.finish(0, 4));
+        assert_eq!(hex(&bytes), golden);
+    }
+
+    #[test]
+    fn streamed_records_match_encode_record_across_reuse() {
+        // One buffer reused over records of every size from empty up.
+        let mut streamed = RecordBuf::new();
+        let mut base = 0u64;
+        for n in 0..40u64 {
+            let ops: Vec<MetaOp> = (0..n)
+                .map(|i| match (i + n) % 4 {
+                    0 => MetaOp::MapSet {
+                        init: i,
+                        real: n * i,
+                    },
+                    1 => MetaOp::ResidentSet {
+                        real: i,
+                        digest: !(n << i),
+                    },
+                    2 => MetaOp::ResidentDel { real: n + i },
+                    _ => MetaOp::CounterSet {
+                        line: i,
+                        value: n as u32,
+                    },
+                })
+                .collect();
+            for op in &ops {
+                streamed.push(op);
+            }
+            let rec = WalRecord {
+                base_writes: base,
+                writes_covered: base + n + 1,
+                ops,
+            };
+            assert_eq!(
+                streamed.finish(rec.base_writes, rec.writes_covered),
+                encode_record(&rec)
+            );
+            streamed.clear();
+            base = rec.writes_covered;
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::path::PathBuf;
 use dewrite_core::{DeWrite, DeWriteConfig, SecureMemory, Snapshot, SystemConfig};
 use dewrite_nvm::LineAddr;
 use dewrite_persist::{
-    decode_wal, encode_record, encode_wal_header, DurableDeWrite, DurableOptions, PersistError,
-    RecoverDeWrite, WalRecord, WalTail,
+    decode_wal, encode_record, encode_wal_header, DurableDeWrite, DurableOptions, EpochLog,
+    PersistError, RecoverDeWrite, WalRecord, WalTail,
 };
 use proptest::prelude::*;
 
@@ -259,6 +259,42 @@ proptest! {
                 prop_assert_eq!(got, want);
             }
         }
+    }
+
+    #[test]
+    fn epoch_log_streams_the_bytes_encode_record_builds(
+        writes in proptest::collection::vec(proptest::collection::vec(arb_op(), 0..6), 1..40),
+        epoch_writes in 1u32..12,
+        fp in any::<u64>(),
+    ) {
+        // The log encodes ops as they arrive; what lands in the segment
+        // must be what `encode_record` builds from each epoch's op list.
+        let dir = tmpdir("stream");
+        let opts = DurableOptions { epoch_writes, checkpoint_epochs: u32::MAX, sync: false };
+        let mut log = EpochLog::create(&dir, fp, &Snapshot::empty(64, fp), opts).expect("create");
+        for ops in &writes {
+            let due = log.record_write(ops.iter().copied()).expect("journal");
+            prop_assert!(!due);
+        }
+        log.flush().expect("flush");
+
+        let mut records = Vec::new();
+        for epoch in writes.chunks(epoch_writes as usize) {
+            let base = records.last().map_or(0, |r: &WalRecord| r.writes_covered);
+            records.push(WalRecord {
+                base_writes: base,
+                writes_covered: base + epoch.len() as u64,
+                ops: epoch.concat(),
+            });
+        }
+        let expect = encode_segment(&records, fp);
+        let on_disk = fs::read(dir.join("wal-00000000.log")).expect("read segment");
+        prop_assert_eq!(&on_disk, &expect);
+        let stats = log.stats();
+        prop_assert_eq!(stats.epochs, records.len() as u64);
+        prop_assert_eq!(stats.wal_bytes, expect.len() as u64);
+        prop_assert_eq!(stats.segment_bytes, expect.len() as u64);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

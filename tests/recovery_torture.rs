@@ -6,6 +6,10 @@
 //! lines all verify against a deterministic shadow replay, while every
 //! unsurvivable fault is rejected as corrupt (never silently mis-recovered).
 //!
+//! Two further cases cover what the checkpoint trigger made possible: a
+//! WAL segment as long as the checkpoint image it follows, killed at
+//! random byte offsets, and a torn newest checkpoint behind such a segment.
+//!
 //! Writes a machine-readable sweep summary to `$TORTURE_OUT` (default
 //! `target/torture_summary.json`) for the CI artifact.
 
@@ -16,8 +20,8 @@ use std::path::{Path, PathBuf};
 use dewrite::core::{DeWrite, DeWriteConfig, Json, SecureMemory, SystemConfig};
 use dewrite::nvm::LineAddr;
 use dewrite::persist::{
-    apply_fault, decode_wal, encode_record, DurableDeWrite, DurableOptions, Fault, PersistError,
-    RecoverDeWrite, RecoveryStats, WAL_HEADER_BYTES,
+    apply_fault, decode_wal, encode_record, recover_state, DurableDeWrite, DurableOptions, Fault,
+    PersistError, PersistStats, RecoverDeWrite, RecoveryStats, WAL_HEADER_BYTES,
 };
 use dewrite::trace::{app_by_name, shard_of_line, TraceOp};
 use dewrite_engine::{EngineConfig, ShardController};
@@ -549,4 +553,223 @@ fn socket_kill_mid_stream_recovers_every_shard_to_an_epoch_boundary() {
          (epoch {NET_EPOCH})"
     );
     let _ = fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------------------
+// Long segments: a checkpoint is taken only once the WAL segment has
+// outgrown the image, so a segment holds hundreds of epochs, not eight.
+// ---------------------------------------------------------------------------
+
+const LONG_SLOTS: u64 = 1 << 14;
+const LONG_EPOCH: u32 = 16;
+
+fn long_fingerprint() -> u64 {
+    ShardController::persist_fingerprint(
+        0,
+        1,
+        LONG_SLOTS,
+        256,
+        dewrite_engine::DigestMode::Crc32Verify,
+    )
+}
+
+fn long_shard() -> ShardController {
+    ShardController::new(0, 1, LONG_SLOTS, 256, KEY)
+}
+
+/// Write `i` of the long workload: 6000 addresses over a 3000-content
+/// pool, so the image settles near 200 KB while writes keep remapping,
+/// deduplicating and freeing.
+fn long_write(shard: &mut ShardController, i: u64) {
+    let addr = LineAddr::new(i.wrapping_mul(7919) % 6_000);
+    let tag = i.wrapping_mul(31) % 3_000;
+    let data: Vec<u8> = (0..256u64).map(|j| (tag >> (8 * (j % 2))) as u8).collect();
+    shard.write(addr, &data, 0);
+}
+
+/// A crashed shard store whose newest segment is nearly as long as its
+/// image, behind an older pair whose segment outgrew its own.
+struct LongStore {
+    dir: PathBuf,
+    /// The log's counters at the crash.
+    at_crash: PersistStats,
+    /// Bytes of the image the *older* segment is paired with.
+    older_image_bytes: u64,
+}
+
+fn build_long_store(tag: &str) -> LongStore {
+    let dir =
+        std::env::temp_dir().join(format!("dewrite-torture-long-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut shard = long_shard();
+    let opts = DurableOptions {
+        epoch_writes: LONG_EPOCH,
+        checkpoint_epochs: 8,
+        sync: false,
+    };
+    shard.attach_persistence(&dir, opts).expect("attach");
+    let mut stats = shard.persist_stats().expect("attached");
+    let mut older_image_bytes = 0;
+    for i in 0.. {
+        assert!(
+            i < 200_000,
+            "the long workload never reached a long segment"
+        );
+        long_write(&mut shard, i);
+        let now = shard.persist_stats().expect("attached");
+        if now.checkpoints > stats.checkpoints {
+            older_image_bytes = stats.image_bytes;
+        }
+        stats = now;
+        // Stop three quarters of the way to the next checkpoint, three
+        // writes into an epoch, once the image has stopped being small.
+        if stats.image_bytes > 150_000
+            && stats.segment_bytes * 4 >= stats.image_bytes * 3
+            && i % u64::from(LONG_EPOCH) == 2
+        {
+            break;
+        }
+    }
+    assert_eq!(shard.unflushed_wal_writes(), 3);
+    drop(shard); // crash: the open epoch is lost
+    LongStore {
+        dir,
+        at_crash: stats,
+        older_image_bytes,
+    }
+}
+
+/// `ends[k]` is the byte offset right after record k of the segment image
+/// `wal`, `covered[k]` the write count it reaches.
+fn record_layout(wal: &[u8], fp: u64) -> (Vec<usize>, Vec<u64>) {
+    let decoded = decode_wal(wal, fp).expect("pristine decode");
+    let mut ends = Vec::new();
+    let mut covered = Vec::new();
+    let mut off = WAL_HEADER_BYTES;
+    for rec in &decoded.records {
+        off += encode_record(rec).len();
+        ends.push(off);
+        covered.push(rec.writes_covered);
+    }
+    assert_eq!(off, wal.len(), "crashed mid-epoch: no partial record");
+    (ends, covered)
+}
+
+#[test]
+fn long_segment_kill_points_recover_to_epoch_boundaries() {
+    let store = build_long_store("kill");
+    let fp = long_fingerprint();
+    let (_, newest_wal) = seq_files(&store.dir, "wal-", ".log")
+        .pop()
+        .expect("a wal segment");
+    let wal_bytes = fs::read(store.dir.join(&newest_wal)).expect("read newest wal");
+    assert_eq!(wal_bytes.len() as u64, store.at_crash.segment_bytes);
+    let (ends, covered) = record_layout(&wal_bytes, fp);
+    assert!(ends.len() >= 100, "only {} records", ends.len());
+    let base_writes = covered[0] - u64::from(LONG_EPOCH);
+
+    // Kill points: pseudo-random offsets across the segment, plus the
+    // intact file. Ascending, so one reference shard can follow them.
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut cuts: BTreeSet<usize> = (0..24)
+        .map(|_| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            WAL_HEADER_BYTES + (rng >> 33) as usize % (wal_bytes.len() - WAL_HEADER_BYTES)
+        })
+        .collect();
+    cuts.insert(wal_bytes.len());
+
+    let scratch =
+        std::env::temp_dir().join(format!("dewrite-torture-long-cut-{}", std::process::id()));
+    let mut reference = long_shard();
+    let mut fed = 0u64;
+    let mut boundaries = BTreeSet::new();
+    for cut in cuts {
+        clone_store(&store.dir, &scratch);
+        let path = scratch.join(&newest_wal);
+        let mut bytes = fs::read(&path).expect("read faulted file");
+        apply_fault(&mut bytes, Fault::Truncate { at: cut as u64 });
+        fs::write(&path, &bytes).expect("write faulted file");
+
+        let (snap, stats) = recover_state(&scratch, fp, 1 << 20)
+            .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+        let whole = ends.iter().take_while(|&&e| e <= cut).count();
+        let expect = if whole == 0 {
+            base_writes
+        } else {
+            covered[whole - 1]
+        };
+        assert_eq!(stats.writes_covered, expect, "cut {cut}: wrong boundary");
+        assert_eq!(stats.writes_covered % u64::from(LONG_EPOCH), 0);
+        assert_eq!(stats.records_replayed, whole as u64, "cut {cut}");
+        let on_boundary = cut == WAL_HEADER_BYTES || ends.contains(&cut);
+        assert_eq!(stats.torn_tail, !on_boundary, "cut {cut}: torn verdict");
+        assert_eq!(stats.checkpoints_skipped, 0);
+
+        while fed < stats.writes_covered {
+            long_write(&mut reference, fed);
+            fed += 1;
+        }
+        assert_eq!(
+            snap,
+            reference.snapshot(),
+            "cut {cut}: recovered metadata differs from the shadow replay"
+        );
+        boundaries.insert(stats.writes_covered);
+    }
+    assert!(boundaries.len() >= 10, "kill points too clustered");
+    let _ = fs::remove_dir_all(&scratch);
+    let _ = fs::remove_dir_all(&store.dir);
+}
+
+#[test]
+fn torn_checkpoint_after_long_segment_falls_back_and_replays_it() {
+    let store = build_long_store("fallback");
+    let fp = long_fingerprint();
+    let wals = seq_files(&store.dir, "wal-", ".log");
+    let ckpts = seq_files(&store.dir, "ckpt-", ".dwck");
+    assert_eq!((wals.len(), ckpts.len()), (2, 2), "two pairs on disk");
+    let (newest_seq, newest_ckpt) = ckpts[1].clone();
+
+    // The older segment was rotated out only once it had outgrown the
+    // image it followed; the newest is the crash's long tail.
+    let older_wal = fs::read(store.dir.join(&wals[0].1)).expect("read older wal");
+    assert!(older_wal.len() as u64 >= store.older_image_bytes);
+    assert!(store.older_image_bytes > 50_000);
+    let (older_ends, _) = record_layout(&older_wal, fp);
+    let newest_wal = fs::read(store.dir.join(&wals[1].1)).expect("read newest wal");
+    let (newest_ends, newest_covered) = record_layout(&newest_wal, fp);
+    let flushed = *newest_covered.last().expect("records");
+
+    let (pristine, stats) = recover_state(&store.dir, fp, 1 << 20).expect("pristine recovery");
+    assert_eq!(stats.checkpoint_seq, newest_seq);
+    assert_eq!(stats.records_replayed, newest_ends.len() as u64);
+    assert_eq!(stats.writes_covered, flushed);
+
+    let path = store.dir.join(&newest_ckpt);
+    let mut bytes = fs::read(&path).expect("read newest checkpoint");
+    apply_fault(&mut bytes, Fault::BitFlip { at: 40, bit: 2 });
+    fs::write(&path, &bytes).expect("tear newest checkpoint");
+
+    let (fallback, stats) = recover_state(&store.dir, fp, 1 << 20).expect("fallback recovery");
+    assert_eq!(stats.checkpoints_skipped, 1);
+    assert_eq!(stats.checkpoint_seq, newest_seq - 1);
+    assert_eq!(stats.segments_scanned, 2);
+    assert_eq!(
+        stats.records_replayed,
+        (older_ends.len() + newest_ends.len()) as u64,
+        "the whole long segment is replayed, then the newest"
+    );
+    assert_eq!(stats.writes_covered, flushed);
+    assert!(!stats.torn_tail);
+    assert_eq!(fallback, pristine, "both routes reach the same state");
+
+    let mut reference = long_shard();
+    for i in 0..flushed {
+        long_write(&mut reference, i);
+    }
+    assert_eq!(fallback, reference.snapshot());
+    let _ = fs::remove_dir_all(&store.dir);
 }
