@@ -25,6 +25,9 @@
 //! kernel's `digest_256B` must be ≥5x faster than each cryptographic
 //! baseline (SHA-1 and MD5), and the `dedup_commit` verify-free decision
 //! ≥1.5x faster than the crc32-verify decision on a duplicate-heavy mix.
+//! The saturated-chain floor is self-relative and never skipped: a
+//! duplicate's index work under 170 saturated residues (`dedup_commit /
+//! chain_170`) may cost at most 2x what it costs under one (`chain_1`).
 //! Some floors apply conditionally and report skips honestly (`SKIPPED:`
 //! on stderr, `check_skipped` in the JSON) instead of passing vacuously:
 //! the `fsm_claim_contended` floor (≥2x at 4 threads) needs ≥4 hardware
@@ -672,6 +675,76 @@ fn main() {
         );
     }
 
+    // --- Duplicate commit under a saturated chain ---
+    // One digest holding N saturated residues and one open entry — what a
+    // hot content (the zero line) leaves behind at 255 references each. The
+    // op is a duplicate write's index work: find the open entry, take a
+    // reference on it, release the overwritten address's old line (here a
+    // residue of the same bucket, which stays saturated), then undo. On the
+    // flat table the cost must not depend on N; the seed walks the bucket.
+    const CHAINS: [(u64, &str, &str); 2] = [
+        (1, "chain_1", "chain_1-seed"),
+        (170, "chain_170", "chain_170-seed"),
+    ];
+    const CHAIN_DIGEST: u64 = 0xC4A1;
+    let mut chains = CHAINS.map(|(chain, ..)| {
+        let mut flat_chain = dewrite_core::tables::HashTable::new();
+        let mut seed_chain = dewrite_core::seed::SeedHashTable::new();
+        for r in 0..=chain {
+            flat_chain.insert(CHAIN_DIGEST, LineAddr::new(r));
+            seed_chain.insert(CHAIN_DIGEST, LineAddr::new(r));
+            // Every line but the last arrives at 255 references.
+            for _ in 1..if r < chain { 255 } else { 1 } {
+                flat_chain.add_reference(CHAIN_DIGEST, LineAddr::new(r));
+                seed_chain.add_reference(CHAIN_DIGEST, LineAddr::new(r));
+            }
+        }
+        (flat_chain, seed_chain)
+    });
+    // The flat rows feed a self-relative gate: measured back to back, ahead
+    // of the seed rows, so as little host drift as possible sits between
+    // them.
+    for ((chain, flat_row, _), (flat_chain, _)) in CHAINS.into_iter().zip(&mut chains) {
+        let mut i = 0u64;
+        push(
+            "dedup_commit",
+            flat_row,
+            8,
+            measure(budget_ns, || {
+                let digest = std::hint::black_box(CHAIN_DIGEST);
+                let view = flat_chain.open(digest);
+                let open = view.entries()[0];
+                let added = flat_chain.add_reference_at(open);
+                let stale = flat_chain.release_reference(digest, LineAddr::new(i % chain));
+                flat_chain.release_reference(digest, open.real);
+                i += 1;
+                u64::from(added) + u64::from(stale) + u64::from(view.saturated)
+            }),
+        );
+    }
+    for ((chain, _, seed_row), (_, seed_chain)) in CHAINS.into_iter().zip(&mut chains) {
+        let mut i = 0u64;
+        push(
+            "dedup_commit",
+            seed_row,
+            8,
+            measure(budget_ns, || {
+                let digest = std::hint::black_box(CHAIN_DIGEST);
+                let bucket = seed_chain.candidates(digest);
+                let at = bucket
+                    .iter()
+                    .position(|e| e.reference != dewrite_core::tables::MAX_REFERENCE)
+                    .expect("the chain keeps one open entry");
+                let open = bucket[at].real;
+                let added = seed_chain.add_reference(digest, open);
+                let stale = seed_chain.release_reference(digest, LineAddr::new(i % chain));
+                seed_chain.release_reference(digest, open);
+                i += 1;
+                u64::from(added) + u64::from(stale) + at as u64
+            }),
+        );
+    }
+
     // --- Metadata-cache access (flat tag/way arrays vs seed per-set Vecs) ---
     // A highly-associative metadata cache (the paper's on-chip metadata
     // store checks every way of a set per probe) under a 50% hit / 50%
@@ -993,6 +1066,10 @@ fn main() {
         (Some(verify), Some(free)) => verify / free,
         _ => 0.0,
     };
+    // A saturated chain must not cost the commit more than twice a bare
+    // bucket: self-relative, so it holds on any host and is never skipped.
+    let chain_commit_ratio = ratio("dedup_commit", "chain_170", "chain_1");
+    let chain_commit_vs_seed = ratio("dedup_commit", "chain_170-seed", "chain_170");
     // The digest ratio gate needs the kernel's SIMD leg to actually be
     // live: under DEWRITE_PORTABLE (or on a host without SSSE3) the
     // "fast" construction falls back to scalar code, and the ratio would
@@ -1031,6 +1108,8 @@ fn main() {
     eprintln!("digest_256B strong vs sha1:        {digest_vs_sha1:.2}x (target >= 5x)");
     eprintln!("digest_256B strong vs md5:         {digest_vs_md5:.2}x (target >= 5x)");
     eprintln!("dedup_commit verify-free vs crc:   {dedup_commit_speedup:.2}x (target >= 1.5x)");
+    eprintln!("dedup_commit chain_170 / chain_1:  {chain_commit_ratio:.2}x (target <= 2x)");
+    eprintln!("dedup_commit chain_170 vs seed:    {chain_commit_vs_seed:.2}x");
     if check && !contended_gate {
         eprintln!(
             "SKIPPED: fsm_claim_contended speedup assertion \
@@ -1119,6 +1198,14 @@ fn main() {
                     "dedup_commit_verify_free_vs_verify".into(),
                     Json::Num(dedup_commit_speedup),
                 ),
+                (
+                    "dedup_commit_chain_170_over_chain_1".into(),
+                    Json::Num(chain_commit_ratio),
+                ),
+                (
+                    "dedup_commit_chain_170_vs_seed".into(),
+                    Json::Num(chain_commit_vs_seed),
+                ),
             ]),
         ),
         ("check_skipped".into(), Json::Bool(check_skipped)),
@@ -1137,7 +1224,8 @@ fn main() {
             || fsm_claim_speedup < 2.0
             || (contended_gate && fsm_claim_contended_speedup < 2.0)
             || (digest_gate && (digest_vs_sha1 < 5.0 || digest_vs_md5 < 5.0))
-            || dedup_commit_speedup < 1.5)
+            || dedup_commit_speedup < 1.5
+            || chain_commit_ratio > 2.0)
     {
         eprintln!("FAIL: speedup targets not met");
         std::process::exit(1);

@@ -144,35 +144,35 @@ impl DedupIndex {
         data: &[u8],
         mut content_of: impl FnMut(LineAddr) -> Vec<u8>,
     ) -> DupLookup {
-        let mut comparisons = 0;
-        let candidates = self.hash_table.candidates(digest);
-        for &entry in &candidates {
+        let mut lookup = DupLookup {
+            matched: None,
+            comparisons: 0,
+        };
+        let (mut saturated, mut false_matches) = (0, 0);
+        for entry in self.hash_table.bucket(digest) {
             if entry.reference == MAX_REFERENCE {
                 // Saturated: visible in the entry itself, skipped without a
                 // comparison (§III-B2).
-                self.hash_table.note_saturated_hit();
+                saturated += 1;
                 continue;
             }
-            comparisons += 1;
+            lookup.comparisons += 1;
             if lines_equal(&content_of(entry.real), data) {
-                return DupLookup {
-                    matched: Some(entry.real),
-                    comparisons,
-                };
+                lookup.matched = Some(entry.real);
+                break;
             }
-            self.false_matches += 1;
+            false_matches += 1;
         }
-        DupLookup {
-            matched: None,
-            comparisons,
-        }
+        self.hash_table.note_saturated_hits(saturated);
+        self.false_matches += false_matches;
+        lookup
     }
 
     /// Resident candidate entries for `digest`, for callers that drive the
     /// byte comparison themselves (the scheme layer, which must charge a
     /// timed NVM read per comparison).
     pub fn candidates(&self, digest: u64) -> Vec<crate::tables::HashEntry> {
-        self.hash_table.candidates(digest).to_vec()
+        self.hash_table.bucket(digest).collect()
     }
 
     /// Like [`candidates`](Self::candidates), filtered to `init`'s dedup
@@ -181,10 +181,8 @@ impl DedupIndex {
     pub fn candidates_for(&self, digest: u64, init: LineAddr) -> Vec<crate::tables::HashEntry> {
         let domain = self.domain_of(init);
         self.hash_table
-            .candidates(digest)
-            .iter()
+            .bucket(digest)
             .filter(|e| self.domain_of(e.real) == domain)
-            .copied()
             .collect()
     }
 
@@ -198,8 +196,7 @@ impl DedupIndex {
         mut content_of: impl FnMut(LineAddr) -> Vec<u8>,
     ) -> Option<LineAddr> {
         self.hash_table
-            .candidates(digest)
-            .iter()
+            .bucket(digest)
             .find(|e| e.reference != MAX_REFERENCE && lines_equal(&content_of(e.real), data))
             .map(|e| e.real)
     }
@@ -213,7 +210,7 @@ impl DedupIndex {
     /// Record a duplicate declined due to reference saturation
     /// (scheme-driven candidate loops).
     pub(crate) fn note_saturated_skip(&mut self) {
-        self.hash_table.note_saturated_hit();
+        self.hash_table.note_saturated_hits(1);
     }
 
     /// Digest of the content resident at `real`, if resident.

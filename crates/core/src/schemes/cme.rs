@@ -151,8 +151,8 @@ impl SecureMemory for CmeBaseline {
         self.line_buf.resize(data.len(), 0);
         self.engine
             .encrypt_line_into(data, addr.index(), counter, &mut self.line_buf);
-        let old = self.device.peek_line(addr)?;
-        let flips = crate::schemes::encoded_flips(self.config.bit_encoding, &old, &self.line_buf);
+        let old = self.device.line(addr)?;
+        let flips = crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
         let access = self
             .device
             .write_line_with_flips(addr, &self.line_buf, flips, enc_done)?;

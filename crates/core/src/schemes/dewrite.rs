@@ -38,18 +38,11 @@ use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::journal::MetaOp;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
-use crate::tables::MAX_REFERENCE;
+use crate::tables::{MAX_CANDIDATE_COMPARES, MAX_REFERENCE};
 use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
 
 /// Energy of one hardware line comparison, pJ.
 const COMPARE_ENERGY_PJ: u64 = 30;
-
-/// Upper bound on candidate lines examined per duplicate confirmation.
-/// The dedup logic is a fixed pipeline, not a list walker: after this many
-/// mismatching (or saturated) candidates the write is treated as
-/// non-duplicate. Real CRC collisions make buckets of 2 at most; deeper
-/// buckets only arise when a saturated content accumulates extra copies.
-const MAX_CANDIDATE_COMPARES: usize = 4;
 
 /// DeWrite-specific counters beyond [`BaseMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -591,9 +584,9 @@ impl DeWrite {
     /// snapshot). Returning the raw ciphertext would silently compare
     /// garbage; fail loudly instead.
     fn plaintext_of(&self, real: LineAddr) -> Result<Vec<u8>, String> {
-        let ciphertext = self.device.peek_line(real).expect("resident line in range");
+        let ciphertext = self.device.line(real).expect("resident line in range");
         match self.counters.get(&real.index()) {
-            Some(&ctr) => Ok(self.engine.decrypt_line(&ciphertext, real.index(), ctr)),
+            Some(&ctr) => Ok(self.engine.decrypt_line(ciphertext, real.index(), ctr)),
             None => Err(format!("resident line {real} has no encryption counter")),
         }
     }
@@ -877,11 +870,11 @@ impl SecureMemory for DeWrite {
                 let engine = &self.engine;
                 let counters = &self.counters;
                 let decrypt = |real: LineAddr| {
-                    let ct = device.peek_line(real).expect("in range");
+                    let ct = device.line(real).expect("in range");
                     let &c = counters
                         .get(&real.index())
                         .expect("resident line must have a counter");
-                    engine.decrypt_line(&ct, real.index(), c)
+                    engine.decrypt_line(ct, real.index(), c)
                 };
                 self.index
                     .candidates_for(digest, init)
@@ -1032,9 +1025,9 @@ impl SecureMemory for DeWrite {
                     .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
 
                 let ready = detect_done.max(enc_done);
-                let old = self.device.peek_line(target)?;
+                let old = self.device.line(target)?;
                 let flips =
-                    crate::schemes::encoded_flips(self.config.bit_encoding, &old, &self.line_buf);
+                    crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
                 let access =
                     self.device
                         .write_line_with_flips(target, &self.line_buf, flips, ready)?;

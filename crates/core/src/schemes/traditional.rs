@@ -197,9 +197,9 @@ impl SecureMemory for TraditionalDedup {
                 self.line_buf.resize(data.len(), 0);
                 self.engine
                     .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
-                let old = self.device.peek_line(target)?;
+                let old = self.device.line(target)?;
                 let flips =
-                    crate::schemes::encoded_flips(self.config.bit_encoding, &old, &self.line_buf);
+                    crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
                 let access =
                     self.device
                         .write_line_with_flips(target, &self.line_buf, flips, enc_done)?;

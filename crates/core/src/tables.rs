@@ -19,14 +19,15 @@
 //! engine write, so they are flat, cache-line-friendly memory rather than
 //! pointer-chasing maps (see DESIGN.md, "Flat table memory layout"):
 //!
-//! * [`HashTable`] is a SwissTable-style open-addressing table: one control
-//!   byte per slot (a 7-bit tag, or empty/tombstone), probed a 16-byte
-//!   group at a time with a portable u64 SWAR scan (`DEWRITE_PORTABLE=1`
-//!   forces a byte loop), with inline `{digest, real, reference}` slots and
-//!   amortised rehash. CRC-collision chains are successive probe hits
-//!   instead of per-digest heap `Vec`s, and each entry carries its virtual
-//!   bucket position so candidate order — observable through match
-//!   selection — reproduces the seed `Vec`-bucket order exactly.
+//! * [`HashTable`] is a SwissTable-style open-addressing table with **one
+//!   slot per digest**: one control byte per slot (a 7-bit tag, or
+//!   empty/tombstone), probed a 16-byte group at a time with a portable u64
+//!   SWAR scan (`DEWRITE_PORTABLE=1` forces a byte loop), amortised rehash.
+//!   A one-entry bucket lives inline in its `{digest, real, reference}`
+//!   slot; two or more entries (CRC collisions, saturated residues) spill
+//!   to a contiguous side bucket that *is* the seed's `Vec` bucket — `push`
+//!   on insert, `swap_remove` on delete — so candidate order, observable
+//!   through match selection, is the seed's by construction.
 //! * [`AddrMapTable`] and [`InvertedTable`] are dense `Box<[...]>` arrays
 //!   indexed by `LineAddr` with a presence bitmap: the line space is
 //!   bounded and known at construction, so no hashing at all.
@@ -40,6 +41,13 @@ use dewrite_nvm::LineAddr;
 /// "highly referenced": further duplicates of their content are *not*
 /// deduplicated, preventing overflow (§III-B2).
 pub const MAX_REFERENCE: u8 = 255;
+
+/// Upper bound on candidate lines byte-compared per duplicate confirmation
+/// (§III-B2: bounded verify cost). The dedup logic is a fixed pipeline, not
+/// a list walker: after this many mismatches the write is treated as
+/// non-duplicate. Real CRC collisions make buckets of 2 at most; deeper
+/// buckets only arise when a saturated content accumulates extra copies.
+pub const MAX_CANDIDATE_COMPARES: usize = 4;
 
 /// One hash-table entry: a resident line and its reference count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,18 +69,6 @@ const CTRL_DELETED: u8 = 0xFF;
 const MIN_GROUPS: usize = 2;
 const SWAR_LO: u64 = 0x0101_0101_0101_0101;
 const SWAR_HI: u64 = 0x8080_8080_8080_8080;
-/// Gathers one bit per byte lane (at bit `8k`) into bits `56..64`: byte
-/// `7-k` is `1 << k`, and every product column sums distinct powers of two,
-/// so no carry ever crosses a column.
-const SWAR_GATHER: u64 = 0x0102_0408_1020_4080;
-
-/// Collapse a word with per-lane high bits (`0x80` or `0x00` per byte)
-/// into an 8-bit mask, bit `k` = lane `k`.
-#[inline]
-fn swar_gather_high_bits(hits: u64) -> u8 {
-    (((hits >> 7).wrapping_mul(SWAR_GATHER)) >> 56) as u8
-}
-
 /// Exact per-lane "empty" bits (at bit `8k + 7`): the only control bytes
 /// with the high bit set are `CTRL_EMPTY` (`0x80`, bit 0 clear) and
 /// `CTRL_DELETED` (`0xFF`, bit 0 set), so high-and-not-low is empty.
@@ -81,94 +77,36 @@ fn swar_empty_bits(word: u64) -> u64 {
     (word & SWAR_HI) & !((word & SWAR_LO) << 7)
 }
 
-/// Whether group scans must use the byte-loop fallback (the process-wide
-/// `DEWRITE_PORTABLE=1` switch shared with the crypto/compare kernels).
-#[inline]
-fn portable_scan() -> bool {
-    dewrite_hashes::portable_only()
-}
-
 /// Per-lane hit bits (at bit `8k + 7`) for bytes of `word` equal to
 /// `tag`, computed with the SWAR zero-byte trick. Lanes *above* a true
 /// match may be false positives — callers verify every lane — but the
-/// lowest set lane is always a true match and no true match is ever
-/// missed. The lookup path iterates this form directly (lane =
-/// `trailing_zeros() / 8`) to skip the gather multiply.
+/// lowest set lane is always a true match and none is ever missed.
 #[inline]
 fn swar_match_bits(word: u64, tag: u8) -> u64 {
     let x = word ^ (SWAR_LO.wrapping_mul(u64::from(tag)));
     x.wrapping_sub(SWAR_LO) & !x & SWAR_HI
 }
 
-/// [`swar_match_bits`] gathered to one bit per byte lane (bit `i` =
-/// lane `i`) for the insert path, which juggles three masks at once.
-#[inline]
-fn swar_match_lanes(word: u64, tag: u8) -> u8 {
-    swar_gather_high_bits(swar_match_bits(word, tag))
-}
-
 /// Candidate entries for one digest, in exact seed-bucket order
-/// (insertion order perturbed by swap-remove deletes).
+/// (insertion order perturbed by swap-remove deletes), owned — so callers
+/// may mutate the table while they walk it. Dereferences to `[HashEntry]`.
 ///
-/// Dereferences to `[HashEntry]`. Allocation-free for up to
-/// [`Candidates::INLINE`] entries — larger chains (many same-digest
-/// collisions or saturated residues) spill to a heap buffer.
+/// A one-entry bucket is held without allocating; a larger one (same-digest
+/// collisions, saturated residues) is copied to the heap. The write paths
+/// use [`HashTable::open`] instead, which copies nothing.
 #[derive(Debug, Clone)]
 pub struct Candidates {
-    inline: [HashEntry; Self::INLINE],
-    len: usize,
-    spill: Vec<HashEntry>,
+    one: Option<HashEntry>,
+    many: Vec<HashEntry>,
 }
 
 impl Candidates {
-    /// Entries held without heap allocation.
-    pub const INLINE: usize = 2;
-
-    const PLACEHOLDER: HashEntry = HashEntry {
-        real: LineAddr::new(0),
-        reference: 0,
-    };
-
-    fn empty() -> Self {
-        Candidates {
-            inline: [Self::PLACEHOLDER; Self::INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    fn single(entry: HashEntry) -> Self {
-        Candidates {
-            inline: [entry, Self::PLACEHOLDER],
-            len: 1,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Place `entry` at its virtual bucket position. Positions form a
-    /// permutation of `0..bucket_len`, so placement *is* the sort.
-    fn place(&mut self, pos: usize, entry: HashEntry) {
-        if self.spill.is_empty() && pos < Self::INLINE {
-            self.inline[pos] = entry;
-        } else {
-            if self.spill.is_empty() {
-                self.spill = self.inline[..self.len.min(Self::INLINE)].to_vec();
-            }
-            if self.spill.len() <= pos {
-                self.spill.resize(pos + 1, Self::PLACEHOLDER);
-            }
-            self.spill[pos] = entry;
-        }
-        self.len = self.len.max(pos + 1);
-    }
-
     /// The candidates as a slice, in bucket order.
     #[inline]
     pub fn as_slice(&self) -> &[HashEntry] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
+        match &self.one {
+            Some(entry) => std::slice::from_ref(entry),
+            None => &self.many,
         }
     }
 }
@@ -188,36 +126,106 @@ impl<'a> IntoIterator for &'a Candidates {
     }
 }
 
-/// The digest-indexed duplicate-lookup table.
-///
-/// SwissTable-style open addressing over struct-of-arrays slots: control
-/// bytes (7-bit tag / empty / tombstone) are probed 16 at a time; a slot
-/// holds `{digest, real, reference, pos}` inline where `pos` is the entry's
-/// virtual position in its digest's bucket (seed-order reproduction — see
-/// module docs). All entries of one digest share one probe chain, so CRC
-/// collisions are successive probe hits.
+/// The entries of a bucket held as parallel arrays: entry `i` is
+/// `{reals[i], refs[i]}`.
+fn entries<'a>(
+    (reals, refs): (&'a [u64], &'a [u8]),
+) -> impl ExactSizeIterator<Item = HashEntry> + 'a {
+    reals.iter().zip(refs).map(|(&real, &reference)| HashEntry {
+        real: LineAddr::new(real),
+        reference,
+    })
+}
+
+/// One unsaturated entry of an [`OpenView`], carrying where it lives so
+/// the commit ([`HashTable::add_reference_at`]) does not search again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpenEntry {
+    /// The physical line holding the content.
+    pub real: LineAddr,
+    /// Saturated entries before this one in bucket order — what a
+    /// seed-order walk skips on its way here.
+    pub saturated_before: u32,
+    slot: usize,
+    index: usize,
+}
+
+/// What a write needs of a bucket, with nothing copied and nothing
+/// allocated: its first [`MAX_CANDIDATE_COMPARES`] unsaturated entries in
+/// bucket order and its saturated total.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenView {
+    entries: [OpenEntry; MAX_CANDIDATE_COMPARES],
+    len: usize,
+    /// Saturated entries in the whole bucket.
+    pub saturated: u32,
+}
+
+impl OpenView {
+    /// The unsaturated entries, in bucket order.
+    #[inline]
+    pub fn entries(&self) -> &[OpenEntry] {
+        &self.entries[..self.len]
+    }
+
+    /// Saturated entries a seed-order walk skips when no entry of the view
+    /// matches: a full view stops the walk at its last entry (the compare
+    /// cap), a shorter one lets it run off the bucket's end.
+    #[inline]
+    pub fn saturated_walked(&self) -> u32 {
+        if self.len == MAX_CANDIDATE_COMPARES {
+            self.entries[self.len - 1].saturated_before
+        } else {
+            self.saturated
+        }
+    }
+}
+
+/// The digest-indexed duplicate-lookup table: SwissTable-style open
+/// addressing with one slot per digest, a one-entry bucket inline in its
+/// slot and a larger one in a contiguous side bucket (see module docs).
 #[derive(Debug, Clone)]
 pub struct HashTable {
     ctrl: Box<[u8]>,
     slots: Box<[Slot]>,
     groups: usize,
+    /// Entries across all buckets.
     entries: usize,
-    /// Slots that are not `CTRL_EMPTY` (live entries + tombstones) — the
-    /// load the probe-termination guarantee depends on.
+    /// Full slots, i.e. digests present.
+    live: usize,
+    /// Slots that are not `CTRL_EMPTY` (full + tombstones) — the load the
+    /// probe-termination guarantee depends on.
     used: usize,
+    /// Spilled buckets, indexed by their slot's `real` field.
+    side: Vec<SideBucket>,
+    side_free: Vec<usize>,
+    /// `real → index` within the spilled bucket that holds it, written
+    /// only for spilled buckets and grown to the largest line seen there.
+    /// A hint, verified against the bucket on every use: a line indexed
+    /// under two digests at once (tests do this, the product cannot — the
+    /// inverted table gives a line one digest) falls back to a scan.
+    pos: Vec<u32>,
     collision_buckets: u64,
     saturated_hits: u64,
 }
 
-/// One slot's payload, kept as a single array-of-structs entry so that
-/// verifying a probe candidate touches one cache line, not four.
+/// One slot's payload, array-of-structs so that verifying a probe hit and
+/// reading a one-entry bucket touch one cache line.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     digest: u64,
-    /// Virtual position in the digest's bucket (seed-order reproduction).
-    pos: u32,
+    /// The bucket's only line, or its index in `side` when spilled.
     real: u64,
     reference: u8,
+    spilled: bool,
+}
+
+/// A bucket of two or more entries, struct-of-arrays in exact seed order:
+/// `push` on insert, `swap_remove` on delete.
+#[derive(Debug, Clone, Default)]
+struct SideBucket {
+    reals: Vec<u64>,
+    refs: Vec<u8>,
 }
 
 impl Default for HashTable {
@@ -229,120 +237,77 @@ impl Default for HashTable {
 impl HashTable {
     /// An empty table.
     pub fn new() -> Self {
-        Self::with_groups(MIN_GROUPS)
-    }
-
-    fn with_groups(groups: usize) -> Self {
-        let slots = groups * GROUP;
+        let slots = MIN_GROUPS * GROUP;
         HashTable {
             ctrl: vec![CTRL_EMPTY; slots].into_boxed_slice(),
             slots: vec![Slot::default(); slots].into_boxed_slice(),
-            groups,
+            groups: MIN_GROUPS,
             entries: 0,
+            live: 0,
             used: 0,
+            side: Vec::new(),
+            side_free: Vec::new(),
+            pos: Vec::new(),
             collision_buckets: 0,
             saturated_hits: 0,
         }
     }
 
+    /// `digest`'s 7-bit control tag (high bit clear, so full slots never
+    /// look empty/deleted) and the group its probe chain starts in.
     #[inline]
-    fn hash(digest: u64) -> u64 {
-        digest.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// 7-bit control tag (high bit clear, so full slots never look
-    /// empty/deleted).
-    #[inline]
-    fn tag(h: u64) -> u8 {
-        ((h >> 57) & 0x7F) as u8
-    }
-
-    #[inline]
-    fn start_group(&self, h: u64) -> usize {
-        ((h >> 32) as usize) & (self.groups - 1)
-    }
-
-    /// The two SWAR words of group `g`'s control bytes, loaded with a
-    /// single bounds check.
-    #[inline]
-    fn group_words(&self, g: usize) -> (u64, u64) {
-        let base = g * GROUP;
-        let bytes: &[u8; GROUP] = self.ctrl[base..base + GROUP]
-            .try_into()
-            .expect("16-byte group");
+    fn tag_and_start(&self, digest: u64) -> (u8, usize) {
+        let h = digest.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (
-            u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-            u64::from_le_bytes(bytes[8..].try_into().expect("8 bytes")),
+            ((h >> 57) & 0x7F) as u8,
+            ((h >> 32) as usize) & (self.groups - 1),
         )
     }
 
-    /// One-load lookup scan of group `g`: two per-word candidate-lane
-    /// masks (a hit bit at `8k + 7` per lane, exact on the portable path,
-    /// superset-with-verification on the SWAR path — iterated directly so
-    /// the hot path never pays the gather multiplies) and whether the
-    /// group holds an empty (never-used) slot — probe chains terminate in
-    /// such a group. The empty test is exact on both paths.
+    /// Group `g`'s 16 control bytes, sliced with a single bounds check.
+    #[inline]
+    fn group(&self, g: usize) -> &[u8; GROUP] {
+        self.ctrl[g * GROUP..][..GROUP]
+            .try_into()
+            .expect("16-byte group")
+    }
+
+    /// The two SWAR words of group `g`'s control bytes.
+    #[inline]
+    fn group_words(&self, g: usize) -> [u64; 2] {
+        let bytes = self.group(g);
+        [0, 8].map(|at| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")))
+    }
+
+    /// One-load lookup scan of group `g`: a candidate-lane mask per word (a
+    /// hit bit at `8k + 7` per lane, exact on the portable path, superset-
+    /// with-verification on the SWAR path — iterated directly, no gather
+    /// multiply) and whether the group holds an empty (never-used) slot,
+    /// exact on both paths — probe chains terminate in such a group.
     #[inline]
     fn scan_lookup(&self, g: usize, tag: u8, portable: bool) -> ([u64; 2], bool) {
         if portable {
-            let base = g * GROUP;
+            let ctrl = self.group(g);
             let mut words = [0u64; 2];
-            let mut has_empty = false;
-            for lane in 0..GROUP {
-                let b = self.ctrl[base + lane];
-                if b == tag {
-                    words[lane / 8] |= 0x80 << ((lane % 8) * 8);
-                }
-                has_empty |= b == CTRL_EMPTY;
+            for lane in (0..GROUP).filter(|&lane| ctrl[lane] == tag) {
+                words[lane / 8] |= 0x80 << ((lane % 8) * 8);
             }
-            (words, has_empty)
+            (words, ctrl.contains(&CTRL_EMPTY))
         } else {
-            let (lo, hi) = self.group_words(g);
-            let words = [swar_match_bits(lo, tag), swar_match_bits(hi, tag)];
-            let has_empty = (swar_empty_bits(lo) | swar_empty_bits(hi)) != 0;
-            (words, has_empty)
+            let words = self.group_words(g);
+            (
+                words.map(|w| swar_match_bits(w, tag)),
+                words.iter().any(|&w| swar_empty_bits(w) != 0),
+            )
         }
     }
 
-    /// [`scan_lookup`](Self::scan_lookup) plus the exact 16-bit mask of
-    /// non-full (empty or tombstone) lanes — insert reuses the first.
+    /// The slot of `digest`, probing until it or the chain's terminating
+    /// empty group.
     #[inline]
-    fn scan_insert(&self, g: usize, tag: u8, portable: bool) -> (u32, u32, bool) {
-        if portable {
-            let base = g * GROUP;
-            let mut matches = 0u32;
-            let mut free = 0u32;
-            let mut has_empty = false;
-            for lane in 0..GROUP {
-                let b = self.ctrl[base + lane];
-                if b == tag {
-                    matches |= 1 << lane;
-                }
-                if b & 0x80 != 0 {
-                    free |= 1 << lane;
-                }
-                has_empty |= b == CTRL_EMPTY;
-            }
-            (matches, free, has_empty)
-        } else {
-            let (lo, hi) = self.group_words(g);
-            let matches =
-                u32::from(swar_match_lanes(lo, tag)) | (u32::from(swar_match_lanes(hi, tag)) << 8);
-            let free = u32::from(swar_gather_high_bits(lo & SWAR_HI))
-                | (u32::from(swar_gather_high_bits(hi & SWAR_HI)) << 8);
-            let has_empty = (swar_empty_bits(lo) | swar_empty_bits(hi)) != 0;
-            (matches, free, has_empty)
-        }
-    }
-
-    /// Find the slot holding `(digest, real)`, probing until the chain's
-    /// terminating empty group.
-    #[inline]
-    fn find_slot(&self, digest: u64, real: u64) -> Option<usize> {
-        let portable = portable_scan();
-        let h = Self::hash(digest);
-        let tag = Self::tag(h);
-        let mut g = self.start_group(h);
+    fn find(&self, digest: u64) -> Option<usize> {
+        let portable = dewrite_hashes::portable_only();
+        let (tag, mut g) = self.tag_and_start(digest);
         let mut stride = 0usize;
         loop {
             let (words, has_empty) = self.scan_lookup(g, tag, portable);
@@ -351,8 +316,7 @@ impl HashTable {
                     let lane = (hits.trailing_zeros() >> 3) as usize;
                     hits &= hits - 1;
                     let slot = g * GROUP + w * 8 + lane;
-                    let s = &self.slots[slot];
-                    if self.ctrl[slot] == tag && s.digest == digest && s.real == real {
+                    if self.ctrl[slot] == tag && self.slots[slot].digest == digest {
                         return Some(slot);
                     }
                 }
@@ -365,182 +329,222 @@ impl HashTable {
         }
     }
 
+    /// `slot`'s bucket in seed order, borrowed as `(reals, refs)`: a
+    /// one-entry bucket is its slot's inline fields, a larger one its side
+    /// bucket.
+    #[inline]
+    fn bucket_at(&self, slot: usize) -> (&[u64], &[u8]) {
+        let s = &self.slots[slot];
+        if s.spilled {
+            let side = &self.side[s.real as usize];
+            (&side.reals, &side.refs)
+        } else {
+            (
+                std::slice::from_ref(&s.real),
+                std::slice::from_ref(&s.reference),
+            )
+        }
+    }
+
+    /// The entries of `digest`'s bucket in seed order, borrowed — nothing
+    /// is copied (none if the digest is absent).
+    #[inline]
+    pub(crate) fn bucket(&self, digest: u64) -> impl ExactSizeIterator<Item = HashEntry> + '_ {
+        entries(
+            self.find(digest)
+                .map_or((&[], &[]), |slot| self.bucket_at(slot)),
+        )
+    }
+
     /// All entries whose content hashes to `digest` (collision candidates),
-    /// in exact seed-bucket order.
-    ///
-    /// Buckets of zero or one entry — the overwhelmingly common case — are
-    /// returned straight off the probe walk; multi-entry chains (CRC
-    /// collisions, saturated residues) fall back to a second walk that
-    /// sorts by virtual bucket position.
+    /// in exact seed-bucket order, owned.
     #[inline]
     pub fn candidates(&self, digest: u64) -> Candidates {
-        let portable = portable_scan();
-        let h = Self::hash(digest);
-        let tag = Self::tag(h);
-        let start = self.start_group(h);
-        let mut g = start;
-        let mut stride = 0usize;
-        let mut single: Option<HashEntry> = None;
-        loop {
-            let (words, has_empty) = self.scan_lookup(g, tag, portable);
-            for (w, mut hits) in words.into_iter().enumerate() {
-                while hits != 0 {
-                    let lane = (hits.trailing_zeros() >> 3) as usize;
-                    hits &= hits - 1;
-                    let slot = g * GROUP + w * 8 + lane;
-                    let s = &self.slots[slot];
-                    if self.ctrl[slot] == tag && s.digest == digest {
-                        if single.is_some() {
-                            return self.candidates_multi(digest, tag, start, portable);
-                        }
-                        // A one-entry bucket's position is necessarily 0.
-                        single = Some(HashEntry {
-                            real: LineAddr::new(s.real),
-                            reference: s.reference,
-                        });
-                    }
-                }
-            }
-            if has_empty {
-                return match single {
-                    None => Candidates::empty(),
-                    Some(entry) => Candidates::single(entry),
-                };
-            }
-            stride += 1;
-            g = (g + stride) & (self.groups - 1);
+        let mut entries = self.bucket(digest);
+        match entries.len() {
+            1 => Candidates {
+                one: entries.next(),
+                many: Vec::new(),
+            },
+            _ => Candidates {
+                one: None,
+                many: entries.collect(),
+            },
         }
     }
 
-    /// [`candidates`](Self::candidates) slow path: re-walk the chain and
-    /// place every entry at its virtual bucket position.
-    fn candidates_multi(&self, digest: u64, tag: u8, start: usize, portable: bool) -> Candidates {
-        let mut out = Candidates::empty();
-        let mut g = start;
-        let mut stride = 0usize;
-        loop {
-            let (words, has_empty) = self.scan_lookup(g, tag, portable);
-            for (w, mut hits) in words.into_iter().enumerate() {
-                while hits != 0 {
-                    let lane = (hits.trailing_zeros() >> 3) as usize;
-                    hits &= hits - 1;
-                    let slot = g * GROUP + w * 8 + lane;
-                    let s = &self.slots[slot];
-                    if self.ctrl[slot] == tag && s.digest == digest {
-                        out.place(
-                            s.pos as usize,
-                            HashEntry {
-                                real: LineAddr::new(s.real),
-                                reference: s.reference,
-                            },
-                        );
-                    }
+    /// The [`OpenView`] of `digest`'s bucket: one probe, then one pass over
+    /// the bucket's reference bytes, a word at a time.
+    #[inline]
+    pub fn open(&self, digest: u64) -> OpenView {
+        let mut view = OpenView::default();
+        let Some(slot) = self.find(digest) else {
+            return view;
+        };
+        let (reals, refs) = self.bucket_at(slot);
+        let mut open = 0usize;
+        let mut scan = |base: usize, refs: &[u8]| {
+            for (i, _) in refs.iter().enumerate().filter(|(_, &r)| r != MAX_REFERENCE) {
+                if open < MAX_CANDIDATE_COMPARES {
+                    view.entries[open] = OpenEntry {
+                        real: LineAddr::new(reals[base + i]),
+                        saturated_before: (base + i - open) as u32,
+                        slot,
+                        index: base + i,
+                    };
                 }
+                open += 1;
             }
-            if has_empty {
-                return out;
+        };
+        let portable = dewrite_hashes::portable_only();
+        let (words, tail) = refs.as_chunks::<8>();
+        for (w, word) in words.iter().enumerate() {
+            // A word of saturated entries is passed whole: one u64 compare.
+            if portable || *word != [MAX_REFERENCE; 8] {
+                scan(w * 8, word);
             }
-            stride += 1;
-            g = (g + stride) & (self.groups - 1);
+        }
+        scan(words.len() * 8, tail);
+        view.len = open.min(MAX_CANDIDATE_COMPARES);
+        view.saturated = (refs.len() - open) as u32;
+        view
+    }
+
+    /// Where `(digest, real)` lives: its slot and its index in the bucket.
+    #[inline]
+    fn locate(&self, digest: u64, real: u64) -> Option<(usize, usize)> {
+        let slot = self.find(digest)?;
+        let s = &self.slots[slot];
+        if !s.spilled {
+            return (s.real == real).then_some((slot, 0));
+        }
+        let reals = &self.side[s.real as usize].reals;
+        let index = match self.pos.get(real as usize) {
+            Some(&hint) if reals.get(hint as usize) == Some(&real) => hint as usize,
+            _ => reals.iter().position(|&r| r == real)?,
+        };
+        Some((slot, index))
+    }
+
+    #[inline]
+    fn reference_mut(&mut self, slot: usize, index: usize) -> &mut u8 {
+        let s = &mut self.slots[slot];
+        if s.spilled {
+            &mut self.side[s.real as usize].refs[index]
+        } else {
+            &mut s.reference
         }
     }
 
-    /// Grow (or retension, dropping tombstones) into a fresh table.
+    fn set_pos(&mut self, real: u64, index: usize) {
+        let real = real as usize;
+        if self.pos.len() <= real {
+            self.pos.resize(real + 1, 0);
+        }
+        self.pos[real] = index as u32;
+    }
+
+    /// Grow (or retension, dropping tombstones) the slot arrays; side
+    /// buckets stay where they are.
     fn rehash(&mut self, new_groups: usize) {
-        let old = std::mem::replace(self, Self::with_groups(new_groups));
-        self.collision_buckets = old.collision_buckets;
-        self.saturated_hits = old.saturated_hits;
-        for slot in 0..old.ctrl.len() {
-            if old.ctrl[slot] & 0x80 != 0 {
-                continue;
+        let slots = new_groups * GROUP;
+        let old_ctrl = std::mem::replace(&mut self.ctrl, vec![CTRL_EMPTY; slots].into());
+        let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); slots].into());
+        self.groups = new_groups;
+        self.used = self.live;
+        for (&ctrl, slot) in old_ctrl.iter().zip(old_slots.iter()) {
+            if ctrl & 0x80 == 0 {
+                let (tag, start) = self.tag_and_start(slot.digest);
+                let target = self.first_free_slot(start);
+                self.ctrl[target] = tag;
+                self.slots[target] = *slot;
             }
-            let h = Self::hash(old.slots[slot].digest);
-            let target = self.raw_free_slot(h);
-            self.ctrl[target] = Self::tag(h);
-            self.slots[target] = old.slots[slot];
-            self.entries += 1;
-            self.used += 1;
         }
     }
 
-    /// First free slot on `h`'s probe chain in a table known to hold no
-    /// tombstones and no duplicate of the key being placed (rehash fill).
-    fn raw_free_slot(&self, h: u64) -> usize {
-        let mut g = self.start_group(h);
+    /// First reusable (empty or tombstoned) slot on the probe chain from
+    /// group `g`, for a digest known to be absent: at or before the chain's
+    /// terminating group, so probes for it pass through no empty group first.
+    fn first_free_slot(&self, mut g: usize) -> usize {
         let mut stride = 0usize;
         loop {
             // Free lanes are exactly the control high bits; no tag scan.
-            let (lo, hi) = self.group_words(g);
-            let free = u32::from(swar_gather_high_bits(lo & SWAR_HI))
-                | (u32::from(swar_gather_high_bits(hi & SWAR_HI)) << 8);
-            if free != 0 {
-                return g * GROUP + free.trailing_zeros() as usize;
+            for (w, word) in self.group_words(g).into_iter().enumerate() {
+                let free = word & SWAR_HI;
+                if free != 0 {
+                    return g * GROUP + w * 8 + (free.trailing_zeros() >> 3) as usize;
+                }
             }
             stride += 1;
             g = (g + stride) & (self.groups - 1);
         }
     }
 
-    /// Shared insert: walks `digest`'s whole probe chain once, counting
-    /// same-digest entries (the new entry's bucket position), asserting
-    /// `real` is absent, and taking the first reusable slot.
-    fn insert_impl(&mut self, digest: u64, real: LineAddr, reference: u8) {
-        // Amortised growth: keep at least 1/8 of slots truly empty so
-        // probe chains terminate and stay short.
-        if (self.used + 1) * 8 > self.ctrl.len() * 7 {
-            let new_groups = if (self.entries + 1) * 8 > self.ctrl.len() * 7 {
-                self.groups * 2
-            } else {
-                self.groups // tombstone purge only
-            };
-            self.rehash(new_groups);
-        }
-        let portable = portable_scan();
-        let h = Self::hash(digest);
-        let tag = Self::tag(h);
-        let mut g = self.start_group(h);
-        let mut stride = 0usize;
-        let mut bucket_len = 0usize;
-        let mut target: Option<usize> = None;
-        loop {
-            let (mut mask, free, has_empty) = self.scan_insert(g, tag, portable);
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let slot = g * GROUP + lane;
-                let s = &self.slots[slot];
-                if self.ctrl[slot] == tag && s.digest == digest {
-                    assert!(
-                        s.real != real.index(),
-                        "line {real} already indexed under digest {digest:#x}"
-                    );
-                    bucket_len += 1;
-                }
-            }
-            if target.is_none() && free != 0 {
-                target = Some(g * GROUP + free.trailing_zeros() as usize);
-            }
-            if has_empty {
-                break;
-            }
-            stride += 1;
-            g = (g + stride) & (self.groups - 1);
-        }
-        let slot = target.expect("the terminating group has an empty slot");
-        if self.ctrl[slot] == CTRL_EMPTY {
-            self.used += 1;
-        }
-        self.ctrl[slot] = tag;
-        self.slots[slot] = Slot {
-            digest,
-            pos: bucket_len as u32,
-            real: real.index(),
-            reference,
-        };
+    /// Insert with an explicit starting reference (recovery installs lines
+    /// at 0 while mappings are being re-linked): `push` onto `digest`'s
+    /// bucket — the seed's own step — spilling it when it reaches two
+    /// entries, or claim a slot for a new digest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `real` is already present under `digest`.
+    pub(crate) fn insert_with_reference(&mut self, digest: u64, real: LineAddr, reference: u8) {
+        let real = real.index();
         self.entries += 1;
-        if bucket_len == 1 {
+        let Some(slot) = self.find(digest) else {
+            // Amortised growth: keep at least 1/8 of slots truly empty so
+            // probe chains terminate and stay short.
+            if (self.used + 1) * 8 > self.ctrl.len() * 7 {
+                let new_groups = if (self.live + 1) * 8 > self.ctrl.len() * 7 {
+                    self.groups * 2
+                } else {
+                    self.groups // tombstone purge only
+                };
+                self.rehash(new_groups);
+            }
+            let (tag, start) = self.tag_and_start(digest);
+            let slot = self.first_free_slot(start);
+            if self.ctrl[slot] == CTRL_EMPTY {
+                self.used += 1;
+            }
+            self.live += 1;
+            self.ctrl[slot] = tag;
+            self.slots[slot] = Slot {
+                digest,
+                real,
+                reference,
+                spilled: false,
+            };
+            return;
+        };
+        assert!(
+            !self.bucket_at(slot).0.contains(&real),
+            "line {} already indexed under digest {digest:#x}",
+            LineAddr::new(real)
+        );
+        let s = self.slots[slot];
+        if s.spilled {
+            let side = &mut self.side[s.real as usize];
+            side.reals.push(real);
+            side.refs.push(reference);
+            let index = side.reals.len() - 1;
+            self.set_pos(real, index);
+        } else {
             // The bucket just reached two entries (seed: `bucket.len() == 2`).
             self.collision_buckets += 1;
+            let bucket = SideBucket {
+                reals: vec![s.real, real],
+                refs: vec![s.reference, reference],
+            };
+            let id = self.side_free.pop().unwrap_or_else(|| {
+                self.side.push(SideBucket::default());
+                self.side.len() - 1
+            });
+            self.side[id] = bucket;
+            self.slots[slot].real = id as u64;
+            self.slots[slot].spilled = true;
+            self.set_pos(s.real, 0);
+            self.set_pos(real, 1);
         }
     }
 
@@ -551,17 +555,17 @@ impl HashTable {
     /// Panics if `real` is already present under `digest` — the caller must
     /// clean stale entries first (that is what the inverted table is for).
     pub fn insert(&mut self, digest: u64, real: LineAddr) {
-        self.insert_impl(digest, real, 1);
+        self.insert_with_reference(digest, real, 1);
     }
 
-    /// Recovery-path insert with an explicit starting reference (0 is
-    /// allowed transiently while mappings are being re-linked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real` is already present under `digest`.
-    pub(crate) fn insert_with_reference(&mut self, digest: u64, real: LineAddr, reference: u8) {
-        self.insert_impl(digest, real, reference);
+    fn bump(&mut self, slot: usize, index: usize) -> bool {
+        let reference = self.reference_mut(slot, index);
+        if *reference == MAX_REFERENCE {
+            self.saturated_hits += 1;
+            return false;
+        }
+        *reference += 1;
+        true
     }
 
     /// Increment the reference of `real` under `digest`. Returns `false`
@@ -571,55 +575,54 @@ impl HashTable {
     ///
     /// Panics if the entry does not exist.
     pub fn add_reference(&mut self, digest: u64, real: LineAddr) -> bool {
-        let slot = self
-            .find_slot(digest, real.index())
+        let (slot, index) = self
+            .locate(digest, real.index())
             .expect("add_reference on missing hash entry");
-        if self.slots[slot].reference == MAX_REFERENCE {
-            self.saturated_hits += 1;
-            return false;
-        }
-        self.slots[slot].reference += 1;
-        true
+        self.bump(slot, index)
     }
 
-    /// Tombstone `slot` and re-number its digest's bucket exactly as the
-    /// seed `Vec::swap_remove` did: the bucket's last entry (highest
-    /// position) takes the removed entry's position.
-    fn remove_slot(&mut self, slot: usize, digest: u64) {
-        let portable = portable_scan();
-        let removed_pos = self.slots[slot].pos;
-        self.ctrl[slot] = CTRL_DELETED;
+    /// [`add_reference`](Self::add_reference) for an entry of an
+    /// [`OpenView`] taken since the table was last mutated: no search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has changed under the view.
+    pub fn add_reference_at(&mut self, at: OpenEntry) -> bool {
+        assert!(
+            self.ctrl[at.slot] & 0x80 == 0
+                && self.bucket_at(at.slot).0.get(at.index) == Some(&at.real.index()),
+            "open view of line {} outlived a table mutation",
+            at.real
+        );
+        self.bump(at.slot, at.index)
+    }
+
+    /// Delete entry `index` of `slot`'s bucket — `swap_remove`, the seed's
+    /// own step — folding a bucket back into its slot when one entry is
+    /// left and tombstoning the slot when none is.
+    fn remove_at(&mut self, slot: usize, index: usize) {
         self.entries -= 1;
-        let h = Self::hash(digest);
-        let tag = Self::tag(h);
-        let mut g = self.start_group(h);
-        let mut stride = 0usize;
-        let mut last: Option<usize> = None;
-        loop {
-            let (words, has_empty) = self.scan_lookup(g, tag, portable);
-            for (w, mut hits) in words.into_iter().enumerate() {
-                while hits != 0 {
-                    let lane = (hits.trailing_zeros() >> 3) as usize;
-                    hits &= hits - 1;
-                    let s = g * GROUP + w * 8 + lane;
-                    if self.ctrl[s] == tag
-                        && self.slots[s].digest == digest
-                        && last.is_none_or(|l| self.slots[s].pos > self.slots[l].pos)
-                    {
-                        last = Some(s);
-                    }
-                }
-            }
-            if has_empty {
-                break;
-            }
-            stride += 1;
-            g = (g + stride) & (self.groups - 1);
+        let s = self.slots[slot];
+        if !s.spilled {
+            self.ctrl[slot] = CTRL_DELETED;
+            self.live -= 1;
+            return;
         }
-        if let Some(l) = last {
-            if self.slots[l].pos > removed_pos {
-                self.slots[l].pos = removed_pos;
-            }
+        let id = s.real as usize;
+        let side = &mut self.side[id];
+        side.reals.swap_remove(index);
+        side.refs.swap_remove(index);
+        if side.reals.len() == 1 {
+            self.slots[slot] = Slot {
+                digest: s.digest,
+                real: side.reals[0],
+                reference: side.refs[0],
+                spilled: false,
+            };
+            *side = SideBucket::default();
+            self.side_free.push(id);
+        } else if let Some(&moved) = side.reals.get(index) {
+            self.pos[moved as usize] = index as u32;
         }
     }
 
@@ -631,16 +634,17 @@ impl HashTable {
     ///
     /// Panics if the entry does not exist.
     pub fn release_reference(&mut self, digest: u64, real: LineAddr) -> u8 {
-        let slot = self
-            .find_slot(digest, real.index())
+        let (slot, index) = self
+            .locate(digest, real.index())
             .expect("release_reference on missing hash entry");
-        if self.slots[slot].reference == MAX_REFERENCE {
+        let reference = self.reference_mut(slot, index);
+        if *reference == MAX_REFERENCE {
             return MAX_REFERENCE;
         }
-        self.slots[slot].reference -= 1;
-        let remaining = self.slots[slot].reference;
+        *reference -= 1;
+        let remaining = *reference;
         if remaining == 0 {
-            self.remove_slot(slot, digest);
+            self.remove_at(slot, index);
         }
         remaining
     }
@@ -653,17 +657,17 @@ impl HashTable {
     ///
     /// Panics if the entry does not exist.
     pub fn remove(&mut self, digest: u64, real: LineAddr) {
-        let slot = self
-            .find_slot(digest, real.index())
+        let (slot, index) = self
+            .locate(digest, real.index())
             .expect("remove on missing hash entry");
-        self.remove_slot(slot, digest);
+        self.remove_at(slot, index);
     }
 
     /// The reference count of `real` under `digest`, if present.
     #[inline]
     pub fn reference(&self, digest: u64, real: LineAddr) -> Option<u8> {
-        self.find_slot(digest, real.index())
-            .map(|s| self.slots[s].reference)
+        let (slot, index) = self.locate(digest, real.index())?;
+        Some(self.bucket_at(slot).1[index])
     }
 
     /// Total entries across all buckets.
@@ -686,29 +690,21 @@ impl HashTable {
         self.saturated_hits
     }
 
-    /// Record that a duplicate of a saturated entry was declined without
-    /// going through [`add_reference`](Self::add_reference).
-    pub(crate) fn note_saturated_hit(&mut self) {
-        self.saturated_hits += 1;
+    /// Record `n` duplicates of saturated entries declined without going
+    /// through [`add_reference`](Self::add_reference).
+    pub(crate) fn note_saturated_hits(&mut self, n: u64) {
+        self.saturated_hits += n;
     }
 
     /// Iterate over `(digest, entry)` pairs (reference-count distribution,
     /// Fig. 7). Slot order, which is not meaningful — like the seed's map
     /// iteration order was not.
     pub fn iter(&self) -> impl Iterator<Item = (u64, HashEntry)> + '_ {
-        self.ctrl
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c & 0x80 == 0)
-            .map(|(slot, _)| {
-                let s = &self.slots[slot];
-                (
-                    s.digest,
-                    HashEntry {
-                        real: LineAddr::new(s.real),
-                        reference: s.reference,
-                    },
-                )
+        (0..self.ctrl.len())
+            .filter(|&slot| self.ctrl[slot] & 0x80 == 0)
+            .flat_map(|slot| {
+                let digest = self.slots[slot].digest;
+                entries(self.bucket_at(slot)).map(move |e| (digest, e))
             })
     }
 }
@@ -1330,6 +1326,163 @@ mod tests {
                     prop_assert_eq!(seed.digest_of(l(i)), flat.digest_of(l(i)));
                 }
             }
+        }
+    }
+
+    // ---- long saturated chains vs the seed oracle ---------------------
+
+    /// Line space of the long-chain differential: one digest's bucket can
+    /// grow past 300 entries.
+    const CHAIN_LINES: u64 = 320;
+
+    fn chain_op_strategy() -> impl Strategy<Value = HashOp> {
+        // Two digests over a wide line space. Most inserts arrive saturated
+        // and some one short of it (an `AddRef` then saturates them in
+        // place), so saturated and open entries interleave and
+        // `swap_remove` moves saturated entries into holes.
+        let d = 0u64..2;
+        let r = 0u64..CHAIN_LINES;
+        let arriving = || prop_oneof![Just(255u8), Just(255), Just(255), Just(254), Just(0)];
+        prop_oneof![
+            (d.clone(), r.clone(), arriving()).prop_map(|(d, r, c)| HashOp::InsertWithRef(d, r, c)),
+            (d.clone(), r.clone(), arriving()).prop_map(|(d, r, c)| HashOp::InsertWithRef(d, r, c)),
+            (d.clone(), r.clone()).prop_map(|(d, r)| HashOp::Insert(d, r)),
+            (d.clone(), r.clone()).prop_map(|(d, r)| HashOp::AddRef(d, r)),
+            (d.clone(), r.clone()).prop_map(|(d, r)| HashOp::Release(d, r)),
+            (d, r).prop_map(|(d, r)| HashOp::Remove(d, r)),
+        ]
+    }
+
+    /// What [`HashTable::open`] must return for a seed bucket: its first
+    /// four unsaturated entries, each with the count of saturated entries
+    /// before it, and the saturated total.
+    fn open_view_of(bucket: &[HashEntry]) -> (Vec<(LineAddr, u32)>, u32) {
+        let mut open = Vec::new();
+        let mut saturated = 0;
+        for e in bucket {
+            if e.reference == MAX_REFERENCE {
+                saturated += 1;
+            } else if open.len() < MAX_CANDIDATE_COMPARES {
+                open.push((e.real, saturated));
+            }
+        }
+        (open, saturated)
+    }
+
+    /// Every observable of `digest`'s bucket, and the table-wide counters,
+    /// against the seed oracle.
+    fn assert_chain_agrees(seed: &crate::seed::SeedHashTable, flat: &HashTable, digest: u64) {
+        assert_eq!(seed.len(), flat.len());
+        assert_eq!(seed.collision_buckets(), flat.collision_buckets());
+        assert_eq!(seed.saturated_hits(), flat.saturated_hits());
+        let bucket = seed.candidates(digest);
+        assert_eq!(bucket, flat.candidates(digest).as_slice());
+        let mut expected = vec![None; CHAIN_LINES as usize];
+        for e in bucket {
+            expected[e.real.index() as usize] = Some(e.reference);
+        }
+        for r in 0..CHAIN_LINES {
+            assert_eq!(
+                flat.reference(digest, l(r)),
+                expected[r as usize],
+                "line {r}"
+            );
+        }
+        let view = flat.open(digest);
+        let entries: Vec<_> = view
+            .entries()
+            .iter()
+            .map(|e| (e.real, e.saturated_before))
+            .collect();
+        assert_eq!((entries, view.saturated), open_view_of(bucket));
+    }
+
+    /// Apply `op` to both tables where the seed's state allows it, taking
+    /// the open-view cursor for the commit when the line is in the view.
+    fn apply_chain_op(seed: &mut crate::seed::SeedHashTable, flat: &mut HashTable, op: &HashOp) {
+        match *op {
+            HashOp::Insert(d, r) if seed.reference(d, l(r)).is_none() => {
+                seed.insert(d, l(r));
+                flat.insert(d, l(r));
+            }
+            HashOp::InsertWithRef(d, r, c) if seed.reference(d, l(r)).is_none() => {
+                seed.insert_with_reference(d, l(r), c);
+                flat.insert_with_reference(d, l(r), c);
+            }
+            HashOp::AddRef(d, r) if seed.reference(d, l(r)).is_some() => {
+                let view = flat.open(d);
+                let added = match view.entries().iter().find(|e| e.real == l(r)) {
+                    Some(&at) => flat.add_reference_at(at),
+                    None => flat.add_reference(d, l(r)),
+                };
+                assert_eq!(seed.add_reference(d, l(r)), added);
+            }
+            // Releasing at reference 0 (a transient recovery state) is out
+            // of model, as in `hash_table_matches_seed_oracle`.
+            HashOp::Release(d, r) if seed.reference(d, l(r)).is_some_and(|c| c > 0) => {
+                assert_eq!(
+                    seed.release_reference(d, l(r)),
+                    flat.release_reference(d, l(r))
+                );
+            }
+            HashOp::Remove(d, r) if seed.reference(d, l(r)).is_some() => {
+                seed.remove(d, l(r));
+                flat.remove(d, l(r));
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn hash_table_matches_seed_on_long_saturated_chains(
+            prefill in 0u64..=CHAIN_LINES,
+            ops in proptest::collection::vec(chain_op_strategy(), 0..160),
+            portable in any::<bool>(),
+        ) {
+            let was_portable = dewrite_hashes::portable_only();
+            dewrite_hashes::set_portable_only(portable);
+            let mut seed = crate::seed::SeedHashTable::new();
+            let mut flat = HashTable::new();
+            let step = |seed: &mut crate::seed::SeedHashTable, flat: &mut HashTable, op: HashOp| {
+                apply_chain_op(seed, flat, &op);
+                for d in 0..2 {
+                    assert_chain_agrees(seed, flat, d);
+                }
+            };
+            // Grow digest 0's bucket through the spill (1 -> 2 entries) to
+            // `prefill` entries, every ninth one open among saturated
+            // residues, then run the random ops over both digests.
+            for r in 0..prefill {
+                let arriving = if r % 9 == 4 { 1 } else { MAX_REFERENCE };
+                step(&mut seed, &mut flat, HashOp::InsertWithRef(0, r, arriving));
+            }
+            for op in ops {
+                step(&mut seed, &mut flat, op);
+            }
+            // Rehash the slot arrays several times under the live side
+            // buckets: 300 one-entry digests.
+            for i in 0..300u64 {
+                seed.insert(1000 + i, l(i));
+                flat.insert(1000 + i, l(i));
+            }
+            for d in 0..2 {
+                assert_chain_agrees(&seed, &flat, d);
+            }
+            // Drain both buckets from alternating ends, back through the
+            // un-spill (2 -> 1 entries) to empty.
+            for d in 0..2 {
+                while let Some(&first) = seed.candidates(d).first() {
+                    let last = *seed.candidates(d).last().expect("non-empty");
+                    let victim = if seed.len().is_multiple_of(2) { first } else { last };
+                    step(&mut seed, &mut flat, HashOp::Remove(d, victim.real.index()));
+                }
+                prop_assert!(flat.candidates(d).is_empty());
+            }
+            prop_assert_eq!(flat.len(), 300);
+            dewrite_hashes::set_portable_only(was_portable);
         }
     }
 

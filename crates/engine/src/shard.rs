@@ -22,7 +22,8 @@
 //! a shard's final state — and its [`RunReport`] — is a pure function of
 //! its input feed.
 
-use dewrite_core::tables::{HashEntry, HashTable, InvertedTable, MAX_REFERENCE};
+pub use dewrite_core::tables::MAX_CANDIDATE_COMPARES;
+use dewrite_core::tables::{HashTable, InvertedTable, OpenEntry, MAX_REFERENCE};
 use dewrite_core::{
     lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor, MetaOp, RunReport,
     Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
@@ -39,9 +40,6 @@ use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-
-/// Candidate-compare cap per write (§III-B2: bounded verify cost).
-pub const MAX_CANDIDATE_COMPARES: usize = 4;
 
 /// Sentinel in the dense address map: address has no mapping.
 const SLOT_NONE: u64 = u64::MAX;
@@ -827,10 +825,11 @@ impl ShardController {
         self.base.writes += 1;
 
         // Stage 1: fingerprint.
-        let digest_ns = self.digest_cost().latency_ns;
+        let digest_cost = self.digest_cost();
+        let digest_ns = digest_cost.latency_ns;
         let digest = self.compute_digest(data);
         self.base.hash_ops += 1;
-        self.energy.dedup_pj += self.digest_cost().energy_pj;
+        self.energy.dedup_pj += digest_cost.energy_pj;
 
         // Stage 2: predict, then probe the hash-store cache.
         let predicted_dup = self.predictor.predict_duplicate();
@@ -864,46 +863,39 @@ impl ShardController {
         // Stages 3+4: candidate verification.
         let mut verify_ns = 0u64;
         let mut compare_ns = 0u64;
-        let mut dup_slot: Option<u64> = None;
+        let mut dup: Option<OpenEntry> = None;
         if !pna_skip {
-            let candidates = self.hash.candidates(digest);
+            // The bucket's unsaturated entries in seed order, at most the
+            // compare cap of them; a walk that finds no duplicate has
+            // skipped every saturated entry up to where it stopped.
+            let view = self.hash.open(digest);
+            let mut skipped = view.saturated_walked();
             if self.strong.is_some() {
                 // Verify-free: a 64-bit keyed-tag match *is* the duplicate
                 // decision — accept the first unsaturated candidate with no
                 // array read, no decryption, no byte compare.
-                for &HashEntry { real, reference } in &candidates {
-                    if reference == MAX_REFERENCE {
-                        self.dewrite.saturated_skips += 1;
-                        continue;
-                    }
+                if let Some(&first) = view.entries().first() {
                     self.dewrite.assumed_dups += 1;
-                    dup_slot = Some(real.index());
-                    break;
+                    skipped = first.saturated_before;
+                    dup = Some(first);
                 }
             } else {
-                let mut compared = 0usize;
-                for &HashEntry { real, reference } in &candidates {
-                    if compared == MAX_CANDIDATE_COMPARES {
-                        break;
-                    }
-                    if reference == MAX_REFERENCE {
-                        self.dewrite.saturated_skips += 1;
-                        continue;
-                    }
-                    compared += 1;
+                for &entry in view.entries() {
                     self.base.verify_reads += 1;
                     verify_ns += ARRAY_READ_NS;
                     compare_ns += COMPARE_NS;
                     self.energy.nvm_read_pj += self.energy_params.read_line_pj;
                     self.energy.dedup_pj += self.energy_params.compare_pj;
-                    self.decrypt_slot(real.index());
+                    self.decrypt_slot(entry.real.index());
                     if lines_equal(&self.scratch, data) {
-                        dup_slot = Some(real.index());
+                        skipped = entry.saturated_before;
+                        dup = Some(entry);
                         break;
                     }
                     self.dewrite.false_matches += 1;
                 }
             }
+            self.dewrite.saturated_skips += u64::from(skipped);
         }
 
         // Commit: duplicate (reference the resident copy) or store.
@@ -918,8 +910,9 @@ impl ShardController {
         }
         let detection_ns = probe_ns + verify_ns + compare_ns;
 
-        let eliminated = match dup_slot {
-            Some(slot) if self.hash.add_reference(digest, LineAddr::new(slot)) => {
+        let eliminated = match dup {
+            Some(entry) if self.hash.add_reference_at(entry) => {
+                let slot = entry.real.index();
                 // Order matters when the old mapping is the same slot: add
                 // the new reference before releasing the old one so the
                 // entry never transiently hits zero.
@@ -1328,6 +1321,61 @@ mod tests {
         let r = s.report("sat");
         assert!(r.dewrite.unwrap().saturated_skips > 0);
         assert!(s.scrub().is_ok());
+    }
+
+    /// One content written to `255·k + r` addresses leaves `k` saturated
+    /// residues and one open entry under a single digest; every count is
+    /// then closed-form, whatever the bucket is made of.
+    fn saturated_chain_closed_form(mode: DigestMode) {
+        const K: u64 = 3;
+        const R: u64 = 40;
+        const N: u64 = 255 * K + R;
+        let mut s = ShardController::new(0, 1, 2 * N, LINE, KEY);
+        s.set_digest_mode(mode);
+        for a in 0..N {
+            s.write(LineAddr::new(a), &line(1), 0);
+        }
+        let r = s.report("chain");
+        let d = r.dewrite.unwrap();
+        assert_eq!(r.nvm_data_writes, K + 1);
+        assert_eq!(r.base.writes_eliminated, N - (K + 1));
+        // Write `w` (1-based) walks past the `(w - 1) / 255` residues
+        // already saturated, then meets the open entry or stores.
+        assert_eq!(
+            d.saturated_skips,
+            (1..=N).map(|w| (w - 1) / 255).sum::<u64>()
+        );
+        let (verified, assumed) = match mode {
+            DigestMode::Crc32Verify => (N - (K + 1), 0),
+            DigestMode::StrongKeyed => (0, N - (K + 1)),
+        };
+        assert_eq!((r.base.verify_reads, d.assumed_dups), (verified, assumed));
+        assert_eq!(d.false_matches, 0);
+        assert_eq!(s.scrub().unwrap(), K + 1);
+
+        // Unique content over every address: the open entry's `R`
+        // references drain to zero and free it; the residues' true counts
+        // are unknown, so they stay, saturated and unreferenced.
+        for a in 0..N {
+            let mut unique = line(2);
+            unique[..8].copy_from_slice(&a.to_le_bytes());
+            s.write(LineAddr::new(a), &unique, 0);
+        }
+        let r = s.report("chain");
+        assert_eq!(r.nvm_data_writes, K + 1 + N);
+        assert_eq!(r.base.writes_eliminated, N - (K + 1));
+        assert_eq!(r.dewrite.unwrap().saturated_skips, d.saturated_skips);
+        assert_eq!(s.scrub().unwrap(), N + K);
+    }
+
+    #[test]
+    fn saturated_chain_counts_are_closed_form_crc32_verify() {
+        saturated_chain_closed_form(DigestMode::Crc32Verify);
+    }
+
+    #[test]
+    fn saturated_chain_counts_are_closed_form_strong_keyed() {
+        saturated_chain_closed_form(DigestMode::StrongKeyed);
     }
 
     #[test]

@@ -85,6 +85,8 @@ pub struct Access {
 pub struct NvmDevice {
     config: NvmConfig,
     store: HashMap<u64, Box<[u8]>>,
+    /// What a never-written line reads as.
+    zero_line: Box<[u8]>,
     banks: BankSet,
     wear: WearTracker,
     energy: EnergyBreakdown,
@@ -104,6 +106,7 @@ impl NvmDevice {
         config.validate()?;
         let banks = BankSet::new(config.banks);
         Ok(NvmDevice {
+            zero_line: vec![0u8; config.line_size].into_boxed_slice(),
             config,
             store: HashMap::new(),
             banks,
@@ -141,18 +144,24 @@ impl NvmDevice {
         }
     }
 
-    /// Peek at stored contents without modeling an access (no timing, no
-    /// energy). Unwritten lines read as zeros.
+    /// The stored contents of `addr`, borrowed, without modeling an access
+    /// (no timing, no energy). Unwritten lines read as zeros.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `addr` is out of range.
+    pub fn line(&self, addr: LineAddr) -> Result<&[u8], NvmError> {
+        self.check_addr(addr)?;
+        Ok(self.store.get(&addr.index()).unwrap_or(&self.zero_line))
+    }
+
+    /// [`line`](Self::line), copied out.
     ///
     /// # Errors
     ///
     /// Fails if `addr` is out of range.
     pub fn peek_line(&self, addr: LineAddr) -> Result<Vec<u8>, NvmError> {
-        self.check_addr(addr)?;
-        Ok(match self.store.get(&addr.index()) {
-            Some(data) => data.to_vec(),
-            None => vec![0u8; self.config.line_size],
-        })
+        self.line(addr).map(<[u8]>::to_vec)
     }
 
     /// Read a line, arriving at the controller at `now_ns`.
@@ -205,8 +214,7 @@ impl NvmDevice {
     ) -> Result<Access, NvmError> {
         self.check_addr(addr)?;
         self.check_len(data.len())?;
-        let old = self.peek_line(addr)?;
-        let flips = bit_flips(&old, data);
+        let flips = bit_flips(self.line(addr)?, data);
         self.write_line_with_flips(addr, data, flips, now_ns)
     }
 
@@ -240,8 +248,11 @@ impl NvmDevice {
         self.writes += 1;
         self.wear
             .record_write(addr, bits_flipped, self.config.line_bits());
+        // An overwrite reuses the line's allocation.
         self.store
-            .insert(addr.index(), data.to_vec().into_boxed_slice());
+            .entry(addr.index())
+            .and_modify(|line| line.copy_from_slice(data))
+            .or_insert_with(|| data.into());
         Ok(Access {
             slot,
             bits_flipped,
