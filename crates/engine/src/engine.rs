@@ -71,7 +71,8 @@ pub struct EngineConfig {
     pub lines: u64,
     /// Arena slots per shard (owned lines + saturated-residue slack).
     pub slots_per_shard: u64,
-    /// Bounded request-queue capacity per shard.
+    /// Bounded request-queue capacity per shard ([`run`]); a quarter of
+    /// the per-shard reorder window of [`EngineService`](crate::EngineService).
     pub queue_depth: usize,
     /// Memory-encryption key.
     pub key: [u8; 16],
@@ -80,9 +81,10 @@ pub struct EngineConfig {
     /// Run a full cross-table [`ShardController::scrub`] on every shard
     /// after the drain.
     pub scrub: bool,
-    /// Requests a worker drains per wakeup, and the producers' staging
-    /// chunk (clamped to `queue_depth`). 1 reproduces the one-at-a-time
-    /// seed behavior.
+    /// Requests a [`run`] worker drains per wakeup, and the producers'
+    /// staging chunk (clamped to `queue_depth`). 1 reproduces the
+    /// one-at-a-time seed behavior. Unused by
+    /// [`EngineService`](crate::EngineService).
     pub batch: usize,
     /// Per-shard write-coalescing window
     /// ([`ShardController::set_coalesce_window`]); 0 (the default)
@@ -208,12 +210,16 @@ pub struct ShardSummary {
     pub report: RunReport,
     /// Host-side issue → completion latency (non-deterministic).
     pub host_latency: LatencyHistogram,
-    /// Peak observed queue depth, including the popped request.
+    /// Peak observed queue depth, including the popped request. Always 0
+    /// from [`EngineService`](crate::EngineService), which has no request
+    /// queue: the submitter runs the shard.
     pub queue_depth_peak: usize,
-    /// Mean residual queue depth observed at each pop.
+    /// Mean residual queue depth observed at each pop. Always 0 from
+    /// [`EngineService`](crate::EngineService), as above.
     pub queue_depth_mean: f64,
     /// Host nanoseconds the feeding producer spent blocked on this shard's
-    /// full queue (non-deterministic).
+    /// full queue (non-deterministic). Always 0 from
+    /// [`EngineService`](crate::EngineService): `try_submit` never blocks.
     pub producer_stall_ns: u64,
     /// Allocator counters — claims, reservation refills, steals, scan
     /// steps (all-zero under [`FsmPolicy::Flat`]).
@@ -277,9 +283,8 @@ fn backoff(spins: &mut u32) {
 /// Spin → yield → sleep-park back-off with an exponentially growing pause
 /// capped at 256 µs. A thread blocked on a full (or empty) lock-free queue
 /// is waiting on whichever peer is the actual bottleneck — parking gets it
-/// off the core so that peer can have it. Used by the engine producers,
-/// the [`EngineService`](crate::EngineService) shard workers, and the
-/// `dewrite-net` event loops.
+/// off the core so that peer can have it. Used by [`run`]'s producers and
+/// the `dewrite-net` event loops.
 #[derive(Debug, Default)]
 pub struct Backoff {
     rounds: u32,

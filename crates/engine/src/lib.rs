@@ -9,17 +9,18 @@
 //! lands where its address routed), address map + colocated CME counters
 //! (sharded by line address), a metadata cache, a 3-bit predictor, and a
 //! lock-free atomic-bitmap free-space map — so shards never share mutable
-//! state and never take a lock.
+//! state.
 //!
 //! Work arrives two ways. [`run`] drives one fixed trace through bounded
-//! per-shard MPSC queues with back-pressure and returns when it drains;
-//! per-shard simulated reports fold into one deterministic aggregate via
-//! `RunReport::merge_all`. [`EngineService`] is the long-running form for
-//! served deployments: non-blocking [`EngineService::try_submit`]
-//! back-pressure, per-lane completion queues, per-shard sequence-number
-//! reordering (so any interleaving of network connections replays each
-//! shard's exact trace subsequence), and a graceful drain that flushes and
-//! checkpoints attached persistence. The `loadgen` binary (in
+//! per-shard MPSC queues with back-pressure, one worker thread per shard,
+//! and returns when it drains; per-shard simulated reports fold into one
+//! deterministic aggregate via `RunReport::merge_all`. [`EngineService`]
+//! is the long-running form for served deployments, and owns no threads:
+//! non-blocking [`EngineService::try_submit`] runs the target shard on the
+//! submitting thread under that shard's lock, with per-lane completion
+//! queues, per-shard sequence-number reordering (so any interleaving of
+//! network connections replays each shard's exact trace subsequence), and
+//! a graceful drain that flushes and checkpoints attached persistence. The `loadgen` binary (in
 //! `crates/net`) drives closed- and open-loop clients against 1..=16
 //! shards — in-process or over a socket — and emits `BENCH_engine.json`,
 //! including the **digest-sharding cost**: a shard only dedups against

@@ -7,16 +7,31 @@
 //! instead of blocking the caller. [`EngineService`] provides exactly
 //! that:
 //!
-//! * [`EngineService::try_submit`] is **non-blocking**: a full shard queue
+//! * [`EngineService::try_submit`] is **non-blocking** and **executes the
+//!   request on the submitting thread**: it locks the target shard,
+//!   applies the request (plus every buffered successor it unblocks) and
+//!   queues the completions before it returns. A full completion lane
 //!   hands the request straight back ([`Err`]) so an event loop can park
-//!   the connection instead of itself — the back-pressure signal the
-//!   in-process producer path never needed.
+//!   the connection instead of itself.
 //! * Completions come back on per-*lane* bounded queues (one lane per
 //!   event-loop thread), carrying the submitter's `(conn, conn_seq)`
 //!   correlation tags so responses can be re-ordered per connection.
-//! * Control operations (scrub / flush-checkpoint / report) ride the same
-//!   queues with [`CONTROL_SEQ`], one per shard, and are aggregated by the
+//! * Control operations (scrub / flush-checkpoint / report) take the same
+//!   path with [`CONTROL_SEQ`], one per shard, and are aggregated by the
 //!   caller.
+//!
+//! # Threading model
+//!
+//! The service owns no threads. Each shard's serving state — its
+//! [`ShardController`], the `seq` reorder buffer and the host-latency
+//! histogram — sits behind one [`Mutex`]; whoever submits to a shard runs
+//! it. Handing a sub-microsecond operation to a dedicated worker cost more
+//! than the operation (a queue hop each way, and a sleeping worker is a
+//! scheduler wake-up away), so two submitters meeting on one shard simply
+//! serialise for one operation. The lock also orders the shard's WAL
+//! appends. Nothing waits while a shard lock is held: a completion whose
+//! lane turns out to be full parks in the shard's overflow list, and the
+//! shard refuses new work until that list has drained.
 //!
 //! # Determinism under concurrent submitters
 //!
@@ -26,16 +41,15 @@
 //! guarantee arrival order, so the service moves the invariant into the
 //! protocol: every data request carries a **per-shard sequence number**
 //! (`seq` = the record's index within its shard's subsequence of the
-//! trace), and each shard worker holds a bounded reorder buffer, applying
+//! trace), and each shard holds a bounded reorder buffer, applying
 //! requests strictly in `seq` order. Any interleaving of connections,
-//! lanes, and scheduling therefore replays each shard's exact trace
+//! lanes, and lock acquisitions therefore replays each shard's exact trace
 //! subsequence — the merged report is a pure function of the trace again,
 //! no matter how the records travelled.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crossbeam_queue::ArrayQueue;
@@ -43,7 +57,7 @@ use dewrite_core::RunReport;
 use dewrite_mem::LatencyHistogram;
 use dewrite_nvm::LineAddr;
 
-use crate::engine::{Backoff, EngineConfig, EngineRun, ShardSummary};
+use crate::engine::{EngineConfig, EngineRun, ShardSummary};
 use crate::shard::ShardController;
 
 /// The `seq` value marking a control operation: applied at its queue
@@ -137,25 +151,48 @@ pub struct Completion {
     pub body: CompletionBody,
 }
 
-/// How many out-of-order requests a shard worker will hold before
-/// rejecting new ones, as a multiple of the queue depth.
+/// How many out-of-order requests a shard will hold before rejecting new
+/// ones, as a multiple of [`EngineConfig::queue_depth`].
 const REORDER_WINDOW_FACTOR: usize = 4;
 
+/// One shard's serving state: everything its lock guards.
+struct Shard {
+    id: usize,
+    ctrl: ShardController,
+    /// Requests that arrived ahead of `next_seq`, keyed by `seq`.
+    reorder: BTreeMap<u64, ServiceRequest>,
+    next_seq: u64,
+    host: LatencyHistogram,
+    /// Completions (with their lane) that found the lane full, oldest
+    /// first. Non-empty means the shard takes no new work.
+    overflow: VecDeque<(usize, Completion)>,
+}
+
 /// The long-running sharded engine service. See the module docs.
-#[derive(Debug)]
 pub struct EngineService {
-    queues: Vec<Arc<ArrayQueue<ServiceRequest>>>,
+    shards: Vec<Mutex<Shard>>,
     lanes: Vec<Arc<ArrayQueue<Completion>>>,
-    stop: Arc<AtomicBool>,
-    hard: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<ShardSummary>>,
+    /// Completions parked in overflow lists, over all shards: lets
+    /// [`try_complete`](Self::try_complete) skip the shard locks.
+    overflowed: AtomicUsize,
+    app: String,
+    reorder_cap: usize,
     start: Instant,
-    shards: usize,
+}
+
+impl std::fmt::Debug for EngineService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineService")
+            .field("shards", &self.shards.len())
+            .field("lanes", &self.lanes.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl EngineService {
-    /// Start one worker thread per shard, plus `lanes` bounded completion
-    /// queues of `lane_capacity` entries each.
+    /// Build one controller per shard, plus `lanes` bounded completion
+    /// queues of `lane_capacity` entries each. No thread is started:
+    /// submitters run the shards.
     ///
     /// # Panics
     ///
@@ -166,8 +203,7 @@ impl EngineService {
         let shards = config.shards;
         assert!(shards > 0, "need at least one shard");
         assert!(lanes > 0, "need at least one completion lane");
-        assert!(config.queue_depth > 0, "queues must hold a request");
-        assert!(config.batch > 0, "workers must drain a request");
+        assert!(config.queue_depth > 0, "reorder window must hold a request");
         assert!(lane_capacity > 0, "completion lanes must hold an entry");
         assert_eq!(
             config.coalesce, 0,
@@ -175,23 +211,8 @@ impl EngineService {
              coalescing parks writes without one"
         );
 
-        let queues: Vec<Arc<ArrayQueue<ServiceRequest>>> = (0..shards)
-            .map(|_| Arc::new(ArrayQueue::new(config.queue_depth)))
-            .collect();
-        let lane_queues: Vec<Arc<ArrayQueue<Completion>>> = (0..lanes)
-            .map(|_| Arc::new(ArrayQueue::new(lane_capacity)))
-            .collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let hard = Arc::new(AtomicBool::new(false));
-        let start = Instant::now();
-
-        let workers = (0..shards)
+        let shards = (0..shards)
             .map(|id| {
-                let queue = Arc::clone(&queues[id]);
-                let lanes: Vec<Arc<ArrayQueue<Completion>>> =
-                    lane_queues.iter().map(Arc::clone).collect();
-                let stop = Arc::clone(&stop);
-                let hard = Arc::clone(&hard);
                 let mut ctrl = ShardController::new(
                     id,
                     shards,
@@ -209,40 +230,31 @@ impl EngineService {
                     )
                     .expect("attach shard metadata persistence");
                 }
-                let app = app.to_string();
-                let batch = config.batch;
-                let reorder_cap = config.queue_depth * REORDER_WINDOW_FACTOR;
-                std::thread::spawn(move || {
-                    worker(
-                        id,
-                        ctrl,
-                        &app,
-                        &queue,
-                        &lanes,
-                        &stop,
-                        &hard,
-                        batch,
-                        reorder_cap,
-                        start,
-                    )
+                Mutex::new(Shard {
+                    id,
+                    ctrl,
+                    reorder: BTreeMap::new(),
+                    next_seq: 0,
+                    host: LatencyHistogram::new(),
+                    overflow: VecDeque::new(),
                 })
             })
             .collect();
-
         EngineService {
-            queues,
-            lanes: lane_queues,
-            stop,
-            hard,
-            workers,
-            start,
             shards,
+            lanes: (0..lanes)
+                .map(|_| Arc::new(ArrayQueue::new(lane_capacity)))
+                .collect(),
+            overflowed: AtomicUsize::new(0),
+            app: app.to_string(),
+            reorder_cap: config.queue_depth * REORDER_WINDOW_FACTOR,
+            start: Instant::now(),
         }
     }
 
     /// Number of shards (and of control completions per broadcast).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shards.len()
     }
 
     /// Number of completion lanes.
@@ -255,21 +267,31 @@ impl EngineService {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Submit without blocking. A full shard queue returns the request
-    /// back as `Err` — the caller's back-pressure signal: hold the
-    /// request, stop reading that submitter, retry on the next sweep.
+    /// Submit without blocking, executing on the calling thread: the
+    /// request (and every buffered successor it unblocks) has been applied
+    /// and its completion queued by the time this returns `Ok`. `Err`
+    /// hands the request back — the caller's back-pressure signal: hold
+    /// the request, stop reading that submitter, drain the lane, retry.
     ///
     /// # Errors
     ///
-    /// Returns `Err(request)` when shard `request.shard`'s queue is full.
+    /// Returns `Err(request)` when completion lane `request.lane` has no
+    /// room, or shard `request.shard` still holds completions that found
+    /// their lane full.
     ///
     /// # Panics
     ///
-    /// Panics if `request.shard` or `request.lane` is out of range.
+    /// Panics if `request.shard` or `request.lane` is out of range, or a
+    /// submitter panicked inside this shard earlier.
     pub fn try_submit(&self, request: ServiceRequest) -> Result<(), ServiceRequest> {
-        assert!(request.shard < self.shards, "shard out of range");
+        assert!(request.shard < self.shards.len(), "shard out of range");
         assert!(request.lane < self.lanes.len(), "lane out of range");
-        self.queues[request.shard].push(request)
+        let mut shard = self.lock(request.shard);
+        if !self.flush_overflow(&mut shard) || self.lanes[request.lane].is_full() {
+            return Err(request);
+        }
+        self.handle(&mut shard, request);
+        Ok(())
     }
 
     /// Pop one completion from `lane`, if any is ready.
@@ -278,6 +300,15 @@ impl EngineService {
     ///
     /// Panics if `lane` is out of range.
     pub fn try_complete(&self, lane: usize) -> Option<Completion> {
+        let ready = self.lanes[lane].pop();
+        if ready.is_some() || self.overflowed.load(Ordering::Acquire) == 0 {
+            return ready;
+        }
+        // The lane has room again: parked completions can move without
+        // waiting for the next submit to their shard.
+        for shard in 0..self.shards.len() {
+            self.flush_overflow(&mut self.lock(shard));
+        }
         self.lanes[lane].pop()
     }
 
@@ -286,26 +317,65 @@ impl EngineService {
         Arc::clone(&self.lanes[lane])
     }
 
-    /// Graceful shutdown: drain every shard queue, flush parked writes,
-    /// flush the open WAL epoch, checkpoint, and sync the stores (when
-    /// persistence is attached), then fold the per-shard reports in shard
-    /// order — the same deterministic merge as [`run`](crate::run).
+    /// Graceful shutdown, on the calling thread: reject what a sequence
+    /// gap left in the reorder buffers, flush parked writes, flush the
+    /// open WAL epoch, checkpoint, and sync the stores (when persistence
+    /// is attached), then fold the per-shard reports in shard order — the
+    /// same deterministic merge as [`run`](crate::run).
     ///
     /// The caller must have collected all outstanding completions first;
     /// any left in the lanes are dropped with the service.
     ///
     /// # Panics
     ///
-    /// Panics if a shard worker panicked.
+    /// Panics if a submitter panicked inside a shard, or the final
+    /// checkpoint fails.
     pub fn shutdown(self) -> EngineRun {
-        self.stop.store(true, Ordering::Release);
-        let mut summaries: Vec<ShardSummary> = self
-            .workers
+        let summaries: Vec<ShardSummary> = self
+            .shards
             .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
+            .map(|shard| {
+                let mut shard = shard.into_inner().expect(POISONED);
+                // A populated reorder buffer at graceful shutdown is a
+                // submitter that left a sequence gap; its requests can
+                // never legally apply.
+                for (_, req) in std::mem::take(&mut shard.reorder) {
+                    let done = Completion {
+                        shard: shard.id,
+                        conn: req.conn,
+                        conn_seq: req.conn_seq,
+                        body: CompletionBody::Rejected(format!(
+                            "sequence gap at shutdown: shard waited for {}, held {}",
+                            shard.next_seq, req.seq
+                        )),
+                    };
+                    // A full lane drops it, as the service is about to.
+                    let _ = self.lanes[req.lane].push(done);
+                }
+                shard.ctrl.flush_writes();
+                // End-of-service durability point: flush the open WAL
+                // epoch, checkpoint, and force the store to stable storage
+                // even when the run logged with `sync: false`.
+                shard
+                    .ctrl
+                    .persist_shutdown()
+                    .expect("shard metadata checkpoint at shutdown");
+                ShardSummary {
+                    shard: shard.id,
+                    fsm: shard.ctrl.fsm_stats(),
+                    cache: shard.ctrl.cache_stats(),
+                    ops: shard.ctrl.ops(),
+                    dedup_rate: shard.ctrl.dedup_rate(),
+                    report: shard.ctrl.report(&self.app),
+                    host_latency: shard.host,
+                    queue_depth_peak: 0,
+                    queue_depth_mean: 0.0,
+                    producer_stall_ns: 0,
+                    scrub: None,
+                }
+            })
             .collect();
         let wall_ns = self.start.elapsed().as_nanos() as u64;
-        summaries.sort_by_key(|s| s.shard);
         let merged =
             RunReport::merge_all(summaries.iter().map(|s| &s.report)).expect("at least one shard");
         let ops = summaries.iter().map(|s| s.ops).sum();
@@ -317,41 +387,99 @@ impl EngineService {
         }
     }
 
-    /// Hard abort: workers stop at the next batch boundary **without**
-    /// flushing parked writes, the open WAL epoch, or a checkpoint — the
-    /// crash-recovery path's "kill" switch. On-disk state is whatever the
-    /// epoch log had already flushed.
+    /// Hard abort: drop every shard **without** flushing parked writes,
+    /// the open WAL epoch, or a checkpoint — the crash-recovery path's
+    /// "kill" switch. On-disk state is whatever the epoch log had already
+    /// flushed.
     pub fn abort(self) {
-        self.hard.store(true, Ordering::Release);
-        self.stop.store(true, Ordering::Release);
-        for h in self.workers {
-            let _ = h.join();
-        }
+        drop(self);
     }
-}
 
-/// Push `completion` onto its lane, parking while the lane is full.
-/// Returns `false` when a hard abort interrupted the wait.
-fn emit(
-    lanes: &[Arc<ArrayQueue<Completion>>],
-    hard: &AtomicBool,
-    mut completion: Completion,
-    lane: usize,
-) -> bool {
-    let mut parker = Backoff::new();
-    loop {
-        if hard.load(Ordering::Acquire) {
-            return false;
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        self.shards[shard].lock().expect(POISONED)
+    }
+
+    /// Move parked completions to their lanes, oldest first. Returns
+    /// whether the overflow list is now empty.
+    fn flush_overflow(&self, shard: &mut Shard) -> bool {
+        while let Some((lane, done)) = shard.overflow.pop_front() {
+            if let Err(back) = self.lanes[lane].push(done) {
+                shard.overflow.push_front((lane, back));
+                return false;
+            }
+            self.overflowed.fetch_sub(1, Ordering::Release);
         }
-        match lanes[lane].push(completion) {
-            Ok(()) => return true,
-            Err(back) => {
-                completion = back;
-                parker.wait();
+        true
+    }
+
+    /// Queue a completion on `lane`; a full lane parks it in the shard's
+    /// overflow list instead of waiting (the shard lock is held).
+    fn emit(&self, shard: &mut Shard, lane: usize, conn: u64, conn_seq: u64, body: CompletionBody) {
+        let mut done = Completion {
+            shard: shard.id,
+            conn,
+            conn_seq,
+            body,
+        };
+        if shard.overflow.is_empty() {
+            match self.lanes[lane].push(done) {
+                Ok(()) => return,
+                Err(back) => done = back,
+            }
+        }
+        shard.overflow.push_back((lane, done));
+        self.overflowed.fetch_add(1, Ordering::Release);
+    }
+
+    /// Answer `req` with a rejection.
+    fn reject(&self, shard: &mut Shard, req: &ServiceRequest, why: String) {
+        let body = CompletionBody::Rejected(why);
+        self.emit(shard, req.lane, req.conn, req.conn_seq, body);
+    }
+
+    /// Apply `req` at its place in the shard's sequence: a control
+    /// operation at once, a data operation when its `seq` comes up.
+    fn handle(&self, shard: &mut Shard, req: ServiceRequest) {
+        let next_seq = shard.next_seq;
+        if req.seq == CONTROL_SEQ {
+            let body = apply_control(&mut shard.ctrl, &self.app, &req.op);
+            self.emit(shard, req.lane, req.conn, req.conn_seq, body);
+        } else if req.seq < next_seq {
+            let why = format!(
+                "duplicate sequence {} (shard already at {next_seq})",
+                req.seq
+            );
+            self.reject(shard, &req, why);
+        } else if req.seq > next_seq && shard.reorder.len() >= self.reorder_cap {
+            let why = format!(
+                "reorder window overflow holding {} requests waiting for sequence {next_seq}",
+                shard.reorder.len()
+            );
+            self.reject(shard, &req, why);
+        } else if req.seq > next_seq {
+            if let Some(old) = shard.reorder.insert(req.seq, req) {
+                let why = format!("sequence {} resubmitted before it applied", old.seq);
+                self.reject(shard, &old, why);
+            }
+        } else {
+            // In order: apply it and every buffered request it unblocks,
+            // strictly in per-shard sequence order.
+            let mut ready = Some(req);
+            while let Some(req) = ready {
+                shard.next_seq += 1;
+                let body = apply_data(&mut shard.ctrl, req.op);
+                shard
+                    .host
+                    .record(self.elapsed_ns().saturating_sub(req.issued_ns));
+                self.emit(shard, req.lane, req.conn, req.conn_seq, body);
+                ready = shard.reorder.remove(&shard.next_seq);
             }
         }
     }
 }
+
+/// Why a shard lock can be poisoned.
+const POISONED: &str = "a submitter panicked inside this shard";
 
 /// Apply one in-order data operation.
 fn apply_data(ctrl: &mut ShardController, op: ServiceOp) -> CompletionBody {
@@ -398,156 +526,6 @@ fn apply_control(ctrl: &mut ShardController, app: &str, op: &ServiceOp) -> Compl
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    id: usize,
-    mut ctrl: ShardController,
-    app: &str,
-    queue: &ArrayQueue<ServiceRequest>,
-    lanes: &[Arc<ArrayQueue<Completion>>],
-    stop: &AtomicBool,
-    hard: &AtomicBool,
-    batch: usize,
-    reorder_cap: usize,
-    start: Instant,
-) -> ShardSummary {
-    let mut host = LatencyHistogram::new();
-    let mut reorder: BTreeMap<u64, ServiceRequest> = BTreeMap::new();
-    let mut next_seq = 0u64;
-    let mut peak = 0usize;
-    let mut depth_sum = 0u64;
-    let mut samples = 0u64;
-    let mut parker = Backoff::new();
-    let mut buf: Vec<ServiceRequest> = Vec::with_capacity(batch);
-    let mut aborted = false;
-
-    'outer: loop {
-        if hard.load(Ordering::Acquire) {
-            aborted = true;
-            break;
-        }
-        let n = queue.pop_batch(&mut buf, batch);
-        if n == 0 {
-            if stop.load(Ordering::Acquire) && queue.is_empty() {
-                break;
-            }
-            parker.wait();
-            continue;
-        }
-        parker.reset();
-        let residual = queue.len();
-        peak = peak.max((residual + n).min(queue.capacity()));
-        depth_sum += residual as u64;
-        samples += 1;
-        for req in buf.drain(..) {
-            let (lane, conn, conn_seq) = (req.lane, req.conn, req.conn_seq);
-            let body = if req.seq == CONTROL_SEQ {
-                apply_control(&mut ctrl, app, &req.op)
-            } else if req.seq < next_seq {
-                CompletionBody::Rejected(format!(
-                    "duplicate sequence {} (shard already at {next_seq})",
-                    req.seq
-                ))
-            } else if req.seq > next_seq && reorder.len() >= reorder_cap {
-                CompletionBody::Rejected(format!(
-                    "reorder window overflow holding {} requests waiting for sequence {next_seq}",
-                    reorder.len()
-                ))
-            } else {
-                // In order or buffered: apply every request that is now
-                // ready, strictly in per-shard sequence order.
-                if let Some(old) = reorder.insert(req.seq, req) {
-                    let done = Completion {
-                        shard: id,
-                        conn: old.conn,
-                        conn_seq: old.conn_seq,
-                        body: CompletionBody::Rejected(format!(
-                            "sequence {} resubmitted before it applied",
-                            old.seq
-                        )),
-                    };
-                    if !emit(lanes, hard, done, old.lane) {
-                        aborted = true;
-                        break 'outer;
-                    }
-                }
-                while let Some(ready) = reorder.remove(&next_seq) {
-                    next_seq += 1;
-                    let (lane, conn, conn_seq) = (ready.lane, ready.conn, ready.conn_seq);
-                    let issued = ready.issued_ns;
-                    let body = apply_data(&mut ctrl, ready.op);
-                    let now = start.elapsed().as_nanos() as u64;
-                    host.record(now.saturating_sub(issued));
-                    let done = Completion {
-                        shard: id,
-                        conn,
-                        conn_seq,
-                        body,
-                    };
-                    if !emit(lanes, hard, done, lane) {
-                        aborted = true;
-                        break 'outer;
-                    }
-                }
-                continue;
-            };
-            let done = Completion {
-                shard: id,
-                conn,
-                conn_seq,
-                body,
-            };
-            if !emit(lanes, hard, done, lane) {
-                aborted = true;
-                break 'outer;
-            }
-        }
-    }
-
-    if !aborted {
-        // A populated reorder buffer at graceful shutdown is a submitter
-        // that left a sequence gap; its requests can never legally apply.
-        for (_, req) in std::mem::take(&mut reorder) {
-            let done = Completion {
-                shard: id,
-                conn: req.conn,
-                conn_seq: req.conn_seq,
-                body: CompletionBody::Rejected(format!(
-                    "sequence gap at shutdown: shard waited for {next_seq}, held {}",
-                    req.seq
-                )),
-            };
-            if !emit(lanes, hard, done, req.lane) {
-                break;
-            }
-        }
-        ctrl.flush_writes();
-        // End-of-service durability point: flush the open WAL epoch,
-        // checkpoint, and force the store to stable storage even when the
-        // run logged with `sync: false`.
-        ctrl.persist_shutdown()
-            .expect("shard metadata checkpoint at shutdown");
-    }
-
-    ShardSummary {
-        shard: id,
-        fsm: ctrl.fsm_stats(),
-        cache: ctrl.cache_stats(),
-        ops: ctrl.ops(),
-        dedup_rate: ctrl.dedup_rate(),
-        report: ctrl.report(app),
-        host_latency: host,
-        queue_depth_peak: peak,
-        queue_depth_mean: if samples == 0 {
-            0.0
-        } else {
-            depth_sum as f64 / samples as f64
-        },
-        producer_stall_ns: 0,
-        scrub: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,16 +543,18 @@ mod tests {
         (records, lines)
     }
 
-    /// Feed `records` through the service as one submitter, in an order
-    /// perturbed by `rotate` (simulating cross-connection interleaving),
-    /// stamping correct per-shard sequence numbers.
-    fn drive(config: &EngineConfig, records: &[TraceRecord], rotate: usize) -> EngineRun {
-        let svc = EngineService::start(config, "mcf", 1, 1024);
-        let shards = svc.shards();
+    /// `records` as service requests on lane 0, stamped with correct
+    /// per-shard sequence numbers; `conn_seq` is the index in `records`.
+    /// Submission order is perturbed in windows of `rotate` (simulating
+    /// cross-connection interleaving); the per-shard `seq` lets the shards
+    /// reassemble the exact subsequence. (Windows must stay well under the
+    /// reorder capacity.)
+    fn requests(records: &[TraceRecord], shards: usize, rotate: usize) -> Vec<ServiceRequest> {
         let mut seqs = vec![0u64; shards];
         let mut reqs: Vec<ServiceRequest> = records
             .iter()
-            .map(|rec| {
+            .enumerate()
+            .map(|(i, rec)| {
                 let shard = shard_of_line(rec.op.addr(), shards);
                 let seq = seqs[shard];
                 seqs[shard] += 1;
@@ -594,20 +574,37 @@ mod tests {
                     seq,
                     lane: 0,
                     conn: 1,
-                    conn_seq: 0,
+                    conn_seq: i as u64,
                     issued_ns: 0,
                     op,
                 }
             })
             .collect();
-        // Perturb global submission order in bounded windows; per-shard
-        // seq numbers let the workers reassemble the exact subsequence.
-        // (Windows must stay well under the reorder capacity.)
         if rotate > 1 {
             for window in reqs.chunks_mut(rotate) {
                 window.rotate_left(1);
             }
         }
+        reqs
+    }
+
+    /// A healthy replay completes every request as the data operation it was.
+    fn assert_data(c: &Completion) {
+        assert!(
+            matches!(
+                c.body,
+                CompletionBody::Write { .. } | CompletionBody::Read { .. }
+            ),
+            "unexpected completion {:?}",
+            c.body
+        );
+    }
+
+    /// Feed `records` through the service as one submitter, in an order
+    /// perturbed by `rotate`.
+    fn drive(config: &EngineConfig, records: &[TraceRecord], rotate: usize) -> EngineRun {
+        let svc = EngineService::start(config, "mcf", 1, 1024);
+        let reqs = requests(records, svc.shards(), rotate);
         let total = reqs.len() as u64;
         let mut pending = 0u64;
         let mut completed = 0u64;
@@ -777,10 +774,9 @@ mod tests {
                 gap: 0,
             },
         };
-        svc.try_submit(req).expect("queue has room");
-        // Give the worker time to park it. The rejection is emitted during
-        // shutdown's drain, so poll the lane from a side thread.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        svc.try_submit(req).expect("lane has room");
+        // The rejection is emitted during shutdown's drain, so poll the
+        // lane from a side thread.
         let lane = svc.lane_arc(0);
         let poller = std::thread::spawn(move || {
             for _ in 0..5_000 {
@@ -803,5 +799,124 @@ mod tests {
             "got {:?}",
             c.body
         );
+    }
+
+    #[test]
+    fn full_lane_sheds_without_losing_or_duplicating_a_completion() {
+        let (mut records, lines) = trace(0, 128, 5);
+        records.truncate(64);
+        assert_eq!(records.len(), 64, "warm-up alone covers the 64 submits");
+        let config = EngineConfig::for_workload(1, 256, lines, records.len() as u64);
+        let baseline = run(&config, "mcf", records.clone());
+
+        // Windows of 8 submitted as 1..=7 then 0: seven requests buffer
+        // without a completion, the eighth releases all eight into a lane
+        // that holds four — the rest must park in the shard, not wait.
+        let svc = EngineService::start(&config, "mcf", 1, 4);
+        let mut seen = vec![0u32; records.len()];
+        let mut held = Vec::new();
+        for req in requests(&records, 1, 8) {
+            if let Err(back) = svc.try_submit(req) {
+                held.push(back);
+            }
+        }
+        assert!(
+            !held.is_empty(),
+            "a 4-entry lane cannot take 64 completions"
+        );
+        assert!(
+            svc.overflowed.load(Ordering::Acquire) > 0,
+            "the fan-out past the lane's capacity parks in the shard"
+        );
+        while !held.is_empty() {
+            while let Some(c) = svc.try_complete(0) {
+                assert_data(&c);
+                seen[c.conn_seq as usize] += 1;
+            }
+            let mut again = Vec::new();
+            for req in held {
+                if let Err(back) = svc.try_submit(req) {
+                    again.push(back);
+                }
+            }
+            held = again;
+        }
+        while let Some(c) = svc.try_complete(0) {
+            seen[c.conn_seq as usize] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "every request completes exactly once: {seen:?}"
+        );
+        let served = svc.shutdown();
+        assert_eq!(
+            baseline.merged.to_json().to_string(),
+            served.merged.to_json().to_string()
+        );
+    }
+
+    #[test]
+    fn contended_submitters_replay_the_trace_bit_identically() {
+        use crate::{DigestMode, Replacement};
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Barrier;
+
+        const SUBMITTERS: usize = 4;
+        let (records, lines) = trace(2_000, 256, 31);
+        let total = records.len() as u64;
+        for mode in DigestMode::ALL {
+            for policy in Replacement::ALL {
+                let mut config = EngineConfig::for_workload(2, 256, lines, total);
+                config.digest_mode = mode;
+                config.cache_policy = policy;
+                let baseline = run(&config, "mcf", records.clone());
+
+                let svc = EngineService::start(&config, "mcf", 2, 1024);
+                // Deal the window-rotated stream round-robin: every
+                // submitter holds a slice of both shards' sequences, so
+                // each keeps unblocking requests the others buffered.
+                let mut slices: Vec<Vec<ServiceRequest>> =
+                    (0..SUBMITTERS).map(|_| Vec::new()).collect();
+                for (i, mut req) in requests(&records, 2, 7).into_iter().enumerate() {
+                    req.lane = (i % SUBMITTERS) / 2;
+                    slices[i % SUBMITTERS].push(req);
+                }
+                let completed = AtomicU64::new(0);
+                let go = Barrier::new(SUBMITTERS);
+                std::thread::scope(|scope| {
+                    for (t, slice) in slices.into_iter().enumerate() {
+                        let (svc, completed, go) = (&svc, &completed, &go);
+                        scope.spawn(move || {
+                            let lane = t / 2;
+                            let drain = || {
+                                while let Some(c) = svc.try_complete(lane) {
+                                    assert_data(&c);
+                                    completed.fetch_add(1, Ordering::Relaxed);
+                                }
+                            };
+                            go.wait();
+                            for mut req in slice {
+                                while let Err(back) = svc.try_submit(req) {
+                                    req = back;
+                                    drain();
+                                }
+                                drain();
+                            }
+                            while completed.load(Ordering::Relaxed) < total {
+                                drain();
+                                std::thread::yield_now();
+                            }
+                        });
+                    }
+                });
+                let served = svc.shutdown();
+                assert_eq!(served.ops, baseline.ops);
+                assert_eq!(
+                    baseline.merged.to_json().to_string(),
+                    served.merged.to_json().to_string(),
+                    "{mode}/{policy}: lock contention changed the merged report"
+                );
+            }
+        }
     }
 }

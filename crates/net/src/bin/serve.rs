@@ -1,7 +1,8 @@
 //! `dewrite-serve`: the TCP frontend binary.
 //!
-//! Binds the listener, spawns the event-loop lanes, and serves until a
-//! client sends `Shutdown`. The engine is created lazily from the first
+//! Binds the listener, spawns the event-loop lanes — the only serving
+//! threads: a lane runs the shard for each request it decodes — and serves
+//! until a client sends `Shutdown`. The engine is created lazily from the first
 //! `Hello`'s geometry; the shard count is fixed here on the command
 //! line. On graceful shutdown the merged engine run is printed as a
 //! one-line summary.
@@ -21,10 +22,10 @@ USAGE:
 OPTIONS:
     --addr HOST:PORT     listen address (default 127.0.0.1:7411; port 0 picks one)
     --shards N           controller shards (default 4)
-    --threads N          event-loop lanes; 0 = half the hardware threads (default 0)
+    --threads N          event-loop lanes; 0 = all hardware threads (default 0)
     --window N           per-connection in-flight window (default 64)
-    --queue-depth N      per-shard engine queue depth (default 1024)
-    --batch N            engine worker batch size (default 64)
+    --queue-depth N      sizes the per-shard reorder window (4x) and the
+                         lanes' completion queues (default 1024)
     --persist-dir DIR    crash-consistent metadata persistence root
                          (each engine generation under gen-<n>/shard-<id>/)
     --persist-epoch N    data writes per WAL epoch record (default 64)
@@ -60,7 +61,6 @@ fn parse(args: &[String]) -> ServeOptions {
             "--threads" => o.threads = parse_num(&value("--threads"), "--threads"),
             "--window" => o.window = parse_num(&value("--window"), "--window") as u32,
             "--queue-depth" => o.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth"),
-            "--batch" => o.batch = parse_num(&value("--batch"), "--batch"),
             "--persist-dir" => o.persist_dir = Some(PathBuf::from(value("--persist-dir"))),
             "--persist-epoch" => {
                 o.persist_epoch = parse_num(&value("--persist-epoch"), "--persist-epoch") as u32
@@ -78,8 +78,8 @@ fn parse(args: &[String]) -> ServeOptions {
         eprintln!("--shards must be 1..=64");
         usage()
     }
-    if o.window == 0 || o.queue_depth == 0 || o.batch == 0 || o.persist_epoch == 0 {
-        eprintln!("--window, --queue-depth, --batch, --persist-epoch must be non-zero");
+    if o.window == 0 || o.queue_depth == 0 || o.persist_epoch == 0 {
+        eprintln!("--window, --queue-depth, --persist-epoch must be non-zero");
         usage()
     }
     o

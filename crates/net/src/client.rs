@@ -7,7 +7,7 @@
 //! [`drive`] walks the trace once in order, stamping each record with
 //! its **per-shard sequence number** and dealing records round-robin
 //! across connections (record `i` rides connection `i mod connections`).
-//! The server's shard workers reassemble each shard's exact trace
+//! The server's shards reassemble their exact trace
 //! subsequence from the in-band sequence numbers, so the replay's merged
 //! simulated report is bit-identical to the in-process run for *any*
 //! connection count, thread count, or socket interleaving. Host-side

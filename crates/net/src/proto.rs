@@ -515,7 +515,23 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
 
 /// Encode a response as a complete frame (header + payload).
 pub fn encode_response(r: &Response) -> Vec<u8> {
-    let mut p = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 32);
+    encode_response_into(&mut out, r);
+    out
+}
+
+/// Append a response to `out` as a complete frame (header + payload),
+/// without an intermediate buffer: the payload is written in place behind
+/// a header that is filled in once its length and CRC are known.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_FRAME_BYTES`] (encoder bug, not
+/// peer input).
+pub fn encode_response_into(out: &mut Vec<u8>, r: &Response) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    let p = &mut *out;
     match r {
         Response::HelloOk {
             version,
@@ -583,7 +599,15 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             p.extend_from_slice(bytes);
         }
     }
-    encode_frame(&p)
+    let payload = &out[start + FRAME_HEADER_BYTES..];
+    assert!(
+        payload.len() <= MAX_FRAME_BYTES,
+        "frame payload of {} bytes exceeds {MAX_FRAME_BYTES}",
+        payload.len()
+    );
+    let (len, crc) = (payload.len() as u32, Crc32::new().checksum(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decode a response payload (already CRC-verified by [`next_frame`]).

@@ -4,21 +4,27 @@
 //! # Event-loop model
 //!
 //! `threads` **lanes** each own a disjoint set of connections and run the
-//! same sweep: retry back-pressured submits, drain the engine's
-//! completion queue for this lane, read sockets and decode frames, flush
-//! write buffers, then park on the engine's spin→yield→sleep
-//! [`Backoff`] when a sweep makes no progress. Lane 0 additionally owns
-//! the (nonblocking) listener and deals new connections round-robin to
-//! the lanes' inboxes. There are no poll/epoll syscalls and no async
-//! runtime — the sweep is a straight scan, which at thousands of
-//! connections amortizes exactly like the engine workers' batch drain.
+//! same sweep: retry back-pressured submits, read each socket once and
+//! decode its frames, drain the engine's completion queue for this lane,
+//! flush write buffers, then park on the engine's spin→yield→sleep
+//! [`Backoff`] when a sweep makes no progress. The lanes are the only
+//! serving threads: [`EngineService::try_submit`] runs the shard on the
+//! lane that decoded the request (WAL appends and `persist_sync` included,
+//! and a control operation such as a checkpoint stalls that lane for its
+//! duration), so a request is read, executed and answered within one
+//! sweep. Lane 0 additionally owns the (nonblocking) listener and deals
+//! new connections round-robin to the lanes' inboxes; it probes `accept`
+//! on idle sweeps and on every [`ACCEPT_EVERY`]th busy one. There are no
+//! poll/epoll syscalls and no async runtime — the sweep is a straight
+//! scan.
 //!
 //! # Ordering and back-pressure
 //!
 //! Responses stream back to each connection strictly in request order:
 //! every decoded request takes the connection's next `conn_seq`, and
 //! out-of-order completions park in a per-connection reorder map until
-//! their turn. When a shard queue is full, [`EngineService::try_submit`]
+//! their turn. When the lane's completion queue is full,
+//! [`EngineService::try_submit`]
 //! hands the request back; the lane parks it on the connection's pending
 //! queue and **stops reading that socket** (its buffered frames stay
 //! undecoded), so TCP flow control propagates the stall to the client —
@@ -65,15 +71,15 @@ pub struct ServeOptions {
     pub addr: String,
     /// Controller shards the engine will run with.
     pub shards: usize,
-    /// Event-loop lanes; 0 picks half the hardware threads (min 1).
+    /// Event-loop lanes, the only serving threads; 0 picks one per
+    /// hardware thread.
     pub threads: usize,
     /// Per-connection in-flight window the server enforces (frames
     /// decoded but not yet answered).
     pub window: u32,
-    /// Per-shard engine queue depth.
+    /// Sizes the engine's per-shard reorder window (4x) and the lanes'
+    /// completion queues.
     pub queue_depth: usize,
-    /// Engine worker batch size.
-    pub batch: usize,
     /// Root for crash-consistent metadata persistence; each engine
     /// generation logs under `gen-<n>/shard-<id>/`.
     pub persist_dir: Option<PathBuf>,
@@ -93,7 +99,6 @@ impl Default for ServeOptions {
             threads: 0,
             window: 64,
             queue_depth: 1024,
-            batch: 64,
             persist_dir: None,
             persist_epoch: 64,
             persist_sync: false,
@@ -135,8 +140,8 @@ struct Geometry {
 struct Shared {
     opts: ServeOptions,
     lanes: usize,
-    /// The engine, once the first `Hello` arrives. Lanes take transient
-    /// `Arc` clones (scoped to one sweep) so teardown can reclaim sole
+    /// The engine, once the first `Hello` arrives. Each lane takes one
+    /// `Arc` clone per sweep ([`Lane::svc`]) so teardown can reclaim sole
     /// ownership with a bounded spin.
     service: RwLock<Option<Arc<EngineService>>>,
     geometry: Mutex<Option<Geometry>>,
@@ -160,8 +165,11 @@ struct Shared {
 
 /// Connections a lane can hold queued in its hand-off inbox.
 const INBOX_CAPACITY: usize = 1024;
-/// Socket read chunk.
+/// Socket read chunk: one `read` per connection per sweep.
 const READ_CHUNK: usize = 16 * 1024;
+/// Busy sweeps lane 0 lets pass between two `accept` probes (an `EAGAIN`
+/// `accept` costs about eight `EAGAIN` reads).
+const ACCEPT_EVERY: u32 = 32;
 /// Stop reading a socket once this much is buffered undecoded (the
 /// window gate usually stalls reads long before).
 const MAX_RBUF: usize = 4 * (1 << 20);
@@ -252,18 +260,27 @@ impl Conn {
     }
 }
 
-/// Park `resp` at `conn_seq` and move every now-ready response to the
-/// write buffer.
+/// Answer `conn_seq`: in its turn, encode straight into the write buffer
+/// and release every parked response behind it; ahead of its turn, park
+/// the encoded frame. A closed connection encodes nothing but still
+/// advances the in-order cursor so it can drain.
 fn push_response(shared: &Shared, conn: &mut Conn, conn_seq: u64, resp: &Response) {
     if matches!(resp, Response::Error { .. }) {
         shared.errors.fetch_add(1, Ordering::Relaxed);
     }
-    if !conn.open {
-        // Still advance the in-order cursor so the connection can drain.
-        conn.parked.insert(conn_seq, Vec::new());
-    } else {
-        conn.parked.insert(conn_seq, proto::encode_response(resp));
+    if conn_seq != conn.next_emit {
+        let frame = if conn.open {
+            proto::encode_response(resp)
+        } else {
+            Vec::new()
+        };
+        conn.parked.insert(conn_seq, frame);
+        return;
     }
+    if conn.open {
+        proto::encode_response_into(&mut conn.wbuf, resp);
+    }
+    conn.next_emit += 1;
     while let Some(frame) = conn.parked.remove(&conn.next_emit) {
         conn.wbuf.extend_from_slice(&frame);
         conn.next_emit += 1;
@@ -278,7 +295,8 @@ fn err(code: ErrorCode, detail: impl Into<String>) -> Response {
 }
 
 /// Take the engine out of the shared slot and reclaim sole ownership.
-/// Converges because every other holder is a sweep-scoped clone.
+/// Converges because every other holder is a sweep-scoped clone; the
+/// calling lane must have dropped its own ([`Lane::svc`]) first.
 fn take_service(shared: &Shared) -> Option<EngineService> {
     let taken = shared.service.write().expect("service lock").take()?;
     let mut arc = taken;
@@ -295,7 +313,7 @@ fn take_service(shared: &Shared) -> Option<EngineService> {
 }
 
 /// A `Reset` decoded this sweep; torn down after the lane drops its
-/// transient service clone.
+/// sweep-scoped engine handle.
 #[derive(Debug)]
 struct DeferredReset {
     conn: u64,
@@ -310,6 +328,12 @@ struct Lane {
     by_id: HashMap<u64, usize>,
     deferred: Vec<DeferredReset>,
     progress: bool,
+    /// This sweep's engine handle: taken once at the top of the sweep (and
+    /// by a `Hello` that finds or creates the engine), dropped before any
+    /// teardown.
+    svc: Option<Arc<EngineService>>,
+    /// Socket read buffer, shared by the lane's connections.
+    chunk: Vec<u8>,
 }
 
 impl Lane {
@@ -322,17 +346,20 @@ impl Lane {
             by_id: HashMap::new(),
             deferred: Vec::new(),
             progress: false,
+            svc: None,
+            chunk: vec![0; READ_CHUNK],
         }
     }
 
-    /// A sweep-scoped engine handle (drop before sweep end).
-    fn service(&self) -> Option<Arc<EngineService>> {
-        self.shared
+    /// Take this sweep's engine handle from the shared slot.
+    fn take_handle(&mut self) {
+        self.svc = self
+            .shared
             .service
             .read()
             .expect("service lock")
             .as_ref()
-            .map(Arc::clone)
+            .map(Arc::clone);
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -359,7 +386,7 @@ impl Lane {
     /// Submit to the engine or park on the connection's pending queue.
     /// `in_flight` is raised *before* the push so the drain check never
     /// observes a request that is in a queue but not yet counted.
-    fn submit(&mut self, conn: &mut Conn, svc: &EngineService, req: ServiceRequest) {
+    fn submit(&self, conn: &mut Conn, svc: &EngineService, req: ServiceRequest) {
         conn.live += 1;
         self.shared.in_flight.fetch_add(1, Ordering::Release);
         if let Err(back) = svc.try_submit(req) {
@@ -374,7 +401,9 @@ impl Lane {
         if conn.pending.is_empty() {
             return;
         }
-        let Some(svc) = self.service() else { return };
+        let Some(svc) = self.svc.as_deref() else {
+            return;
+        };
         while let Some(req) = conn.pending.pop_front() {
             self.shared.in_flight.fetch_add(1, Ordering::Release);
             match svc.try_submit(req) {
@@ -481,7 +510,6 @@ impl Lane {
                     h.expected_writes,
                 );
                 config.queue_depth = opts.queue_depth;
-                config.batch = opts.batch;
                 config.cache_policy = cache_policy;
                 config.digest_mode = digest_mode;
                 config.persist_epoch = opts.persist_epoch;
@@ -510,6 +538,10 @@ impl Lane {
         drop(geo);
         match resp {
             Ok(slots_per_shard) => {
+                if self.svc.is_none() {
+                    // The engine was created during this sweep.
+                    self.take_handle();
+                }
                 conn.session = Some(Session {
                     generation: self.shared.generation.load(Ordering::Acquire),
                     line_size: h.line_size,
@@ -533,7 +565,7 @@ impl Lane {
         }
     }
 
-    fn on_data(&mut self, conn: &mut Conn, conn_seq: u64, req: Request) {
+    fn on_data(&self, conn: &mut Conn, conn_seq: u64, req: Request) {
         let Some(session) = conn.session else {
             push_response(
                 &self.shared,
@@ -558,7 +590,7 @@ impl Lane {
             );
             return;
         }
-        let Some(svc) = self.service() else {
+        let Some(svc) = self.svc.as_deref() else {
             push_response(
                 &self.shared,
                 conn,
@@ -647,11 +679,11 @@ impl Lane {
             issued_ns: svc.elapsed_ns(),
             op,
         };
-        self.submit(conn, &svc, request);
+        self.submit(conn, svc, request);
     }
 
-    fn on_control(&mut self, conn: &mut Conn, conn_seq: u64, kind: AggKind) {
-        let Some(svc) = self.service() else {
+    fn on_control(&self, conn: &mut Conn, conn_seq: u64, kind: AggKind) {
+        let Some(svc) = self.svc.as_deref() else {
             push_response(
                 &self.shared,
                 conn,
@@ -686,12 +718,12 @@ impl Lane {
                 issued_ns: svc.elapsed_ns(),
                 op: op.clone(),
             };
-            self.submit(conn, &svc, request);
+            self.submit(conn, svc, request);
         }
     }
 
-    fn on_stats(&mut self, conn: &mut Conn, conn_seq: u64) {
-        let shards = if self.service().is_some() {
+    fn on_stats(&self, conn: &mut Conn, conn_seq: u64) {
+        let shards = if self.svc.is_some() {
             self.shared.opts.shards as u32
         } else {
             0
@@ -728,24 +760,23 @@ impl Lane {
         }
     }
 
-    /// Read the socket and decode frames up to the window gate.
+    /// Read the socket once and decode frames up to the window gate. A
+    /// short read has drained the socket; a full chunk counts as progress,
+    /// so the next sweep comes straight back for the rest.
     fn read_and_decode(&mut self, conn: &mut Conn) {
-        let mut tmp = [0u8; READ_CHUNK];
-        while conn.open && conn.rbuf.len() < MAX_RBUF {
-            match conn.stream.read(&mut tmp) {
+        if conn.rbuf.len() < MAX_RBUF {
+            match conn.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     conn.open = false;
                     self.progress = true;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&tmp[..n]);
+                    conn.rbuf.extend_from_slice(&self.chunk[..n]);
                     self.progress = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.open = false;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => self.progress = true,
+                Err(_) => conn.open = false,
             }
         }
         let window = u64::from(self.shared.opts.window);
@@ -973,6 +1004,10 @@ impl Lane {
         }
     }
 
+    /// One pass over the connections: submit (back-pressured retries,
+    /// then whatever the socket holds), collect this lane's completions —
+    /// which the submits just produced, so a request is answered in the
+    /// sweep that read it — and write the responses out.
     fn sweep_conns(&mut self) {
         for slot in 0..self.conns.len() {
             let Some(mut conn) = self.conns[slot].take() else {
@@ -982,6 +1017,17 @@ impl Lane {
             if conn.open && !conn.fatal {
                 self.read_and_decode(&mut conn);
             }
+            self.conns[slot] = Some(conn);
+        }
+        if let Some(svc) = self.svc.clone() {
+            while let Some(c) = svc.try_complete(self.lane) {
+                self.on_completion(c);
+            }
+        }
+        for slot in 0..self.conns.len() {
+            let Some(mut conn) = self.conns[slot].take() else {
+                continue;
+            };
             self.flush(&mut conn);
             self.conns[slot] = Some(conn);
         }
@@ -1004,7 +1050,9 @@ fn run_lane(
     let mut parker = Backoff::new();
     let mut deal = 0usize;
     let mut linger: Option<Instant> = None;
+    let mut since_accept = ACCEPT_EVERY;
     loop {
+        let was_idle = !lane.progress;
         lane.progress = false;
 
         if lane.shared.abort.load(Ordering::Acquire) {
@@ -1017,8 +1065,14 @@ fn run_lane(
             return;
         }
 
-        // Lane 0 accepts and deals connections round-robin.
-        if let Some(l) = &listener {
+        // Lane 0 accepts and deals connections round-robin — after an idle
+        // sweep, and at least every `ACCEPT_EVERY`th sweep however busy.
+        since_accept += 1;
+        if let Some(l) = listener
+            .as_ref()
+            .filter(|_| was_idle || since_accept >= ACCEPT_EVERY)
+        {
+            since_accept = 0;
             while !lane.shared.draining.load(Ordering::Acquire) {
                 match l.accept() {
                     Ok((stream, _)) => {
@@ -1040,14 +1094,9 @@ fn run_lane(
             lane.adopt(stream);
         }
 
-        // Drain this lane's completions with a sweep-scoped handle.
-        if let Some(svc) = lane.service() {
-            while let Some(c) = svc.try_complete(lane.lane) {
-                lane.on_completion(c);
-            }
-        }
-
+        lane.take_handle();
         lane.sweep_conns();
+        lane.svc = None;
         lane.reap();
         lane.run_deferred();
 
@@ -1126,10 +1175,7 @@ impl NetServer {
         let threads = if opts.threads > 0 {
             opts.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get() / 2)
-                .unwrap_or(1)
-                .max(1)
+            std::thread::available_parallelism().map_or(1, |p| p.get())
         };
         let shared = Arc::new(Shared {
             opts,

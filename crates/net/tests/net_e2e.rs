@@ -309,3 +309,93 @@ fn malformed_frames_get_typed_errors_without_desync() {
     let outcome = server.join();
     assert!(!outcome.aborted);
 }
+
+#[test]
+fn a_saturated_lane_still_accepts_and_answers_a_new_connection() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    // One lane owns the listener and every connection. Two flooders keep
+    // its sockets non-empty (a blocking writer each, so the send buffers
+    // stay full), so its sweeps never go idle: the listener is reached
+    // only through the every-Nth-busy-sweep probe.
+    let server = NetServer::bind(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        shards: 1,
+        threads: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let flood: Vec<u8> = proto::encode_request(&Request::Stats).repeat(4096);
+    let stop = AtomicBool::new(false);
+    // Also on a failed assertion, or the scope would wait on the flood.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let t = trace(10, 13);
+
+    std::thread::scope(|scope| {
+        let stop_flood = StopOnDrop(&stop);
+        let mut answered = Vec::new();
+        let mut writers = Vec::new();
+        for _ in 0..2 {
+            let mut tx = TcpStream::connect(&addr).expect("flooder connect");
+            let mut rx = tx.try_clone().expect("clone flooder socket");
+            let (flood, stop) = (&flood, &stop);
+            writers.push(scope.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    tx.write_all(flood).expect("flood");
+                }
+                tx.shutdown(std::net::Shutdown::Write).expect("half-close");
+            }));
+            // Drain the answers so the server's write buffer stays small;
+            // report once the flood is demonstrably being served.
+            let (first_tx, first_rx) = std::sync::mpsc::channel();
+            answered.push(first_rx);
+            scope.spawn(move || {
+                let mut tmp = [0u8; 16 * 1024];
+                let mut first = Some(first_tx);
+                while matches!(rx.read(&mut tmp), Ok(n) if n > 0) {
+                    if let Some(tx) = first.take() {
+                        tx.send(()).expect("main thread waits for the first answer");
+                    }
+                }
+            });
+        }
+        for rx in answered {
+            rx.recv().expect("flooder is being served");
+        }
+
+        let mut stream = TcpStream::connect(&addr).expect("connect under load");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        let mut rbuf = Vec::new();
+        stream
+            .write_all(&proto::encode_request(&Request::Hello(hello(&t))))
+            .expect("write");
+        match read_resp(&mut stream, &mut rbuf) {
+            Response::HelloOk { lines, .. } => assert_eq!(lines, t.lines),
+            other => panic!("expected HelloOk, got {other:?}"),
+        }
+        // The flooders finish their last write while the lane still reads.
+        drop(stop_flood);
+        for w in writers {
+            w.join().expect("flooder panicked");
+        }
+        stream
+            .write_all(&proto::encode_request(&Request::Shutdown))
+            .expect("write");
+        assert!(matches!(
+            read_resp(&mut stream, &mut rbuf),
+            Response::ShutdownOk
+        ));
+    });
+    let outcome = server.join();
+    assert!(!outcome.aborted);
+    assert_eq!(outcome.accepted, 3);
+}

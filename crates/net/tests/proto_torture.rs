@@ -163,7 +163,11 @@ proptest! {
         let frame = proto::encode_response(&resp);
         let payload = sole_payload(&frame);
         let back = proto::decode_response(&payload).expect("decode");
-        prop_assert_eq!(back, resp);
+        prop_assert_eq!(&back, &resp);
+        // Appending in place behind earlier frames yields the same bytes.
+        let mut wbuf = frame.clone();
+        proto::encode_response_into(&mut wbuf, &resp);
+        prop_assert_eq!(wbuf, [frame.as_slice(), frame.as_slice()].concat());
     }
 
     #[test]
