@@ -17,7 +17,10 @@
 use dewrite_nvm::LineAddr;
 
 use crate::compare::lines_equal;
-use crate::tables::{AddrMapTable, FreeSpaceTable, HashTable, InvertedTable, MAX_REFERENCE};
+use crate::tables::{
+    AddrMapTable, FreeSpaceTable, HashEntry, HashTable, InvertedTable, MAX_CANDIDATE_COMPARES,
+    MAX_REFERENCE,
+};
 
 /// Outcome of applying a write to the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +53,29 @@ pub struct DupLookup {
     pub matched: Option<LineAddr>,
     /// How many candidate lines were byte-compared (collision accounting).
     pub comparisons: u32,
+}
+
+/// What a scheme-driven confirmation walks: the first
+/// [`MAX_CANDIDATE_COMPARES`] unsaturated candidates of a digest in the
+/// writer's dedup domain, in bucket order, held inline — nothing is copied
+/// to the heap.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpenCandidates {
+    reals: [LineAddr; MAX_CANDIDATE_COMPARES],
+    len: usize,
+    /// Whether a bucket-order walk that matches none of
+    /// [`reals`](Self::reals) passes a saturated candidate on its way (it
+    /// stops at the compare cap, so saturated entries beyond a full set of
+    /// candidates are never seen).
+    pub(crate) skipped_saturated: bool,
+}
+
+impl OpenCandidates {
+    /// The candidate lines, in bucket order.
+    #[inline]
+    pub(crate) fn reals(&self) -> &[LineAddr] {
+        &self.reals[..self.len]
+    }
 }
 
 /// The composed deduplication index.
@@ -171,19 +197,51 @@ impl DedupIndex {
     /// Resident candidate entries for `digest`, for callers that drive the
     /// byte comparison themselves (the scheme layer, which must charge a
     /// timed NVM read per comparison).
-    pub fn candidates(&self, digest: u64) -> Vec<crate::tables::HashEntry> {
+    pub fn candidates(&self, digest: u64) -> Vec<HashEntry> {
         self.hash_table.bucket(digest).collect()
     }
 
     /// Like [`candidates`](Self::candidates), filtered to `init`'s dedup
     /// domain — with multiple domains, content never matches across a
-    /// boundary.
-    pub fn candidates_for(&self, digest: u64, init: LineAddr) -> Vec<crate::tables::HashEntry> {
+    /// boundary — and borrowed: the bucket is walked where it lives.
+    pub fn candidates_for(
+        &self,
+        digest: u64,
+        init: LineAddr,
+    ) -> impl Iterator<Item = HashEntry> + '_ {
         let domain = self.domain_of(init);
         self.hash_table
             .bucket(digest)
-            .filter(|e| self.domain_of(e.real) == domain)
-            .collect()
+            .filter(move |e| self.domains == 1 || self.domain_of(e.real) == domain)
+    }
+
+    /// The [`OpenCandidates`] of `digest` for a write to `init`: one probe
+    /// and one pass over the bucket's reference bytes
+    /// ([`HashTable::open`]) when the index is a single domain, a filtered
+    /// walk of the borrowed bucket otherwise.
+    pub(crate) fn open_for(&self, digest: u64, init: LineAddr) -> OpenCandidates {
+        let mut open = OpenCandidates::default();
+        if self.domains == 1 {
+            let view = self.hash_table.open(digest);
+            for (real, entry) in open.reals.iter_mut().zip(view.entries()) {
+                *real = entry.real;
+            }
+            open.len = view.entries().len();
+            open.skipped_saturated = view.saturated_walked() > 0;
+            return open;
+        }
+        for entry in self.candidates_for(digest, init) {
+            if entry.reference == MAX_REFERENCE {
+                open.skipped_saturated = true;
+            } else {
+                open.reals[open.len] = entry.real;
+                open.len += 1;
+                if open.len == MAX_CANDIDATE_COMPARES {
+                    break;
+                }
+            }
+        }
+        open
     }
 
     /// Like [`lookup`](Self::lookup) but without mutating any statistics —
@@ -478,6 +536,53 @@ mod tests {
         }
         fn store(&mut self, real: LineAddr, data: &[u8]) {
             self.lines.insert(real.index(), data.to_vec());
+        }
+    }
+
+    /// What the schemes' confirmation loop did before [`OpenCandidates`]:
+    /// filter the domain's candidates lazily, stop at the compare cap.
+    fn open_reference(idx: &DedupIndex, digest: u64, init: LineAddr) -> (Vec<LineAddr>, bool) {
+        let mut skipped_saturated = false;
+        let reals = idx
+            .candidates_for(digest, init)
+            .filter(|e| {
+                skipped_saturated |= e.reference == MAX_REFERENCE;
+                e.reference != MAX_REFERENCE
+            })
+            .take(MAX_CANDIDATE_COMPARES)
+            .map(|e| e.real)
+            .collect();
+        (reals, skipped_saturated)
+    }
+
+    #[test]
+    fn open_for_is_the_capped_walk_in_one_and_many_domains() {
+        for domains in [1, 2, 4] {
+            let mut idx = DedupIndex::with_domains(8192, domains);
+            // One digest, twelve resident copies 600 lines apart (so spread
+            // over the domains); copies 1, 2, 6 and 11 are saturated by the
+            // 254 addresses right behind them, all inside their own domain.
+            for copy in 0..12u64 {
+                let home = copy * 600;
+                idx.apply_store(l(home), 77);
+                if [1, 2, 6, 11].contains(&copy) {
+                    for dup in 1..u64::from(MAX_REFERENCE) {
+                        idx.apply_duplicate(l(home + dup), l(home));
+                    }
+                    assert_eq!(idx.reference_of(l(home)), Some(MAX_REFERENCE));
+                }
+            }
+            idx.check_invariants().unwrap();
+            for init in [0, 2047, 2048, 4095, 4096, 6143, 6144, 8191] {
+                let open = idx.open_for(77, l(init));
+                assert_eq!(
+                    (open.reals().to_vec(), open.skipped_saturated),
+                    open_reference(&idx, 77, l(init)),
+                    "{domains} domains, init {init}"
+                );
+            }
+            let none = idx.open_for(78, l(0));
+            assert!(none.reals().is_empty() && !none.skipped_saturated);
         }
     }
 

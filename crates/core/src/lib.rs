@@ -42,6 +42,7 @@ pub mod bitlevel;
 pub mod colocate;
 mod compare;
 mod config;
+mod counters;
 mod dedup;
 pub mod journal;
 pub mod json;
@@ -64,6 +65,7 @@ pub use config::{
     BitEncoding, DeWriteConfig, DigestMode, MetaCacheConfig, MetadataPersistence, SystemConfig,
     WriteMode,
 };
+pub use counters::CounterTable;
 pub use dedup::{DedupIndex, DupLookup, WriteOutcome};
 pub use dewrite_mem::Replacement;
 pub use journal::MetaOp;

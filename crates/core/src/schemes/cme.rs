@@ -1,14 +1,13 @@
 //! The traditional secure-NVM baseline: counter-mode encryption, no dedup.
 
-use std::collections::HashMap;
-
 use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
 use dewrite_mem::Replacement;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
+use crate::counters::CounterTable;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
 
@@ -45,12 +44,14 @@ pub struct CmeBaseline {
     config: SystemConfig,
     device: NvmDevice,
     engine: CounterModeEngine,
-    counters: HashMap<u64, LineCounter>,
+    counters: CounterTable,
     counter_table: MetaTable,
     metrics: BaseMetrics,
     sink: Option<Box<dyn EventSink>>,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
+    /// Scratch plaintext line a [`ReadResult`] borrows.
+    read_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for CmeBaseline {
@@ -87,11 +88,12 @@ impl CmeBaseline {
             config,
             device,
             engine: CounterModeEngine::new(key),
-            counters: HashMap::new(),
+            counters: CounterTable::new(),
             counter_table,
             metrics: BaseMetrics::default(),
             sink: None,
             line_buf: Vec::new(),
+            read_buf: vec![0u8; line_size],
         }
     }
 
@@ -140,9 +142,7 @@ impl SecureMemory for CmeBaseline {
             now_ns,
             &mut self.metrics,
         );
-        let counter = self.counters.entry(addr.index()).or_default();
-        let _ = counter.increment();
-        let counter = *counter;
+        let counter = self.counters.bump(addr.index());
 
         // Encrypt, then write.
         let enc_done = ctr.done_ns + AES_LINE_LATENCY_NS;
@@ -175,7 +175,7 @@ impl SecureMemory for CmeBaseline {
         })
     }
 
-    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult, NvmError> {
+    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
         self.check_addr(addr)?;
         self.metrics.reads += 1;
 
@@ -188,31 +188,33 @@ impl SecureMemory for CmeBaseline {
         );
         let (ciphertext, access) = self.device.read_line(addr, now_ns)?;
 
-        match self.counters.get(&addr.index()) {
-            Some(&counter) => {
+        let done = match self.counters.get(addr.index()) {
+            Some(counter) => {
                 // OTP generation overlaps the array read once the counter is
                 // known; the XOR is the only serial step. Pad energy is not
                 // charged: the paper's energy accounting is write-dominated
                 // (pads for reads are precomputed while counters sit in the
                 // cache), and both schemes treat reads identically.
                 let pad_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-                let done = access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS;
-                let data = self.engine.decrypt_line(&ciphertext, addr.index(), counter);
-                Ok(ReadResult {
-                    data,
-                    latency_ns: done - now_ns,
-                })
+                self.engine.decrypt_line_into(
+                    ciphertext,
+                    addr.index(),
+                    counter,
+                    &mut self.read_buf,
+                );
+                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
             }
             None => {
                 // Never written: fresh cells read as zeros, nothing to
                 // decrypt.
-                let done = access.slot.finish_ns.max(ctr.done_ns);
-                Ok(ReadResult {
-                    data: ciphertext,
-                    latency_ns: done - now_ns,
-                })
+                self.read_buf.copy_from_slice(ciphertext);
+                access.slot.finish_ns.max(ctr.done_ns)
             }
-        }
+        };
+        Ok(ReadResult {
+            data: &self.read_buf,
+            latency_ns: done - now_ns,
+        })
     }
 
     fn device(&self) -> &NvmDevice {

@@ -23,10 +23,8 @@
 //! read is in flight, its cost hidden within the read — the paper's own
 //! idealization.
 
-use std::collections::HashMap;
-
 use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
 use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
 use dewrite_mem::CacheStats;
@@ -34,11 +32,12 @@ use dewrite_nvm::{LineAddr, NvmDevice, NvmError, Timing};
 
 use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, DigestMode, MetadataPersistence, SystemConfig, WriteMode};
+use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::journal::MetaOp;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
-use crate::tables::{MAX_CANDIDATE_COMPARES, MAX_REFERENCE};
+use crate::tables::MAX_REFERENCE;
 use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
 
 /// Energy of one hardware line comparison, pJ.
@@ -95,6 +94,81 @@ struct ConfirmOutcome {
     compare_ns: u64,
 }
 
+/// The dedup logic's verify buffer: the plaintext of recently verified
+/// candidate lines, so a hot candidate confirms without touching the array.
+/// A fixed set of line buffers, allocated once; recency is a short list of
+/// `(line, buffer)` pairs, least recent first, so a hit is compared where
+/// it lies and a refresh moves sixteen bytes, not a line.
+#[derive(Debug)]
+struct VerifyBuffer {
+    /// Buffered lines and the buffer each occupies, least recent first.
+    order: Vec<(u64, usize)>,
+    /// Buffers holding no line.
+    free: Vec<usize>,
+    /// The line buffers, back to back.
+    lines: Box<[u8]>,
+    line_size: usize,
+}
+
+impl VerifyBuffer {
+    fn new(entries: usize, line_size: usize) -> Self {
+        VerifyBuffer {
+            order: Vec::with_capacity(entries),
+            free: (0..entries).collect(),
+            lines: vec![0u8; entries * line_size].into_boxed_slice(),
+            line_size,
+        }
+    }
+
+    /// The buffer holding `line`, if any, made the most recent.
+    fn touch(&mut self, line: u64) -> Option<usize> {
+        let at = self.order.iter().position(|&(l, _)| l == line)?;
+        let entry = self.order.remove(at);
+        self.order.push(entry);
+        Some(entry.1)
+    }
+
+    fn contents(&self, buffer: usize) -> &[u8] {
+        &self.lines[buffer * self.line_size..(buffer + 1) * self.line_size]
+    }
+
+    /// Buffer `content` as `line`'s, most recent, displacing the least
+    /// recent line if every buffer is taken.
+    fn insert(&mut self, line: u64, content: &[u8]) {
+        self.invalidate(line);
+        if self.free.is_empty() {
+            if self.order.is_empty() {
+                return; // zero buffers: every confirm pays the read
+            }
+            self.free.push(self.order.remove(0).1);
+        }
+        let buffer = self.free.pop().expect("a buffer was just freed");
+        self.lines[buffer * self.line_size..(buffer + 1) * self.line_size].copy_from_slice(content);
+        self.order.push((line, buffer));
+    }
+
+    fn invalidate(&mut self, line: u64) {
+        if let Some(at) = self.order.iter().position(|&(l, _)| l == line) {
+            self.free.push(self.order.remove(at).1);
+        }
+    }
+}
+
+/// Decrypt the resident line `real`, stored as `ciphertext`, under its
+/// counter into `out`; `None` if the line has no counter (which a resident
+/// line always does unless controller state was lost).
+fn decrypt_resident(
+    engine: &CounterModeEngine,
+    counters: &CounterTable,
+    real: LineAddr,
+    ciphertext: &[u8],
+    out: &mut [u8],
+) -> Option<()> {
+    let counter = counters.get(real.index())?;
+    engine.decrypt_line_into(ciphertext, real.index(), counter, out);
+    Some(())
+}
+
 /// The DeWrite controller over an NVM device.
 ///
 /// ```
@@ -123,7 +197,7 @@ pub struct DeWrite {
     /// [`DigestMode::StrongKeyed`].
     strong: Option<(StrongKeyed, StrongScratch)>,
     index: DedupIndex,
-    counters: HashMap<u64, LineCounter>,
+    counters: CounterTable,
     predictor: HistoryPredictor,
     addr_map_meta: MetaTable,
     inverted_meta: MetaTable,
@@ -131,8 +205,8 @@ pub struct DeWrite {
     fsm_meta: MetaTable,
     metrics: BaseMetrics,
     dmetrics: DeWriteMetrics,
-    /// Recently verified candidate contents (line, content), MRU at back.
-    verify_buffer: std::collections::VecDeque<(u64, Vec<u8>)>,
+    /// Recently verified candidate contents.
+    verify_buffer: VerifyBuffer,
     /// Data writes since the last epoch flush.
     writes_since_flush: u32,
     /// Metadata-mutation journal for external persistence (WAL); `None`
@@ -142,6 +216,9 @@ pub struct DeWrite {
     sink: Option<Box<dyn EventSink>>,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
+    /// Scratch plaintext line: what a candidate decrypts into for its byte
+    /// comparison, and what a [`ReadResult`] borrows.
+    plain_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for DeWrite {
@@ -164,7 +241,7 @@ impl DeWrite {
     pub fn new(config: SystemConfig, dw: DeWriteConfig, key: &[u8; 16]) -> Self {
         let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
         let index = DedupIndex::with_domains(config.data_lines, dw.dedup_domains.max(1));
-        Self::assemble(config, dw, key, device, index, HashMap::new())
+        Self::assemble(config, dw, key, device, index, CounterTable::new())
     }
 
     /// Power off: hand back the durable state (metadata snapshot) and the
@@ -240,7 +317,7 @@ impl DeWrite {
         key: &[u8; 16],
         device: NvmDevice,
         index: DedupIndex,
-        counters: HashMap<u64, LineCounter>,
+        counters: CounterTable,
     ) -> Self {
         config.validate().expect("invalid system config");
         let line_size = config.nvm.line_size;
@@ -340,11 +417,12 @@ impl DeWrite {
             fsm_meta,
             metrics: BaseMetrics::default(),
             dmetrics: DeWriteMetrics::default(),
-            verify_buffer: std::collections::VecDeque::new(),
+            verify_buffer: VerifyBuffer::new(dw.verify_buffer_entries, line_size),
             writes_since_flush: 0,
             journal: None,
             sink: None,
             line_buf: Vec::new(),
+            plain_buf: vec![0u8; line_size],
             device,
             config,
             dw,
@@ -408,7 +486,7 @@ impl DeWrite {
                 store.set_resident_hash(line, Some(Self::fold_digest(digest)));
             }
         }
-        for (&line, &counter) in &self.counters {
+        for (line, counter) in self.counters.iter() {
             store.set_counter(LineAddr::new(line), counter);
         }
         store
@@ -431,6 +509,7 @@ impl DeWrite {
     pub fn scrub(&self) -> Result<u64, String> {
         self.index.check_invariants()?;
         let mut checked = 0;
+        let mut plaintext = vec![0u8; self.config.nvm.line_size];
         for i in 0..self.config.data_lines {
             let init = LineAddr::new(i);
             let Some(real) = self.index.resolve(init) else {
@@ -440,7 +519,7 @@ impl DeWrite {
                 .index
                 .digest_of(real)
                 .ok_or_else(|| format!("{init} resolves to non-resident {real}"))?;
-            let plaintext = self.plaintext_of(real)?;
+            self.plaintext_into(real, &mut plaintext)?;
             let actual = self.compute_digest_readonly(&plaintext);
             if actual != expected_digest {
                 return Err(format!(
@@ -455,42 +534,13 @@ impl DeWrite {
 
     /// Fault injection for recovery testing: flip one byte of the stored
     /// (encrypted) contents of `line` directly in the array, bypassing the
-    /// controller — as a stuck cell or undetected disturb would.
+    /// controller — as a stuck cell or undetected disturb would. No write
+    /// is issued, so nothing is booked: no device write, wear, energy or
+    /// bank time.
     pub fn inject_corruption(&mut self, line: LineAddr) {
-        let mut raw = self.device.peek_line(line).expect("line in range");
-        raw[0] ^= 0xFF;
-        self.device
-            .write_line_with_flips(line, &raw, 8, 0)
-            .expect("line in range");
+        self.device.line_mut(line).expect("line in range")[0] ^= 0xFF;
         // The dedup logic's verify buffer would mask the corruption.
-        self.verify_buffer_invalidate(line);
-    }
-
-    fn verify_buffer_lookup(&mut self, real: LineAddr) -> Option<Vec<u8>> {
-        let idx = self
-            .verify_buffer
-            .iter()
-            .position(|(l, _)| *l == real.index())?;
-        let entry = self.verify_buffer.remove(idx).expect("index valid");
-        let content = entry.1.clone();
-        self.verify_buffer.push_back(entry); // refresh MRU
-        Some(content)
-    }
-
-    fn verify_buffer_insert(&mut self, real: LineAddr, content: Vec<u8>) {
-        let cap = self.dw.verify_buffer_entries;
-        if cap == 0 {
-            return;
-        }
-        self.verify_buffer.retain(|(l, _)| *l != real.index());
-        if self.verify_buffer.len() >= cap {
-            self.verify_buffer.pop_front();
-        }
-        self.verify_buffer.push_back((real.index(), content));
-    }
-
-    fn verify_buffer_invalidate(&mut self, line: LineAddr) {
-        self.verify_buffer.retain(|(l, _)| *l != line.index());
+        self.verify_buffer.invalidate(line.index());
     }
 
     fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
@@ -574,8 +624,8 @@ impl DeWrite {
         }
     }
 
-    /// Decrypt the resident line `real` without timing side effects
-    /// (used for byte comparison; timing is charged by the caller).
+    /// Decrypt the resident line `real` into `out` without timing side
+    /// effects (the scrub's content check).
     ///
     /// # Errors
     ///
@@ -583,12 +633,10 @@ impl DeWrite {
     /// the controller state is inconsistent (lost metadata, corrupted
     /// snapshot). Returning the raw ciphertext would silently compare
     /// garbage; fail loudly instead.
-    fn plaintext_of(&self, real: LineAddr) -> Result<Vec<u8>, String> {
+    fn plaintext_into(&self, real: LineAddr, out: &mut [u8]) -> Result<(), String> {
         let ciphertext = self.device.line(real).expect("resident line in range");
-        match self.counters.get(&real.index()) {
-            Some(&ctr) => Ok(self.engine.decrypt_line(ciphertext, real.index(), ctr)),
-            None => Err(format!("resident line {real} has no encryption counter")),
-        }
+        decrypt_resident(&self.engine, &self.counters, real, ciphertext, out)
+            .ok_or_else(|| format!("resident line {real} has no encryption counter"))
     }
 
     /// Run the candidate comparison loop with timed NVM reads — or, under
@@ -609,27 +657,15 @@ impl DeWrite {
         // Saturated entries are visible in the hash entry itself (the
         // 8-bit reference field, §III-B2): they are skipped without any
         // read — further duplicates of that content use its one
-        // non-saturated successor copy instead.
-        let mut skipped_saturated = false;
-        let candidates: Vec<_> = self
-            .index
-            .candidates_for(digest, init)
-            .into_iter()
-            .filter(|e| {
-                if e.reference == MAX_REFERENCE {
-                    skipped_saturated = true;
-                    false
-                } else {
-                    true
-                }
-            })
-            .take(MAX_CANDIDATE_COMPARES)
-            .collect();
+        // non-saturated successor copy instead. The candidates come as an
+        // inline view of the bucket (at most the compare cap of them).
+        let candidates = self.index.open_for(digest, init);
+        let skipped_saturated = candidates.skipped_saturated;
         if self.strong.is_some() {
             // Verify-free: every candidate already matched the full stored
             // tag, so the first live one *is* the duplicate. Detection
             // resolves at the hash-store query; the array is never read.
-            let matched = candidates.first().map(|e| e.real);
+            let matched = candidates.reals().first().copied();
             if matched.is_some() {
                 self.dmetrics.assumed_dups += 1;
             } else if skipped_saturated {
@@ -642,24 +678,25 @@ impl DeWrite {
                 compare_ns,
             };
         }
-        for entry in candidates {
+        for &real in candidates.reals() {
             // Hot candidates sit in the dedup logic's verify buffer and
-            // confirm without touching the array.
-            let content = match self.verify_buffer_lookup(entry.real) {
-                Some(content) => content,
+            // confirm without touching the array; the rest are read,
+            // decrypted into the scratch line and buffered.
+            let content = match self.verify_buffer.touch(real.index()) {
+                Some(buffer) => self.verify_buffer.contents(buffer),
                 None => {
-                    let (_, access) = self
+                    let (ciphertext, access) = self
                         .device
-                        .read_line(entry.real, t)
+                        .read_line(real, t)
                         .expect("candidate line in range");
                     self.metrics.verify_reads += 1;
                     verify_ns += access.slot.finish_ns - t;
                     t = access.slot.finish_ns;
-                    let content = self
-                        .plaintext_of(entry.real)
+                    let plain = &mut self.plain_buf;
+                    decrypt_resident(&self.engine, &self.counters, real, ciphertext, plain)
                         .expect("resident candidate must have a counter");
-                    self.verify_buffer_insert(entry.real, content.clone());
-                    content
+                    self.verify_buffer.insert(real.index(), &self.plain_buf);
+                    &self.plain_buf
                 }
             };
             self.device.charge_dedup_pj(COMPARE_ENERGY_PJ);
@@ -670,9 +707,9 @@ impl DeWrite {
             // read (Table I charges the duplicate path 15 + 75 + 1 ns).
             t += timing.compare_ns;
             compare_ns += timing.compare_ns;
-            if lines_equal(&content, data) {
+            if lines_equal(content, data) {
                 return ConfirmOutcome {
-                    matched: Some(entry.real),
+                    matched: Some(real),
                     done_ns: t,
                     verify_ns,
                     compare_ns,
@@ -864,25 +901,19 @@ impl SecureMemory for DeWrite {
             compare_ns = Some(confirm.compare_ns);
             (confirm.matched, confirm.done_ns)
         } else {
-            // Ground truth for PNA accounting.
-            let missed = {
-                let device = &self.device;
-                let engine = &self.engine;
-                let counters = &self.counters;
-                let decrypt = |real: LineAddr| {
-                    let ct = device.line(real).expect("in range");
-                    let &c = counters
-                        .get(&real.index())
+            // Ground truth for PNA accounting: would a live candidate have
+            // matched? (The bucket is walked where it lives; each candidate
+            // decrypts into the scratch line.)
+            let missed = self.index.candidates_for(digest, init).any(|e| {
+                e.reference != MAX_REFERENCE && {
+                    let ciphertext = self.device.line(e.real).expect("in range");
+                    let plain = &mut self.plain_buf;
+                    decrypt_resident(&self.engine, &self.counters, e.real, ciphertext, plain)
                         .expect("resident line must have a counter");
-                    engine.decrypt_line(ct, real.index(), c)
-                };
-                self.index
-                    .candidates_for(digest, init)
-                    .iter()
-                    .find(|e| e.reference != MAX_REFERENCE && lines_equal(&decrypt(e.real), data))
-                    .map(|e| e.real)
-            };
-            if missed.is_some() {
+                    lines_equal(&self.plain_buf, data)
+                }
+            });
+            if missed {
                 self.dmetrics.pna_missed_dups += 1;
             }
             (None, query_done)
@@ -916,7 +947,7 @@ impl SecureMemory for DeWrite {
                     unreachable!("apply_duplicate returns Duplicate");
                 };
                 if let Some(freed) = freed {
-                    self.verify_buffer_invalidate(freed);
+                    self.verify_buffer.invalidate(freed.index());
                 }
                 if let Some(journal) = self.journal.as_mut() {
                     // A silent store changed no metadata; nothing to log.
@@ -994,13 +1025,11 @@ impl SecureMemory for DeWrite {
                     }
                 };
 
-                self.verify_buffer_invalidate(target);
+                self.verify_buffer.invalidate(target.index());
                 if let Some(freed) = freed {
-                    self.verify_buffer_invalidate(freed);
+                    self.verify_buffer.invalidate(freed.index());
                 }
-                let counter = self.counters.entry(target.index()).or_default();
-                let _ = counter.increment();
-                let counter = *counter;
+                let counter = self.counters.bump(target.index());
                 if let Some(journal) = self.journal.as_mut() {
                     journal.push(MetaOp::ResidentSet {
                         real: target.index(),
@@ -1073,7 +1102,7 @@ impl SecureMemory for DeWrite {
         Ok(result)
     }
 
-    fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult, NvmError> {
+    fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
         self.check_addr(init)?;
         self.metrics.reads += 1;
 
@@ -1086,7 +1115,7 @@ impl SecureMemory for DeWrite {
             &mut self.metrics,
         );
 
-        match self.index.resolve(init) {
+        let done = match self.index.resolve(init) {
             Some(real) => {
                 // 2. If remapped, the counter lives with the target's row.
                 let ctr_done = if real == init {
@@ -1106,19 +1135,13 @@ impl SecureMemory for DeWrite {
                 // 3. Array read (starts once the mapping is known) overlaps
                 // pad generation (starts once the counter is known).
                 let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
-                let counter = *self
-                    .counters
-                    .get(&real.index())
+                let plain = &mut self.plain_buf;
+                decrypt_resident(&self.engine, &self.counters, real, ciphertext, plain)
                     .expect("resident line has counter");
                 // Read-side pad energy is not charged (write-dominated
                 // accounting, identical across schemes; see CmeBaseline).
                 let pad_done = ctr_done + AES_LINE_LATENCY_NS;
-                let done = access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS;
-                let data = self.engine.decrypt_line(&ciphertext, real.index(), counter);
-                Ok(ReadResult {
-                    data,
-                    latency_ns: done - now_ns,
-                })
+                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
             }
             None => {
                 // Never written: logically zero. The home line may have
@@ -1127,13 +1150,17 @@ impl SecureMemory for DeWrite {
                 // from the (absent) mapping that this address is unwritten.
                 // The array read still happens (timing parity with a
                 // controller that probes before deciding).
-                let (_, access) = self.device.read_line(init, map_acc.done_ns)?;
-                Ok(ReadResult {
-                    data: vec![0u8; self.config.nvm.line_size],
-                    latency_ns: access.slot.finish_ns - now_ns,
-                })
+                self.plain_buf.fill(0);
+                self.device
+                    .read_timing(init, map_acc.done_ns)?
+                    .slot
+                    .finish_ns
             }
-        }
+        };
+        Ok(ReadResult {
+            data: &self.plain_buf,
+            latency_ns: done - now_ns,
+        })
     }
 
     fn device(&self) -> &NvmDevice {
@@ -1157,6 +1184,7 @@ impl SecureMemory for DeWrite {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const KEY: &[u8; 16] = b"dewrite test key";
 
@@ -1549,7 +1577,8 @@ mod tests {
         m.scrub().expect("clean before the fault");
         let real = m.index().resolve(LineAddr::new(3)).expect("written");
         // Simulate lost counter metadata (e.g. a crash before flush).
-        m.counters.remove(&real.index());
+        m.counters
+            .set(real.index(), dewrite_crypto::LineCounter::new());
         let err = m.scrub().expect_err("missing counter must fail the scrub");
         assert!(err.contains("no encryption counter"), "{err}");
     }
@@ -1680,6 +1709,40 @@ mod tests {
         m.inject_corruption(real);
         let err = m.scrub().expect_err("corruption must be detected");
         assert!(err.contains("hashes to"), "{err}");
+    }
+
+    #[test]
+    fn injected_corruption_is_not_booked_as_a_write() {
+        let mut m = mem();
+        let data = line(5);
+        m.write(LineAddr::new(3), &data, 0).unwrap();
+        // A second copy confirms against the first: it sits in the verify
+        // buffer, which must not mask the fault.
+        assert!(m.write(LineAddr::new(4), &data, 10_000).unwrap().eliminated);
+        let real = m.index().resolve(LineAddr::new(3)).expect("written");
+        let before = (
+            m.device().writes(),
+            m.device().reads(),
+            m.device().wear().total_line_writes(),
+            m.device().wear().total_bits_flipped(),
+            m.device().line_writes(real),
+            *m.device().energy(),
+            m.base_metrics(),
+        );
+        m.inject_corruption(real);
+        let after = (
+            m.device().writes(),
+            m.device().reads(),
+            m.device().wear().total_line_writes(),
+            m.device().wear().total_bits_flipped(),
+            m.device().line_writes(real),
+            *m.device().energy(),
+            m.base_metrics(),
+        );
+        assert_eq!(before, after, "a fault is not a device write");
+        assert!(m.scrub().is_err(), "the fault is still there to find");
+        // And the next would-be duplicate reads the array, not the buffer.
+        assert!(!m.write(LineAddr::new(5), &data, 20_000).unwrap().eliminated);
     }
 
     proptest! {

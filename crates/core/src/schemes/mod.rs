@@ -62,10 +62,11 @@ pub struct WriteResult {
 }
 
 /// Result of a read operation at the controller.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadResult {
-    /// Decrypted line contents.
-    pub data: Vec<u8>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadResult<'a> {
+    /// Decrypted line contents, borrowed from the scheme's scratch line:
+    /// valid until the next operation on the scheme.
+    pub data: &'a [u8],
     /// Critical-path latency of the read.
     pub latency_ns: u64,
 }
@@ -119,7 +120,7 @@ pub trait SecureMemory: Send {
     /// # Errors
     ///
     /// Fails if `addr` is outside the workload-visible region.
-    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult, NvmError>;
+    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError>;
 
     /// The underlying device (energy, wear, bank statistics).
     fn device(&self) -> &NvmDevice;
@@ -311,8 +312,10 @@ impl MetaTable {
         for i in 0..fetch_lines as u64 {
             let line =
                 self.backing_line(entry + i * (self.line_size / self.entry_bytes.max(1)) as u64);
-            let (_, access) = device
-                .read_line(line, now_ns)
+            // The entries themselves live in controller structures: only
+            // the fetch's timing and energy are modeled.
+            let access = device
+                .read_timing(line, now_ns)
                 .expect("metadata region line in range");
             metrics.meta_nvm_reads += 1;
             done = done.max(access.slot.finish_ns);

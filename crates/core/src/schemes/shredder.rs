@@ -12,15 +12,16 @@
 //! encryption and the array write; reads of zeroed lines return zeros
 //! without decryption.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
 use dewrite_mem::Replacement;
 use dewrite_nvm::{is_zero_line, LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
+use crate::counters::CounterTable;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 
 /// Counter-cache sizing shared with [`CmeBaseline`](crate::CmeBaseline).
@@ -35,7 +36,7 @@ pub struct SilentShredder {
     config: SystemConfig,
     device: NvmDevice,
     engine: CounterModeEngine,
-    counters: HashMap<u64, LineCounter>,
+    counters: CounterTable,
     /// Lines currently "shredded" (logically zero, nothing in the array).
     zeroed: HashSet<u64>,
     counter_table: MetaTable,
@@ -43,6 +44,8 @@ pub struct SilentShredder {
     metrics: BaseMetrics,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
+    /// Scratch plaintext line a [`ReadResult`] borrows.
+    read_buf: Vec<u8>,
 }
 
 impl SilentShredder {
@@ -80,12 +83,13 @@ impl SilentShredder {
         );
         SilentShredder {
             engine: CounterModeEngine::new(key),
-            counters: HashMap::new(),
+            counters: CounterTable::new(),
             zeroed: HashSet::new(),
             counter_table,
             zero_table,
             metrics: BaseMetrics::default(),
             line_buf: Vec::new(),
+            read_buf: vec![0u8; line_size],
             device,
             config,
         }
@@ -150,9 +154,7 @@ impl SecureMemory for SilentShredder {
             now_ns,
             &mut self.metrics,
         );
-        let counter = self.counters.entry(addr.index()).or_default();
-        let _ = counter.increment();
-        let counter = *counter;
+        let counter = self.counters.bump(addr.index());
         let enc_done = ctr.done_ns + AES_LINE_LATENCY_NS;
         self.metrics.aes_line_ops += 1;
         self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
@@ -172,7 +174,7 @@ impl SecureMemory for SilentShredder {
         })
     }
 
-    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult, NvmError> {
+    fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
         self.check_addr(addr)?;
         self.metrics.reads += 1;
 
@@ -185,8 +187,9 @@ impl SecureMemory for SilentShredder {
             &mut self.metrics,
         );
         if self.zeroed.contains(&addr.index()) {
+            self.read_buf.fill(0);
             return Ok(ReadResult {
-                data: vec![0u8; self.config.nvm.line_size],
+                data: &self.read_buf,
                 latency_ns: zacc.done_ns - now_ns,
             });
         }
@@ -199,21 +202,26 @@ impl SecureMemory for SilentShredder {
             &mut self.metrics,
         );
         let (ciphertext, access) = self.device.read_line(addr, zacc.done_ns)?;
-        match self.counters.get(&addr.index()) {
-            Some(&counter) => {
+        let done = match self.counters.get(addr.index()) {
+            Some(counter) => {
                 let pad_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-                let done = access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS;
-                let data = self.engine.decrypt_line(&ciphertext, addr.index(), counter);
-                Ok(ReadResult {
-                    data,
-                    latency_ns: done - now_ns,
-                })
+                self.engine.decrypt_line_into(
+                    ciphertext,
+                    addr.index(),
+                    counter,
+                    &mut self.read_buf,
+                );
+                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
             }
-            None => Ok(ReadResult {
-                data: ciphertext,
-                latency_ns: access.slot.finish_ns.max(ctr.done_ns) - now_ns,
-            }),
-        }
+            None => {
+                self.read_buf.copy_from_slice(ciphertext);
+                access.slot.finish_ns.max(ctr.done_ns)
+            }
+        };
+        Ok(ReadResult {
+            data: &self.read_buf,
+            latency_ns: done - now_ns,
+        })
     }
 
     fn device(&self) -> &NvmDevice {

@@ -13,13 +13,14 @@
 use std::collections::HashMap;
 
 use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
 use dewrite_hashes::{HashAlgorithm, LineHasher};
 use dewrite_mem::Replacement;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
+use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 
@@ -33,11 +34,13 @@ pub struct TraditionalDedup {
     /// Full-width fingerprints per resident line — matches are trusted at
     /// fingerprint width, not confirmed by reading data.
     fingerprints: HashMap<u64, u64>,
-    counters: HashMap<u64, LineCounter>,
+    counters: CounterTable,
     meta_table: MetaTable,
     metrics: BaseMetrics,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
+    /// Scratch plaintext line a [`ReadResult`] borrows.
+    read_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for TraditionalDedup {
@@ -77,10 +80,11 @@ impl TraditionalDedup {
             hasher: algorithm.hasher(),
             index: DedupIndex::new(config.data_lines),
             fingerprints: HashMap::new(),
-            counters: HashMap::new(),
+            counters: CounterTable::new(),
             meta_table,
             metrics: BaseMetrics::default(),
             line_buf: Vec::new(),
+            read_buf: vec![0u8; line_size],
             device,
             config,
         }
@@ -188,9 +192,7 @@ impl SecureMemory for TraditionalDedup {
                     q.done_ns,
                     &mut self.metrics,
                 );
-                let counter = self.counters.entry(target.index()).or_default();
-                let _ = counter.increment();
-                let counter = *counter;
+                let counter = self.counters.bump(target.index());
                 self.metrics.aes_line_ops += 1;
                 self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
                 let enc_done = ctr_acc.done_ns + AES_LINE_LATENCY_NS;
@@ -213,7 +215,7 @@ impl SecureMemory for TraditionalDedup {
         }
     }
 
-    fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult, NvmError> {
+    fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
         self.check_addr(init)?;
         self.metrics.reads += 1;
         let map_acc = self.meta_table.access(
@@ -223,33 +225,38 @@ impl SecureMemory for TraditionalDedup {
             now_ns,
             &mut self.metrics,
         );
-        match self.index.resolve(init) {
+        let done = match self.index.resolve(init) {
             Some(real) => {
                 let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
-                let counter = *self
+                let counter = self
                     .counters
-                    .get(&real.index())
+                    .get(real.index())
                     .expect("resident has counter");
                 // Read-side pad energy is not charged (write-dominated
                 // accounting; see CmeBaseline::read).
                 let pad_done = map_acc.done_ns + AES_LINE_LATENCY_NS;
-                let done = access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS;
-                let data = self.engine.decrypt_line(&ciphertext, real.index(), counter);
-                Ok(ReadResult {
-                    data,
-                    latency_ns: done - now_ns,
-                })
+                self.engine.decrypt_line_into(
+                    ciphertext,
+                    real.index(),
+                    counter,
+                    &mut self.read_buf,
+                );
+                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
             }
             None => {
                 // Never written: logically zero (the home line may hold a
                 // relocated neighbor's ciphertext; never expose it).
-                let (_, access) = self.device.read_line(init, map_acc.done_ns)?;
-                Ok(ReadResult {
-                    data: vec![0u8; self.config.nvm.line_size],
-                    latency_ns: access.slot.finish_ns - now_ns,
-                })
+                self.read_buf.fill(0);
+                self.device
+                    .read_timing(init, map_acc.done_ns)?
+                    .slot
+                    .finish_ns
             }
-        }
+        };
+        Ok(ReadResult {
+            data: &self.read_buf,
+            latency_ns: done - now_ns,
+        })
     }
 
     fn device(&self) -> &NvmDevice {

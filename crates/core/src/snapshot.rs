@@ -30,6 +30,7 @@ use dewrite_crypto::LineCounter;
 use dewrite_hashes::Crc32;
 use dewrite_nvm::LineAddr;
 
+use crate::counters::CounterTable;
 use crate::dedup::DedupIndex;
 
 /// Magic bytes of a snapshot stream.
@@ -76,13 +77,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture the durable state from an index and counter map, stamped
+    /// Capture the durable state from an index and counter table, stamped
     /// with the owning configuration's fingerprint.
-    pub fn capture(
-        index: &DedupIndex,
-        counters: &HashMap<u64, LineCounter>,
-        config_fp: u64,
-    ) -> Self {
+    pub fn capture(index: &DedupIndex, counters: &CounterTable, config_fp: u64) -> Self {
         let mut mappings = Vec::new();
         let mut residents = Vec::new();
         for i in 0..index.lines() {
@@ -94,8 +91,8 @@ impl Snapshot {
                 residents.push((i, digest));
             }
         }
-        let mut counters: Vec<(u64, u32)> = counters.iter().map(|(&l, c)| (l, c.value())).collect();
-        counters.sort_unstable();
+        // The table walks its lines in ascending order: sorted as stored.
+        let counters: Vec<(u64, u32)> = counters.iter().map(|(l, c)| (l, c.value())).collect();
         mappings.sort_unstable();
         residents.sort_unstable();
         Snapshot {
@@ -119,7 +116,7 @@ impl Snapshot {
         }
     }
 
-    /// Rebuild the dedup index and counter map.
+    /// Rebuild the dedup index and counter table.
     ///
     /// The hash table is reconstructed from the resident set: one entry per
     /// resident line, with reference counts recomputed from the mappings —
@@ -129,16 +126,13 @@ impl Snapshot {
     ///
     /// Returns a description of the first inconsistency (mapping to a
     /// non-resident line, out-of-range address).
-    pub fn rebuild(&self) -> Result<(DedupIndex, HashMap<u64, LineCounter>), String> {
+    pub fn rebuild(&self) -> Result<(DedupIndex, CounterTable), String> {
         self.rebuild_with_domains(1)
     }
 
     /// Like [`rebuild`](Self::rebuild) with the configured number of dedup
     /// domains, so the rebuilt index keeps enforcing domain isolation.
-    pub fn rebuild_with_domains(
-        &self,
-        domains: u64,
-    ) -> Result<(DedupIndex, HashMap<u64, LineCounter>), String> {
+    pub fn rebuild_with_domains(&self, domains: u64) -> Result<(DedupIndex, CounterTable), String> {
         let mut index = DedupIndex::with_domains(self.lines, domains.max(1));
         let resident: HashMap<u64, u64> = self.residents.iter().copied().collect();
 
@@ -165,9 +159,14 @@ impl Snapshot {
             .check_invariants()
             .map_err(|e| format!("rebuilt index is inconsistent: {e}"))?;
 
-        let mut counters = HashMap::new();
+        let mut counters = CounterTable::new();
         for &(line, value) in &self.counters {
-            counters.insert(line, LineCounter::from_value(value));
+            // The table is indexed by line: an address outside the index
+            // would size its directory from corrupt input.
+            if line >= self.lines {
+                return Err(format!("counter line {line} out of range"));
+            }
+            counters.set(line, LineCounter::from_value(value));
         }
         Ok((index, counters))
     }
@@ -371,7 +370,7 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    fn sample_index() -> (DedupIndex, HashMap<u64, LineCounter>) {
+    fn sample_index() -> (DedupIndex, CounterTable) {
         let mut idx = DedupIndex::new(16);
         // line 0 stores content A (digest 10), lines 1 and 2 dedup to it;
         // line 3 stores content B (digest 20).
@@ -379,9 +378,9 @@ mod tests {
         idx.apply_duplicate(LineAddr::new(1), LineAddr::new(0));
         idx.apply_duplicate(LineAddr::new(2), LineAddr::new(0));
         idx.apply_store(LineAddr::new(3), 20);
-        let mut counters = HashMap::new();
-        counters.insert(0u64, LineCounter::from_value(5));
-        counters.insert(3u64, LineCounter::from_value(2));
+        let mut counters = CounterTable::new();
+        counters.set(3, LineCounter::from_value(2));
+        counters.set(0, LineCounter::from_value(5));
         (idx, counters)
     }
 
@@ -396,7 +395,9 @@ mod tests {
         assert_eq!(rebuilt.resolve(LineAddr::new(3)), Some(LineAddr::new(3)));
         assert_eq!(rebuilt.reference_of(LineAddr::new(0)), Some(3));
         assert_eq!(rebuilt.digest_of(LineAddr::new(3)), Some(20));
-        assert_eq!(rcounters[&0].value(), 5);
+        assert_eq!(snap.counters, vec![(0, 5), (3, 2)], "sorted wire form");
+        assert_eq!(rcounters.get(0).map(LineCounter::value), Some(5));
+        assert_eq!(rcounters.iter().count(), 2);
         rebuilt.check_invariants().expect("invariants");
     }
 
@@ -505,5 +506,14 @@ mod tests {
             counters: vec![],
         };
         assert!(snap.rebuild().is_err());
+        let snap = Snapshot {
+            config_fp: 0,
+            lines: 4,
+            mappings: vec![],
+            residents: vec![],
+            counters: vec![(1 << 50, 1)],
+        };
+        let err = snap.rebuild().expect_err("counter beyond the index");
+        assert!(err.contains("counter line"), "{err}");
     }
 }

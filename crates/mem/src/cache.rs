@@ -29,6 +29,18 @@
 //! an oracle in [`crate::seed`]): victims are chosen by unique minimum
 //! stamp, so set-internal storage order was never observable.
 //!
+//! # One fill
+//!
+//! A demand [`MetadataCache::insert`] and every key of a
+//! [`MetadataCache::prefetch_run`] go through the same slot fill: one pass
+//! over the set's tag words answers hit / first free way / full, and a full
+//! LRU or FIFO set gives up its minimum stamp through a branch-free
+//! tournament. The run is that fill applied to `start, start + 1, …` in
+//! order — the same keys, clock ticks and victims as a per-key loop, by
+//! construction — with only the per-key overhead hoisted: the set hash
+//! advances by a constant (`hash(k + 1) = hash(k) + C`) and the clock,
+//! population and statistics ride in locals until the run ends.
+//!
 //! # S3-FIFO over the same flat arrays
 //!
 //! [`Replacement::S3Fifo`] adds scan resistance without a second layout.
@@ -239,6 +251,16 @@ struct Way {
     stamp: u64,
 }
 
+/// The counters a fill advances: recency clock, population and
+/// statistics. Kept apart from the arrays so a run fill can carry them in
+/// locals and write them back once ([`MetadataCache::prefetch_run`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    len: usize,
+    clock: u64,
+    stats: CacheStats,
+}
+
 /// Set-associative write-back metadata cache.
 ///
 /// ```
@@ -274,290 +296,278 @@ pub struct MetadataCache {
     /// S3-FIFO only: ways per set the small queue may occupy before
     /// eviction drains it (~1/8 of the set, at least one way).
     small_target: usize,
-    len: usize,
-    clock: u64,
-    stats: CacheStats,
+    tally: Tally,
 }
 
-impl MetadataCache {
-    /// Create an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacity or associativity is zero.
-    pub fn new(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be nonzero");
-        assert!(config.associativity > 0, "associativity must be nonzero");
-        let num_sets = config.num_sets();
-        let slots = num_sets * config.associativity;
-        let tag_words = config.associativity.div_ceil(8);
-        let s3 = config.replacement == Replacement::S3Fifo;
-        MetadataCache {
-            config,
-            ways: vec![Way { key: 0, stamp: 0 }; slots].into_boxed_slice(),
-            flags: vec![0u8; slots].into_boxed_slice(),
-            tags: vec![TAG_EMPTY_WORD; num_sets * tag_words].into_boxed_slice(),
-            tag_words,
-            num_sets,
-            ghosts: vec![0u16; if s3 { slots } else { 0 }].into_boxed_slice(),
-            ghost_cursor: vec![0u16; if s3 { num_sets } else { 0 }].into_boxed_slice(),
-            small_target: (config.associativity / 8).max(1),
-            len: 0,
-            clock: 0,
-            stats: CacheStats::default(),
+/// The per-key step of the set hash: `hash(k + 1) = hash(k) + HASH_STEP`
+/// (wrapping), which is how a run fill walks sequential keys without a
+/// multiply per key.
+const HASH_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Multiplicative hashing spreads sequential keys across sets while
+/// staying deterministic. Bits 32.. pick the set; bits 57.. are the
+/// 7-bit way tag.
+#[inline]
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(HASH_STEP)
+}
+
+/// `(h >> 32) % num_sets`, with the modulo strength-reduced to a mask
+/// for power-of-two set counts (the common geometry — a runtime `div`
+/// costs more than the whole tag scan).
+#[inline]
+fn reduce_set(h: u64, num_sets: usize) -> usize {
+    let idx = (h >> 32) as usize;
+    if num_sets.is_power_of_two() {
+        idx & (num_sets - 1)
+    } else {
+        idx % num_sets
+    }
+}
+
+/// 16-bit ghost fingerprint of a key hash. `0` marks an empty ghost
+/// lane, so the zero fingerprint is folded to 1 (a 2⁻¹⁶ bias, far below
+/// the ring's ambient false-positive rate).
+#[inline]
+fn fingerprint(h: u64) -> u16 {
+    let fp = (h >> 48) as u16;
+    if fp == 0 {
+        1
+    } else {
+        fp
+    }
+}
+
+/// What one pass over a set's tag words says about a key.
+enum Probe {
+    /// Resident at this slot.
+    Hit(usize),
+    /// Absent; this is the set's first never-used way.
+    Free(usize),
+    /// Absent, and every way holds an entry.
+    Full,
+}
+
+/// One pass over `set`'s tag words: the key's slot if resident (one SWAR
+/// compare per eight ways, full key compare only on tag hits; keys are
+/// unique within a set, so any match is the match), else the first
+/// never-used way, else full. Padding lanes are permanently `0x80`, but
+/// they sit above every real way of the last word, so a real free lane is
+/// always found first.
+#[inline(always)]
+fn probe(
+    tags: &[u64],
+    ways: &[Way],
+    (assoc, tag_words): (usize, usize),
+    set: usize,
+    tag: u8,
+    key: u64,
+) -> Probe {
+    let base = set * assoc;
+    let mut free_way = usize::MAX;
+    for (w, &word) in tags[set * tag_words..(set + 1) * tag_words]
+        .iter()
+        .enumerate()
+    {
+        let mut hits = swar_match_lanes(word, tag);
+        while hits != 0 {
+            let lane = (hits.trailing_zeros() >> 3) as usize;
+            hits &= hits - 1;
+            // Exact byte compare from the word already in register
+            // filters SWAR false positives, empty lanes, and padding.
+            if (word >> (lane * 8)) as u8 == tag {
+                let slot = base + w * 8 + lane;
+                if ways[slot].key == key {
+                    return Probe::Hit(slot);
+                }
+            }
+        }
+        let free = word & SWAR_HI;
+        if free != 0 && free_way == usize::MAX {
+            free_way = w * 8 + (free.trailing_zeros() >> 3) as usize;
         }
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
+    if free_way < assoc {
+        Probe::Free(free_way)
+    } else {
+        Probe::Full
     }
+}
 
-    /// Multiplicative hashing spreads sequential keys across sets while
-    /// staying deterministic. Bits 32.. pick the set; bits 57.. are the
-    /// 7-bit way tag.
-    #[inline]
-    fn hash(key: u64) -> u64 {
-        key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
+/// The cache's arrays and geometry, borrowed apart from its [`Tally`]: the
+/// one fill implementation runs over this view, so a demand insert can
+/// count straight into the cache while a run fill counts into locals.
+struct Sets<'a> {
+    ways: &'a mut [Way],
+    flags: &'a mut [u8],
+    tags: &'a mut [u64],
+    ghosts: &'a mut [u16],
+    ghost_cursor: &'a mut [u16],
+    assoc: usize,
+    tag_words: usize,
+    num_sets: usize,
+    small_target: usize,
+    replacement: Replacement,
+}
 
-    /// `(h >> 32) % num_sets`, with the modulo strength-reduced to a mask
-    /// for power-of-two set counts (the common geometry — a runtime `div`
-    /// costs more than the whole tag scan).
-    #[inline]
-    fn reduce_set(h: u64, num_sets: usize) -> usize {
-        let idx = (h >> 32) as usize;
-        if num_sets.is_power_of_two() {
-            idx & (num_sets - 1)
-        } else {
-            idx % num_sets
-        }
-    }
-
-    /// Slot index of `key` within its set, if resident: one SWAR tag-word
-    /// compare per eight ways, full key compare only on tag hits. Keys are
-    /// unique within a set, so any match is the match.
-    #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
-        let h = Self::hash(key);
-        let set = Self::reduce_set(h, self.num_sets);
+impl Sets<'_> {
+    /// The one fill: make `key` (hash `h`) resident, counting into `t`.
+    ///
+    /// A demand fill (`prefetch == false`) of a resident key updates it in
+    /// place, refreshing the policy's reuse signal like a hit would; a
+    /// prefetch fill of a resident key is the policy-aware touch (LRU
+    /// re-stamp, S3-FIFO frequency bump, nothing under FIFO) and arrives
+    /// clean. An absent key takes the set's first never-used way, else the
+    /// policy's victim. Returns the victim if one was evicted.
+    #[inline(always)]
+    fn fill(
+        &mut self,
+        t: &mut Tally,
+        h: u64,
+        key: u64,
+        dirty: bool,
+        prefetch: bool,
+    ) -> Option<Evicted> {
+        let set = reduce_set(h, self.num_sets);
         let tag = (h >> 57) as u8;
-        let base = set * self.config.associativity;
-        let tag_base = set * self.tag_words;
-        let words = &self.tags[tag_base..tag_base + self.tag_words];
-        for (w, &word) in words.iter().enumerate() {
-            let mut hits = swar_match_lanes(word, tag);
-            while hits != 0 {
-                let lane = (hits.trailing_zeros() >> 3) as usize;
-                hits &= hits - 1;
-                // Exact byte compare from the word already in register
-                // filters SWAR false positives, empty lanes, and padding.
-                if (word >> (lane * 8)) as u8 == tag {
-                    let slot = base + w * 8 + lane;
-                    if self.ways[slot].key == key {
-                        return Some(slot);
-                    }
-                }
-            }
-        }
-        None
-    }
+        let base = set * self.assoc;
+        let s3 = self.replacement == Replacement::S3Fifo;
+        let probe = probe(
+            self.tags,
+            self.ways,
+            (self.assoc, self.tag_words),
+            set,
+            tag,
+            key,
+        );
 
-    /// Write `way`'s one-byte tag lane within its set's tag words.
-    #[inline]
-    fn set_tag(&mut self, set: usize, way: usize, tag: u8) {
-        let word = &mut self.tags[set * self.tag_words + way / 8];
-        let shift = (way % 8) * 8;
-        *word = (*word & !(0xFF_u64 << shift)) | (u64::from(tag) << shift);
-    }
-
-    /// Demand lookup. On a hit, refreshes the policy's reuse signal —
-    /// recency under LRU, the capped frequency counter under S3-FIFO,
-    /// nothing under FIFO — and ORs in the `write` dirty bit. Returns
-    /// whether it hit.
-    #[inline]
-    pub fn access(&mut self, key: u64, write: bool) -> bool {
-        self.clock += 1;
-        if let Some(slot) = self.find(key) {
-            match self.config.replacement {
-                Replacement::Lru => self.ways[slot].stamp = self.clock,
-                Replacement::Fifo => {}
-                Replacement::S3Fifo => {
-                    let flag = self.flags[slot];
-                    if flag & FLAG_SMALL != 0 {
-                        self.stats.small_hits += 1;
-                    } else {
-                        self.stats.main_hits += 1;
-                    }
-                    self.flags[slot] = freq_bumped(flag);
-                }
-            }
-            if write {
-                self.flags[slot] |= FLAG_DIRTY;
-            }
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
-        }
-    }
-
-    /// Whether `key` is resident (no statistics side effects).
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// Insert `key` (demand fill). Returns the victim if one was evicted.
-    #[inline]
-    pub fn insert(&mut self, key: u64, dirty: bool) -> Option<Evicted> {
-        self.stats.demand_inserts += 1;
-        self.insert_inner(key, dirty)
-    }
-
-    /// Insert a run of `count` sequential keys starting at `start`
-    /// (prefetch fill; entries arrive clean). The run stops at the top of
-    /// the key space instead of wrapping. Keys already resident get a
-    /// policy-aware touch (LRU re-stamp / S3-FIFO frequency bump) with no
-    /// hit/miss accounting, so a prefetch over a warm run refreshes the
-    /// same reuse signal under every policy. Returns the number of dirty
-    /// victims evicted.
-    pub fn prefetch_run(&mut self, start: u64, count: usize) -> u64 {
-        let mut dirty_victims = 0;
-        for k in 0..count as u64 {
-            let Some(key) = start.checked_add(k) else {
-                break;
-            };
-            if let Some(slot) = self.find(key) {
-                match self.config.replacement {
+        if let Probe::Hit(slot) = probe {
+            if prefetch {
+                match self.replacement {
                     Replacement::Lru => {
-                        self.clock += 1;
-                        self.ways[slot].stamp = self.clock;
+                        t.clock += 1;
+                        self.ways[slot].stamp = t.clock;
                     }
                     Replacement::Fifo => {}
                     Replacement::S3Fifo => self.flags[slot] = freq_bumped(self.flags[slot]),
                 }
             } else {
-                self.stats.prefetch_inserts += 1;
-                if let Some(ev) = self.insert_inner(key, false) {
-                    if ev.dirty {
-                        dirty_victims += 1;
-                    }
+                t.clock += 1;
+                if dirty {
+                    self.flags[slot] |= FLAG_DIRTY;
                 }
-            }
-        }
-        dirty_victims
-    }
-
-    fn insert_inner(&mut self, key: u64, dirty: bool) -> Option<Evicted> {
-        self.clock += 1;
-        let clock = self.clock;
-        let h = Self::hash(key);
-        let set = Self::reduce_set(h, self.num_sets);
-        let tag = (h >> 57) as u8;
-        let assoc = self.config.associativity;
-        let base = set * assoc;
-        let s3 = self.config.replacement == Replacement::S3Fifo;
-
-        if let Some(slot) = self.find(key) {
-            // Already resident: update in place, refreshing the policy's
-            // reuse signal like a hit would.
-            if dirty {
-                self.flags[slot] |= FLAG_DIRTY;
-            }
-            if s3 {
-                self.flags[slot] = freq_bumped(self.flags[slot]);
-            } else {
-                self.ways[slot].stamp = clock;
+                if s3 {
+                    self.flags[slot] = freq_bumped(self.flags[slot]);
+                } else {
+                    self.ways[slot].stamp = t.clock;
+                }
             }
             return None;
         }
+        if prefetch {
+            t.stats.prefetch_inserts += 1;
+        }
+        t.clock += 1;
 
         // S3-FIFO routes a fill whose fingerprint is still remembered in
         // the ghost ring straight to main; everything else starts in small.
         let mut new_flag = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
         if s3 {
-            if self.ghost_take(set, Self::fingerprint(h)) {
-                self.stats.ghost_hits += 1;
+            if self.ghost_take(set, fingerprint(h)) {
+                t.stats.ghost_hits += 1;
             } else {
                 new_flag |= FLAG_SMALL;
             }
         }
 
-        // First never-used way, if any (high tag-lane bit). Padding lanes
-        // are permanently 0x80, but they sit above every real way of the
-        // last word, so real free lanes are found first.
-        let mut empty: Option<usize> = None;
-        'scan: for w in 0..self.tag_words {
-            let mut free = self.tags[set * self.tag_words + w] & SWAR_HI;
-            while free != 0 {
-                let way = w * 8 + (free.trailing_zeros() >> 3) as usize;
-                free &= free - 1;
-                if way < assoc {
-                    empty = Some(way);
-                    break 'scan;
-                }
+        let (slot, evicted) = match probe {
+            Probe::Free(way) => {
+                t.len += 1;
+                (base + way, None)
             }
-        }
-
-        let (way, evicted) = match empty {
-            Some(way) => {
-                self.len += 1;
-                (way, None)
-            }
-            None => {
-                // No empty way means every way is valid; pick the victim by
-                // policy. LRU/FIFO: the (unique) smallest stamp — last touch
-                // under LRU, insertion time under FIFO (stamps are only
-                // refreshed under LRU). S3-FIFO: drain the queues.
+            _ => {
+                // Every way is valid; pick the victim by policy. LRU/FIFO:
+                // the (unique) smallest stamp — last touch under LRU,
+                // insertion time under FIFO (stamps are only refreshed
+                // under LRU). S3-FIFO: drain the queues.
                 let victim = if s3 {
-                    self.s3_evict(set)
-                } else {
-                    let mut victim = base;
-                    for slot in base + 1..base + assoc {
-                        if self.ways[slot].stamp < self.ways[victim].stamp {
-                            victim = slot;
-                        }
-                    }
+                    let (victim, clock, scanned) = self.s3_evict(t.clock, set);
+                    t.clock = clock;
+                    t.stats.scan_evictions += u64::from(scanned);
                     victim
+                } else {
+                    base + self.oldest_way(base)
                 };
                 let was_dirty = self.flags[victim] & FLAG_DIRTY != 0;
-                if was_dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                (
-                    victim - base,
-                    Some(Evicted {
-                        key: self.ways[victim].key,
-                        dirty: was_dirty,
-                    }),
-                )
+                t.stats.dirty_evictions += u64::from(was_dirty);
+                let evicted = Evicted {
+                    key: self.ways[victim].key,
+                    dirty: was_dirty,
+                };
+                (victim, Some(evicted))
             }
         };
-        let slot = base + way;
         // The new entry joins the tail of its queue: promotions inside
-        // `s3_evict` may have advanced the clock past `clock`, so take a
-        // fresh stamp (still strictly monotonic).
-        self.clock += 1;
+        // `s3_evict` may have advanced the clock, so take a fresh stamp
+        // (still strictly monotonic).
+        t.clock += 1;
         self.ways[slot] = Way {
             key,
-            stamp: self.clock,
+            stamp: t.clock,
         };
         self.flags[slot] = new_flag;
-        self.set_tag(set, way, tag);
+        let way = slot - base;
+        let word = &mut self.tags[set * self.tag_words + way / 8];
+        let shift = (way % 8) * 8;
+        *word = (*word & !(0xFF_u64 << shift)) | (u64::from(tag) << shift);
         evicted
     }
 
+    /// The way of the full set at `base` with the smallest stamp, selected
+    /// without a data-dependent branch (which way is oldest is as good as
+    /// random to a predictor) and, eight ways at a time, as a tournament:
+    /// three levels of independent compares instead of a seven-long chain
+    /// of dependent ones. Stamps are unique, so ties never arise.
+    #[inline(always)]
+    fn oldest_way(&self, base: usize) -> usize {
+        #[inline(always)]
+        fn older(a: (u64, usize), b: (u64, usize)) -> (u64, usize) {
+            let take_b = b.0 < a.0;
+            (
+                if take_b { b.0 } else { a.0 },
+                if take_b { b.1 } else { a.1 },
+            )
+        }
+        let (eights, tail) = self.ways[base..base + self.assoc].as_chunks::<8>();
+        let mut best = (u64::MAX, 0usize);
+        for (c, w) in eights.iter().enumerate() {
+            let at = |i: usize| (w[i].stamp, c * 8 + i);
+            let quarter = [
+                older(at(0), at(1)),
+                older(at(2), at(3)),
+                older(at(4), at(5)),
+                older(at(6), at(7)),
+            ];
+            let half = [older(quarter[0], quarter[1]), older(quarter[2], quarter[3])];
+            best = older(best, older(half[0], half[1]));
+        }
+        for (i, w) in tail.iter().enumerate() {
+            best = older(best, (w.stamp, eights.len() * 8 + i));
+        }
+        best.1
+    }
+
     /// Pick the S3-FIFO victim slot in a full `set`, promoting and
-    /// re-queueing along the way.
+    /// re-queueing along the way. Takes the clock and returns it advanced
+    /// (by value, so a run fill's tally never has its address taken), with
+    /// whether the victim left the small queue unpromoted.
     ///
     /// Terminates: every iteration either returns, moves a way out of the
     /// small queue, or decrements a (bounded) frequency counter — at most
     /// `assoc * (FREQ_MAX + 1)` iterations before a zero-frequency head is
     /// found.
-    fn s3_evict(&mut self, set: usize) -> usize {
-        let assoc = self.config.associativity;
+    fn s3_evict(&mut self, mut clock: u64, set: usize) -> (usize, u64, bool) {
+        let assoc = self.assoc;
         let base = set * assoc;
         loop {
             // One pass over the set: small occupancy plus each queue's
@@ -583,46 +593,31 @@ impl MetadataCache {
                     // Frequency restarts at zero so one early burst does
                     // not grant immortality in main.
                     self.flags[slot] &= !(FLAG_SMALL | FREQ_MASK);
-                    self.clock += 1;
-                    self.ways[slot].stamp = self.clock;
+                    clock += 1;
+                    self.ways[slot].stamp = clock;
                     continue;
                 }
                 // One-hit wonder: evict, remembering only the fingerprint.
-                let fp = Self::fingerprint(Self::hash(self.ways[slot].key));
+                let fp = fingerprint(hash(self.ways[slot].key));
                 self.ghost_push(set, fp);
-                self.stats.scan_evictions += 1;
-                return slot;
+                return (slot, clock, true);
             }
             let slot = main_head.expect("full set has a main way here");
             if freq_of(self.flags[slot]) > 0 {
                 // Still hot: spend one frequency unit for another lap.
                 self.flags[slot] -= 1 << FREQ_SHIFT;
-                self.clock += 1;
-                self.ways[slot].stamp = self.clock;
+                clock += 1;
+                self.ways[slot].stamp = clock;
                 continue;
             }
-            return slot;
-        }
-    }
-
-    /// 16-bit ghost fingerprint of a key hash. `0` marks an empty ghost
-    /// lane, so the zero fingerprint is folded to 1 (a 2⁻¹⁶ bias, far below
-    /// the ring's ambient false-positive rate).
-    #[inline]
-    fn fingerprint(h: u64) -> u16 {
-        let fp = (h >> 48) as u16;
-        if fp == 0 {
-            1
-        } else {
-            fp
+            return (slot, clock, false);
         }
     }
 
     /// Remove `fp` from `set`'s ghost ring if present.
     fn ghost_take(&mut self, set: usize, fp: u16) -> bool {
-        let assoc = self.config.associativity;
-        let base = set * assoc;
-        for lane in &mut self.ghosts[base..base + assoc] {
+        let base = set * self.assoc;
+        for lane in &mut self.ghosts[base..base + self.assoc] {
             if *lane == fp {
                 *lane = 0;
                 return true;
@@ -633,10 +628,146 @@ impl MetadataCache {
 
     /// Append `fp` to `set`'s ghost ring, displacing the oldest entry.
     fn ghost_push(&mut self, set: usize, fp: u16) {
-        let assoc = self.config.associativity;
         let cur = usize::from(self.ghost_cursor[set]);
-        self.ghosts[set * assoc + cur] = fp;
-        self.ghost_cursor[set] = ((cur + 1) % assoc) as u16;
+        self.ghosts[set * self.assoc + cur] = fp;
+        self.ghost_cursor[set] = ((cur + 1) % self.assoc) as u16;
+    }
+}
+
+impl MetadataCache {
+    /// Create an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if capacity or associativity is zero.
+    pub fn new(config: CacheConfig) -> Self {
+        assert!(config.capacity > 0, "cache capacity must be nonzero");
+        assert!(config.associativity > 0, "associativity must be nonzero");
+        let num_sets = config.num_sets();
+        let slots = num_sets * config.associativity;
+        let tag_words = config.associativity.div_ceil(8);
+        let s3 = config.replacement == Replacement::S3Fifo;
+        MetadataCache {
+            config,
+            ways: vec![Way { key: 0, stamp: 0 }; slots].into_boxed_slice(),
+            flags: vec![0u8; slots].into_boxed_slice(),
+            tags: vec![TAG_EMPTY_WORD; num_sets * tag_words].into_boxed_slice(),
+            tag_words,
+            num_sets,
+            ghosts: vec![0u16; if s3 { slots } else { 0 }].into_boxed_slice(),
+            ghost_cursor: vec![0u16; if s3 { num_sets } else { 0 }].into_boxed_slice(),
+            small_target: (config.associativity / 8).max(1),
+            tally: Tally::default(),
+        }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &CacheConfig {
+        &self.config
+    }
+
+    /// The arrays as the fill sees them, and the tally beside them.
+    #[inline(always)]
+    fn split(&mut self) -> (Sets<'_>, &mut Tally) {
+        (
+            Sets {
+                ways: &mut self.ways,
+                flags: &mut self.flags,
+                tags: &mut self.tags,
+                ghosts: &mut self.ghosts,
+                ghost_cursor: &mut self.ghost_cursor,
+                assoc: self.config.associativity,
+                tag_words: self.tag_words,
+                num_sets: self.num_sets,
+                small_target: self.small_target,
+                replacement: self.config.replacement,
+            },
+            &mut self.tally,
+        )
+    }
+
+    /// Slot index of `key` within its set, if resident.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let h = hash(key);
+        let set = reduce_set(h, self.num_sets);
+        let geometry = (self.config.associativity, self.tag_words);
+        match probe(&self.tags, &self.ways, geometry, set, (h >> 57) as u8, key) {
+            Probe::Hit(slot) => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// Demand lookup. On a hit, refreshes the policy's reuse signal —
+    /// recency under LRU, the capped frequency counter under S3-FIFO,
+    /// nothing under FIFO — and ORs in the `write` dirty bit. Returns
+    /// whether it hit.
+    #[inline]
+    pub fn access(&mut self, key: u64, write: bool) -> bool {
+        self.tally.clock += 1;
+        if let Some(slot) = self.find(key) {
+            match self.config.replacement {
+                Replacement::Lru => self.ways[slot].stamp = self.tally.clock,
+                Replacement::Fifo => {}
+                Replacement::S3Fifo => {
+                    let flag = self.flags[slot];
+                    if flag & FLAG_SMALL != 0 {
+                        self.tally.stats.small_hits += 1;
+                    } else {
+                        self.tally.stats.main_hits += 1;
+                    }
+                    self.flags[slot] = freq_bumped(flag);
+                }
+            }
+            if write {
+                self.flags[slot] |= FLAG_DIRTY;
+            }
+            self.tally.stats.hits += 1;
+            true
+        } else {
+            self.tally.stats.misses += 1;
+            false
+        }
+    }
+
+    /// Whether `key` is resident (no statistics side effects).
+    #[inline]
+    pub fn contains(&self, key: u64) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// Insert `key` (demand fill). Returns the victim if one was evicted.
+    pub fn insert(&mut self, key: u64, dirty: bool) -> Option<Evicted> {
+        let (mut sets, tally) = self.split();
+        tally.stats.demand_inserts += 1;
+        sets.fill(tally, hash(key), key, dirty, false)
+    }
+
+    /// Insert a run of `count` sequential keys starting at `start`
+    /// (prefetch fill; entries arrive clean). The run stops at the top of
+    /// the key space instead of wrapping. Keys already resident get a
+    /// policy-aware touch (LRU re-stamp / S3-FIFO frequency bump) with no
+    /// hit/miss accounting, so a prefetch over a warm run refreshes the
+    /// same reuse signal under every policy. Returns the number of dirty
+    /// victims evicted.
+    ///
+    /// This is the per-key fill applied to `start, start + 1, …` in order —
+    /// same keys, same clock ticks, same victims — with what a per-key call
+    /// would redo hoisted out: the hash advances by a constant instead of
+    /// a multiply, and clock, population and statistics live in locals
+    /// until the run ends.
+    pub fn prefetch_run(&mut self, start: u64, count: usize) -> u64 {
+        let keys = (count as u64).min((u64::MAX - start).saturating_add(1));
+        let (mut sets, tally) = self.split();
+        let mut t = *tally;
+        let mut h = hash(start);
+        for k in 0..keys {
+            sets.fill(&mut t, h, start + k, false, true);
+            h = h.wrapping_add(HASH_STEP);
+        }
+        let dirty_victims = t.stats.dirty_evictions - tally.stats.dirty_evictions;
+        *tally = t;
+        dirty_victims
     }
 
     /// Clear every dirty bit, returning how many entries were dirty —
@@ -662,17 +793,17 @@ impl MetadataCache {
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.tally.stats
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.tally.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tally.len == 0
     }
 }
 
@@ -1082,6 +1213,142 @@ mod tests {
             c.insert(key, false);
             prop_assert!(c.contains(key));
             prop_assert!(c.access(key, false));
+        }
+    }
+
+    // ---- run fill vs the per-key loop ----------------------------------
+
+    /// What a run fill must equal: the seed oracle's `prefetch_run`, which
+    /// *is* a per-key find-then-insert loop (LRU, FIFO), or — for S3-FIFO,
+    /// which the seed predates — this cache filled one key per call.
+    enum PerKeyOracle {
+        Seed(crate::seed::SeedMetadataCache),
+        OneKeyRuns(MetadataCache),
+    }
+
+    /// Run `$body` on whichever cache the oracle holds (the two types share
+    /// method names, not a trait).
+    macro_rules! on_oracle {
+        ($oracle:expr, $c:ident => $body:expr) => {
+            match $oracle {
+                PerKeyOracle::Seed($c) => $body,
+                PerKeyOracle::OneKeyRuns($c) => $body,
+            }
+        };
+    }
+
+    impl PerKeyOracle {
+        fn new(config: CacheConfig) -> Self {
+            match config.replacement {
+                Replacement::S3Fifo => PerKeyOracle::OneKeyRuns(MetadataCache::new(config)),
+                _ => PerKeyOracle::Seed(crate::seed::SeedMetadataCache::new(config)),
+            }
+        }
+
+        fn dirty(&mut self, key: u64, by_access: bool) {
+            on_oracle!(self, c => if by_access {
+                c.access(key, true);
+            } else {
+                c.insert(key, true);
+            })
+        }
+
+        fn run(&mut self, start: u64, count: usize) -> u64 {
+            match self {
+                PerKeyOracle::Seed(c) => c.prefetch_run(start, count),
+                PerKeyOracle::OneKeyRuns(c) => (0..count as u64)
+                    .map_while(|k| start.checked_add(k))
+                    .map(|key| c.prefetch_run(key, 1))
+                    .sum(),
+            }
+        }
+
+        fn stats_len_dirty(&self) -> (CacheStats, usize, u64) {
+            on_oracle!(self, c => (c.stats(), c.len(), c.dirty_count()))
+        }
+
+        fn dirty_bit(&self, key: u64) -> Option<bool> {
+            on_oracle!(self, c => c.dirty_bit(key))
+        }
+    }
+
+    impl MetadataCache {
+        /// `key`'s dirty bit, or `None` if it is not resident.
+        fn dirty_bit(&self, key: u64) -> Option<bool> {
+            self.find(key)
+                .map(|slot| self.flags[slot] & FLAG_DIRTY != 0)
+        }
+    }
+
+    /// One step of a run-fill script: dirty a few keys (by write hit or by
+    /// dirty demand fill), then fill a run.
+    #[derive(Debug, Clone)]
+    struct RunStep {
+        dirtied: Vec<(u64, bool)>,
+        start: u64,
+        count: usize,
+    }
+
+    fn run_step_strategy() -> impl Strategy<Value = RunStep> {
+        // Starts overlap (warm and dirty-resident runs) and the last arm
+        // clips the run at the top of the key space.
+        let start = prop_oneof![0u64..64, 200u64..520, (0u64..20).prop_map(|k| u64::MAX - k)];
+        let count = prop_oneof![Just(1usize), Just(16), Just(256)];
+        let dirtied = proptest::collection::vec((0u64..520, any::<bool>()), 0..6);
+        (dirtied, start, count).prop_map(|(dirtied, start, count)| RunStep {
+            dirtied,
+            start,
+            count,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn run_fill_matches_seed_oracle(
+            steps in proptest::collection::vec(run_step_strategy(), 1..10),
+            sets in 1usize..5,
+        ) {
+            // At most four sets of at most sixteen ways: a 256-key run comes
+            // back to every set and evicts keys it filled itself.
+            for replacement in Replacement::ALL {
+                for associativity in [1usize, 2, 8, 16] {
+                    let config = CacheConfig {
+                        capacity: sets * associativity,
+                        associativity,
+                        replacement,
+                    };
+                    let mut oracle = PerKeyOracle::new(config);
+                    let mut flat = MetadataCache::new(config);
+                    let mut used = std::collections::BTreeSet::new();
+                    for step in &steps {
+                        for &(key, by_access) in &step.dirtied {
+                            oracle.dirty(key, by_access);
+                            if by_access {
+                                flat.access(key, true);
+                            } else {
+                                flat.insert(key, true);
+                            }
+                            used.insert(key);
+                        }
+                        prop_assert_eq!(
+                            oracle.run(step.start, step.count),
+                            flat.prefetch_run(step.start, step.count)
+                        );
+                        used.extend((0..step.count as u64).map_while(|k| step.start.checked_add(k)));
+                        prop_assert_eq!(
+                            oracle.stats_len_dirty(),
+                            (flat.stats(), flat.len(), flat.dirty_count())
+                        );
+                        for &key in &used {
+                            prop_assert_eq!(
+                                oracle.dirty_bit(key),
+                                flat.dirty_bit(key),
+                                "{:?} key {}", config, key
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -75,8 +75,16 @@ impl SeedMetadataCache {
 
     /// Whether `key` is resident (no statistics side effects).
     pub fn contains(&self, key: u64) -> bool {
+        self.dirty_bit(key).is_some()
+    }
+
+    /// `key`'s dirty bit, or `None` if it is not resident.
+    pub fn dirty_bit(&self, key: u64) -> Option<bool> {
         let set = self.set_of(key);
-        self.sets[set].iter().any(|w| w.key == key)
+        self.sets[set]
+            .iter()
+            .find(|w| w.key == key)
+            .map(|w| w.dirty)
     }
 
     /// Insert `key` (demand fill). Returns the victim if one was evicted.

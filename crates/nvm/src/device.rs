@@ -1,6 +1,4 @@
-//! The NVM device model: sparse line store + banks + wear + energy.
-
-use std::collections::HashMap;
+//! The NVM device model: paged sparse line store + banks + wear + energy.
 
 use crate::bank::{BankSet, BankSlot};
 use crate::config::NvmConfig;
@@ -59,12 +57,37 @@ pub struct Access {
     pub energy_pj: u64,
 }
 
+/// Lines per page of the sparse store's index: a page is materialized by
+/// the first write to any of its lines.
+pub const LINES_PER_PAGE: usize = 64;
+
+/// Lines per chunk of the contents arena (64 KB at 256 B lines).
+const LINES_PER_CHUNK: usize = 256;
+
+/// One page of the store's index: where each of its lines' contents live,
+/// and each line's write count beside that — a write touches the one page
+/// and the one line buffer it fills, and nothing is hashed.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Arena slot of each line's contents, plus one; 0 = no contents yet
+    /// (the line reads as zeros).
+    slot: [u32; LINES_PER_PAGE],
+    /// Writes each line has received.
+    writes: [u64; LINES_PER_PAGE],
+}
+
 /// The simulated NVM DIMM.
 ///
-/// Lines are stored sparsely; unwritten lines read as zeros (fresh PCM).
-/// Every access is scheduled on the owning bank, so callers observe realistic
-/// queueing delays, and every write is charged wear and per-flipped-bit
-/// energy.
+/// Lines are stored sparsely. The index is fixed-size pages of
+/// [`LINES_PER_PAGE`] lines at `addr / LINES_PER_PAGE`, allocated on first
+/// write, under a directory that grows only to the highest page written —
+/// a fresh device of any capacity costs no memory. Contents live in an
+/// append-only arena of fixed-size chunks, one line buffer handed out per
+/// line on its first write, so memory follows the lines actually written,
+/// not the span they are scattered over. Unwritten lines read as zeros
+/// (fresh PCM). Every access is scheduled on the owning bank, so callers
+/// observe realistic queueing delays, and every write is charged wear and
+/// per-flipped-bit energy.
 ///
 /// ```
 /// use dewrite_nvm::{LineAddr, NvmConfig, NvmDevice};
@@ -84,7 +107,12 @@ pub struct Access {
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
     config: NvmConfig,
-    store: HashMap<u64, Box<[u8]>>,
+    /// Page directory; `None` = no line of the page was ever written.
+    pages: Vec<Option<Box<Page>>>,
+    /// The contents arena: chunks of `LINES_PER_CHUNK` line buffers.
+    chunks: Vec<Box<[u8]>>,
+    /// Line buffers handed out so far.
+    slots: u32,
     /// What a never-written line reads as.
     zero_line: Box<[u8]>,
     banks: BankSet,
@@ -108,7 +136,9 @@ impl NvmDevice {
         Ok(NvmDevice {
             zero_line: vec![0u8; config.line_size].into_boxed_slice(),
             config,
-            store: HashMap::new(),
+            pages: Vec::new(),
+            chunks: Vec::new(),
+            slots: 0,
             banks,
             wear: WearTracker::new(),
             energy: EnergyBreakdown::new(),
@@ -144,15 +174,88 @@ impl NvmDevice {
         }
     }
 
+    /// Where `addr` lives: its page's directory index and its line index
+    /// within that page.
+    #[inline]
+    fn locate(addr: LineAddr) -> (usize, usize) {
+        let index = addr.index();
+        (
+            (index / LINES_PER_PAGE as u64) as usize,
+            (index % LINES_PER_PAGE as u64) as usize,
+        )
+    }
+
+    /// The page holding `addr`, if any of its lines was ever written.
+    #[inline]
+    fn page(&self, addr: LineAddr) -> Option<(&Page, usize)> {
+        let (page, line) = Self::locate(addr);
+        Some((self.pages.get(page)?.as_deref()?, line))
+    }
+
+    /// Where arena slot `slot` lives: its chunk and its byte range there.
+    #[inline]
+    fn slot_range(slot: u32, line_size: usize) -> (usize, std::ops::Range<usize>) {
+        let at = slot as usize % LINES_PER_CHUNK * line_size;
+        (slot as usize / LINES_PER_CHUNK, at..at + line_size)
+    }
+
+    /// `addr`'s line buffer and write count, both materialized (zero) if
+    /// the line never had them.
+    fn line_entry_mut(&mut self, addr: LineAddr) -> (&mut [u8], &mut u64) {
+        let (page, line) = Self::locate(addr);
+        if self.pages.len() <= page {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let page = self.pages[page].get_or_insert_with(|| {
+            Box::new(Page {
+                slot: [0; LINES_PER_PAGE],
+                writes: [0; LINES_PER_PAGE],
+            })
+        });
+        if page.slot[line] == 0 {
+            if self.slots as usize == self.chunks.len() * LINES_PER_CHUNK {
+                let chunk = vec![0u8; LINES_PER_CHUNK * self.config.line_size];
+                self.chunks.push(chunk.into_boxed_slice());
+            }
+            self.slots = self
+                .slots
+                .checked_add(1)
+                .expect("fewer than 2^32 lines written");
+            page.slot[line] = self.slots;
+        }
+        let (chunk, range) = Self::slot_range(page.slot[line] - 1, self.config.line_size);
+        (&mut self.chunks[chunk][range], &mut page.writes[line])
+    }
+
     /// The stored contents of `addr`, borrowed, without modeling an access
     /// (no timing, no energy). Unwritten lines read as zeros.
     ///
     /// # Errors
     ///
     /// Fails if `addr` is out of range.
+    #[inline]
     pub fn line(&self, addr: LineAddr) -> Result<&[u8], NvmError> {
         self.check_addr(addr)?;
-        Ok(self.store.get(&addr.index()).unwrap_or(&self.zero_line))
+        Ok(match self.page(addr) {
+            Some((page, line)) if page.slot[line] != 0 => {
+                let (chunk, range) = Self::slot_range(page.slot[line] - 1, self.config.line_size);
+                &self.chunks[chunk][range]
+            }
+            _ => &self.zero_line,
+        })
+    }
+
+    /// The stored contents of `addr`, mutable, without modeling an access:
+    /// no timing, no energy, no wear, no write counted. This is the array
+    /// changing underneath the controller (fault injection: a stuck cell,
+    /// an undetected disturb), not a write the controller issued.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `addr` is out of range.
+    pub fn line_mut(&mut self, addr: LineAddr) -> Result<&mut [u8], NvmError> {
+        self.check_addr(addr)?;
+        Ok(self.line_entry_mut(addr).0)
     }
 
     /// [`line`](Self::line), copied out.
@@ -164,16 +267,15 @@ impl NvmDevice {
         self.line(addr).map(<[u8]>::to_vec)
     }
 
-    /// Read a line, arriving at the controller at `now_ns`.
+    /// Model a read of `addr` arriving at the controller at `now_ns` —
+    /// bank scheduling, row-buffer state, energy, the read count — without
+    /// handing out the contents: metadata fetches (whose entries live in
+    /// controller structures) and probes of never-written lines.
     ///
     /// # Errors
     ///
     /// Fails if `addr` is out of range.
-    pub fn read_line(
-        &mut self,
-        addr: LineAddr,
-        now_ns: u64,
-    ) -> Result<(Vec<u8>, Access), NvmError> {
+    pub fn read_timing(&mut self, addr: LineAddr, now_ns: u64) -> Result<Access, NvmError> {
         self.check_addr(addr)?;
         let (slot, row_hit) = self.banks.schedule_row(
             addr.index(),
@@ -189,15 +291,22 @@ impl NvmDevice {
         };
         self.energy.nvm_read_pj += energy;
         self.reads += 1;
-        let data = self.peek_line(addr)?;
-        Ok((
-            data,
-            Access {
-                slot,
-                bits_flipped: 0,
-                energy_pj: energy,
-            },
-        ))
+        Ok(Access {
+            slot,
+            bits_flipped: 0,
+            energy_pj: energy,
+        })
+    }
+
+    /// Read a line, arriving at the controller at `now_ns`: the stored
+    /// contents, borrowed, with the access they cost.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `addr` is out of range.
+    pub fn read_line(&mut self, addr: LineAddr, now_ns: u64) -> Result<(&[u8], Access), NvmError> {
+        let access = self.read_timing(addr, now_ns)?;
+        Ok((self.line(addr)?, access))
     }
 
     /// Write a full line; bits programmed are computed against the current
@@ -246,13 +355,12 @@ impl NvmDevice {
         let energy = self.config.energy.write_energy_pj(bits_flipped);
         self.energy.nvm_write_pj += energy;
         self.writes += 1;
+        let (line, writes) = self.line_entry_mut(addr);
+        line.copy_from_slice(data);
+        *writes += 1;
+        let line_writes = *writes;
         self.wear
-            .record_write(addr, bits_flipped, self.config.line_bits());
-        // An overwrite reuses the line's allocation.
-        self.store
-            .entry(addr.index())
-            .and_modify(|line| line.copy_from_slice(data))
-            .or_insert_with(|| data.into());
+            .record_write(line_writes, bits_flipped, self.config.line_bits());
         Ok(Access {
             slot,
             bits_flipped,
@@ -263,6 +371,11 @@ impl NvmDevice {
     /// Wear statistics accumulated so far.
     pub fn wear(&self) -> &WearTracker {
         &self.wear
+    }
+
+    /// Writes `addr` has received.
+    pub fn line_writes(&self, addr: LineAddr) -> u64 {
+        self.page(addr).map_or(0, |(page, line)| page.writes[line])
     }
 
     /// Array energy accumulated so far.
@@ -291,9 +404,10 @@ impl NvmDevice {
         self.writes
     }
 
-    /// Number of lines currently backed by storage.
+    /// Number of lines holding written contents (distinct lines ever
+    /// written; an exact counter, not a walk).
     pub fn lines_in_use(&self) -> usize {
-        self.store.len()
+        self.wear.distinct_lines_written()
     }
 
     /// Bank set (for utilization reporting).
@@ -398,6 +512,72 @@ mod tests {
         assert_eq!(d.reads(), 1);
         assert_eq!(d.writes(), 1);
         assert_eq!(d.lines_in_use(), 1);
+    }
+
+    #[test]
+    fn paper_sized_device_is_sparse_end_to_end() {
+        // 64 Mi lines: construction allocates nothing per line, and the
+        // first and last line can both be written.
+        let mut d = NvmDevice::new(NvmConfig::paper()).unwrap();
+        assert_eq!(d.lines_in_use(), 0);
+        let last = LineAddr::new(d.config().num_lines() - 1);
+        let line = vec![0x5Au8; 256];
+        d.write_line(LineAddr::new(0), &line, 0).unwrap();
+        d.write_line(last, &line, 0).unwrap();
+        d.write_line(last, &line, 1_000).unwrap();
+        assert_eq!(d.lines_in_use(), 2);
+        assert_eq!(d.wear().distinct_lines_written(), 2);
+        assert_eq!(d.wear().max_line_writes(), 2);
+        assert_eq!(d.wear().total_line_writes(), 3);
+        assert_eq!(d.line_writes(LineAddr::new(0)), 1);
+        assert_eq!(d.line_writes(last), 2);
+        assert_eq!(d.line(last).unwrap(), line);
+        // Zeros everywhere else: page neighbours, a page never touched,
+        // and the line just below the last page.
+        for other in [1, LINES_PER_PAGE as u64, 1 << 20, last.index() - 1] {
+            let other = LineAddr::new(other);
+            assert!(d.line(other).unwrap().iter().all(|&b| b == 0), "{other}");
+            assert_eq!(d.line_writes(other), 0, "{other}");
+        }
+    }
+
+    #[test]
+    fn line_mut_changes_contents_and_nothing_else() {
+        let mut d = device();
+        let line = vec![0x11u8; 256];
+        d.write_line(LineAddr::new(3), &line, 0).unwrap();
+        let (writes, reads, energy) = (d.writes(), d.reads(), *d.energy());
+        d.line_mut(LineAddr::new(3)).unwrap()[0] ^= 0xFF;
+        // A never-written line can be disturbed too; it stays "not in use".
+        d.line_mut(LineAddr::new(700)).unwrap()[5] = 9;
+        assert_eq!(d.line(LineAddr::new(3)).unwrap()[0], 0xEE);
+        assert_eq!(d.line(LineAddr::new(700)).unwrap()[5], 9);
+        assert_eq!(
+            (d.writes(), d.reads(), *d.energy()),
+            (writes, reads, energy)
+        );
+        assert_eq!(d.wear().total_line_writes(), 1);
+        assert_eq!(d.lines_in_use(), 1);
+        assert_eq!(d.line_writes(LineAddr::new(700)), 0);
+        assert!(d.line_mut(LineAddr::new(d.config().num_lines())).is_err());
+    }
+
+    #[test]
+    fn timing_only_read_is_the_read_without_the_bytes() {
+        let mut a = device();
+        let mut b = device();
+        let line = vec![3u8; 256];
+        for d in [&mut a, &mut b] {
+            d.write_line(LineAddr::new(8), &line, 0).unwrap();
+        }
+        for (addr, now) in [(8, 400), (8, 420), (9, 430), (8 + 64, 500)] {
+            let addr = LineAddr::new(addr);
+            let timed = a.read_timing(addr, now).unwrap();
+            let (_, full) = b.read_line(addr, now).unwrap();
+            assert_eq!(timed, full);
+        }
+        assert_eq!(a.reads(), b.reads());
+        assert_eq!(a.energy(), b.energy());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! This crate is the bottom substrate of the DeWrite reproduction: a
 //! trace-driven PCM-like main memory with
 //!
-//! * **sparse line storage** — 16 GB address space, lines materialized on
-//!   first write, unwritten lines reading as zeros ([`NvmDevice`]);
+//! * **sparse line storage** — 16 GB address space, pages of lines
+//!   materialized on first write, unwritten lines reading as zeros
+//!   ([`NvmDevice`]);
 //! * **bank-level contention** — each access occupies its (line-interleaved)
 //!   bank for the device service time, and later arrivals queue
 //!   ([`Bank`], [`BankSet`]); this queueing is what duplicate-write
@@ -16,8 +17,9 @@
 //!   its hierarchical successor: chunked bitmaps under per-chunk free
 //!   counters with caller-owned reserved chunks and wear-aware rotation
 //!   ([`FsmTree`]), the allocation substrate of the sharded engine;
-//! * **wear tracking** — per-line write counts and programmed-bit counts
-//!   ([`WearTracker`]) for the endurance results;
+//! * **wear tracking** — per-line write counts beside the lines, running
+//!   totals, maximum and programmed-bit counts ([`WearTracker`]) for the
+//!   endurance results;
 //! * **energy accounting** — per-flipped-bit write energy and a bucketed
 //!   breakdown across NVM array / AES circuit / dedup logic
 //!   ([`EnergyParams`], [`EnergyBreakdown`]).
@@ -52,7 +54,7 @@ mod wearlevel;
 
 pub use bank::{Bank, BankSet, BankSlot};
 pub use config::NvmConfig;
-pub use device::{Access, NvmDevice, NvmError};
+pub use device::{Access, NvmDevice, NvmError, LINES_PER_PAGE};
 pub use energy::{EnergyBreakdown, EnergyParams};
 pub use fsm_atomic::AtomicBitmap;
 pub use fsm_tree::{

@@ -253,7 +253,7 @@ impl DurableDeWrite {
     /// # Errors
     ///
     /// [`PersistError::Memory`] for address rejections.
-    pub fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult, PersistError> {
+    pub fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, PersistError> {
         self.mem
             .read(addr, now_ns)
             .map_err(|e| PersistError::Memory(e.to_string()))

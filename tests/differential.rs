@@ -82,7 +82,7 @@ proptest! {
                 Op::Read { addr } => {
                     let mut results: Vec<Vec<u8>> = Vec::new();
                     for mem in mems.iter_mut() {
-                        results.push(mem.read(LineAddr::new(*addr), t).expect("read").data);
+                        results.push(mem.read(LineAddr::new(*addr), t).expect("read").data.to_vec());
                     }
                     for (i, r) in results.iter().enumerate().skip(1) {
                         prop_assert_eq!(
@@ -99,7 +99,7 @@ proptest! {
         for addr in 0..LINES {
             let mut results: Vec<Vec<u8>> = Vec::new();
             for mem in mems.iter_mut() {
-                results.push(mem.read(LineAddr::new(addr), t).expect("read").data);
+                results.push(mem.read(LineAddr::new(addr), t).expect("read").data.to_vec());
             }
             for r in results.iter().skip(1) {
                 prop_assert_eq!(r, &results[0]);
