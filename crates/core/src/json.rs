@@ -712,6 +712,167 @@ mod tests {
     }
 
     #[test]
+    fn histogram_import_rejects_buckets_past_the_last() {
+        let mut h = LatencyHistogram::new();
+        h.record(10);
+        let Json::Obj(mut pairs) = hist_to_json(&h) else {
+            unreachable!()
+        };
+        for (k, v) in &mut pairs {
+            if k == "buckets" {
+                *v = Json::Arr(vec![Json::Arr(vec![num(60_000), num(1)])]);
+            }
+        }
+        let err = hist_from_json(&Json::Obj(pairs)).unwrap_err();
+        assert!(err.contains("past the last bucket"), "{err}");
+    }
+
+    /// The sparse histogram the JSON form was defined against: an ordered
+    /// bucket map beside the summary, with its own copies of the bucketing
+    /// functions.
+    #[derive(Default, PartialEq)]
+    struct SparseModel {
+        stats: LatencyStats,
+        buckets: std::collections::BTreeMap<u16, u64>,
+    }
+
+    impl SparseModel {
+        fn bucket_of(ns: u64) -> u16 {
+            if ns < 16 {
+                ns as u16
+            } else {
+                let major = 63 - ns.leading_zeros() as u16;
+                (major - 3) * 16 + ((ns >> (major - 4)) & 15) as u16
+            }
+        }
+
+        fn lower_bound(bucket: u16) -> u64 {
+            if bucket < 16 {
+                u64::from(bucket)
+            } else {
+                (16 + u64::from(bucket) % 16) << (u32::from(bucket) / 16 - 1)
+            }
+        }
+
+        fn record(&mut self, ns: u64) {
+            self.stats.record(ns);
+            *self.buckets.entry(Self::bucket_of(ns)).or_insert(0) += 1;
+        }
+
+        fn merge(&mut self, other: &SparseModel) {
+            self.stats.merge(&other.stats);
+            for (&bucket, &n) in &other.buckets {
+                *self.buckets.entry(bucket).or_insert(0) += n;
+            }
+        }
+
+        fn percentile(&self, p: f64) -> u64 {
+            let count = self.stats.count();
+            if count == 0 {
+                return 0;
+            }
+            let rank = ((p / 100.0 * count as f64).ceil() as u64).max(1);
+            if rank >= count {
+                return self.stats.max_ns();
+            }
+            let mut seen = 0;
+            for (&bucket, &n) in &self.buckets {
+                seen += n;
+                if seen >= rank {
+                    return Self::lower_bound(bucket)
+                        .max(self.stats.min_ns())
+                        .min(self.stats.max_ns());
+                }
+            }
+            self.stats.max_ns()
+        }
+
+        fn to_json(&self) -> Json {
+            let Json::Obj(mut pairs) = lat_to_json(&self.stats) else {
+                unreachable!()
+            };
+            for (name, p) in [("p50_ns", 50.0), ("p95_ns", 95.0), ("p99_ns", 99.0)] {
+                pairs.push((name.into(), num(self.percentile(p))));
+            }
+            let buckets = self.buckets.iter();
+            pairs.push((
+                "buckets".into(),
+                Json::Arr(
+                    buckets
+                        .map(|(&b, &c)| Json::Arr(vec![num(u64::from(b)), num(c)]))
+                        .collect(),
+                ),
+            ));
+            Json::Obj(pairs)
+        }
+    }
+
+    /// One step of a histogram script over two histograms.
+    #[derive(Debug, Clone)]
+    enum HistOp {
+        Record(usize, u64),
+        /// Merge the other histogram into this one.
+        Merge(usize),
+        /// Rebuild this one from its own parts, padded with zero counts.
+        Reimport(usize),
+    }
+
+    fn hist_op_strategy() -> impl proptest::strategy::Strategy<Value = HistOp> {
+        use proptest::prelude::*;
+        let ns = || prop_oneof![0u64..40, 0u64..100_000, (0u32..40).prop_map(|s| 1u64 << s)];
+        prop_oneof![
+            (0usize..2, ns()).prop_map(|(h, ns)| HistOp::Record(h, ns)),
+            (0usize..2, ns()).prop_map(|(h, ns)| HistOp::Record(h, ns)),
+            (0usize..2).prop_map(HistOp::Merge),
+            (0usize..2).prop_map(HistOp::Reimport),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn dense_histogram_matches_sparse_model(
+            ops in proptest::collection::vec(hist_op_strategy(), 0..24)
+        ) {
+            let mut dense = [LatencyHistogram::new(), LatencyHistogram::new()];
+            let mut model = [SparseModel::default(), SparseModel::default()];
+            for op in ops {
+                match op {
+                    HistOp::Record(h, ns) => {
+                        dense[h].record(ns);
+                        model[h].record(ns);
+                    }
+                    HistOp::Merge(h) => {
+                        let other = dense[1 - h].clone();
+                        dense[h].merge(&other);
+                        let other = std::mem::take(&mut model[1 - h]);
+                        model[h].merge(&other);
+                        model[1 - h] = other;
+                    }
+                    HistOp::Reimport(h) => {
+                        let padded: Vec<_> = dense[h]
+                            .bucket_counts()
+                            .flat_map(|(b, n)| [(b, n), (b + 1, 0)])
+                            .collect();
+                        dense[h] = LatencyHistogram::from_parts(dense[h].stats(), padded).unwrap();
+                    }
+                }
+                for (d, m) in dense.iter().zip(&model) {
+                    let sparse: Vec<_> = m.buckets.iter().map(|(&b, &n)| (b, n)).collect();
+                    proptest::prop_assert_eq!(d.bucket_counts().collect::<Vec<_>>(), sparse);
+                    for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+                        proptest::prop_assert_eq!(d.percentile_ns(p), m.percentile(p));
+                    }
+                    proptest::prop_assert_eq!(
+                        hist_to_json(d).to_string(),
+                        m.to_json().to_string()
+                    );
+                }
+                proptest::prop_assert_eq!(dense[0] == dense[1], model[0] == model[1]);
+            }
+        }
+    }
+
+    #[test]
     fn empty_report_round_trips() {
         let r = RunReport::default();
         let back = RunReport::from_json(&r.to_json()).unwrap();

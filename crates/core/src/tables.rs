@@ -35,6 +35,7 @@
 //! The seed map-backed implementations are retained in [`crate::seed`] as
 //! oracles for differential tests and the `hotpath` speedup baseline.
 
+use dewrite_mem::hint;
 use dewrite_nvm::LineAddr;
 
 /// Saturation limit of the 8-bit reference field. Lines that reach it are
@@ -329,6 +330,25 @@ impl HashTable {
         }
     }
 
+    /// Host-side hint that `digest` is about to be probed, inserted or
+    /// released: start fetching its home group's control bytes and, with
+    /// `slots`, the group's slot lines too (a probe or a release reads the
+    /// matching slot; an insert only writes one). Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, digest: u64, slots: bool) {
+        let (_, g) = self.tag_and_start(digest);
+        hint::prefetch_read(&self.ctrl[g * GROUP]);
+        if slots {
+            let group = &self.slots[g * GROUP..(g + 1) * GROUP];
+            // A line holds two and two-thirds 24-byte slots: every other
+            // slot lands on each line, the last covers a straddle.
+            for slot in group.iter().step_by(2) {
+                hint::prefetch_read(slot);
+            }
+            hint::prefetch_read(&group[GROUP - 1]);
+        }
+    }
+
     /// `slot`'s bucket in seed order, borrowed as `(reals, refs)`: a
     /// one-entry bucket is its slot's inline fields, a larger one its side
     /// bucket.
@@ -599,12 +619,30 @@ impl HashTable {
 
     /// Delete entry `index` of `slot`'s bucket — `swap_remove`, the seed's
     /// own step — folding a bucket back into its slot when one entry is
-    /// left and tombstoning the slot when none is.
+    /// left and freeing the slot when none is.
+    ///
+    /// A freed slot goes back to never-used when its group still has a
+    /// never-used lane: groups are aligned and a lane only returns to
+    /// never-used here, so such a group has had one since the last rehash,
+    /// every probe that reached it stopped in it, and nothing was ever
+    /// placed past it — no chain runs through the lane. A group that has
+    /// been full keeps its tombstones until a rehash, as probes may have
+    /// passed. Without this, insert/delete churn at constant population
+    /// eats never-used lanes until a same-size purge rehash.
     fn remove_at(&mut self, slot: usize, index: usize) {
         self.entries -= 1;
         let s = self.slots[slot];
         if !s.spilled {
-            self.ctrl[slot] = CTRL_DELETED;
+            let has_empty = self
+                .group_words(slot / GROUP)
+                .iter()
+                .any(|&w| swar_empty_bits(w) != 0);
+            if has_empty {
+                self.ctrl[slot] = CTRL_EMPTY;
+                self.used -= 1;
+            } else {
+                self.ctrl[slot] = CTRL_DELETED;
+            }
             self.live -= 1;
             return;
         }
@@ -834,7 +872,7 @@ impl AddrMapTable {
 
 /// The realAddr → digest table for stale-hash cleaning.
 ///
-/// Dense `Box<[u32]>` indexed by `LineAddr` with a presence bitmap, like
+/// Dense `Box<[u64]>` indexed by `LineAddr` with a presence bitmap, like
 /// [`AddrMapTable`].
 #[derive(Debug, Clone)]
 pub struct InvertedTable {
@@ -860,6 +898,15 @@ impl InvertedTable {
             Some(self.digest[idx as usize])
         } else {
             None
+        }
+    }
+
+    /// Host-side hint that `real`'s row is about to be read or written.
+    /// Changes nothing; an out-of-range `real` is ignored.
+    #[inline]
+    pub fn prefetch(&self, real: LineAddr) {
+        if let Some(row) = self.digest.get(real.index() as usize) {
+            hint::prefetch_read(row);
         }
     }
 
@@ -1119,6 +1166,44 @@ mod tests {
             t.insert(7, l(i));
         }
         assert_eq!(t.candidates(7).len(), 20);
+    }
+
+    #[test]
+    fn churn_at_constant_population_never_forces_a_purge_rehash() {
+        // 1 000 live digests; each pair inserts a fresh one and releases a
+        // random live one. Tombstoning every freed slot walks `used` up to
+        // the 7/8 threshold and purges every few ten thousand pairs.
+        const LIVE: u64 = 1_000;
+        let digest = |i: u64| i.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 7;
+        let mut t = HashTable::new();
+        let mut live: Vec<u64> = (0..LIVE).collect();
+        for &i in &live {
+            t.insert(digest(i), l(i));
+        }
+        let slots = t.ctrl.len();
+        let mut x = 0x1234_5678_9abc_def0u64;
+        for i in LIVE..LIVE + 200_000 {
+            t.insert(digest(i), l(i));
+            live.push(i);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let gone = live.swap_remove((x % live.len() as u64) as usize);
+            assert_eq!(t.release_reference(digest(gone), l(gone)), 0);
+            assert_eq!(t.reference(digest(gone), l(gone)), None);
+            assert_eq!(t.ctrl.len(), slots, "pair {i}: table resized");
+            assert!(
+                (t.used + 1) * 8 <= slots * 7,
+                "pair {i}: {} of {slots} slots used, the next insert purges",
+                t.used
+            );
+            if i % 1_000 == 0 {
+                for &kept in &live {
+                    assert_eq!(t.reference(digest(kept), l(kept)), Some(1), "pair {i}");
+                }
+            }
+        }
+        assert_eq!(t.len(), LIVE as usize);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! word-by-word, so its own `allocate` picks different lines; it serves
 //! as an *occupancy* oracle instead, mirroring whatever line the
 //! lock-free structures chose.
+//!
+//! The last property pins the owner (`&mut self`) entry points to the
+//! shared (`&self`) ones: one script through both legs of each structure
+//! must leave no observable difference.
 
 use dewrite_core::tables::FreeSpaceTable;
 use dewrite_nvm::{AtomicBitmap, FsmTree, LineAddr, Reservation};
@@ -175,5 +179,59 @@ proptest! {
             prop_assert!(copy.is_free(line), "clone shares state with original");
             prop_assert_eq!(copy.free_lines(), tree.free_lines() + 1);
         }
+    }
+
+    // The owner entry points run the shared ones' algorithm with a plain
+    // load + store where those use a `fetch_*`: one script through both
+    // legs must claim the same line every time and leave the same
+    // occupancy, free counts and allocator counters.
+    #[test]
+    fn owner_ops_match_shared_ops(
+        ops in proptest::collection::vec(op_strategy(), 1..400)
+    ) {
+        let (shared_home, mut owner_home) = (FsmTree::new(LINES), FsmTree::new(LINES));
+        let (shared_wear, mut owner_wear) = (FsmTree::new(LINES), FsmTree::new(LINES));
+        let (mut shared_r, mut owner_r) = (Reservation::new(), Reservation::new());
+        let (shared_flat, mut owner_flat) = (AtomicBitmap::new(LINES), AtomicBitmap::new(LINES));
+        for op in &ops {
+            match *op {
+                // `occupy` has no owner twin (the shard never claims a
+                // named line); it sets up identical occupancy on both.
+                FsmOp::Occupy(line) => {
+                    for tree in [&shared_home, &owner_home, &shared_wear, &owner_wear] {
+                        tree.occupy(line);
+                    }
+                    shared_flat.occupy(line);
+                    owner_flat.occupy(line);
+                }
+                FsmOp::Release(line) => {
+                    prop_assert_eq!(shared_home.release(line), owner_home.release_mut(line));
+                    prop_assert_eq!(shared_wear.release(line), owner_wear.release_mut(line));
+                    prop_assert_eq!(shared_flat.release(line), owner_flat.release_mut(line));
+                }
+                FsmOp::Allocate(home) => {
+                    prop_assert_eq!(shared_home.allocate(home), owner_home.allocate_mut(home));
+                    prop_assert_eq!(
+                        shared_wear.allocate_reserved(&mut shared_r),
+                        owner_wear.allocate_reserved_mut(&mut owner_r)
+                    );
+                    prop_assert_eq!(shared_flat.allocate(home), owner_flat.allocate_mut(home));
+                }
+            }
+        }
+        shared_wear.drain_reservation_stats(&mut shared_r);
+        owner_wear.drain_reservation_stats(&mut owner_r);
+        for (shared, owner) in [(&shared_home, &owner_home), (&shared_wear, &owner_wear)] {
+            prop_assert_eq!(shared.free_lines(), owner.free_lines());
+            prop_assert_eq!(shared.occupied(), owner.occupied());
+            prop_assert_eq!(shared.stats(), owner.stats());
+            for chunk in 0..shared.chunks() {
+                prop_assert_eq!(shared.chunk_free_lines(chunk), owner.chunk_free_lines(chunk));
+                prop_assert_eq!(shared.chunk_allocs(chunk), owner.chunk_allocs(chunk));
+            }
+        }
+        prop_assert_eq!(shared_r.chunk(), owner_r.chunk());
+        prop_assert_eq!(shared_flat.free_lines(), owner_flat.free_lines());
+        prop_assert_eq!(shared_flat.occupied(), owner_flat.occupied());
     }
 }

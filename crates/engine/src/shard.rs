@@ -11,16 +11,25 @@
 //! * an **address map** + **colocated CME counters**, sharded by line
 //!   address — every write resolves on one shard because allocation is
 //!   home-local;
-//! * a lock-free free-space map — the hierarchical [`FsmTree`] by default
+//! * a free-space map — the hierarchical [`FsmTree`] by default
 //!   (per-chunk counters skip drained regions; placement-identical to the
 //!   flat scan), the flat [`AtomicBitmap`] as differential oracle, or the
-//!   reservation + wear-rotation mode, selected by [`FsmPolicy`];
+//!   reservation + wear-rotation mode, selected by [`FsmPolicy`] — driven
+//!   through the maps' owner (`&mut self`) entry points, so a claim or a
+//!   release is plain loads and stores, never an atomic read-modify-write;
 //! * a metadata cache and a 3-bit [`HistoryPredictor`].
 //!
-//! All methods take `&mut self`: concurrency comes from shard ownership
-//! (one exclusive controller per worker thread), never shared mutation, so
-//! a shard's final state — and its [`RunReport`] — is a pure function of
-//! its input feed.
+//! All methods take `&mut self`: concurrency comes from shard ownership,
+//! never shared mutation — whoever runs a shard holds it exclusively for
+//! the call (`run()`'s one worker thread per shard; `EngineService`'s
+//! submitter under the shard's `Mutex`) — so a shard's final state, and
+//! its [`RunReport`], is a pure function of its input feed. That
+//! exclusivity is load-bearing: the owner-mode free-space operations are
+//! only sound because `&mut self` proves nobody else can reach the map.
+//!
+//! [`ShardController::write`] also issues the shard's prefetch schedule:
+//! side-effect-free hints for the lines the commit is known to need,
+//! placed a digest or an encryption ahead of their use (DESIGN.md §9).
 
 pub use dewrite_core::tables::MAX_CANDIDATE_COMPARES;
 use dewrite_core::tables::{HashTable, InvertedTable, OpenEntry, MAX_REFERENCE};
@@ -31,7 +40,7 @@ use dewrite_core::{
 use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
 use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
 use dewrite_mem::{
-    CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
+    hint, CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
 };
 use dewrite_nvm::{
     AtomicBitmap, EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr, Reservation,
@@ -86,18 +95,21 @@ impl ShardFsm {
         }
     }
 
+    // Claims and releases go through the maps' owner (`&mut`) entry
+    // points: the shard is the only thing that can reach its map, so it
+    // pays for no atomic read-modify-write.
     fn allocate(&mut self, home: u64) -> Option<u64> {
         match self {
-            ShardFsm::Flat(b) => b.allocate(home),
-            ShardFsm::Tree(t) => t.allocate(home),
-            ShardFsm::TreeWear(t, r) => t.allocate_reserved(r),
+            ShardFsm::Flat(b) => b.allocate_mut(home),
+            ShardFsm::Tree(t) => t.allocate_mut(home),
+            ShardFsm::TreeWear(t, r) => t.allocate_reserved_mut(r),
         }
     }
 
-    fn release(&self, line: u64) -> bool {
+    fn release(&mut self, line: u64) -> bool {
         match self {
-            ShardFsm::Flat(b) => b.release(line),
-            ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.release(line),
+            ShardFsm::Flat(b) => b.release_mut(line),
+            ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.release_mut(line),
         }
     }
 
@@ -801,6 +813,43 @@ impl ShardController {
         }
     }
 
+    /// First half of a write's hint schedule, issued a whole digest ahead
+    /// of use: load `addr`'s current mapping and start fetching the old
+    /// slot's inverted row (the release reads it) and — when a store is
+    /// predicted — what the commit will touch at the home slot, which
+    /// allocation almost always hands back: its ciphertext lines (the
+    /// bit-flip count reads them), its counter and its inverted row.
+    /// Hints only; returns the old slot for the second half.
+    #[inline]
+    fn hint_before_digest(&self, addr: LineAddr, predicted_dup: bool) -> Option<u64> {
+        let old = self.mapped_slot(addr);
+        let home = (!predicted_dup).then(|| self.home_slot(addr));
+        if let Some(home) = home {
+            hint::prefetch_read_bytes(&self.store[self.slot_range(home)]);
+            hint::prefetch_read(&self.counters[home as usize]);
+            self.inverted.prefetch(LineAddr::new(home));
+        }
+        if let Some(old) = old.filter(|&old| Some(old) != home) {
+            self.inverted.prefetch(LineAddr::new(old));
+        }
+        old
+    }
+
+    /// Second half, issued once the digest is known and ahead of the
+    /// encryption or verify: the metadata-cache set, the new digest's index
+    /// group (control bytes for the insert a store ends in, slots too for
+    /// the probe a predicted duplicate starts with) and the old digest's
+    /// group, slots included, for the release.
+    #[inline]
+    fn hint_after_digest(&self, digest: u64, old: Option<u64>, predicted_dup: bool) {
+        self.meta.prefetch(digest);
+        self.hash.prefetch(digest, predicted_dup);
+        let old_digest = old.and_then(|old| self.inverted.digest_of(LineAddr::new(old)));
+        if let Some(old_digest) = old_digest {
+            self.hash.prefetch(old_digest, true);
+        }
+    }
+
     /// Accept one write of a full line at `addr` (which must belong to this
     /// shard), preceded by `gap` instructions.
     ///
@@ -824,15 +873,20 @@ impl ShardController {
         self.instructions += u64::from(gap) + 1;
         self.base.writes += 1;
 
+        // The prediction depends on past writes only; taking it first lets
+        // the hint schedule know whether this write will probe or store.
+        let predicted_dup = self.predictor.predict_duplicate();
+        let old_slot = self.hint_before_digest(addr, predicted_dup);
+
         // Stage 1: fingerprint.
         let digest_cost = self.digest_cost();
         let digest_ns = digest_cost.latency_ns;
         let digest = self.compute_digest(data);
         self.base.hash_ops += 1;
         self.energy.dedup_pj += digest_cost.energy_pj;
+        self.hint_after_digest(digest, old_slot, predicted_dup);
 
-        // Stage 2: predict, then probe the hash-store cache.
-        let predicted_dup = self.predictor.predict_duplicate();
+        // Stage 2: probe the hash-store cache.
         let cache_hit = self.meta.access(digest, false);
         let probe_ns = if cache_hit {
             META_NS

@@ -59,6 +59,8 @@
 //! repeatedly-hit entries survive long sequential sweeps that flush an LRU
 //! set end to end.
 
+use crate::hint;
+
 /// Replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Replacement {
@@ -734,6 +736,25 @@ impl MetadataCache {
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
         self.find(key).is_some()
+    }
+
+    /// Host-side hint that `key` is about to be looked up or filled: start
+    /// fetching its set's tag words, way lines and first flag byte. Moves
+    /// no statistic, clock or recency state — unrelated to
+    /// [`prefetch_run`](Self::prefetch_run), which models the controller's
+    /// own sequential fills.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        let set = reduce_set(hash(key), self.num_sets);
+        let assoc = self.config.associativity;
+        let base = set * assoc;
+        hint::prefetch_read(&self.tags[set * self.tag_words]);
+        // Four 16-byte ways per line; the last way covers a straddle.
+        for way in (0..assoc).step_by(4) {
+            hint::prefetch_read(&self.ways[base + way]);
+        }
+        hint::prefetch_read(&self.ways[base + assoc - 1]);
+        hint::prefetch_read(&self.flags[base]);
     }
 
     /// Insert `key` (demand fill). Returns the victim if one was evicted.

@@ -12,6 +12,8 @@
 //!   of Fig. 17.
 //! * [`LatencyStats`] — streaming latency summaries used for the read/write
 //!   speedup figures.
+//! * [`hint`] — the safe cache-line prefetch hint the host-side hot paths
+//!   issue ahead of known-needed lines (the crate's only `unsafe` block).
 //!
 //! # Example
 //!
@@ -26,12 +28,13 @@
 //! assert!(cache.access(1234, false));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod core_model;
 mod hierarchy;
+pub mod hint;
 #[doc(hidden)]
 pub mod seed;
 mod stats;

@@ -117,8 +117,12 @@ impl std::fmt::Display for LatencyStats {
 /// Observations are binned logarithmically: one major bucket per power of
 /// two, subdivided into 16 linear sub-buckets, so every bucket spans at most
 /// 1/16 (6.25%) of its lower bound. Values below 16 ns get exact buckets.
-/// The bucket map is sparse and ordered, so histograms are deterministic,
-/// cheap to merge, and round-trip exactly through serialization.
+/// Counts sit in a dense array indexed by bucket id (at most 976 of
+/// them, under 8 KB), grown to the highest bucket seen and
+/// never longer — the last element is never zero, so equal histograms are
+/// equal arrays. Recording is an index and an increment, merging an
+/// element-wise add; the serialized form stays the sparse, ordered
+/// `(bucket, count)` list and round-trips exactly.
 ///
 /// ```
 /// use dewrite_mem::LatencyHistogram;
@@ -134,11 +138,15 @@ impl std::fmt::Display for LatencyStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     stats: LatencyStats,
-    buckets: std::collections::BTreeMap<u16, u64>,
+    /// Count per bucket id; empty or ending in a nonzero count.
+    buckets: Vec<u64>,
 }
 
 /// Linear sub-buckets per power-of-two major bucket.
 const SUB_BUCKETS: u64 = 16;
+
+/// Bucket ids in use: `bucket_of(u64::MAX) + 1`.
+const BUCKETS: usize = (63 - 3) * SUB_BUCKETS as usize + SUB_BUCKETS as usize;
 
 fn bucket_of(ns: u64) -> u16 {
     if ns < SUB_BUCKETS {
@@ -167,30 +175,62 @@ impl LatencyHistogram {
     }
 
     /// Reassemble a histogram from a summary and its sparse bucket counts
-    /// (JSON import). Bucket counts must sum to the summary's count.
+    /// (JSON import). Bucket counts must sum to the summary's count;
+    /// zero counts are dropped, so the result is canonical whatever the
+    /// exporter wrote.
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when they do not.
+    /// Returns a description of the problem when a bucket id is past the
+    /// last real bucket or the counts do not add up.
     pub fn from_parts(
         stats: LatencyStats,
         buckets: impl IntoIterator<Item = (u16, u64)>,
     ) -> Result<Self, String> {
-        let buckets: std::collections::BTreeMap<u16, u64> = buckets.into_iter().collect();
-        let total: u64 = buckets.values().sum();
+        let mut h = LatencyHistogram {
+            stats,
+            buckets: Vec::new(),
+        };
+        let mut total = 0u64;
+        for (bucket, n) in buckets {
+            if usize::from(bucket) >= BUCKETS {
+                return Err(format!(
+                    "histogram bucket {bucket} is past the last bucket {}",
+                    BUCKETS - 1
+                ));
+            }
+            total = total
+                .checked_add(n)
+                .ok_or("histogram bucket counts overflow")?;
+            if n > 0 {
+                *h.bucket_mut(bucket) += n;
+            }
+        }
         if total != stats.count() {
             return Err(format!(
                 "histogram buckets hold {total} observations, summary says {}",
                 stats.count()
             ));
         }
-        Ok(LatencyHistogram { stats, buckets })
+        Ok(h)
+    }
+
+    /// `bucket`'s count, growing the array to reach it. Callers add a
+    /// nonzero amount, which keeps the last element nonzero.
+    #[inline]
+    fn bucket_mut(&mut self, bucket: u16) -> &mut u64 {
+        let bucket = usize::from(bucket);
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
+        &mut self.buckets[bucket]
     }
 
     /// Record one observation.
+    #[inline]
     pub fn record(&mut self, ns: u64) {
         self.stats.record(ns);
-        *self.buckets.entry(bucket_of(ns)).or_insert(0) += 1;
+        *self.bucket_mut(bucket_of(ns)) += 1;
     }
 
     /// The streaming summary (count / total / min / max).
@@ -211,7 +251,11 @@ impl LatencyHistogram {
     /// The occupied buckets as `(bucket, count)` pairs in ascending bucket
     /// order (serialization; exact round-trip via [`from_parts`](Self::from_parts)).
     pub fn bucket_counts(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (b, c))
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n != 0)
+            .map(|(b, &n)| (b as u16, n))
     }
 
     /// The latency at or below which `p` percent of observations fall
@@ -228,7 +272,7 @@ impl LatencyHistogram {
             return self.stats.max_ns();
         }
         let mut seen = 0;
-        for (&bucket, &n) in &self.buckets {
+        for (bucket, n) in self.bucket_counts() {
             seen += n;
             if seen >= rank {
                 // Exact at the extremes, bucket lower bound in between.
@@ -258,8 +302,11 @@ impl LatencyHistogram {
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.stats.merge(&other.stats);
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += n;
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
     }
 }
@@ -419,6 +466,35 @@ mod tests {
         assert_eq!(rebuilt, h);
         // Mismatched counts are rejected.
         assert!(LatencyHistogram::from_parts(h.stats(), [(0u16, 1u64)]).is_err());
+    }
+
+    #[test]
+    fn histogram_import_rejects_unreal_buckets_and_drops_zero_counts() {
+        assert_eq!(usize::from(bucket_of(u64::MAX)), BUCKETS - 1);
+        let last = (BUCKETS - 1) as u16;
+        let mut h = LatencyHistogram::new();
+        h.record(u64::MAX);
+        h.record(0);
+        assert_eq!(
+            LatencyHistogram::from_parts(h.stats(), [(0, 1), (last, 1)]).unwrap(),
+            h
+        );
+        for bucket in [last + 1, u16::MAX] {
+            let err = LatencyHistogram::from_parts(h.stats(), [(0, 1), (bucket, 1)]).unwrap_err();
+            assert!(err.contains("past the last bucket"), "{err}");
+        }
+        // Zero-count entries — even past the data's last bucket — leave no
+        // trace: the import equals the recorded histogram and re-exports
+        // the canonical pairs.
+        let padded =
+            LatencyHistogram::from_parts(h.stats(), [(0, 1), (3, 0), (500, 0), (last, 1)]).unwrap();
+        assert_eq!(padded, h);
+        let mut low = LatencyHistogram::new();
+        low.record(20);
+        let padded = LatencyHistogram::from_parts(low.stats(), [(20, 1), (last, 0)]).unwrap();
+        assert_eq!(padded, low);
+        assert_eq!(padded.bucket_counts().collect::<Vec<_>>(), [(20, 1)]);
+        assert!(LatencyHistogram::from_parts(h.stats(), [(1, u64::MAX), (2, 3)]).is_err());
     }
 
     proptest! {

@@ -12,13 +12,68 @@
 //! caller-provided *home* line and scans outward (wrapping) from it, so
 //! dedup relocation keeps its locality even under concurrency.
 //!
-//! The map is safe to share across threads (`&self` everywhere); exclusive
-//! owners pay only uncontended atomic RMWs.
+//! The map is safe to share across threads through its `&self` methods.
+//! An exclusive owner calls the `&mut self` twins ([`AtomicBitmap::allocate_mut`],
+//! [`AtomicBitmap::release_mut`]) instead: the same algorithm body, with
+//! every lock-prefixed read-modify-write replaced by a plain load and
+//! store (see [`Leaf`]). An uncontended `lock` RMW is not free — it also
+//! drains the store buffer, so the caller's own still-missing stores
+//! become a stall.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Bits per bitmap word.
 const WORD_BITS: u64 = 64;
+
+/// How a free-space operation performs its read-modify-writes — the one
+/// place the shared and the owner entry points of [`AtomicBitmap`] and
+/// [`FsmTree`](crate::FsmTree) differ. Every operation has a single body,
+/// generic over its leaf; each method returns the previous value, like the
+/// `fetch_*` it stands for.
+pub(crate) trait Leaf {
+    fn and(word: &AtomicU64, mask: u64, order: Ordering) -> u64;
+    fn or(word: &AtomicU64, mask: u64, order: Ordering) -> u64;
+    fn add(counter: &AtomicU64, n: u64, order: Ordering) -> u64;
+    fn sub(counter: &AtomicU64, n: u64, order: Ordering) -> u64;
+    fn add32(counter: &AtomicU32, n: u32, order: Ordering) -> u32;
+    fn sub32(counter: &AtomicU32, n: u32, order: Ordering) -> u32;
+}
+
+/// The `&self` leg: atomic `fetch_*`, correct under any sharing.
+pub(crate) struct Shared;
+
+/// The `&mut self` leg: a relaxed load and a relaxed store. Not atomic as
+/// a pair, and does not need to be — only `&mut self` methods name this
+/// leaf, and a `&mut` borrow proves no other thread can reach the map.
+pub(crate) struct Owner;
+
+macro_rules! leaf_ops {
+    ($($name:ident($atomic:ty, $int:ty): $fetch:ident, $plain:expr;)*) => {
+        impl Leaf for Shared {
+            $(#[inline(always)]
+            fn $name(a: &$atomic, v: $int, order: Ordering) -> $int {
+                a.$fetch(v, order)
+            })*
+        }
+        impl Leaf for Owner {
+            $(#[inline(always)]
+            fn $name(a: &$atomic, v: $int, _: Ordering) -> $int {
+                let prev = a.load(Ordering::Relaxed);
+                a.store($plain(prev, v), Ordering::Relaxed);
+                prev
+            })*
+        }
+    };
+}
+
+leaf_ops! {
+    and(AtomicU64, u64): fetch_and, |p, v| p & v;
+    or(AtomicU64, u64): fetch_or, |p, v| p | v;
+    add(AtomicU64, u64): fetch_add, u64::wrapping_add;
+    sub(AtomicU64, u64): fetch_sub, u64::wrapping_sub;
+    add32(AtomicU32, u32): fetch_add, u32::wrapping_add;
+    sub32(AtomicU32, u32): fetch_sub, u32::wrapping_sub;
+}
 
 /// A concurrent free-space bitmap over `lines` slots (`1` bit = free).
 #[derive(Debug)]
@@ -96,11 +151,29 @@ impl AtomicBitmap {
     ///
     /// Panics if `line` is out of range.
     pub fn release(&self, line: u64) -> bool {
+        self.release_with::<Shared>(line)
+    }
+
+    /// [`release`](Self::release) for an exclusive owner: no atomic RMW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    pub fn release_mut(&mut self, line: u64) -> bool {
+        self.release_with::<Owner>(line)
+    }
+
+    #[inline(always)]
+    fn release_with<L: Leaf>(&self, line: u64) -> bool {
         assert!(line < self.lines, "line {line} out of range {}", self.lines);
         let mask = 1u64 << (line % WORD_BITS);
-        let prev = self.words[(line / WORD_BITS) as usize].fetch_or(mask, Ordering::AcqRel);
+        let prev = L::or(
+            &self.words[(line / WORD_BITS) as usize],
+            mask,
+            Ordering::AcqRel,
+        );
         if prev & mask == 0 {
-            self.free_count.fetch_add(1, Ordering::AcqRel);
+            L::add(&self.free_count, 1, Ordering::AcqRel);
             true
         } else {
             false
@@ -116,6 +189,21 @@ impl AtomicBitmap {
     ///
     /// Panics if `home` is out of range.
     pub fn allocate(&self, home: u64) -> Option<u64> {
+        self.allocate_with::<Shared>(home)
+    }
+
+    /// [`allocate`](Self::allocate) for an exclusive owner: same scan,
+    /// same placement, no atomic RMW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is out of range.
+    pub fn allocate_mut(&mut self, home: u64) -> Option<u64> {
+        self.allocate_with::<Owner>(home)
+    }
+
+    #[inline(always)]
+    fn allocate_with<L: Leaf>(&self, home: u64) -> Option<u64> {
         assert!(home < self.lines, "home {home} out of range {}", self.lines);
         let nwords = self.words.len();
         let home_word = (home / WORD_BITS) as usize;
@@ -140,9 +228,9 @@ impl AtomicBitmap {
                     word.trailing_zeros()
                 } as u64;
                 let mask = 1u64 << bit;
-                let prev = self.words[wi].fetch_and(!mask, Ordering::AcqRel);
+                let prev = L::and(&self.words[wi], !mask, Ordering::AcqRel);
                 if prev & mask != 0 {
-                    self.free_count.fetch_sub(1, Ordering::AcqRel);
+                    L::sub(&self.free_count, 1, Ordering::AcqRel);
                     return Some(wi as u64 * WORD_BITS + bit);
                 }
                 // Lost the race for this bit; retry on the fresh view.

@@ -47,12 +47,21 @@
 //! merged simulated `RunReport` stays bit-identical; the differential
 //! proptests in `dewrite-core` pin the property.
 //!
-//! All methods take `&self` and are lock-free; exclusive owners pay only
-//! uncontended atomic RMWs.
+//! # Shared and owner entry points
+//!
+//! The `&self` methods are lock-free and safe under any sharing. A caller
+//! that owns the tree outright — an engine shard — uses the `&mut self`
+//! twins ([`FsmTree::allocate_mut`], [`FsmTree::release_mut`],
+//! [`FsmTree::allocate_reserved_mut`]): each operation has one algorithm
+//! body, generic over the [`Leaf`] that performs its read-modify-writes,
+//! and the owner leaf is a plain load and store where the shared one is a
+//! `fetch_*`. Same scan, same placement, same counters; what goes is the
+//! seven lock-prefixed instructions of a release + claim, each of which
+//! also drains the caller's store buffer.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::fsm_atomic::AtomicBitmap;
+use crate::fsm_atomic::{AtomicBitmap, Leaf, Owner, Shared};
 
 /// Bits per bitmap word.
 const WORD_BITS: u64 = 64;
@@ -157,7 +166,7 @@ pub struct FsmTree {
     chunk_allocs: Box<[AtomicU32]>,
     /// Rotating refill cursor: ties between equally-worn candidate chunks
     /// break toward the next position, cycling placement over the device.
-    rotation: AtomicUsize,
+    rotation: AtomicU64,
     lines: u64,
     stats: AtomicStats,
 }
@@ -190,7 +199,7 @@ impl FsmTree {
             words,
             chunk_free,
             chunk_allocs,
-            rotation: AtomicUsize::new(0),
+            rotation: AtomicU64::new(0),
             lines,
             stats: AtomicStats::default(),
         }
@@ -250,7 +259,7 @@ impl FsmTree {
         let mask = 1u64 << (line % WORD_BITS);
         let prev = self.words[(line / WORD_BITS) as usize].fetch_and(!mask, Ordering::AcqRel);
         if prev & mask != 0 {
-            self.note_claim((line / CHUNK_LINES) as usize, 1);
+            self.note_claim::<Shared>((line / CHUNK_LINES) as usize, 1);
             true
         } else {
             false
@@ -265,11 +274,33 @@ impl FsmTree {
     ///
     /// Panics if `line` is out of range.
     pub fn release(&self, line: u64) -> bool {
+        self.release_with::<Shared>(line)
+    }
+
+    /// [`release`](Self::release) for an exclusive owner: no atomic RMW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    pub fn release_mut(&mut self, line: u64) -> bool {
+        self.release_with::<Owner>(line)
+    }
+
+    #[inline(always)]
+    fn release_with<L: Leaf>(&self, line: u64) -> bool {
         assert!(line < self.lines, "line {line} out of range {}", self.lines);
         let mask = 1u64 << (line % WORD_BITS);
-        let prev = self.words[(line / WORD_BITS) as usize].fetch_or(mask, Ordering::AcqRel);
+        let prev = L::or(
+            &self.words[(line / WORD_BITS) as usize],
+            mask,
+            Ordering::AcqRel,
+        );
         if prev & mask == 0 {
-            self.chunk_free[(line / CHUNK_LINES) as usize].fetch_add(1, Ordering::AcqRel);
+            L::add32(
+                &self.chunk_free[(line / CHUNK_LINES) as usize],
+                1,
+                Ordering::AcqRel,
+            );
             true
         } else {
             false
@@ -277,18 +308,20 @@ impl FsmTree {
     }
 
     /// Book-keeping for one successful word claim in `chunk`.
-    fn note_claim(&self, chunk: usize, steps: u64) {
-        self.chunk_free[chunk].fetch_sub(1, Ordering::AcqRel);
-        self.chunk_allocs[chunk].fetch_add(1, Ordering::Relaxed);
-        self.stats.claims.fetch_add(1, Ordering::Relaxed);
-        self.stats.scan_steps.fetch_add(steps, Ordering::Relaxed);
+    #[inline(always)]
+    fn note_claim<L: Leaf>(&self, chunk: usize, steps: u64) {
+        L::sub32(&self.chunk_free[chunk], 1, Ordering::AcqRel);
+        L::add32(&self.chunk_allocs[chunk], 1, Ordering::Relaxed);
+        L::add(&self.stats.claims, 1, Ordering::Relaxed);
+        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
     }
 
     /// Try to claim the lowest free bit in `words[wi]`, preferring bits at
     /// or after `min_bit` first when `min_bit > 0` (the flat bitmap's
     /// home-word protocol, reproduced exactly). A lost race reloads the
     /// same word; returns `None` once the word is exhausted.
-    fn claim_in_word(&self, wi: usize, min_bit: u64) -> Option<u64> {
+    #[inline(always)]
+    fn claim_in_word<L: Leaf>(&self, wi: usize, min_bit: u64) -> Option<u64> {
         let mut word = self.words[wi].load(Ordering::Acquire);
         loop {
             if word == 0 {
@@ -305,7 +338,7 @@ impl FsmTree {
                 word.trailing_zeros()
             } as u64;
             let mask = 1u64 << bit;
-            let prev = self.words[wi].fetch_and(!mask, Ordering::AcqRel);
+            let prev = L::and(&self.words[wi], !mask, Ordering::AcqRel);
             if prev & mask != 0 {
                 return Some(wi as u64 * WORD_BITS + bit);
             }
@@ -325,6 +358,21 @@ impl FsmTree {
     ///
     /// Panics if `home` is out of range.
     pub fn allocate(&self, home: u64) -> Option<u64> {
+        self.allocate_with::<Shared>(home)
+    }
+
+    /// [`allocate`](Self::allocate) for an exclusive owner: same scan,
+    /// same placement, same counters, no atomic RMW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is out of range.
+    pub fn allocate_mut(&mut self, home: u64) -> Option<u64> {
+        self.allocate_with::<Owner>(home)
+    }
+
+    #[inline(always)]
+    fn allocate_with<L: Leaf>(&self, home: u64) -> Option<u64> {
         assert!(home < self.lines, "home {home} out of range {}", self.lines);
         let nchunks = self.chunks();
         let home_word = (home / WORD_BITS) as usize;
@@ -339,8 +387,8 @@ impl FsmTree {
             for wi in home_word..(home_chunk + 1) * CHUNK_WORDS {
                 steps += 1;
                 let min_bit = if wi == home_word { home_bit } else { 0 };
-                if let Some(line) = self.claim_in_word(wi, min_bit) {
-                    self.note_claim(home_chunk, steps + 1);
+                if let Some(line) = self.claim_in_word::<L>(wi, min_bit) {
+                    self.note_claim::<L>(home_chunk, steps + 1);
                     return Some(line);
                 }
             }
@@ -358,8 +406,8 @@ impl FsmTree {
             }
             for wi in ci * CHUNK_WORDS..(ci + 1) * CHUNK_WORDS {
                 steps += 1;
-                if let Some(line) = self.claim_in_word(wi, 0) {
-                    self.note_claim(ci, steps + 1);
+                if let Some(line) = self.claim_in_word::<L>(wi, 0) {
+                    self.note_claim::<L>(ci, steps + 1);
                     return Some(line);
                 }
             }
@@ -370,21 +418,22 @@ impl FsmTree {
         if self.chunk_free[home_chunk].load(Ordering::Acquire) > 0 {
             for wi in home_chunk * CHUNK_WORDS..home_word {
                 steps += 1;
-                if let Some(line) = self.claim_in_word(wi, 0) {
-                    self.note_claim(home_chunk, steps + 1);
+                if let Some(line) = self.claim_in_word::<L>(wi, 0) {
+                    self.note_claim::<L>(home_chunk, steps + 1);
                     return Some(line);
                 }
             }
         }
-        self.stats.scan_steps.fetch_add(steps, Ordering::Relaxed);
+        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
         None
     }
 
     /// Claim the lowest free line of `chunk`, if any.
-    fn claim_in_chunk(&self, chunk: usize, steps: &mut u64) -> Option<u64> {
+    #[inline(always)]
+    fn claim_in_chunk<L: Leaf>(&self, chunk: usize, steps: &mut u64) -> Option<u64> {
         for wi in chunk * CHUNK_WORDS..(chunk + 1) * CHUNK_WORDS {
             *steps += 1;
-            if let Some(line) = self.claim_in_word(wi, 0) {
+            if let Some(line) = self.claim_in_word::<L>(wi, 0) {
                 return Some(line);
             }
         }
@@ -396,9 +445,9 @@ impl FsmTree {
     /// cursor. Falls back to stealing the globally fullest (most-free)
     /// chunk when nothing comfortable is left. Returns
     /// `(chunk, was_steal)`, or `None` when every counter reads zero.
-    fn pick_refill(&self, steps: &mut u64) -> Option<(usize, bool)> {
+    fn pick_refill<L: Leaf>(&self, steps: &mut u64) -> Option<(usize, bool)> {
         let nchunks = self.chunks();
-        let start = self.rotation.fetch_add(1, Ordering::Relaxed) % nchunks;
+        let start = (L::add(&self.rotation, 1, Ordering::Relaxed) % nchunks as u64) as usize;
         let mut best: Option<(u32, usize)> = None; // (wear bucket, chunk)
         let mut fullest: Option<(u32, usize)> = None; // (free, chunk)
         for step in 0..nchunks {
@@ -436,6 +485,17 @@ impl FsmTree {
     /// Placement is wear-rotation order, **not** home order — callers that
     /// need the flat bitmap's placement use [`FsmTree::allocate`].
     pub fn allocate_reserved(&self, r: &mut Reservation) -> Option<u64> {
+        self.allocate_reserved_with::<Shared>(r)
+    }
+
+    /// [`allocate_reserved`](Self::allocate_reserved) for an exclusive
+    /// owner: same refills, same placement, same counters, no atomic RMW.
+    pub fn allocate_reserved_mut(&mut self, r: &mut Reservation) -> Option<u64> {
+        self.allocate_reserved_with::<Owner>(r)
+    }
+
+    #[inline(always)]
+    fn allocate_reserved_with<L: Leaf>(&self, r: &mut Reservation) -> Option<u64> {
         let mut steps = 0u64;
         loop {
             if let Some(ci) = r.chunk {
@@ -443,14 +503,14 @@ impl FsmTree {
                     // Budget spent: retire the chunk so churn rotates even
                     // when frees keep it non-empty.
                     r.chunk = None;
-                } else if let Some(line) = self.claim_in_chunk(ci, &mut steps) {
+                } else if let Some(line) = self.claim_in_chunk::<L>(ci, &mut steps) {
                     r.budget -= 1;
                     // Chunk-local counters only: under a reservation these
                     // cache lines belong to this caller, so the hot claim
                     // touches nothing shared. Global stats accumulate in
                     // the handle and flush at the next (rare) refill.
-                    self.chunk_free[ci].fetch_sub(1, Ordering::AcqRel);
-                    self.chunk_allocs[ci].fetch_add(1, Ordering::Relaxed);
+                    L::sub32(&self.chunk_free[ci], 1, Ordering::AcqRel);
+                    L::add32(&self.chunk_allocs[ci], 1, Ordering::Relaxed);
                     r.pending_claims += 1;
                     r.pending_steps += steps + 1;
                     return Some(line);
@@ -459,18 +519,18 @@ impl FsmTree {
                 }
             }
             if r.chunk.is_none() {
-                self.drain_reservation_stats(r);
-                match self.pick_refill(&mut steps) {
+                self.drain_reservation_stats_with::<L>(r);
+                match self.pick_refill::<L>(&mut steps) {
                     Some((ci, stole)) => {
                         r.chunk = Some(ci);
                         r.budget = 1u32 << WEAR_BUCKET_SHIFT;
-                        self.stats.refills.fetch_add(1, Ordering::Relaxed);
+                        L::add(&self.stats.refills, 1, Ordering::Relaxed);
                         if stole {
-                            self.stats.steals.fetch_add(1, Ordering::Relaxed);
+                            L::add(&self.stats.steals, 1, Ordering::Relaxed);
                         }
                     }
                     None => {
-                        self.stats.scan_steps.fetch_add(steps, Ordering::Relaxed);
+                        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
                         return None;
                     }
                 }
@@ -483,16 +543,16 @@ impl FsmTree {
     /// refill and at exhaustion; call it when a caller retires its handle
     /// so the final partial batch is counted.
     pub fn drain_reservation_stats(&self, r: &mut Reservation) {
+        self.drain_reservation_stats_with::<Shared>(r);
+    }
+
+    fn drain_reservation_stats_with<L: Leaf>(&self, r: &mut Reservation) {
         if r.pending_claims > 0 {
-            self.stats
-                .claims
-                .fetch_add(r.pending_claims, Ordering::Relaxed);
+            L::add(&self.stats.claims, r.pending_claims, Ordering::Relaxed);
             r.pending_claims = 0;
         }
         if r.pending_steps > 0 {
-            self.stats
-                .scan_steps
-                .fetch_add(r.pending_steps, Ordering::Relaxed);
+            L::add(&self.stats.scan_steps, r.pending_steps, Ordering::Relaxed);
             r.pending_steps = 0;
         }
     }
@@ -589,7 +649,7 @@ impl Clone for FsmTree {
                 .iter()
                 .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
                 .collect(),
-            rotation: AtomicUsize::new(self.rotation.load(Ordering::Relaxed)),
+            rotation: AtomicU64::new(self.rotation.load(Ordering::Relaxed)),
             lines: self.lines,
             stats: AtomicStats::default(),
         }
@@ -614,10 +674,13 @@ mod tests {
     fn placement_matches_flat_bitmap_under_churn() {
         // The tree's home mode must pick the exact line the flat bitmap
         // picks, claim for claim, under an interleaved occupy/release/
-        // allocate script spanning several chunks.
+        // allocate script spanning several chunks — and so must the owner
+        // (`&mut`) entry points of both.
         let lines = 3 * CHUNK_LINES + 77;
         let flat = AtomicBitmap::new(lines);
         let tree = FsmTree::new(lines);
+        let mut flat_owner = AtomicBitmap::new(lines);
+        let mut tree_owner = FsmTree::new(lines);
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -633,6 +696,8 @@ mod tests {
                     let a = flat.allocate(home);
                     let b = tree.allocate(home);
                     assert_eq!(a, b, "round {round}: home {home} placement diverged");
+                    assert_eq!(a, flat_owner.allocate_mut(home), "round {round}");
+                    assert_eq!(a, tree_owner.allocate_mut(home), "round {round}");
                     if let Some(line) = a {
                         held.push(line);
                     }
@@ -642,11 +707,14 @@ mod tests {
                         let line = held.swap_remove((rng() % held.len() as u64) as usize);
                         assert!(flat.release(line));
                         assert!(tree.release(line));
+                        assert!(flat_owner.release_mut(line));
+                        assert!(tree_owner.release_mut(line));
                     }
                 }
                 _ => {
                     let line = rng() % lines;
                     assert_eq!(flat.occupy(line), tree.occupy(line));
+                    assert_eq!(flat_owner.occupy(line), tree_owner.occupy(line));
                     if flat.is_free(line) {
                         // occupy failed on both; nothing to track
                     } else if !held.contains(&line) {
@@ -657,6 +725,9 @@ mod tests {
             assert_eq!(flat.free_lines(), tree.free_lines(), "round {round}");
         }
         assert_eq!(flat.occupied(), tree.occupied());
+        assert_eq!(flat.occupied(), flat_owner.occupied());
+        assert_eq!(tree.occupied(), tree_owner.occupied());
+        assert_eq!(tree.stats(), tree_owner.stats());
     }
 
     #[test]
