@@ -5,15 +5,30 @@
 //! run the identical schedule) and the decryption keys are derived with
 //! `AESIMC` (equivalent inverse cipher), mirroring the T-table backend.
 //!
-//! This module is the only `unsafe` code in the crate. Safety rests on one
-//! invariant: [`Aes128Ni::new`] is only called after
-//! `is_x86_feature_detected!("aes")` has confirmed the instructions exist
-//! (the dispatcher in `dispatch.rs` enforces this).
+//! The counter-mode pad ([`Aes128Ni::ctr_xor`]) has two legs that make the
+//! same bytes. The 8-lane leg walks eight blocks in eight xmm registers
+//! through the rounds side by side. Where the CPU also has `vaes` and
+//! `avx512f`, whole 256-byte steps take the VAES-512 leg instead: one
+//! `VAESENC` on a zmm register runs a round of four blocks, so four
+//! registers carry sixteen blocks — a 256 B line — through the ten rounds
+//! in forty instructions where the 8-lane leg issues a hundred and sixty;
+//! whatever is left over goes to the 8-lane leg. Which legs a cipher has is
+//! decided once, when it is built.
+//!
+//! This module is the only `unsafe` code in the crate, and its interface
+//! is safe. Safety rests on two invariants this file alone can break: an
+//! [`Aes128Ni`] exists only if [`Aes128Ni::new`] found the `aes` feature
+//! (its fields are private and `new` is the one constructor), and its
+//! `wide` flag is set only there, from `new`'s own detection of `vaes` +
+//! `avx512f`.
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_loadu_si128, _mm_set_epi32, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_aesenc_epi128, _mm512_aesenclast_epi128,
+    _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_set_epi32, _mm512_storeu_si512,
+    _mm512_xor_si512, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128,
+    _mm_aesenclast_si128, _mm_aesimc_si128, _mm_loadu_si128, _mm_set_epi32, _mm_storeu_si128,
+    _mm_xor_si128,
 };
 
 use crate::aes::expand_key;
@@ -23,6 +38,9 @@ use crate::aes::expand_key;
 pub(crate) struct Aes128Ni {
     enc: [__m128i; 11],
     dec: [__m128i; 11],
+    /// The CPU has `vaes` and `avx512f`: 256-byte steps of the counter-mode
+    /// pad take the VAES-512 leg.
+    wide: bool,
 }
 
 impl std::fmt::Debug for Aes128Ni {
@@ -33,15 +51,28 @@ impl std::fmt::Debug for Aes128Ni {
 }
 
 impl Aes128Ni {
-    /// Build the hardware cipher.
+    /// Build the hardware cipher, or `None` when the CPU lacks AES-NI.
+    pub(crate) fn new(key: &[u8; 16]) -> Option<Self> {
+        if !std::arch::is_x86_feature_detected!("aes") {
+            return None;
+        }
+        let wide = std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("avx512f");
+        // SAFETY: the `aes` feature was just detected.
+        let (enc, dec) = unsafe { Self::schedule(key) };
+        Some(Aes128Ni { enc, dec, wide })
+    }
+
+    /// The encryption round keys and, through `AESIMC`, the decryption
+    /// ones.
     ///
     /// # Safety
     ///
-    /// The caller must have verified that the CPU supports the `aes`
-    /// feature (e.g. via `is_x86_feature_detected!("aes")`).
+    /// The CPU must support `aes`.
     #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn new(key: &[u8; 16]) -> Self {
+    unsafe fn schedule(key: &[u8; 16]) -> ([__m128i; 11], [__m128i; 11]) {
         let rks = expand_key(key);
+        // SAFETY: `rk` is exactly 16 bytes; unaligned load.
         let load = |rk: &[u8; 16]| unsafe { _mm_loadu_si128(rk.as_ptr().cast()) };
         let enc: [__m128i; 11] = std::array::from_fn(|i| load(&rks[i]));
         let mut dec = enc;
@@ -50,11 +81,38 @@ impl Aes128Ni {
         for r in 1..10 {
             dec[r] = _mm_aesimc_si128(enc[10 - r]);
         }
-        Aes128Ni { enc, dec }
+        (enc, dec)
     }
 
+    /// The same cipher confined to the 8-lane xmm leg, for timing and
+    /// testing that leg where the wide one is chosen; `None` where it is
+    /// not (this cipher is the 8-lane leg already).
+    pub(crate) fn eight_lane(&self) -> Option<Self> {
+        self.wide.then_some(Aes128Ni {
+            wide: false,
+            ..*self
+        })
+    }
+
+    /// Encrypt one 16-byte block.
+    #[inline]
+    pub(crate) fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
+        // SAFETY: `self` exists, so `new` detected `aes`.
+        unsafe { self.encrypt_block_ni(plaintext) }
+    }
+
+    /// Decrypt one 16-byte block.
+    #[inline]
+    pub(crate) fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
+        // SAFETY: `self` exists, so `new` detected `aes`.
+        unsafe { self.decrypt_block_ni(ciphertext) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support `aes`.
     #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
+    unsafe fn encrypt_block_ni(&self, plaintext: &[u8; 16]) -> [u8; 16] {
         unsafe {
             let mut b = _mm_loadu_si128(plaintext.as_ptr().cast());
             b = _mm_xor_si128(b, self.enc[0]);
@@ -68,8 +126,11 @@ impl Aes128Ni {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support `aes`.
     #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
+    unsafe fn decrypt_block_ni(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
         unsafe {
             let mut b = _mm_loadu_si128(ciphertext.as_ptr().cast());
             b = _mm_xor_si128(b, self.dec[0]);
@@ -83,18 +144,40 @@ impl Aes128Ni {
         }
     }
 
-    /// XOR the counter-mode pad `AES_K(addr ‖ counter ‖ i)` into `buf`,
-    /// eight blocks at a time (see [`Aes128::ctr_xor`](crate::Aes128)).
+    /// XOR the counter-mode pad `AES_K(addr ‖ counter ‖ i)` into `buf` (see
+    /// [`Aes128::ctr_xor`](crate::Aes128)): whole 256-byte steps on the
+    /// VAES-512 leg when the cipher has it, the rest eight blocks at a
+    /// time.
+    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+        let wide_len = if self.wide {
+            buf.len() - buf.len() % WIDE_STEP
+        } else {
+            0
+        };
+        let (head, rest) = buf.split_at_mut(wide_len);
+        if !head.is_empty() {
+            // SAFETY: `self` exists, so `new` detected `aes`; it sets `wide`
+            // only after detecting `vaes` and `avx512f` too.
+            unsafe { self.ctr_xor_wide(addr, counter, head) };
+        }
+        // SAFETY: `self` exists, so `new` detected `aes`.
+        unsafe { self.ctr_xor_x8(addr, counter, (wide_len / 16) as u32, rest) };
+    }
+
+    /// The 8-lane leg: the pad for `buf`, whose first block is block
+    /// `first_block` of the line.
     ///
     /// One `AESENC` has a latency of several cycles but the unit accepts a
     /// new one every cycle, so eight independent blocks walked through the
     /// rounds side by side keep it busy where a block-at-a-time loop
     /// waits out every round; the round keys are loaded once per call.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `aes`.
     #[target_feature(enable = "aes")]
-    pub(crate) unsafe fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
-        // Little-endian lanes: addr in bytes 0..8, counter in 8..12, the
-        // block index (ORed in per block) in 12..16.
-        let base = _mm_set_epi32(0, counter as i32, (addr >> 32) as i32, addr as i32);
+    unsafe fn ctr_xor_x8(&self, addr: u64, counter: u32, mut first_block: u32, buf: &mut [u8]) {
+        let base = ctr_base(addr, counter);
         let pad8 = |first_block: u32| -> [__m128i; CTR_LANES] {
             let mut b: [__m128i; CTR_LANES] = std::array::from_fn(|i| {
                 let idx = first_block.wrapping_add(i as u32);
@@ -112,7 +195,6 @@ impl Aes128Ni {
             b
         };
 
-        let mut first_block = 0u32;
         let mut chunks = buf.chunks_exact_mut(16 * CTR_LANES);
         for chunk in &mut chunks {
             let pad = pad8(first_block);
@@ -139,6 +221,60 @@ impl Aes128Ni {
             }
         }
     }
+
+    /// The VAES-512 leg: the pad for `buf`, a whole number of
+    /// [`WIDE_STEP`]-byte steps starting at block 0 of the line. Each step
+    /// is four zmm registers of four counter blocks each, walked through
+    /// the rounds side by side; a round key is broadcast to all four
+    /// 128-bit lanes as its round comes up.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `aes`, `vaes` and `avx512f`.
+    #[target_feature(enable = "aes,vaes,avx512f")]
+    unsafe fn ctr_xor_wide(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+        debug_assert_eq!(buf.len() % WIDE_STEP, 0);
+        let base = ctr_base(addr, counter);
+        let rk = |round: usize| _mm512_broadcast_i32x4(self.enc[round]);
+        // Block indices 0..4 in the four lanes' top words; each further
+        // register is four blocks on (a wrapping add, like the 8-lane leg).
+        let mut next = _mm512_xor_si512(
+            _mm512_broadcast_i32x4(base),
+            _mm512_set_epi32(3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+        );
+        let four_on = _mm512_set_epi32(4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0);
+        for step in buf.chunks_exact_mut(WIDE_STEP) {
+            let whiten = rk(0);
+            let mut b: [__m512i; WIDE_REGS] = std::array::from_fn(|_| {
+                let seed = next;
+                next = _mm512_add_epi32(next, four_on);
+                _mm512_xor_si512(seed, whiten)
+            });
+            for round in 1..10 {
+                let k = rk(round);
+                for x in &mut b {
+                    *x = _mm512_aesenc_epi128(*x, k);
+                }
+            }
+            let last = rk(10);
+            for (quad, x) in step.chunks_exact_mut(64).zip(b) {
+                let pad = _mm512_aesenclast_epi128(x, last);
+                // SAFETY: `quad` is exactly 64 bytes; unaligned load/store.
+                unsafe {
+                    let p = quad.as_mut_ptr().cast::<__m512i>();
+                    _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), pad));
+                }
+            }
+        }
+    }
+}
+
+/// The counter block with a zero block index. Little-endian lanes: addr in
+/// bytes 0..8, counter in 8..12, the block index (ORed in per block) in
+/// 12..16.
+#[target_feature(enable = "sse2")]
+fn ctr_base(addr: u64, counter: u32) -> __m128i {
+    _mm_set_epi32(0, counter as i32, (addr >> 32) as i32, addr as i32)
 }
 
 /// Blocks walked through the rounds side by side by [`Aes128Ni::ctr_xor`]:
@@ -146,22 +282,20 @@ impl Aes128Ni {
 /// xmm registers alongside the round key in flight.
 const CTR_LANES: usize = 8;
 
+/// zmm registers (of four blocks each) the VAES-512 leg walks through the
+/// rounds side by side.
+const WIDE_REGS: usize = 4;
+/// Bytes of pad one step of the VAES-512 leg makes: a 256 B line.
+const WIDE_STEP: usize = 64 * WIDE_REGS;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aes::Aes128Reference;
     use proptest::prelude::*;
 
-    fn available() -> bool {
-        std::arch::is_x86_feature_detected!("aes")
-    }
-
     #[test]
     fn fips197_appendix_b() {
-        if !available() {
-            eprintln!("AES-NI unavailable; skipping");
-            return;
-        }
         let key = [
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, //
             0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
@@ -174,12 +308,12 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, //
             0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a, 0x0b, 0x32,
         ];
-        // SAFETY: feature checked above.
-        unsafe {
-            let aes = Aes128Ni::new(&key);
-            assert_eq!(aes.encrypt_block(&pt), expected);
-            assert_eq!(aes.decrypt_block(&expected), pt);
-        }
+        let Some(aes) = Aes128Ni::new(&key) else {
+            eprintln!("AES-NI unavailable; skipping");
+            return;
+        };
+        assert_eq!(aes.encrypt_block(&pt), expected);
+        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     proptest! {
@@ -187,18 +321,14 @@ mod tests {
         // oracle on every random (key, block) pair, in both directions.
         #[test]
         fn matches_reference_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-            if !available() {
+            let Some(hw) = Aes128Ni::new(&key) else {
                 return;
-            }
+            };
             let oracle = Aes128Reference::new(&key);
-            // SAFETY: feature checked above.
-            unsafe {
-                let hw = Aes128Ni::new(&key);
-                let ct = hw.encrypt_block(&block);
-                prop_assert_eq!(ct, oracle.encrypt_block(&block));
-                prop_assert_eq!(hw.decrypt_block(&block), oracle.decrypt_block(&block));
-                prop_assert_eq!(hw.decrypt_block(&ct), block);
-            }
+            let ct = hw.encrypt_block(&block);
+            prop_assert_eq!(ct, oracle.encrypt_block(&block));
+            prop_assert_eq!(hw.decrypt_block(&block), oracle.decrypt_block(&block));
+            prop_assert_eq!(hw.decrypt_block(&ct), block);
         }
     }
 }

@@ -11,6 +11,15 @@
 //! [`Aes128Reference`](crate::Aes128Reference) oracle), so backend choice
 //! can never change simulation results — only host speed.
 //!
+//! The counter-mode pad ([`Aes128::ctr_xor`]) is made three ways. The
+//! T-table backend loops over its block function. The AES-NI backend walks
+//! eight blocks through the rounds side by side in xmm registers, and —
+//! when the CPU also advertises `vaes` and `avx512f`, detected once as the
+//! engine is built — makes every whole 256 bytes of pad sixteen blocks at a
+//! time in four zmm registers instead (`aesni.rs`). That is a second leg of
+//! the same backend, not a backend of its own: [`AesBackend::AesNi`] covers
+//! both, and `DEWRITE_PORTABLE=1` turns both off.
+//!
 //! # Forcing the portable path
 //!
 //! Set `DEWRITE_PORTABLE=1` in the environment (read once, at first engine
@@ -136,18 +145,27 @@ impl Aes128 {
     /// side by side).
     pub fn hardware(key: &[u8; 16]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("aes") {
-                // SAFETY: the `aes` feature was just detected.
-                #[allow(unsafe_code)]
-                let ni = unsafe { crate::aesni::Aes128Ni::new(key) };
-                return Some(Aes128 {
-                    backend: Backend::Ni(ni),
-                });
-            }
+        if let Some(ni) = crate::aesni::Aes128Ni::new(key) {
+            return Some(Aes128 {
+                backend: Backend::Ni(ni),
+            });
         }
         let _ = key;
         None
+    }
+
+    /// A copy of this engine whose counter-mode pad is confined to the
+    /// 8-lane AES-NI leg. `None` unless this engine's pad takes the
+    /// VAES-512 leg — so `Some` also says the wide leg is live here. For
+    /// timing and testing the two hardware legs side by side.
+    pub fn eight_lane_pad(&self) -> Option<Self> {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.eight_lane().map(|ni| Aes128 {
+                backend: Backend::Ni(ni),
+            }),
+            Backend::Soft(_) => None,
+        }
     }
 
     /// The backend this instance dispatches to.
@@ -165,14 +183,7 @@ impl Aes128 {
         match &self.backend {
             Backend::Soft(s) => s.encrypt_block(plaintext),
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => {
-                // SAFETY: a `Ni` backend is only ever constructed after
-                // feature detection.
-                #[allow(unsafe_code)]
-                unsafe {
-                    ni.encrypt_block(plaintext)
-                }
-            }
+            Backend::Ni(ni) => ni.encrypt_block(plaintext),
         }
     }
 
@@ -182,24 +193,18 @@ impl Aes128 {
         match &self.backend {
             Backend::Soft(s) => s.decrypt_block(ciphertext),
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => {
-                // SAFETY: a `Ni` backend is only ever constructed after
-                // feature detection.
-                #[allow(unsafe_code)]
-                unsafe {
-                    ni.decrypt_block(ciphertext)
-                }
-            }
+            Backend::Ni(ni) => ni.decrypt_block(ciphertext),
         }
     }
 
     /// XOR the counter-mode one-time pad into `buf`: block `i` of the pad
-    /// is `AES_K(addr ‖ counter ‖ i)` (see [`ctr_seed`]), and a ragged
-    /// final block uses the pad's leading bytes. The batched primitive each
-    /// backend implements its own way — AES-NI walks eight blocks through
-    /// the rounds side by side, the T-table leg loops over its block
-    /// function — so line encryption never dispatches per 16 bytes.
-    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+    /// is `AES_K(addr ‖ counter ‖ i)` (little-endian fields, Fig. 1 of the
+    /// paper), and a ragged final block uses the pad's leading bytes. The
+    /// batched primitive each backend implements its own way — AES-NI walks
+    /// eight blocks (sixteen, with VAES-512) through the rounds side by
+    /// side, the T-table leg loops over its block function — so line
+    /// encryption never dispatches per 16 bytes.
+    pub fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
         match &self.backend {
             Backend::Soft(s) => {
                 for (i, chunk) in buf.chunks_mut(16).enumerate() {
@@ -210,14 +215,7 @@ impl Aes128 {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => {
-                // SAFETY: a `Ni` backend is only ever constructed after
-                // feature detection.
-                #[allow(unsafe_code)]
-                unsafe {
-                    ni.ctr_xor(addr, counter, buf)
-                }
-            }
+            Backend::Ni(ni) => ni.ctr_xor(addr, counter, buf),
         }
     }
 
@@ -233,12 +231,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    // The only test that may touch the process-wide override: tests run
+    // in parallel.
     #[test]
     fn portable_override_is_honored() {
         set_portable_only(true);
         let aes = Aes128::new(&[1u8; 16]);
         assert_eq!(aes.backend_kind(), AesBackend::TTable);
         set_portable_only(false);
+        // What `DEWRITE_PORTABLE=1` builds makes its pad on the T-table
+        // leg: no hardware leg to confine, and the per-block bytes.
+        assert!(aes.eight_lane_pad().is_none());
+        let mut pad = vec![0u8; 4096 + 17];
+        aes.ctr_xor(0x1000, 7, &mut pad);
+        let mut per_block = vec![0u8; 4096 + 17];
+        ctr_xor_per_block(&aes, 0x1000, 7, &mut per_block);
+        assert_eq!(pad, per_block);
         // With the override off, the backend is whatever the host offers;
         // both must round-trip.
         let aes = Aes128::new(&[1u8; 16]);
@@ -275,15 +283,43 @@ mod tests {
         }
     }
 
-    // Differential: the batched pad on every available backend vs the
-    // per-block loop, over lengths that straddle the 16 B block and the
-    // 128 B pipeline step, wide addresses and the largest counter.
+    // Differential: the batched pad on every leg the host offers — the
+    // T-table loop, the 8-lane AES-NI leg and, where `vaes` + `avx512f`
+    // exist, the VAES-512 leg (then the 8-lane leg is forced separately, so
+    // both hardware legs run) — vs the per-block loop, over lengths that
+    // straddle the 16 B block and the 128 B and 256 B pipeline steps (the
+    // longest runs on to block 257, so the counter block's index word
+    // carries out of its low byte), wide addresses and the largest counter.
     #[test]
     fn ctr_batched_matches_per_block() {
         let key = *b"ctr-batch-oracle";
-        let backends = [Some(Aes128::portable(&key)), Aes128::hardware(&key)];
-        for aes in backends.into_iter().flatten() {
-            for len in [0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 257, 4096] {
+        let hardware = Aes128::hardware(&key);
+        let eight_lane = hardware.as_ref().and_then(Aes128::eight_lane_pad);
+        let legs = [
+            ("t-table", Some(Aes128::portable(&key))),
+            ("hardware", hardware),
+            ("8-lane", eight_lane),
+        ];
+        for (leg, aes) in legs {
+            let Some(aes) = aes else { continue };
+            for len in [
+                0,
+                1,
+                15,
+                16,
+                17,
+                127,
+                128,
+                129,
+                255,
+                256,
+                257,
+                511,
+                512,
+                513,
+                4096,
+                4096 + 17,
+            ] {
                 for (addr, counter) in [
                     (0u64, 0u32),
                     (0x1000, 7),
@@ -297,14 +333,12 @@ mod tests {
                     let mut per_block = data.clone();
                     ctr_xor_per_block(&aes, addr, counter, &mut per_block);
                     assert_eq!(
-                        batched,
-                        per_block,
-                        "{} len {len} addr {addr:#x} counter {counter:#x}",
-                        aes.backend_kind()
+                        batched, per_block,
+                        "{leg} len {len} addr {addr:#x} counter {counter:#x}"
                     );
                     // XOR with the same pad is an involution.
                     aes.ctr_xor(addr, counter, &mut batched);
-                    assert_eq!(batched, data);
+                    assert_eq!(batched, data, "{leg} len {len}");
                 }
             }
         }

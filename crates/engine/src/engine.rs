@@ -193,8 +193,22 @@ impl EngineConfig {
 pub struct Request {
     /// The operation.
     pub rec: TraceRecord,
-    /// Nanoseconds since run start when the producer issued it.
+    /// Nanoseconds since run start when the producer flushed the staged
+    /// chunk that carried it towards the shard's queue.
     pub issued_ns: u64,
+}
+
+/// Host latency is a sampled histogram: a shard times every
+/// `HOST_SAMPLE_STRIDE`-th data operation of its own sequence and reads no
+/// clock for the rest (a clock read costs about as much as a served read's
+/// pad).
+const HOST_SAMPLE_STRIDE: u64 = 8;
+
+/// Whether the shard's `seq`-th data operation (from 0) is one whose host
+/// latency is recorded. A function of the shard's op sequence alone, so
+/// which operations are timed never depends on scheduling.
+pub(crate) fn host_sampled(seq: u64) -> bool {
+    seq.is_multiple_of(HOST_SAMPLE_STRIDE)
 }
 
 /// Everything one shard produced.
@@ -208,7 +222,9 @@ pub struct ShardSummary {
     pub dedup_rate: f64,
     /// The shard's simulated report (deterministic).
     pub report: RunReport,
-    /// Host-side issue → completion latency (non-deterministic).
+    /// Host-side issue → completion latency (non-deterministic), sampled:
+    /// one in eight of the shard's data operations, chosen by the shard's
+    /// own op sequence (operations 0, 8, 16, …).
     pub host_latency: LatencyHistogram,
     /// Peak observed queue depth, including the popped request. Always 0
     /// from [`EngineService`](crate::EngineService), which has no request
@@ -260,7 +276,8 @@ impl EngineRun {
         self.merged.write_reduction()
     }
 
-    /// Host latency across all shards (issue → completion).
+    /// Host latency across all shards (issue → completion), sampled as
+    /// [`ShardSummary::host_latency`] is.
     pub fn host_latency(&self) -> LatencyHistogram {
         let mut all = LatencyHistogram::new();
         for s in &self.shards {
@@ -326,8 +343,21 @@ impl Backoff {
 }
 
 /// Push every staged request, in order, blocking while the queue is full.
-/// Time spent blocked accrues to `stall_ns`.
-fn flush_to_queue(queue: &ArrayQueue<Request>, staged: &mut Vec<Request>, stall_ns: &mut u64) {
+/// The chunk is stamped as issued now — one clock read for all of it — and
+/// time spent blocked accrues to `stall_ns`.
+fn flush_to_queue(
+    queue: &ArrayQueue<Request>,
+    staged: &mut Vec<Request>,
+    start: Instant,
+    stall_ns: &mut u64,
+) {
+    if staged.is_empty() {
+        return;
+    }
+    let issued_ns = start.elapsed().as_nanos() as u64;
+    for req in staged.iter_mut() {
+        req.issued_ns = issued_ns;
+    }
     let mut parker = Backoff::new();
     while !staged.is_empty() {
         if queue.push_batch(staged) == 0 {
@@ -403,6 +433,7 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
                 let app = app.to_string();
                 scope.spawn(move || {
                     let mut host = LatencyHistogram::new();
+                    let mut seq = 0u64;
                     let mut peak = 0usize;
                     let mut depth_sum = 0u64;
                     let mut samples = 0u64;
@@ -436,8 +467,11 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
                                     ctrl.read(addr, gap);
                                 }
                             }
-                            let now = start.elapsed().as_nanos() as u64;
-                            host.record(now.saturating_sub(req.issued_ns));
+                            if host_sampled(seq) {
+                                let now = start.elapsed().as_nanos() as u64;
+                                host.record(now.saturating_sub(req.issued_ns));
+                            }
+                            seq += 1;
                         }
                     }
                     ctrl.flush_writes();
@@ -497,16 +531,23 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
                             }
                         }
                         let shard = shard_of_line(rec.op.addr(), shards);
-                        staged[shard].push(Request {
-                            rec,
-                            issued_ns: start.elapsed().as_nanos() as u64,
-                        });
+                        staged[shard].push(Request { rec, issued_ns: 0 });
                         if staged[shard].len() >= chunk {
-                            flush_to_queue(&queues[shard], &mut staged[shard], &mut stalls[shard]);
+                            flush_to_queue(
+                                &queues[shard],
+                                &mut staged[shard],
+                                start,
+                                &mut stalls[shard],
+                            );
                         }
                     }
                     for shard in 0..shards {
-                        flush_to_queue(&queues[shard], &mut staged[shard], &mut stalls[shard]);
+                        flush_to_queue(
+                            &queues[shard],
+                            &mut staged[shard],
+                            start,
+                            &mut stalls[shard],
+                        );
                     }
                     stalls
                 })

@@ -57,7 +57,7 @@ use dewrite_core::RunReport;
 use dewrite_mem::LatencyHistogram;
 use dewrite_nvm::LineAddr;
 
-use crate::engine::{EngineConfig, EngineRun, ShardSummary};
+use crate::engine::{host_sampled, EngineConfig, EngineRun, ShardSummary};
 use crate::shard::ShardController;
 
 /// The `seq` value marking a control operation: applied at its queue
@@ -105,8 +105,10 @@ pub struct ServiceRequest {
     pub conn: u64,
     /// Submitter's per-connection sequence tag, echoed in the completion.
     pub conn_seq: u64,
-    /// Nanoseconds since service start when the request was accepted
-    /// (host-latency accounting; quarantined from the simulated report).
+    /// Nanoseconds since service start ([`EngineService::elapsed_ns`])
+    /// when the request reached the submitter — host-latency accounting,
+    /// quarantined from the simulated report, and read only for the data
+    /// operations the shard samples (one in eight of its sequence).
     pub issued_ns: u64,
     /// The operation.
     pub op: ServiceOp,
@@ -466,11 +468,13 @@ impl EngineService {
             // strictly in per-shard sequence order.
             let mut ready = Some(req);
             while let Some(req) = ready {
-                shard.next_seq += 1;
                 let body = apply_data(&mut shard.ctrl, req.op);
-                shard
-                    .host
-                    .record(self.elapsed_ns().saturating_sub(req.issued_ns));
+                if host_sampled(shard.next_seq) {
+                    shard
+                        .host
+                        .record(self.elapsed_ns().saturating_sub(req.issued_ns));
+                }
+                shard.next_seq += 1;
                 self.emit(shard, req.lane, req.conn, req.conn_seq, body);
                 ready = shard.reorder.remove(&shard.next_seq);
             }
@@ -744,6 +748,74 @@ mod tests {
             run.merged.to_json().to_string(),
             baseline.merged.to_json().to_string()
         );
+    }
+
+    /// Submit one control operation to shard 0 and wait for its completion.
+    fn control(svc: &EngineService, op: ServiceOp) -> CompletionBody {
+        let mut req = ServiceRequest {
+            shard: 0,
+            seq: CONTROL_SEQ,
+            lane: 0,
+            conn: 0,
+            conn_seq: 0,
+            issued_ns: 0,
+            op,
+        };
+        while let Err(back) = svc.try_submit(req) {
+            req = back;
+        }
+        svc.try_complete(0).expect("a submit completes inline").body
+    }
+
+    #[test]
+    fn host_latency_samples_every_eighth_data_op_of_the_shard_sequence() {
+        let (records, lines) = trace(0, 128, 5);
+        for n in [1usize, 8, 9, 61] {
+            let records = &records[..n];
+            let samples = n.div_ceil(8) as u64;
+            let config = EngineConfig::for_workload(1, 256, lines, n as u64);
+            // In arrival order and window-rotated: the sample follows the
+            // shard's sequence, not the order requests turned up in.
+            for rotate in [1, 7] {
+                let svc = EngineService::start(&config, "mcf", 1, 1024);
+                // Control operations are never timed and take no place in
+                // the sequence, wherever they fall.
+                assert!(matches!(
+                    control(&svc, ServiceOp::Report),
+                    CompletionBody::Report(_)
+                ));
+                for mut req in requests(records, 1, rotate) {
+                    // Stamp the operations the stride rule names at the
+                    // clock's origin and every other one in the far future:
+                    // timing one of those would record a zero.
+                    req.issued_ns = if req.seq.is_multiple_of(8) {
+                        0
+                    } else {
+                        u64::MAX
+                    };
+                    svc.try_submit(req).expect("lane has room");
+                    while let Some(c) = svc.try_complete(0) {
+                        assert_data(&c);
+                    }
+                }
+                assert!(matches!(
+                    control(&svc, ServiceOp::Scrub),
+                    CompletionBody::Scrub(Ok(_))
+                ));
+                let host = &svc.shutdown().shards[0].host_latency;
+                assert_eq!(host.count(), samples, "{n} ops, rotate {rotate}");
+                assert!(
+                    host.stats().min_ns() > 0,
+                    "{n} ops, rotate {rotate}: an operation off the stride was timed"
+                );
+            }
+            let batch = run(&config, "mcf", records.to_vec());
+            assert_eq!(
+                batch.shards[0].host_latency.count(),
+                samples,
+                "run(), {n} ops"
+            );
+        }
     }
 
     #[test]

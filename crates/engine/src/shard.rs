@@ -746,9 +746,11 @@ impl ShardController {
         }
     }
 
-    /// Local home slot of a global address this shard owns.
-    fn home_slot(&self, addr: LineAddr) -> u64 {
-        (addr.index() / self.shards as u64) % self.slots
+    /// Dense address-map index of a global address this shard owns. One
+    /// 64-bit division: `write` and `read` take it once, derive the home
+    /// slot from it, and pass both down.
+    fn map_index(&self, addr: LineAddr) -> usize {
+        (addr.index() / self.shards as u64) as usize
     }
 
     /// Global line address of a local slot (the crypto pad tweak, unique
@@ -771,34 +773,28 @@ impl ShardController {
             .decrypt_line_into(&self.store[range], addr, ctr, &mut self.scratch);
     }
 
-    /// Dense address-map index of a global address this shard owns.
-    fn map_index(&self, addr: LineAddr) -> usize {
-        (addr.index() / self.shards as u64) as usize
-    }
-
-    /// The mapped local slot of `addr`, if any.
-    fn mapped_slot(&self, addr: LineAddr) -> Option<u64> {
+    /// The local slot mapped at address-map index `idx`, if any.
+    fn mapped_slot(&self, idx: usize) -> Option<u64> {
         self.addr_map
-            .get(self.map_index(addr))
+            .get(idx)
             .copied()
             .filter(|&slot| slot != SLOT_NONE)
     }
 
-    /// Map `addr` to a local slot, growing the dense map if the address
-    /// space outruns the arena size it was pre-sized to.
-    fn map_addr(&mut self, addr: LineAddr, slot: u64) {
-        let idx = self.map_index(addr);
+    /// Map address-map index `idx` to a local slot, growing the dense map
+    /// if the address space outruns the arena size it was pre-sized to.
+    fn map_addr(&mut self, idx: usize, slot: u64) {
         if idx >= self.addr_map.len() {
             self.addr_map.resize(idx + 1, SLOT_NONE);
         }
         self.addr_map[idx] = slot;
     }
 
-    /// Drop `addr`'s current mapping, releasing its slot when the last
-    /// reference goes. Returns the freed local slot, if one went free.
-    fn release_previous_mapping(&mut self, addr: LineAddr) -> Option<u64> {
-        let old_slot = self.mapped_slot(addr)?;
-        let idx = self.map_index(addr);
+    /// Drop the mapping at address-map index `idx`, releasing its slot
+    /// when the last reference goes. Returns the freed local slot, if one
+    /// went free.
+    fn release_previous_mapping(&mut self, idx: usize) -> Option<u64> {
+        let old_slot = self.mapped_slot(idx)?;
         self.addr_map[idx] = SLOT_NONE;
         let digest = self
             .inverted
@@ -814,16 +810,16 @@ impl ShardController {
     }
 
     /// First half of a write's hint schedule, issued a whole digest ahead
-    /// of use: load `addr`'s current mapping and start fetching the old
+    /// of use: load the current mapping at `idx` and start fetching the old
     /// slot's inverted row (the release reads it) and — when a store is
-    /// predicted — what the commit will touch at the home slot, which
-    /// allocation almost always hands back: its ciphertext lines (the
-    /// bit-flip count reads them), its counter and its inverted row.
-    /// Hints only; returns the old slot for the second half.
+    /// predicted, which is when `home` is given — what the commit will
+    /// touch at the home slot, which allocation almost always hands back:
+    /// its ciphertext lines (the bit-flip count reads them), its counter
+    /// and its inverted row. Hints only; returns the old slot for the
+    /// second half.
     #[inline]
-    fn hint_before_digest(&self, addr: LineAddr, predicted_dup: bool) -> Option<u64> {
-        let old = self.mapped_slot(addr);
-        let home = (!predicted_dup).then(|| self.home_slot(addr));
+    fn hint_before_digest(&self, idx: usize, home: Option<u64>) -> Option<u64> {
+        let old = self.mapped_slot(idx);
         if let Some(home) = home {
             hint::prefetch_read_bytes(&self.store[self.slot_range(home)]);
             hint::prefetch_read(&self.counters[home as usize]);
@@ -876,7 +872,9 @@ impl ShardController {
         // The prediction depends on past writes only; taking it first lets
         // the hint schedule know whether this write will probe or store.
         let predicted_dup = self.predictor.predict_duplicate();
-        let old_slot = self.hint_before_digest(addr, predicted_dup);
+        let idx = self.map_index(addr);
+        let home = idx as u64 % self.slots;
+        let old_slot = self.hint_before_digest(idx, (!predicted_dup).then_some(home));
 
         // Stage 1: fingerprint.
         let digest_cost = self.digest_cost();
@@ -970,8 +968,8 @@ impl ShardController {
                 // Order matters when the old mapping is the same slot: add
                 // the new reference before releasing the old one so the
                 // entry never transiently hits zero.
-                let freed = self.release_previous_mapping(addr);
-                self.map_addr(addr, slot);
+                let freed = self.release_previous_mapping(idx);
+                self.map_addr(idx, slot);
                 if self.log.is_some() {
                     if let Some(f) = freed {
                         let real = self.slot_global(f);
@@ -1007,8 +1005,7 @@ impl ShardController {
             critical_ns = digest_ns + detection_ns + META_NS;
             sim_ns = critical_ns;
         } else {
-            let freed = self.release_previous_mapping(addr);
-            let home = self.home_slot(addr);
+            let freed = self.release_previous_mapping(idx);
             let slot = self
                 .fsm
                 .allocate(home)
@@ -1029,7 +1026,7 @@ impl ShardController {
             self.energy.aes_pj += aes_line_energy_pj(self.line_size);
             self.hash.insert(digest, LineAddr::new(slot));
             self.inverted.set(LineAddr::new(slot), digest);
-            self.map_addr(addr, slot);
+            self.map_addr(idx, slot);
             if self.log.is_some() {
                 // ResidentDel first: the allocator may hand back the slot
                 // the release just freed, and replay applies ops in order.
@@ -1105,16 +1102,10 @@ impl ShardController {
         self.instructions += u64::from(gap) + 1;
         self.base.reads += 1;
         self.energy.nvm_read_pj += self.energy_params.read_line_pj;
-        let sim_ns = match self.mapped_slot(addr) {
+        let sim_ns = match self.mapped_slot(self.map_index(addr)) {
             Some(slot) => {
                 self.decrypt_slot(slot);
-                let mut fold = 0u64;
-                for chunk in self.scratch.chunks(8) {
-                    let mut b = [0u8; 8];
-                    b[..chunk.len()].copy_from_slice(chunk);
-                    fold ^= u64::from_le_bytes(b);
-                }
-                self.read_sink ^= fold;
+                self.read_sink ^= fold_words(&self.scratch);
                 META_NS + ARRAY_READ_NS + OTP_XOR_NS
             }
             // Never-written line: the array read happens, nothing to decrypt.
@@ -1282,6 +1273,23 @@ impl ShardController {
     }
 }
 
+/// XOR-fold of a line read as little-endian 64-bit words, a ragged tail
+/// zero-padded to a word.
+fn fold_words(line: &[u8]) -> u64 {
+    let mut words = line.chunks_exact(8);
+    let mut fold = 0u64;
+    for word in &mut words {
+        fold ^= u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        fold ^= u64::from_le_bytes(last);
+    }
+    fold
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1343,6 +1351,44 @@ mod tests {
         s.read(LineAddr::new(8), 0);
         let r = s.report("t");
         assert_eq!(r.base.reads, 2);
+    }
+
+    /// The byte-wise fold `read` used to run: the definition of the sink,
+    /// kept as the word-wise fold's oracle.
+    fn fold_bytewise(line: &[u8]) -> u64 {
+        let mut fold = 0u64;
+        for chunk in line.chunks(8) {
+            let mut b = [0u8; 8];
+            b[..chunk.len()].copy_from_slice(chunk);
+            fold ^= u64::from_le_bytes(b);
+        }
+        fold
+    }
+
+    #[test]
+    fn read_sink_word_fold_matches_bytewise() {
+        // 52 is not a multiple of the word: its last word is zero-padded.
+        for line_size in [8usize, 52, 64, 256] {
+            let mut s = ShardController::new(0, 1, 64, line_size, KEY);
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ line_size as u64;
+            let mut expected = 0u64;
+            for addr in 0..48u64 {
+                let data: Vec<u8> = (0..line_size)
+                    .map(|_| {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        (rng >> 32) as u8
+                    })
+                    .collect();
+                assert_eq!(fold_words(&data), fold_bytewise(&data), "{line_size} B");
+                s.write(LineAddr::new(addr), &data, 0);
+                s.read(LineAddr::new(addr), 0);
+                expected ^= fold_bytewise(&data);
+                assert_eq!(s.read_sink(), expected, "{line_size} B, read {addr}");
+            }
+            s.scrub().expect("clean");
+        }
     }
 
     #[test]

@@ -350,9 +350,12 @@ fn run_json(engine_run: &EngineRun, global_rate: f64, producers: usize) -> Json 
         ("ops", num(engine_run.ops)),
         ("wall_ms", flt(engine_run.wall_ns as f64 / 1e6)),
         ("ops_per_sec", flt(engine_run.ops_per_sec())),
+        // Sampled: each shard times one in eight of its operations
+        // (`ShardSummary::host_latency`); `host_samples` says how many.
         ("host_p50_ns", num(host.p50_ns())),
         ("host_p95_ns", num(host.p95_ns())),
         ("host_p99_ns", num(host.p99_ns())),
+        ("host_samples", num(host.count())),
         ("dedup_rate", flt(engine_run.dedup_rate())),
         (
             "dedup_delta_vs_global",
@@ -859,7 +862,8 @@ fn main() -> ExitCode {
                 single_ops_per_sec = result.ops_per_sec();
             }
             println!(
-                "  shards={shards:<2} {:>10.0} ops/s  dedup {:.3} (delta {:+.4})  p99 {} ns",
+                "  shards={shards:<2} {:>10.0} ops/s  dedup {:.3} (delta {:+.4})  \
+                 sampled p99 {} ns",
                 result.ops_per_sec(),
                 result.dedup_rate(),
                 result.dedup_rate() - global_rate,

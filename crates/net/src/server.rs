@@ -163,6 +163,29 @@ struct Shared {
     start: Instant,
 }
 
+impl Shared {
+    fn new(opts: ServeOptions, lanes: usize) -> Shared {
+        Shared {
+            opts,
+            lanes,
+            service: RwLock::new(None),
+            geometry: Mutex::new(None),
+            generation: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            pending_submits: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            active: AtomicU64::new(0),
+            ops: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            final_run: Mutex::new(None),
+            start: Instant::now(),
+        }
+    }
+}
+
 /// Connections a lane can hold queued in its hand-off inbox.
 const INBOX_CAPACITY: usize = 1024;
 /// Socket read chunk: one `read` per connection per sweep.
@@ -205,6 +228,8 @@ enum AggKind {
 /// One client connection owned by a lane.
 #[derive(Debug)]
 struct Conn {
+    /// The connection's routing tag ([`Conns::adopt`]): what its engine
+    /// submissions carry as [`ServiceRequest::conn`].
     id: u64,
     stream: TcpStream,
     /// The socket is alive (readable/writable).
@@ -227,6 +252,11 @@ struct Conn {
     /// Engine submissions not yet completed.
     live: u64,
     session: Option<Session>,
+    /// Engine-clock time ([`EngineService::elapsed_ns`]) of the socket
+    /// read that brought in the frames now being decoded — the issue stamp
+    /// of every request among them: one clock read per chunk, since the
+    /// frames of one chunk arrived together.
+    arrived_ns: u64,
 }
 
 impl Conn {
@@ -246,6 +276,7 @@ impl Conn {
             aggregates: HashMap::new(),
             live: 0,
             session: None,
+            arrived_ns: 0,
         }
     }
 
@@ -257,6 +288,69 @@ impl Conn {
     /// Nothing left that anyone is waiting on.
     fn drained(&self) -> bool {
         self.live == 0 && self.pending.is_empty()
+    }
+}
+
+/// Low bits of a connection's routing tag: its slot in the lane's table.
+const SLOT_BITS: u32 = 24;
+
+/// A lane's connections, in a slot table that reuses freed slots.
+///
+/// A connection's tag is `serial << SLOT_BITS | slot`, with `serial` the
+/// server-wide accept count — unique for the server's lifetime. The engine
+/// echoes the tag in every completion, so a completion finds its
+/// connection by index; the tag is then compared with the slot's current
+/// occupant, so whatever is still in flight for a connection that was
+/// reaped — its slot empty or re-adopted since — matches nothing and is
+/// dropped.
+#[derive(Debug, Default)]
+struct Conns {
+    slots: Vec<Option<Conn>>,
+}
+
+impl Conns {
+    /// Seat `stream` in the first free slot as the server's `serial`-th
+    /// connection. `None` (the stream is dropped) if the table is at the
+    /// tag's capacity.
+    fn adopt(&mut self, serial: u64, stream: TcpStream) -> Option<u64> {
+        let slot = match self.slots.iter().position(Option::is_none) {
+            Some(free) => free,
+            None if self.slots.len() < 1 << SLOT_BITS => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+            None => return None,
+        };
+        let tag = serial << SLOT_BITS | slot as u64;
+        self.slots[slot] = Some(Conn::new(tag, stream));
+        Some(tag)
+    }
+
+    /// Drop connections that are closed and fully drained; returns how
+    /// many went.
+    fn reap(&mut self) -> u64 {
+        let mut reaped = 0;
+        for slot in &mut self.slots {
+            if slot.as_ref().is_some_and(|c| !c.open && c.drained()) {
+                *slot = None;
+                reaped += 1;
+            }
+        }
+        reaped
+    }
+
+    /// The connection `tag` was issued to, if it is still seated.
+    fn get_mut(&mut self, tag: u64) -> Option<&mut Conn> {
+        let slot = (tag & ((1 << SLOT_BITS) - 1)) as usize;
+        self.slots.get_mut(slot)?.as_mut().filter(|c| c.id == tag)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Conn> {
+        self.slots.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Conn> {
+        self.slots.iter_mut().flatten()
     }
 }
 
@@ -294,6 +388,37 @@ fn err(code: ErrorCode, detail: impl Into<String>) -> Response {
     }
 }
 
+/// Answer a control broadcast once every shard has reported.
+fn finish_aggregate(shared: &Shared, conn: &mut Conn, conn_seq: u64) {
+    let done = conn
+        .aggregates
+        .get(&conn_seq)
+        .is_some_and(|a| a.remaining == 0);
+    if !done {
+        return;
+    }
+    let agg = conn.aggregates.remove(&conn_seq).expect("checked above");
+    let resp = if let Some((code, detail)) = agg.err {
+        err(code, detail)
+    } else {
+        match agg.kind {
+            AggKind::Scrub => Response::ScrubOk { lines: agg.lines },
+            AggKind::Flush => Response::FlushOk,
+            AggKind::Report => {
+                let parts: Vec<String> = agg
+                    .reports
+                    .into_iter()
+                    .map(|r| r.expect("all shards reported"))
+                    .collect();
+                Response::ReportOk {
+                    json: format!("[{}]", parts.join(",")),
+                }
+            }
+        }
+    };
+    push_response(shared, conn, conn_seq, &resp);
+}
+
 /// Take the engine out of the shared slot and reclaim sole ownership.
 /// Converges because every other holder is a sweep-scoped clone; the
 /// calling lane must have dropped its own ([`Lane::svc`]) first.
@@ -320,12 +445,13 @@ struct DeferredReset {
     conn_seq: u64,
 }
 
+/// One event-loop lane. Its connections live beside it, in a [`Conns`]
+/// the lane's loop owns: every method here borrows the lane and one
+/// connection at once, and mutates the connection where it sits.
 struct Lane {
     lane: usize,
     shared: Arc<Shared>,
     inbox: Arc<ArrayQueue<TcpStream>>,
-    conns: Vec<Option<Conn>>,
-    by_id: HashMap<u64, usize>,
     deferred: Vec<DeferredReset>,
     progress: bool,
     /// This sweep's engine handle: taken once at the top of the sweep (and
@@ -342,8 +468,6 @@ impl Lane {
             lane,
             shared,
             inbox,
-            conns: Vec::new(),
-            by_id: HashMap::new(),
             deferred: Vec::new(),
             progress: false,
             svc: None,
@@ -362,25 +486,16 @@ impl Lane {
             .map(Arc::clone);
     }
 
-    fn adopt(&mut self, stream: TcpStream) {
+    fn adopt(&mut self, conns: &mut Conns, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let id = self.shared.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared.active.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn::new(id, stream);
-        let slot = self
-            .conns
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-        self.conns[slot] = Some(conn);
-        self.by_id.insert(id, slot);
-        self.progress = true;
+        let serial = self.shared.accepted.fetch_add(1, Ordering::Relaxed) + 1;
+        if conns.adopt(serial, stream).is_some() {
+            self.shared.active.fetch_add(1, Ordering::Relaxed);
+            self.progress = true;
+        }
     }
 
     /// Submit to the engine or park on the connection's pending queue.
@@ -547,6 +662,9 @@ impl Lane {
                     line_size: h.line_size,
                     lines: h.lines,
                 });
+                // The chunk that carried this `Hello` may have been read
+                // before the engine (and its clock) existed.
+                conn.arrived_ns = self.svc.as_deref().map_or(0, EngineService::elapsed_ns);
                 push_response(
                     &self.shared,
                     conn,
@@ -676,7 +794,7 @@ impl Lane {
             lane: self.lane,
             conn: conn.id,
             conn_seq,
-            issued_ns: svc.elapsed_ns(),
+            issued_ns: conn.arrived_ns,
             op,
         };
         self.submit(conn, svc, request);
@@ -715,7 +833,7 @@ impl Lane {
                 lane: self.lane,
                 conn: conn.id,
                 conn_seq,
-                issued_ns: svc.elapsed_ns(),
+                issued_ns: conn.arrived_ns,
                 op: op.clone(),
             };
             self.submit(conn, svc, request);
@@ -772,6 +890,9 @@ impl Lane {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&self.chunk[..n]);
+                    if let Some(svc) = self.svc.as_deref() {
+                        conn.arrived_ns = svc.elapsed_ns();
+                    }
                     self.progress = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -851,42 +972,30 @@ impl Lane {
         }
     }
 
-    fn on_completion(&mut self, c: Completion) {
+    fn on_completion(&mut self, conns: &mut Conns, c: Completion) {
         self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let Some(&slot) = self.by_id.get(&c.conn) else {
+        let Some(conn) = conns.get_mut(c.conn) else {
             return;
         };
-        let Some(mut conn) = self.conns[slot].take() else {
-            return;
-        };
+        let shared = &*self.shared;
         conn.live -= 1;
         self.progress = true;
         match c.body {
             CompletionBody::Write { eliminated, sim_ns } => {
-                self.shared.ops.fetch_add(1, Ordering::Relaxed);
+                shared.ops.fetch_add(1, Ordering::Relaxed);
                 push_response(
-                    &self.shared,
-                    &mut conn,
+                    shared,
+                    conn,
                     c.conn_seq,
                     &Response::WriteOk { eliminated, sim_ns },
                 );
             }
             CompletionBody::Read { sim_ns } => {
-                self.shared.ops.fetch_add(1, Ordering::Relaxed);
-                push_response(
-                    &self.shared,
-                    &mut conn,
-                    c.conn_seq,
-                    &Response::ReadOk { sim_ns },
-                );
+                shared.ops.fetch_add(1, Ordering::Relaxed);
+                push_response(shared, conn, c.conn_seq, &Response::ReadOk { sim_ns });
             }
             CompletionBody::Rejected(msg) => {
-                push_response(
-                    &self.shared,
-                    &mut conn,
-                    c.conn_seq,
-                    &err(ErrorCode::Overloaded, msg),
-                );
+                push_response(shared, conn, c.conn_seq, &err(ErrorCode::Overloaded, msg));
             }
             CompletionBody::Scrub(res) => {
                 if let Some(agg) = conn.aggregates.get_mut(&c.conn_seq) {
@@ -899,7 +1008,7 @@ impl Lane {
                     }
                     agg.remaining -= 1;
                 }
-                self.finish_aggregate(&mut conn, c.conn_seq);
+                finish_aggregate(shared, conn, c.conn_seq);
             }
             CompletionBody::Flush(res) => {
                 if let Some(agg) = conn.aggregates.get_mut(&c.conn_seq) {
@@ -909,52 +1018,21 @@ impl Lane {
                     }
                     agg.remaining -= 1;
                 }
-                self.finish_aggregate(&mut conn, c.conn_seq);
+                finish_aggregate(shared, conn, c.conn_seq);
             }
             CompletionBody::Report(json) => {
                 if let Some(agg) = conn.aggregates.get_mut(&c.conn_seq) {
                     agg.reports[c.shard] = Some(json);
                     agg.remaining -= 1;
                 }
-                self.finish_aggregate(&mut conn, c.conn_seq);
+                finish_aggregate(shared, conn, c.conn_seq);
             }
         }
-        self.conns[slot] = Some(conn);
-    }
-
-    fn finish_aggregate(&mut self, conn: &mut Conn, conn_seq: u64) {
-        let done = conn
-            .aggregates
-            .get(&conn_seq)
-            .is_some_and(|a| a.remaining == 0);
-        if !done {
-            return;
-        }
-        let agg = conn.aggregates.remove(&conn_seq).expect("checked above");
-        let resp = if let Some((code, detail)) = agg.err {
-            err(code, detail)
-        } else {
-            match agg.kind {
-                AggKind::Scrub => Response::ScrubOk { lines: agg.lines },
-                AggKind::Flush => Response::FlushOk,
-                AggKind::Report => {
-                    let parts: Vec<String> = agg
-                        .reports
-                        .into_iter()
-                        .map(|r| r.expect("all shards reported"))
-                        .collect();
-                    Response::ReportOk {
-                        json: format!("[{}]", parts.join(",")),
-                    }
-                }
-            }
-        };
-        push_response(&self.shared, conn, conn_seq, &resp);
     }
 
     /// `Reset`s decoded this sweep, torn down after every transient
     /// service clone on this lane is gone.
-    fn run_deferred(&mut self) {
+    fn run_deferred(&mut self, conns: &mut Conns) {
         if self.deferred.is_empty() {
             return;
         }
@@ -977,30 +1055,20 @@ impl Lane {
                 self.shared.generation.fetch_add(1, Ordering::Release);
                 Response::ResetOk
             };
-            if let Some(&slot) = self.by_id.get(&d.conn) {
-                if let Some(mut conn) = self.conns[slot].take() {
-                    push_response(&self.shared, &mut conn, d.conn_seq, &resp);
-                    self.conns[slot] = Some(conn);
-                }
+            if let Some(conn) = conns.get_mut(d.conn) {
+                push_response(&self.shared, conn, d.conn_seq, &resp);
             }
             self.progress = true;
         }
     }
 
-    /// Drop connections that are closed and fully drained.
-    fn reap(&mut self) {
-        for slot in 0..self.conns.len() {
-            let remove = match &self.conns[slot] {
-                Some(c) => !c.open && c.drained(),
-                None => false,
-            };
-            if remove {
-                let conn = self.conns[slot].take().expect("checked above");
-                self.by_id.remove(&conn.id);
-                self.shared.active.fetch_sub(1, Ordering::Relaxed);
-                // Pending queue is empty (drained); nothing to uncount.
-                self.progress = true;
-            }
+    /// Drop connections that are closed and fully drained (their pending
+    /// queues are empty: nothing to uncount).
+    fn reap(&mut self, conns: &mut Conns) {
+        let reaped = conns.reap();
+        if reaped > 0 {
+            self.shared.active.fetch_sub(reaped, Ordering::Relaxed);
+            self.progress = true;
         }
     }
 
@@ -1008,38 +1076,29 @@ impl Lane {
     /// then whatever the socket holds), collect this lane's completions —
     /// which the submits just produced, so a request is answered in the
     /// sweep that read it — and write the responses out.
-    fn sweep_conns(&mut self) {
-        for slot in 0..self.conns.len() {
-            let Some(mut conn) = self.conns[slot].take() else {
-                continue;
-            };
-            self.retry_pending(&mut conn);
+    fn sweep_conns(&mut self, conns: &mut Conns) {
+        for conn in conns.iter_mut() {
+            self.retry_pending(conn);
             if conn.open && !conn.fatal {
-                self.read_and_decode(&mut conn);
+                self.read_and_decode(conn);
             }
-            self.conns[slot] = Some(conn);
         }
         if let Some(svc) = self.svc.clone() {
             while let Some(c) = svc.try_complete(self.lane) {
-                self.on_completion(c);
+                self.on_completion(conns, c);
             }
         }
-        for slot in 0..self.conns.len() {
-            let Some(mut conn) = self.conns[slot].take() else {
-                continue;
-            };
-            self.flush(&mut conn);
-            self.conns[slot] = Some(conn);
+        for conn in conns.iter_mut() {
+            self.flush(conn);
         }
     }
+}
 
-    /// Any response bytes still owed to a live socket?
-    fn unflushed(&self) -> bool {
-        self.conns
-            .iter()
-            .flatten()
-            .any(|c| c.open && (c.wpos < c.wbuf.len() || (!c.parked.is_empty() && c.live == 0)))
-    }
+/// Any response bytes still owed to a live socket?
+fn unflushed(conns: &Conns) -> bool {
+    conns
+        .iter()
+        .any(|c| c.open && (c.wpos < c.wbuf.len() || (!c.parked.is_empty() && c.live == 0)))
 }
 
 fn run_lane(
@@ -1047,6 +1106,7 @@ fn run_lane(
     listener: Option<TcpListener>,
     inboxes: Vec<Arc<ArrayQueue<TcpStream>>>,
 ) {
+    let mut conns = Conns::default();
     let mut parker = Backoff::new();
     let mut deal = 0usize;
     let mut linger: Option<Instant> = None;
@@ -1091,14 +1151,14 @@ fn run_lane(
             }
         }
         while let Some(stream) = lane.inbox.pop() {
-            lane.adopt(stream);
+            lane.adopt(&mut conns, stream);
         }
 
         lane.take_handle();
-        lane.sweep_conns();
+        lane.sweep_conns(&mut conns);
         lane.svc = None;
-        lane.reap();
-        lane.run_deferred();
+        lane.reap(&mut conns);
+        lane.run_deferred(&mut conns);
 
         // Graceful drain: once everything in flight has completed, lane 0
         // tears the engine down and flips the shutdown flag.
@@ -1118,7 +1178,7 @@ fn run_lane(
 
         if lane.shared.shutdown.load(Ordering::Acquire) {
             let since = *linger.get_or_insert_with(Instant::now);
-            if !lane.unflushed() || since.elapsed() > LINGER {
+            if !unflushed(&conns) || since.elapsed() > LINGER {
                 return;
             }
         }
@@ -1177,24 +1237,7 @@ impl NetServer {
         } else {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         };
-        let shared = Arc::new(Shared {
-            opts,
-            lanes: threads,
-            service: RwLock::new(None),
-            geometry: Mutex::new(None),
-            generation: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            pending_submits: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            active: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            final_run: Mutex::new(None),
-            start: Instant::now(),
-        });
+        let shared = Arc::new(Shared::new(opts, threads));
         let inboxes: Vec<Arc<ArrayQueue<TcpStream>>> = (0..threads)
             .map(|_| Arc::new(ArrayQueue::new(INBOX_CAPACITY)))
             .collect();
@@ -1248,5 +1291,100 @@ impl NetServer {
             ops: self.shared.ops.load(Ordering::Relaxed),
             errors: self.shared.errors.load(Ordering::Relaxed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: (the server's end, the client's end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (server, client)
+    }
+
+    fn read_done(conn: u64) -> Completion {
+        Completion {
+            shard: 0,
+            conn,
+            conn_seq: 0,
+            body: CompletionBody::Read { sim_ns: 77 },
+        }
+    }
+
+    // The lane only reaps a drained connection, so a completion can name a
+    // connection that is gone only if that invariant ever breaks; when it
+    // does, the tag must miss the slot's next occupant rather than answer
+    // it with someone else's response.
+    #[test]
+    fn completion_for_a_reaped_connection_misses_the_slots_new_occupant() {
+        let shared = Arc::new(Shared::new(ServeOptions::default(), 1));
+        let mut lane = Lane::new(0, Arc::clone(&shared), Arc::new(ArrayQueue::new(1)));
+        let mut conns = Conns::default();
+
+        let (a, _a_client) = socket_pair();
+        lane.adopt(&mut conns, a);
+        let old = conns.iter().next().expect("seated").id;
+        // A's request is still inside the engine when A goes away.
+        shared.in_flight.fetch_add(1, Ordering::Release);
+        conns.get_mut(old).expect("seated").open = false;
+        lane.reap(&mut conns);
+        assert!(conns.get_mut(old).is_none(), "a reaped tag finds nobody");
+        assert_eq!(shared.active.load(Ordering::Relaxed), 0);
+
+        let (b, _b_client) = socket_pair();
+        lane.adopt(&mut conns, b);
+        let new = conns.iter().next().expect("seated").id;
+        let slot_of = |tag: u64| tag & ((1 << SLOT_BITS) - 1);
+        assert_eq!(slot_of(new), slot_of(old), "B took over A's slot");
+        assert_ne!(new, old);
+        conns.get_mut(new).expect("seated").live = 1;
+        shared.in_flight.fetch_add(1, Ordering::Release);
+
+        // A's completion surfaces: counted out of `in_flight`, otherwise
+        // dropped — B is not answered, not advanced, not un-counted.
+        lane.on_completion(&mut conns, read_done(old));
+        let b = conns.get_mut(new).expect("seated");
+        assert_eq!((b.live, b.next_emit, b.wbuf.len()), (1, 0, 0));
+        assert_eq!(shared.in_flight.load(Ordering::Acquire), 1);
+        assert_eq!(shared.ops.load(Ordering::Relaxed), 0);
+
+        // B's own completion routes by the same tag scheme.
+        b.next_assign = 1;
+        lane.on_completion(&mut conns, read_done(new));
+        let b = conns.get_mut(new).expect("seated");
+        assert_eq!((b.live, b.next_emit), (0, 1));
+        assert!(!b.wbuf.is_empty(), "B's response is encoded in place");
+        assert_eq!(shared.in_flight.load(Ordering::Acquire), 0);
+        assert_eq!(shared.ops.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn tags_are_unique_per_accept_and_slots_are_reused_lowest_first() {
+        let mut conns = Conns::default();
+        let mut keep = Vec::new();
+        let mut tags = Vec::new();
+        for serial in 1..=3u64 {
+            let (s, c) = socket_pair();
+            keep.push(c);
+            tags.push(conns.adopt(serial, s).expect("room"));
+        }
+        assert_eq!(
+            tags,
+            [1 << SLOT_BITS, 2 << SLOT_BITS | 1, 3 << SLOT_BITS | 2]
+        );
+        conns.get_mut(tags[1]).expect("seated").open = false;
+        assert_eq!(conns.reap(), 1);
+        let (s, c) = socket_pair();
+        keep.push(c);
+        let reused = conns.adopt(4, s).expect("room");
+        assert_eq!(reused, 4 << SLOT_BITS | 1, "the freed slot is taken first");
+        assert!(conns.get_mut(tags[1]).is_none());
+        assert!(conns.get_mut(reused).is_some());
+        // A tag whose slot was never seated finds nobody either.
+        assert!(conns.get_mut(9 << SLOT_BITS | 7).is_none());
     }
 }
