@@ -130,7 +130,7 @@ fn engine_merged_reports_match_pre_refactor_goldens() {
 fn engine_merged_report_is_bit_identical_across_threaded_runs() {
     // Same seed + same shard count => the merged simulated RunReport must
     // be bit-identical run to run, even though real threads race on wall
-    // time, queue occupancy, and interleaving.
+    // time and interleaving.
     let (records, lines, writes) = engine_trace(6000, SEED);
     let a = engine_go(&records, lines, writes, 4);
     let b = engine_go(&records, lines, writes, 4);
@@ -143,27 +143,24 @@ fn engine_merged_report_is_bit_identical_across_threaded_runs() {
 }
 
 #[test]
-fn engine_merged_report_is_batch_and_producer_invariant() {
+fn engine_merged_report_is_producer_invariant() {
     // With coalescing off, the simulated merge is a pure function of
-    // (trace, shard count): batch size and producer count only change how
-    // requests move through the queues, never what the controllers see.
+    // (trace, shard count): the producer count only changes which thread
+    // owns a shard, never what the controllers see.
     let (records, lines, writes) = engine_trace(6000, SEED ^ 0x0BA7);
     for shards in [1usize, 2, 4] {
         let mut config = EngineConfig::for_workload(shards, 256, lines, writes);
         config.scrub = true;
-        config.batch = 1;
         config.producers = 1;
         let baseline = engine_run(&config, "mcf", records.to_vec());
         let baseline_json = baseline.merged.to_json().to_string();
-        for (batch, producers) in [(8usize, 2usize), (64, 0), (64, 4)] {
-            config.batch = batch;
+        for producers in [2, shards, 0] {
             config.producers = producers;
             let other = engine_run(&config, "mcf", records.to_vec());
             assert_eq!(
                 baseline_json,
                 other.merged.to_json().to_string(),
-                "shards {shards}: batch {batch} x producers {producers} \
-                 changed the merged report"
+                "shards {shards}: producers {producers} changed the merged report"
             );
         }
     }

@@ -44,6 +44,7 @@ mod compare;
 mod config;
 mod counters;
 mod dedup;
+mod digest;
 pub mod journal;
 pub mod json;
 mod metrics;
@@ -68,6 +69,7 @@ pub use config::{
 pub use counters::CounterTable;
 pub use dedup::{DedupIndex, DupLookup, WriteOutcome};
 pub use dewrite_mem::Replacement;
+pub use digest::IndexDigest;
 pub use journal::MetaOp;
 pub use json::Json;
 pub use metrics::RunReport;

@@ -26,7 +26,6 @@
 use dewrite_crypto::{
     aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
-use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
 use dewrite_mem::CacheStats;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError, Timing};
 
@@ -34,6 +33,7 @@ use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, DigestMode, MetadataPersistence, SystemConfig, WriteMode};
 use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
+use crate::digest::IndexDigest;
 use crate::journal::MetaOp;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
@@ -191,11 +191,7 @@ pub struct DeWrite {
     dw: DeWriteConfig,
     device: NvmDevice,
     engine: CounterModeEngine,
-    hasher: Box<dyn LineHasher>,
-    /// Strong keyed digest (per-run key derived from the encryption key)
-    /// plus its per-controller scratch state; `Some` iff the digest mode is
-    /// [`DigestMode::StrongKeyed`].
-    strong: Option<(StrongKeyed, StrongScratch)>,
+    digest: IndexDigest,
     index: DedupIndex,
     counters: CounterTable,
     predictor: HistoryPredictor,
@@ -226,7 +222,7 @@ impl std::fmt::Debug for DeWrite {
         f.debug_struct("DeWrite")
             .field("mode", &self.dw.mode)
             .field("pna", &self.dw.pna)
-            .field("hasher", &self.hasher.algorithm())
+            .field("hasher", &self.digest.algorithm())
             .field("writes", &self.metrics.writes)
             .finish_non_exhaustive()
     }
@@ -405,9 +401,7 @@ impl DeWrite {
 
         DeWrite {
             engine: CounterModeEngine::new(key),
-            hasher: dw.hasher.hasher(),
-            strong: (dw.digest_mode == DigestMode::StrongKeyed)
-                .then(|| (StrongKeyed::derive(key), StrongScratch::new())),
+            digest: IndexDigest::new(dw.hasher, dw.digest_mode, key),
             index,
             counters,
             predictor: HistoryPredictor::new(dw.history_bits),
@@ -483,7 +477,7 @@ impl DeWrite {
                 }
             }
             if let Some(digest) = self.index.digest_of(line) {
-                store.set_resident_hash(line, Some(Self::fold_digest(digest)));
+                store.set_resident_hash(line, Some(IndexDigest::fold(digest)));
             }
         }
         for (line, counter) in self.counters.iter() {
@@ -520,7 +514,7 @@ impl DeWrite {
                 .digest_of(real)
                 .ok_or_else(|| format!("{init} resolves to non-resident {real}"))?;
             self.plaintext_into(real, &mut plaintext)?;
-            let actual = self.compute_digest_readonly(&plaintext);
+            let actual = self.digest.digest_readonly(&plaintext);
             if actual != expected_digest {
                 return Err(format!(
                     "line {real}: stored content hashes to {actual:#x}, \
@@ -589,41 +583,6 @@ impl DeWrite {
         &self.index
     }
 
-    /// Fold a 64-bit fingerprint into a 32-bit value: the hash-table key in
-    /// CRC mode (zero-extended back to `u64`), and the 4-byte colocated
-    /// inverted-row digest in both modes (§III-C fixes that slot at 32
-    /// bits). For zero-extended CRC digests the fold is the identity.
-    fn fold_digest(d: u64) -> u32 {
-        (d ^ (d >> 32)) as u32
-    }
-
-    /// The index digest of `data` under the configured digest mode: the
-    /// folded light hash zero-extended, or the 64-bit strong keyed tag.
-    fn compute_digest(&mut self, data: &[u8]) -> u64 {
-        match self.strong.as_mut() {
-            Some((strong, scratch)) => strong.digest_with(data, scratch),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// [`compute_digest`](Self::compute_digest) without touching controller
-    /// state (cold paths: scrub uses a throwaway scratch).
-    fn compute_digest_readonly(&self, data: &[u8]) -> u64 {
-        match self.strong.as_ref() {
-            Some((strong, _)) => strong.digest_with(data, &mut StrongScratch::new()),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// The hardware cost charged per fingerprint under the configured mode.
-    fn digest_cost(&self) -> dewrite_hashes::HashCost {
-        if self.strong.is_some() {
-            HashAlgorithm::StrongKeyed.cost()
-        } else {
-            self.hasher.cost()
-        }
-    }
-
     /// Decrypt the resident line `real` into `out` without timing side
     /// effects (the scrub's content check).
     ///
@@ -661,7 +620,7 @@ impl DeWrite {
         // inline view of the bucket (at most the compare cap of them).
         let candidates = self.index.open_for(digest, init);
         let skipped_saturated = candidates.skipped_saturated;
-        if self.strong.is_some() {
+        if self.digest.mode() == DigestMode::StrongKeyed {
             // Verify-free: every candidate already matched the full stored
             // tag, so the first live one *is* the duplicate. Detection
             // resolves at the hash-store query; the array is never read.
@@ -850,9 +809,9 @@ impl SecureMemory for DeWrite {
 
         // 1. Fingerprint: the light hash (15 ns), or the strong keyed tag
         // (40 ns) whose match needs no verification.
-        let cost = self.digest_cost();
+        let cost = self.digest.cost();
         let digest_ns = cost.latency_ns;
-        let digest = self.compute_digest(data);
+        let digest = self.digest.digest(data);
         let hash_done = now_ns + digest_ns;
         self.metrics.hash_ops += 1;
         self.device.charge_dedup_pj(cost.energy_pj);

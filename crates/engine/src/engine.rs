@@ -1,42 +1,33 @@
-//! The sharded memory-controller service: request routing, bounded
-//! per-shard queues with back-pressure, worker lifecycle, and the
-//! deterministic report merge.
+//! The in-process trace driver, plus the engine's configuration and
+//! per-shard results (shared with [`EngineService`](crate::EngineService)).
 //!
-//! # Concurrency model
+//! # Who runs a shard
 //!
-//! One or more producer threads route trace records to their owning
-//! shards (`addr mod shards`) and push them onto the shards' bounded
-//! [`ArrayQueue`]s in amortized batches ([`ArrayQueue::push_batch`]: one
-//! reserve CAS per batch, not per request); a full queue exerts
-//! **back-pressure** (the producer spins, yields, then sleep-parks with an
-//! exponentially growing pause, and the blocked time is surfaced as
-//! [`ShardSummary::producer_stall_ns`]). One worker thread per shard owns
-//! its [`ShardController`] exclusively and drains up to
-//! [`EngineConfig::batch`] requests per wakeup ([`ArrayQueue::pop_batch`]).
-//! Queue claims are lock-free CAS operations and FSM allocation inside the
-//! controller is an atomic-bitmap word scan — no mutex anywhere on the
-//! hot path.
+//! A fixed trace is partitioned before its first operation runs, so the
+//! thread that feeds a shard can simply own it. [`run`] splits the trace by
+//! owning producer (shard `s` belongs to producer `s mod producers`), and
+//! each of the [`EngineConfig::effective_producers`] scoped threads builds
+//! the [`ShardController`]s it feeds and applies its slice to them in trace
+//! order — no request queue, no worker thread, nothing shared between
+//! threads while the trace runs. Handing a sub-microsecond operation to
+//! another thread costs more than the operation (DESIGN.md §8).
 //!
 //! # Determinism
 //!
-//! Each shard is fed by exactly one producer (shard `s` belongs to
-//! producer `s mod producers`), each producer walks its slice of the trace
-//! in order, and per-shard staging buffers are flushed FIFO — so every
-//! shard receives its subsequence of the trace in order regardless of
-//! producer count, batch size, or scheduling; each shard's simulated
-//! [`RunReport`] is therefore a pure function of `(trace, seed, shard
-//! count, coalescing window)`. Folding the per-shard reports **in shard
-//! order** ([`RunReport::merge_all`]) yields a bit-identical merged
-//! report across repeated multi-threaded runs. Host-side measurements
-//! (wall clock, queue depths, host latency percentiles, producer stalls)
-//! are inherently non-deterministic and are kept in [`ShardSummary`] /
-//! [`EngineRun`] fields separate from the merged simulated report.
+//! A shard has exactly one owner and the owner walks its slice of the
+//! trace in order, so every shard applies its subsequence of the trace in
+//! order by construction, whatever the producer count or scheduling; each
+//! shard's simulated [`RunReport`] is therefore a pure function of `(trace,
+//! seed, shard count, coalescing window)`, and its WAL appends land in that
+//! same order. Folding the per-shard reports **in shard order**
+//! ([`RunReport::merge_all`]) yields a bit-identical merged report across
+//! repeated multi-threaded runs. Host-side measurements (wall clock, host
+//! latency percentiles) are inherently non-deterministic and are kept in
+//! [`ShardSummary`] / [`EngineRun`] fields separate from the merged
+//! simulated report.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam_queue::ArrayQueue;
 use dewrite_core::tables::MAX_REFERENCE;
 use dewrite_core::{DigestMode, RunReport};
 use dewrite_mem::{CacheStats, LatencyHistogram, Replacement};
@@ -46,14 +37,18 @@ use dewrite_nvm::FsmStats;
 
 use crate::shard::{FsmPolicy, ShardController};
 
-/// How the producer issues requests.
+/// How [`run`] issues operations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pacing {
-    /// Closed loop: issue as fast as the queues accept (back-pressure
-    /// bounds the in-flight window to the queue depth).
+    /// Closed loop: each producer applies its slice as fast as its shards
+    /// serve it.
     Closed,
-    /// Open loop: issue on a fixed schedule of `ops_per_sec`, independent
-    /// of service rate (queue back-pressure still blocks when full).
+    /// Open loop: issue on a fixed schedule of `ops_per_sec` over the whole
+    /// trace, independent of service rate; an operation that falls behind
+    /// its due time runs as soon as its producer reaches it. The schedule
+    /// starts when [`run`] is called, so the records due while the trace
+    /// is partitioned and the shards are built start late — that lag is
+    /// the tail of the sampled host latency.
     Open {
         /// Target issue rate, operations per second.
         ops_per_sec: f64,
@@ -63,7 +58,7 @@ pub enum Pacing {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of controller shards (and worker threads).
+    /// Number of controller shards.
     pub shards: usize,
     /// Line size in bytes.
     pub line_size: usize,
@@ -71,28 +66,26 @@ pub struct EngineConfig {
     pub lines: u64,
     /// Arena slots per shard (owned lines + saturated-residue slack).
     pub slots_per_shard: u64,
-    /// Bounded request-queue capacity per shard ([`run`]); a quarter of
-    /// the per-shard reorder window of [`EngineService`](crate::EngineService).
+    /// A quarter of the per-shard reorder window of
+    /// [`EngineService`](crate::EngineService): how many out-of-order
+    /// requests a shard holds before rejecting new ones. Unused by [`run`],
+    /// which has no queue.
     pub queue_depth: usize,
     /// Memory-encryption key.
     pub key: [u8; 16],
-    /// Producer pacing mode.
+    /// [`run`]'s pacing mode.
     pub pacing: Pacing,
     /// Run a full cross-table [`ShardController::scrub`] on every shard
     /// after the drain.
     pub scrub: bool,
-    /// Requests a [`run`] worker drains per wakeup, and the producers'
-    /// staging chunk (clamped to `queue_depth`). 1 reproduces the
-    /// one-at-a-time seed behavior. Unused by
-    /// [`EngineService`](crate::EngineService).
-    pub batch: usize,
     /// Per-shard write-coalescing window
     /// ([`ShardController::set_coalesce_window`]); 0 (the default)
     /// disables coalescing and keeps reports bit-identical to the
     /// unbuffered controller.
     pub coalesce: usize,
-    /// Submission threads; 0 picks one per two shards. Clamped to
-    /// `1..=shards` (a shard is always fed by exactly one producer).
+    /// Threads [`run`] applies the trace on, each owning the shards it
+    /// feeds; 0 picks one per shard up to the host's hardware threads.
+    /// Clamped to `1..=shards` (a shard has exactly one owner).
     pub producers: usize,
     /// Root directory for crash-consistent metadata persistence; each
     /// shard logs to `shard-<id>/` under it (epoch-batched WAL +
@@ -115,14 +108,14 @@ pub struct EngineConfig {
     pub fsm: FsmPolicy,
     /// Per-shard metadata-cache eviction policy
     /// ([`ShardController::set_cache_policy`]). The merged simulated
-    /// report is bit-identical across shard/batch/producer counts for any
+    /// report is bit-identical across shard/producer counts for any
     /// fixed policy, but policies differ from each other: they change
     /// which digest lookups hit and therefore simulated latency.
     pub cache_policy: Replacement,
     /// Per-shard digest mode ([`ShardController::set_digest_mode`]):
     /// CRC-32 with verify-reads (the default, bit-identical to the seed)
     /// or the 64-bit strong keyed tag with verify-free commits. The merged
-    /// simulated report is bit-identical across shard/batch/producer counts
+    /// simulated report is bit-identical across shard/producer counts
     /// for any fixed mode.
     pub digest_mode: DigestMode,
 }
@@ -152,7 +145,6 @@ impl EngineConfig {
             key: *b"dewrite-repro-16",
             pacing: Pacing::Closed,
             scrub: false,
-            batch: 64,
             coalesce: 0,
             producers: 0,
             persist_dir: None,
@@ -164,10 +156,10 @@ impl EngineConfig {
         }
     }
 
-    /// The number of submission threads a run will actually use.
+    /// The number of threads a [`run`] will actually use.
     pub fn effective_producers(&self) -> usize {
         let requested = if self.producers == 0 {
-            self.shards.div_ceil(2)
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.producers
         };
@@ -185,17 +177,35 @@ impl EngineConfig {
             sync: self.persist_sync,
         }
     }
-}
 
-/// One queued request: a trace record plus its issue timestamp (ns since
-/// run start) for host-latency accounting.
-#[derive(Debug)]
-pub struct Request {
-    /// The operation.
-    pub rec: TraceRecord,
-    /// Nanoseconds since run start when the producer flushed the staged
-    /// chunk that carried it towards the shard's queue.
-    pub issued_ns: u64,
+    /// Build shard `id` as this config describes it: FSM policy, cache
+    /// policy, digest mode and coalescing window applied, persistence
+    /// attached under `persist_dir/shard-<id>/`. The one place a config
+    /// axis reaches a [`ShardController`], for [`run`] and
+    /// [`EngineService`](crate::EngineService) alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= shards` or the shard's persistent store cannot be
+    /// created.
+    pub fn shard(&self, id: usize) -> ShardController {
+        let mut ctrl = ShardController::new(
+            id,
+            self.shards,
+            self.slots_per_shard,
+            self.line_size,
+            &self.key,
+        );
+        ctrl.set_fsm_policy(self.fsm);
+        ctrl.set_cache_policy(self.cache_policy);
+        ctrl.set_digest_mode(self.digest_mode);
+        ctrl.set_coalesce_window(self.coalesce);
+        if let Some(root) = &self.persist_dir {
+            ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), self.durable_options())
+                .expect("attach shard metadata persistence");
+        }
+        ctrl
+    }
 }
 
 /// Host latency is a sampled histogram: a shard times every
@@ -226,17 +236,10 @@ pub struct ShardSummary {
     /// one in eight of the shard's data operations, chosen by the shard's
     /// own op sequence (operations 0, 8, 16, …).
     pub host_latency: LatencyHistogram,
-    /// Peak observed queue depth, including the popped request. Always 0
-    /// from [`EngineService`](crate::EngineService), which has no request
-    /// queue: the submitter runs the shard.
-    pub queue_depth_peak: usize,
-    /// Mean residual queue depth observed at each pop. Always 0 from
-    /// [`EngineService`](crate::EngineService), as above.
+    /// Always 0: no path has a request queue any more (the thread that
+    /// submits an operation runs its shard). Kept only because the repo
+    /// benchmark still reads the field.
     pub queue_depth_mean: f64,
-    /// Host nanoseconds the feeding producer spent blocked on this shard's
-    /// full queue (non-deterministic). Always 0 from
-    /// [`EngineService`](crate::EngineService): `try_submit` never blocks.
-    pub producer_stall_ns: u64,
     /// Allocator counters — claims, reservation refills, steals, scan
     /// steps (all-zero under [`FsmPolicy::Flat`]).
     pub fsm: FsmStats,
@@ -246,6 +249,30 @@ pub struct ShardSummary {
     pub cache: CacheStats,
     /// Post-run scrub outcome, when requested: resident lines checked.
     pub scrub: Option<Result<u64, String>>,
+}
+
+impl ShardSummary {
+    /// What `ctrl` has produced so far, with the host-side measurements
+    /// its driver took. The caller drains parked writes and reaches its
+    /// durability point first.
+    pub(crate) fn of(
+        ctrl: &mut ShardController,
+        app: &str,
+        host_latency: LatencyHistogram,
+        scrub: Option<Result<u64, String>>,
+    ) -> Self {
+        ShardSummary {
+            shard: ctrl.id(),
+            ops: ctrl.ops(),
+            dedup_rate: ctrl.dedup_rate(),
+            report: ctrl.report(app),
+            host_latency,
+            queue_depth_mean: 0.0,
+            fsm: ctrl.fsm_stats(),
+            cache: ctrl.cache_stats(),
+            scrub,
+        }
+    }
 }
 
 /// The result of one engine run.
@@ -262,6 +289,19 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
+    /// Fold per-shard summaries, given in shard order, into a run.
+    pub(crate) fn fold(shards: Vec<ShardSummary>, wall_ns: u64) -> Self {
+        let merged =
+            RunReport::merge_all(shards.iter().map(|s| &s.report)).expect("at least one shard");
+        let ops = shards.iter().map(|s| s.ops).sum();
+        EngineRun {
+            merged,
+            shards,
+            wall_ns,
+            ops,
+        }
+    }
+
     /// Host throughput in operations per second.
     pub fn ops_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -287,21 +327,11 @@ impl EngineRun {
     }
 }
 
-/// Spin briefly, then yield: progress even on a single hardware thread.
-fn backoff(spins: &mut u32) {
-    if *spins < 64 {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
 /// Spin → yield → sleep-park back-off with an exponentially growing pause
-/// capped at 256 µs. A thread blocked on a full (or empty) lock-free queue
-/// is waiting on whichever peer is the actual bottleneck — parking gets it
-/// off the core so that peer can have it. Used by [`run`]'s producers and
-/// the `dewrite-net` event loops.
+/// capped at 256 µs. A thread polling a socket or a completion lane that
+/// has nothing for it is waiting on whichever peer is the actual
+/// bottleneck — parking gets it off the core so that peer can have it.
+/// Used by the `dewrite-net` event loops and clients.
 #[derive(Debug, Default)]
 pub struct Backoff {
     rounds: u32,
@@ -342,32 +372,78 @@ impl Backoff {
     }
 }
 
-/// Push every staged request, in order, blocking while the queue is full.
-/// The chunk is stamped as issued now — one clock read for all of it — and
-/// time spent blocked accrues to `stall_ns`.
-fn flush_to_queue(
-    queue: &ArrayQueue<Request>,
-    staged: &mut Vec<Request>,
+/// One producer's whole job: build the shards it owns (`first`, `first +
+/// stride`, …), apply `feed` — its slice of the trace, each record with its
+/// global trace index — to them in order, then drain, checkpoint and
+/// summarise each shard.
+fn drive(
+    config: &EngineConfig,
+    app: &str,
+    first: usize,
+    stride: usize,
+    feed: Vec<(u64, TraceRecord)>,
     start: Instant,
-    stall_ns: &mut u64,
-) {
-    if staged.is_empty() {
-        return;
+) -> Vec<ShardSummary> {
+    struct Owned {
+        ctrl: ShardController,
+        host: LatencyHistogram,
+        seq: u64,
     }
-    let issued_ns = start.elapsed().as_nanos() as u64;
-    for req in staged.iter_mut() {
-        req.issued_ns = issued_ns;
-    }
-    let mut parker = Backoff::new();
-    while !staged.is_empty() {
-        if queue.push_batch(staged) == 0 {
-            let blocked = Instant::now();
-            parker.wait();
-            *stall_ns += blocked.elapsed().as_nanos() as u64;
-        } else {
-            parker.reset();
+    let elapsed_ns = || start.elapsed().as_nanos() as u64;
+    let mut owned: Vec<Owned> = (first..config.shards)
+        .step_by(stride)
+        .map(|id| Owned {
+            ctrl: config.shard(id),
+            host: LatencyHistogram::new(),
+            seq: 0,
+        })
+        .collect();
+    for (index, rec) in feed {
+        let shard = &mut owned[shard_of_line(rec.op.addr(), config.shards) / stride];
+        let sampled = host_sampled(shard.seq);
+        shard.seq += 1;
+        // Host latency runs from the record's due time under open loop
+        // (falling behind the schedule is latency) and from just before
+        // the operation under closed loop, where an unsampled operation
+        // reads no clock at all.
+        let issued_ns = match config.pacing {
+            Pacing::Open { ops_per_sec } => {
+                let due_ns = (index as f64 / ops_per_sec * 1e9) as u64;
+                while elapsed_ns() < due_ns {
+                    // Yield, not spin: the other producers do real work.
+                    std::thread::yield_now();
+                }
+                due_ns
+            }
+            Pacing::Closed if sampled => elapsed_ns(),
+            Pacing::Closed => 0,
+        };
+        let gap = rec.gap_instructions;
+        match rec.op {
+            TraceOp::Write { addr, data } => {
+                shard.ctrl.submit_write(addr, &data, gap);
+            }
+            TraceOp::Read { addr } => {
+                shard.ctrl.read(addr, gap);
+            }
+        }
+        if sampled {
+            shard.host.record(elapsed_ns().saturating_sub(issued_ns));
         }
     }
+    owned
+        .into_iter()
+        .map(|Owned { mut ctrl, host, .. }| {
+            ctrl.flush_writes();
+            // End-of-drain durability point: flush the open WAL epoch and
+            // checkpoint, so scrub sees no unflushed epochs and the store
+            // recovers to the final state.
+            ctrl.persist_checkpoint()
+                .expect("shard metadata checkpoint at drain");
+            let scrub = config.scrub.then(|| ctrl.scrub());
+            ShardSummary::of(&mut ctrl, app, host, scrub)
+        })
+        .collect()
 }
 
 /// Run `records` through `config.shards` controller shards and fold the
@@ -375,23 +451,12 @@ fn flush_to_queue(
 ///
 /// # Panics
 ///
-/// Panics if a shard worker panics (e.g. arena exhaustion) or the config
-/// is invalid.
+/// Panics if a shard panics (e.g. arena exhaustion) or the config is
+/// invalid.
 pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> EngineRun {
     let shards = config.shards;
     assert!(shards > 0, "need at least one shard");
-    assert!(
-        config.queue_depth > 0,
-        "queues must hold at least one request"
-    );
-    assert!(config.batch > 0, "workers must drain at least one request");
     let producers = config.effective_producers();
-    let batch = config.batch;
-
-    let queues: Vec<Arc<ArrayQueue<Request>>> = (0..shards)
-        .map(|_| Arc::new(ArrayQueue::new(config.queue_depth)))
-        .collect();
-    let done = Arc::new(AtomicBool::new(false));
     let start = Instant::now();
     let total_ops = records.len() as u64;
 
@@ -405,184 +470,25 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
     }
 
     let mut summaries: Vec<ShardSummary> = Vec::with_capacity(shards);
-    let mut stalls_by_shard = vec![0u64; shards];
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|id| {
-                let queue = Arc::clone(&queues[id]);
-                let done = Arc::clone(&done);
-                let mut ctrl = ShardController::new(
-                    id,
-                    shards,
-                    config.slots_per_shard,
-                    config.line_size,
-                    &config.key,
-                );
-                ctrl.set_fsm_policy(config.fsm);
-                ctrl.set_cache_policy(config.cache_policy);
-                ctrl.set_digest_mode(config.digest_mode);
-                ctrl.set_coalesce_window(config.coalesce);
-                if let Some(root) = &config.persist_dir {
-                    ctrl.attach_persistence(
-                        &root.join(format!("shard-{id:02}")),
-                        config.durable_options(),
-                    )
-                    .expect("attach shard metadata persistence");
-                }
-                let want_scrub = config.scrub;
-                let app = app.to_string();
-                scope.spawn(move || {
-                    let mut host = LatencyHistogram::new();
-                    let mut seq = 0u64;
-                    let mut peak = 0usize;
-                    let mut depth_sum = 0u64;
-                    let mut samples = 0u64;
-                    let mut spins = 0u32;
-                    let mut buf: Vec<Request> = Vec::with_capacity(batch);
-                    loop {
-                        // One reserve CAS claims up to `batch` requests.
-                        let n = queue.pop_batch(&mut buf, batch);
-                        if n == 0 {
-                            if done.load(Ordering::Acquire) && queue.is_empty() {
-                                break;
-                            }
-                            backoff(&mut spins);
-                            continue;
-                        }
-                        spins = 0;
-                        // `len()` races with producer refills of the slots
-                        // this pop just freed; the instantaneous depth can
-                        // never actually exceed capacity, so clamp.
-                        let residual = queue.len();
-                        peak = peak.max((residual + n).min(queue.capacity()));
-                        depth_sum += residual as u64;
-                        samples += 1;
-                        for req in buf.drain(..) {
-                            let gap = req.rec.gap_instructions;
-                            match req.rec.op {
-                                TraceOp::Write { addr, data } => {
-                                    ctrl.submit_write(addr, &data, gap);
-                                }
-                                TraceOp::Read { addr } => {
-                                    ctrl.read(addr, gap);
-                                }
-                            }
-                            if host_sampled(seq) {
-                                let now = start.elapsed().as_nanos() as u64;
-                                host.record(now.saturating_sub(req.issued_ns));
-                            }
-                            seq += 1;
-                        }
-                    }
-                    ctrl.flush_writes();
-                    // End-of-drain durability point: flush the open WAL
-                    // epoch and checkpoint, so scrub sees no unflushed
-                    // epochs and the store recovers to the final state.
-                    ctrl.persist_checkpoint()
-                        .expect("shard metadata checkpoint at drain");
-                    let scrub = want_scrub.then(|| ctrl.scrub());
-                    ShardSummary {
-                        shard: id,
-                        fsm: ctrl.fsm_stats(),
-                        cache: ctrl.cache_stats(),
-                        ops: ctrl.ops(),
-                        dedup_rate: ctrl.dedup_rate(),
-                        report: ctrl.report(&app),
-                        host_latency: host,
-                        queue_depth_peak: peak,
-                        queue_depth_mean: if samples == 0 {
-                            0.0
-                        } else {
-                            depth_sum as f64 / samples as f64
-                        },
-                        producer_stall_ns: 0,
-                        scrub,
-                    }
-                })
-            })
-            .collect();
-
-        // Producers: each walks its slice of the trace in order and stages
-        // requests per shard, flushing `chunk` at a time — every shard
-        // still sees its subsequence of the trace in order (the
-        // determinism invariant), since a shard is fed by exactly one
-        // producer and the staging buffers are FIFO.
-        let producer_handles: Vec<_> = feeds
+        let handles: Vec<_> = feeds
             .into_iter()
-            .map(|feed| {
-                let queues: Vec<Arc<ArrayQueue<Request>>> = queues.iter().map(Arc::clone).collect();
-                let pacing = config.pacing;
-                let queue_depth = config.queue_depth;
-                scope.spawn(move || -> Vec<u64> {
-                    let mut stalls = vec![0u64; shards];
-                    let mut staged: Vec<Vec<Request>> = (0..shards).map(|_| Vec::new()).collect();
-                    // Open loop must put each record in flight at its
-                    // scheduled instant; only closed loop may amortize.
-                    let chunk = match pacing {
-                        Pacing::Open { .. } => 1,
-                        Pacing::Closed => batch.min(queue_depth),
-                    };
-                    for (issued, rec) in feed {
-                        if let Pacing::Open { ops_per_sec } = pacing {
-                            let target_ns = (issued as f64 / ops_per_sec * 1e9) as u64;
-                            let mut spins = 0u32;
-                            while (start.elapsed().as_nanos() as u64) < target_ns {
-                                backoff(&mut spins);
-                            }
-                        }
-                        let shard = shard_of_line(rec.op.addr(), shards);
-                        staged[shard].push(Request { rec, issued_ns: 0 });
-                        if staged[shard].len() >= chunk {
-                            flush_to_queue(
-                                &queues[shard],
-                                &mut staged[shard],
-                                start,
-                                &mut stalls[shard],
-                            );
-                        }
-                    }
-                    for shard in 0..shards {
-                        flush_to_queue(
-                            &queues[shard],
-                            &mut staged[shard],
-                            start,
-                            &mut stalls[shard],
-                        );
-                    }
-                    stalls
-                })
+            .enumerate()
+            .map(|(first, feed)| {
+                scope.spawn(move || drive(config, app, first, producers, feed, start))
             })
             .collect();
-
-        for h in producer_handles {
-            let stalls = h.join().expect("producer panicked");
-            for (shard, ns) in stalls.into_iter().enumerate() {
-                stalls_by_shard[shard] += ns;
-            }
-        }
-        done.store(true, Ordering::Release);
-
         for h in handles {
-            summaries.push(h.join().expect("shard worker panicked"));
+            summaries.extend(h.join().expect("producer panicked"));
         }
     });
     let wall_ns = start.elapsed().as_nanos() as u64;
 
     // Fold in fixed shard order: bit-identical regardless of scheduling.
     summaries.sort_by_key(|s| s.shard);
-    for s in &mut summaries {
-        s.producer_stall_ns = stalls_by_shard[s.shard];
-    }
-    let merged =
-        RunReport::merge_all(summaries.iter().map(|s| &s.report)).expect("at least one shard");
-    let processed: u64 = summaries.iter().map(|s| s.ops).sum();
-    assert_eq!(processed, total_ops, "no request may be lost");
-    EngineRun {
-        merged,
-        shards: summaries,
-        wall_ns,
-        ops: total_ops,
-    }
+    let run = EngineRun::fold(summaries, wall_ns);
+    assert_eq!(run.ops, total_ops, "no request may be lost");
+    run
 }
 
 #[cfg(test)]
@@ -618,7 +524,6 @@ mod tests {
         assert_eq!(run.shards.len(), 4);
         assert_eq!(run.merged.base.writes + run.merged.base.reads, total as u64);
         for s in &run.shards {
-            assert!(s.queue_depth_peak <= config.queue_depth);
             match &s.scrub {
                 Some(Ok(_)) => {}
                 other => panic!("shard {} scrub: {other:?}", s.shard),
@@ -660,31 +565,66 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_and_producer_count_do_not_change_the_merge() {
+    fn producer_count_does_not_change_the_merge() {
+        // Coalescing on as well as off: a parked write drains in its
+        // shard's own order, so the window must not see the producer count.
         let (records, lines) = trace(1_500, 256, 13);
-        let mut config = config_for(4, lines, records.len());
-        config.batch = 1;
-        config.producers = 1;
-        let baseline = run(&config, "mcf", records.clone());
-        for (batch, producers) in [(8, 2), (64, 4), (64, 0)] {
-            config.batch = batch;
-            config.producers = producers;
-            let other = run(&config, "mcf", records.clone());
-            assert_eq!(
-                baseline.merged, other.merged,
-                "batch {batch} x producers {producers} changed the simulated report"
-            );
+        for coalesce in [0usize, 16] {
+            let mut config = config_for(4, lines, records.len());
+            config.coalesce = coalesce;
+            config.producers = 1;
+            let baseline = run(&config, "mcf", records.clone());
+            assert_eq!(baseline.merged.base.coalesced_writes > 0, coalesce > 0);
+            for producers in [2, 4, 0] {
+                config.producers = producers;
+                let other = run(&config, "mcf", records.clone());
+                assert_eq!(
+                    baseline.merged, other.merged,
+                    "coalesce {coalesce} x producers {producers} changed the simulated report"
+                );
+            }
         }
     }
 
     #[test]
     fn effective_producers_clamps_sanely() {
         let mut c = config_for(4, 64, 100);
-        assert_eq!(c.effective_producers(), 2, "auto: one per two shards");
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            c.effective_producers(),
+            hw.min(4),
+            "auto: one per shard, up to the hardware threads"
+        );
         c.producers = 9;
         assert_eq!(c.effective_producers(), 4, "never more than shards");
+        c.producers = 3;
+        assert_eq!(c.effective_producers(), 3);
         c.shards = 1;
         assert_eq!(c.effective_producers(), 1);
+    }
+
+    #[test]
+    fn host_latency_samples_one_in_eight_of_each_shards_ops() {
+        let (records, lines) = trace(1_003, 128, 29);
+        let mut config = config_for(3, lines, records.len());
+        config.producers = 2;
+        for pacing in [
+            Pacing::Closed,
+            Pacing::Open {
+                ops_per_sec: 2_000_000.0,
+            },
+        ] {
+            config.pacing = pacing;
+            let run = run(&config, "mcf", records.clone());
+            for s in &run.shards {
+                assert_eq!(
+                    s.host_latency.count(),
+                    s.ops.div_ceil(8),
+                    "{pacing:?}: shard {} times ops 0, 8, 16, … of its own sequence",
+                    s.shard
+                );
+            }
+        }
     }
 
     #[test]
@@ -789,19 +729,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bit_identical_per_cache_policy_across_batch_and_producers() {
+    fn merge_is_bit_identical_per_cache_policy_across_producers() {
         // Determinism is per-policy: for a fixed eviction policy and shard
-        // count the merged simulated report must not depend on batching or
-        // producer scheduling. Policies are allowed to (and do) differ
+        // count the merged simulated report must not depend on how many
+        // producers run the shards. Policies are allowed to (and do) differ
         // from each other because they change which metadata lookups hit,
         // and shard count still moves dedup via digest sharding.
         let (records, lines) = trace(2_000, 256, 31);
         for policy in Replacement::ALL {
             for shards in [1usize, 4] {
                 let mut reference: Option<String> = None;
-                for (batch, producers) in [(1usize, 1usize), (64, 4), (64, 0)] {
+                for producers in [1, 2, shards, 0] {
                     let mut config = config_for(shards, lines, records.len());
-                    config.batch = batch;
                     config.producers = producers;
                     config.cache_policy = policy;
                     let run = run(&config, "mcf", records.clone());
@@ -810,8 +749,8 @@ mod tests {
                         None => reference = Some(json),
                         Some(r) => assert_eq!(
                             r, &json,
-                            "{policy}/{shards} shards: batch {batch} x producers \
-                             {producers} changed the merged report"
+                            "{policy}/{shards} shards: producers {producers} changed the \
+                             merged report"
                         ),
                     }
                     for s in &run.shards {
@@ -834,19 +773,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bit_identical_per_digest_mode_across_batch_and_producers() {
+    fn merge_is_bit_identical_per_digest_mode_across_producers() {
         // Same determinism contract along the digest-mode axis: for a fixed
         // mode and shard count the merged simulated report must not depend
-        // on batching or producer scheduling. The two modes legitimately
+        // on how many producers run the shards. The two modes legitimately
         // differ from each other (verify-free commits skip the verify-read,
         // changing both latency and energy).
         let (records, lines) = trace(2_000, 256, 31);
         for mode in DigestMode::ALL {
             for shards in [1usize, 4] {
                 let mut reference: Option<String> = None;
-                for (batch, producers) in [(1usize, 1usize), (64, 4), (64, 0)] {
+                for producers in [1, 2, shards, 0] {
                     let mut config = config_for(shards, lines, records.len());
-                    config.batch = batch;
                     config.producers = producers;
                     config.digest_mode = mode;
                     config.scrub = true;
@@ -859,8 +797,8 @@ mod tests {
                         None => reference = Some(json),
                         Some(r) => assert_eq!(
                             r, &json,
-                            "{mode}/{shards} shards: batch {batch} x producers \
-                             {producers} changed the merged report"
+                            "{mode}/{shards} shards: producers {producers} changed the \
+                             merged report"
                         ),
                     }
                     let dw = run.merged.dewrite.expect("engine reports dewrite metrics");
@@ -920,18 +858,5 @@ mod tests {
         };
         let run = run(&config, "mcf", records);
         assert_eq!(run.ops, total as u64);
-    }
-
-    #[test]
-    fn tiny_queue_exerts_back_pressure_without_loss() {
-        let (records, lines) = trace(1_000, 128, 9);
-        let total = records.len();
-        let mut config = config_for(2, lines, total);
-        config.queue_depth = 2;
-        let run = run(&config, "mcf", records);
-        assert_eq!(run.ops, total as u64);
-        for s in &run.shards {
-            assert!(s.queue_depth_peak <= 2);
-        }
     }
 }

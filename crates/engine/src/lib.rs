@@ -8,19 +8,24 @@
 //! inverted-hash tables (implicitly sharded by digest, since a digest only
 //! lands where its address routed), address map + colocated CME counters
 //! (sharded by line address), a metadata cache, a 3-bit predictor, and a
-//! lock-free atomic-bitmap free-space map — so shards never share mutable
-//! state.
+//! free-space map driven through its owner-mode (`&mut`, no atomic
+//! read-modify-write) entry points — so shards never share mutable state.
 //!
-//! Work arrives two ways. [`run`] drives one fixed trace through bounded
-//! per-shard MPSC queues with back-pressure, one worker thread per shard,
-//! and returns when it drains; per-shard simulated reports fold into one
-//! deterministic aggregate via `RunReport::merge_all`. [`EngineService`]
-//! is the long-running form for served deployments, and owns no threads:
-//! non-blocking [`EngineService::try_submit`] runs the target shard on the
-//! submitting thread under that shard's lock, with per-lane completion
-//! queues, per-shard sequence-number reordering (so any interleaving of
-//! network connections replays each shard's exact trace subsequence), and
-//! a graceful drain that flushes and checkpoints attached persistence. The `loadgen` binary (in
+//! One model, two drivers: whichever thread submits an operation runs its
+//! shard. [`run`] drives one fixed trace: it partitions the trace by
+//! owning shard up front, each of its threads owns the shards it feeds
+//! outright (no queue, no lock) and applies its slice in trace order, and
+//! the per-shard simulated reports fold into one deterministic aggregate
+//! via `RunReport::merge_all`. [`EngineService`] is the long-running form
+//! for served deployments, where the submitter is not known in advance, so
+//! ownership is a per-shard lock: non-blocking
+//! [`EngineService::try_submit`] runs the target shard on the submitting
+//! thread under that shard's lock, with per-lane completion queues,
+//! per-shard sequence-number reordering (so any interleaving of network
+//! connections replays each shard's exact trace subsequence), and a
+//! graceful drain that flushes and checkpoints attached persistence.
+//! Neither owns a thread beyond the ones its caller brings (`run`'s are
+//! scoped to the call). The `loadgen` binary (in
 //! `crates/net`) drives closed- and open-loop clients against 1..=16
 //! shards — in-process or over a socket — and emits `BENCH_engine.json`,
 //! including the **digest-sharding cost**: a shard only dedups against
@@ -36,7 +41,7 @@ mod shard;
 
 pub use dewrite_core::DigestMode;
 pub use dewrite_mem::{CacheStats, Replacement};
-pub use engine::{run, Backoff, EngineConfig, EngineRun, Pacing, Request, ShardSummary};
+pub use engine::{run, Backoff, EngineConfig, EngineRun, Pacing, ShardSummary};
 pub use service::{
     Completion, CompletionBody, EngineService, ServiceOp, ServiceRequest, CONTROL_SEQ,
 };

@@ -35,10 +35,11 @@
 //!
 //! # Determinism under concurrent submitters
 //!
-//! The in-process engine keeps the merged simulated [`RunReport`]
-//! bit-identical by feeding each shard its subsequence of the trace in
-//! order. A network frontend multiplexing thousands of sockets cannot
-//! guarantee arrival order, so the service moves the invariant into the
+//! The in-process engine keeps the merged simulated
+//! [`RunReport`](dewrite_core::RunReport) bit-identical by having each
+//! shard's one owner apply its subsequence of the trace in order. A
+//! network frontend multiplexing thousands of sockets cannot guarantee
+//! arrival order, so the service moves the invariant into the
 //! protocol: every data request carries a **per-shard sequence number**
 //! (`seq` = the record's index within its shard's subsequence of the
 //! trace), and each shard holds a bounded reorder buffer, applying
@@ -53,7 +54,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crossbeam_queue::ArrayQueue;
-use dewrite_core::RunReport;
 use dewrite_mem::LatencyHistogram;
 use dewrite_nvm::LineAddr;
 
@@ -87,7 +87,8 @@ pub enum ServiceOp {
     Scrub,
     /// Flush the open WAL epoch and checkpoint (control).
     Flush,
-    /// This shard's simulated [`RunReport`] as JSON (control).
+    /// This shard's simulated [`RunReport`](dewrite_core::RunReport) as JSON
+    /// (control).
     Report,
 }
 
@@ -215,26 +216,9 @@ impl EngineService {
 
         let shards = (0..shards)
             .map(|id| {
-                let mut ctrl = ShardController::new(
-                    id,
-                    shards,
-                    config.slots_per_shard,
-                    config.line_size,
-                    &config.key,
-                );
-                ctrl.set_fsm_policy(config.fsm);
-                ctrl.set_cache_policy(config.cache_policy);
-                ctrl.set_digest_mode(config.digest_mode);
-                if let Some(root) = &config.persist_dir {
-                    ctrl.attach_persistence(
-                        &root.join(format!("shard-{id:02}")),
-                        config.durable_options(),
-                    )
-                    .expect("attach shard metadata persistence");
-                }
                 Mutex::new(Shard {
                     id,
-                    ctrl,
+                    ctrl: config.shard(id),
                     reorder: BTreeMap::new(),
                     next_seq: 0,
                     host: LatencyHistogram::new(),
@@ -362,31 +346,10 @@ impl EngineService {
                     .ctrl
                     .persist_shutdown()
                     .expect("shard metadata checkpoint at shutdown");
-                ShardSummary {
-                    shard: shard.id,
-                    fsm: shard.ctrl.fsm_stats(),
-                    cache: shard.ctrl.cache_stats(),
-                    ops: shard.ctrl.ops(),
-                    dedup_rate: shard.ctrl.dedup_rate(),
-                    report: shard.ctrl.report(&self.app),
-                    host_latency: shard.host,
-                    queue_depth_peak: 0,
-                    queue_depth_mean: 0.0,
-                    producer_stall_ns: 0,
-                    scrub: None,
-                }
+                ShardSummary::of(&mut shard.ctrl, &self.app, shard.host, None)
             })
             .collect();
-        let wall_ns = self.start.elapsed().as_nanos() as u64;
-        let merged =
-            RunReport::merge_all(summaries.iter().map(|s| &s.report)).expect("at least one shard");
-        let ops = summaries.iter().map(|s| s.ops).sum();
-        EngineRun {
-            merged,
-            shards: summaries,
-            wall_ns,
-            ops,
-        }
+        EngineRun::fold(summaries, self.start.elapsed().as_nanos() as u64)
     }
 
     /// Hard abort: drop every shard **without** flushing parked writes,

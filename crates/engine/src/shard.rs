@@ -34,11 +34,11 @@
 pub use dewrite_core::tables::MAX_CANDIDATE_COMPARES;
 use dewrite_core::tables::{HashTable, InvertedTable, OpenEntry, MAX_REFERENCE};
 use dewrite_core::{
-    lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor, MetaOp, RunReport,
-    Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
+    lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor, IndexDigest, MetaOp,
+    RunReport, Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
 };
 use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
-use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
+use dewrite_hashes::HashAlgorithm;
 use dewrite_mem::{
     hint, CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
 };
@@ -176,14 +176,9 @@ pub struct ShardController {
     line_size: usize,
     slots: u64,
 
-    hasher: Box<dyn LineHasher>,
     crypt: CounterModeEngine,
-    /// Which digest keys the dedup index — see [`ShardController::set_digest_mode`].
-    digest_mode: DigestMode,
-    /// Strong keyed digest (per-run key derived from the memory-encryption
-    /// key) plus this shard's reusable scratch state, so the hot path never
-    /// allocates; `Some` iff the mode is [`DigestMode::StrongKeyed`].
-    strong: Option<(StrongKeyed, StrongScratch)>,
+    /// What keys the dedup index — see [`ShardController::set_digest_mode`].
+    digest: IndexDigest,
     /// The raw encryption key, kept to derive the strong digest key when
     /// the mode is switched after construction.
     key: [u8; 16],
@@ -260,10 +255,8 @@ impl ShardController {
             shards,
             line_size,
             slots,
-            hasher: HashAlgorithm::Crc32.hasher(),
             crypt: CounterModeEngine::new(key),
-            digest_mode: DigestMode::Crc32Verify,
-            strong: None,
+            digest: IndexDigest::new(HashAlgorithm::Crc32, DigestMode::Crc32Verify, key),
             key: *key,
             hash: HashTable::new(),
             inverted: InvertedTable::new(slots),
@@ -409,14 +402,12 @@ impl ShardController {
             "cannot switch the digest mode after {} operations",
             self.ops
         );
-        self.digest_mode = mode;
-        self.strong = (mode == DigestMode::StrongKeyed)
-            .then(|| (StrongKeyed::derive(&self.key), StrongScratch::new()));
+        self.digest = IndexDigest::new(HashAlgorithm::Crc32, mode, &self.key);
     }
 
     /// The shard's digest mode.
     pub fn digest_mode(&self) -> DigestMode {
-        self.digest_mode
+        self.digest.mode()
     }
 
     /// Metadata-cache counters (hits, misses, queue splits, filtered scan
@@ -555,7 +546,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest_mode,
+                self.digest.mode(),
             ),
             &snapshot,
             opts,
@@ -684,7 +675,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest_mode,
+                self.digest.mode(),
             ),
             lines,
             mappings,
@@ -710,39 +701,6 @@ impl ShardController {
                 .expect("checked above")
                 .checkpoint(&snapshot)
                 .expect("metadata checkpoint failed");
-        }
-    }
-
-    /// DeWrite's digest fold: XOR the CRC's two 32-bit halves.
-    fn fold_digest(d: u64) -> u32 {
-        (d ^ (d >> 32)) as u32
-    }
-
-    /// The index digest of `data` under the shard's digest mode: the folded
-    /// CRC-32 zero-extended (so crc32-verify probe sequences are identical
-    /// to the seed), or the 64-bit strong keyed tag.
-    fn compute_digest(&mut self, data: &[u8]) -> u64 {
-        match self.strong.as_mut() {
-            Some((strong, scratch)) => strong.digest_with(data, scratch),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// [`ShardController::compute_digest`] without `&mut self` (scrub path;
-    /// uses a throwaway scratch, off the hot path).
-    fn compute_digest_readonly(&self, data: &[u8]) -> u64 {
-        match self.strong.as_ref() {
-            Some((strong, _)) => strong.digest_with(data, &mut StrongScratch::new()),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// Modeled hardware cost of one digest under the shard's digest mode.
-    fn digest_cost(&self) -> dewrite_hashes::HashCost {
-        if self.strong.is_some() {
-            HashAlgorithm::StrongKeyed.cost()
-        } else {
-            self.hasher.cost()
         }
     }
 
@@ -877,9 +835,9 @@ impl ShardController {
         let old_slot = self.hint_before_digest(idx, (!predicted_dup).then_some(home));
 
         // Stage 1: fingerprint.
-        let digest_cost = self.digest_cost();
+        let digest_cost = self.digest.cost();
         let digest_ns = digest_cost.latency_ns;
-        let digest = self.compute_digest(data);
+        let digest = self.digest.digest(data);
         self.base.hash_ops += 1;
         self.energy.dedup_pj += digest_cost.energy_pj;
         self.hint_after_digest(digest, old_slot, predicted_dup);
@@ -922,7 +880,7 @@ impl ShardController {
             // skipped every saturated entry up to where it stopped.
             let view = self.hash.open(digest);
             let mut skipped = view.saturated_walked();
-            if self.strong.is_some() {
+            if self.digest.mode() == DigestMode::StrongKeyed {
                 // Verify-free: a 64-bit keyed-tag match *is* the duplicate
                 // decision — accept the first unsaturated candidate with no
                 // array read, no decryption, no byte compare.
@@ -1216,7 +1174,7 @@ impl ShardController {
                 ));
             };
             self.decrypt_slot(slot);
-            let actual = self.compute_digest_readonly(&self.scratch);
+            let actual = self.digest.digest_readonly(&self.scratch);
             if actual != digest {
                 return Err(format!(
                     "shard {}: slot {slot} content digests to {actual:#x}, inverted row says {digest:#x}",

@@ -4,7 +4,7 @@
 //! ```text
 //! loadgen --app mcf --shards 4 --ops 200k --check
 //! loadgen --apps mcf,lbm,gems --sweep 1,2,4,8 --out BENCH_engine.json
-//! loadgen --app vips --mode open --rate 500k --queue-depth 256
+//! loadgen --app vips --mode open --rate 500k
 //! loadgen --app mcf --net 127.0.0.1:7411 --connections 64,256 --check
 //! ```
 //!
@@ -42,13 +42,11 @@ struct Options {
     sweep: Vec<usize>,
     mode: String,
     rate: f64,
-    queue_depth: usize,
     seed: u64,
     ws_lines: u64,
     pool: usize,
     out: String,
     check: bool,
-    batch: usize,
     coalesce: usize,
     producers: usize,
     persist_dir: Option<String>,
@@ -71,13 +69,11 @@ impl Default for Options {
             sweep: vec![4],
             mode: "closed".into(),
             rate: 1_000_000.0,
-            queue_depth: 1024,
             seed: 0xDE_17_17_E5,
             ws_lines: 1 << 14,
             pool: 1024,
             out: "BENCH_engine.json".into(),
             check: false,
-            batch: 64,
             coalesce: 0,
             producers: 0,
             persist_dir: None,
@@ -103,13 +99,12 @@ fn usage() -> ExitCode {
     eprintln!("  --sweep N,M,...   run several shard counts");
     eprintln!("  --mode M          closed | open [closed]");
     eprintln!("  --rate R          open-loop issue rate, ops/s; k/m ok [1m]");
-    eprintln!("  --queue-depth N   bounded per-shard queue capacity [1024]");
     eprintln!("  --seed N          trace RNG seed");
     eprintln!("  --lines N         working-set lines; k/m ok [16k]");
     eprintln!("  --pool N          recurring-content pool size [1024]");
-    eprintln!("  --batch N         worker drain batch / producer chunk [64]");
     eprintln!("  --coalesce N      per-shard write-coalescing window; 0 = off [0]");
-    eprintln!("  --producers N     submission threads; 0 = one per two shards [0]");
+    eprintln!("  --producers N     threads running the shards; 0 = one per shard, up to");
+    eprintln!("                    the hardware threads [0]");
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
     eprintln!("  --persist-dir P   per-shard metadata WAL + checkpoints under P/<app>-s<N>/");
     eprintln!("  --fsm P           free-space manager: flat | tree | tree-wear [tree]");
@@ -167,15 +162,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--mode" => o.mode = value()?,
             "--rate" => o.rate = parse_count(&value()?)? as f64,
-            "--queue-depth" => {
-                o.queue_depth = value()?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?
-            }
             "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--lines" => o.ws_lines = parse_count(&value()?)?,
             "--pool" => o.pool = value()?.parse().map_err(|e| format!("--pool: {e}"))?,
-            "--batch" => o.batch = value()?.parse().map_err(|e| format!("--batch: {e}"))?,
             "--coalesce" => {
                 o.coalesce = value()?.parse().map_err(|e| format!("--coalesce: {e}"))?
             }
@@ -243,9 +232,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     }
     if o.apps.is_empty() {
         return Err("need at least one app".into());
-    }
-    if o.batch == 0 {
-        return Err("--batch must be at least 1".into());
     }
     if o.fsm_churn.iter().any(|&t| t == 0 || t > 64) {
         return Err("--fsm-churn thread counts must be in 1..=64".into());
@@ -320,9 +306,6 @@ fn run_json(engine_run: &EngineRun, global_rate: f64, producers: usize) -> Json 
                 ("shard", num(s.shard as u64)),
                 ("ops", num(s.ops)),
                 ("dedup_rate", flt(s.dedup_rate)),
-                ("queue_depth_peak", num(s.queue_depth_peak as u64)),
-                ("queue_depth_mean", flt(s.queue_depth_mean)),
-                ("producer_stall_ns", num(s.producer_stall_ns)),
                 ("fsm_claims", num(s.fsm.claims)),
                 ("fsm_refills", num(s.fsm.refills)),
                 ("fsm_steals", num(s.fsm.steals)),
@@ -839,11 +822,9 @@ fn main() -> ExitCode {
         let mut runs: Vec<Json> = Vec::new();
         for &shards in &sweep {
             let mut config = EngineConfig::for_workload(shards, 256, trace.lines, trace.writes);
-            config.queue_depth = o.queue_depth;
             config.key = DEFAULT_KEY;
             config.pacing = pacing;
             config.scrub = o.check;
-            config.batch = o.batch;
             config.coalesce = o.coalesce;
             config.producers = o.producers;
             config.fsm = o.fsm;
@@ -876,12 +857,13 @@ fn main() -> ExitCode {
             }
             if o.check && shards >= 4 {
                 let speedup = result.ops_per_sec() / single_ops_per_sec;
-                // Batched runs with a dedicated core for every thread must
-                // scale hard; a merely 4-way host gets the softer bar.
-                let full_threads = shards + producers + 1;
-                let need = if o.batch > 1 && parallelism >= full_threads {
+                // Only the producers run shards, so they bound the speedup:
+                // four or more with a core each (and one to spare for the
+                // rest of the process) must scale hard, a merely 4-way host
+                // gets the softer bar, and one producer has nothing to show.
+                let need = if producers >= 4 && parallelism > producers {
                     2.5
-                } else if parallelism >= 4 {
+                } else if producers >= 2 && parallelism >= 4 {
                     1.5
                 } else {
                     0.0
@@ -890,13 +872,12 @@ fn main() -> ExitCode {
                     check_skipped = true;
                     println!(
                         "  SKIPPED: {shards}-shard speedup assertion \
-                         (available_parallelism={parallelism} < 4)"
+                         (available_parallelism={parallelism}, {producers} producers)"
                     );
                 } else if speedup < need {
                     failures.push(format!(
                         "{app}: {shards}-shard throughput only {speedup:.2}x of 1-shard \
-                         (need >= {need}x on a {parallelism}-way host, batch {})",
-                        o.batch
+                         (need >= {need}x on a {parallelism}-way host, {producers} producers)"
                     ));
                 }
             }
@@ -921,8 +902,6 @@ fn main() -> ExitCode {
                 ("ops", num(o.ops as u64)),
                 ("working_set_lines", num(o.ws_lines)),
                 ("content_pool", num(o.pool as u64)),
-                ("queue_depth", num(o.queue_depth as u64)),
-                ("batch", num(o.batch as u64)),
                 ("coalesce", num(o.coalesce as u64)),
                 ("producers", num(o.producers as u64)),
                 (

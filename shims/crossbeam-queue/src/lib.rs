@@ -134,111 +134,6 @@ impl<T> ArrayQueue<T> {
         }
     }
 
-    /// Push up to `buf.len()` elements from the front of `buf` in FIFO
-    /// order, reserving each contiguous free run with a **single tail CAS**
-    /// instead of one CAS per element. Pushed elements are drained from
-    /// `buf`; the count pushed is returned (`0` when the queue is full).
-    ///
-    /// The Vyukov slot protocol is preserved exactly: the scan only trusts
-    /// a slot whose stamp equals its position (free for this lap), and the
-    /// tail CAS claims the whole run atomically — positions past the
-    /// current tail cannot have been claimed by any other producer, and a
-    /// successful CAS makes the run exclusively ours before any value is
-    /// written. Each slot's stamp is still published individually with a
-    /// release store, so consumers observe values in order as they land.
-    pub fn push_batch(&self, buf: &mut Vec<T>) -> usize {
-        let mut pushed_total = 0;
-        while !buf.is_empty() {
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            // Length of the free run starting at `tail`, capped by the
-            // remaining input and the queue capacity.
-            let want = buf.len().min(self.cap);
-            let mut n = 0;
-            while n < want {
-                let pos = tail.wrapping_add(n);
-                let stamp = self.buffer[pos % self.cap].stamp.load(Ordering::Acquire);
-                if stamp == pos {
-                    n += 1;
-                } else {
-                    break;
-                }
-            }
-            if n == 0 {
-                // Full (or a consumer is mid-pop on the next slot): report
-                // what we managed; the caller backs off and retries.
-                return pushed_total;
-            }
-            match self.tail.0.compare_exchange(
-                tail,
-                tail.wrapping_add(n),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    for (k, value) in buf.drain(..n).enumerate() {
-                        let pos = tail.wrapping_add(k);
-                        let slot = &self.buffer[pos % self.cap];
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
-                    }
-                    pushed_total += n;
-                }
-                // Another producer moved the tail; rescan from the new one.
-                Err(_) => continue,
-            }
-        }
-        pushed_total
-    }
-
-    /// Pop up to `max` elements into `out` in FIFO order, reserving the
-    /// ready run with a **single head CAS** instead of one CAS per element.
-    /// Returns the count popped (`0` when the queue is empty).
-    ///
-    /// The scan only trusts slots whose stamp equals `pos + 1` (value
-    /// published); the head CAS claims the whole run atomically, after
-    /// which no other consumer can reach those positions, so the values
-    /// read are exactly the ones whose publication the acquiring stamp
-    /// loads observed.
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        loop {
-            let head = self.head.0.load(Ordering::Relaxed);
-            let want = max.min(self.cap);
-            let mut n = 0;
-            while n < want {
-                let pos = head.wrapping_add(n);
-                let stamp = self.buffer[pos % self.cap].stamp.load(Ordering::Acquire);
-                if stamp == pos.wrapping_add(1) {
-                    n += 1;
-                } else {
-                    break;
-                }
-            }
-            if n == 0 {
-                return 0;
-            }
-            match self.head.0.compare_exchange(
-                head,
-                head.wrapping_add(n),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    out.reserve(n);
-                    for k in 0..n {
-                        let pos = head.wrapping_add(k);
-                        let slot = &self.buffer[pos % self.cap];
-                        out.push(unsafe { (*slot.value.get()).assume_init_read() });
-                        slot.stamp
-                            .store(pos.wrapping_add(self.cap), Ordering::Release);
-                    }
-                    return n;
-                }
-                // Another consumer moved the head; rescan from the new one.
-                Err(_) => continue,
-            }
-        }
-    }
-
     /// Number of elements currently queued (racy snapshot).
     pub fn len(&self) -> usize {
         loop {
@@ -373,153 +268,6 @@ mod tests {
         let n = PRODUCERS * PER_PRODUCER;
         assert_eq!(received.load(Ordering::Relaxed) as u64, n);
         assert_eq!(sum.load(Ordering::Relaxed) as u64, n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn batch_ops_are_fifo_and_partial_on_full() {
-        let q = ArrayQueue::new(4);
-        let mut input: Vec<u32> = (0..6).collect();
-        // Only 4 fit; the rest stay in the input buffer.
-        assert_eq!(q.push_batch(&mut input), 4);
-        assert_eq!(input, vec![4, 5]);
-        assert!(q.is_full());
-        assert_eq!(q.push_batch(&mut input), 0);
-
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 3), 3);
-        assert_eq!(out, vec![0, 1, 2]);
-        // Space freed: the remaining input now fits.
-        assert_eq!(q.push_batch(&mut input), 2);
-        assert!(input.is_empty());
-        assert_eq!(q.pop_batch(&mut out, 100), 3);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(q.pop_batch(&mut out, 100), 0);
-    }
-
-    #[test]
-    fn batch_ops_wrap_many_laps() {
-        let q = ArrayQueue::new(3);
-        let mut expect = 0u64;
-        for round in 0..500u64 {
-            let mut input: Vec<u64> = (0..=(round % 3)).map(|k| round * 10 + k).collect();
-            let n = input.len();
-            assert_eq!(q.push_batch(&mut input), n);
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(&mut out, n), n);
-            for v in out {
-                assert!(v >= expect);
-                expect = v;
-            }
-        }
-    }
-
-    #[test]
-    fn batch_and_single_ops_interleave() {
-        let q = ArrayQueue::new(8);
-        q.push(0).unwrap();
-        let mut input = vec![1, 2, 3];
-        assert_eq!(q.push_batch(&mut input), 3);
-        q.push(4).unwrap();
-        assert_eq!(q.pop(), Some(0));
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 2), 2);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(4));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn mpmc_batch_conserves_elements() {
-        const PER_PRODUCER: u64 = 12_000;
-        const PRODUCERS: u64 = 3;
-        const CHUNK: u64 = 7;
-        let q = ArrayQueue::new(32);
-        let sum = AtomicUsize::new(0);
-        let received = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut staged = Vec::new();
-                    for i in 0..PER_PRODUCER {
-                        staged.push(p * PER_PRODUCER + i);
-                        if staged.len() as u64 == CHUNK || i + 1 == PER_PRODUCER {
-                            while !staged.is_empty() {
-                                if q.push_batch(&mut staged) == 0 {
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let q = &q;
-                let sum = &sum;
-                let received = &received;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        out.clear();
-                        let n = q.pop_batch(&mut out, 5);
-                        if n == 0 {
-                            if received.load(Ordering::Relaxed)
-                                >= (PRODUCERS * PER_PRODUCER) as usize
-                            {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        for &v in &out {
-                            sum.fetch_add(v as usize, Ordering::Relaxed);
-                        }
-                        received.fetch_add(n, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let n = PRODUCERS * PER_PRODUCER;
-        assert_eq!(received.load(Ordering::Relaxed) as u64, n);
-        assert_eq!(sum.load(Ordering::Relaxed) as u64, n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn spsc_batch_preserves_order_across_threads() {
-        const N: u32 = 30_000;
-        let q = ArrayQueue::new(16);
-        std::thread::scope(|s| {
-            let q = &q;
-            s.spawn(move || {
-                let mut staged = Vec::new();
-                for i in 0..N {
-                    staged.push(i);
-                    if staged.len() == 6 || i + 1 == N {
-                        while !staged.is_empty() {
-                            if q.push_batch(&mut staged) == 0 {
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
-            });
-            s.spawn(move || {
-                let mut expect = 0;
-                let mut out = Vec::new();
-                while expect < N {
-                    out.clear();
-                    if q.pop_batch(&mut out, 4) == 0 {
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    for &v in &out {
-                        assert_eq!(v, expect);
-                        expect += 1;
-                    }
-                }
-            });
-        });
     }
 
     #[test]
