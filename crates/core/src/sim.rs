@@ -18,6 +18,15 @@
 //! Reported **write latency** is issue → durable (detection only, for
 //! eliminated duplicates), the quantity behind Fig. 14; bank queueing from
 //! surviving writes is what slows both metrics in the baseline.
+//!
+//! Each record runs on the least-advanced of the `cores` hardware contexts
+//! (the first such on a tie). Only the context that ran a record has moved
+//! since the last pick, so the pick is a winner tree over the contexts'
+//! elapsed times (`ContextPick`): refreshing that context's leaf and its
+//! path to the root costs ⌈log₂ cores⌉ compares. It picks exactly what
+//! `min_by(total_cmp)` over `elapsed_ns()` would, so the order in which
+//! records reach the controller — and every simulated number — does not
+//! depend on how the pick is made.
 
 use std::collections::VecDeque;
 
@@ -109,14 +118,10 @@ impl Simulator {
         let mut outstanding: VecDeque<u64> = VecDeque::new();
         let mut writes_since_persist = vec![0u32; self.cores];
         let mut read_stall_credit = 0.0f64;
+        let mut pick = ContextPick::new(self.cores);
 
         for rec in trace {
-            let ctx = cores
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.elapsed_ns().total_cmp(&b.elapsed_ns()))
-                .map(|(i, _)| i)
-                .expect("at least one core");
+            let ctx = pick.next();
             let core = &mut cores[ctx];
             core.execute(rec.gap_instructions);
             let now = start_ns + core.elapsed_ns() as u64;
@@ -182,6 +187,7 @@ impl Simulator {
                     }
                 }
             }
+            pick.update(ctx, cores[ctx].elapsed_ns());
         }
 
         // Final drain so durability is charged (on the most-advanced core).
@@ -250,6 +256,75 @@ impl Simulator {
     }
 }
 
+/// The hardware context to run the next record on: the least-advanced
+/// one, the lowest index on a tie — what `min_by` with `f64::total_cmp`
+/// over the contexts' `elapsed_ns()` picks — as a winner (tournament) tree.
+///
+/// Leaves hold the contexts' elapsed times as sort keys, padded to a power
+/// of two with `i64::MAX`; each inner node holds the winner of its two
+/// children, the right one only if strictly smaller. Every leaf under a
+/// left child has a lower index than every leaf under its sibling, so a
+/// tie goes to the lower index, and a pad — right of every real leaf and
+/// never smaller than anything — can never win.
+#[derive(Debug)]
+struct ContextPick {
+    /// `(sort key, context)` of each node's winner: `nodes[1]` is the
+    /// root, `nodes[width..width + contexts]` the contexts' leaves.
+    nodes: Vec<(i64, usize)>,
+    width: usize,
+}
+
+impl ContextPick {
+    /// `contexts` contexts (at least one), all at time zero.
+    fn new(contexts: usize) -> Self {
+        let width = contexts.next_power_of_two();
+        let mut nodes = vec![(i64::MAX, usize::MAX); 2 * width];
+        for (ctx, leaf) in nodes[width..width + contexts].iter_mut().enumerate() {
+            *leaf = (sort_key(0.0), ctx);
+        }
+        for k in (1..width).rev() {
+            nodes[k] = winner(nodes[2 * k], nodes[2 * k + 1]);
+        }
+        ContextPick { nodes, width }
+    }
+
+    /// The context to run next.
+    #[inline]
+    fn next(&self) -> usize {
+        self.nodes[1].1
+    }
+
+    /// Context `ctx` is now at `elapsed_ns`: replay its path to the root.
+    #[inline]
+    fn update(&mut self, ctx: usize, elapsed_ns: f64) {
+        let mut k = self.width + ctx;
+        self.nodes[k] = (sort_key(elapsed_ns), ctx);
+        while k > 1 {
+            k /= 2;
+            self.nodes[k] = winner(self.nodes[2 * k], self.nodes[2 * k + 1]);
+        }
+    }
+}
+
+/// The winner of two sibling nodes: the right one only if strictly smaller.
+#[inline]
+fn winner(left: (i64, usize), right: (i64, usize)) -> (i64, usize) {
+    if right.0 < left.0 {
+        right
+    } else {
+        left
+    }
+}
+
+/// `x`'s position in `f64::total_cmp`'s order, as an integer (the standard
+/// library's own mapping: negative values have their magnitude bits
+/// flipped), so the tree compares integers.
+#[inline]
+fn sort_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 fn delta_base(
     before: crate::schemes::BaseMetrics,
     after: crate::schemes::BaseMetrics,
@@ -284,7 +359,9 @@ mod tests {
     use super::*;
     use crate::config::{DeWriteConfig, SystemConfig};
     use crate::schemes::{CmeBaseline, DeWrite};
+    use dewrite_mem::CoreConfig;
     use dewrite_trace::{app_by_name, TraceGenerator};
+    use proptest::prelude::*;
 
     const KEY: &[u8; 16] = b"simulator key 16";
 
@@ -497,5 +574,41 @@ mod tests {
             .run(&mut m2, "bzip2", &warmup, trace.iter().cloned())
             .unwrap();
         assert!(r1.ipc < r2.ipc, "strict {} vs relaxed {}", r1.ipc, r2.ipc);
+    }
+
+    // The winner tree against the scan it replaced, at power-of-two and
+    // padded context counts. Each step advances one context — the one just
+    // picked, as the simulator does, or any other — by zero to three cycles
+    // or ns, so equal elapsed times (exact ties) are common and many
+    // contexts stay tied at zero.
+    proptest! {
+        #[test]
+        fn context_pick_matches_min_by_oracle(
+            steps in proptest::collection::vec(
+                (any::<bool>(), 0usize..64, any::<bool>(), 0u32..4),
+                0..400,
+            )
+        ) {
+            for contexts in [1usize, 2, 3, 5, 16, 17, 64] {
+                let mut cores = vec![CoreModel::new(CoreConfig::paper()); contexts];
+                let mut pick = ContextPick::new(contexts);
+                for &(picked, other, stall, amount) in &steps {
+                    let oracle = cores
+                        .iter()
+                        .enumerate()
+                        .min_by(|(_, a), (_, b)| a.elapsed_ns().total_cmp(&b.elapsed_ns()))
+                        .map(|(i, _)| i)
+                        .expect("at least one context");
+                    prop_assert_eq!(pick.next(), oracle, "{} contexts", contexts);
+                    let ctx = if picked { oracle } else { other % contexts };
+                    if stall {
+                        cores[ctx].stall_ns(u64::from(amount));
+                    } else {
+                        cores[ctx].execute(amount);
+                    }
+                    pick.update(ctx, cores[ctx].elapsed_ns());
+                }
+            }
+        }
     }
 }

@@ -11,13 +11,21 @@
 //! # Memory layout
 //!
 //! The cache sits on every simulated memory access, so it is flat arrays
-//! rather than per-set heap `Vec`s: one interleaved `{key, stamp}` entry
-//! (a hit reads the key and re-stamps recency in one cache line) and one
-//! flag byte (valid + dirty bits) per way, all indexed
-//! `set * associativity + way`. Nothing allocates after
-//! [`MetadataCache::new`]. A one-byte tag
-//! sidecar (a 7-bit hash of the key per way, `0x80` for a never-used way)
-//! fronts every set scan: a whole set's tags are matched with one u64 SWAR
+//! rather than per-set heap `Vec`s, laid out by host cache line. Each way
+//! is an interleaved `{key, stamp}` entry (a hit reads the key and
+//! re-stamps recency in one line), four to a 64-byte line, and every set's
+//! ways start on a line boundary, so an 8-way set is exactly two lines.
+//! Beside the ways sits the set's header: per eight ways, one word of
+//! one-byte tags (a 7-bit hash of the key per way, `0x80` for a never-used
+//! way) next to the eight ways' flag bytes (valid, dirty, and S3-FIFO's
+//! queue bit and frequency) — 16 bytes, never split across a line. An
+//! evicting fill of an 8-way set so touches three host lines: the header
+//! (probe, the victim's flag, the refill's tag and flag) and the two way
+//! lines (the victim tournament's stamps, the refill). A set spans whole
+//! tag groups — slot `set * 8 * set_groups + way` indexes ways, tags and
+//! flags alike — so slots past the associativity are padding that is never
+//! used. Nothing allocates after [`MetadataCache::new`]. The tags
+//! front every set scan: a whole set's tags are matched with one u64 SWAR
 //! compare, so a lookup touches 8 bytes instead of 64 and full keys are
 //! only compared on tag hits. SWAR false positives and empty lanes are
 //! filtered by an exact byte compare from the word already in register, so
@@ -253,6 +261,93 @@ struct Way {
     stamp: u64,
 }
 
+/// Ways per group: one SWAR tag word's lanes, two host lines of ways.
+const GROUP_WAYS: usize = 8;
+
+/// Host cache line size.
+const LINE_BYTES: usize = 64;
+
+/// Ways per host line.
+const WAYS_PER_LINE: usize = LINE_BYTES / size_of::<Way>();
+
+/// The ways, indexed by slot, with every set's ways starting on a host
+/// line boundary so an 8-way set spans exactly two lines. The allocator
+/// hands a large buffer back 16 bytes into a line (glibc does), which
+/// spreads every 8-way set over three. A 64-byte-aligned element type
+/// would fix that too, but it allocates through `posix_memalign` plus a
+/// memset — every page resident at once, and measured peak RSS growing
+/// from one cache to the next as the aligned chunks fragment the heap —
+/// so the buffer is an ordinary zeroed one with spare ways at the end,
+/// and slot 0 sits `lead` ways in, at its first line boundary.
+#[derive(Debug)]
+struct Ways {
+    buf: Box<[Way]>,
+    /// Ways before `buf`'s first line boundary, from its address: a clone
+    /// has its own buffer, so [`Clone`] computes its own.
+    lead: usize,
+}
+
+impl Ways {
+    fn new(slots: usize) -> Self {
+        let buf = vec![Way { key: 0, stamp: 0 }; slots + WAYS_PER_LINE - 1].into_boxed_slice();
+        let lead = (buf.as_ptr() as usize).wrapping_neg() % LINE_BYTES / size_of::<Way>();
+        Ways { buf, lead }
+    }
+
+    /// Every slot (and up to three spare ways past the last).
+    #[inline(always)]
+    fn slots(&self) -> &[Way] {
+        &self.buf[self.lead..]
+    }
+
+    #[inline(always)]
+    fn slots_mut(&mut self) -> &mut [Way] {
+        &mut self.buf[self.lead..]
+    }
+}
+
+impl Clone for Ways {
+    /// The same slots, laid out from the new buffer's own line boundary.
+    fn clone(&self) -> Self {
+        let slots = self.buf.len() + 1 - WAYS_PER_LINE;
+        let mut clone = Ways::new(slots);
+        clone.slots_mut()[..slots].copy_from_slice(&self.slots()[..slots]);
+        clone
+    }
+}
+
+/// Eight ways' one-byte tags (one SWAR word) and flag bytes side by side,
+/// so that a probe, the victim's flag and the refill's tag and flag land
+/// in one host line (16-byte aligned: a group never straddles two). A
+/// set's header is its `set_groups` of these.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(16))]
+struct TagGroup {
+    tags: u64,
+    flags: [u8; GROUP_WAYS],
+}
+
+/// Slot `s`'s flag byte is lane `s % 8` of header group `s / 8`. (An
+/// extension trait on the borrowed slice, so the fill keeps its pointer
+/// and length in registers.)
+trait FlagLanes {
+    fn flag(&self, slot: usize) -> u8;
+
+    fn flag_mut(&mut self, slot: usize) -> &mut u8;
+}
+
+impl FlagLanes for [TagGroup] {
+    #[inline(always)]
+    fn flag(&self, slot: usize) -> u8 {
+        self[slot / GROUP_WAYS].flags[slot % GROUP_WAYS]
+    }
+
+    #[inline(always)]
+    fn flag_mut(&mut self, slot: usize) -> &mut u8 {
+        &mut self[slot / GROUP_WAYS].flags[slot % GROUP_WAYS]
+    }
+}
+
 /// The counters a fill advances: recency clock, population and
 /// statistics. Kept apart from the arrays so a run fill can carry them in
 /// locals and write them back once ([`MetadataCache::prefetch_run`]).
@@ -277,17 +372,15 @@ struct Tally {
 #[derive(Debug, Clone)]
 pub struct MetadataCache {
     config: CacheConfig,
-    /// Way key/stamp pairs, indexed `set * associativity + way`.
-    ways: Box<[Way]>,
-    /// Valid/dirty flag bytes, same indexing.
-    flags: Box<[u8]>,
-    /// One-byte key tags, eight lanes per u64 word, `tag_words` words per
-    /// set (lanes past the associativity are permanently `0x80`). A way is
+    /// Way key/stamp pairs, indexed by slot `set * 8 * set_groups + way`.
+    ways: Ways,
+    /// Set headers: tag lanes and flag bytes, same slots. Lanes past the
+    /// associativity are padding: tag permanently `0x80`, flag 0. A way is
     /// valid iff its tag lane's high bit is clear — tags are written
     /// exactly when a way is (re)filled and ways are never invalidated.
-    tags: Box<[u64]>,
-    /// Tag words per set: `associativity.div_ceil(8)`.
-    tag_words: usize,
+    headers: Box<[TagGroup]>,
+    /// Tag groups per set: `associativity.div_ceil(8)`.
+    set_groups: usize,
     num_sets: usize,
     /// S3-FIFO only (empty otherwise): per-set rings of ghost-queue key
     /// fingerprints, `associativity` lanes per set, `0` = empty lane.
@@ -358,19 +451,20 @@ enum Probe {
 /// always found first.
 #[inline(always)]
 fn probe(
-    tags: &[u64],
+    headers: &[TagGroup],
     ways: &[Way],
-    (assoc, tag_words): (usize, usize),
+    (assoc, set_groups): (usize, usize),
     set: usize,
     tag: u8,
     key: u64,
 ) -> Probe {
-    let base = set * assoc;
+    let base = set * set_groups * GROUP_WAYS;
     let mut free_way = usize::MAX;
-    for (w, &word) in tags[set * tag_words..(set + 1) * tag_words]
+    for (w, group) in headers[set * set_groups..(set + 1) * set_groups]
         .iter()
         .enumerate()
     {
+        let word = group.tags;
         let mut hits = swar_match_lanes(word, tag);
         while hits != 0 {
             let lane = (hits.trailing_zeros() >> 3) as usize;
@@ -378,7 +472,7 @@ fn probe(
             // Exact byte compare from the word already in register
             // filters SWAR false positives, empty lanes, and padding.
             if (word >> (lane * 8)) as u8 == tag {
-                let slot = base + w * 8 + lane;
+                let slot = base + w * GROUP_WAYS + lane;
                 if ways[slot].key == key {
                     return Probe::Hit(slot);
                 }
@@ -386,7 +480,7 @@ fn probe(
         }
         let free = word & SWAR_HI;
         if free != 0 && free_way == usize::MAX {
-            free_way = w * 8 + (free.trailing_zeros() >> 3) as usize;
+            free_way = w * GROUP_WAYS + (free.trailing_zeros() >> 3) as usize;
         }
     }
     if free_way < assoc {
@@ -401,12 +495,11 @@ fn probe(
 /// count straight into the cache while a run fill counts into locals.
 struct Sets<'a> {
     ways: &'a mut [Way],
-    flags: &'a mut [u8],
-    tags: &'a mut [u64],
+    headers: &'a mut [TagGroup],
     ghosts: &'a mut [u16],
     ghost_cursor: &'a mut [u16],
     assoc: usize,
-    tag_words: usize,
+    set_groups: usize,
     num_sets: usize,
     small_target: usize,
     replacement: Replacement,
@@ -432,12 +525,12 @@ impl Sets<'_> {
     ) -> Option<Evicted> {
         let set = reduce_set(h, self.num_sets);
         let tag = (h >> 57) as u8;
-        let base = set * self.assoc;
+        let base = set * self.set_groups * GROUP_WAYS;
         let s3 = self.replacement == Replacement::S3Fifo;
         let probe = probe(
-            self.tags,
+            self.headers,
             self.ways,
-            (self.assoc, self.tag_words),
+            (self.assoc, self.set_groups),
             set,
             tag,
             key,
@@ -451,15 +544,19 @@ impl Sets<'_> {
                         self.ways[slot].stamp = t.clock;
                     }
                     Replacement::Fifo => {}
-                    Replacement::S3Fifo => self.flags[slot] = freq_bumped(self.flags[slot]),
+                    Replacement::S3Fifo => {
+                        let flag = self.headers.flag_mut(slot);
+                        *flag = freq_bumped(*flag);
+                    }
                 }
             } else {
                 t.clock += 1;
                 if dirty {
-                    self.flags[slot] |= FLAG_DIRTY;
+                    *self.headers.flag_mut(slot) |= FLAG_DIRTY;
                 }
                 if s3 {
-                    self.flags[slot] = freq_bumped(self.flags[slot]);
+                    let flag = self.headers.flag_mut(slot);
+                    *flag = freq_bumped(*flag);
                 } else {
                     self.ways[slot].stamp = t.clock;
                 }
@@ -498,9 +595,9 @@ impl Sets<'_> {
                     t.stats.scan_evictions += u64::from(scanned);
                     victim
                 } else {
-                    base + self.oldest_way(base)
+                    base + self.oldest_way(set)
                 };
-                let was_dirty = self.flags[victim] & FLAG_DIRTY != 0;
+                let was_dirty = self.headers.flag(victim) & FLAG_DIRTY != 0;
                 t.stats.dirty_evictions += u64::from(was_dirty);
                 let evicted = Evicted {
                     key: self.ways[victim].key,
@@ -517,21 +614,20 @@ impl Sets<'_> {
             key,
             stamp: t.clock,
         };
-        self.flags[slot] = new_flag;
-        let way = slot - base;
-        let word = &mut self.tags[set * self.tag_words + way / 8];
-        let shift = (way % 8) * 8;
-        *word = (*word & !(0xFF_u64 << shift)) | (u64::from(tag) << shift);
+        let group = &mut self.headers[slot / GROUP_WAYS];
+        group.flags[slot % GROUP_WAYS] = new_flag;
+        let shift = (slot % GROUP_WAYS) * 8;
+        group.tags = (group.tags & !(0xFF_u64 << shift)) | (u64::from(tag) << shift);
         evicted
     }
 
-    /// The way of the full set at `base` with the smallest stamp, selected
+    /// The way of the full `set` with the smallest stamp, selected
     /// without a data-dependent branch (which way is oldest is as good as
     /// random to a predictor) and, eight ways at a time, as a tournament:
     /// three levels of independent compares instead of a seven-long chain
     /// of dependent ones. Stamps are unique, so ties never arise.
     #[inline(always)]
-    fn oldest_way(&self, base: usize) -> usize {
+    fn oldest_way(&self, set: usize) -> usize {
         #[inline(always)]
         fn older(a: (u64, usize), b: (u64, usize)) -> (u64, usize) {
             let take_b = b.0 < a.0;
@@ -540,10 +636,11 @@ impl Sets<'_> {
                 if take_b { b.1 } else { a.1 },
             )
         }
-        let (eights, tail) = self.ways[base..base + self.assoc].as_chunks::<8>();
+        let base = set * self.set_groups * GROUP_WAYS;
+        let (full, tail) = self.ways[base..base + self.assoc].as_chunks::<GROUP_WAYS>();
         let mut best = (u64::MAX, 0usize);
-        for (c, w) in eights.iter().enumerate() {
-            let at = |i: usize| (w[i].stamp, c * 8 + i);
+        for (g, w) in full.iter().enumerate() {
+            let at = |i: usize| (w[i].stamp, g * GROUP_WAYS + i);
             let quarter = [
                 older(at(0), at(1)),
                 older(at(2), at(3)),
@@ -554,7 +651,7 @@ impl Sets<'_> {
             best = older(best, older(half[0], half[1]));
         }
         for (i, w) in tail.iter().enumerate() {
-            best = older(best, (w.stamp, eights.len() * 8 + i));
+            best = older(best, (w.stamp, full.len() * GROUP_WAYS + i));
         }
         best.1
     }
@@ -570,31 +667,34 @@ impl Sets<'_> {
     /// found.
     fn s3_evict(&mut self, mut clock: u64, set: usize) -> (usize, u64, bool) {
         let assoc = self.assoc;
-        let base = set * assoc;
+        let base = set * self.set_groups * GROUP_WAYS;
         loop {
             // One pass over the set: small occupancy plus each queue's
             // head (minimum stamp). Eviction is the rare path; the scan is
             // at most `assoc` flag bytes and stamps.
             let mut small_count = 0usize;
-            let mut small_head: Option<usize> = None;
-            let mut main_head: Option<usize> = None;
+            // (stamp, slot) of each queue's head so far.
+            let mut small_head: Option<(u64, usize)> = None;
+            let mut main_head: Option<(u64, usize)> = None;
             for slot in base..base + assoc {
-                if self.flags[slot] & FLAG_SMALL != 0 {
+                let stamp = self.ways[slot].stamp;
+                let head = if self.headers.flag(slot) & FLAG_SMALL != 0 {
                     small_count += 1;
-                    if small_head.is_none_or(|m| self.ways[slot].stamp < self.ways[m].stamp) {
-                        small_head = Some(slot);
-                    }
-                } else if main_head.is_none_or(|m| self.ways[slot].stamp < self.ways[m].stamp) {
-                    main_head = Some(slot);
+                    &mut small_head
+                } else {
+                    &mut main_head
+                };
+                if head.is_none_or(|(head_stamp, _)| stamp < head_stamp) {
+                    *head = Some((stamp, slot));
                 }
             }
             if small_count > self.small_target || main_head.is_none() {
-                let slot = small_head.expect("full set has a small way here");
-                if freq_of(self.flags[slot]) >= 1 {
+                let (_, slot) = small_head.expect("full set has a small way here");
+                if freq_of(self.headers.flag(slot)) >= 1 {
                     // Hit while on probation: promote to the main tail.
                     // Frequency restarts at zero so one early burst does
                     // not grant immortality in main.
-                    self.flags[slot] &= !(FLAG_SMALL | FREQ_MASK);
+                    *self.headers.flag_mut(slot) &= !(FLAG_SMALL | FREQ_MASK);
                     clock += 1;
                     self.ways[slot].stamp = clock;
                     continue;
@@ -604,10 +704,10 @@ impl Sets<'_> {
                 self.ghost_push(set, fp);
                 return (slot, clock, true);
             }
-            let slot = main_head.expect("full set has a main way here");
-            if freq_of(self.flags[slot]) > 0 {
+            let (_, slot) = main_head.expect("full set has a main way here");
+            if freq_of(self.headers.flag(slot)) > 0 {
                 // Still hot: spend one frequency unit for another lap.
-                self.flags[slot] -= 1 << FREQ_SHIFT;
+                *self.headers.flag_mut(slot) -= 1 << FREQ_SHIFT;
                 clock += 1;
                 self.ways[slot].stamp = clock;
                 continue;
@@ -647,14 +747,18 @@ impl MetadataCache {
         assert!(config.associativity > 0, "associativity must be nonzero");
         let num_sets = config.num_sets();
         let slots = num_sets * config.associativity;
-        let tag_words = config.associativity.div_ceil(8);
+        let set_groups = config.associativity.div_ceil(GROUP_WAYS);
         let s3 = config.replacement == Replacement::S3Fifo;
+        let groups = num_sets * set_groups;
+        let unused_lanes = TagGroup {
+            tags: TAG_EMPTY_WORD,
+            flags: [0; GROUP_WAYS],
+        };
         MetadataCache {
             config,
-            ways: vec![Way { key: 0, stamp: 0 }; slots].into_boxed_slice(),
-            flags: vec![0u8; slots].into_boxed_slice(),
-            tags: vec![TAG_EMPTY_WORD; num_sets * tag_words].into_boxed_slice(),
-            tag_words,
+            ways: Ways::new(groups * GROUP_WAYS),
+            headers: vec![unused_lanes; groups].into_boxed_slice(),
+            set_groups,
             num_sets,
             ghosts: vec![0u16; if s3 { slots } else { 0 }].into_boxed_slice(),
             ghost_cursor: vec![0u16; if s3 { num_sets } else { 0 }].into_boxed_slice(),
@@ -673,13 +777,12 @@ impl MetadataCache {
     fn split(&mut self) -> (Sets<'_>, &mut Tally) {
         (
             Sets {
-                ways: &mut self.ways,
-                flags: &mut self.flags,
-                tags: &mut self.tags,
+                ways: self.ways.slots_mut(),
+                headers: &mut self.headers,
                 ghosts: &mut self.ghosts,
                 ghost_cursor: &mut self.ghost_cursor,
                 assoc: self.config.associativity,
-                tag_words: self.tag_words,
+                set_groups: self.set_groups,
                 num_sets: self.num_sets,
                 small_target: self.small_target,
                 replacement: self.config.replacement,
@@ -693,8 +796,9 @@ impl MetadataCache {
     fn find(&self, key: u64) -> Option<usize> {
         let h = hash(key);
         let set = reduce_set(h, self.num_sets);
-        let geometry = (self.config.associativity, self.tag_words);
-        match probe(&self.tags, &self.ways, geometry, set, (h >> 57) as u8, key) {
+        let geometry = (self.config.associativity, self.set_groups);
+        let tag = (h >> 57) as u8;
+        match probe(&self.headers, self.ways.slots(), geometry, set, tag, key) {
             Probe::Hit(slot) => Some(slot),
             _ => None,
         }
@@ -709,20 +813,20 @@ impl MetadataCache {
         self.tally.clock += 1;
         if let Some(slot) = self.find(key) {
             match self.config.replacement {
-                Replacement::Lru => self.ways[slot].stamp = self.tally.clock,
+                Replacement::Lru => self.ways.slots_mut()[slot].stamp = self.tally.clock,
                 Replacement::Fifo => {}
                 Replacement::S3Fifo => {
-                    let flag = self.flags[slot];
+                    let flag = self.headers.flag(slot);
                     if flag & FLAG_SMALL != 0 {
                         self.tally.stats.small_hits += 1;
                     } else {
                         self.tally.stats.main_hits += 1;
                     }
-                    self.flags[slot] = freq_bumped(flag);
+                    *self.headers.flag_mut(slot) = freq_bumped(flag);
                 }
             }
             if write {
-                self.flags[slot] |= FLAG_DIRTY;
+                *self.headers.flag_mut(slot) |= FLAG_DIRTY;
             }
             self.tally.stats.hits += 1;
             true
@@ -739,22 +843,25 @@ impl MetadataCache {
     }
 
     /// Host-side hint that `key` is about to be looked up or filled: start
-    /// fetching its set's tag words, way lines and first flag byte. Moves
-    /// no statistic, clock or recency state — unrelated to
+    /// fetching its set's header and way lines (three lines for an 8-way
+    /// set). Moves no statistic, clock or recency state — unrelated to
     /// [`prefetch_run`](Self::prefetch_run), which models the controller's
     /// own sequential fills.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         let set = reduce_set(hash(key), self.num_sets);
-        let assoc = self.config.associativity;
-        let base = set * assoc;
-        hint::prefetch_read(&self.tags[set * self.tag_words]);
-        // Four 16-byte ways per line; the last way covers a straddle.
-        for way in (0..assoc).step_by(4) {
-            hint::prefetch_read(&self.ways[base + way]);
+        let groups = set * self.set_groups;
+        // Four 16-byte groups per header line; the last covers a straddle.
+        for g in (groups..groups + self.set_groups).step_by(4) {
+            hint::prefetch_read(&self.headers[g]);
         }
-        hint::prefetch_read(&self.ways[base + assoc - 1]);
-        hint::prefetch_read(&self.flags[base]);
+        if self.set_groups > 1 {
+            hint::prefetch_read(&self.headers[groups + self.set_groups - 1]);
+        }
+        let base = groups * GROUP_WAYS;
+        for way in (0..self.config.associativity).step_by(WAYS_PER_LINE) {
+            hint::prefetch_read(&self.ways.slots()[base + way]);
+        }
     }
 
     /// Insert `key` (demand fill). Returns the victim if one was evicted.
@@ -795,7 +902,8 @@ impl MetadataCache {
     /// the write-backs a flush (epoch persistence) must perform.
     pub fn flush_dirty(&mut self) -> u64 {
         let mut flushed = 0;
-        for flag in self.flags.iter_mut() {
+        // Padding lanes are flag 0, never valid.
+        for flag in self.headers.iter_mut().flat_map(|g| &mut g.flags) {
             if *flag & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY {
                 *flag &= !FLAG_DIRTY;
                 flushed += 1;
@@ -806,9 +914,10 @@ impl MetadataCache {
 
     /// Number of currently dirty entries.
     pub fn dirty_count(&self) -> u64 {
-        self.flags
+        self.headers
             .iter()
-            .filter(|&&f| f & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY)
+            .flat_map(|g| g.flags)
+            .filter(|&f| f & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY)
             .count() as u64
     }
 
@@ -1140,6 +1249,32 @@ mod tests {
         assert_eq!(v.key, 1, "FIFO order is insertion order, touch or not");
     }
 
+    #[test]
+    fn way_groups_start_on_a_line_after_new_and_clone() {
+        let victims = |mut cache: MetadataCache| -> Vec<_> {
+            (200..300).map(|k| cache.insert(k, false)).collect()
+        };
+        for assoc in [1usize, 3, 8, 16, 32] {
+            let mut c = small(assoc, 16 * assoc);
+            c.prefetch_run(0, 100);
+            c.insert(7, true);
+            // Clones land at other addresses, hence at other leads.
+            let clones: Vec<MetadataCache> = (0..8).map(|_| c.clone()).collect();
+            for cache in std::iter::once(&c).chain(&clones) {
+                let ways = cache.ways.slots().as_ptr() as usize;
+                assert_eq!(ways % 64, 0, "assoc {assoc}");
+                assert_eq!(cache.headers.as_ptr() as usize % 16, 0, "assoc {assoc}");
+                for key in 0..120 {
+                    assert_eq!(cache.dirty_bit(key), c.dirty_bit(key), "assoc {assoc}");
+                }
+            }
+            let expected = victims(c);
+            for clone in clones {
+                assert_eq!(victims(clone), expected, "assoc {assoc}");
+            }
+        }
+    }
+
     // ---- differential proptests vs the seed per-set-Vec oracle ---------
 
     /// One randomized cache op.
@@ -1215,6 +1350,21 @@ mod tests {
                 CacheConfig { capacity: 8, associativity: 2, replacement: Replacement::Fifo },
                 ops,
             );
+        }
+
+        // Headers with padding lanes (3, 12) and with two tag groups (12,
+        // 16): flush_dirty and dirty_count walk every header lane.
+        #[test]
+        fn flush_and_dirty_count_match_seed_oracle_on_padded_headers(
+            ops in proptest::collection::vec(cache_op_strategy(), 0..250),
+            associativity in prop_oneof![Just(3usize), Just(8), Just(12), Just(16)],
+        ) {
+            for replacement in [Replacement::Lru, Replacement::Fifo] {
+                run_differential(
+                    CacheConfig { capacity: 2 * associativity, associativity, replacement },
+                    ops.clone(),
+                );
+            }
         }
 
         #[test]
@@ -1297,7 +1447,7 @@ mod tests {
         /// `key`'s dirty bit, or `None` if it is not resident.
         fn dirty_bit(&self, key: u64) -> Option<bool> {
             self.find(key)
-                .map(|slot| self.flags[slot] & FLAG_DIRTY != 0)
+                .map(|slot| self.headers.flag(slot) & FLAG_DIRTY != 0)
         }
     }
 
@@ -1379,7 +1529,7 @@ mod tests {
     fn s3_queue_counts(c: &MetadataCache) -> (usize, usize) {
         let mut small = 0;
         let mut main = 0;
-        for &f in c.flags.iter() {
+        for f in c.headers.iter().flat_map(|g| g.flags) {
             if f & FLAG_VALID != 0 {
                 if f & FLAG_SMALL != 0 {
                     small += 1;
