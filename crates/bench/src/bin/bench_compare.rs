@@ -31,10 +31,7 @@
 //! quick-vs-full comparisons still need slack, so the default tolerance
 //! is a loose 50% there: the gate exists to catch structural regressions
 //! (a probe going quadratic, an allocation sneaking into the hot loop),
-//! not single-digit jitter. Rows whose name ends in `_contended` are
-//! excluded from hotpath comparisons entirely: they measure thread
-//! interaction, so their ns/op depends on host core count and a baseline
-//! captured on a different machine says nothing about a regression.
+//! not single-digit jitter.
 //! A `vaes-512` row (the pad leg only some CPUs have) is compared when
 //! both exports carry it and ignored when only one does.
 //!
@@ -392,21 +389,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        // Contended rows depend on how many hardware threads the host
-        // has; comparing them across machines (or against a baseline
-        // captured on a small runner) flags scheduler noise, not code.
-        let is_contended = |name: &str| name.ends_with("_contended");
-        let dropped: std::collections::BTreeSet<String> = old_rows
-            .keys()
-            .chain(new_rows.keys())
-            .filter(|(name, _)| is_contended(name))
-            .map(|(name, _)| name.clone())
-            .collect();
-        old_rows.retain(|(name, _), _| !is_contended(name));
-        new_rows.retain(|(name, _), _| !is_contended(name));
-        for name in &dropped {
-            println!("note: skipping {name} (contended rows are host-parallelism dependent)");
-        }
         // The VAES-512 pad leg only has a row where the CPU has the leg:
         // on one side alone it is a different host, not a dropped row.
         let host_only = |engine: &str| engine == "vaes-512";

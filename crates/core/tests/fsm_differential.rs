@@ -1,34 +1,80 @@
-//! Differential property testing for the free-space managers: under any
-//! quiesced (single-threaded) script of occupy/release/allocate calls the
-//! hierarchical [`FsmTree`] must be indistinguishable from the flat
-//! [`AtomicBitmap`] — same placement decisions, same occupancy, same free
-//! counts — and both must agree on occupancy with the sequential seed
-//! [`FreeSpaceTable`].
+//! Differential property testing for the free-space manager: under any
+//! script of occupy/release/allocate calls the two-level [`FsmTree`] must
+//! be indistinguishable from a flat one-bit-per-line word scan — same
+//! placement decisions, same occupancy, same free counts — and must agree
+//! on occupancy with the simulator's sequential [`FreeSpaceTable`].
 //!
-//! The bitmap is the *placement* oracle: `FsmTree::allocate` visits words
-//! in exactly the flat scan order, so every allocation must land on the
-//! identical line. The seed table scans line-by-line rather than
-//! word-by-word, so its own `allocate` picks different lines; it serves
-//! as an *occupancy* oracle instead, mirroring whatever line the
-//! lock-free structures chose.
-//!
-//! The last property pins the owner (`&mut self`) entry points to the
-//! shared (`&self`) ones: one script through both legs of each structure
-//! must leave no observable difference.
+//! The flat scan is the *placement* oracle: `FsmTree::allocate` visits
+//! words in exactly the flat order, so every allocation must land on the
+//! identical line. The seed table scans line by line rather than word by
+//! word, so its own `allocate` picks different lines; it serves as an
+//! *occupancy* oracle instead, mirroring whatever line the tree chose.
 
 use dewrite_core::tables::FreeSpaceTable;
-use dewrite_nvm::{AtomicBitmap, FsmTree, LineAddr, Reservation};
+use dewrite_nvm::{FsmTree, LineAddr};
 use proptest::prelude::*;
 
 /// Deliberately not a multiple of `CHUNK_LINES` (512) so every script
 /// exercises the masked tail bits of the last chunk.
 const LINES: u64 = 2 * 512 + 77;
 
+/// A flat free-space bitmap (`1` bit = free): the placement oracle.
+struct FlatOracle {
+    words: Vec<u64>,
+}
+
+impl FlatOracle {
+    fn new() -> Self {
+        let mut words = vec![!0u64; LINES.div_ceil(64) as usize];
+        *words.last_mut().unwrap() = (1u64 << (LINES % 64)) - 1;
+        FlatOracle { words }
+    }
+
+    fn bit(line: u64) -> (usize, u64) {
+        ((line / 64) as usize, 1u64 << (line % 64))
+    }
+
+    /// Clear `line`'s bit; whether it was free.
+    fn occupy(&mut self, line: u64) -> bool {
+        let (wi, mask) = Self::bit(line);
+        let was_free = self.words[wi] & mask != 0;
+        self.words[wi] &= !mask;
+        was_free
+    }
+
+    /// Set `line`'s bit; whether it was occupied.
+    fn release(&mut self, line: u64) -> bool {
+        let (wi, mask) = Self::bit(line);
+        let was_taken = self.words[wi] & mask == 0;
+        self.words[wi] |= mask;
+        was_taken
+    }
+
+    /// The home word's free bits at or after the home bit, then its
+    /// lowest free bit, then each following word's lowest, wrapping.
+    fn allocate(&mut self, home: u64) -> Option<u64> {
+        let n = self.words.len();
+        let home_word = (home / 64) as usize;
+        (0..n).find_map(|step| {
+            let wi = (home_word + step) % n;
+            let word = self.words[wi];
+            let min_bit = if step == 0 { home % 64 } else { 0 };
+            let at_or_after = word & (!0u64 << min_bit);
+            let pick = if at_or_after != 0 { at_or_after } else { word };
+            (pick != 0).then(|| {
+                let line = wi as u64 * 64 + u64::from(pick.trailing_zeros());
+                self.occupy(line);
+                line
+            })
+        })
+    }
+}
+
 #[derive(Debug, Clone)]
 enum FsmOp {
-    /// Occupy a specific line (idempotent on all three structures).
+    /// Occupy a specific line (idempotent on every structure).
     Occupy(u64),
-    /// Release a specific line (idempotent on all three structures).
+    /// Release a specific line (idempotent on every structure).
     Release(u64),
     /// Allocate with a home-line preference.
     Allocate(u64),
@@ -46,62 +92,47 @@ fn op_strategy() -> impl Strategy<Value = FsmOp> {
     ]
 }
 
-/// Assert the three structures agree bit-for-bit and count-for-count.
-fn assert_quiesced_equivalent(tree: &FsmTree, bitmap: &AtomicBitmap, seed: &FreeSpaceTable) {
-    assert_eq!(
-        tree.free_lines(),
-        bitmap.free_lines(),
-        "free count vs bitmap"
-    );
+/// Assert the tree agrees with the seed table line for line and count for
+/// count.
+fn assert_same_occupancy(tree: &FsmTree, seed: &FreeSpaceTable) {
     assert_eq!(tree.free_lines(), seed.free_lines(), "free count vs seed");
     for line in 0..LINES {
-        assert_eq!(
-            tree.is_free(line),
-            bitmap.is_free(line),
-            "line {line} occupancy vs bitmap"
-        );
         assert_eq!(
             tree.is_free(line),
             seed.is_free(LineAddr::new(line)),
             "line {line} occupancy vs seed"
         );
     }
-    assert_eq!(
-        tree.occupied(),
-        bitmap.occupied(),
-        "occupied snapshots diverge"
-    );
 }
 
 proptest! {
     // Home-mode allocation: the tree must make the *same placement
-    // decision* as the flat bitmap on every single call, not merely
-    // converge to the same occupancy.
+    // decision* as the flat scan on every single call, not merely
+    // converge to the same occupancy. A clone taken before the script
+    // must not see any of it.
     #[test]
-    fn tree_matches_bitmap_placement_and_seed_occupancy(
+    fn tree_matches_flat_placement_and_seed_occupancy(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
-        let tree = FsmTree::new(LINES);
-        let bitmap = AtomicBitmap::new(LINES);
+        let mut tree = FsmTree::new(LINES);
+        let pristine = tree.clone();
+        let mut flat = FlatOracle::new();
         let mut seed = FreeSpaceTable::new(LINES);
         for op in &ops {
             match *op {
                 FsmOp::Occupy(line) => {
-                    let t = tree.occupy(line);
-                    let b = bitmap.occupy(line);
-                    prop_assert_eq!(t, b, "occupy({}) outcome diverged", line);
+                    prop_assert_eq!(tree.occupy(line), flat.occupy(line),
+                        "occupy({}) outcome diverged", line);
                     seed.occupy(LineAddr::new(line));
                 }
                 FsmOp::Release(line) => {
-                    let t = tree.release(line);
-                    let b = bitmap.release(line);
-                    prop_assert_eq!(t, b, "release({}) outcome diverged", line);
+                    prop_assert_eq!(tree.release(line), flat.release(line),
+                        "release({}) outcome diverged", line);
                     seed.release(LineAddr::new(line));
                 }
                 FsmOp::Allocate(home) => {
                     let t = tree.allocate(home);
-                    let b = bitmap.allocate(home);
-                    prop_assert_eq!(t, b, "allocate({}) placement diverged", home);
+                    prop_assert_eq!(t, flat.allocate(home), "allocate({}) placement diverged", home);
                     if let Some(line) = t {
                         // Mirror into the seed table: its own scan order
                         // differs, so it only checks occupancy.
@@ -110,20 +141,21 @@ proptest! {
                 }
             }
         }
-        assert_quiesced_equivalent(&tree, &bitmap, &seed);
+        assert_same_occupancy(&tree, &seed);
+        prop_assert_eq!(pristine.free_lines(), LINES, "clone shares state with the original");
+        prop_assert!(pristine.occupied().is_empty());
     }
 
-    // Reserved-mode allocation trades placement identity for an
-    // uncontended fast path, so the bitmap stops being a placement
-    // oracle — but occupancy and conservation must still hold exactly,
-    // with the seed table mirroring every claim.
+    // Rotating allocation trades placement identity for wear rotation, so
+    // the flat scan stops being a placement oracle — but occupancy,
+    // conservation and the claim count must still hold exactly, with the
+    // seed table mirroring every claim.
     #[test]
-    fn reserved_mode_preserves_occupancy_and_counts(
+    fn rotating_mode_preserves_occupancy_and_counts(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
-        let tree = FsmTree::new(LINES);
+        let mut tree = FsmTree::new(LINES);
         let mut seed = FreeSpaceTable::new(LINES);
-        let mut reservation = Reservation::new();
         let mut claims = 0u64;
         for op in &ops {
             match *op {
@@ -138,7 +170,7 @@ proptest! {
                     seed.release(LineAddr::new(line));
                 }
                 FsmOp::Allocate(_) => {
-                    if let Some(line) = tree.allocate_reserved(&mut reservation) {
+                    if let Some(line) = tree.allocate_rotating() {
                         prop_assert!(line < LINES, "claimed tail line {}", line);
                         prop_assert!(seed.is_free(LineAddr::new(line)),
                             "double-claimed line {}", line);
@@ -146,92 +178,13 @@ proptest! {
                         claims += 1;
                     } else {
                         prop_assert_eq!(tree.free_lines(), 0,
-                            "reserved allocation failed with free lines left");
+                            "rotating allocation failed with free lines left");
                     }
                 }
             }
             prop_assert_eq!(tree.free_lines(), seed.free_lines());
         }
-        for line in 0..LINES {
-            prop_assert_eq!(tree.is_free(line), seed.is_free(LineAddr::new(line)));
-        }
-        tree.drain_reservation_stats(&mut reservation);
+        assert_same_occupancy(&tree, &seed);
         prop_assert_eq!(tree.stats().claims, claims, "claim stats drifted");
-    }
-
-    // `from_bitmap` must reproduce the donor's occupancy exactly, and a
-    // clone must be an independent copy (mutating one leaves the other
-    // untouched).
-    #[test]
-    fn from_bitmap_and_clone_copy_occupancy(
-        occupied in proptest::collection::vec(0..LINES, 0..200)
-    ) {
-        let bitmap = AtomicBitmap::new(LINES);
-        for &line in &occupied {
-            bitmap.occupy(line);
-        }
-        let tree = FsmTree::from_bitmap(&bitmap);
-        prop_assert_eq!(tree.free_lines(), bitmap.free_lines());
-        prop_assert_eq!(tree.occupied(), bitmap.occupied());
-
-        let copy = tree.clone();
-        if let Some(line) = tree.allocate(0) {
-            prop_assert!(copy.is_free(line), "clone shares state with original");
-            prop_assert_eq!(copy.free_lines(), tree.free_lines() + 1);
-        }
-    }
-
-    // The owner entry points run the shared ones' algorithm with a plain
-    // load + store where those use a `fetch_*`: one script through both
-    // legs must claim the same line every time and leave the same
-    // occupancy, free counts and allocator counters.
-    #[test]
-    fn owner_ops_match_shared_ops(
-        ops in proptest::collection::vec(op_strategy(), 1..400)
-    ) {
-        let (shared_home, mut owner_home) = (FsmTree::new(LINES), FsmTree::new(LINES));
-        let (shared_wear, mut owner_wear) = (FsmTree::new(LINES), FsmTree::new(LINES));
-        let (mut shared_r, mut owner_r) = (Reservation::new(), Reservation::new());
-        let (shared_flat, mut owner_flat) = (AtomicBitmap::new(LINES), AtomicBitmap::new(LINES));
-        for op in &ops {
-            match *op {
-                // `occupy` has no owner twin (the shard never claims a
-                // named line); it sets up identical occupancy on both.
-                FsmOp::Occupy(line) => {
-                    for tree in [&shared_home, &owner_home, &shared_wear, &owner_wear] {
-                        tree.occupy(line);
-                    }
-                    shared_flat.occupy(line);
-                    owner_flat.occupy(line);
-                }
-                FsmOp::Release(line) => {
-                    prop_assert_eq!(shared_home.release(line), owner_home.release_mut(line));
-                    prop_assert_eq!(shared_wear.release(line), owner_wear.release_mut(line));
-                    prop_assert_eq!(shared_flat.release(line), owner_flat.release_mut(line));
-                }
-                FsmOp::Allocate(home) => {
-                    prop_assert_eq!(shared_home.allocate(home), owner_home.allocate_mut(home));
-                    prop_assert_eq!(
-                        shared_wear.allocate_reserved(&mut shared_r),
-                        owner_wear.allocate_reserved_mut(&mut owner_r)
-                    );
-                    prop_assert_eq!(shared_flat.allocate(home), owner_flat.allocate_mut(home));
-                }
-            }
-        }
-        shared_wear.drain_reservation_stats(&mut shared_r);
-        owner_wear.drain_reservation_stats(&mut owner_r);
-        for (shared, owner) in [(&shared_home, &owner_home), (&shared_wear, &owner_wear)] {
-            prop_assert_eq!(shared.free_lines(), owner.free_lines());
-            prop_assert_eq!(shared.occupied(), owner.occupied());
-            prop_assert_eq!(shared.stats(), owner.stats());
-            for chunk in 0..shared.chunks() {
-                prop_assert_eq!(shared.chunk_free_lines(chunk), owner.chunk_free_lines(chunk));
-                prop_assert_eq!(shared.chunk_allocs(chunk), owner.chunk_allocs(chunk));
-            }
-        }
-        prop_assert_eq!(shared_r.chunk(), owner_r.chunk());
-        prop_assert_eq!(shared_flat.free_lines(), owner_flat.free_lines());
-        prop_assert_eq!(shared_flat.occupied(), owner_flat.occupied());
     }
 }

@@ -8,8 +8,8 @@
 //! inverted-hash tables (implicitly sharded by digest, since a digest only
 //! lands where its address routed), address map + colocated CME counters
 //! (sharded by line address), a metadata cache, a 3-bit predictor, and a
-//! free-space map driven through its owner-mode (`&mut`, no atomic
-//! read-modify-write) entry points — so shards never share mutable state.
+//! single-owner free-space map (`&mut`, no atomic read-modify-write) — so
+//! shards never share mutable state.
 //!
 //! One model, two drivers: whichever thread submits an operation runs its
 //! shard. [`run`] drives one fixed trace: it partitions the trace by

@@ -11,21 +11,17 @@
 //! * an **address map** + **colocated CME counters**, sharded by line
 //!   address — every write resolves on one shard because allocation is
 //!   home-local;
-//! * a free-space map — the hierarchical [`FsmTree`] by default
-//!   (per-chunk counters skip drained regions; placement-identical to the
-//!   flat scan), the flat [`AtomicBitmap`] as differential oracle, or the
-//!   reservation + wear-rotation mode, selected by [`FsmPolicy`] — driven
-//!   through the maps' owner (`&mut self`) entry points, so a claim or a
-//!   release is plain loads and stores, never an atomic read-modify-write;
+//! * a free-space map, the two-level [`FsmTree`] (per-chunk counters skip
+//!   drained regions), claimed in home-preference or wear-rotation order
+//!   as [`FsmPolicy`] selects — a claim or a release is plain loads and
+//!   stores, never an atomic read-modify-write;
 //! * a metadata cache and a 3-bit [`HistoryPredictor`].
 //!
 //! All methods take `&mut self`: concurrency comes from shard ownership,
 //! never shared mutation — whoever runs a shard holds it exclusively for
-//! the call (`run()`'s one worker thread per shard; `EngineService`'s
-//! submitter under the shard's `Mutex`) — so a shard's final state, and
-//! its [`RunReport`], is a pure function of its input feed. That
-//! exclusivity is load-bearing: the owner-mode free-space operations are
-//! only sound because `&mut self` proves nobody else can reach the map.
+//! the call (`run()`'s owner thread; `EngineService`'s submitter under the
+//! shard's `Mutex`) — so a shard's final state, and its [`RunReport`], is
+//! a pure function of its input feed.
 //!
 //! [`ShardController::write`] also issues the shard's prefetch schedule:
 //! side-effect-free hints for the lines the commit is known to need,
@@ -42,9 +38,7 @@ use dewrite_hashes::HashAlgorithm;
 use dewrite_mem::{
     hint, CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
 };
-use dewrite_nvm::{
-    AtomicBitmap, EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr, Reservation,
-};
+use dewrite_nvm::{EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr};
 use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
 use std::collections::{HashMap, VecDeque};
@@ -53,93 +47,19 @@ use std::path::Path;
 /// Sentinel in the dense address map: address has no mapping.
 const SLOT_NONE: u64 = u64::MAX;
 
-/// Which free-space manager a shard runs.
+/// Which order a shard's [`FsmTree`] claims lines in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsmPolicy {
-    /// The flat [`AtomicBitmap`] word scan — kept as the differential
-    /// oracle for the hierarchical allocator.
-    Flat,
-    /// The hierarchical [`FsmTree`] in home-preference mode: per-chunk free
-    /// counters skip drained regions, and placement is **identical** to
-    /// `Flat` on the same occupancy, so simulated reports stay
-    /// bit-identical. The default.
+    /// Home preference ([`FsmTree::allocate`]): a stored line goes to the
+    /// first free slot at or after its home in flat word order, with
+    /// per-chunk counters skipping drained regions. The default.
     #[default]
     Tree,
-    /// [`FsmTree`] through a per-shard reservation with wear-aware chunk
-    /// rotation: the cheapest claims and the flattest wear, but placement
-    /// (and therefore flip-bit/energy figures) differs from `Flat`.
+    /// Wear rotation ([`FsmTree::allocate_rotating`]): claims come from
+    /// one reserved chunk, rotated by wear bucket — the flattest wear, but
+    /// placement (and therefore flip-bit/energy figures) differs from
+    /// `Tree`.
     TreeWear,
-}
-
-/// The shard's free-space manager, dispatched by [`FsmPolicy`].
-enum ShardFsm {
-    Flat(AtomicBitmap),
-    Tree(FsmTree),
-    TreeWear(FsmTree, Reservation),
-}
-
-impl ShardFsm {
-    fn new(policy: FsmPolicy, slots: u64) -> Self {
-        match policy {
-            FsmPolicy::Flat => ShardFsm::Flat(AtomicBitmap::new(slots)),
-            FsmPolicy::Tree => ShardFsm::Tree(FsmTree::new(slots)),
-            FsmPolicy::TreeWear => ShardFsm::TreeWear(FsmTree::new(slots), Reservation::new()),
-        }
-    }
-
-    fn policy(&self) -> FsmPolicy {
-        match self {
-            ShardFsm::Flat(_) => FsmPolicy::Flat,
-            ShardFsm::Tree(_) => FsmPolicy::Tree,
-            ShardFsm::TreeWear(..) => FsmPolicy::TreeWear,
-        }
-    }
-
-    // Claims and releases go through the maps' owner (`&mut`) entry
-    // points: the shard is the only thing that can reach its map, so it
-    // pays for no atomic read-modify-write.
-    fn allocate(&mut self, home: u64) -> Option<u64> {
-        match self {
-            ShardFsm::Flat(b) => b.allocate_mut(home),
-            ShardFsm::Tree(t) => t.allocate_mut(home),
-            ShardFsm::TreeWear(t, r) => t.allocate_reserved_mut(r),
-        }
-    }
-
-    fn release(&mut self, line: u64) -> bool {
-        match self {
-            ShardFsm::Flat(b) => b.release_mut(line),
-            ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.release_mut(line),
-        }
-    }
-
-    fn free_lines(&self) -> u64 {
-        match self {
-            ShardFsm::Flat(b) => b.free_lines(),
-            ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.free_lines(),
-        }
-    }
-
-    fn for_each_occupied<F: FnMut(u64)>(&self, f: F) {
-        match self {
-            ShardFsm::Flat(b) => b.for_each_occupied(f),
-            ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.for_each_occupied(f),
-        }
-    }
-
-    /// Allocator counters; all-zero for the flat oracle, which does not
-    /// track them. `&mut` so the wear mode can drain the reservation's
-    /// locally accumulated counts first.
-    fn stats(&mut self) -> FsmStats {
-        match self {
-            ShardFsm::Flat(_) => FsmStats::default(),
-            ShardFsm::Tree(t) => t.stats(),
-            ShardFsm::TreeWear(t, r) => {
-                t.drain_reservation_stats(r);
-                t.stats()
-            }
-        }
-    }
 }
 
 /// Simulated PCM array read latency, ns.
@@ -185,7 +105,8 @@ pub struct ShardController {
 
     hash: HashTable,
     inverted: InvertedTable,
-    fsm: ShardFsm,
+    fsm: FsmTree,
+    fsm_policy: FsmPolicy,
     /// Global initial address → local slot, for every line this shard has
     /// accepted a write for. Dense: owned addresses are exactly
     /// `{a : a mod shards == id}`, so `a / shards` is a unique index.
@@ -260,7 +181,8 @@ impl ShardController {
             key: *key,
             hash: HashTable::new(),
             inverted: InvertedTable::new(slots),
-            fsm: ShardFsm::new(FsmPolicy::default(), slots),
+            fsm: FsmTree::new(slots),
+            fsm_policy: FsmPolicy::default(),
             addr_map: vec![SLOT_NONE; slots as usize],
             counters: vec![0u32; slots as usize],
             store: vec![0u8; slots as usize * line_size],
@@ -337,9 +259,7 @@ impl ShardController {
         self.coalesce_window
     }
 
-    /// Select the shard's free-space manager. The arena must still be
-    /// untouched: the FSM is rebuilt empty, so switching after writes would
-    /// silently lose occupancy.
+    /// Select the order the shard's free-space map claims lines in.
     ///
     /// # Panics
     ///
@@ -350,14 +270,12 @@ impl ShardController {
             "cannot switch the FSM after {} operations",
             self.ops
         );
-        if self.fsm.policy() != policy {
-            self.fsm = ShardFsm::new(policy, self.slots);
-        }
+        self.fsm_policy = policy;
     }
 
     /// The shard's free-space-manager policy.
     pub fn fsm_policy(&self) -> FsmPolicy {
-        self.fsm.policy()
+        self.fsm_policy
     }
 
     /// Select the metadata-cache eviction policy. The cache is rebuilt
@@ -416,9 +334,8 @@ impl ShardController {
         self.meta.stats()
     }
 
-    /// Allocator counters: claims, reservation refills, steals, scan steps
-    /// (all-zero under [`FsmPolicy::Flat`], which does not track them).
-    pub fn fsm_stats(&mut self) -> FsmStats {
+    /// Allocator counters: claims, rotation refills, steals, scan steps.
+    pub fn fsm_stats(&self) -> FsmStats {
         self.fsm.stats()
     }
 
@@ -964,10 +881,11 @@ impl ShardController {
             sim_ns = critical_ns;
         } else {
             let freed = self.release_previous_mapping(idx);
-            let slot = self
-                .fsm
-                .allocate(home)
-                .expect("shard arena exhausted: size slots for the workload");
+            let slot = match self.fsm_policy {
+                FsmPolicy::Tree => self.fsm.allocate(home),
+                FsmPolicy::TreeWear => self.fsm.allocate_rotating(),
+            }
+            .expect("shard arena exhausted: size slots for the workload");
             self.counters[slot as usize] += 1;
             let ctr = LineCounter::from_value(self.counters[slot as usize]);
             let global = self.slot_global(slot);

@@ -31,7 +31,6 @@ use dewrite_core::Json;
 use dewrite_engine::{run, DigestMode, EngineConfig, EngineRun, FsmPolicy, Pacing, Replacement};
 use dewrite_net::proto::{Hello, NET_VERSION};
 use dewrite_net::{client, drive, Control, DriveOptions, HelloInfo};
-use dewrite_nvm::{AtomicBitmap, FsmTree, Reservation};
 use dewrite_trace::{app_by_name, DupOracle, TraceGenerator, TraceRecord};
 
 const DEFAULT_KEY: [u8; 16] = *b"dewrite-repro-16";
@@ -53,7 +52,6 @@ struct Options {
     fsm: FsmPolicy,
     cache_policy: Replacement,
     digest_mode: DigestMode,
-    fsm_churn: Vec<usize>,
     net: Option<String>,
     connections: Vec<usize>,
     net_window: usize,
@@ -80,7 +78,6 @@ impl Default for Options {
             fsm: FsmPolicy::default(),
             cache_policy: Replacement::default(),
             digest_mode: DigestMode::default(),
-            fsm_churn: Vec::new(),
             net: None,
             connections: vec![64],
             net_window: 32,
@@ -107,13 +104,11 @@ fn usage() -> ExitCode {
     eprintln!("                    the hardware threads [0]");
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
     eprintln!("  --persist-dir P   per-shard metadata WAL + checkpoints under P/<app>-s<N>/");
-    eprintln!("  --fsm P           free-space manager: flat | tree | tree-wear [tree]");
+    eprintln!("  --fsm P           free-space claim order: tree | tree-wear [tree]");
     eprintln!("  --cache-policy P  metadata-cache eviction: lru | fifo | s3-fifo [lru];");
     eprintln!("                    in net mode the policy rides in the Hello handshake");
     eprintln!("  --digest-mode M   dedup digest: crc32-verify | strong-keyed [crc32-verify];");
     eprintln!("                    in net mode the mode rides in the Hello handshake");
-    eprintln!("  --fsm-churn T,..  standalone allocator contention sweep over thread");
-    eprintln!("                    counts (no app runs): flat vs tree claims/s");
     eprintln!("  --net ADDR        socket-client mode against a running dewrite-serve;");
     eprintln!("                    replays the trace over TCP, asserts the server's");
     eprintln!("                    reports are bit-identical to an in-process run");
@@ -175,7 +170,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--persist-dir" => o.persist_dir = Some(value()?),
             "--fsm" => {
                 o.fsm = match value()?.as_str() {
-                    "flat" => FsmPolicy::Flat,
                     "tree" => FsmPolicy::Tree,
                     "tree-wear" => FsmPolicy::TreeWear,
                     other => return Err(format!("--fsm: unknown policy {other:?}")),
@@ -190,12 +184,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 o.digest_mode = value()?
                     .parse::<DigestMode>()
                     .map_err(|e| format!("--digest-mode: {e}"))?
-            }
-            "--fsm-churn" => {
-                o.fsm_churn = value()?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|e| format!("--fsm-churn: {e}")))
-                    .collect::<Result<_, _>>()?
             }
             "--net" => o.net = Some(value()?),
             "--connections" => {
@@ -232,9 +220,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     }
     if o.apps.is_empty() {
         return Err("need at least one app".into());
-    }
-    if o.fsm_churn.iter().any(|&t| t == 0 || t > 64) {
-        return Err("--fsm-churn thread counts must be in 1..=64".into());
     }
     if o.net.is_none() {
         if let Some(flag) = net_only.first() {
@@ -363,133 +348,6 @@ fn run_json(engine_run: &EngineRun, global_rate: f64, producers: usize) -> Json 
             ]),
         ),
         ("per_shard", Json::Arr(per_shard)),
-    ])
-}
-
-/// Run `threads` churn workers (claim a line, release it, repeat) against
-/// one shared allocator; `alloc` must be thread-safe through `&self`.
-/// Returns aggregate claims per second.
-fn churn_mops<A: Sync>(
-    threads: usize,
-    ops_per_thread: u64,
-    alloc: &A,
-    claim: impl Fn(&A, usize, &mut Reservation) -> Option<u64> + Sync,
-    release: impl Fn(&A, u64) + Sync,
-    finish: impl Fn(&A, &mut Reservation) + Sync,
-) -> f64 {
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let claim = &claim;
-            let release = &release;
-            let finish = &finish;
-            s.spawn(move || {
-                let mut r = Reservation::new();
-                for _ in 0..ops_per_thread {
-                    let line = claim(alloc, t, &mut r).expect("churn map never exhausts");
-                    release(alloc, line);
-                }
-                finish(alloc, &mut r);
-            });
-        }
-    });
-    let secs = start.elapsed().as_secs_f64();
-    (threads as u64 * ops_per_thread) as f64 / secs / 1e6
-}
-
-/// The standalone allocator contention sweep: flat `AtomicBitmap` vs
-/// hierarchical `FsmTree` alloc/release churn at each requested thread
-/// count. Appends a check failure / sets `check_skipped` per the tiered
-/// speedup gate when `--check` is on.
-fn fsm_churn_sweep(
-    o: &Options,
-    parallelism: usize,
-    failures: &mut Vec<String>,
-    check_skipped: &mut bool,
-) -> Json {
-    let ops_per_thread = (o.ops as u64).max(10_000);
-    let max_threads = o.fsm_churn.iter().copied().max().unwrap_or(1);
-    // Each thread gets its own comfortable region so exhaustion never
-    // races: the contention under test is the allocator's metadata (the
-    // flat map's shared free count vs the tree's per-chunk counters), not
-    // free-line scarcity.
-    let lines = (max_threads as u64) * 4 * dewrite_nvm::CHUNK_LINES;
-    let mut rows: Vec<Json> = Vec::new();
-    println!("fsm churn sweep: {lines} lines, {ops_per_thread} claim/release pairs per thread");
-    for &threads in &o.fsm_churn {
-        let flat = AtomicBitmap::new(lines);
-        let flat_mops = churn_mops(
-            threads,
-            ops_per_thread,
-            &flat,
-            |a, t, _| a.allocate((t as u64 * lines) / threads as u64),
-            |a, line| {
-                assert!(a.release(line));
-            },
-            |_, _| {},
-        );
-        assert_eq!(flat.free_lines(), lines, "flat churn must conserve");
-
-        let tree = FsmTree::new(lines);
-        let tree_mops = churn_mops(
-            threads,
-            ops_per_thread,
-            &tree,
-            |a, _, r| a.allocate_reserved(r),
-            |a, line| {
-                assert!(a.release(line));
-            },
-            FsmTree::drain_reservation_stats,
-        );
-        assert_eq!(tree.free_lines(), lines, "tree churn must conserve");
-        let stats = tree.stats();
-
-        let speedup = if flat_mops > 0.0 {
-            tree_mops / flat_mops
-        } else {
-            0.0
-        };
-        println!(
-            "  threads={threads:<2} flat {flat_mops:>8.2} Mclaims/s  tree {tree_mops:>8.2} \
-             Mclaims/s  speedup {speedup:.2}x  refills {} steals {}",
-            stats.refills, stats.steals
-        );
-        if o.check && threads >= 4 {
-            if parallelism >= threads {
-                // Reserved-chunk claims must beat the shared-counter flat
-                // map once there's real parallelism.
-                let need = 1.2;
-                if speedup < need {
-                    failures.push(format!(
-                        "fsm-churn: {threads}-thread tree speedup only {speedup:.2}x \
-                         (need >= {need}x on a {parallelism}-way host)"
-                    ));
-                }
-            } else {
-                *check_skipped = true;
-                println!(
-                    "  SKIPPED: {threads}-thread fsm-churn speedup assertion \
-                     (available_parallelism={parallelism} < {threads})"
-                );
-            }
-        }
-        rows.push(obj(vec![
-            ("threads", num(threads as u64)),
-            ("flat_mclaims_per_sec", flt(flat_mops)),
-            ("tree_mclaims_per_sec", flt(tree_mops)),
-            ("tree_speedup", flt(speedup)),
-            ("tree_refills", num(stats.refills)),
-            ("tree_steals", num(stats.steals)),
-            (
-                "tree_scan_steps_per_claim",
-                flt(stats.scan_steps_per_claim()),
-            ),
-        ]));
-    }
-    obj(vec![
-        ("lines", num(lines)),
-        ("ops_per_thread", num(ops_per_thread)),
-        ("runs", Json::Arr(rows)),
     ])
 }
 
@@ -738,45 +596,6 @@ fn main() -> ExitCode {
         return net_main(&o, &addr, parallelism);
     }
 
-    // The allocator contention sweep is standalone: no app traces, just
-    // flat-vs-tree churn at each thread count.
-    if !o.fsm_churn.is_empty() {
-        let mut failures: Vec<String> = Vec::new();
-        let mut check_skipped = false;
-        let contention = fsm_churn_sweep(&o, parallelism, &mut failures, &mut check_skipped);
-        let doc = obj(vec![
-            ("schema_version", num(1)),
-            ("tool", Json::Str("loadgen".into())),
-            (
-                "config",
-                obj(vec![
-                    ("ops", num(o.ops as u64)),
-                    (
-                        "fsm_churn",
-                        Json::Arr(o.fsm_churn.iter().map(|&t| num(t as u64)).collect()),
-                    ),
-                    ("check", Json::Bool(o.check)),
-                ]),
-            ),
-            ("available_parallelism", num(parallelism as u64)),
-            ("check_skipped", Json::Bool(check_skipped)),
-            ("fsm_contention", contention),
-        ]);
-        if let Err(e) = std::fs::write(&o.out, format!("{doc}\n")) {
-            eprintln!("error: writing {}: {e}", o.out);
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", o.out);
-        if failures.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-        eprintln!("\n{} check failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("  FAIL {f}");
-        }
-        return ExitCode::FAILURE;
-    }
-
     // Always measure shards=1 first: the global-dedup baseline and the
     // speedup denominator.
     let mut sweep = o.sweep.clone();
@@ -908,7 +727,6 @@ fn main() -> ExitCode {
                     "fsm",
                     Json::Str(
                         match o.fsm {
-                            FsmPolicy::Flat => "flat",
                             FsmPolicy::Tree => "tree",
                             FsmPolicy::TreeWear => "tree-wear",
                         }

@@ -1,67 +1,43 @@
-//! Hierarchical lock-free free-space manager: the llfree-style successor
-//! of the flat [`AtomicBitmap`].
+//! Two-level free-space manager: one bit per line under per-chunk free
+//! counters, owned by a single caller.
 //!
-//! The flat bitmap pays two structural costs at engine scale: every claim
-//! does a word-by-word scan over one shared map (quadratic-ish as the
-//! arena fills), and every claim RMWs one shared `free_count` cache line
-//! (the contention wall under concurrent allocators). [`FsmTree`] splits
-//! the map into two levels:
+//! The paper's free-space manager is one bit per line. Scanned word by
+//! word, a near-full map makes every claim walk thousands of exhausted
+//! words before it finds a free bit. [`FsmTree`] splits the map into two
+//! levels:
 //!
 //! * a **lower level** of fixed-size *chunks* — [`CHUNK_LINES`] lines (8
-//!   `AtomicU64` words, exactly one cache line of bitmap) claimed with the
-//!   same `fetch_and` word protocol as [`AtomicBitmap`];
-//! * an **upper level** of per-chunk atomic free counters, 16 to a cache
-//!   line, so "which region has space" is answered by scanning counters
-//!   (512 lines summarized per 4 bytes) instead of bitmap words — and
-//!   there is **no global free count**: [`FsmTree::free_lines`] sums the
-//!   sharded counters, so no two claims in different chunks ever touch the
-//!   same cache line;
-//! * a **reservation layer**: each caller (an engine shard, a benchmark
-//!   thread) owns a [`Reservation`] pinning one chunk. The common-path
-//!   claim is a single uncontended `fetch_and` in the reserved chunk plus
-//!   a `fetch_sub` on that chunk's counter. Only when the chunk drains
-//!   does the caller go back to the upper tree for a **refill**, and only
-//!   when no chunk has a comfortable run of free lines left does it
-//!   **steal** the globally fullest (most-free) chunk.
+//!   `u64` words, exactly one cache line of bitmap);
+//! * an **upper level** of per-chunk free counters, 16 to a cache line,
+//!   so "which region has space" is answered by scanning counters (512
+//!   lines summarized per 4 bytes) instead of bitmap words.
 //!
-//! # Wear-aware chunk rotation
+//! The tree has one owner (an engine shard, the benchmark's replay), so
+//! every mutation takes `&mut self` and is a plain load and store.
 //!
-//! Refill preference cycles through chunks by a coarse per-chunk
-//! allocation-count bucket (lifetime claims `>>` [`WEAR_BUCKET_SHIFT`]):
-//! a refill prefers the least-worn bucket, breaking ties by a rotating
-//! cursor, so steady alloc/free churn walks across the device instead of
-//! pinning the same few lines — the line-placement behavior SecPM-style
-//! endurance designs assume of this layer. The policy is observable:
-//! [`FsmTree::stats`] counts claims, refills, steals and scan steps, and
-//! [`FsmTree::chunk_allocs`] exposes the per-chunk wear proxy itself.
+//! # Home-preference mode
 //!
-//! # Home-preference mode and placement identity
+//! [`FsmTree::allocate`] prefers a caller-provided *home* line and scans
+//! outward with wrap-around in flat word order: the home word (free bits
+//! at or after the home bit first, then its lowest free bit), the words
+//! after it, then the words before it. The upper counters only *skip*
+//! chunks with no free line, which can never change which free line is
+//! found first, so placement is exactly a flat word scan's. The
+//! differential proptests in `dewrite-core` pin that against a
+//! test-local flat oracle.
 //!
-//! [`FsmTree::allocate`] keeps the flat bitmap's contract — prefer a
-//! caller-provided *home* line, scan outward with wrap-around — and is
-//! **placement-identical** to [`AtomicBitmap::allocate`] on the same
-//! occupancy: it visits words in the same order and picks bits with the
-//! same in-word preference, using the upper counters only to *skip* chunks
-//! with no free line (which can never change which free line is found
-//! first). This is what lets the sharded engine swap allocators while its
-//! merged simulated `RunReport` stays bit-identical; the differential
-//! proptests in `dewrite-core` pin the property.
+//! # Wear-aware rotation
 //!
-//! # Shared and owner entry points
-//!
-//! The `&self` methods are lock-free and safe under any sharing. A caller
-//! that owns the tree outright — an engine shard — uses the `&mut self`
-//! twins ([`FsmTree::allocate_mut`], [`FsmTree::release_mut`],
-//! [`FsmTree::allocate_reserved_mut`]): each operation has one algorithm
-//! body, generic over the [`Leaf`] that performs its read-modify-writes,
-//! and the owner leaf is a plain load and store where the shared one is a
-//! `fetch_*`. Same scan, same placement, same counters; what goes is the
-//! seven lock-prefixed instructions of a release + claim, each of which
-//! also drains the caller's store buffer.
-
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-use crate::fsm_atomic::{AtomicBitmap, Leaf, Owner, Shared};
+//! [`FsmTree::allocate_rotating`] claims from one reserved chunk until it
+//! drains or has absorbed one wear bucket of claims
+//! (`1 << WEAR_BUCKET_SHIFT`), then refills: the least-worn bucket
+//! (lifetime claims `>>` [`WEAR_BUCKET_SHIFT`]) among chunks with at least
+//! [`REFILL_MIN_FREE`] free lines, ties broken by a rotating cursor, or —
+//! when no chunk is that comfortable — a steal of the fullest (most-free)
+//! chunk. Steady alloc/free churn therefore walks across the device
+//! instead of pinning the same few lines. [`FsmTree::stats`] counts
+//! claims, refills, steals and scan steps, and [`FsmTree::chunk_allocs`]
+//! exposes the per-chunk wear proxy.
 
 /// Bits per bitmap word.
 const WORD_BITS: u64 = 64;
@@ -73,7 +49,7 @@ pub const CHUNK_WORDS: usize = 8;
 pub const CHUNK_LINES: u64 = CHUNK_WORDS as u64 * WORD_BITS;
 
 /// A refill wants at least this many free lines in the chosen chunk, so
-/// one upper-tree visit buys a run of cheap claims. Chunks below the
+/// one upper-level visit buys a run of cheap claims. Chunks below the
 /// threshold are only taken by stealing.
 pub const REFILL_MIN_FREE: u32 = 64;
 
@@ -82,22 +58,12 @@ pub const REFILL_MIN_FREE: u32 = 64;
 /// yields refill priority to its peers.
 pub const WEAR_BUCKET_SHIFT: u32 = 9;
 
-/// Live counters for the allocator's observable behavior (monotonic,
-/// updated with relaxed ordering; exact once concurrent claims quiesce).
-#[derive(Debug, Default)]
-struct AtomicStats {
-    claims: AtomicU64,
-    refills: AtomicU64,
-    steals: AtomicU64,
-    scan_steps: AtomicU64,
-}
-
-/// A point-in-time copy of the allocator counters.
+/// The allocator's observable counters (monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsmStats {
     /// Lines successfully claimed (any mode).
     pub claims: u64,
-    /// Reservation refills served from the upper tree.
+    /// Rotation refills served from the upper level.
     pub refills: u64,
     /// Refills that had to steal a below-threshold chunk because no chunk
     /// had [`REFILL_MIN_FREE`] lines left.
@@ -119,56 +85,26 @@ impl FsmStats {
     }
 }
 
-/// A caller's reserved-chunk handle. One per allocating thread/shard;
-/// holding one never blocks other callers (reservations are preferences,
-/// not locks — claims stay atomic either way).
-///
-/// A reservation carries a claim *budget* of one wear bucket
-/// (`1 << WEAR_BUCKET_SHIFT` claims): once spent, the handle retires its
-/// chunk even if frees have kept it non-empty, so alloc/free churn rotates
-/// across the device instead of pinning the same lines.
-///
-/// It also accumulates the claim/scan-step counters locally — a reserved
-/// claim must not touch the tree's shared stats cache line, or the stats
-/// would reintroduce the very contention the reservation removes. The
-/// pending counts flush into [`FsmTree::stats`] at each refill, at
-/// exhaustion, and on [`FsmTree::drain_reservation_stats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Reservation {
-    chunk: Option<usize>,
-    budget: u32,
-    pending_claims: u64,
-    pending_steps: u64,
-}
-
-impl Reservation {
-    /// A fresh handle with no chunk reserved; the first claim refills.
-    pub fn new() -> Self {
-        Reservation::default()
-    }
-
-    /// The currently reserved chunk, if any (observability/tests).
-    pub fn chunk(&self) -> Option<usize> {
-        self.chunk
-    }
-}
-
-/// A hierarchical concurrent free-space map over `lines` slots
-/// (`1` bit = free).
-#[derive(Debug)]
+/// A two-level free-space map over `lines` slots (`1` bit = free).
+#[derive(Debug, Clone)]
 pub struct FsmTree {
     /// Lower level: one bit per line, `1` = free, chunked [`CHUNK_WORDS`]
     /// words at a time.
-    words: Box<[AtomicU64]>,
+    words: Box<[u64]>,
     /// Upper level: free-line count per chunk.
-    chunk_free: Box<[AtomicU32]>,
+    chunk_free: Box<[u32]>,
     /// Lifetime claims per chunk — the coarse wear proxy driving rotation.
-    chunk_allocs: Box<[AtomicU32]>,
+    chunk_allocs: Box<[u32]>,
     /// Rotating refill cursor: ties between equally-worn candidate chunks
     /// break toward the next position, cycling placement over the device.
-    rotation: AtomicU64,
+    rotation: u64,
+    /// The chunk [`FsmTree::allocate_rotating`] claims from, if any.
+    reserved: Option<usize>,
+    /// Claims the reserved chunk may still serve before rotation retires
+    /// it, even if frees keep it non-empty.
+    budget: u32,
     lines: u64,
-    stats: AtomicStats,
+    stats: FsmStats,
 }
 
 impl FsmTree {
@@ -176,32 +112,33 @@ impl FsmTree {
     pub fn new(lines: u64) -> Self {
         let nwords = lines.div_ceil(WORD_BITS).max(1) as usize;
         let nchunks = nwords.div_ceil(CHUNK_WORDS);
-        let words: Box<[AtomicU64]> = (0..nchunks * CHUNK_WORDS)
+        let words = (0..nchunks * CHUNK_WORDS)
             .map(|wi| {
-                let base = wi as u64 * WORD_BITS;
                 // Bits past `lines` must never be handed out: occupied.
-                let free_in_word = lines.saturating_sub(base).min(WORD_BITS);
-                AtomicU64::new(if free_in_word == 64 {
+                let free_in_word = lines.saturating_sub(wi as u64 * WORD_BITS).min(WORD_BITS);
+                if free_in_word == WORD_BITS {
                     !0u64
                 } else {
                     (1u64 << free_in_word) - 1
-                })
+                }
             })
             .collect();
-        let chunk_free: Box<[AtomicU32]> = (0..nchunks)
+        let chunk_free = (0..nchunks)
             .map(|ci| {
-                let base = ci as u64 * CHUNK_LINES;
-                AtomicU32::new(lines.saturating_sub(base).min(CHUNK_LINES) as u32)
+                lines
+                    .saturating_sub(ci as u64 * CHUNK_LINES)
+                    .min(CHUNK_LINES) as u32
             })
             .collect();
-        let chunk_allocs = (0..nchunks).map(|_| AtomicU32::new(0)).collect();
         FsmTree {
             words,
             chunk_free,
-            chunk_allocs,
-            rotation: AtomicU64::new(0),
+            chunk_allocs: vec![0; nchunks].into_boxed_slice(),
+            rotation: 0,
+            reserved: None,
+            budget: 0,
             lines,
-            stats: AtomicStats::default(),
+            stats: FsmStats::default(),
         }
     }
 
@@ -215,55 +152,56 @@ impl FsmTree {
         self.chunk_free.len()
     }
 
-    /// Number of free lines: the sum of the per-chunk counters (exact once
-    /// concurrent operations quiesce; a live gauge while they run). Unlike
-    /// the flat bitmap there is no single shared counter to contend on —
-    /// this read walks the sharded upper level instead.
+    /// Number of free lines: the sum of the per-chunk counters.
     pub fn free_lines(&self) -> u64 {
-        self.chunk_free
-            .iter()
-            .map(|c| u64::from(c.load(Ordering::Acquire)))
-            .sum()
+        self.chunk_free.iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Free lines in one chunk (observability/tests).
     pub fn chunk_free_lines(&self, chunk: usize) -> u32 {
-        self.chunk_free[chunk].load(Ordering::Acquire)
+        self.chunk_free[chunk]
     }
 
     /// Lifetime claims served from one chunk — the wear-rotation key is
     /// this value `>>` [`WEAR_BUCKET_SHIFT`].
     pub fn chunk_allocs(&self, chunk: usize) -> u32 {
-        self.chunk_allocs[chunk].load(Ordering::Relaxed)
+        self.chunk_allocs[chunk]
     }
 
-    /// Whether `line` is free right now (racy by nature under concurrency).
+    /// The word index and bit mask of `line`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    fn locate(&self, line: u64) -> (usize, u64) {
+        assert!(line < self.lines, "line {line} out of range {}", self.lines);
+        ((line / WORD_BITS) as usize, 1u64 << (line % WORD_BITS))
+    }
+
+    /// Whether `line` is free.
     ///
     /// # Panics
     ///
     /// Panics if `line` is out of range.
     pub fn is_free(&self, line: u64) -> bool {
-        assert!(line < self.lines, "line {line} out of range {}", self.lines);
-        let word = self.words[(line / WORD_BITS) as usize].load(Ordering::Acquire);
-        word & (1u64 << (line % WORD_BITS)) != 0
+        let (wi, mask) = self.locate(line);
+        self.words[wi] & mask != 0
     }
 
     /// Claim `line` specifically. Returns `false` if it was already
-    /// occupied (possibly by a concurrent winner).
+    /// occupied.
     ///
     /// # Panics
     ///
     /// Panics if `line` is out of range.
-    pub fn occupy(&self, line: u64) -> bool {
-        assert!(line < self.lines, "line {line} out of range {}", self.lines);
-        let mask = 1u64 << (line % WORD_BITS);
-        let prev = self.words[(line / WORD_BITS) as usize].fetch_and(!mask, Ordering::AcqRel);
-        if prev & mask != 0 {
-            self.note_claim::<Shared>((line / CHUNK_LINES) as usize, 1);
-            true
-        } else {
-            false
+    pub fn occupy(&mut self, line: u64) -> bool {
+        let (wi, mask) = self.locate(line);
+        if self.words[wi] & mask == 0 {
+            return false;
         }
+        self.words[wi] &= !mask;
+        self.note_claim((line / CHUNK_LINES) as usize, 1);
+        true
     }
 
     /// Return `line` to the free pool. Returns `false` (and changes
@@ -273,124 +211,83 @@ impl FsmTree {
     /// # Panics
     ///
     /// Panics if `line` is out of range.
-    pub fn release(&self, line: u64) -> bool {
-        self.release_with::<Shared>(line)
+    pub fn release(&mut self, line: u64) -> bool {
+        let (wi, mask) = self.locate(line);
+        if self.words[wi] & mask != 0 {
+            return false;
+        }
+        self.words[wi] |= mask;
+        self.chunk_free[(line / CHUNK_LINES) as usize] += 1;
+        true
     }
 
-    /// [`release`](Self::release) for an exclusive owner: no atomic RMW.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line` is out of range.
-    pub fn release_mut(&mut self, line: u64) -> bool {
-        self.release_with::<Owner>(line)
+    /// Book-keeping for one successful claim in `chunk`.
+    fn note_claim(&mut self, chunk: usize, steps: u64) {
+        self.chunk_free[chunk] -= 1;
+        self.chunk_allocs[chunk] = self.chunk_allocs[chunk].wrapping_add(1);
+        self.stats.claims += 1;
+        self.stats.scan_steps += steps;
     }
 
-    #[inline(always)]
-    fn release_with<L: Leaf>(&self, line: u64) -> bool {
-        assert!(line < self.lines, "line {line} out of range {}", self.lines);
-        let mask = 1u64 << (line % WORD_BITS);
-        let prev = L::or(
-            &self.words[(line / WORD_BITS) as usize],
-            mask,
-            Ordering::AcqRel,
-        );
-        if prev & mask == 0 {
-            L::add32(
-                &self.chunk_free[(line / CHUNK_LINES) as usize],
-                1,
-                Ordering::AcqRel,
-            );
-            true
+    /// Claim a free bit of `words[wi]`: the lowest at or after `min_bit`,
+    /// else the lowest. `None` if the word is exhausted.
+    fn claim_in_word(&mut self, wi: usize, min_bit: u64) -> Option<u64> {
+        let word = self.words[wi];
+        if word == 0 {
+            return None;
+        }
+        let at_or_after = word & (!0u64 << min_bit);
+        let bit = if at_or_after != 0 {
+            at_or_after.trailing_zeros()
         } else {
-            false
-        }
+            word.trailing_zeros()
+        } as u64;
+        self.words[wi] = word & !(1u64 << bit);
+        Some(wi as u64 * WORD_BITS + bit)
     }
 
-    /// Book-keeping for one successful word claim in `chunk`.
-    #[inline(always)]
-    fn note_claim<L: Leaf>(&self, chunk: usize, steps: u64) {
-        L::sub32(&self.chunk_free[chunk], 1, Ordering::AcqRel);
-        L::add32(&self.chunk_allocs[chunk], 1, Ordering::Relaxed);
-        L::add(&self.stats.claims, 1, Ordering::Relaxed);
-        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
+    /// Claim the lowest free bit of the first word in `words` that has
+    /// one, counting one step per word visited.
+    fn claim_in_words(&mut self, words: std::ops::Range<usize>, steps: &mut u64) -> Option<u64> {
+        for wi in words {
+            *steps += 1;
+            if let Some(line) = self.claim_in_word(wi, 0) {
+                return Some(line);
+            }
+        }
+        None
     }
 
-    /// Try to claim the lowest free bit in `words[wi]`, preferring bits at
-    /// or after `min_bit` first when `min_bit > 0` (the flat bitmap's
-    /// home-word protocol, reproduced exactly). A lost race reloads the
-    /// same word; returns `None` once the word is exhausted.
-    #[inline(always)]
-    fn claim_in_word<L: Leaf>(&self, wi: usize, min_bit: u64) -> Option<u64> {
-        let mut word = self.words[wi].load(Ordering::Acquire);
-        loop {
-            if word == 0 {
-                return None;
-            }
-            let bit = if min_bit > 0 {
-                let at_or_after = word & (!0u64 << min_bit);
-                if at_or_after != 0 {
-                    at_or_after.trailing_zeros()
-                } else {
-                    word.trailing_zeros()
-                }
-            } else {
-                word.trailing_zeros()
-            } as u64;
-            let mask = 1u64 << bit;
-            let prev = L::and(&self.words[wi], !mask, Ordering::AcqRel);
-            if prev & mask != 0 {
-                return Some(wi as u64 * WORD_BITS + bit);
-            }
-            word = prev & !mask;
-        }
+    /// The word range of `chunk`.
+    fn chunk_words(chunk: usize) -> std::ops::Range<usize> {
+        chunk * CHUNK_WORDS..(chunk + 1) * CHUNK_WORDS
     }
 
     /// Allocate a free line, preferring `home`, then scanning outward from
-    /// it with wrap-around — **placement-identical** to
-    /// [`AtomicBitmap::allocate`] on the same occupancy. The upper
-    /// counters only skip chunks with no free line, which cannot change
-    /// which free line is reached first in the flat word order.
-    ///
-    /// Lock-free: a claim is one `fetch_and`; a lost race reloads one word.
+    /// it with wrap-around in flat word order (see the module docs).
+    /// Returns `None` when no line is free.
     ///
     /// # Panics
     ///
     /// Panics if `home` is out of range.
-    pub fn allocate(&self, home: u64) -> Option<u64> {
-        self.allocate_with::<Shared>(home)
-    }
-
-    /// [`allocate`](Self::allocate) for an exclusive owner: same scan,
-    /// same placement, same counters, no atomic RMW.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is out of range.
-    pub fn allocate_mut(&mut self, home: u64) -> Option<u64> {
-        self.allocate_with::<Owner>(home)
-    }
-
-    #[inline(always)]
-    fn allocate_with<L: Leaf>(&self, home: u64) -> Option<u64> {
+    pub fn allocate(&mut self, home: u64) -> Option<u64> {
         assert!(home < self.lines, "home {home} out of range {}", self.lines);
         let nchunks = self.chunks();
         let home_word = (home / WORD_BITS) as usize;
-        let home_bit = home % WORD_BITS;
         let home_chunk = home_word / CHUNK_WORDS;
         let mut steps = 0u64;
 
-        // Home chunk, words from the home word to the chunk's end. The
-        // home word itself uses the at-or-after preference with the flat
-        // bitmap's fall-back to its lowest free bit.
-        if self.chunk_free[home_chunk].load(Ordering::Acquire) > 0 {
-            for wi in home_word..(home_chunk + 1) * CHUNK_WORDS {
-                steps += 1;
-                let min_bit = if wi == home_word { home_bit } else { 0 };
-                if let Some(line) = self.claim_in_word::<L>(wi, min_bit) {
-                    self.note_claim::<L>(home_chunk, steps + 1);
-                    return Some(line);
-                }
+        // Home chunk, from the home word (with its at-or-after preference)
+        // to the chunk's end.
+        if self.chunk_free[home_chunk] > 0 {
+            steps += 1;
+            let rest = home_word + 1..(home_chunk + 1) * CHUNK_WORDS;
+            let found = self
+                .claim_in_word(home_word, home % WORD_BITS)
+                .or_else(|| self.claim_in_words(rest, &mut steps));
+            if let Some(line) = found {
+                self.note_claim(home_chunk, steps + 1);
+                return Some(line);
             }
         }
         steps += 1; // the home-chunk counter consult
@@ -401,68 +298,51 @@ impl FsmTree {
         for step in 1..nchunks {
             let ci = (home_chunk + step) % nchunks;
             steps += 1;
-            if self.chunk_free[ci].load(Ordering::Acquire) == 0 {
+            if self.chunk_free[ci] == 0 {
                 continue;
             }
-            for wi in ci * CHUNK_WORDS..(ci + 1) * CHUNK_WORDS {
-                steps += 1;
-                if let Some(line) = self.claim_in_word::<L>(wi, 0) {
-                    self.note_claim::<L>(ci, steps + 1);
-                    return Some(line);
-                }
+            if let Some(line) = self.claim_in_words(Self::chunk_words(ci), &mut steps) {
+                self.note_claim(ci, steps + 1);
+                return Some(line);
             }
         }
 
         // Finally the home chunk's words before the home word (the flat
         // scan's wrap-around tail).
-        if self.chunk_free[home_chunk].load(Ordering::Acquire) > 0 {
-            for wi in home_chunk * CHUNK_WORDS..home_word {
-                steps += 1;
-                if let Some(line) = self.claim_in_word::<L>(wi, 0) {
-                    self.note_claim::<L>(home_chunk, steps + 1);
-                    return Some(line);
-                }
-            }
-        }
-        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
-        None
-    }
-
-    /// Claim the lowest free line of `chunk`, if any.
-    #[inline(always)]
-    fn claim_in_chunk<L: Leaf>(&self, chunk: usize, steps: &mut u64) -> Option<u64> {
-        for wi in chunk * CHUNK_WORDS..(chunk + 1) * CHUNK_WORDS {
-            *steps += 1;
-            if let Some(line) = self.claim_in_word::<L>(wi, 0) {
+        if self.chunk_free[home_chunk] > 0 {
+            if let Some(line) = self.claim_in_words(home_chunk * CHUNK_WORDS..home_word, &mut steps)
+            {
+                self.note_claim(home_chunk, steps + 1);
                 return Some(line);
             }
         }
+        self.stats.scan_steps += steps;
         None
     }
 
     /// Pick a refill chunk: the least-worn bucket among chunks with at
     /// least [`REFILL_MIN_FREE`] free lines, ties broken by the rotating
-    /// cursor. Falls back to stealing the globally fullest (most-free)
-    /// chunk when nothing comfortable is left. Returns
-    /// `(chunk, was_steal)`, or `None` when every counter reads zero.
-    fn pick_refill<L: Leaf>(&self, steps: &mut u64) -> Option<(usize, bool)> {
+    /// cursor. Falls back to stealing the fullest (most-free) chunk when
+    /// nothing comfortable is left. Returns `(chunk, was_steal)`, or
+    /// `None` when every counter reads zero.
+    fn pick_refill(&mut self, steps: &mut u64) -> Option<(usize, bool)> {
         let nchunks = self.chunks();
-        let start = (L::add(&self.rotation, 1, Ordering::Relaxed) % nchunks as u64) as usize;
+        let start = (self.rotation % nchunks as u64) as usize;
+        self.rotation = self.rotation.wrapping_add(1);
         let mut best: Option<(u32, usize)> = None; // (wear bucket, chunk)
         let mut fullest: Option<(u32, usize)> = None; // (free, chunk)
         for step in 0..nchunks {
             let ci = (start + step) % nchunks;
             *steps += 1;
-            let free = self.chunk_free[ci].load(Ordering::Acquire);
+            let free = self.chunk_free[ci];
             if free == 0 {
                 continue;
             }
-            match fullest {
-                Some((f, _)) if f >= free => {}
-                _ => fullest = Some((free, ci)),
+            if fullest.is_none_or(|(f, _)| free > f) {
+                fullest = Some((free, ci));
             }
             if free >= REFILL_MIN_FREE {
-                let bucket = self.chunk_allocs[ci].load(Ordering::Relaxed) >> WEAR_BUCKET_SHIFT;
+                let bucket = self.chunk_allocs[ci] >> WEAR_BUCKET_SHIFT;
                 // Strictly-less keeps the first (cursor-nearest) chunk of
                 // the winning bucket: the rotation tie-break.
                 if best.is_none_or(|(b, _)| bucket < b) {
@@ -470,102 +350,54 @@ impl FsmTree {
                 }
             }
         }
-        if let Some((_, ci)) = best {
-            return Some((ci, false));
+        match best {
+            Some((_, ci)) => Some((ci, false)),
+            None => fullest.map(|(_, ci)| (ci, true)),
         }
-        fullest.map(|(_, ci)| (ci, true))
     }
 
-    /// Allocate through a caller-owned [`Reservation`]: claim from the
-    /// reserved chunk with one uncontended `fetch_and`, refilling from the
-    /// upper tree (wear-rotated) only when the chunk drains and stealing
-    /// the fullest chunk only when no refill candidate is comfortable.
-    /// Returns `None` when the map is exhausted.
+    /// Allocate in wear-rotation order: claim the lowest free line of the
+    /// reserved chunk, refilling from the upper level (wear-rotated) when
+    /// the chunk drains or spends its budget, and stealing the fullest
+    /// chunk only when no refill candidate is comfortable. Returns `None`
+    /// when the map is exhausted.
     ///
     /// Placement is wear-rotation order, **not** home order — callers that
-    /// need the flat bitmap's placement use [`FsmTree::allocate`].
-    pub fn allocate_reserved(&self, r: &mut Reservation) -> Option<u64> {
-        self.allocate_reserved_with::<Shared>(r)
-    }
-
-    /// [`allocate_reserved`](Self::allocate_reserved) for an exclusive
-    /// owner: same refills, same placement, same counters, no atomic RMW.
-    pub fn allocate_reserved_mut(&mut self, r: &mut Reservation) -> Option<u64> {
-        self.allocate_reserved_with::<Owner>(r)
-    }
-
-    #[inline(always)]
-    fn allocate_reserved_with<L: Leaf>(&self, r: &mut Reservation) -> Option<u64> {
+    /// need the flat scan's placement use [`FsmTree::allocate`].
+    pub fn allocate_rotating(&mut self) -> Option<u64> {
         let mut steps = 0u64;
         loop {
-            if let Some(ci) = r.chunk {
-                if r.budget == 0 {
-                    // Budget spent: retire the chunk so churn rotates even
-                    // when frees keep it non-empty.
-                    r.chunk = None;
-                } else if let Some(line) = self.claim_in_chunk::<L>(ci, &mut steps) {
-                    r.budget -= 1;
-                    // Chunk-local counters only: under a reservation these
-                    // cache lines belong to this caller, so the hot claim
-                    // touches nothing shared. Global stats accumulate in
-                    // the handle and flush at the next (rare) refill.
-                    L::sub32(&self.chunk_free[ci], 1, Ordering::AcqRel);
-                    L::add32(&self.chunk_allocs[ci], 1, Ordering::Relaxed);
-                    r.pending_claims += 1;
-                    r.pending_steps += steps + 1;
-                    return Some(line);
-                } else {
-                    r.chunk = None;
+            if let Some(ci) = self.reserved {
+                if self.budget > 0 {
+                    if let Some(line) = self.claim_in_words(Self::chunk_words(ci), &mut steps) {
+                        self.budget -= 1;
+                        self.note_claim(ci, steps + 1);
+                        return Some(line);
+                    }
                 }
+                // Drained, or budget spent: retire the chunk so churn
+                // rotates even when frees keep it non-empty.
+                self.reserved = None;
             }
-            if r.chunk.is_none() {
-                self.drain_reservation_stats_with::<L>(r);
-                match self.pick_refill::<L>(&mut steps) {
-                    Some((ci, stole)) => {
-                        r.chunk = Some(ci);
-                        r.budget = 1u32 << WEAR_BUCKET_SHIFT;
-                        L::add(&self.stats.refills, 1, Ordering::Relaxed);
-                        if stole {
-                            L::add(&self.stats.steals, 1, Ordering::Relaxed);
-                        }
-                    }
-                    None => {
-                        L::add(&self.stats.scan_steps, steps, Ordering::Relaxed);
-                        return None;
-                    }
-                }
+            let Some((ci, stole)) = self.pick_refill(&mut steps) else {
+                self.stats.scan_steps += steps;
+                return None;
+            };
+            self.reserved = Some(ci);
+            self.budget = 1u32 << WEAR_BUCKET_SHIFT;
+            self.stats.refills += 1;
+            if stole {
+                self.stats.steals += 1;
             }
         }
     }
 
-    /// Flush a reservation's locally accumulated claim/scan-step counts
-    /// into the tree's [`FsmTree::stats`]. Runs automatically at every
-    /// refill and at exhaustion; call it when a caller retires its handle
-    /// so the final partial batch is counted.
-    pub fn drain_reservation_stats(&self, r: &mut Reservation) {
-        self.drain_reservation_stats_with::<Shared>(r);
-    }
-
-    fn drain_reservation_stats_with<L: Leaf>(&self, r: &mut Reservation) {
-        if r.pending_claims > 0 {
-            L::add(&self.stats.claims, r.pending_claims, Ordering::Relaxed);
-            r.pending_claims = 0;
-        }
-        if r.pending_steps > 0 {
-            L::add(&self.stats.scan_steps, r.pending_steps, Ordering::Relaxed);
-            r.pending_steps = 0;
-        }
-    }
-
-    /// Visit every occupied line, in ascending order. Meaningful once
-    /// concurrent operations have quiesced (scrub, reporting); allocates
-    /// nothing.
+    /// Visit every occupied line, in ascending order, without allocating.
     pub fn for_each_occupied<F: FnMut(u64)>(&self, mut f: F) {
-        for (wi, w) in self.words.iter().enumerate() {
-            let mut taken = !w.load(Ordering::Acquire);
+        for (wi, &w) in self.words.iter().enumerate() {
+            let mut taken = !w;
             while taken != 0 {
-                let bit = taken.trailing_zeros() as u64;
-                let line = wi as u64 * WORD_BITS + bit;
+                let line = wi as u64 * WORD_BITS + u64::from(taken.trailing_zeros());
                 if line < self.lines {
                     f(line);
                 }
@@ -582,77 +414,9 @@ impl FsmTree {
         out
     }
 
-    /// Point-in-time allocator counters.
+    /// The allocator counters.
     pub fn stats(&self) -> FsmStats {
-        FsmStats {
-            claims: self.stats.claims.load(Ordering::Relaxed),
-            refills: self.stats.refills.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            scan_steps: self.stats.scan_steps.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Human-readable per-chunk occupancy/wear dump for debugging: one row
-    /// per chunk with free lines, lifetime claims, wear bucket, and the
-    /// occupied-line count recomputed through
-    /// [`FsmTree::for_each_occupied`] as a cross-check.
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut per_chunk = vec![0u64; self.chunks()];
-        self.for_each_occupied(|line| per_chunk[(line / CHUNK_LINES) as usize] += 1);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "fsm_tree: {} lines, {} chunks, stats {:?}",
-            self.lines,
-            self.chunks(),
-            self.stats()
-        );
-        for (ci, occupied) in per_chunk.iter().enumerate() {
-            let allocs = self.chunk_allocs(ci);
-            let _ = writeln!(
-                out,
-                "  chunk {ci:>4}: free {:>4} occupied {occupied:>4} allocs {allocs:>8} bucket {}",
-                self.chunk_free_lines(ci),
-                allocs >> WEAR_BUCKET_SHIFT,
-            );
-        }
-        out
-    }
-
-    /// Copy the occupancy of a flat bitmap (test/diagnostic helper for
-    /// differential runs): every line free in `src` is free here.
-    pub fn from_bitmap(src: &AtomicBitmap) -> Self {
-        let tree = FsmTree::new(src.lines());
-        src.for_each_occupied(|line| {
-            tree.occupy(line);
-        });
-        tree
-    }
-}
-
-impl Clone for FsmTree {
-    fn clone(&self) -> Self {
-        FsmTree {
-            words: self
-                .words
-                .iter()
-                .map(|w| AtomicU64::new(w.load(Ordering::Acquire)))
-                .collect(),
-            chunk_free: self
-                .chunk_free
-                .iter()
-                .map(|c| AtomicU32::new(c.load(Ordering::Acquire)))
-                .collect(),
-            chunk_allocs: self
-                .chunk_allocs
-                .iter()
-                .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            rotation: AtomicU64::new(self.rotation.load(Ordering::Relaxed)),
-            lines: self.lines,
-            stats: AtomicStats::default(),
-        }
+        self.stats
     }
 }
 
@@ -660,9 +424,32 @@ impl Clone for FsmTree {
 mod tests {
     use super::*;
 
+    /// The flat word scan `allocate` must reproduce: the home word's free
+    /// bits at or after the home bit, then its lowest free bit, then each
+    /// following word's lowest free bit, wrapping.
+    fn flat_allocate(words: &mut [u64], lines: u64, home: u64) -> Option<u64> {
+        let home_word = (home / WORD_BITS) as usize;
+        for step in 0..words.len() {
+            let wi = (home_word + step) % words.len();
+            let min_bit = if step == 0 { home % WORD_BITS } else { 0 };
+            let word = words[wi];
+            if word == 0 {
+                continue;
+            }
+            let at_or_after = word & (!0u64 << min_bit);
+            let pick = if at_or_after != 0 { at_or_after } else { word };
+            let bit = u64::from(pick.trailing_zeros());
+            words[wi] &= !(1u64 << bit);
+            let line = wi as u64 * WORD_BITS + bit;
+            assert!(line < lines, "oracle handed out tail line {line}");
+            return Some(line);
+        }
+        None
+    }
+
     #[test]
     fn allocates_home_first() {
-        let t = FsmTree::new(8);
+        let mut t = FsmTree::new(8);
         assert_eq!(t.free_lines(), 8);
         assert_eq!(t.allocate(3), Some(3));
         assert!(!t.is_free(3));
@@ -671,16 +458,42 @@ mod tests {
     }
 
     #[test]
+    fn scans_forward_then_wraps() {
+        let mut t = FsmTree::new(4);
+        assert!(t.occupy(1));
+        assert_eq!(t.allocate(1), Some(2));
+        let mut t = FsmTree::new(4);
+        assert!(t.occupy(3));
+        assert!(t.occupy(0));
+        // Home word exhausted at/after 3 → falls back to lowest free bit.
+        assert_eq!(t.allocate(3), Some(1));
+    }
+
+    #[test]
+    fn crosses_word_boundaries() {
+        let mut t = FsmTree::new(130);
+        for i in 0..64 {
+            assert!(t.occupy(i));
+        }
+        assert_eq!(t.allocate(0), Some(64));
+        for i in 64..130 {
+            t.occupy(i);
+        }
+        assert_eq!(t.free_lines(), 0);
+        assert_eq!(t.allocate(129), None);
+        assert!(t.release(127));
+        assert_eq!(t.allocate(0), Some(127));
+    }
+
+    #[test]
     fn placement_matches_flat_bitmap_under_churn() {
-        // The tree's home mode must pick the exact line the flat bitmap
-        // picks, claim for claim, under an interleaved occupy/release/
-        // allocate script spanning several chunks — and so must the owner
-        // (`&mut`) entry points of both.
+        // Home mode must pick the exact line a flat word scan picks, claim
+        // for claim, under an interleaved occupy/release/allocate script
+        // spanning several chunks.
         let lines = 3 * CHUNK_LINES + 77;
-        let flat = AtomicBitmap::new(lines);
-        let tree = FsmTree::new(lines);
-        let mut flat_owner = AtomicBitmap::new(lines);
-        let mut tree_owner = FsmTree::new(lines);
+        let mut tree = FsmTree::new(lines);
+        let mut flat = vec![!0u64; lines.div_ceil(WORD_BITS) as usize];
+        *flat.last_mut().unwrap() = (1u64 << (lines % WORD_BITS)) - 1;
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -693,52 +506,43 @@ mod tests {
             match rng() % 4 {
                 0 | 1 => {
                     let home = rng() % lines;
-                    let a = flat.allocate(home);
-                    let b = tree.allocate(home);
-                    assert_eq!(a, b, "round {round}: home {home} placement diverged");
-                    assert_eq!(a, flat_owner.allocate_mut(home), "round {round}");
-                    assert_eq!(a, tree_owner.allocate_mut(home), "round {round}");
-                    if let Some(line) = a {
-                        held.push(line);
-                    }
+                    let line = tree.allocate(home);
+                    assert_eq!(
+                        line,
+                        flat_allocate(&mut flat, lines, home),
+                        "round {round}: home {home} placement diverged"
+                    );
+                    held.extend(line);
                 }
-                2 => {
-                    if !held.is_empty() {
-                        let line = held.swap_remove((rng() % held.len() as u64) as usize);
-                        assert!(flat.release(line));
-                        assert!(tree.release(line));
-                        assert!(flat_owner.release_mut(line));
-                        assert!(tree_owner.release_mut(line));
-                    }
+                2 if !held.is_empty() => {
+                    let line = held.swap_remove((rng() % held.len() as u64) as usize);
+                    assert!(tree.release(line));
+                    flat[(line / WORD_BITS) as usize] |= 1u64 << (line % WORD_BITS);
                 }
                 _ => {
                     let line = rng() % lines;
-                    assert_eq!(flat.occupy(line), tree.occupy(line));
-                    assert_eq!(flat_owner.occupy(line), tree_owner.occupy(line));
-                    if flat.is_free(line) {
-                        // occupy failed on both; nothing to track
-                    } else if !held.contains(&line) {
+                    let mask = 1u64 << (line % WORD_BITS);
+                    let word = &mut flat[(line / WORD_BITS) as usize];
+                    assert_eq!(tree.occupy(line), *word & mask != 0, "round {round}");
+                    if *word & mask != 0 {
+                        *word &= !mask;
                         held.push(line);
                     }
                 }
             }
-            assert_eq!(flat.free_lines(), tree.free_lines(), "round {round}");
         }
-        assert_eq!(flat.occupied(), tree.occupied());
-        assert_eq!(flat.occupied(), flat_owner.occupied());
-        assert_eq!(tree.occupied(), tree_owner.occupied());
-        assert_eq!(tree.stats(), tree_owner.stats());
+        let flat_free: u64 = flat.iter().map(|w| u64::from(w.count_ones())).sum();
+        assert_eq!(tree.free_lines(), flat_free);
+        held.sort_unstable();
+        assert_eq!(tree.occupied(), held);
     }
 
     #[test]
     fn counters_skip_drained_chunks() {
         let lines = 4 * CHUNK_LINES;
-        let t = FsmTree::new(lines);
-        // Drain chunks 0..3 entirely; only chunk 3 keeps a free line.
-        for line in 0..(3 * CHUNK_LINES) {
-            assert!(t.occupy(line));
-        }
-        for line in (3 * CHUNK_LINES)..(lines - 1) {
+        let mut t = FsmTree::new(lines);
+        // Drain every line but the last one.
+        for line in 0..(lines - 1) {
             assert!(t.occupy(line));
         }
         let before = t.stats().scan_steps;
@@ -751,12 +555,11 @@ mod tests {
 
     #[test]
     fn tail_bits_are_never_allocated() {
-        let t = FsmTree::new(3);
+        let mut t = FsmTree::new(3);
         let got: Vec<_> = (0..3).map(|_| t.allocate(0).unwrap()).collect();
         assert_eq!(got, vec![0, 1, 2]);
         assert_eq!(t.allocate(2), None);
-        let mut r = Reservation::new();
-        assert_eq!(t.allocate_reserved(&mut r), None);
+        assert_eq!(t.allocate_rotating(), None);
         assert_eq!(t.free_lines(), 0);
     }
 
@@ -773,39 +576,35 @@ mod tests {
 
     #[test]
     fn reserved_claims_stay_in_the_reserved_chunk() {
-        let t = FsmTree::new(4 * CHUNK_LINES);
-        let mut r = Reservation::new();
-        let first = t.allocate_reserved(&mut r).unwrap();
-        let chunk = r.chunk().expect("refilled");
+        let mut t = FsmTree::new(4 * CHUNK_LINES);
+        let chunk = t.allocate_rotating().unwrap() / CHUNK_LINES;
         for _ in 0..(CHUNK_LINES - 1) {
-            let line = t.allocate_reserved(&mut r).unwrap();
+            let line = t.allocate_rotating().unwrap();
             assert_eq!(
-                (line / CHUNK_LINES) as usize,
+                line / CHUNK_LINES,
                 chunk,
                 "claim left the reserved chunk while it still had space"
             );
         }
-        assert_eq!((first / CHUNK_LINES) as usize, chunk);
         assert_eq!(t.stats().refills, 1, "one refill covers a whole chunk");
         // The chunk is dry now: the next claim refills elsewhere.
-        t.allocate_reserved(&mut r).unwrap();
+        let line = t.allocate_rotating().unwrap();
         assert_eq!(t.stats().refills, 2);
-        assert_ne!(r.chunk().unwrap(), chunk);
+        assert_ne!(line / CHUNK_LINES, chunk);
     }
 
     #[test]
     fn wear_rotation_cycles_chunks_under_churn() {
-        // Alloc/free churn through a reservation: once a chunk absorbs a
-        // bucket's worth of claims, refills must move on even though the
-        // just-freed chunk has the most free space.
+        // Alloc/free churn: once a chunk absorbs a bucket's worth of
+        // claims, refills must move on even though the just-freed chunk
+        // has the most free space.
         let nchunks = 4u64;
-        let t = FsmTree::new(nchunks * CHUNK_LINES);
-        let mut r = Reservation::new();
+        let mut t = FsmTree::new(nchunks * CHUNK_LINES);
         let mut used = std::collections::BTreeSet::new();
         // Each full drain+free of a chunk is CHUNK_LINES claims = 1 wear
         // bucket; 4 cycles must therefore touch every chunk.
         for _ in 0..(nchunks * CHUNK_LINES) {
-            let line = t.allocate_reserved(&mut r).unwrap();
+            let line = t.allocate_rotating().unwrap();
             used.insert(line / CHUNK_LINES);
             assert!(t.release(line));
         }
@@ -824,20 +623,16 @@ mod tests {
 
     #[test]
     fn refill_prefers_comfortable_chunks_then_steals() {
-        let t = FsmTree::new(3 * CHUNK_LINES);
+        let mut t = FsmTree::new(3 * CHUNK_LINES);
         // Leave fewer than REFILL_MIN_FREE lines in every chunk: 8 free in
         // chunk 0, 16 free in chunk 1, chunk 2 full.
         for line in 8..CHUNK_LINES {
             assert!(t.occupy(line));
         }
-        for line in (CHUNK_LINES + 16)..(2 * CHUNK_LINES) {
+        for line in (CHUNK_LINES + 16)..(3 * CHUNK_LINES) {
             assert!(t.occupy(line));
         }
-        for line in (2 * CHUNK_LINES)..(3 * CHUNK_LINES) {
-            assert!(t.occupy(line));
-        }
-        let mut r = Reservation::new();
-        let line = t.allocate_reserved(&mut r).unwrap();
+        let line = t.allocate_rotating().unwrap();
         assert_eq!(
             line / CHUNK_LINES,
             1,
@@ -849,8 +644,43 @@ mod tests {
     }
 
     #[test]
+    fn rotating_allocations_are_unique() {
+        // Drain a multi-chunk map through rotation alone: every line is
+        // handed out exactly once, tail bits never, and each claim counts.
+        let lines = 16 * CHUNK_LINES + 37;
+        let mut t = FsmTree::new(lines);
+        let mut seen = vec![false; lines as usize];
+        while let Some(line) = t.allocate_rotating() {
+            assert!(!seen[line as usize], "line {line} double-allocated");
+            seen[line as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+        assert_eq!(t.free_lines(), 0);
+        assert_eq!(t.stats().claims, lines);
+    }
+
+    #[test]
+    fn mixed_churn_preserves_free_count() {
+        // Rotating and home-mode claims interleaved with releases keep
+        // the per-chunk counters conserved.
+        let lines = 4 * CHUNK_LINES;
+        let mut t = FsmTree::new(lines);
+        for round in 0..8_000u64 {
+            let line = if round % 2 == 0 {
+                t.allocate_rotating()
+            } else {
+                t.allocate((round * 37) % lines)
+            };
+            assert!(t.release(line.unwrap()), "we owned it");
+        }
+        assert_eq!(t.free_lines(), lines);
+        assert!(t.occupied().is_empty());
+        assert_eq!(t.stats().claims, 8_000);
+    }
+
+    #[test]
     fn exhaustion_and_release() {
-        let t = FsmTree::new(2);
+        let mut t = FsmTree::new(2);
         assert!(t.allocate(0).is_some());
         assert!(t.allocate(0).is_some());
         assert_eq!(t.allocate(0), None);
@@ -863,7 +693,7 @@ mod tests {
 
     #[test]
     fn occupied_snapshot_and_visitor_agree() {
-        let t = FsmTree::new(CHUNK_LINES + 70);
+        let mut t = FsmTree::new(CHUNK_LINES + 70);
         t.occupy(0);
         t.occupy(65);
         t.occupy(CHUNK_LINES + 69);
@@ -871,70 +701,19 @@ mod tests {
         let mut seen = Vec::new();
         t.for_each_occupied(|l| seen.push(l));
         assert_eq!(seen, t.occupied());
-        let dump = t.debug_dump();
-        assert!(dump.contains("chunk    0"), "dump:\n{dump}");
     }
 
     #[test]
-    fn from_bitmap_copies_occupancy() {
-        let b = AtomicBitmap::new(700);
+    fn clone_copies_occupancy() {
+        let mut t = FsmTree::new(700);
         for line in [0u64, 63, 64, 511, 512, 699] {
-            b.occupy(line);
+            t.occupy(line);
         }
-        let t = FsmTree::from_bitmap(&b);
-        assert_eq!(t.occupied(), b.occupied());
-        assert_eq!(t.free_lines(), b.free_lines());
-    }
-
-    #[test]
-    fn concurrent_reserved_allocations_are_unique() {
-        use std::sync::atomic::AtomicUsize;
-        const LINES: u64 = 16 * CHUNK_LINES;
-        let t = FsmTree::new(LINES);
-        let claimed: Vec<AtomicUsize> = (0..LINES).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let t = &t;
-                let claimed = &claimed;
-                s.spawn(move || {
-                    let mut r = Reservation::new();
-                    while let Some(line) = t.allocate_reserved(&mut r) {
-                        let prev = claimed[line as usize].fetch_add(1, Ordering::SeqCst);
-                        assert_eq!(prev, 0, "line {line} double-allocated");
-                    }
-                });
-            }
-        });
-        assert_eq!(t.free_lines(), 0);
-        assert!(claimed.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        assert_eq!(t.stats().claims, LINES);
-    }
-
-    #[test]
-    fn concurrent_churn_preserves_free_count() {
-        const LINES: u64 = 4 * CHUNK_LINES;
-        let t = FsmTree::new(LINES);
-        std::thread::scope(|s| {
-            for id in 0..4u64 {
-                let t = &t;
-                s.spawn(move || {
-                    let mut r = Reservation::new();
-                    for round in 0..2_000u64 {
-                        // Mix reserved and home-mode claims: both paths
-                        // must keep the counters conserved.
-                        let line = if round % 2 == 0 {
-                            t.allocate_reserved(&mut r)
-                        } else {
-                            t.allocate((id * 512 + round) % LINES)
-                        };
-                        if let Some(line) = line {
-                            assert!(t.release(line), "we owned it");
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(t.free_lines(), LINES);
-        assert!(t.occupied().is_empty());
+        let mut copy = t.clone();
+        assert_eq!(copy.occupied(), t.occupied());
+        assert_eq!(copy.stats(), t.stats());
+        let line = copy.allocate(0).unwrap();
+        assert!(t.is_free(line), "clone shares state with the original");
+        assert_eq!(t.free_lines(), copy.free_lines() + 1);
     }
 }

@@ -12,11 +12,10 @@
 //!   elimination relieves;
 //! * **asymmetric timing** — 75 ns reads vs 300 ns writes ([`Timing::PCM`]),
 //!   the property that makes "confirm a duplicate by reading it" cheap;
-//! * **lock-free free-space words** — an atomic one-bit-per-line bitmap
-//!   with `fetch_or`/`fetch_and` claim and release ([`AtomicBitmap`]), and
-//!   its hierarchical successor: chunked bitmaps under per-chunk free
-//!   counters with caller-owned reserved chunks and wear-aware rotation
-//!   ([`FsmTree`]), the allocation substrate of the sharded engine;
+//! * **free-space management** — a one-bit-per-line bitmap in 512-line
+//!   chunks under per-chunk free counters, with home-preference placement
+//!   and a wear-rotating mode ([`FsmTree`]), owned by one caller (an
+//!   engine shard) and mutated through `&mut self`;
 //! * **wear tracking** — per-line write counts beside the lines, running
 //!   totals, maximum and programmed-bit counts ([`WearTracker`]) for the
 //!   endurance results;
@@ -45,7 +44,6 @@ mod bank;
 mod config;
 mod device;
 mod energy;
-mod fsm_atomic;
 mod fsm_tree;
 mod line;
 mod timing;
@@ -56,9 +54,8 @@ pub use bank::{Bank, BankSet, BankSlot};
 pub use config::NvmConfig;
 pub use device::{Access, NvmDevice, NvmError, LINES_PER_PAGE};
 pub use energy::{EnergyBreakdown, EnergyParams};
-pub use fsm_atomic::AtomicBitmap;
 pub use fsm_tree::{
-    FsmStats, FsmTree, Reservation, CHUNK_LINES, CHUNK_WORDS, REFILL_MIN_FREE, WEAR_BUCKET_SHIFT,
+    FsmStats, FsmTree, CHUNK_LINES, CHUNK_WORDS, REFILL_MIN_FREE, WEAR_BUCKET_SHIFT,
 };
 pub use line::{bit_flips, is_zero_line, LineAddr, DEFAULT_LINE_SIZE};
 pub use timing::Timing;
