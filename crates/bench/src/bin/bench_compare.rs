@@ -12,28 +12,7 @@
 //!
 //! Usage:
 //!   bench_compare OLD/runs.json NEW/runs.json [--tolerance PCT] [--allow-missing]
-//!   bench_compare OLD/BENCH_engine.json NEW/BENCH_engine.json [--tolerance PCT]
-//!   bench_compare --hotpath OLD/BENCH_hotpath.json NEW/BENCH_hotpath.json
-//!
-//! When both inputs are `loadgen` exports (a top-level object with
-//! `"tool": "loadgen"`) the tool switches to **engine mode**: for every
-//! (app, shard count) row it requires the new `ops_per_sec` to stay above
-//! `old * (1 - tol)` and the new `host_p99_ns` to stay below
-//! `old * (1 + tol)`. Engine numbers are host wall clock, so the default
-//! tolerance is a loose 15% there.
-//!
-//! When both inputs are `hotpath` exports (a top-level object with
-//! `"bench": "hotpath"`) the tool switches to **hotpath mode**: for every
-//! (name, engine) row the new `ns_per_op` must stay below
-//! `old * (1 + tol)`. The `--hotpath` flag asserts this mode (erroring on
-//! other inputs); detection also happens automatically. Hotpath numbers
-//! are best-batch host wall clock — stable, but cross-machine and
-//! quick-vs-full comparisons still need slack, so the default tolerance
-//! is a loose 50% there: the gate exists to catch structural regressions
-//! (a probe going quadratic, an allocation sneaking into the hot loop),
-//! not single-digit jitter.
-//! A `vaes-512` row (the pad leg only some CPUs have) is compared when
-//! both exports carry it and ignored when only one does.
+//!   bench_compare OLD/ext_repl.json NEW/ext_repl.json [--tolerance PCT] [--allow-missing]
 //!
 //! When both inputs are repro `Table` JSON exports (a top-level object
 //! with `headers`/`rows`, e.g. `ext_repl.json` or `ext_digest.json`) the
@@ -48,9 +27,13 @@
 //! are reported as missing a baseline, which `--allow-missing`
 //! downgrades to warnings.
 //!
-//! In simulated and table modes tolerance defaults to 2% — simulated ns
-//! are deterministic, so any drift beyond float-formatting noise is a
-//! real behavior change. Mixing export kinds is an error.
+//! Tolerance defaults to 2% — simulated ns are deterministic, so any
+//! drift beyond float-formatting noise is a real behavior change. Mixing
+//! export kinds is an error.
+//!
+//! Host wall-clock exports (`loadgen`, `hotpath`) are refused with exit
+//! code 2: host speed is compared across commits by `bench compare` in
+//! `benchmark/`, whose runs alternate on one machine.
 //!
 //! An app or (app, scheme) row present in only one of the two files is
 //! reported in both directions (dropped from NEW, or new in NEW with no
@@ -72,20 +55,22 @@ fn load_json(path: &str) -> Result<Json, String> {
 fn load_reports(path: &str, json: &Json) -> Result<Vec<RunReport>, String> {
     let arr = json
         .as_arr()
-        .ok_or_else(|| format!("{path}: not an array (nor a loadgen export)"))?;
+        .ok_or_else(|| format!("{path}: not a runs.json array nor a table export"))?;
     arr.iter()
         .map(|j| RunReport::from_json(j).map_err(|e| format!("{path}: {e}")))
         .collect()
 }
 
-/// Is this a `loadgen` engine export rather than a `RunReport` array?
-fn is_engine_export(json: &Json) -> bool {
-    json.get("tool").and_then(Json::as_str) == Some("loadgen")
-}
-
-/// Is this a `hotpath` kernel-benchmark export?
-fn is_hotpath_export(json: &Json) -> bool {
-    json.get("bench").and_then(Json::as_str) == Some("hotpath")
+/// The tool that wrote a host wall-clock export (`loadgen` or
+/// `hotpath`), which this tool refuses; `None` for a `repro` export.
+fn host_export_kind(json: &Json) -> Option<&'static str> {
+    if json.get("tool").and_then(Json::as_str) == Some("loadgen") {
+        Some("loadgen")
+    } else if json.get("bench").and_then(Json::as_str) == Some("hotpath") {
+        Some("hotpath")
+    } else {
+        None
+    }
 }
 
 /// Is this a repro `Table` JSON export (`{"title","headers","rows"}`,
@@ -152,126 +137,6 @@ fn policy_rows(path: &str, json: &Json) -> Result<BTreeMap<(String, String), Pol
     Ok(out)
 }
 
-/// Flatten a hotpath export into (name, engine) → ns_per_op.
-fn hotpath_rows(path: &str, json: &Json) -> Result<BTreeMap<(String, String), f64>, String> {
-    let results = json
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: hotpath export has no `results` array"))?;
-    let mut rows = BTreeMap::new();
-    for row in results {
-        let name = row
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: result row without `name`"))?;
-        let engine = row
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: {name}: result row without `engine`"))?;
-        let ns_per_op = row
-            .get("ns_per_op")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}: {name}/{engine}: no `ns_per_op`"))?;
-        rows.insert((name.to_string(), engine.to_string()), ns_per_op);
-    }
-    Ok(rows)
-}
-
-/// One engine-mode comparison row: host throughput and tail latency.
-struct EngineRow {
-    ops_per_sec: f64,
-    host_p99_ns: u64,
-}
-
-/// Flatten a loadgen export into (app, shards) → row.
-fn engine_rows(path: &str, json: &Json) -> Result<BTreeMap<(String, u64), EngineRow>, String> {
-    let apps = json
-        .get("apps")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: loadgen export has no `apps` array"))?;
-    let mut rows = BTreeMap::new();
-    for app_obj in apps {
-        let app = app_obj
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: app entry without a name"))?;
-        let runs = app_obj
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path}: {app}: no `runs` array"))?;
-        for run in runs {
-            let shards = run
-                .get("shards")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}: {app}: run without `shards`"))?;
-            let ops_per_sec = run
-                .get("ops_per_sec")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: {app}/{shards}: no `ops_per_sec`"))?;
-            let host_p99_ns = run
-                .get("host_p99_ns")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}: {app}/{shards}: no `host_p99_ns`"))?;
-            rows.insert(
-                (app.to_string(), shards),
-                EngineRow {
-                    ops_per_sec,
-                    host_p99_ns,
-                },
-            );
-        }
-    }
-    Ok(rows)
-}
-
-/// Flatten a loadgen export's `net` section into (app, connections) →
-/// row. Exports written before the socket frontend existed (or from an
-/// in-process run) have no `net` section: that's an empty map, not an
-/// error, so old/new pairs straddling the feature still compare their
-/// shard rows.
-fn net_rows(path: &str, json: &Json) -> Result<BTreeMap<(String, u64), EngineRow>, String> {
-    let Some(net) = json.get("net") else {
-        return Ok(BTreeMap::new());
-    };
-    let apps = net
-        .get("apps")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: `net` section has no `apps` array"))?;
-    let mut rows = BTreeMap::new();
-    for app_obj in apps {
-        let app = app_obj
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: net app entry without a name"))?;
-        let runs = app_obj
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path}: net/{app}: no `runs` array"))?;
-        for run in runs {
-            let connections = run
-                .get("connections")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}: net/{app}: run without `connections`"))?;
-            let ops_per_sec = run
-                .get("ops_per_sec")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: net/{app}/{connections}: no `ops_per_sec`"))?;
-            let host_p99_ns = run
-                .get("host_p99_ns")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}: net/{app}/{connections}: no `host_p99_ns`"))?;
-            rows.insert(
-                (app.to_string(), connections),
-                EngineRow {
-                    ops_per_sec,
-                    host_p99_ns,
-                },
-            );
-        }
-    }
-    Ok(rows)
-}
-
 /// Key rows by (app, scheme); keep insertion-stable order via BTreeMap.
 fn index(reports: &[RunReport]) -> BTreeMap<(String, String), &RunReport> {
     reports
@@ -308,14 +173,14 @@ fn speedups(reports: &[RunReport]) -> BTreeMap<String, f64> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths = Vec::new();
-    let mut tolerance: Option<f64> = None;
+    // Simulated ns are deterministic: 2% only absorbs float formatting.
+    let mut tolerance = 2.0;
     let mut allow_missing = false;
-    let mut expect_hotpath = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--tolerance" {
             match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => tolerance = Some(t),
+                Some(t) => tolerance = t,
                 None => {
                     eprintln!("--tolerance needs a numeric percentage");
                     return ExitCode::from(2);
@@ -323,16 +188,12 @@ fn main() -> ExitCode {
             }
         } else if a == "--allow-missing" {
             allow_missing = true;
-        } else if a == "--hotpath" {
-            expect_hotpath = true;
         } else {
             paths.push(a.clone());
         }
     }
     let [old_path, new_path] = paths.as_slice() else {
-        eprintln!(
-            "usage: bench_compare [--hotpath] OLD.json NEW.json [--tolerance PCT] [--allow-missing]"
-        );
+        eprintln!("usage: bench_compare OLD.json NEW.json [--tolerance PCT] [--allow-missing]");
         return ExitCode::from(2);
     };
     let (old_json, new_json) = match (load_json(old_path), load_json(new_path)) {
@@ -342,169 +203,27 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let engine_mode = is_engine_export(&old_json) || is_engine_export(&new_json);
-    if engine_mode && !(is_engine_export(&old_json) && is_engine_export(&new_json)) {
-        eprintln!("error: {old_path} and {new_path} are different export kinds");
-        return ExitCode::from(2);
+    for (path, json) in [(old_path, &old_json), (new_path, &new_json)] {
+        if let Some(kind) = host_export_kind(json) {
+            eprintln!(
+                "error: {path} is a {kind} export; bench_compare compares repro \
+                 exports only — compare host speed with `bench compare` in benchmark/"
+            );
+            return ExitCode::from(2);
+        }
     }
-    let hotpath_mode = is_hotpath_export(&old_json) || is_hotpath_export(&new_json);
-    if hotpath_mode && !(is_hotpath_export(&old_json) && is_hotpath_export(&new_json)) {
-        eprintln!("error: {old_path} and {new_path} are different export kinds");
-        return ExitCode::from(2);
-    }
-    if expect_hotpath && !hotpath_mode {
-        eprintln!("error: --hotpath given but the inputs are not hotpath exports");
-        return ExitCode::from(2);
-    }
-    let table_mode =
-        !engine_mode && !hotpath_mode && (is_table_export(&old_json) || is_table_export(&new_json));
+    let table_mode = is_table_export(&old_json) || is_table_export(&new_json);
     if table_mode && !(is_table_export(&old_json) && is_table_export(&new_json)) {
         eprintln!("error: {old_path} and {new_path} are different export kinds");
         return ExitCode::from(2);
     }
-    // Host wall-clock numbers (engine and hotpath modes) are far noisier
-    // than deterministic simulated ns; hotpath baselines additionally
-    // cross machines and quick/full budgets.
-    let tolerance = tolerance.unwrap_or(if hotpath_mode {
-        50.0
-    } else if engine_mode {
-        15.0
-    } else {
-        2.0
-    });
     let tol = tolerance / 100.0;
 
     let mut regressions: Vec<String> = Vec::new();
     let mut missing: Vec<String> = Vec::new();
     let mut compared = 0usize;
 
-    if hotpath_mode {
-        let (mut old_rows, mut new_rows) = match (
-            hotpath_rows(old_path, &old_json),
-            hotpath_rows(new_path, &new_json),
-        ) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        // The VAES-512 pad leg only has a row where the CPU has the leg:
-        // on one side alone it is a different host, not a dropped row.
-        let host_only = |engine: &str| engine == "vaes-512";
-        old_rows.retain(|key, _| !host_only(&key.1) || new_rows.contains_key(key));
-        new_rows.retain(|key, _| !host_only(&key.1) || old_rows.contains_key(key));
-        for key @ (name, engine) in new_rows.keys() {
-            if !old_rows.contains_key(key) {
-                missing.push(format!(
-                    "{name}/{engine}: present only in {new_path} — \
-                     no {old_path} baseline to compare"
-                ));
-            }
-        }
-        for ((name, engine), old_ns) in &old_rows {
-            let Some(new_ns) = new_rows.get(&(name.clone(), engine.clone())) else {
-                missing.push(format!("{name}/{engine}: row missing from {new_path}"));
-                continue;
-            };
-            compared += 1;
-            println!("{name:<20} {engine:<12} {old_ns:>9.1} -> {new_ns:>9.1} ns/op");
-            if *new_ns > old_ns * (1.0 + tol) {
-                regressions.push(format!(
-                    "{name}/{engine}: ns/op regressed {old_ns:.1} -> {new_ns:.1}"
-                ));
-            }
-        }
-    } else if engine_mode {
-        let (old_rows, new_rows) = match (
-            engine_rows(old_path, &old_json),
-            engine_rows(new_path, &new_json),
-        ) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        for key @ (app, shards) in new_rows.keys() {
-            if !old_rows.contains_key(key) {
-                missing.push(format!(
-                    "{app}/{shards} shards: present only in {new_path} — \
-                     no {old_path} baseline to compare"
-                ));
-            }
-        }
-        for ((app, shards), o) in &old_rows {
-            let Some(n) = new_rows.get(&(app.clone(), *shards)) else {
-                missing.push(format!(
-                    "{app}/{shards} shards: row missing from {new_path}"
-                ));
-                continue;
-            };
-            compared += 1;
-            println!(
-                "{app:<12} shards={shards:<2} {:>11.0} -> {:>11.0} ops/s   p99 {} -> {} ns",
-                o.ops_per_sec, n.ops_per_sec, o.host_p99_ns, n.host_p99_ns
-            );
-            if n.ops_per_sec < o.ops_per_sec * (1.0 - tol) {
-                regressions.push(format!(
-                    "{app}/{shards} shards: throughput regressed {:.0} -> {:.0} ops/s",
-                    o.ops_per_sec, n.ops_per_sec
-                ));
-            }
-            if o.host_p99_ns > 0 && (n.host_p99_ns as f64) > (o.host_p99_ns as f64) * (1.0 + tol) {
-                regressions.push(format!(
-                    "{app}/{shards} shards: host p99 regressed {} -> {} ns",
-                    o.host_p99_ns, n.host_p99_ns
-                ));
-            }
-        }
-
-        // The socket frontend's end-to-end rows, keyed by connection
-        // count. Same gates as the in-process rows: throughput must not
-        // drop below, nor host p99 rise above, the tolerance band.
-        let (old_net, new_net) =
-            match (net_rows(old_path, &old_json), net_rows(new_path, &new_json)) {
-                (Ok(o), Ok(n)) => (o, n),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-        for key @ (app, connections) in new_net.keys() {
-            if !old_net.contains_key(key) {
-                missing.push(format!(
-                    "net {app}/{connections} conns: present only in {new_path} — \
-                     no {old_path} baseline to compare"
-                ));
-            }
-        }
-        for ((app, connections), o) in &old_net {
-            let Some(n) = new_net.get(&(app.clone(), *connections)) else {
-                missing.push(format!(
-                    "net {app}/{connections} conns: row missing from {new_path}"
-                ));
-                continue;
-            };
-            compared += 1;
-            println!(
-                "{app:<12} conns={connections:<4} {:>11.0} -> {:>11.0} ops/s   p99 {} -> {} ns",
-                o.ops_per_sec, n.ops_per_sec, o.host_p99_ns, n.host_p99_ns
-            );
-            if n.ops_per_sec < o.ops_per_sec * (1.0 - tol) {
-                regressions.push(format!(
-                    "net {app}/{connections} conns: throughput regressed {:.0} -> {:.0} ops/s",
-                    o.ops_per_sec, n.ops_per_sec
-                ));
-            }
-            if o.host_p99_ns > 0 && (n.host_p99_ns as f64) > (o.host_p99_ns as f64) * (1.0 + tol) {
-                regressions.push(format!(
-                    "net {app}/{connections} conns: host p99 regressed {} -> {} ns",
-                    o.host_p99_ns, n.host_p99_ns
-                ));
-            }
-        }
-    } else if table_mode {
+    if table_mode {
         // Per-(app, policy) or per-(app, digest-mode) diffing for
         // `repro --json ext-repl` / `ext-digest` exports: dedup rate must
         // not shrink, simulated p99 must not grow. Both are

@@ -220,40 +220,32 @@ impl DeWriteConfig {
     /// Stamped into every [`Snapshot`](crate::Snapshot) and WAL header;
     /// [`DeWrite::power_on`](crate::DeWrite::power_on) rejects mismatches.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a 64 over a canonical byte encoding: stable across runs and
-        // platforms (no dependence on Hash or field layout).
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(b"dewrite-config-v2");
-        eat(&[match self.mode {
+        let mode = match self.mode {
             WriteMode::Direct => 0u8,
             WriteMode::Parallel => 1,
             WriteMode::Predictive => 2,
-        }]);
-        eat(&[u8::from(self.pna)]);
-        eat(&(self.history_bits as u64).to_le_bytes());
-        eat(&[match self.hasher {
+        };
+        let hasher = match self.hasher {
             HashAlgorithm::Crc32 => 0u8,
             HashAlgorithm::Crc32c => 1,
             HashAlgorithm::Md5 => 2,
             HashAlgorithm::Sha1 => 3,
             HashAlgorithm::StrongKeyed => 4,
-        }]);
-        // Digest mode changes both the stored digest width and how durable
-        // digests were produced, so it is semantic.
-        eat(&[self.digest_mode.to_wire()]);
-        // Counter width in bits (LineCounter is u32); a future width change
-        // must alter the fingerprint.
-        eat(&32u64.to_le_bytes());
-        eat(&self.dedup_domains.to_le_bytes());
-        h
+        };
+        durable_fingerprint(&[
+            b"dewrite-config-v2",
+            &[mode],
+            &[u8::from(self.pna)],
+            &(self.history_bits as u64).to_le_bytes(),
+            &[hasher],
+            // Digest mode changes both the stored digest width and how
+            // durable digests were produced, so it is semantic.
+            &[self.digest_mode.to_wire()],
+            // Counter width in bits (LineCounter is u32); a future width
+            // change must alter the fingerprint.
+            &32u64.to_le_bytes(),
+            &self.dedup_domains.to_le_bytes(),
+        ])
     }
 
     /// The paper's DeWrite: predictive mode, PNA on, 3-bit history, CRC-32.
@@ -270,6 +262,20 @@ impl DeWriteConfig {
             dedup_domains: 1,
         }
     }
+}
+
+/// FNV-1a 64 over `parts` in order: the one hash behind every
+/// durable-format fingerprint ([`DeWriteConfig::fingerprint`] and the
+/// engine shard's persist fingerprint), both stamped into every WAL header
+/// and checkpoint. It depends on the bytes alone — not on `Hash` or field
+/// layout — so it is stable across runs and platforms.
+pub fn durable_fingerprint(parts: &[&[u8]]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    parts
+        .iter()
+        .flat_map(|part| part.iter())
+        .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 impl Default for DeWriteConfig {

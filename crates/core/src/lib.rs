@@ -63,8 +63,8 @@ pub use bitlevel::{
 pub use colocate::{ColocatedStore, ColocationStats};
 pub use compare::{lines_equal, lines_equal_chunked, lines_equal_portable};
 pub use config::{
-    BitEncoding, DeWriteConfig, DigestMode, MetaCacheConfig, MetadataPersistence, SystemConfig,
-    WriteMode,
+    durable_fingerprint, BitEncoding, DeWriteConfig, DigestMode, MetaCacheConfig,
+    MetadataPersistence, SystemConfig, WriteMode,
 };
 pub use counters::CounterTable;
 pub use dedup::{DedupIndex, DupLookup, WriteOutcome};

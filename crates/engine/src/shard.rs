@@ -30,8 +30,8 @@
 pub use dewrite_core::tables::MAX_CANDIDATE_COMPARES;
 use dewrite_core::tables::{HashTable, InvertedTable, OpenEntry, MAX_REFERENCE};
 use dewrite_core::{
-    lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor, IndexDigest, MetaOp,
-    RunReport, Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
+    durable_fingerprint, lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor,
+    IndexDigest, MetaOp, RunReport, Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
 };
 use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
 use dewrite_hashes::HashAlgorithm;
@@ -427,22 +427,14 @@ impl ShardController {
         line_size: usize,
         mode: DigestMode,
     ) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(b"dewrite-engine-shard-v2");
-        eat(&(id as u64).to_le_bytes());
-        eat(&(shards as u64).to_le_bytes());
-        eat(&slots.to_le_bytes());
-        eat(&(line_size as u64).to_le_bytes());
-        eat(&[mode.to_wire()]);
-        h
+        durable_fingerprint(&[
+            b"dewrite-engine-shard-v2",
+            &(id as u64).to_le_bytes(),
+            &(shards as u64).to_le_bytes(),
+            &slots.to_le_bytes(),
+            &(line_size as u64).to_le_bytes(),
+            &[mode.to_wire()],
+        ])
     }
 
     /// Attach an epoch-batched metadata WAL rooted at `dir`, anchored on a
@@ -1524,6 +1516,35 @@ mod tests {
             "host-side logging must never leak into the simulated report"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Both durable-format fingerprints are written into every WAL header
+    /// and checkpoint, so their raw values are part of the format: a
+    /// change here makes every existing store unrecoverable.
+    #[test]
+    fn durable_fingerprints_are_pinned() {
+        let mut config = dewrite_core::DeWriteConfig::paper();
+        assert_eq!(config.fingerprint(), 0xe6b2_4db6_ed4b_68be);
+        config.digest_mode = DigestMode::StrongKeyed;
+        assert_eq!(config.fingerprint(), 0x9556_09d5_5b97_d6cd);
+
+        let fp = ShardController::persist_fingerprint;
+        assert_eq!(
+            fp(0, 1, 256, 256, DigestMode::Crc32Verify),
+            0xad88_60d3_3882_e679
+        );
+        assert_eq!(
+            fp(0, 1, 256, 256, DigestMode::StrongKeyed),
+            0xad88_5fd3_3882_e4c6
+        );
+        assert_eq!(
+            fp(1, 4, 4096, 64, DigestMode::Crc32Verify),
+            0x493d_081d_c498_1795
+        );
+        assert_eq!(
+            fp(1, 4, 4096, 64, DigestMode::StrongKeyed),
+            0x493d_071d_c498_15e2
+        );
     }
 
     #[test]
