@@ -144,8 +144,8 @@ fn engine_merged_report_is_bit_identical_across_threaded_runs() {
 
 #[test]
 fn engine_merged_report_is_producer_invariant() {
-    // With coalescing off, the simulated merge is a pure function of
-    // (trace, shard count): the producer count only changes which thread
+    // The simulated merge is a pure function of (trace, shard count):
+    // the producer count only changes which thread
     // owns a shard, never what the controllers see.
     let (records, lines, writes) = engine_trace(6000, SEED ^ 0x0BA7);
     for shards in [1usize, 2, 4] {
@@ -167,12 +167,13 @@ fn engine_merged_report_is_producer_invariant() {
 }
 
 #[test]
-fn engine_coalescing_accounts_every_write_and_scrubs_clean() {
+fn engine_rewrite_storm_accounts_every_write_and_scrubs_clean() {
     use dewrite_nvm::LineAddr;
     use dewrite_trace::TraceOp;
 
     // A hand-built rewrite storm: every line in a tiny window is written
-    // repeatedly, so a coalescing buffer must absorb most of the traffic.
+    // repeatedly, so each write releases the reference its predecessor
+    // at that address took.
     let mut records = Vec::new();
     for round in 0..200u64 {
         for addr in 0..16u64 {
@@ -189,7 +190,6 @@ fn engine_coalescing_accounts_every_write_and_scrubs_clean() {
     let writes = records.len() as u64;
     let mut config = EngineConfig::for_workload(2, 256, 16, writes);
     config.scrub = true;
-    config.coalesce = 8;
     let result = engine_run(&config, "storm", records);
     for shard in &result.shards {
         match &shard.scrub {
@@ -199,14 +199,11 @@ fn engine_coalescing_accounts_every_write_and_scrubs_clean() {
     }
     let b = &result.merged.base;
     assert_eq!(b.writes, writes);
-    assert!(
-        b.coalesced_writes > 0,
-        "a 16-line rewrite storm must coalesce"
-    );
+    assert_eq!(b.coalesced_writes, 0, "no controller coalesces");
     assert_eq!(
-        b.writes_eliminated + b.coalesced_writes + result.merged.nvm_data_writes,
+        b.writes_eliminated + result.merged.nvm_data_writes,
         b.writes,
-        "refcount audit: every write dedups, coalesces, or stores exactly once"
+        "refcount audit: every write dedups or stores exactly once"
     );
     assert_eq!(result.merged.write_latency.count(), b.writes);
 }

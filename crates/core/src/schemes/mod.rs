@@ -78,9 +78,8 @@ pub struct BaseMetrics {
     pub writes: u64,
     /// Writes whose NVM write was eliminated.
     pub writes_eliminated: u64,
-    /// Writes absorbed by controller write-queue coalescing (a newer write
-    /// to the same line landed before this one drained). Zero unless a
-    /// coalescing window is enabled (`dewrite-engine`).
+    /// Always 0: no controller here coalesces. Kept because report JSON,
+    /// the goldens and `benchmark/src/rep.rs` read it.
     pub coalesced_writes: u64,
     /// Reads served.
     pub reads: u64,

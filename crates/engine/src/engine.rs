@@ -18,8 +18,8 @@
 //! trace in order, so every shard applies its subsequence of the trace in
 //! order by construction, whatever the producer count or scheduling; each
 //! shard's simulated [`RunReport`] is therefore a pure function of `(trace,
-//! seed, shard count, coalescing window)`, and its WAL appends land in that
-//! same order. Folding the per-shard reports **in shard order**
+//! seed, shard count)`, and its WAL appends land in that same order.
+//! Folding the per-shard reports **in shard order**
 //! ([`RunReport::merge_all`]) yields a bit-identical merged report across
 //! repeated multi-threaded runs. Host-side measurements (wall clock, host
 //! latency percentiles) are inherently non-deterministic and are kept in
@@ -36,24 +36,6 @@ use dewrite_trace::{shard_of_line, TraceOp, TraceRecord};
 use dewrite_nvm::FsmStats;
 
 use crate::shard::{FsmPolicy, ShardController};
-
-/// How [`run`] issues operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pacing {
-    /// Closed loop: each producer applies its slice as fast as its shards
-    /// serve it.
-    Closed,
-    /// Open loop: issue on a fixed schedule of `ops_per_sec` over the whole
-    /// trace, independent of service rate; an operation that falls behind
-    /// its due time runs as soon as its producer reaches it. The schedule
-    /// starts when [`run`] is called, so the records due while the trace
-    /// is partitioned and the shards are built start late — that lag is
-    /// the tail of the sampled host latency.
-    Open {
-        /// Target issue rate, operations per second.
-        ops_per_sec: f64,
-    },
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -73,16 +55,9 @@ pub struct EngineConfig {
     pub queue_depth: usize,
     /// Memory-encryption key.
     pub key: [u8; 16],
-    /// [`run`]'s pacing mode.
-    pub pacing: Pacing,
     /// Run a full cross-table [`ShardController::scrub`] on every shard
     /// after the drain.
     pub scrub: bool,
-    /// Per-shard write-coalescing window
-    /// ([`ShardController::set_coalesce_window`]); 0 (the default)
-    /// disables coalescing and keeps reports bit-identical to the
-    /// unbuffered controller.
-    pub coalesce: usize,
     /// Threads [`run`] applies the trace on, each owning the shards it
     /// feeds; 0 picks one per shard up to the host's hardware threads.
     /// Clamped to `1..=shards` (a shard has exactly one owner).
@@ -120,7 +95,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A closed-loop config sized for a workload of `lines` addressable
+    /// A config sized for a workload of `lines` addressable
     /// lines and about `expected_writes` writes: each shard gets its share
     /// of the line space plus slack for copies stranded by reference
     /// saturation.
@@ -142,9 +117,7 @@ impl EngineConfig {
             slots_per_shard: owned + slack,
             queue_depth: 1024,
             key: *b"dewrite-repro-16",
-            pacing: Pacing::Closed,
             scrub: false,
-            coalesce: 0,
             producers: 0,
             persist_dir: None,
             persist_epoch: 64,
@@ -178,9 +151,9 @@ impl EngineConfig {
     }
 
     /// Build shard `id` as this config describes it: FSM policy, cache
-    /// policy, digest mode and coalescing window applied, persistence
-    /// attached under `persist_dir/shard-<id>/`. The one place a config
-    /// axis reaches a [`ShardController`], for [`run`] and
+    /// policy and digest mode applied, persistence attached under
+    /// `persist_dir/shard-<id>/`. The one place a config axis reaches a
+    /// [`ShardController`], for [`run`] and
     /// [`EngineService`](crate::EngineService) alike.
     ///
     /// # Panics
@@ -198,7 +171,6 @@ impl EngineConfig {
         ctrl.set_fsm_policy(self.fsm);
         ctrl.set_cache_policy(self.cache_policy);
         ctrl.set_digest_mode(self.digest_mode);
-        ctrl.set_coalesce_window(self.coalesce);
         if let Some(root) = &self.persist_dir {
             ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), self.durable_options())
                 .expect("attach shard metadata persistence");
@@ -251,8 +223,7 @@ pub struct ShardSummary {
 
 impl ShardSummary {
     /// What `ctrl` has produced so far, with the host-side measurements
-    /// its driver took. The caller drains parked writes and reaches its
-    /// durability point first.
+    /// its driver took. The caller reaches its durability point first.
     pub(crate) fn of(
         ctrl: &mut ShardController,
         app: &str,
@@ -362,24 +333,17 @@ impl Backoff {
         }
         self.rounds = self.rounds.saturating_add(1);
     }
-
-    /// Whether the back-off has escalated past spinning (it would yield or
-    /// sleep on the next [`wait`](Self::wait)).
-    pub fn is_parked(&self) -> bool {
-        self.rounds >= Self::SPIN
-    }
 }
 
 /// One producer's whole job: build the shards it owns (`first`, `first +
-/// stride`, …), apply `feed` — its slice of the trace, each record with its
-/// global trace index — to them in order, then drain, checkpoint and
-/// summarise each shard.
+/// stride`, …), apply `feed` — its slice of the trace — to them in order,
+/// then checkpoint and summarise each shard.
 fn drive(
     config: &EngineConfig,
     app: &str,
     first: usize,
     stride: usize,
-    feed: Vec<(u64, TraceRecord)>,
+    feed: Vec<TraceRecord>,
     start: Instant,
 ) -> Vec<ShardSummary> {
     struct Owned {
@@ -396,30 +360,17 @@ fn drive(
             seq: 0,
         })
         .collect();
-    for (index, rec) in feed {
+    for rec in feed {
         let shard = &mut owned[shard_of_line(rec.op.addr(), config.shards) / stride];
         let sampled = host_sampled(shard.seq);
         shard.seq += 1;
-        // Host latency runs from the record's due time under open loop
-        // (falling behind the schedule is latency) and from just before
-        // the operation under closed loop, where an unsampled operation
-        // reads no clock at all.
-        let issued_ns = match config.pacing {
-            Pacing::Open { ops_per_sec } => {
-                let due_ns = (index as f64 / ops_per_sec * 1e9) as u64;
-                while elapsed_ns() < due_ns {
-                    // Yield, not spin: the other producers do real work.
-                    std::thread::yield_now();
-                }
-                due_ns
-            }
-            Pacing::Closed if sampled => elapsed_ns(),
-            Pacing::Closed => 0,
-        };
+        // A sampled operation is timed from just before it runs; an
+        // unsampled one reads no clock at all.
+        let issued_ns = if sampled { elapsed_ns() } else { 0 };
         let gap = rec.gap_instructions;
         match rec.op {
             TraceOp::Write { addr, data } => {
-                shard.ctrl.submit_write(addr, &data, gap);
+                shard.ctrl.write(addr, &data, gap);
             }
             TraceOp::Read { addr } => {
                 shard.ctrl.read(addr, gap);
@@ -432,7 +383,6 @@ fn drive(
     owned
         .into_iter()
         .map(|Owned { mut ctrl, host, .. }| {
-            ctrl.flush_writes();
             // End-of-drain durability point: flush the open WAL epoch and
             // checkpoint, so scrub sees no unflushed epochs and the store
             // recovers to the final state.
@@ -459,12 +409,11 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
     let total_ops = records.len() as u64;
 
     // Partition the trace by owning producer (shard mod producers),
-    // preserving trace order within each slice; records keep their global
-    // trace index so open-loop pacing stays on the trace-wide schedule.
-    let mut feeds: Vec<Vec<(u64, TraceRecord)>> = (0..producers).map(|_| Vec::new()).collect();
-    for (i, rec) in records.into_iter().enumerate() {
+    // preserving trace order within each slice.
+    let mut feeds: Vec<Vec<TraceRecord>> = (0..producers).map(|_| Vec::new()).collect();
+    for rec in records {
         let shard = shard_of_line(rec.op.addr(), shards);
-        feeds[shard % producers].push((i as u64, rec));
+        feeds[shard % producers].push(rec);
     }
 
     let mut summaries: Vec<ShardSummary> = Vec::with_capacity(shards);
@@ -527,6 +476,13 @@ mod tests {
                 other => panic!("shard {} scrub: {other:?}", s.shard),
             }
         }
+        let b = &run.merged.base;
+        assert_eq!(b.coalesced_writes, 0, "no controller coalesces");
+        assert_eq!(
+            b.writes_eliminated + run.merged.nvm_data_writes,
+            b.writes,
+            "every write dedups or stores"
+        );
     }
 
     #[test]
@@ -564,23 +520,17 @@ mod tests {
 
     #[test]
     fn producer_count_does_not_change_the_merge() {
-        // Coalescing on as well as off: a parked write drains in its
-        // shard's own order, so the window must not see the producer count.
         let (records, lines) = trace(1_500, 256, 13);
-        for coalesce in [0usize, 16] {
-            let mut config = config_for(4, lines, records.len());
-            config.coalesce = coalesce;
-            config.producers = 1;
-            let baseline = run(&config, "mcf", records.clone());
-            assert_eq!(baseline.merged.base.coalesced_writes > 0, coalesce > 0);
-            for producers in [2, 4, 0] {
-                config.producers = producers;
-                let other = run(&config, "mcf", records.clone());
-                assert_eq!(
-                    baseline.merged, other.merged,
-                    "coalesce {coalesce} x producers {producers} changed the simulated report"
-                );
-            }
+        let mut config = config_for(4, lines, records.len());
+        config.producers = 1;
+        let baseline = run(&config, "mcf", records.clone());
+        for producers in [2, 4, 0] {
+            config.producers = producers;
+            let other = run(&config, "mcf", records.clone());
+            assert_eq!(
+                baseline.merged, other.merged,
+                "producers {producers} changed the simulated report"
+            );
         }
     }
 
@@ -606,45 +556,15 @@ mod tests {
         let (records, lines) = trace(1_003, 128, 29);
         let mut config = config_for(3, lines, records.len());
         config.producers = 2;
-        for pacing in [
-            Pacing::Closed,
-            Pacing::Open {
-                ops_per_sec: 2_000_000.0,
-            },
-        ] {
-            config.pacing = pacing;
-            let run = run(&config, "mcf", records.clone());
-            for s in &run.shards {
-                assert_eq!(
-                    s.host_latency.count(),
-                    s.ops.div_ceil(8),
-                    "{pacing:?}: shard {} times ops 0, 8, 16, … of its own sequence",
-                    s.shard
-                );
-            }
+        let run = run(&config, "mcf", records);
+        for s in &run.shards {
+            assert_eq!(
+                s.host_latency.count(),
+                s.ops.div_ceil(8),
+                "shard {} times ops 0, 8, 16, … of its own sequence",
+                s.shard
+            );
         }
-    }
-
-    #[test]
-    fn coalescing_run_scrubs_clean_and_accounts_every_write() {
-        let (records, lines) = trace(2_000, 64, 17); // small ws => rewrites
-        let total = records.len();
-        let mut config = config_for(2, lines, total);
-        config.coalesce = 16;
-        config.scrub = true;
-        let r = run(&config, "mcf", records);
-        assert_eq!(r.ops, total as u64);
-        for s in &r.shards {
-            assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
-        }
-        let b = &r.merged.base;
-        assert!(b.coalesced_writes > 0, "tight working set must coalesce");
-        assert_eq!(
-            b.writes_eliminated + b.coalesced_writes + r.merged.nvm_data_writes,
-            b.writes,
-            "every write dedups, coalesces, or stores"
-        );
-        assert_eq!(r.merged.write_latency.count(), b.writes);
     }
 
     #[test]
@@ -681,8 +601,8 @@ mod tests {
             let (snap, stats) = dewrite_persist::recover_state(&shard_dir, fp, max_lines)
                 .expect("shard store recovers");
             assert!(!stats.torn_tail, "drain checkpoint leaves a clean tail");
-            // Coalescing is off, so every trace write was applied and
-            // covered by the final checkpoint.
+            // Every trace write was applied and covered by the final
+            // checkpoint.
             assert_eq!(stats.writes_covered, s.report.base.writes);
             let scrubbed = match s.scrub {
                 Some(Ok(n)) => n,
@@ -829,17 +749,5 @@ mod tests {
         assert_eq!(wear.merged.nvm_data_writes, tree.merged.nvm_data_writes);
         let refills: u64 = wear.shards.iter().map(|s| s.fsm.refills).sum();
         assert!(refills >= 2, "each shard's rotation refills at least once");
-    }
-
-    #[test]
-    fn open_loop_pacing_completes() {
-        let (records, lines) = trace(300, 128, 5);
-        let total = records.len();
-        let mut config = config_for(2, lines, total);
-        config.pacing = Pacing::Open {
-            ops_per_sec: 2_000_000.0,
-        };
-        let run = run(&config, "mcf", records);
-        assert_eq!(run.ops, total as u64);
     }
 }

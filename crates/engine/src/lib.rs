@@ -26,8 +26,8 @@
 //! graceful drain that flushes and checkpoints attached persistence.
 //! Neither owns a thread beyond the ones its caller brings (`run`'s are
 //! scoped to the call). The `loadgen` binary (in
-//! `crates/net`) drives closed- and open-loop clients against 1..=16
-//! shards — in-process or over a socket — and emits `BENCH_engine.json`,
+//! `crates/net`) drives 1..=16 shards in process (closed loop) or over a
+//! socket (closed or open loop) and emits `BENCH_engine.json`,
 //! including the **digest-sharding cost**: a shard only dedups against
 //! content written through it, so the sharded dedup rate trails the
 //! global (1-shard) rate; the delta is reported per app.
@@ -41,7 +41,7 @@ mod shard;
 
 pub use dewrite_core::DigestMode;
 pub use dewrite_mem::{CacheStats, Replacement};
-pub use engine::{run, Backoff, EngineConfig, EngineRun, Pacing, ShardSummary};
+pub use engine::{run, Backoff, EngineConfig, EngineRun, ShardSummary};
 pub use service::{
     Completion, CompletionBody, EngineService, ServiceOp, ServiceRequest, CONTROL_SEQ,
 };

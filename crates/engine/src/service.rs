@@ -199,20 +199,13 @@ impl EngineService {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid config: zero shards/lanes/capacities, or a
-    /// non-zero coalescing window (the service path needs an immediate
-    /// completion per operation).
+    /// Panics on an invalid config: zero shards/lanes/capacities.
     pub fn start(config: &EngineConfig, app: &str, lanes: usize, lane_capacity: usize) -> Self {
         let shards = config.shards;
         assert!(shards > 0, "need at least one shard");
         assert!(lanes > 0, "need at least one completion lane");
         assert!(config.queue_depth > 0, "reorder window must hold a request");
         assert!(lane_capacity > 0, "completion lanes must hold an entry");
-        assert_eq!(
-            config.coalesce, 0,
-            "the service path requires per-operation completions; \
-             coalescing parks writes without one"
-        );
 
         let shards = (0..shards)
             .map(|id| {
@@ -304,8 +297,8 @@ impl EngineService {
     }
 
     /// Graceful shutdown, on the calling thread: reject what a sequence
-    /// gap left in the reorder buffers, flush parked writes, flush the
-    /// open WAL epoch, checkpoint, and sync the stores (when persistence
+    /// gap left in the reorder buffers, flush the open WAL epoch,
+    /// checkpoint, and sync the stores (when persistence
     /// is attached), then fold the per-shard reports in shard order — the
     /// same deterministic merge as [`run`](crate::run).
     ///
@@ -338,7 +331,6 @@ impl EngineService {
                     // A full lane drops it, as the service is about to.
                     let _ = self.lanes[req.lane].push(done);
                 }
-                shard.ctrl.flush_writes();
                 // End-of-service durability point: flush the open WAL
                 // epoch, checkpoint, and force the store to stable storage
                 // even when the run logged with `sync: false`.
@@ -352,8 +344,8 @@ impl EngineService {
         EngineRun::fold(summaries, self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Hard abort: drop every shard **without** flushing parked writes,
-    /// the open WAL epoch, or a checkpoint — the crash-recovery path's
+    /// Hard abort: drop every shard **without** flushing the open WAL
+    /// epoch or taking a checkpoint — the crash-recovery path's
     /// "kill" switch. On-disk state is whatever the epoch log had already
     /// flushed.
     pub fn abort(self) {
@@ -452,9 +444,7 @@ const POISONED: &str = "a submitter panicked inside this shard";
 fn apply_data(ctrl: &mut ShardController, op: ServiceOp) -> CompletionBody {
     match op {
         ServiceOp::Write { addr, data, gap } => {
-            let w = ctrl
-                .submit_write(addr, &data, gap)
-                .expect("service runs without coalescing");
+            let w = ctrl.write(addr, &data, gap);
             CompletionBody::Write {
                 eliminated: w.eliminated,
                 sim_ns: w.sim_ns,
@@ -472,21 +462,14 @@ fn apply_data(ctrl: &mut ShardController, op: ServiceOp) -> CompletionBody {
 /// Apply one control operation at its queue position.
 fn apply_control(ctrl: &mut ShardController, app: &str, op: &ServiceOp) -> CompletionBody {
     match op {
-        ServiceOp::Scrub => {
-            ctrl.flush_writes();
-            match ctrl.flush_wal() {
-                Err(e) => CompletionBody::Scrub(Err(format!("wal flush before scrub: {e}"))),
-                Ok(()) => CompletionBody::Scrub(ctrl.scrub()),
-            }
-        }
+        ServiceOp::Scrub => match ctrl.flush_wal() {
+            Err(e) => CompletionBody::Scrub(Err(format!("wal flush before scrub: {e}"))),
+            Ok(()) => CompletionBody::Scrub(ctrl.scrub()),
+        },
         ServiceOp::Flush => {
-            ctrl.flush_writes();
             CompletionBody::Flush(ctrl.persist_checkpoint().map_err(|e| e.to_string()))
         }
-        ServiceOp::Report => {
-            ctrl.flush_writes();
-            CompletionBody::Report(ctrl.report(app).to_json().to_string())
-        }
+        ServiceOp::Report => CompletionBody::Report(ctrl.report(app).to_json().to_string()),
         ServiceOp::Write { .. } | ServiceOp::Read { .. } => {
             CompletionBody::Rejected("data operation carried the control sequence number".into())
         }
@@ -613,6 +596,13 @@ mod tests {
                 baseline.merged.to_json().to_string(),
                 served.merged.to_json().to_string(),
                 "rotate {rotate}: out-of-order submission changed the merged report"
+            );
+            let b = &served.merged.base;
+            assert_eq!(b.coalesced_writes, 0, "no controller coalesces");
+            assert_eq!(
+                b.writes_eliminated + served.merged.nvm_data_writes,
+                b.writes,
+                "rotate {rotate}: every write dedups or stores"
             );
         }
     }

@@ -41,7 +41,7 @@ use dewrite_mem::{
 use dewrite_nvm::{EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr};
 use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// Sentinel in the dense address map: address has no mapping.
@@ -82,13 +82,6 @@ pub struct ShardWrite {
     pub sim_ns: u64,
 }
 
-/// A write parked in the controller write queue, waiting to drain.
-struct PendingWrite {
-    addr: LineAddr,
-    data: Vec<u8>,
-    gap: u32,
-}
-
 /// One shard of the sharded memory-controller service.
 pub struct ShardController {
     id: usize,
@@ -123,15 +116,6 @@ pub struct ShardController {
     predictor: HistoryPredictor,
 
     scratch: Vec<u8>,
-
-    /// Controller write-queue coalescing window; 0 = disabled (every
-    /// submitted write applies immediately, bit-identical to the
-    /// unbuffered controller).
-    coalesce_window: usize,
-    /// Parked writes, FIFO by first submission, at most one per address.
-    pending: VecDeque<PendingWrite>,
-    /// Recycled line buffers so a steady-state window allocates nothing.
-    spare_bufs: Vec<Vec<u8>>,
 
     /// Optional epoch-batched metadata WAL. Host-side only: logging is
     /// never charged to simulated time, so the [`RunReport`] is
@@ -189,9 +173,6 @@ impl ShardController {
             meta: MetadataCache::new(CacheConfig::with_capacity((slots as usize / 4).max(64))),
             predictor: HistoryPredictor::new(3),
             scratch: vec![0u8; line_size],
-            coalesce_window: 0,
-            pending: VecDeque::new(),
-            spare_bufs: Vec::new(),
             log: None,
             meta_ops: Vec::new(),
             base: BaseMetrics::default(),
@@ -234,31 +215,6 @@ impl ShardController {
         }
     }
 
-    /// Set the controller write-queue coalescing window (0 disables it,
-    /// the default). With a window of `n`, up to `n` writes park in a FIFO
-    /// queue; a newer write to a parked address absorbs the parked one —
-    /// the line is programmed once, with the newest value — and the
-    /// absorbed submission is counted in
-    /// [`BaseMetrics::coalesced_writes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if writes are currently parked — resize only between runs
-    /// (or call [`ShardController::flush_writes`] first).
-    pub fn set_coalesce_window(&mut self, window: usize) {
-        assert!(
-            self.pending.is_empty(),
-            "cannot resize the coalescing window with {} writes parked",
-            self.pending.len()
-        );
-        self.coalesce_window = window;
-    }
-
-    /// The configured coalescing window (0 = disabled).
-    pub fn coalesce_window(&self) -> usize {
-        self.coalesce_window
-    }
-
     /// Select the order the shard's free-space map claims lines in.
     ///
     /// # Panics
@@ -271,11 +227,6 @@ impl ShardController {
             self.ops
         );
         self.fsm_policy = policy;
-    }
-
-    /// The shard's free-space-manager policy.
-    pub fn fsm_policy(&self) -> FsmPolicy {
-        self.fsm_policy
     }
 
     /// Select the metadata-cache eviction policy. The cache is rebuilt
@@ -295,11 +246,6 @@ impl ShardController {
             config.replacement = policy;
             self.meta = MetadataCache::new(config);
         }
-    }
-
-    /// The shard's metadata-cache eviction policy.
-    pub fn cache_policy(&self) -> Replacement {
-        self.meta.config().replacement
     }
 
     /// Select the digest mode keying the dedup index. Under
@@ -323,11 +269,6 @@ impl ShardController {
         self.digest = IndexDigest::new(HashAlgorithm::Crc32, mode, &self.key);
     }
 
-    /// The shard's digest mode.
-    pub fn digest_mode(&self) -> DigestMode {
-        self.digest.mode()
-    }
-
     /// Metadata-cache counters (hits, misses, queue splits, filtered scan
     /// evictions — the S3-FIFO fields stay zero under LRU/FIFO).
     pub fn cache_stats(&self) -> CacheStats {
@@ -337,82 +278,6 @@ impl ShardController {
     /// Allocator counters: claims, rotation refills, steals, scan steps.
     pub fn fsm_stats(&self) -> FsmStats {
         self.fsm.stats()
-    }
-
-    /// Writes currently parked in the coalescing buffer.
-    pub fn pending_writes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submit one write through the coalescing buffer.
-    ///
-    /// With the window disabled this is exactly [`ShardController::write`].
-    /// Otherwise the write parks; if an older write to the same address is
-    /// already parked, that older value is absorbed (metadata-latency only:
-    /// a write-queue slot update, no array traffic) and the newer value
-    /// takes its place in FIFO position. A full buffer drains its oldest
-    /// entry first. Returns the applied write's outcome only when this
-    /// submission caused an immediate full write (window disabled);
-    /// parked/absorbed submissions return `None`.
-    pub fn submit_write(&mut self, addr: LineAddr, data: &[u8], gap: u32) -> Option<ShardWrite> {
-        if self.coalesce_window == 0 {
-            return Some(self.write(addr, data, gap));
-        }
-        debug_assert_eq!(
-            addr.index() as usize % self.shards,
-            self.id,
-            "write routed to the wrong shard"
-        );
-        assert_eq!(data.len(), self.line_size, "write must be one full line");
-        if let Some(parked) = self.pending.iter_mut().find(|p| p.addr == addr) {
-            // Absorb: account the overwritten submission now, as a
-            // write-queue combine. It consumed its slot in the program
-            // order (ops, instructions, writes) but costs only a queue
-            // update — no digest, no array write, no stage event.
-            let absorbed_gap = parked.gap;
-            parked.data.copy_from_slice(data);
-            parked.gap = gap;
-            self.ops += 1;
-            self.instructions += u64::from(absorbed_gap) + 1;
-            self.base.writes += 1;
-            self.base.coalesced_writes += 1;
-            self.write_latency.record(META_NS);
-            self.write_hist.record(META_NS);
-            self.write_critical.record(META_NS);
-            self.sim_ns += META_NS;
-            return None;
-        }
-        if self.pending.len() == self.coalesce_window {
-            let oldest = self.pending.pop_front().expect("window > 0, buffer full");
-            self.apply_pending(oldest);
-        }
-        let mut buf = self
-            .spare_bufs
-            .pop()
-            .unwrap_or_else(|| vec![0u8; self.line_size]);
-        buf.copy_from_slice(data);
-        self.pending.push_back(PendingWrite {
-            addr,
-            data: buf,
-            gap,
-        });
-        None
-    }
-
-    /// Drain one parked write through the full write path.
-    fn apply_pending(&mut self, parked: PendingWrite) {
-        let PendingWrite { addr, data, gap } = parked;
-        self.write(addr, &data, gap);
-        self.spare_bufs.push(data);
-    }
-
-    /// Drain every parked write, oldest first. Must run before
-    /// [`ShardController::scrub`] or [`ShardController::report`] at end of
-    /// feed; a no-op when the window is disabled or the buffer is empty.
-    pub fn flush_writes(&mut self) {
-        while let Some(parked) = self.pending.pop_front() {
-            self.apply_pending(parked);
-        }
     }
 
     /// Stable fingerprint of a shard's durable-format-relevant geometry:
@@ -464,11 +329,6 @@ impl ShardController {
         Ok(())
     }
 
-    /// Whether a metadata WAL is attached.
-    pub fn persistence_attached(&self) -> bool {
-        self.log.is_some()
-    }
-
     /// Applied writes not yet covered by a durable WAL record (always 0
     /// without persistence).
     pub fn unflushed_wal_writes(&self) -> u64 {
@@ -497,12 +357,6 @@ impl ShardController {
     /// state (the end-of-drain durability point); a no-op without
     /// persistence.
     ///
-    /// # Panics
-    ///
-    /// Panics if writes are parked in the coalescing buffer — drain with
-    /// [`ShardController::flush_writes`] first so the checkpoint covers
-    /// them.
-    ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
@@ -510,11 +364,6 @@ impl ShardController {
         if self.log.is_none() {
             return Ok(());
         }
-        assert!(
-            self.pending.is_empty(),
-            "checkpoint with {} writes parked in the coalescing buffer",
-            self.pending.len()
-        );
         let snapshot = self.snapshot();
         self.log
             .as_mut()
@@ -525,11 +374,6 @@ impl ShardController {
     /// Graceful-shutdown durability: checkpoint, then force the store's
     /// files to stable storage even when the log runs with `sync: false`
     /// (the engine default). A no-op without persistence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if writes are parked in the coalescing buffer — drain with
-    /// [`ShardController::flush_writes`] first.
     ///
     /// # Errors
     ///
@@ -726,10 +570,6 @@ impl ShardController {
             addr.index() as usize % self.shards,
             self.id,
             "write routed to the wrong shard"
-        );
-        debug_assert!(
-            self.pending.iter().all(|p| p.addr != addr),
-            "direct write() would reorder past a parked coalesced write; use submit_write"
         );
         assert_eq!(data.len(), self.line_size, "write must be one full line");
         self.ops += 1;
@@ -956,16 +796,6 @@ impl ShardController {
             self.id,
             "read routed to the wrong shard"
         );
-        // Read-after-write through the write queue: a parked write to this
-        // address must land first so the read observes it (per-address
-        // order is what coalescing preserves; cross-address drain order is
-        // the queue's business).
-        if !self.pending.is_empty() {
-            if let Some(i) = self.pending.iter().position(|p| p.addr == addr) {
-                let parked = self.pending.remove(i).expect("position() found it");
-                self.apply_pending(parked);
-            }
-        }
         self.ops += 1;
         self.instructions += u64::from(gap) + 1;
         self.base.reads += 1;
@@ -1007,13 +837,6 @@ impl ShardController {
     ///
     /// Returns a description of the first violated invariant.
     pub fn scrub(&mut self) -> Result<u64, String> {
-        if !self.pending.is_empty() {
-            return Err(format!(
-                "shard {}: {} unflushed writes parked in the coalescing buffer",
-                self.id,
-                self.pending.len()
-            ));
-        }
         if self.unflushed_wal_writes() > 0 {
             return Err(format!(
                 "shard {}: {} writes in the open WAL epoch not yet flushed",
@@ -1350,83 +1173,6 @@ mod tests {
     #[should_panic(expected = "one full line")]
     fn wrong_line_size_rejected() {
         shard().write(LineAddr::new(0), &[0u8; 3], 0);
-    }
-
-    #[test]
-    fn coalescing_absorbs_rewrites_and_keeps_the_invariant() {
-        let mut s = shard();
-        s.set_coalesce_window(8);
-        // Three writes to the same line: the first two are absorbed by
-        // their successors, only line(3) ever drains.
-        for tag in 1..=3u8 {
-            assert!(s.submit_write(LineAddr::new(7), &line(tag), 5).is_none());
-        }
-        // Distinct addresses park independently.
-        s.submit_write(LineAddr::new(1), &line(9), 5);
-        assert_eq!(s.pending_writes(), 2);
-        assert!(s.scrub().is_err(), "scrub refuses unflushed writes");
-        s.flush_writes();
-        assert_eq!(s.pending_writes(), 0);
-        assert_eq!(s.scrub().unwrap(), 2);
-        let r = s.report("coalesce");
-        assert_eq!(r.base.writes, 4);
-        assert_eq!(r.base.coalesced_writes, 2);
-        assert_eq!(
-            r.base.writes_eliminated + r.base.coalesced_writes + r.nvm_data_writes,
-            r.base.writes,
-            "every write dedups, coalesces, or stores"
-        );
-        assert_eq!(r.write_latency.count(), 4);
-        assert_eq!(r.instructions, 4 * 6, "absorbed gaps still retire");
-    }
-
-    #[test]
-    fn coalescing_read_flushes_only_its_address() {
-        let mut s = shard();
-        s.set_coalesce_window(4);
-        let mut data = line(5);
-        data[0] ^= 0xFF;
-        s.submit_write(LineAddr::new(2), &line(1), 0);
-        s.submit_write(LineAddr::new(2), &data, 0); // absorbs line(1)
-        s.submit_write(LineAddr::new(3), &line(6), 0);
-        let before = s.read_sink();
-        s.read(LineAddr::new(2), 0);
-        assert_ne!(s.read_sink(), before, "read saw the newest parked value");
-        assert_eq!(s.pending_writes(), 1, "address 3 stays parked");
-        s.flush_writes();
-        assert!(s.scrub().is_ok());
-    }
-
-    #[test]
-    fn coalescing_full_window_evicts_oldest_first() {
-        let mut s = shard();
-        s.set_coalesce_window(2);
-        s.submit_write(LineAddr::new(0), &line(1), 0);
-        s.submit_write(LineAddr::new(1), &line(2), 0);
-        // Window full: address 0 (oldest) drains to make room.
-        s.submit_write(LineAddr::new(2), &line(3), 0);
-        assert_eq!(s.pending_writes(), 2);
-        let r = s.report("evict");
-        assert_eq!(r.nvm_data_writes, 1, "exactly the evicted write stored");
-        s.flush_writes();
-        assert_eq!(s.scrub().unwrap(), 3);
-    }
-
-    #[test]
-    fn zero_window_submit_is_plain_write() {
-        let mut a = shard();
-        let mut b = shard();
-        for i in 0..20u64 {
-            let w = a.submit_write(LineAddr::new(i % 6), &line((i % 3) as u8), 1);
-            let x = b.write(LineAddr::new(i % 6), &line((i % 3) as u8), 1);
-            assert_eq!(w, Some(x));
-        }
-        a.flush_writes(); // no-op
-        assert_eq!(
-            a.report("z").to_json().to_string(),
-            b.report("z").to_json().to_string(),
-            "window 0 is bit-identical to the unbuffered controller"
-        );
     }
 
     fn persist_dir(tag: &str) -> std::path::PathBuf {

@@ -1,11 +1,11 @@
-//! `loadgen` — drive the sharded engine with closed- or open-loop clients
-//! and emit `BENCH_engine.json`.
+//! `loadgen` — drive the sharded engine, in process (closed loop) or over
+//! a socket (closed or open loop), and emit `BENCH_engine.json`.
 //!
 //! ```text
 //! loadgen --app mcf --shards 4 --ops 200k --check
 //! loadgen --apps mcf,lbm,gems --sweep 1,2,4,8 --out BENCH_engine.json
-//! loadgen --app vips --mode open --rate 500k
 //! loadgen --app mcf --net 127.0.0.1:7411 --connections 64,256 --check
+//! loadgen --app vips --net 127.0.0.1:7411 --mode open --rate 50k
 //! ```
 //!
 //! For every app the tool always runs `--shards 1` first: that run's dedup
@@ -28,9 +28,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dewrite_core::Json;
-use dewrite_engine::{run, DigestMode, EngineConfig, EngineRun, FsmPolicy, Pacing, Replacement};
+use dewrite_engine::{run, DigestMode, EngineConfig, EngineRun, FsmPolicy, Replacement};
 use dewrite_net::proto::{Hello, NET_VERSION};
-use dewrite_net::{client, drive, Control, DriveOptions, HelloInfo};
+use dewrite_net::{client, drive, Control, DriveOptions, HelloInfo, Pacing};
 use dewrite_trace::{app_by_name, DupOracle, TraceGenerator, TraceRecord};
 
 const DEFAULT_KEY: [u8; 16] = *b"dewrite-repro-16";
@@ -46,7 +46,6 @@ struct Options {
     pool: usize,
     out: String,
     check: bool,
-    coalesce: usize,
     producers: usize,
     persist_dir: Option<String>,
     fsm: FsmPolicy,
@@ -72,7 +71,6 @@ impl Default for Options {
             pool: 1024,
             out: "BENCH_engine.json".into(),
             check: false,
-            coalesce: 0,
             producers: 0,
             persist_dir: None,
             fsm: FsmPolicy::default(),
@@ -92,32 +90,33 @@ fn usage() -> ExitCode {
     eprintln!("  --app NAME        one workload (see trace apps) [mcf]");
     eprintln!("  --apps A,B,C      several workloads");
     eprintln!("  --ops N           operations per run; k/m suffixes ok [200k]");
-    eprintln!("  --shards N        shard count [4]");
-    eprintln!("  --sweep N,M,...   run several shard counts");
-    eprintln!("  --mode M          closed | open [closed]");
-    eprintln!("  --rate R          open-loop issue rate, ops/s; k/m ok [1m]");
     eprintln!("  --seed N          trace RNG seed");
     eprintln!("  --lines N         working-set lines; k/m ok [16k]");
     eprintln!("  --pool N          recurring-content pool size [1024]");
-    eprintln!("  --coalesce N      per-shard write-coalescing window; 0 = off [0]");
-    eprintln!("  --producers N     threads running the shards; 0 = one per shard, up to");
-    eprintln!("                    the hardware threads [0]");
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
-    eprintln!("  --persist-dir P   per-shard metadata WAL + checkpoints under P/<app>-s<N>/");
-    eprintln!("  --fsm P           free-space claim order: tree | tree-wear [tree]");
     eprintln!("  --cache-policy P  metadata-cache eviction: lru | fifo | s3-fifo [lru];");
     eprintln!("                    in net mode the policy rides in the Hello handshake");
     eprintln!("  --digest-mode M   dedup digest: crc32-verify | strong-keyed [crc32-verify];");
     eprintln!("                    in net mode the mode rides in the Hello handshake");
+    eprintln!("  --check           scrub every shard + assert multi-shard speedup");
+    eprintln!("                    (net mode: assert report bit-identity + zero errors)");
     eprintln!("  --net ADDR        socket-client mode against a running dewrite-serve;");
     eprintln!("                    replays the trace over TCP, asserts the server's");
     eprintln!("                    reports are bit-identical to an in-process run");
+    eprintln!("in-process only (refused with --net):");
+    eprintln!("  --shards N        shard count [4]");
+    eprintln!("  --sweep N,M,...   run several shard counts");
+    eprintln!("  --producers N     threads running the shards; 0 = one per shard, up to");
+    eprintln!("                    the hardware threads [0]");
+    eprintln!("  --persist-dir P   per-shard metadata WAL + checkpoints under P/<app>-s<N>/");
+    eprintln!("  --fsm P           free-space claim order: tree | tree-wear [tree]");
+    eprintln!("net only (refused without --net):");
+    eprintln!("  --mode M          closed | open [closed]");
+    eprintln!("  --rate R          open-loop issue rate, ops/s; k/m ok [1m]");
     eprintln!("  --connections L   connection counts to sweep in net mode, comma list [64]");
     eprintln!("  --window N        per-connection in-flight window in net mode [32]");
     eprintln!("  --client-threads N  client sweep threads; 0 = one per core [0]");
     eprintln!("  --net-shutdown    ask the server to drain and exit when done");
-    eprintln!("  --check           scrub every shard + assert multi-shard speedup");
-    eprintln!("                    (net mode: assert report bit-identity + zero errors)");
     ExitCode::from(2)
 }
 
@@ -137,6 +136,7 @@ fn parse_count(v: &str) -> Result<u64, String> {
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut net_only: Vec<&'static str> = Vec::new();
+    let mut in_process_only: Vec<&'static str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || {
@@ -148,27 +148,41 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--app" => o.apps = vec![value()?],
             "--apps" => o.apps = value()?.split(',').map(str::to_string).collect(),
             "--ops" => o.ops = parse_count(&value()?)? as usize,
-            "--shards" => o.sweep = vec![value()?.parse().map_err(|e| format!("--shards: {e}"))?],
+            "--shards" => {
+                in_process_only.push("--shards");
+                o.sweep = vec![value()?.parse().map_err(|e| format!("--shards: {e}"))?]
+            }
             "--sweep" => {
+                in_process_only.push("--sweep");
                 o.sweep = value()?
                     .split(',')
                     .map(|s| s.parse().map_err(|e| format!("--sweep: {e}")))
                     .collect::<Result<_, _>>()?
             }
-            "--mode" => o.mode = value()?,
-            "--rate" => o.rate = parse_count(&value()?)? as f64,
+            "--mode" => {
+                o.mode = value()?;
+                if o.mode == "open" {
+                    net_only.push("--mode open");
+                }
+            }
+            "--rate" => {
+                net_only.push("--rate");
+                o.rate = parse_count(&value()?)? as f64
+            }
             "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--lines" => o.ws_lines = parse_count(&value()?)?,
             "--pool" => o.pool = value()?.parse().map_err(|e| format!("--pool: {e}"))?,
-            "--coalesce" => {
-                o.coalesce = value()?.parse().map_err(|e| format!("--coalesce: {e}"))?
-            }
             "--producers" => {
+                in_process_only.push("--producers");
                 o.producers = value()?.parse().map_err(|e| format!("--producers: {e}"))?
             }
             "--out" => o.out = value()?,
-            "--persist-dir" => o.persist_dir = Some(value()?),
+            "--persist-dir" => {
+                in_process_only.push("--persist-dir");
+                o.persist_dir = Some(value()?)
+            }
             "--fsm" => {
+                in_process_only.push("--fsm");
                 o.fsm = match value()?.as_str() {
                     "tree" => FsmPolicy::Tree,
                     "tree-wear" => FsmPolicy::TreeWear,
@@ -221,10 +235,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if o.apps.is_empty() {
         return Err("need at least one app".into());
     }
-    if o.net.is_none() {
-        if let Some(flag) = net_only.first() {
-            return Err(format!("{flag} only makes sense with --net"));
+    match (&o.net, net_only.first(), in_process_only.first()) {
+        (None, Some(flag), _) => return Err(format!("{flag} only makes sense with --net")),
+        (Some(_), _, Some(flag)) => {
+            return Err(format!("{flag} only applies to in-process runs, not --net"))
         }
+        _ => {}
     }
     if o.connections.is_empty() || o.connections.iter().any(|&c| c == 0 || c > 4096) {
         return Err("--connections entries must be in 1..=4096".into());
@@ -605,14 +621,6 @@ fn main() -> ExitCode {
     sweep.sort_unstable();
     sweep.dedup();
 
-    let pacing = if o.mode == "open" {
-        Pacing::Open {
-            ops_per_sec: o.rate,
-        }
-    } else {
-        Pacing::Closed
-    };
-
     let mut app_objs: Vec<Json> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     // Whether any requested speedup assertion could not run on this host;
@@ -642,9 +650,7 @@ fn main() -> ExitCode {
         for &shards in &sweep {
             let mut config = EngineConfig::for_workload(shards, 256, trace.lines, trace.writes);
             config.key = DEFAULT_KEY;
-            config.pacing = pacing;
             config.scrub = o.check;
-            config.coalesce = o.coalesce;
             config.producers = o.producers;
             config.fsm = o.fsm;
             config.cache_policy = o.cache_policy;
@@ -721,7 +727,6 @@ fn main() -> ExitCode {
                 ("ops", num(o.ops as u64)),
                 ("working_set_lines", num(o.ws_lines)),
                 ("content_pool", num(o.pool as u64)),
-                ("coalesce", num(o.coalesce as u64)),
                 ("producers", num(o.producers as u64)),
                 (
                     "fsm",
@@ -735,7 +740,6 @@ fn main() -> ExitCode {
                 ),
                 ("cache_policy", Json::Str(o.cache_policy.to_string())),
                 ("digest_mode", Json::Str(o.digest_mode.to_string())),
-                ("mode", Json::Str(o.mode.clone())),
                 (
                     "persist_dir",
                     match &o.persist_dir {
@@ -743,7 +747,6 @@ fn main() -> ExitCode {
                         None => Json::Null,
                     },
                 ),
-                ("rate_ops_per_sec", flt(o.rate)),
                 ("seed", num(o.seed)),
                 (
                     "sweep",

@@ -19,7 +19,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use dewrite_engine::{Backoff, Pacing};
+use dewrite_engine::Backoff;
 use dewrite_mem::LatencyHistogram;
 use dewrite_trace::{shard_of_line, TraceOp, TraceRecord};
 
@@ -251,6 +251,20 @@ impl Control {
             other => Err(refused("shutdown", other)),
         }
     }
+}
+
+/// How [`drive`] issues operations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pacing {
+    /// Closed loop: each connection keeps its window full.
+    Closed,
+    /// Open loop: record `i` may not go out before `i / ops_per_sec`
+    /// seconds into the data phase (and still waits for room in its
+    /// connection's window).
+    Open {
+        /// Target issue rate over all connections, operations per second.
+        ops_per_sec: f64,
+    },
 }
 
 /// Data-phase driver configuration.

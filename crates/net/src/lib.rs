@@ -33,5 +33,5 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use client::{drive, request_shutdown, Control, DriveOptions, HelloInfo, NetSummary};
+pub use client::{drive, request_shutdown, Control, DriveOptions, HelloInfo, NetSummary, Pacing};
 pub use server::{NetServer, ServeOptions, ServeOutcome, ServerHandle};

@@ -1198,17 +1198,12 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Kill the server and its engine **without** flushing parked
-    /// writes, the open WAL epoch, or a checkpoint — the crash-recovery
-    /// tests' kill switch. On-disk state is whatever the epoch log had
-    /// already flushed.
+    /// Kill the server and its engine **without** flushing the open WAL
+    /// epoch or taking a checkpoint — the crash-recovery tests' kill
+    /// switch. On-disk state is whatever the epoch log had already
+    /// flushed.
     pub fn abort(&self) {
         self.shared.abort.store(true, Ordering::Release);
-    }
-
-    /// Whether the server has fully shut down.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
     }
 }
 

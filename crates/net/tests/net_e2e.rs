@@ -7,9 +7,9 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use dewrite_engine::{run, EngineConfig, Pacing};
+use dewrite_engine::{run, EngineConfig};
 use dewrite_net::proto::{self, ErrorCode, FrameEvent, Hello, Request, Response, NET_VERSION};
-use dewrite_net::{drive, Control, DriveOptions, NetServer, ServeOptions};
+use dewrite_net::{drive, Control, DriveOptions, NetServer, Pacing, ServeOptions};
 use dewrite_trace::{app_by_name, TraceRecord};
 
 struct Trace {
@@ -141,6 +141,13 @@ fn socket_replay_is_bit_identical_to_in_process() {
     assert_eq!(
         served.merged.to_json().to_string(),
         local.merged.to_json().to_string()
+    );
+    let b = &served.merged.base;
+    assert_eq!(b.coalesced_writes, 0, "no controller coalesces");
+    assert_eq!(
+        b.writes_eliminated + served.merged.nvm_data_writes,
+        b.writes,
+        "every write dedups or stores"
     );
 }
 

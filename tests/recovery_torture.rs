@@ -480,7 +480,7 @@ fn socket_kill_mid_stream_recovers_every_shard_to_an_epoch_boundary() {
                     connections: 8,
                     window: 16,
                     threads: 2,
-                    pacing: dewrite_engine::Pacing::Closed,
+                    pacing: dewrite_net::Pacing::Closed,
                 },
                 &hello,
                 &records,
