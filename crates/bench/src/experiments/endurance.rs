@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use dewrite_core::{CmeLine, DeuceLine};
 use dewrite_crypto::CounterModeEngine;
 use dewrite_nvm::is_zero_line;
-use dewrite_trace::{all_apps, AppProfile, DupOracle, TraceOp};
+use dewrite_trace::{all_apps, AppProfile, DupOracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -245,23 +245,6 @@ pub fn fig13(ctx: &mut Ctx) {
     }
     t.row(avg);
     ctx.emit(&t, "fig13");
-}
-
-/// Sanity helper for tests: classify writes of a workload trace.
-#[allow(dead_code)]
-pub fn trace_zero_share(w: &Workload) -> f64 {
-    let writes: Vec<_> = w
-        .trace
-        .iter()
-        .filter_map(|r| match &r.op {
-            TraceOp::Write { data, .. } => Some(data),
-            TraceOp::Read { .. } => None,
-        })
-        .collect();
-    if writes.is_empty() {
-        return 0.0;
-    }
-    writes.iter().filter(|d| is_zero_line(d)).count() as f64 / writes.len() as f64
 }
 
 #[cfg(test)]

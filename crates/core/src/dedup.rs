@@ -244,21 +244,6 @@ impl DedupIndex {
         open
     }
 
-    /// Like [`lookup`](Self::lookup) but without mutating any statistics —
-    /// used for ground-truth accounting (e.g. counting duplicates missed by
-    /// PNA skips).
-    pub fn lookup_readonly(
-        &self,
-        digest: u64,
-        data: &[u8],
-        mut content_of: impl FnMut(LineAddr) -> Vec<u8>,
-    ) -> Option<LineAddr> {
-        self.hash_table
-            .bucket(digest)
-            .find(|e| e.reference != MAX_REFERENCE && lines_equal(&content_of(e.real), data))
-            .map(|e| e.real)
-    }
-
     /// Record a digest match whose byte comparison failed (scheme-driven
     /// candidate loops).
     pub(crate) fn note_false_match(&mut self) {

@@ -81,11 +81,6 @@ impl Json {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Parse one JSON document (trailing garbage is an error).
     ///
     /// # Errors

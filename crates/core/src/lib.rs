@@ -50,8 +50,8 @@ pub mod json;
 mod metrics;
 mod predictor;
 mod schemes;
-#[doc(hidden)]
-pub mod seed;
+#[cfg(test)]
+mod seed;
 mod sim;
 mod snapshot;
 pub mod tables;

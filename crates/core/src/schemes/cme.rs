@@ -112,11 +112,6 @@ impl CmeBaseline {
     pub fn config(&self) -> &SystemConfig {
         &self.config
     }
-
-    /// Counter-cache statistics.
-    pub fn counter_cache_stats(&self) -> dewrite_mem::CacheStats {
-        self.counter_table.cache_stats()
-    }
 }
 
 impl SecureMemory for CmeBaseline {

@@ -553,11 +553,6 @@ impl DeWrite {
         &self.config
     }
 
-    /// The DeWrite configuration.
-    pub fn dewrite_config(&self) -> &DeWriteConfig {
-        &self.dw
-    }
-
     /// DeWrite-specific metrics (predictor accuracy filled in).
     pub fn dewrite_metrics(&self) -> DeWriteMetrics {
         DeWriteMetrics {

@@ -2,17 +2,10 @@
 //! **oracles**.
 //!
 //! These are the `HashMap`-based implementations the flat SwissTable-style
-//! layer in [`crate::tables`] replaced. They are kept — hidden from docs,
-//! but compiled into the library — for two consumers:
-//!
-//! * the differential proptests in `tables.rs`, which drive identical op
-//!   sequences through a seed table and a flat table and assert identical
-//!   observable state at every step;
-//! * the `hotpath` benchmark binary, which measures the flat structures
-//!   *against* these as its speedup baseline (the same pattern PR 2 used
-//!   for `seed_encrypt_line`).
-//!
-//! Do not use these in product code paths.
+//! layer in [`crate::tables`] replaced. They are compiled for tests only,
+//! as the oracles of the differential proptests in `tables.rs`, which drive
+//! identical op sequences through a seed table and a flat table and assert
+//! identical observable state at every step.
 
 use std::collections::HashMap;
 
@@ -210,11 +203,6 @@ impl SeedAddrMapTable {
     pub fn len(&self) -> usize {
         self.map.len()
     }
-
-    /// Whether no lines are deduplicated.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// Seed realAddr → digest table (std `HashMap`).
@@ -247,10 +235,5 @@ impl SeedInvertedTable {
     /// Number of resident (hash-indexed) lines.
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether no lines are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }

@@ -32,8 +32,8 @@
 //!   indexed by `LineAddr` with a presence bitmap: the line space is
 //!   bounded and known at construction, so no hashing at all.
 //!
-//! The seed map-backed implementations are retained in [`crate::seed`] as
-//! oracles for differential tests and the `hotpath` speedup baseline.
+//! The seed map-backed implementations are retained in the test-only
+//! `seed` module as oracles for the differential tests.
 
 use dewrite_mem::hint;
 use dewrite_nvm::LineAddr;

@@ -84,9 +84,10 @@ impl Aes128Ni {
         (enc, dec)
     }
 
-    /// The same cipher confined to the 8-lane xmm leg, for timing and
-    /// testing that leg where the wide one is chosen; `None` where it is
-    /// not (this cipher is the 8-lane leg already).
+    /// The same cipher confined to the 8-lane xmm leg, for testing that leg
+    /// where the wide one is chosen; `None` where it is not (this cipher is
+    /// the 8-lane leg already).
+    #[cfg(test)]
     pub(crate) fn eight_lane(&self) -> Option<Self> {
         self.wide.then_some(Aes128Ni {
             wide: false,

@@ -11,7 +11,7 @@
 //! [`Aes128Reference`](crate::Aes128Reference) oracle), so backend choice
 //! can never change simulation results — only host speed.
 //!
-//! The counter-mode pad ([`Aes128::ctr_xor`]) is made three ways. The
+//! The counter-mode pad (`Aes128::ctr_xor`) is made three ways. The
 //! T-table backend loops over its block function. The AES-NI backend walks
 //! eight blocks through the rounds side by side in xmm registers, and —
 //! when the CPU also advertises `vaes` and `avx512f`, detected once as the
@@ -28,7 +28,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::aes::Aes128Reference;
 use crate::ttable::Aes128Soft;
 
 /// Tri-state: 2 = unset (consult the environment), 1 = portable only,
@@ -96,7 +95,8 @@ enum Backend {
 
 /// The default AES-128 block engine (hardware when available, T-tables
 /// otherwise). Drop-in replacement for the old from-scratch `Aes128`; the
-/// reference implementation lives on as [`Aes128Reference`].
+/// reference implementation lives on as
+/// [`Aes128Reference`](crate::Aes128Reference).
 ///
 /// ```
 /// use dewrite_crypto::{Aes128, Aes128Reference};
@@ -141,7 +141,7 @@ impl Aes128 {
     }
 
     /// Build the hardware engine, or `None` when the CPU lacks AES-NI.
-    /// Ignores the portable override (callers use it to benchmark backends
+    /// Ignores the portable override (tests use it to run both backends
     /// side by side).
     pub fn hardware(key: &[u8; 16]) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
@@ -157,8 +157,9 @@ impl Aes128 {
     /// A copy of this engine whose counter-mode pad is confined to the
     /// 8-lane AES-NI leg. `None` unless this engine's pad takes the
     /// VAES-512 leg — so `Some` also says the wide leg is live here. For
-    /// timing and testing the two hardware legs side by side.
-    pub fn eight_lane_pad(&self) -> Option<Self> {
+    /// testing the two hardware legs side by side.
+    #[cfg(test)]
+    fn eight_lane_pad(&self) -> Option<Self> {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::Ni(ni) => ni.eight_lane().map(|ni| Aes128 {
@@ -204,7 +205,7 @@ impl Aes128 {
     /// eight blocks (sixteen, with VAES-512) through the rounds side by
     /// side, the T-table leg loops over its block function — so line
     /// encryption never dispatches per 16 bytes.
-    pub fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
         match &self.backend {
             Backend::Soft(s) => {
                 for (i, chunk) in buf.chunks_mut(16).enumerate() {
@@ -218,17 +219,12 @@ impl Aes128 {
             Backend::Ni(ni) => ni.ctr_xor(addr, counter, buf),
         }
     }
-
-    /// Encrypt a block with the reference oracle (differential-test
-    /// convenience).
-    pub fn reference(key: &[u8; 16]) -> Aes128Reference {
-        Aes128Reference::new(key)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Aes128Reference;
     use proptest::prelude::*;
 
     // The only test that may touch the process-wide override: tests run

@@ -35,8 +35,8 @@ mod cache;
 mod core_model;
 mod hierarchy;
 pub mod hint;
-#[doc(hidden)]
-pub mod seed;
+#[cfg(test)]
+mod seed;
 mod stats;
 
 pub use cache::{CacheConfig, CacheStats, Evicted, MetadataCache, Replacement};

@@ -1,10 +1,8 @@
 //! The seed (pre-flat) metadata cache, retained verbatim as an **oracle**.
 //!
 //! This is the `Vec<Vec<Way>>` implementation the flat tag/way-array cache
-//! in [`crate::cache`] replaced. It is kept — hidden from docs, but
-//! compiled into the library — for the differential proptests in
-//! `cache.rs` and as the `cache_access` speedup baseline in the `hotpath`
-//! benchmark binary. Do not use it in product code paths.
+//! in [`crate::cache`] replaced. It is compiled for tests only, as the
+//! oracle of the differential proptests in `cache.rs`.
 
 use crate::cache::{CacheConfig, CacheStats, Evicted, Replacement};
 
@@ -42,11 +40,6 @@ impl SeedMetadataCache {
             clock: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     fn set_of(&self, key: u64) -> usize {

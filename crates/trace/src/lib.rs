@@ -46,7 +46,7 @@ pub use apps::{
     all_apps, app_by_name, dup_flood, scan_adversary, worst_case, PARSEC_APPS, SPEC_APPS,
 };
 pub use generator::TraceGenerator;
-pub use partition::{partition_records, shard_of_line};
+pub use partition::shard_of_line;
 pub use profile::{AppProfile, Suite};
 pub use record::{TraceOp, TraceReader, TraceRecord, TraceWriter, TRACE_MAGIC, TRACE_VERSION};
 pub use zipf::Zipf;

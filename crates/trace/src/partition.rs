@@ -5,15 +5,8 @@
 //! `a mod N`. Interleaving (rather than contiguous slicing) spreads the
 //! generators' sequential-address bursts evenly across shards, so a
 //! closed-loop client keeps every shard busy.
-//!
-//! [`partition_records`] splits one trace into N per-shard feeds while
-//! preserving each shard's relative operation order — the property that
-//! makes sharded runs deterministic: shard `s`'s controller state is a
-//! pure function of feed `s`, independent of thread scheduling.
 
 use dewrite_nvm::LineAddr;
-
-use crate::record::TraceRecord;
 
 /// The shard that owns `addr` under `shards`-way address interleaving.
 ///
@@ -25,47 +18,9 @@ pub fn shard_of_line(addr: LineAddr, shards: usize) -> usize {
     (addr.index() % shards as u64) as usize
 }
 
-/// Split `records` into `shards` per-shard feeds, routing every record by
-/// [`shard_of_line`] on its target address and preserving relative order
-/// within each feed.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn partition_records(records: &[TraceRecord], shards: usize) -> Vec<Vec<TraceRecord>> {
-    assert!(shards > 0, "shard count must be non-zero");
-    let mut feeds: Vec<Vec<TraceRecord>> = vec![Vec::new(); shards];
-    // Pre-size: an even split is the common case under interleaving.
-    let hint = records.len() / shards + 1;
-    for feed in &mut feeds {
-        feed.reserve(hint);
-    }
-    for rec in records {
-        feeds[shard_of_line(rec.op.addr(), shards)].push(rec.clone());
-    }
-    feeds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceOp;
-
-    fn rec(addr: u64) -> TraceRecord {
-        TraceRecord {
-            gap_instructions: addr as u32,
-            op: if addr.is_multiple_of(3) {
-                TraceOp::Read {
-                    addr: LineAddr::new(addr),
-                }
-            } else {
-                TraceOp::Write {
-                    addr: LineAddr::new(addr),
-                    data: vec![addr as u8; 16],
-                }
-            },
-        }
-    }
 
     #[test]
     fn routing_is_address_interleaved() {
@@ -73,30 +28,5 @@ mod tests {
         assert_eq!(shard_of_line(LineAddr::new(7), 4), 3);
         assert_eq!(shard_of_line(LineAddr::new(8), 4), 0);
         assert_eq!(shard_of_line(LineAddr::new(5), 1), 0);
-    }
-
-    #[test]
-    fn feeds_preserve_order_and_lose_nothing() {
-        let trace: Vec<TraceRecord> = [5u64, 0, 1, 9, 4, 13, 2, 8, 0, 5].map(rec).to_vec();
-        let feeds = partition_records(&trace, 4);
-        assert_eq!(feeds.iter().map(Vec::len).sum::<usize>(), trace.len());
-        for (s, feed) in feeds.iter().enumerate() {
-            // Every record landed on its owner...
-            assert!(feed.iter().all(|r| shard_of_line(r.op.addr(), 4) == s));
-            // ...in original relative order.
-            let expect: Vec<&TraceRecord> = trace
-                .iter()
-                .filter(|r| shard_of_line(r.op.addr(), 4) == s)
-                .collect();
-            assert_eq!(feed.iter().collect::<Vec<_>>(), expect);
-        }
-    }
-
-    #[test]
-    fn single_shard_is_the_identity() {
-        let trace: Vec<TraceRecord> = (0..10u64).map(rec).collect();
-        let feeds = partition_records(&trace, 1);
-        assert_eq!(feeds.len(), 1);
-        assert_eq!(feeds[0], trace);
     }
 }
