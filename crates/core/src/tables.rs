@@ -22,7 +22,9 @@
 //! * [`HashTable`] is a SwissTable-style open-addressing table with **one
 //!   slot per digest**: one control byte per slot (a 7-bit tag, or
 //!   empty/tombstone), probed a 16-byte group at a time with a portable u64
-//!   SWAR scan (`DEWRITE_PORTABLE=1` forces a byte loop), amortised rehash.
+//!   SWAR scan (`DEWRITE_PORTABLE=1` forces a byte loop); at 7/8 of slots
+//!   used it doubles if a tombstone purge would leave over 3/4 live, else
+//!   purges in place.
 //!   A one-entry bucket lives inline in its `{digest, real, reference}`
 //!   slot; two or more entries (CRC collisions, saturated residues) spill
 //!   to a contiguous side bucket that *is* the seed's `Vec` bucket — `push`
@@ -208,6 +210,19 @@ pub struct HashTable {
     pos: Vec<u32>,
     collision_buckets: u64,
     saturated_hits: u64,
+    #[cfg(test)]
+    rehashes: Rehashes,
+}
+
+/// Every rehash one table has made, for the growth-rule tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Rehashes {
+    doublings: u64,
+    /// Same-size rehashes, which only drop tombstones.
+    purges: u64,
+    /// Full slots re-placed, summed over all rehashes.
+    moved: u64,
 }
 
 /// One slot's payload, array-of-structs so that verifying a probe hit and
@@ -251,6 +266,8 @@ impl HashTable {
             pos: Vec::new(),
             collision_buckets: 0,
             saturated_hits: 0,
+            #[cfg(test)]
+            rehashes: Rehashes::default(),
         }
     }
 
@@ -467,6 +484,15 @@ impl HashTable {
     /// Grow (or retension, dropping tombstones) the slot arrays; side
     /// buckets stay where they are.
     fn rehash(&mut self, new_groups: usize) {
+        #[cfg(test)]
+        {
+            if new_groups == self.groups {
+                self.rehashes.purges += 1;
+            } else {
+                self.rehashes.doublings += 1;
+            }
+            self.rehashes.moved += self.live as u64;
+        }
         let slots = new_groups * GROUP;
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![CTRL_EMPTY; slots].into());
         let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); slots].into());
@@ -512,10 +538,13 @@ impl HashTable {
         let real = real.index();
         self.entries += 1;
         let Some(slot) = self.find(digest) else {
-            // Amortised growth: keep at least 1/8 of slots truly empty so
-            // probe chains terminate and stay short.
+            // Keep at least 1/8 of slots truly empty so probe chains
+            // terminate and stay short. Double when a purge would leave
+            // over 3/4 of the slots live: it would free under 1/8 of them
+            // and fire again soon. Otherwise purge in place, reclaiming
+            // over 1/8. Either way every rehash is amortised O(1).
             if (self.used + 1) * 8 > self.ctrl.len() * 7 {
-                let new_groups = if (self.live + 1) * 8 > self.ctrl.len() * 7 {
+                let new_groups = if (self.live + 1) * 4 > self.ctrl.len() * 3 {
                     self.groups * 2
                 } else {
                     self.groups // tombstone purge only
@@ -1204,6 +1233,160 @@ mod tests {
             }
         }
         assert_eq!(t.len(), LIVE as usize);
+    }
+
+    /// Insert/remove churn for the growth-rule tests: an ascending set of
+    /// keys is inserted first, then fresh keys come in and random live
+    /// ones go out.
+    struct Churn {
+        table: HashTable,
+        live: Vec<u64>,
+        next: u64,
+        x: u64,
+    }
+
+    impl Churn {
+        fn digest(key: u64) -> u64 {
+            key.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 7
+        }
+
+        fn new(keys: Vec<u64>) -> Self {
+            let mut table = HashTable::new();
+            for &key in &keys {
+                table.insert(Self::digest(key), l(key));
+            }
+            Churn {
+                table,
+                next: keys.last().map_or(0, |&key| key + 1),
+                live: keys,
+                x: 0x1234_5678_9abc_def0,
+            }
+        }
+
+        /// The next xorshift draw.
+        fn roll(&mut self) -> u64 {
+            self.x ^= self.x << 13;
+            self.x ^= self.x >> 7;
+            self.x ^= self.x << 17;
+            self.x
+        }
+
+        fn insert_fresh(&mut self) {
+            let key = self.next;
+            self.next += 1;
+            self.table.insert(Self::digest(key), l(key));
+            self.live.push(key);
+        }
+
+        /// Release a random live key.
+        fn remove_one(&mut self) {
+            let pick = self.roll() % self.live.len() as u64;
+            let gone = self.live.swap_remove(pick as usize);
+            assert_eq!(self.table.release_reference(Self::digest(gone), l(gone)), 0);
+        }
+
+        /// Run `pairs` insert/remove pairs at constant population; `check`
+        /// sees the table after each one.
+        fn pairs(&mut self, pairs: u64, mut check: impl FnMut(&HashTable, u64)) {
+            for pair in 0..pairs {
+                self.insert_fresh();
+                self.remove_one();
+                check(&self.table, pair);
+            }
+        }
+
+        fn assert_live_findable(&self) {
+            for &key in &self.live {
+                assert_eq!(self.table.reference(Self::digest(key), l(key)), Some(1));
+            }
+            assert_eq!(self.table.len(), self.live.len());
+        }
+    }
+
+    #[test]
+    fn churn_above_three_quarters_doubles_once_and_never_purges() {
+        // 1 638 live digests in 2 048 slots, between 3/4 and 7/8 full. A
+        // purge here frees only the few tombstones left since the last
+        // one, so it would fire again within a few pairs.
+        const LIVE: u64 = 1_638;
+        let mut churn = Churn::new((0..LIVE).collect());
+        let slots = churn.table.ctrl.len();
+        assert_eq!(slots, 2_048);
+        assert!(LIVE as usize * 4 > slots * 3 && LIVE as usize * 8 < slots * 7);
+        let before = churn.table.rehashes;
+        assert_eq!(before.purges, 0, "filling never purges");
+        churn.pairs(100_000, |t, pair| {
+            assert_eq!(t.rehashes.purges, 0, "pair {pair}: same-size purge");
+            assert!(
+                t.rehashes.doublings - before.doublings <= 1,
+                "pair {pair}: doubled twice at constant population"
+            );
+        });
+        churn.assert_live_findable();
+    }
+
+    #[test]
+    fn churn_at_a_quarter_purges_in_place_and_never_grows() {
+        // Fill 2 048 slots to 7/8 with digests that all start probing in
+        // group 0, so their chain's groups fill completely, then drop to
+        // 512 live: every removal leaves a tombstone. The first fresh
+        // digest to land on a never-used lane then finds 7/8 of the slots
+        // used at 1/4 live, and the table must purge, not grow.
+        let mut sized = HashTable::new();
+        sized.rehash(2_048 / GROUP);
+        let homed: Vec<u64> = (0..)
+            .filter(|&key| sized.tag_and_start(Churn::digest(key)).1 == 0)
+            .take(1_792)
+            .collect();
+        let mut churn = Churn::new(homed);
+        let slots = churn.table.ctrl.len();
+        assert_eq!(slots, 2_048);
+        while churn.live.len() > slots / 4 {
+            churn.remove_one();
+        }
+        assert_eq!(churn.table.used, 1_792, "a removal un-used a lane");
+        let doublings = churn.table.rehashes.doublings;
+        churn.pairs(1_000_000, |t, pair| {
+            assert_eq!(t.ctrl.len(), slots, "pair {pair}: table resized");
+        });
+        assert_eq!(churn.table.rehashes.doublings, doublings);
+        assert!(churn.table.rehashes.purges > 0, "no tombstone was purged");
+        churn.assert_live_findable();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn rehash_work_is_amortised_over_inserts_and_removes(
+            phases in proptest::collection::vec((0u32..3_000, 0u64..=8), 1..6),
+            seed in any::<u64>(),
+        ) {
+            // Each phase runs `steps` steps that insert a fresh key with
+            // probability `eighths / 8` and otherwise remove a random live
+            // one: climbs, plateaus at any load and drains, in any order.
+            let mut churn = Churn::new(Vec::new());
+            churn.x = seed | 1;
+            let mut ops = 0u64;
+            for (steps, eighths) in phases {
+                for _ in 0..steps {
+                    if churn.roll() % 8 < eighths {
+                        churn.insert_fresh();
+                    } else if !churn.live.is_empty() {
+                        churn.remove_one();
+                    } else {
+                        continue;
+                    }
+                    ops += 1;
+                    let moved = churn.table.rehashes.moved;
+                    prop_assert!(
+                        moved <= 8 * ops,
+                        "{moved} slots moved by rehashes after {ops} inserts and removes"
+                    );
+                }
+            }
+            churn.assert_live_findable();
+        }
     }
 
     #[test]
