@@ -1,16 +1,36 @@
-//! Reference AES-128 block cipher (FIPS-197), implemented from scratch.
+//! AES-128 (FIPS-197) from scratch: the S-boxes and key schedule every
+//! backend shares, and a test-only reference cipher.
 //!
-//! This is a straightforward table-free software implementation: S-box /
-//! inverse S-box lookups, `xtime` for the MixColumns field multiplications,
-//! and on-the-fly key expansion at construction. It is not constant-time and
-//! is not intended for protecting real data — it exists so the simulator
-//! computes *real ciphertext bytes*, which the bit-flip experiments
-//! (Fig. 13) measure directly.
+//! The reference cipher is a straightforward table-free software
+//! implementation: S-box / inverse S-box lookups, `xtime` for the
+//! MixColumns field multiplications, and on-the-fly key expansion at
+//! construction. It is not constant-time and is not intended for protecting
+//! real data. The simulator runs on [`crate::Aes128`], which dispatches to
+//! a T-table or AES-NI backend; the reference cipher is compiled only into
+//! this crate's tests, as the *oracle* that every fast backend is
+//! differentially tested against.
 //!
-//! Since the hot-path overhaul this is no longer the engine the simulator
-//! runs on ([`crate::Aes128`] dispatches to a T-table or AES-NI backend);
-//! it is retained as the *oracle* that every fast backend is differentially
-//! tested against.
+//! Every backend computes *real ciphertext bytes*, which the bit-flip
+//! experiments (Fig. 13) measure directly — FIPS-197 Appendix B:
+//!
+//! ```
+//! use dewrite_crypto::Aes128;
+//! let key = [
+//!     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, //
+//!     0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
+//! ];
+//! let pt = [
+//!     0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, //
+//!     0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07, 0x34,
+//! ];
+//! let ct = [
+//!     0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, //
+//!     0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a, 0x0b, 0x32,
+//! ];
+//! let aes = Aes128::new(&key);
+//! assert_eq!(aes.encrypt_block(&pt), ct);
+//! assert_eq!(aes.decrypt_block(&ct), pt);
+//! ```
 
 /// The AES S-box.
 pub(crate) const SBOX: [u8; 256] = [
@@ -56,12 +76,14 @@ pub(crate) const INV_SBOX: [u8; 256] = [
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Multiply by x (i.e. {02}) in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
+#[cfg(test)]
 #[inline]
 fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
 }
 
 /// GF(2^8) multiplication via repeated xtime.
+#[cfg(test)]
 #[inline]
 fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
@@ -105,21 +127,14 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
 }
 
 /// An expanded AES-128 key schedule (11 round keys), reference
-/// implementation.
-///
-/// ```
-/// use dewrite_crypto::Aes128Reference;
-/// let key = [0u8; 16];
-/// let aes = Aes128Reference::new(&key);
-/// let pt = [0u8; 16];
-/// let ct = aes.encrypt_block(&pt);
-/// assert_eq!(aes.decrypt_block(&ct), pt);
-/// ```
+/// implementation: the oracle every fast backend is tested against.
+#[cfg(test)]
 #[derive(Clone)]
-pub struct Aes128Reference {
+pub(crate) struct Aes128Reference {
     round_keys: [[u8; 16]; 11],
 }
 
+#[cfg(test)]
 impl std::fmt::Debug for Aes128Reference {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
@@ -129,9 +144,10 @@ impl std::fmt::Debug for Aes128Reference {
     }
 }
 
+#[cfg(test)]
 impl Aes128Reference {
     /// Expand `key` into the 11-round key schedule.
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         Aes128Reference {
             round_keys: expand_key(key),
         }
@@ -222,7 +238,7 @@ impl Aes128Reference {
     }
 
     /// Encrypt one 16-byte block.
-    pub fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
+    pub(crate) fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
         let mut state = *plaintext;
         Self::add_round_key(&mut state, &self.round_keys[0]);
         for round in 1..10 {
@@ -238,7 +254,7 @@ impl Aes128Reference {
     }
 
     /// Decrypt one 16-byte block.
-    pub fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
+    pub(crate) fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
         let mut state = *ciphertext;
         Self::add_round_key(&mut state, &self.round_keys[10]);
         for round in (1..10).rev() {

@@ -7,8 +7,8 @@
 //! 2. **T-tables** ([`crate::ttable`]) otherwise — the portable fast path.
 //!
 //! Every backend expands the same key schedule and produces bit-identical
-//! ciphertext (enforced by differential proptests against the
-//! [`Aes128Reference`](crate::Aes128Reference) oracle), so backend choice
+//! ciphertext (enforced by differential proptests against the test-only
+//! from-scratch reference cipher in `aes.rs`), so backend choice
 //! can never change simulation results — only host speed.
 //!
 //! The counter-mode pad (`Aes128::ctr_xor`) is made three ways. The
@@ -94,18 +94,19 @@ enum Backend {
 }
 
 /// The default AES-128 block engine (hardware when available, T-tables
-/// otherwise). Drop-in replacement for the old from-scratch `Aes128`; the
-/// reference implementation lives on as
-/// [`Aes128Reference`](crate::Aes128Reference).
+/// otherwise). FIPS-197 Appendix C.1, on whichever backend the host picks:
 ///
 /// ```
-/// use dewrite_crypto::{Aes128, Aes128Reference};
-/// let key = [7u8; 16];
-/// let fast = Aes128::new(&key);
-/// let oracle = Aes128Reference::new(&key);
-/// let pt = [0x42u8; 16];
-/// assert_eq!(fast.encrypt_block(&pt), oracle.encrypt_block(&pt));
-/// assert_eq!(fast.decrypt_block(&fast.encrypt_block(&pt)), pt);
+/// use dewrite_crypto::Aes128;
+/// let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+/// let pt: [u8; 16] = std::array::from_fn(|i| i as u8 * 0x11);
+/// let ct = [
+///     0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, //
+///     0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a,
+/// ];
+/// let aes = Aes128::new(&key);
+/// assert_eq!(aes.encrypt_block(&pt), ct);
+/// assert_eq!(aes.decrypt_block(&ct), pt);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {

@@ -15,8 +15,8 @@
 //! The block cipher is AES-128 with three interchangeable backends behind
 //! the [`Aes128`] dispatcher: precomputed T-tables (portable fast path),
 //! AES-NI (runtime-detected on x86-64), and a from-scratch FIPS-197
-//! implementation ([`Aes128Reference`]) retained as the oracle every fast
-//! backend is differentially tested against. All backends produce identical
+//! implementation compiled only into this crate's tests, as the oracle every
+//! fast backend is differentially tested against. All backends produce identical
 //! ciphertext; backend choice only changes *host* speed, never simulated
 //! results. Real ciphertext is produced so that diffusion effects — the
 //! reason bit-level write-reduction schemes fail on encrypted NVM — are
@@ -51,7 +51,8 @@ mod dispatch;
 mod engine;
 mod ttable;
 
-pub use aes::Aes128Reference;
+#[cfg(test)]
+pub(crate) use aes::Aes128Reference;
 pub use counter::{LineCounter, COUNTER_BITS, COUNTER_MAX};
 pub use dispatch::{portable_only, set_portable_only, Aes128, AesBackend};
 pub use engine::{

@@ -649,7 +649,11 @@ mod tests {
                     let mut config = config_for(shards, lines, records.len());
                     config.producers = producers;
                     config.cache_policy = policy;
+                    config.scrub = true;
                     let run = run(&config, "mcf", records.clone());
+                    for s in &run.shards {
+                        assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
+                    }
                     let json = run.merged.to_json().to_string();
                     match &reference {
                         None => reference = Some(json),

@@ -36,9 +36,11 @@ OPTIONS:
     std::process::exit(2)
 }
 
-fn parse_num(s: &str, flag: &str) -> usize {
+/// Parse `s` straight into the flag's own type, so an out-of-range value
+/// is refused rather than truncated.
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: '{s}' is not a number");
+        eprintln!("{flag}: '{s}' is not a number in range");
         usage()
     })
 }
@@ -59,14 +61,14 @@ fn parse(args: &[String]) -> ServeOptions {
             "--addr" => o.addr = value("--addr"),
             "--shards" => o.shards = parse_num(&value("--shards"), "--shards"),
             "--threads" => o.threads = parse_num(&value("--threads"), "--threads"),
-            "--window" => o.window = parse_num(&value("--window"), "--window") as u32,
+            "--window" => o.window = parse_num(&value("--window"), "--window"),
             "--queue-depth" => o.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth"),
             "--persist-dir" => o.persist_dir = Some(PathBuf::from(value("--persist-dir"))),
             "--persist-epoch" => {
-                o.persist_epoch = parse_num(&value("--persist-epoch"), "--persist-epoch") as u32
+                o.persist_epoch = parse_num(&value("--persist-epoch"), "--persist-epoch")
             }
             "--persist-sync" => o.persist_sync = true,
-            "--max-lines" => o.max_lines = parse_num(&value("--max-lines"), "--max-lines") as u64,
+            "--max-lines" => o.max_lines = parse_num(&value("--max-lines"), "--max-lines"),
             "-h" | "--help" => usage(),
             other => {
                 eprintln!("unknown flag {other}");

@@ -2,7 +2,7 @@
 //! truncation at every offset, single-bit flips, oversized/zero length
 //! prefixes, unknown tags, and a byte-dribbled multi-frame stream.
 //!
-//! Run by name in CI on both `DEWRITE_PORTABLE` legs. The invariant
+//! Every test here is on `.github/required-tests.txt`. The invariant
 //! under test: a malformed frame is *always* a typed error (or
 //! `Incomplete`), never a panic, never a silently different message,
 //! and never a desynchronized stream.
