@@ -199,7 +199,8 @@ pub struct HashTable {
     /// Slots that are not `CTRL_EMPTY` (full + tombstones) — the load the
     /// probe-termination guarantee depends on.
     used: usize,
-    /// Spilled buckets, indexed by their slot's `real` field.
+    /// Spilled buckets, indexed by their slot's `real` field. Those listed
+    /// in `side_free` are empty and keep their capacity for the next spill.
     side: Vec<SideBucket>,
     side_free: Vec<usize>,
     /// `real → index` within the spilled bucket that holds it, written
@@ -580,16 +581,16 @@ impl HashTable {
             self.set_pos(real, index);
         } else {
             // The bucket just reached two entries (seed: `bucket.len() == 2`).
+            // A freed side bucket is empty but keeps its vectors' capacity,
+            // so spill/fold churn stops allocating once warm.
             self.collision_buckets += 1;
-            let bucket = SideBucket {
-                reals: vec![s.real, real],
-                refs: vec![s.reference, reference],
-            };
             let id = self.side_free.pop().unwrap_or_else(|| {
                 self.side.push(SideBucket::default());
                 self.side.len() - 1
             });
-            self.side[id] = bucket;
+            let bucket = &mut self.side[id];
+            bucket.reals.extend([s.real, real]);
+            bucket.refs.extend([s.reference, reference]);
             self.slots[slot].real = id as u64;
             self.slots[slot].spilled = true;
             self.set_pos(s.real, 0);
@@ -686,7 +687,8 @@ impl HashTable {
                 reference: side.refs[0],
                 spilled: false,
             };
-            *side = SideBucket::default();
+            side.reals.clear();
+            side.refs.clear();
             self.side_free.push(id);
         } else if let Some(&moved) = side.reals.get(index) {
             self.pos[moved as usize] = index as u32;

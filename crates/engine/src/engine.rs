@@ -49,9 +49,10 @@ pub struct EngineConfig {
     /// Arena slots per shard (owned lines + saturated-residue slack).
     pub slots_per_shard: u64,
     /// A quarter of the per-shard reorder window of
-    /// [`EngineService`](crate::EngineService): how many out-of-order
-    /// requests a shard holds before rejecting new ones. Unused by [`run`],
-    /// which has no queue.
+    /// [`EngineService`](crate::EngineService), which is a distance: a
+    /// request less than `4 × queue_depth` sequence numbers ahead of its
+    /// shard's next waits in a ring of that many slots, one farther ahead
+    /// is rejected. Unused by [`run`], which has no queue.
     pub queue_depth: usize,
     /// Memory-encryption key.
     pub key: [u8; 16],

@@ -43,6 +43,6 @@ pub use dewrite_core::DigestMode;
 pub use dewrite_mem::{CacheStats, Replacement};
 pub use engine::{run, Backoff, EngineConfig, EngineRun, ShardSummary};
 pub use service::{
-    Completion, CompletionBody, EngineService, ServiceOp, ServiceRequest, CONTROL_SEQ,
+    Completion, CompletionBody, DataOp, EngineService, ServiceOp, ServiceRequest, CONTROL_SEQ,
 };
 pub use shard::{FsmPolicy, ShardController, ShardWrite, MAX_CANDIDATE_COMPARES};

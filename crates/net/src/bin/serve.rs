@@ -24,7 +24,8 @@ OPTIONS:
     --shards N           controller shards (default 4)
     --threads N          event-loop lanes; 0 = all hardware threads (default 0)
     --window N           per-connection in-flight window (default 64)
-    --queue-depth N      sizes the per-shard reorder window (4x) and the
+    --queue-depth N      sizes the per-shard reorder window (a request may
+                         arrive up to 4N-1 sequence numbers early) and the
                          lanes' completion queues (default 1024)
     --persist-dir DIR    crash-consistent metadata persistence root
                          (each engine generation under gen-<n>/shard-<id>/)

@@ -194,6 +194,81 @@ pub enum Request {
     Shutdown,
 }
 
+/// A decoded [`Request`] that borrows from its frame: a `Write`'s line is
+/// a view into the payload, not a copy ([`decode_request_ref`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// Handshake.
+    Hello(Hello),
+    /// Store a line.
+    Write {
+        /// Target line index.
+        addr: u64,
+        /// Index within the owning shard's subsequence of the trace.
+        shard_seq: u64,
+        /// Instruction gap since the previous record.
+        gap: u32,
+        /// Line content, borrowed from the payload.
+        data: &'a [u8],
+    },
+    /// Read a line.
+    Read {
+        /// Target line index.
+        addr: u64,
+        /// Index within the owning shard's subsequence of the trace.
+        shard_seq: u64,
+        /// Instruction gap since the previous record.
+        gap: u32,
+    },
+    /// As [`Request::Scrub`].
+    Scrub,
+    /// As [`Request::Stats`].
+    Stats,
+    /// As [`Request::Flush`].
+    Flush,
+    /// As [`Request::Report`].
+    Report,
+    /// As [`Request::Reset`].
+    Reset,
+    /// As [`Request::Shutdown`].
+    Shutdown,
+}
+
+impl RequestRef<'_> {
+    /// The owned request, copying a `Write`'s line.
+    pub fn into_request(self) -> Request {
+        match self {
+            RequestRef::Hello(h) => Request::Hello(h),
+            RequestRef::Write {
+                addr,
+                shard_seq,
+                gap,
+                data,
+            } => Request::Write {
+                addr,
+                shard_seq,
+                gap,
+                data: data.to_vec(),
+            },
+            RequestRef::Read {
+                addr,
+                shard_seq,
+                gap,
+            } => Request::Read {
+                addr,
+                shard_seq,
+                gap,
+            },
+            RequestRef::Scrub => Request::Scrub,
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Flush => Request::Flush,
+            RequestRef::Report => Request::Report,
+            RequestRef::Reset => Request::Reset,
+            RequestRef::Shutdown => Request::Shutdown,
+        }
+    }
+}
+
 /// Typed error codes carried by [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -453,64 +528,94 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
     encode_frame(&p)
 }
 
-/// Decode a request payload (already CRC-verified by [`next_frame`]).
+/// Decode a request payload (already CRC-verified by [`next_frame`]) into
+/// an owned [`Request`]: [`decode_request_ref`], with a `Write`'s line
+/// copied.
 ///
 /// # Errors
 ///
 /// A description of the violation — contained to this frame; the stream
 /// stays aligned.
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
+    decode_request_ref(payload)
+        .map(RequestRef::into_request)
+        .map_err(|(_, detail)| detail)
+}
+
+/// Decode a request payload (already CRC-verified by [`next_frame`])
+/// without copying it: a `Write` borrows its line from `payload`.
+///
+/// # Errors
+///
+/// The code to answer with — [`ErrorCode::UnknownOp`] for an unknown tag,
+/// [`ErrorCode::BadPayload`] for any other violation — and a description.
+/// Contained to this frame; the stream stays aligned.
+pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRef<'_>, (ErrorCode, String)> {
+    let bad = |detail: String| (ErrorCode::BadPayload, detail);
     let mut c = Cursor::new(payload);
-    let tag = c.u8()?;
-    let req = match tag {
-        T_HELLO => {
-            let magic = c.take(4)?;
-            if magic != NET_MAGIC {
-                return Err(format!("bad magic {magic:02x?}, want {NET_MAGIC:02x?}"));
+    let req = match c.u8().map_err(bad)? {
+        T_HELLO => RequestRef::Hello(decode_hello(&mut c).map_err(bad)?),
+        T_WRITE => {
+            let (addr, shard_seq, gap) = data_head(&mut c).map_err(bad)?;
+            let data = c.bytes_u32(MAX_LINE_BYTES, "line payload").map_err(bad)?;
+            RequestRef::Write {
+                addr,
+                shard_seq,
+                gap,
+                data,
             }
-            let version = c.u16()?;
-            if version != NET_VERSION {
-                return Err(format!(
-                    "protocol version {version}, server speaks {NET_VERSION}"
-                ));
-            }
-            let line_size = c.u32()?;
-            let lines = c.u64()?;
-            let expected_writes = c.u64()?;
-            let cache_policy = c.u8()?;
-            let digest_mode = c.u8()?;
-            let app = utf8(c.bytes_u16(MAX_APP_BYTES, "app name")?, "app name")?;
-            Request::Hello(Hello {
-                version,
-                line_size,
-                lines,
-                expected_writes,
-                cache_policy,
-                digest_mode,
-                app,
-            })
         }
-        T_WRITE => Request::Write {
-            addr: c.u64()?,
-            shard_seq: c.u64()?,
-            gap: c.u32()?,
-            data: c.bytes_u32(MAX_LINE_BYTES, "line payload")?.to_vec(),
-        },
-        T_READ => Request::Read {
-            addr: c.u64()?,
-            shard_seq: c.u64()?,
-            gap: c.u32()?,
-        },
-        T_SCRUB => Request::Scrub,
-        T_STATS => Request::Stats,
-        T_FLUSH => Request::Flush,
-        T_REPORT => Request::Report,
-        T_RESET => Request::Reset,
-        T_SHUTDOWN => Request::Shutdown,
-        other => return Err(format!("unknown request tag {other:#04x}")),
+        T_READ => {
+            let (addr, shard_seq, gap) = data_head(&mut c).map_err(bad)?;
+            RequestRef::Read {
+                addr,
+                shard_seq,
+                gap,
+            }
+        }
+        T_SCRUB => RequestRef::Scrub,
+        T_STATS => RequestRef::Stats,
+        T_FLUSH => RequestRef::Flush,
+        T_REPORT => RequestRef::Report,
+        T_RESET => RequestRef::Reset,
+        T_SHUTDOWN => RequestRef::Shutdown,
+        other => {
+            return Err((
+                ErrorCode::UnknownOp,
+                format!("unknown request tag {other:#04x}"),
+            ))
+        }
     };
-    c.finish()?;
+    c.finish().map_err(bad)?;
     Ok(req)
+}
+
+/// A `Hello` body: magic and version first, each checked before the rest.
+fn decode_hello(c: &mut Cursor<'_>) -> Result<Hello, String> {
+    let magic = c.take(4)?;
+    if magic != NET_MAGIC {
+        return Err(format!("bad magic {magic:02x?}, want {NET_MAGIC:02x?}"));
+    }
+    let version = c.u16()?;
+    if version != NET_VERSION {
+        return Err(format!(
+            "protocol version {version}, server speaks {NET_VERSION}"
+        ));
+    }
+    Ok(Hello {
+        version,
+        line_size: c.u32()?,
+        lines: c.u64()?,
+        expected_writes: c.u64()?,
+        cache_policy: c.u8()?,
+        digest_mode: c.u8()?,
+        app: utf8(c.bytes_u16(MAX_APP_BYTES, "app name")?, "app name")?,
+    })
+}
+
+/// `addr · shard_seq · gap`, the head of a `Write` or `Read` body.
+fn data_head(c: &mut Cursor<'_>) -> Result<(u64, u64, u32), String> {
+    Ok((c.u64()?, c.u64()?, c.u32()?))
 }
 
 /// Encode a response as a complete frame (header + payload).

@@ -5,10 +5,12 @@
 //!
 //! `threads` **lanes** each own a disjoint set of connections and run the
 //! same sweep: retry back-pressured submits, read each socket once and
-//! decode its frames, drain the engine's completion queue for this lane,
+//! decode its frames in place (a `Write`'s line stays a slice of the
+//! receive buffer, copied only if the engine must hold it), drain the
+//! engine's completion queue for this lane,
 //! flush write buffers, then park on the engine's spin→yield→sleep
 //! [`Backoff`] when a sweep makes no progress. The lanes are the only
-//! serving threads: [`EngineService::try_submit`] runs the shard on the
+//! serving threads: [`EngineService::try_apply`] runs the shard on the
 //! lane that decoded the request (WAL appends and `persist_sync` included,
 //! and a control operation such as a checkpoint stalls that lane for its
 //! duration), so a request is read, executed and answered within one
@@ -22,10 +24,10 @@
 //!
 //! Responses stream back to each connection strictly in request order:
 //! every decoded request takes the connection's next `conn_seq`, and
-//! out-of-order completions park in a per-connection reorder map until
-//! their turn. When the lane's completion queue is full,
-//! [`EngineService::try_submit`]
-//! hands the request back; the lane parks it on the connection's pending
+//! out-of-order completions park in a per-connection ring of `window`
+//! response slots until their turn. When the lane's
+//! completion queue is full, [`EngineService::try_apply`] refuses the
+//! request; the lane copies it and parks it on the connection's pending
 //! queue and **stops reading that socket** (its buffered frames stay
 //! undecoded), so TCP flow control propagates the stall to the client —
 //! back-pressure end to end, no unbounded buffering anywhere.
@@ -43,7 +45,7 @@
 //! kills the engine *without* flushing — the crash-recovery tests' kill
 //! switch.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -54,14 +56,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam_queue::ArrayQueue;
 use dewrite_engine::{
-    Backoff, Completion, CompletionBody, DigestMode, EngineConfig, EngineRun, EngineService,
-    Replacement, ServiceOp, ServiceRequest, CONTROL_SEQ,
+    Backoff, Completion, CompletionBody, DataOp, DigestMode, EngineConfig, EngineRun,
+    EngineService, Replacement, ServiceOp, ServiceRequest, CONTROL_SEQ,
 };
 use dewrite_nvm::LineAddr;
 use dewrite_trace::shard_of_line;
 
 use crate::proto::{
-    self, ErrorCode, FrameEvent, Hello, Request, Response, MAX_LINE_BYTES, NET_VERSION,
+    self, ErrorCode, FrameEvent, Hello, RequestRef, Response, MAX_LINE_BYTES, NET_VERSION,
 };
 
 /// Server configuration.
@@ -77,7 +79,8 @@ pub struct ServeOptions {
     /// Per-connection in-flight window the server enforces (frames
     /// decoded but not yet answered).
     pub window: u32,
-    /// Sizes the engine's per-shard reorder window (4x) and the lanes'
+    /// Sizes the engine's per-shard reorder window (a request may arrive
+    /// up to `4 × queue_depth − 1` sequence numbers early) and the lanes'
     /// completion queues.
     pub queue_depth: usize,
     /// Root for crash-consistent metadata persistence; each engine
@@ -243,8 +246,14 @@ struct Conn {
     next_assign: u64,
     /// Next `conn_seq` whose response moves to the write buffer.
     next_emit: u64,
-    /// Encoded responses waiting for their in-order turn.
-    parked: BTreeMap<u64, Vec<u8>>,
+    /// Responses that completed ahead of their turn, at slot
+    /// `conn_seq % window`: the decode gate keeps `conn_seq − next_emit`
+    /// below the window, so the slot is free. Sized on the first such
+    /// response; a response is encoded once, straight into `wbuf`, when
+    /// its turn comes.
+    parked: Vec<Option<Response>>,
+    /// Occupied `parked` slots.
+    parked_count: usize,
     /// Requests handed back by a full shard queue, retried each sweep.
     pending: VecDeque<ServiceRequest>,
     /// Control broadcasts in flight, keyed by `conn_seq`.
@@ -271,7 +280,8 @@ impl Conn {
             wpos: 0,
             next_assign: 0,
             next_emit: 0,
-            parked: BTreeMap::new(),
+            parked: Vec::new(),
+            parked_count: 0,
             pending: VecDeque::new(),
             aggregates: HashMap::new(),
             live: 0,
@@ -356,27 +366,38 @@ impl Conns {
 
 /// Answer `conn_seq`: in its turn, encode straight into the write buffer
 /// and release every parked response behind it; ahead of its turn, park
-/// the encoded frame. A closed connection encodes nothing but still
-/// advances the in-order cursor so it can drain.
+/// it in its slot of the connection's ring. A closed connection encodes
+/// nothing but still advances the in-order cursor so it can drain.
 fn push_response(shared: &Shared, conn: &mut Conn, conn_seq: u64, resp: &Response) {
     if matches!(resp, Response::Error { .. }) {
         shared.errors.fetch_add(1, Ordering::Relaxed);
     }
     if conn_seq != conn.next_emit {
-        let frame = if conn.open {
-            proto::encode_response(resp)
-        } else {
-            Vec::new()
-        };
-        conn.parked.insert(conn_seq, frame);
+        if conn.parked.is_empty() {
+            conn.parked.resize(shared.opts.window as usize, None);
+        }
+        let ring = conn.parked.len() as u64;
+        let early = conn.parked[(conn_seq % ring) as usize].replace(resp.clone());
+        debug_assert!(
+            early.is_none(),
+            "conn_seq {conn_seq} is a window past its turn"
+        );
+        conn.parked_count += 1;
         return;
     }
     if conn.open {
         proto::encode_response_into(&mut conn.wbuf, resp);
     }
     conn.next_emit += 1;
-    while let Some(frame) = conn.parked.remove(&conn.next_emit) {
-        conn.wbuf.extend_from_slice(&frame);
+    while conn.parked_count > 0 {
+        let ring = conn.parked.len() as u64;
+        let Some(next) = conn.parked[(conn.next_emit % ring) as usize].take() else {
+            break;
+        };
+        conn.parked_count -= 1;
+        if conn.open {
+            proto::encode_response_into(&mut conn.wbuf, &next);
+        }
         conn.next_emit += 1;
     }
 }
@@ -498,13 +519,14 @@ impl Lane {
         }
     }
 
-    /// Submit to the engine or park on the connection's pending queue.
-    /// `in_flight` is raised *before* the push so the drain check never
-    /// observes a request that is in a queue but not yet counted.
-    fn submit(&self, conn: &mut Conn, svc: &EngineService, req: ServiceRequest) {
+    /// Count a submission in flight around `attempt`, and park what the
+    /// engine hands back on the connection's pending queue. `in_flight` is
+    /// raised *before* the attempt so the drain check never observes a
+    /// request that is in a queue but not yet counted.
+    fn submit(&self, conn: &mut Conn, attempt: impl FnOnce() -> Result<(), ServiceRequest>) {
         conn.live += 1;
         self.shared.in_flight.fetch_add(1, Ordering::Release);
-        if let Err(back) = svc.try_submit(req) {
+        if let Err(back) = attempt() {
             conn.live -= 1;
             self.shared.in_flight.fetch_sub(1, Ordering::Release);
             self.shared.pending_submits.fetch_add(1, Ordering::Release);
@@ -683,7 +705,7 @@ impl Lane {
         }
     }
 
-    fn on_data(&self, conn: &mut Conn, conn_seq: u64, req: Request) {
+    fn on_data(&self, conn: &mut Conn, conn_seq: u64, req: RequestRef<'_>) {
         let Some(session) = conn.session else {
             push_response(
                 &self.shared,
@@ -717,53 +739,36 @@ impl Lane {
             );
             return;
         };
-        let (addr, shard_seq, op) = match req {
-            Request::Write {
+        let (addr, shard_seq, gap, data) = match req {
+            RequestRef::Write {
                 addr,
                 shard_seq,
                 gap,
                 data,
-            } => {
-                if data.len() != session.line_size as usize {
-                    push_response(
-                        &self.shared,
-                        conn,
-                        conn_seq,
-                        &err(
-                            ErrorCode::BadPayload,
-                            format!(
-                                "write of {} bytes against a {}-byte line size",
-                                data.len(),
-                                session.line_size
-                            ),
-                        ),
-                    );
-                    return;
-                }
-                (
-                    addr,
-                    shard_seq,
-                    ServiceOp::Write {
-                        addr: LineAddr::new(addr),
-                        data,
-                        gap,
-                    },
-                )
-            }
-            Request::Read {
+            } => (addr, shard_seq, gap, Some(data)),
+            RequestRef::Read {
                 addr,
                 shard_seq,
                 gap,
-            } => (
-                addr,
-                shard_seq,
-                ServiceOp::Read {
-                    addr: LineAddr::new(addr),
-                    gap,
-                },
-            ),
+            } => (addr, shard_seq, gap, None),
             _ => unreachable!("on_data only sees Write/Read"),
         };
+        if let Some(data) = data.filter(|d| d.len() != session.line_size as usize) {
+            push_response(
+                &self.shared,
+                conn,
+                conn_seq,
+                &err(
+                    ErrorCode::BadPayload,
+                    format!(
+                        "write of {} bytes against a {}-byte line size",
+                        data.len(),
+                        session.line_size
+                    ),
+                ),
+            );
+            return;
+        }
         if addr >= session.lines {
             push_response(
                 &self.shared,
@@ -788,16 +793,26 @@ impl Lane {
             );
             return;
         }
-        let request = ServiceRequest {
-            shard: shard_of_line(LineAddr::new(addr), svc.shards()),
+        let addr = LineAddr::new(addr);
+        let op = DataOp {
+            shard: shard_of_line(addr, svc.shards()),
             seq: shard_seq,
             lane: self.lane,
             conn: conn.id,
             conn_seq,
             issued_ns: conn.arrived_ns,
-            op,
+            addr,
+            gap,
+            data,
         };
-        self.submit(conn, svc, request);
+        // The line is copied only if the engine refuses the operation.
+        self.submit(conn, || {
+            if svc.try_apply(&op) {
+                Ok(())
+            } else {
+                Err(op.to_request())
+            }
+        });
     }
 
     fn on_control(&self, conn: &mut Conn, conn_seq: u64, kind: AggKind) {
@@ -836,7 +851,7 @@ impl Lane {
                 issued_ns: conn.arrived_ns,
                 op: op.clone(),
             };
-            self.submit(conn, svc, request);
+            self.submit(conn, || svc.try_submit(request));
         }
     }
 
@@ -857,21 +872,23 @@ impl Lane {
         push_response(&self.shared, conn, conn_seq, &resp);
     }
 
-    fn handle_request(&mut self, conn: &mut Conn, req: Request) {
+    fn handle_request(&mut self, conn: &mut Conn, req: RequestRef<'_>) {
         let conn_seq = conn.next_assign;
         conn.next_assign += 1;
         match req {
-            Request::Hello(h) => self.on_hello(conn, conn_seq, h),
-            Request::Write { .. } | Request::Read { .. } => self.on_data(conn, conn_seq, req),
-            Request::Scrub => self.on_control(conn, conn_seq, AggKind::Scrub),
-            Request::Flush => self.on_control(conn, conn_seq, AggKind::Flush),
-            Request::Report => self.on_control(conn, conn_seq, AggKind::Report),
-            Request::Stats => self.on_stats(conn, conn_seq),
-            Request::Reset => self.deferred.push(DeferredReset {
+            RequestRef::Hello(h) => self.on_hello(conn, conn_seq, h),
+            RequestRef::Write { .. } | RequestRef::Read { .. } => {
+                self.on_data(conn, conn_seq, req);
+            }
+            RequestRef::Scrub => self.on_control(conn, conn_seq, AggKind::Scrub),
+            RequestRef::Flush => self.on_control(conn, conn_seq, AggKind::Flush),
+            RequestRef::Report => self.on_control(conn, conn_seq, AggKind::Report),
+            RequestRef::Stats => self.on_stats(conn, conn_seq),
+            RequestRef::Reset => self.deferred.push(DeferredReset {
                 conn: conn.id,
                 conn_seq,
             }),
-            Request::Shutdown => {
+            RequestRef::Shutdown => {
                 push_response(&self.shared, conn, conn_seq, &Response::ShutdownOk);
                 self.shared.draining.store(true, Ordering::Release);
             }
@@ -901,6 +918,10 @@ impl Lane {
             }
         }
         let window = u64::from(self.shared.opts.window);
+        // Decoded requests borrow from the receive buffer while the
+        // connection they belong to is updated, so the buffer leaves the
+        // connection for the loop.
+        let rbuf = std::mem::take(&mut conn.rbuf);
         let mut off = 0usize;
         while conn.open && !conn.fatal {
             if conn.unanswered() >= window || !conn.pending.is_empty() {
@@ -911,10 +932,10 @@ impl Lane {
             if self.shared.draining.load(Ordering::Acquire) {
                 break;
             }
-            let step = match proto::next_frame(&conn.rbuf[off..]) {
+            let step = match proto::next_frame(&rbuf[off..]) {
                 Ok(FrameEvent::Incomplete) => None,
                 Ok(FrameEvent::Frame { payload, consumed }) => {
-                    Some((proto::decode_request(payload), consumed))
+                    Some((proto::decode_request_ref(payload), consumed))
                 }
                 Err(fe) => {
                     // The stream can't be trusted past this point: send
@@ -935,18 +956,14 @@ impl Lane {
             self.progress = true;
             match decoded {
                 Ok(req) => self.handle_request(conn, req),
-                Err(msg) => {
-                    let code = if msg.contains("unknown request tag") {
-                        ErrorCode::UnknownOp
-                    } else {
-                        ErrorCode::BadPayload
-                    };
+                Err((code, detail)) => {
                     let conn_seq = conn.next_assign;
                     conn.next_assign += 1;
-                    push_response(&self.shared, conn, conn_seq, &err(code, msg));
+                    push_response(&self.shared, conn, conn_seq, &err(code, detail));
                 }
             }
         }
+        conn.rbuf = rbuf;
         conn.rbuf.drain(..off);
     }
 
@@ -1098,7 +1115,7 @@ impl Lane {
 fn unflushed(conns: &Conns) -> bool {
     conns
         .iter()
-        .any(|c| c.open && (c.wpos < c.wbuf.len() || (!c.parked.is_empty() && c.live == 0)))
+        .any(|c| c.open && (c.wpos < c.wbuf.len() || (c.parked_count > 0 && c.live == 0)))
 }
 
 fn run_lane(

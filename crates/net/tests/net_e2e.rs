@@ -292,6 +292,28 @@ fn malformed_frames_get_typed_errors_without_desync() {
         .expect("write");
     expect_error(read_resp(&mut stream, &mut rbuf), ErrorCode::ConfigMismatch);
 
+    // 8b. Address 0's shard is at sequence 1. A sequence it already
+    // applied, then one a whole reorder window (4 × queue_depth) past its
+    // next: each is shed in its own slot, and the in-sequence op behind
+    // them is answered normally.
+    let past_window = 1 + 4 * ServeOptions::default().queue_depth as u64;
+    for shard_seq in [0, past_window, 1] {
+        stream
+            .write_all(&proto::encode_request(&Request::Write {
+                addr: 0,
+                shard_seq,
+                gap: 0,
+                data: data.clone(),
+            }))
+            .expect("write");
+    }
+    expect_error(read_resp(&mut stream, &mut rbuf), ErrorCode::Overloaded);
+    expect_error(read_resp(&mut stream, &mut rbuf), ErrorCode::Overloaded);
+    match read_resp(&mut stream, &mut rbuf) {
+        Response::WriteOk { .. } => {}
+        other => panic!("expected WriteOk, got {other:?}"),
+    }
+
     // 9. A CRC-corrupt frame is fatal for the connection: one BadFrame
     // error, then close (a desynced byte stream can't be trusted).
     let mut corrupt = proto::encode_request(&Request::Scrub);

@@ -242,6 +242,38 @@ proptest! {
     }
 
     #[test]
+    fn borrowed_and_owned_decoders_agree(req in arb_request()) {
+        // On the frame's payload, on every truncation of it and on every
+        // single-bit flip of it, the borrowed decoder and the owned one
+        // give the same request or the same error; an unknown tag (the
+        // request tags are 1..=9) is `UnknownOp`, anything else
+        // `BadPayload`.
+        let payload = sole_payload(&proto::encode_request(&req));
+        let mut inputs: Vec<Vec<u8>> = (0..=payload.len()).map(|cut| payload[..cut].to_vec()).collect();
+        for byte in 0..payload.len() {
+            for bit in 0..8u8 {
+                let mut flipped = payload.clone();
+                flipped[byte] ^= 1 << bit;
+                inputs.push(flipped);
+            }
+        }
+        for input in &inputs {
+            match (proto::decode_request_ref(input), proto::decode_request(input)) {
+                (Ok(borrowed), Ok(owned)) => prop_assert_eq!(borrowed.into_request(), owned),
+                (Err((code, detail)), Err(owned)) => {
+                    prop_assert_eq!(&detail, &owned);
+                    let unknown_tag = input.first().is_some_and(|tag| !(1..=9).contains(tag));
+                    let want = if unknown_tag { ErrorCode::UnknownOp } else { ErrorCode::BadPayload };
+                    prop_assert_eq!(code, want, "{}", detail);
+                }
+                (borrowed, owned) => {
+                    prop_assert!(false, "decoders disagree: {:?} vs {:?}", borrowed, owned);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn garbage_payloads_are_typed_errors(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Whatever the bytes, decoding must return Err — never panic.
         // (A valid encoding could decode, which is fine; the point is
