@@ -172,6 +172,22 @@ impl StageBreakdown {
         self.duplicate_writes + self.stored_writes
     }
 
+    /// Fold `n` copies of one event in: equal to `n` calls of
+    /// [`observe`](Self::observe), in one step.
+    pub fn observe_n(&mut self, event: &WriteEvent, n: u64) {
+        match event.path {
+            WritePath::Duplicate => self.duplicate_writes += n,
+            WritePath::Stored => self.stored_writes += n,
+        }
+        self.predicted_dup += u64::from(event.predicted_dup) * n;
+        self.pna_skips += u64::from(event.pna_skip) * n;
+        for stage in Stage::ALL {
+            if let Some(ns) = event.stage_ns(stage) {
+                self.stages[stage as usize].record_n(ns, n);
+            }
+        }
+    }
+
     /// Fold one event in.
     pub fn observe(&mut self, event: &WriteEvent) {
         match event.path {
@@ -243,6 +259,7 @@ impl EventSink for StageCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unset_stages_stay_unset() {
@@ -287,6 +304,59 @@ mod tests {
         assert_eq!(b.stage(Stage::VerifyRead).count(), 1);
         assert_eq!(b.stage(Stage::ArrayWrite).count(), 2);
         assert_eq!(b.stage(Stage::Encrypt).count(), 0);
+    }
+
+    /// A random event: either path, both flags, any subset of stages.
+    fn arbitrary_event(
+        (dup, predicted_dup, pna_skip, set, ns): (bool, bool, bool, u8, [u16; Stage::COUNT]),
+    ) -> WriteEvent {
+        let mut e = WriteEvent::new(if dup {
+            WritePath::Duplicate
+        } else {
+            WritePath::Stored
+        });
+        e.predicted_dup = predicted_dup;
+        e.pna_skip = pna_skip;
+        for stage in Stage::ALL {
+            if set & (1 << stage as usize) != 0 {
+                e.set_stage(stage, u64::from(ns[stage as usize]));
+            }
+        }
+        e
+    }
+
+    proptest! {
+        #[test]
+        fn observe_n_equals_repeated_observe(
+            batches in proptest::collection::vec(
+                ((any::<bool>(), any::<bool>(), any::<bool>(), any::<u8>(), any::<[u16; Stage::COUNT]>()), 0u64..20),
+                0..12,
+            ),
+        ) {
+            let mut batched = StageBreakdown::default();
+            let mut single = StageBreakdown::default();
+            for (parts, n) in batches {
+                let e = arbitrary_event(parts);
+                batched.observe_n(&e, n);
+                for _ in 0..n {
+                    single.observe(&e);
+                }
+                prop_assert_eq!(&batched, &single);
+            }
+        }
+    }
+
+    #[test]
+    fn observe_n_of_zero_changes_nothing() {
+        let mut e = WriteEvent::new(WritePath::Stored);
+        e.predicted_dup = true;
+        e.pna_skip = true;
+        for stage in Stage::ALL {
+            e.set_stage(stage, 300);
+        }
+        let mut b = StageBreakdown::default();
+        b.observe_n(&e, 0);
+        assert_eq!(b, StageBreakdown::default());
     }
 
     #[test]

@@ -73,6 +73,118 @@ const COMPARE_NS: u64 = 1;
 /// Final counter-mode XOR on the read path, ns.
 const OTP_XOR_NS: u64 = 1;
 
+/// Simulated read latency, ns: metadata lookup and array read, plus the
+/// pad XOR when the line is mapped (a never-written line has nothing to
+/// decrypt).
+const fn read_ns(mapped: bool) -> u64 {
+    if mapped {
+        META_NS + ARRAY_READ_NS + OTP_XOR_NS
+    } else {
+        META_NS + ARRAY_READ_NS
+    }
+}
+
+/// Number of distinct [`WriteShape`]s: three flags times the verified
+/// count `0..=MAX_CANDIDATE_COMPARES`.
+const WRITE_SHAPES: usize = 8 * (MAX_CANDIDATE_COMPARES + 1);
+
+/// The four decisions a write's simulated latency depends on. The shard
+/// counts writes per shape and turns the counts into latency
+/// distributions only when a report is taken (DESIGN.md §7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WriteShape {
+    /// The array write was eliminated (confirmed duplicate).
+    eliminated: bool,
+    /// The predictor forecast a duplicate (direct path, no speculative
+    /// encryption).
+    predicted_dup: bool,
+    /// The digest hit the metadata cache.
+    cache_hit: bool,
+    /// Candidates verify-read and compared, at most
+    /// [`MAX_CANDIDATE_COMPARES`].
+    verified: usize,
+}
+
+impl WriteShape {
+    /// Dense index into the shard's per-shape counters.
+    fn index(self) -> usize {
+        debug_assert!(self.verified <= MAX_CANDIDATE_COMPARES);
+        let flags = usize::from(self.eliminated) << 2
+            | usize::from(self.predicted_dup) << 1
+            | usize::from(self.cache_hit);
+        flags * (MAX_CANDIDATE_COMPARES + 1) + self.verified
+    }
+
+    /// Inverse of [`index`](Self::index).
+    fn from_index(index: usize) -> Self {
+        let flags = index / (MAX_CANDIDATE_COMPARES + 1);
+        WriteShape {
+            eliminated: flags & 4 != 0,
+            predicted_dup: flags & 2 != 0,
+            cache_hit: flags & 1 != 0,
+            verified: index % (MAX_CANDIDATE_COMPARES + 1),
+        }
+    }
+
+    /// The simulated `(critical, total)` latency, ns, and the trace event
+    /// of a write of this shape, given the digest mode's latency. The one
+    /// statement of the shard's write cost: [`ShardController::write`]
+    /// returns its total and [`ShardController::report`] expands the
+    /// per-shape counts through it.
+    #[inline]
+    fn cost(self, digest_ns: u64) -> (u64, u64, WriteEvent) {
+        let speculative = !self.predicted_dup;
+        let probe_ns = if self.cache_hit {
+            META_NS
+        } else {
+            ARRAY_READ_NS
+        };
+        let k = self.verified as u64;
+        let verify_ns = k * ARRAY_READ_NS;
+        let compare_ns = k * COMPARE_NS;
+        let detection_ns = probe_ns + verify_ns + compare_ns;
+
+        let mut event = WriteEvent::new(if self.eliminated {
+            WritePath::Duplicate
+        } else {
+            WritePath::Stored
+        });
+        event.predicted_dup = self.predicted_dup;
+        // PNA: a cache miss with a non-duplicate prediction skips the
+        // in-NVM hash-table query.
+        event.pna_skip = !self.cache_hit && !self.predicted_dup;
+        event.set_stage(Stage::Digest, digest_ns);
+        event.set_stage(Stage::HashProbe, probe_ns);
+        if k > 0 {
+            event.set_stage(Stage::VerifyRead, verify_ns);
+            event.set_stage(Stage::Compare, compare_ns);
+        }
+        event.set_stage(Stage::Metadata, META_NS);
+
+        let (critical_ns, total_ns) = if self.eliminated {
+            if speculative {
+                // The speculative encryption raced detection and lost.
+                event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
+            }
+            let critical_ns = digest_ns + detection_ns + META_NS;
+            (critical_ns, critical_ns)
+        } else {
+            event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
+            event.set_stage(Stage::ArrayWrite, ARRAY_WRITE_NS);
+            // Parallel path overlaps encryption with detection; direct path
+            // serializes them.
+            let front_ns = if speculative {
+                detection_ns.max(AES_LINE_LATENCY_NS)
+            } else {
+                detection_ns + AES_LINE_LATENCY_NS
+            };
+            let critical_ns = digest_ns + front_ns + META_NS;
+            (critical_ns, critical_ns + ARRAY_WRITE_NS)
+        };
+        (critical_ns, total_ns, event)
+    }
+}
+
 /// What one write did, plus its simulated latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardWrite {
@@ -126,18 +238,14 @@ pub struct ShardController {
 
     base: BaseMetrics,
     dewrite: DeWriteMetrics,
-    stages: StageBreakdown,
-    write_latency: LatencyStats,
-    write_latency_eliminated: LatencyStats,
-    write_latency_stored: LatencyStats,
-    write_critical: LatencyStats,
-    read_latency: LatencyStats,
-    write_hist: LatencyHistogram,
-    read_hist: LatencyHistogram,
+    /// Writes per [`WriteShape::index`]; every write latency distribution
+    /// in the report is expanded from these.
+    write_shapes: [u64; WRITE_SHAPES],
+    /// Reads of never-written (`[0]`) and mapped (`[1]`) lines.
+    read_kinds: [u64; 2],
     energy: EnergyBreakdown,
     energy_params: EnergyParams,
     instructions: u64,
-    sim_ns: u64,
     flip_bits: u64,
     nvm_data_writes: u64,
     ops: u64,
@@ -177,18 +285,11 @@ impl ShardController {
             meta_ops: Vec::new(),
             base: BaseMetrics::default(),
             dewrite: DeWriteMetrics::default(),
-            stages: StageBreakdown::default(),
-            write_latency: LatencyStats::new(),
-            write_latency_eliminated: LatencyStats::new(),
-            write_latency_stored: LatencyStats::new(),
-            write_critical: LatencyStats::new(),
-            read_latency: LatencyStats::new(),
-            write_hist: LatencyHistogram::new(),
-            read_hist: LatencyHistogram::new(),
+            write_shapes: [0; WRITE_SHAPES],
+            read_kinds: [0; 2],
             energy: EnergyBreakdown::new(),
             energy_params: EnergyParams::PCM,
             instructions: 0,
-            sim_ns: 0,
             flip_bits: 0,
             nvm_data_writes: 0,
             ops: 0,
@@ -585,7 +686,6 @@ impl ShardController {
 
         // Stage 1: fingerprint.
         let digest_cost = self.digest.cost();
-        let digest_ns = digest_cost.latency_ns;
         let digest = self.digest.digest(data);
         self.base.hash_ops += 1;
         self.energy.dedup_pj += digest_cost.energy_pj;
@@ -593,21 +693,16 @@ impl ShardController {
 
         // Stage 2: probe the hash-store cache.
         let cache_hit = self.meta.access(digest, false);
-        let probe_ns = if cache_hit {
-            META_NS
-        } else {
+        if !cache_hit {
             self.base.meta_nvm_reads += 1;
             self.energy.nvm_read_pj += self.energy_params.read_line_pj;
-            ARRAY_READ_NS
-        };
+            let _ = self.meta.insert(digest, false);
+        }
         // PNA: on a cache miss with a non-duplicate prediction, skip the
         // in-NVM hash-table query entirely.
         let pna_skip = !cache_hit && !predicted_dup;
         if pna_skip {
             self.dewrite.pna_skips += 1;
-        }
-        if !cache_hit {
-            let _ = self.meta.insert(digest, false);
         }
 
         // Speculative encryption on the parallel path: predicted-non-dup
@@ -620,8 +715,7 @@ impl ShardController {
         }
 
         // Stages 3+4: candidate verification.
-        let mut verify_ns = 0u64;
-        let mut compare_ns = 0u64;
+        let mut verified = 0usize;
         let mut dup: Option<OpenEntry> = None;
         if !pna_skip {
             // The bucket's unsaturated entries in seed order, at most the
@@ -640,9 +734,7 @@ impl ShardController {
                 }
             } else {
                 for &entry in view.entries() {
-                    self.base.verify_reads += 1;
-                    verify_ns += ARRAY_READ_NS;
-                    compare_ns += COMPARE_NS;
+                    verified += 1;
                     self.energy.nvm_read_pj += self.energy_params.read_line_pj;
                     self.energy.dedup_pj += self.energy_params.compare_pj;
                     self.decrypt_slot(entry.real.index());
@@ -654,21 +746,11 @@ impl ShardController {
                     self.dewrite.false_matches += 1;
                 }
             }
+            self.base.verify_reads += verified as u64;
             self.dewrite.saturated_skips += u64::from(skipped);
         }
 
         // Commit: duplicate (reference the resident copy) or store.
-        let mut event = WriteEvent::new(WritePath::Stored);
-        event.predicted_dup = predicted_dup;
-        event.pna_skip = pna_skip;
-        event.set_stage(Stage::Digest, digest_ns);
-        event.set_stage(Stage::HashProbe, probe_ns);
-        if verify_ns > 0 {
-            event.set_stage(Stage::VerifyRead, verify_ns);
-            event.set_stage(Stage::Compare, compare_ns);
-        }
-        let detection_ns = probe_ns + verify_ns + compare_ns;
-
         let eliminated = match dup {
             Some(entry) if self.hash.add_reference_at(entry) => {
                 let slot = entry.real.index();
@@ -693,8 +775,6 @@ impl ShardController {
             _ => false,
         };
 
-        let sim_ns;
-        let critical_ns;
         if eliminated {
             self.base.writes_eliminated += 1;
             self.dewrite.dup_eliminated += 1;
@@ -703,14 +783,9 @@ impl ShardController {
                 self.dewrite.wasted_encryptions += 1;
                 self.base.aes_line_ops += 1;
                 self.energy.aes_pj += aes_line_energy_pj(self.line_size);
-                event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
             } else {
                 self.dewrite.saved_encryptions += 1;
             }
-            event.set_stage(Stage::Metadata, META_NS);
-            event.path = WritePath::Duplicate;
-            critical_ns = digest_ns + detection_ns + META_NS;
-            sim_ns = critical_ns;
         } else {
             let freed = self.release_previous_mapping(idx);
             let slot = match self.fsm_policy {
@@ -753,19 +828,6 @@ impl ShardController {
                     value: self.counters[slot as usize],
                 });
             }
-
-            event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
-            event.set_stage(Stage::ArrayWrite, ARRAY_WRITE_NS);
-            event.set_stage(Stage::Metadata, META_NS);
-            // Parallel path overlaps encryption with detection; direct path
-            // serializes them.
-            let front_ns = if speculative {
-                detection_ns.max(AES_LINE_LATENCY_NS)
-            } else {
-                detection_ns + AES_LINE_LATENCY_NS
-            };
-            critical_ns = digest_ns + front_ns + META_NS;
-            sim_ns = critical_ns + ARRAY_WRITE_NS;
         }
 
         // The write updated dedup metadata either way; dirty the cached
@@ -773,17 +835,15 @@ impl ShardController {
         let _ = self.meta.access(digest, true);
 
         self.predictor.record(eliminated);
-        self.stages.observe(&event);
-        self.write_latency.record(sim_ns);
-        self.write_hist.record(sim_ns);
-        self.write_critical.record(critical_ns);
-        if eliminated {
-            self.write_latency_eliminated.record(sim_ns);
-        } else {
-            self.write_latency_stored.record(sim_ns);
-        }
-        self.sim_ns += sim_ns;
+        let shape = WriteShape {
+            eliminated,
+            predicted_dup,
+            cache_hit,
+            verified,
+        };
+        self.write_shapes[shape.index()] += 1;
         self.journal_write();
+        let (_, sim_ns, _) = shape.cost(digest_cost.latency_ns);
         ShardWrite { eliminated, sim_ns }
     }
 
@@ -800,19 +860,13 @@ impl ShardController {
         self.instructions += u64::from(gap) + 1;
         self.base.reads += 1;
         self.energy.nvm_read_pj += self.energy_params.read_line_pj;
-        let sim_ns = match self.mapped_slot(self.map_index(addr)) {
-            Some(slot) => {
-                self.decrypt_slot(slot);
-                self.read_sink ^= fold_words(&self.scratch);
-                META_NS + ARRAY_READ_NS + OTP_XOR_NS
-            }
-            // Never-written line: the array read happens, nothing to decrypt.
-            None => META_NS + ARRAY_READ_NS,
-        };
-        self.read_latency.record(sim_ns);
-        self.read_hist.record(sim_ns);
-        self.sim_ns += sim_ns;
-        sim_ns
+        let slot = self.mapped_slot(self.map_index(addr));
+        if let Some(slot) = slot {
+            self.decrypt_slot(slot);
+            self.read_sink ^= fold_words(&self.scratch);
+        }
+        self.read_kinds[usize::from(slot.is_some())] += 1;
+        read_ns(slot.is_some())
     }
 
     /// The XOR-fold of all plaintext this shard has read back.
@@ -926,8 +980,42 @@ impl ShardController {
     }
 
     /// This shard's simulated run report (deterministic: a pure function
-    /// of the shard's input feed).
+    /// of the shard's input feed). The latency distributions are expanded
+    /// here from the per-shape counts; every part of them is an
+    /// order-independent sum, so they equal recording each operation as it
+    /// happened.
     pub fn report(&self, app: &str) -> RunReport {
+        let digest_ns = self.digest.cost().latency_ns;
+        let mut stage_breakdown = StageBreakdown::default();
+        let mut write_latency = LatencyStats::new();
+        let mut write_latency_eliminated = LatencyStats::new();
+        let mut write_latency_stored = LatencyStats::new();
+        let mut write_critical = LatencyStats::new();
+        let mut write_latency_hist = LatencyHistogram::new();
+        for (index, &n) in self.write_shapes.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let shape = WriteShape::from_index(index);
+            let (critical_ns, total_ns, event) = shape.cost(digest_ns);
+            stage_breakdown.observe_n(&event, n);
+            write_latency.record_n(total_ns, n);
+            write_latency_hist.record_n(total_ns, n);
+            write_critical.record_n(critical_ns, n);
+            if shape.eliminated {
+                write_latency_eliminated.record_n(total_ns, n);
+            } else {
+                write_latency_stored.record_n(total_ns, n);
+            }
+        }
+        let mut read_latency = LatencyStats::new();
+        let mut read_latency_hist = LatencyHistogram::new();
+        for (mapped, &n) in [false, true].into_iter().zip(&self.read_kinds) {
+            read_latency.record_n(read_ns(mapped), n);
+            read_latency_hist.record_n(read_ns(mapped), n);
+        }
+        let sim_ns = write_latency.total_ns() + read_latency.total_ns();
+
         let mut dewrite = self.dewrite;
         dewrite.predictor_accuracy = self.predictor.accuracy();
         let cache = self.meta.stats();
@@ -937,17 +1025,17 @@ impl ShardController {
             scheme: "engine-dewrite".into(),
             app: app.into(),
             instructions: self.instructions,
-            cycles: self.sim_ns as f64,
-            ipc: if self.sim_ns == 0 {
+            cycles: sim_ns as f64,
+            ipc: if sim_ns == 0 {
                 0.0
             } else {
-                self.instructions as f64 / self.sim_ns as f64
+                self.instructions as f64 / sim_ns as f64
             },
-            write_latency: self.write_latency,
-            write_latency_eliminated: self.write_latency_eliminated,
-            write_latency_stored: self.write_latency_stored,
-            read_latency: self.read_latency,
-            write_critical: self.write_critical,
+            write_latency,
+            write_latency_eliminated,
+            write_latency_stored,
+            read_latency,
+            write_critical,
             base,
             energy: self.energy,
             nvm_data_writes: self.nvm_data_writes,
@@ -957,9 +1045,9 @@ impl ShardController {
                 self.flip_bits as f64 / (self.nvm_data_writes * self.line_size as u64 * 8) as f64
             },
             dewrite: Some(dewrite),
-            write_latency_hist: self.write_hist.clone(),
-            read_latency_hist: self.read_hist.clone(),
-            stage_breakdown: self.stages.clone(),
+            write_latency_hist,
+            read_latency_hist,
+            stage_breakdown,
         }
     }
 }
@@ -1167,6 +1255,189 @@ mod tests {
     #[test]
     fn saturated_chain_counts_are_closed_form_strong_keyed() {
         saturated_chain_closed_form(DigestMode::StrongKeyed);
+    }
+
+    /// Drive a random script through one shard, fold every latency its
+    /// calls return into fresh recorders one observation at a time, and
+    /// demand the report's distributions — built from per-shape counts —
+    /// equal them: the write-time and report-time costs cannot diverge.
+    fn report_latencies_match_the_returned_ones(mode: DigestMode) {
+        const OPS: u64 = 6000;
+        const ADDRS: u64 = 700;
+        let mut s = ShardController::new(0, 1, 2048, LINE, KEY);
+        s.set_digest_mode(mode);
+        let mut write_latency = LatencyStats::new();
+        let mut eliminated = LatencyStats::new();
+        let mut stored = LatencyStats::new();
+        let mut write_hist = LatencyHistogram::new();
+        let mut read_latency = LatencyStats::new();
+        let mut read_hist = LatencyHistogram::new();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ u64::from(mode.to_wire());
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..OPS {
+            let r = next();
+            // Reads reach past the written range, so some hit lines that
+            // were never written.
+            if r % 4 == 0 {
+                let ns = s.read(LineAddr::new((r >> 8) % (ADDRS + 100)), 1);
+                read_latency.record(ns);
+                read_hist.record(ns);
+                continue;
+            }
+            // A small content pool, three quarters of it one line, so
+            // duplicates, same-content rewrites and saturated entries
+            // (more than 255 references) all occur.
+            let tag = match (r >> 4) % 16 {
+                0..=11 => 0,
+                t => t as u8,
+            };
+            let w = s.write(LineAddr::new((r >> 8) % ADDRS), &line(tag), 1);
+            write_latency.record(w.sim_ns);
+            write_hist.record(w.sim_ns);
+            if w.eliminated {
+                eliminated.record(w.sim_ns);
+            } else {
+                stored.record(w.sim_ns);
+            }
+        }
+        let r = s.report("shapes");
+        assert!(
+            r.dewrite.unwrap().saturated_skips > 0,
+            "saturation occurred"
+        );
+        assert!(eliminated.count() > 0 && stored.count() > 0);
+        assert!(read_hist.stats().min_ns() < read_hist.stats().max_ns());
+        assert_eq!(r.write_latency, write_latency);
+        assert_eq!(r.write_latency_eliminated, eliminated);
+        assert_eq!(r.write_latency_stored, stored);
+        assert_eq!(r.write_latency_hist, write_hist);
+        assert_eq!(r.read_latency, read_latency);
+        assert_eq!(r.read_latency_hist, read_hist);
+        assert_eq!(
+            r.cycles,
+            (write_latency.total_ns() + read_latency.total_ns()) as f64
+        );
+        s.scrub().expect("clean");
+    }
+
+    #[test]
+    fn report_latencies_match_the_returned_ones_crc32_verify() {
+        report_latencies_match_the_returned_ones(DigestMode::Crc32Verify);
+    }
+
+    #[test]
+    fn report_latencies_match_the_returned_ones_strong_keyed() {
+        report_latencies_match_the_returned_ones(DigestMode::StrongKeyed);
+    }
+
+    /// The shard's index digest under [`DigestMode::Crc32Verify`].
+    fn crc_digest(data: &[u8]) -> u64 {
+        IndexDigest::new(HashAlgorithm::Crc32, DigestMode::Crc32Verify, KEY).digest_readonly(data)
+    }
+
+    /// `base` with four bytes at `at` patched so that it digests to
+    /// `target`. CRC-32 over a fixed length is affine over GF(2), so
+    /// `digest(x ^ d) = digest(x) ^ digest(d) ^ digest(0)`: solve for the
+    /// 32 patch bits by elimination over the 32 single-bit columns.
+    fn forge_crc(base: &[u8], at: usize, target: u64) -> Vec<u8> {
+        let zero = vec![0u8; base.len()];
+        let z = crc_digest(&zero);
+        // An xor basis of the columns, each with the patch bits it is made
+        // of; leading bits distinct, kept in descending order.
+        let mut basis: Vec<(u64, u32)> = Vec::new();
+        let reduce = |basis: &[(u64, u32)], mut v: u64, mut bits: u32| {
+            for &(b, b_bits) in basis {
+                if v ^ b < v {
+                    v ^= b;
+                    bits ^= b_bits;
+                }
+            }
+            (v, bits)
+        };
+        for bit in 0..32 {
+            let mut unit = zero.clone();
+            unit[at + bit / 8] = 1 << (bit % 8);
+            let (v, bits) = reduce(&basis, crc_digest(&unit) ^ z, 1 << bit);
+            assert_ne!(v, 0, "a CRC-32 maps 32 adjacent bits one-to-one");
+            basis.push((v, bits));
+            basis.sort_unstable_by_key(|b| std::cmp::Reverse(b.0));
+        }
+        let (rest, bits) = reduce(&basis, crc_digest(base) ^ target, 0);
+        assert_eq!(rest, 0);
+        let mut forged = base.to_vec();
+        for bit in 0..32 {
+            if bits >> bit & 1 != 0 {
+                forged[at + bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        assert_eq!(crc_digest(&forged), target);
+        forged
+    }
+
+    #[test]
+    fn verify_misses_cost_closed_forms() {
+        const LINE_256: usize = 256;
+        let base = |tag: u8| -> Vec<u8> {
+            (0..LINE_256)
+                .map(|i| tag.wrapping_mul(31) ^ (i as u8))
+                .collect()
+        };
+        // Five distinct lines sharing one digest bucket.
+        let target = crc_digest(&base(1));
+        let lines: Vec<Vec<u8>> = (1..=5u8)
+            .map(|tag| forge_crc(&base(tag), 100, target))
+            .collect();
+        for (i, a) in lines.iter().enumerate() {
+            assert!(lines[i + 1..].iter().all(|b| a != b), "distinct lines");
+        }
+
+        let mut s = ShardController::new(0, 1, 64, LINE_256, KEY);
+        let mut addr = 0u64;
+        // Each write's verify reads, read off the report around it.
+        let mut write = |s: &mut ShardController, data: &[u8]| {
+            let before = s.report("v").base.verify_reads;
+            let w = s.write(LineAddr::new(addr), data, 0);
+            addr += 1;
+            (w.eliminated, s.report("v").base.verify_reads - before)
+        };
+        // Stored: line k (k = 2..5) walks past the k − 1 lines already in
+        // the bucket, each a verify-read that misses; the walk stops at
+        // the compare cap of 4.
+        assert_eq!(write(&mut s, &lines[0]), (false, 0));
+        for (k, data) in lines.iter().enumerate().skip(1) {
+            assert_eq!(write(&mut s, data), (false, k as u64));
+        }
+        // Eliminated: line k (k = 1..4) is the k-th entry in seed order,
+        // found after k − 1 misses.
+        for (k, data) in lines[..4].iter().enumerate() {
+            assert_eq!(write(&mut s, data), (true, k as u64 + 1));
+        }
+
+        let r = s.report("v");
+        // Stored walks verify 1 + 2 + 3 + 4, all misses; eliminated walks
+        // verify 1 + 2 + 3 + 4 with one hit each.
+        assert_eq!(r.base.verify_reads, 10 + 10);
+        assert_eq!(r.dewrite.unwrap().false_matches, 10 + 6);
+        let verify = r.stage_breakdown.stage(Stage::VerifyRead).stats();
+        let compare = r.stage_breakdown.stage(Stage::Compare).stats();
+        assert_eq!(verify.count(), 8);
+        assert_eq!(compare.count(), 8);
+        assert_eq!(verify.total_ns(), 20 * ARRAY_READ_NS);
+        assert_eq!(compare.total_ns(), 20 * COMPARE_NS);
+        assert_eq!(
+            (verify.min_ns(), verify.max_ns()),
+            (ARRAY_READ_NS, 4 * ARRAY_READ_NS)
+        );
+        assert_eq!(
+            (compare.min_ns(), compare.max_ns()),
+            (COMPARE_NS, 4 * COMPARE_NS)
+        );
+        assert_eq!(s.scrub().unwrap(), 5);
     }
 
     #[test]

@@ -53,6 +53,23 @@ impl LatencyStats {
         self.total_ns += ns;
     }
 
+    /// Record `n` observations of `ns`: equal to `n` calls of
+    /// [`record`](Self::record), in one step.
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.min_ns = ns;
+            self.max_ns = ns;
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += n;
+        self.total_ns += ns * n;
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -231,6 +248,17 @@ impl LatencyHistogram {
     pub fn record(&mut self, ns: u64) {
         self.stats.record(ns);
         *self.bucket_mut(bucket_of(ns)) += 1;
+    }
+
+    /// Record `n` observations of `ns`: equal to `n` calls of
+    /// [`record`](Self::record), in one step. `n == 0` changes nothing,
+    /// so the bucket array still ends in a nonzero count.
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.stats.record_n(ns, n);
+        *self.bucket_mut(bucket_of(ns)) += n;
     }
 
     /// The streaming summary (count / total / min / max).
@@ -495,6 +523,49 @@ mod tests {
         assert_eq!(padded, low);
         assert_eq!(padded.bucket_counts().collect::<Vec<_>>(), [(20, 1)]);
         assert!(LatencyHistogram::from_parts(h.stats(), [(1, u64::MAX), (2, 3)]).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn record_n_equals_repeated_record(
+            prefix in proptest::collection::vec(0u64..1 << 48, 0..20),
+            batches in proptest::collection::vec((0u64..1 << 48, 0u64..40), 0..20),
+        ) {
+            let (mut batched, mut single) = (LatencyStats::new(), LatencyStats::new());
+            let (mut batched_h, mut single_h) = (LatencyHistogram::new(), LatencyHistogram::new());
+            for &x in &prefix {
+                batched.record(x);
+                single.record(x);
+                batched_h.record(x);
+                single_h.record(x);
+            }
+            for &(ns, n) in &batches {
+                batched.record_n(ns, n);
+                batched_h.record_n(ns, n);
+                for _ in 0..n {
+                    single.record(ns);
+                    single_h.record(ns);
+                }
+                prop_assert_eq!(batched, single);
+                prop_assert_eq!(&batched_h, &single_h);
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_of_zero_changes_nothing() {
+        let mut s = LatencyStats::new();
+        s.record_n(123, 0);
+        assert_eq!(s, LatencyStats::new());
+        let mut h = LatencyHistogram::new();
+        h.record_n(u64::MAX, 0);
+        assert_eq!(h, LatencyHistogram::new());
+        // A zero count past the last occupied bucket must not grow the
+        // array, or the derived `==` would tell equal histograms apart.
+        h.record(20);
+        let before = h.clone();
+        h.record_n(u64::MAX, 0);
+        assert_eq!(h, before);
     }
 
     proptest! {
