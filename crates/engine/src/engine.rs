@@ -107,15 +107,17 @@ impl EngineConfig {
     pub fn for_workload(shards: usize, line_size: usize, lines: u64, expected_writes: u64) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(lines > 0, "need a non-empty line space");
-        let owned = lines / shards as u64 + 1;
+        let owned = u128::from(lines / shards as u64) + 1;
         // Saturated entries strand one extra copy per MAX_REFERENCE dups;
-        // double the even-split estimate to absorb content skew.
-        let slack = 2 * expected_writes / (u64::from(MAX_REFERENCE) * shards as u64) + 64;
+        // double the even-split estimate to absorb content skew. In 128
+        // bits, so that no `expected_writes` overflows.
+        let slack =
+            2 * u128::from(expected_writes) / (u128::from(MAX_REFERENCE) * shards as u128) + 64;
         EngineConfig {
             shards,
             line_size,
             lines,
-            slots_per_shard: owned + slack,
+            slots_per_shard: u64::try_from(owned + slack).unwrap_or(u64::MAX),
             queue_depth: 1024,
             key: *b"dewrite-repro-16",
             scrub: false,

@@ -30,15 +30,13 @@
 pub use dewrite_core::tables::MAX_CANDIDATE_COMPARES;
 use dewrite_core::tables::{HashTable, InvertedTable, OpenEntry, MAX_REFERENCE};
 use dewrite_core::{
-    durable_fingerprint, lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor,
-    IndexDigest, MetaOp, RunReport, Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
+    durable_fingerprint, lines_equal, DeWriteMetrics, DigestMode, HistoryPredictor, IndexDigest,
+    MetaOp, RunReport, Snapshot, Stage, WriteEvent, WritePath,
 };
 use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
 use dewrite_hashes::HashAlgorithm;
-use dewrite_mem::{
-    hint, CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
-};
-use dewrite_nvm::{EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr};
+use dewrite_mem::{hint, CacheConfig, CacheStats, MetadataCache, Replacement};
+use dewrite_nvm::{EnergyParams, FsmStats, FsmTree, LineAddr};
 use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
 use std::collections::HashMap;
@@ -88,9 +86,10 @@ const fn read_ns(mapped: bool) -> u64 {
 /// count `0..=MAX_CANDIDATE_COMPARES`.
 const WRITE_SHAPES: usize = 8 * (MAX_CANDIDATE_COMPARES + 1);
 
-/// The four decisions a write's simulated latency depends on. The shard
+/// The four decisions a write's simulated cost depends on. The shard
 /// counts writes per shape and turns the counts into latency
-/// distributions only when a report is taken (DESIGN.md §7).
+/// distributions, counters and energy only when a report is taken
+/// (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WriteShape {
     /// The array write was eliminated (confirmed duplicate).
@@ -127,10 +126,9 @@ impl WriteShape {
     }
 
     /// The simulated `(critical, total)` latency, ns, and the trace event
-    /// of a write of this shape, given the digest mode's latency. The one
-    /// statement of the shard's write cost: [`ShardController::write`]
-    /// returns its total and [`ShardController::report`] expands the
-    /// per-shape counts through it.
+    /// of a write of this shape, given the digest mode's latency:
+    /// [`ShardController::write`] returns its total and
+    /// [`charge`](Self::charge) expands it into the report.
     #[inline]
     fn cost(self, digest_ns: u64) -> (u64, u64, WriteEvent) {
         let speculative = !self.predicted_dup;
@@ -183,6 +181,72 @@ impl WriteShape {
         };
         (critical_ns, total_ns, event)
     }
+
+    /// Add `n` writes of this shape to `report`: their latencies and stage
+    /// times, counters and energy. The one statement of what a shard write
+    /// costs, but for the three quantities no shape fixes, which
+    /// [`ShardController::report`] adds: the instruction gap, the flipped
+    /// bits of a stored line and the saturated entries walked.
+    fn charge(self, n: u64, digest: &IndexDigest, line_size: usize, report: &mut RunReport) {
+        let digest_cost = digest.cost();
+        let (critical_ns, total_ns, event) = self.cost(digest_cost.latency_ns);
+        report.stage_breakdown.observe_n(&event, n);
+        report.write_latency.record_n(total_ns, n);
+        report.write_latency_hist.record_n(total_ns, n);
+        report.write_critical.record_n(critical_ns, n);
+        if self.eliminated {
+            report.write_latency_eliminated.record_n(total_ns, n);
+        } else {
+            report.write_latency_stored.record_n(total_ns, n);
+        }
+
+        let pcm = EnergyParams::PCM;
+        let misses = u64::from(!self.cache_hit);
+        let k = self.verified as u64;
+        // Every stored line is encrypted; so is a duplicate whose
+        // speculative encryption raced detection and lost.
+        let encrypted = u64::from(!self.eliminated || !self.predicted_dup);
+        let (base, energy) = (&mut report.base, &mut report.energy);
+        base.writes += n;
+        base.hash_ops += n;
+        base.meta_nvm_reads += n * misses;
+        base.verify_reads += n * k;
+        base.aes_line_ops += n * encrypted;
+        energy.dedup_pj += n * (digest_cost.energy_pj + k * pcm.compare_pj);
+        energy.nvm_read_pj += n * (misses + k) * pcm.read_line_pj;
+        energy.aes_pj += n * encrypted * aes_line_energy_pj(line_size);
+
+        let dewrite = report.dewrite.get_or_insert_default();
+        if event.pna_skip {
+            dewrite.pna_skips += n;
+        }
+        if self.predicted_dup {
+            dewrite.direct_writes += n;
+        } else {
+            dewrite.parallel_writes += n;
+        }
+        // A match is always an elimination (see `ShardController::write`),
+        // so the verify walk missed on every candidate but the last of an
+        // eliminated write.
+        match digest.mode() {
+            DigestMode::Crc32Verify => {
+                dewrite.false_matches += n * (k - u64::from(self.eliminated))
+            }
+            DigestMode::StrongKeyed => dewrite.assumed_dups += n * u64::from(self.eliminated),
+        }
+        if self.eliminated {
+            base.writes_eliminated += n;
+            dewrite.dup_eliminated += n;
+            if self.predicted_dup {
+                dewrite.saved_encryptions += n;
+            } else {
+                dewrite.wasted_encryptions += n;
+            }
+        } else {
+            report.nvm_data_writes += n;
+            energy.nvm_write_pj += n * pcm.write_base_pj;
+        }
+    }
 }
 
 /// What one write did, plus its simulated latency.
@@ -233,22 +297,18 @@ pub struct ShardController {
     /// never charged to simulated time, so the [`RunReport`] is
     /// bit-identical with persistence on or off.
     log: Option<EpochLog>,
-    /// Journal ops of the write in flight, drained into the log.
-    meta_ops: Vec<MetaOp>,
 
-    base: BaseMetrics,
-    dewrite: DeWriteMetrics,
-    /// Writes per [`WriteShape::index`]; every write latency distribution
-    /// in the report is expanded from these.
+    /// Writes per [`WriteShape::index`]; the report's write latencies,
+    /// counters and energy are all expanded from these.
     write_shapes: [u64; WRITE_SHAPES],
     /// Reads of never-written (`[0]`) and mapped (`[1]`) lines.
     read_kinds: [u64; 2],
-    energy: EnergyBreakdown,
-    energy_params: EnergyParams,
+    /// Instructions retired: every operation's gap plus itself.
     instructions: u64,
+    /// Bits programmed by stored lines.
     flip_bits: u64,
-    nvm_data_writes: u64,
-    ops: u64,
+    /// Saturated hash-table entries walked past.
+    saturated_skips: u64,
     /// XOR-fold of read-back plaintext; keeps reads observable.
     read_sink: u64,
 }
@@ -282,17 +342,11 @@ impl ShardController {
             predictor: HistoryPredictor::new(3),
             scratch: vec![0u8; line_size],
             log: None,
-            meta_ops: Vec::new(),
-            base: BaseMetrics::default(),
-            dewrite: DeWriteMetrics::default(),
             write_shapes: [0; WRITE_SHAPES],
             read_kinds: [0; 2],
-            energy: EnergyBreakdown::new(),
-            energy_params: EnergyParams::PCM,
             instructions: 0,
             flip_bits: 0,
-            nvm_data_writes: 0,
-            ops: 0,
+            saturated_skips: 0,
             read_sink: 0,
         }
     }
@@ -304,16 +358,12 @@ impl ShardController {
 
     /// Operations processed so far.
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.write_shapes.iter().chain(&self.read_kinds).sum()
     }
 
     /// Fraction of writes eliminated as duplicates.
     pub fn dedup_rate(&self) -> f64 {
-        if self.base.writes == 0 {
-            0.0
-        } else {
-            self.base.writes_eliminated as f64 / self.base.writes as f64
-        }
+        self.report("").write_reduction()
     }
 
     /// Select the order the shard's free-space map claims lines in.
@@ -323,9 +373,9 @@ impl ShardController {
     /// Panics if the shard has already processed operations.
     pub fn set_fsm_policy(&mut self, policy: FsmPolicy) {
         assert!(
-            self.ops == 0,
+            self.ops() == 0,
             "cannot switch the FSM after {} operations",
-            self.ops
+            self.ops()
         );
         self.fsm_policy = policy;
     }
@@ -338,9 +388,9 @@ impl ShardController {
     /// Panics if the shard has already processed operations.
     pub fn set_cache_policy(&mut self, policy: Replacement) {
         assert!(
-            self.ops == 0,
+            self.ops() == 0,
             "cannot switch the metadata-cache policy after {} operations",
-            self.ops
+            self.ops()
         );
         if self.meta.config().replacement != policy {
             let mut config = *self.meta.config();
@@ -363,9 +413,9 @@ impl ShardController {
     /// digests would no longer match the digest function.
     pub fn set_digest_mode(&mut self, mode: DigestMode) {
         assert!(
-            self.ops == 0,
+            self.ops() == 0,
             "cannot switch the digest mode after {} operations",
-            self.ops
+            self.ops()
         );
         self.digest = IndexDigest::new(HashAlgorithm::Crc32, mode, &self.key);
     }
@@ -538,15 +588,40 @@ impl ShardController {
         }
     }
 
-    /// Feed the in-flight write's journal ops to the log, flushing and
-    /// checkpointing per the epoch policy. Called at the end of every
-    /// applied write; a no-op without persistence.
-    fn journal_write(&mut self) {
-        let Some(log) = self.log.as_mut() else {
+    /// Journal the write just committed at `addr` — the slot it `freed`,
+    /// the `slot` it now maps to and, for a stored line, its `digest` —
+    /// flushing and checkpointing per the epoch policy. Called at the end
+    /// of every applied write; a no-op without persistence.
+    fn journal_write(
+        &mut self,
+        addr: LineAddr,
+        freed: Option<u64>,
+        slot: u64,
+        stored: Option<u64>,
+    ) {
+        if self.log.is_none() {
             return;
-        };
+        }
+        let real = self.slot_global(slot);
+        // ResidentDel first: the allocator may hand back the slot the
+        // release just freed, and replay applies ops in order.
+        let ops = [
+            freed.map(|f| MetaOp::ResidentDel {
+                real: self.slot_global(f),
+            }),
+            stored.map(|digest| MetaOp::ResidentSet { real, digest }),
+            Some(MetaOp::MapSet {
+                init: addr.index(),
+                real,
+            }),
+            stored.map(|_| MetaOp::CounterSet {
+                line: real,
+                value: self.counters[slot as usize],
+            }),
+        ];
+        let log = self.log.as_mut().expect("checked above");
         let due = log
-            .record_write(self.meta_ops.drain(..))
+            .record_write(ops.into_iter().flatten())
             .expect("metadata WAL append failed");
         if due {
             let snapshot = self.snapshot();
@@ -673,9 +748,7 @@ impl ShardController {
             "write routed to the wrong shard"
         );
         assert_eq!(data.len(), self.line_size, "write must be one full line");
-        self.ops += 1;
         self.instructions += u64::from(gap) + 1;
-        self.base.writes += 1;
 
         // The prediction depends on past writes only; taking it first lets
         // the hint schedule know whether this write will probe or store.
@@ -685,39 +758,21 @@ impl ShardController {
         let old_slot = self.hint_before_digest(idx, (!predicted_dup).then_some(home));
 
         // Stage 1: fingerprint.
-        let digest_cost = self.digest.cost();
         let digest = self.digest.digest(data);
-        self.base.hash_ops += 1;
-        self.energy.dedup_pj += digest_cost.energy_pj;
         self.hint_after_digest(digest, old_slot, predicted_dup);
 
         // Stage 2: probe the hash-store cache.
         let cache_hit = self.meta.access(digest, false);
         if !cache_hit {
-            self.base.meta_nvm_reads += 1;
-            self.energy.nvm_read_pj += self.energy_params.read_line_pj;
             let _ = self.meta.insert(digest, false);
         }
-        // PNA: on a cache miss with a non-duplicate prediction, skip the
-        // in-NVM hash-table query entirely.
-        let pna_skip = !cache_hit && !predicted_dup;
-        if pna_skip {
-            self.dewrite.pna_skips += 1;
-        }
 
-        // Speculative encryption on the parallel path: predicted-non-dup
-        // writes encrypt while detection runs.
-        let speculative = !predicted_dup;
-        if speculative {
-            self.dewrite.parallel_writes += 1;
-        } else {
-            self.dewrite.direct_writes += 1;
-        }
-
-        // Stages 3+4: candidate verification.
+        // Stages 3+4: candidate verification. PNA: on a cache miss with a
+        // non-duplicate prediction, skip the in-NVM hash-table query
+        // entirely.
         let mut verified = 0usize;
         let mut dup: Option<OpenEntry> = None;
-        if !pna_skip {
+        if cache_hit || predicted_dup {
             // The bucket's unsaturated entries in seed order, at most the
             // compare cap of them; a walk that finds no duplicate has
             // skipped every saturated entry up to where it stopped.
@@ -728,113 +783,62 @@ impl ShardController {
                 // decision — accept the first unsaturated candidate with no
                 // array read, no decryption, no byte compare.
                 if let Some(&first) = view.entries().first() {
-                    self.dewrite.assumed_dups += 1;
                     skipped = first.saturated_before;
                     dup = Some(first);
                 }
             } else {
                 for &entry in view.entries() {
                     verified += 1;
-                    self.energy.nvm_read_pj += self.energy_params.read_line_pj;
-                    self.energy.dedup_pj += self.energy_params.compare_pj;
                     self.decrypt_slot(entry.real.index());
                     if lines_equal(&self.scratch, data) {
                         skipped = entry.saturated_before;
                         dup = Some(entry);
                         break;
                     }
-                    self.dewrite.false_matches += 1;
                 }
             }
-            self.base.verify_reads += verified as u64;
-            self.dewrite.saturated_skips += u64::from(skipped);
+            self.saturated_skips += u64::from(skipped);
         }
 
-        // Commit: duplicate (reference the resident copy) or store.
-        let eliminated = match dup {
+        // Commit: reference the resident copy, or store. A duplicate adds
+        // its reference before the old mapping is released, so an entry
+        // rewritten with its own content never transiently hits zero.
+        let (eliminated, freed, slot) = match dup {
             Some(entry) if self.hash.add_reference_at(entry) => {
-                let slot = entry.real.index();
-                // Order matters when the old mapping is the same slot: add
-                // the new reference before releasing the old one so the
-                // entry never transiently hits zero.
                 let freed = self.release_previous_mapping(idx);
-                self.map_addr(idx, slot);
-                if self.log.is_some() {
-                    if let Some(f) = freed {
-                        let real = self.slot_global(f);
-                        self.meta_ops.push(MetaOp::ResidentDel { real });
-                    }
-                    let real = self.slot_global(slot);
-                    self.meta_ops.push(MetaOp::MapSet {
-                        init: addr.index(),
-                        real,
-                    });
-                }
-                true
+                (true, freed, entry.real.index())
             }
-            _ => false,
+            _ => {
+                let freed = self.release_previous_mapping(idx);
+                let slot = match self.fsm_policy {
+                    FsmPolicy::Tree => self.fsm.allocate(home),
+                    FsmPolicy::TreeWear => self.fsm.allocate_rotating(),
+                }
+                .expect("shard arena exhausted: size slots for the workload");
+                self.counters[slot as usize] += 1;
+                let ctr = LineCounter::from_value(self.counters[slot as usize]);
+                let global = self.slot_global(slot);
+                let range = self.slot_range(slot);
+                self.crypt
+                    .encrypt_line_into(data, global, ctr, &mut self.scratch);
+                self.flip_bits += dewrite_nvm::bit_flips(&self.store[range.clone()], &self.scratch);
+                self.store[range].copy_from_slice(&self.scratch);
+                self.hash.insert(digest, LineAddr::new(slot));
+                self.inverted.set(LineAddr::new(slot), digest);
+                (false, freed, slot)
+            }
         };
-
-        if eliminated {
-            self.base.writes_eliminated += 1;
-            self.dewrite.dup_eliminated += 1;
-            if speculative {
-                // The speculative encryption raced detection and lost.
-                self.dewrite.wasted_encryptions += 1;
-                self.base.aes_line_ops += 1;
-                self.energy.aes_pj += aes_line_energy_pj(self.line_size);
-            } else {
-                self.dewrite.saved_encryptions += 1;
-            }
-        } else {
-            let freed = self.release_previous_mapping(idx);
-            let slot = match self.fsm_policy {
-                FsmPolicy::Tree => self.fsm.allocate(home),
-                FsmPolicy::TreeWear => self.fsm.allocate_rotating(),
-            }
-            .expect("shard arena exhausted: size slots for the workload");
-            self.counters[slot as usize] += 1;
-            let ctr = LineCounter::from_value(self.counters[slot as usize]);
-            let global = self.slot_global(slot);
-            let range = self.slot_range(slot);
-            let old_ct = &self.store[range.clone()];
-            self.crypt
-                .encrypt_line_into(data, global, ctr, &mut self.scratch);
-            let flips = dewrite_nvm::bit_flips(old_ct, &self.scratch);
-            self.store[range].copy_from_slice(&self.scratch);
-            self.flip_bits += flips;
-            self.nvm_data_writes += 1;
-            self.energy.nvm_write_pj += self.energy_params.write_energy_pj(flips);
-            self.base.aes_line_ops += 1;
-            self.energy.aes_pj += aes_line_energy_pj(self.line_size);
-            self.hash.insert(digest, LineAddr::new(slot));
-            self.inverted.set(LineAddr::new(slot), digest);
-            self.map_addr(idx, slot);
-            if self.log.is_some() {
-                // ResidentDel first: the allocator may hand back the slot
-                // the release just freed, and replay applies ops in order.
-                if let Some(f) = freed {
-                    let real = self.slot_global(f);
-                    self.meta_ops.push(MetaOp::ResidentDel { real });
-                }
-                let real = self.slot_global(slot);
-                self.meta_ops.push(MetaOp::ResidentSet { real, digest });
-                self.meta_ops.push(MetaOp::MapSet {
-                    init: addr.index(),
-                    real,
-                });
-                self.meta_ops.push(MetaOp::CounterSet {
-                    line: real,
-                    value: self.counters[slot as usize],
-                });
-            }
-        }
+        self.map_addr(idx, slot);
 
         // The write updated dedup metadata either way; dirty the cached
         // hash-store entry so its eventual eviction becomes an NVM write.
         let _ = self.meta.access(digest, true);
 
         self.predictor.record(eliminated);
+        // `open` yields only unsaturated entries and a reference is refused
+        // only at saturation, so a match is always an elimination: the
+        // shape alone fixes the false matches and assumed duplicates.
+        debug_assert_eq!(eliminated, dup.is_some(), "a match took no reference");
         let shape = WriteShape {
             eliminated,
             predicted_dup,
@@ -842,8 +846,8 @@ impl ShardController {
             verified,
         };
         self.write_shapes[shape.index()] += 1;
-        self.journal_write();
-        let (_, sim_ns, _) = shape.cost(digest_cost.latency_ns);
+        self.journal_write(addr, freed, slot, (!eliminated).then_some(digest));
+        let (_, sim_ns, _) = shape.cost(self.digest.cost().latency_ns);
         ShardWrite { eliminated, sim_ns }
     }
 
@@ -856,10 +860,7 @@ impl ShardController {
             self.id,
             "read routed to the wrong shard"
         );
-        self.ops += 1;
         self.instructions += u64::from(gap) + 1;
-        self.base.reads += 1;
-        self.energy.nvm_read_pj += self.energy_params.read_line_pj;
         let slot = self.mapped_slot(self.map_index(addr));
         if let Some(slot) = slot {
             self.decrypt_slot(slot);
@@ -980,75 +981,47 @@ impl ShardController {
     }
 
     /// This shard's simulated run report (deterministic: a pure function
-    /// of the shard's input feed). The latency distributions are expanded
-    /// here from the per-shape counts; every part of them is an
-    /// order-independent sum, so they equal recording each operation as it
-    /// happened.
+    /// of the shard's input feed). Write latencies, counters and energy
+    /// are expanded here from the per-shape counts; every part of them is
+    /// an order-independent sum, so they equal accounting for each
+    /// operation as it happened.
     pub fn report(&self, app: &str) -> RunReport {
-        let digest_ns = self.digest.cost().latency_ns;
-        let mut stage_breakdown = StageBreakdown::default();
-        let mut write_latency = LatencyStats::new();
-        let mut write_latency_eliminated = LatencyStats::new();
-        let mut write_latency_stored = LatencyStats::new();
-        let mut write_critical = LatencyStats::new();
-        let mut write_latency_hist = LatencyHistogram::new();
-        for (index, &n) in self.write_shapes.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let shape = WriteShape::from_index(index);
-            let (critical_ns, total_ns, event) = shape.cost(digest_ns);
-            stage_breakdown.observe_n(&event, n);
-            write_latency.record_n(total_ns, n);
-            write_latency_hist.record_n(total_ns, n);
-            write_critical.record_n(critical_ns, n);
-            if shape.eliminated {
-                write_latency_eliminated.record_n(total_ns, n);
-            } else {
-                write_latency_stored.record_n(total_ns, n);
-            }
-        }
-        let mut read_latency = LatencyStats::new();
-        let mut read_latency_hist = LatencyHistogram::new();
-        for (mapped, &n) in [false, true].into_iter().zip(&self.read_kinds) {
-            read_latency.record_n(read_ns(mapped), n);
-            read_latency_hist.record_n(read_ns(mapped), n);
-        }
-        let sim_ns = write_latency.total_ns() + read_latency.total_ns();
-
-        let mut dewrite = self.dewrite;
-        dewrite.predictor_accuracy = self.predictor.accuracy();
-        let cache = self.meta.stats();
-        let mut base = self.base;
-        base.meta_nvm_writes += cache.dirty_evictions;
-        RunReport {
+        let pcm = EnergyParams::PCM;
+        let mut report = RunReport {
             scheme: "engine-dewrite".into(),
             app: app.into(),
             instructions: self.instructions,
-            cycles: sim_ns as f64,
-            ipc: if sim_ns == 0 {
-                0.0
-            } else {
-                self.instructions as f64 / sim_ns as f64
-            },
-            write_latency,
-            write_latency_eliminated,
-            write_latency_stored,
-            read_latency,
-            write_critical,
-            base,
-            energy: self.energy,
-            nvm_data_writes: self.nvm_data_writes,
-            bit_flip_ratio: if self.nvm_data_writes == 0 {
-                0.0
-            } else {
-                self.flip_bits as f64 / (self.nvm_data_writes * self.line_size as u64 * 8) as f64
-            },
-            dewrite: Some(dewrite),
-            write_latency_hist,
-            read_latency_hist,
-            stage_breakdown,
+            dewrite: Some(DeWriteMetrics {
+                saturated_skips: self.saturated_skips,
+                predictor_accuracy: self.predictor.accuracy(),
+                ..DeWriteMetrics::default()
+            }),
+            ..RunReport::default()
+        };
+        for (index, &n) in self.write_shapes.iter().enumerate() {
+            if n > 0 {
+                WriteShape::from_index(index).charge(n, &self.digest, self.line_size, &mut report);
+            }
         }
+        for (mapped, &n) in [false, true].into_iter().zip(&self.read_kinds) {
+            report.read_latency.record_n(read_ns(mapped), n);
+            report.read_latency_hist.record_n(read_ns(mapped), n);
+        }
+        report.base.reads = report.read_latency.count();
+        report.base.meta_nvm_writes = self.meta.stats().dirty_evictions;
+        report.energy.nvm_read_pj += report.base.reads * pcm.read_line_pj;
+        report.energy.nvm_write_pj += self.flip_bits * pcm.write_bit_pj;
+
+        let sim_ns = report.write_latency.total_ns() + report.read_latency.total_ns();
+        report.cycles = sim_ns as f64;
+        if sim_ns > 0 {
+            report.ipc = self.instructions as f64 / sim_ns as f64;
+        }
+        if report.nvm_data_writes > 0 {
+            report.bit_flip_ratio =
+                self.flip_bits as f64 / (report.nvm_data_writes * self.line_size as u64 * 8) as f64;
+        }
+        report
     }
 }
 
@@ -1072,6 +1045,7 @@ fn fold_words(line: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dewrite_mem::{LatencyHistogram, LatencyStats};
 
     const LINE: usize = 64;
     const KEY: &[u8; 16] = b"dewrite-repro-16";
@@ -1379,15 +1353,15 @@ mod tests {
         forged
     }
 
-    #[test]
-    fn verify_misses_cost_closed_forms() {
-        const LINE_256: usize = 256;
+    const LINE_256: usize = 256;
+
+    /// Five distinct 256 B lines sharing one CRC-32 digest bucket.
+    fn colliding_lines() -> Vec<Vec<u8>> {
         let base = |tag: u8| -> Vec<u8> {
             (0..LINE_256)
                 .map(|i| tag.wrapping_mul(31) ^ (i as u8))
                 .collect()
         };
-        // Five distinct lines sharing one digest bucket.
         let target = crc_digest(&base(1));
         let lines: Vec<Vec<u8>> = (1..=5u8)
             .map(|tag| forge_crc(&base(tag), 100, target))
@@ -1395,7 +1369,12 @@ mod tests {
         for (i, a) in lines.iter().enumerate() {
             assert!(lines[i + 1..].iter().all(|b| a != b), "distinct lines");
         }
+        lines
+    }
 
+    #[test]
+    fn verify_misses_cost_closed_forms() {
+        let lines = colliding_lines();
         let mut s = ShardController::new(0, 1, 64, LINE_256, KEY);
         let mut addr = 0u64;
         // Each write's verify reads, read off the report around it.
@@ -1438,6 +1417,99 @@ mod tests {
             (COMPARE_NS, 4 * COMPARE_NS)
         );
         assert_eq!(s.scrub().unwrap(), 5);
+    }
+
+    /// The colliding lines stored at addresses 0–4, then rewritten in
+    /// order at 5–8, then one mapped and one never-written read: every
+    /// counter and energy term of the report in closed form.
+    fn write_accounting_closed_form(mode: DigestMode) {
+        let lines = colliding_lines();
+        let mut s = ShardController::new(0, 1, 64, LINE_256, KEY);
+        s.set_digest_mode(mode);
+        for (addr, data) in lines.iter().chain(&lines[..4]).enumerate() {
+            s.write(LineAddr::new(addr as u64), data, 0);
+        }
+        s.read(LineAddr::new(0), 0);
+        s.read(LineAddr::new(63), 0);
+        assert_eq!(s.ops(), 11);
+
+        // Outcomes run S S S S S E E E E. A majority of the last three
+        // first forecasts a duplicate at the eighth write, so writes 1–7
+        // take the parallel path (6 and 7 waste their encryption) and 8–9
+        // the direct one. A cache miss on the parallel path skips the
+        // probe (PNA); the metadata cache holds every digest once seen.
+        let (misses, verified, false_matches, assumed) = match mode {
+            // One shared digest: only the first write misses. Stored line
+            // k walks the k − 1 before it, all misses; eliminated line k
+            // matches after k − 1 misses.
+            DigestMode::Crc32Verify => (1, 10 + 10, 10 + 6, 0),
+            // Five distinct tags: each stored write misses and skips the
+            // probe, and each rewrite is accepted on its tag alone.
+            DigestMode::StrongKeyed => (5, 0, 0, 4),
+        };
+        let r = s.report("acct");
+        let d = r.dewrite.unwrap();
+        assert_eq!(
+            (
+                r.base.writes,
+                r.nvm_data_writes,
+                r.base.writes_eliminated,
+                r.base.reads
+            ),
+            (9, 5, 4, 2)
+        );
+        assert_eq!((r.base.hash_ops, r.base.meta_nvm_reads), (9, misses));
+        assert_eq!(
+            (r.base.verify_reads, d.false_matches, d.assumed_dups),
+            (verified, false_matches, assumed)
+        );
+        assert_eq!(
+            (d.parallel_writes, d.direct_writes, d.pna_skips),
+            (7, 2, misses)
+        );
+        assert_eq!((d.wasted_encryptions, d.saved_encryptions), (2, 2));
+        assert_eq!(r.base.aes_line_ops, 5 + 2);
+
+        // Each stored line lands in its fresh, zeroed home slot with
+        // counter 1, so it programs every set bit of its ciphertext.
+        let crypt = CounterModeEngine::new(KEY);
+        let mut ct = vec![0u8; LINE_256];
+        let flip_bits: u64 = (0..5)
+            .map(|addr| {
+                crypt.encrypt_line_into(
+                    &lines[addr],
+                    addr as u64,
+                    LineCounter::from_value(1),
+                    &mut ct,
+                );
+                ct.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
+            })
+            .sum();
+        let pcm = EnergyParams::PCM;
+        let digest_pj = IndexDigest::new(HashAlgorithm::Crc32, mode, KEY)
+            .cost()
+            .energy_pj;
+        assert_eq!(r.energy.dedup_pj, 9 * digest_pj + verified * pcm.compare_pj);
+        assert_eq!(
+            r.energy.nvm_read_pj,
+            (misses + verified + 2) * pcm.read_line_pj
+        );
+        assert_eq!(r.energy.aes_pj, 7 * aes_line_energy_pj(LINE_256));
+        assert_eq!(
+            r.energy.nvm_write_pj,
+            5 * pcm.write_base_pj + flip_bits * pcm.write_bit_pj
+        );
+        assert_eq!(s.scrub().unwrap(), 5);
+    }
+
+    #[test]
+    fn write_accounting_is_closed_form_crc32_verify() {
+        write_accounting_closed_form(DigestMode::Crc32Verify);
+    }
+
+    #[test]
+    fn write_accounting_is_closed_form_strong_keyed() {
+        write_accounting_closed_form(DigestMode::StrongKeyed);
     }
 
     #[test]

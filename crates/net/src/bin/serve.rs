@@ -31,7 +31,8 @@ OPTIONS:
                          (each engine generation under gen-<n>/shard-<id>/)
     --persist-epoch N    data writes per WAL epoch record (default 64)
     --persist-sync       fsync the WAL on every epoch flush
-    --max-lines N        largest line space a Hello may request (default 2^28)
+    --max-lines N        largest line space a Hello may request (default 2^28);
+                         also bounds the arena its expected writes size
     -h, --help           this help"
     );
     std::process::exit(2)

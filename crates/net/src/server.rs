@@ -55,6 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_queue::ArrayQueue;
+use dewrite_core::tables::MAX_REFERENCE;
 use dewrite_engine::{
     Backoff, Completion, CompletionBody, DataOp, DigestMode, EngineConfig, EngineRun,
     EngineService, Replacement, ServiceOp, ServiceRequest, CONTROL_SEQ,
@@ -90,7 +91,9 @@ pub struct ServeOptions {
     pub persist_epoch: u32,
     /// `fsync` the WAL on every epoch flush.
     pub persist_sync: bool,
-    /// Upper bound a `Hello` may ask for in workload lines.
+    /// Upper bound a `Hello` may ask for in workload lines. Its expected
+    /// writes may size an arena no larger than this many lines each
+    /// written `MAX_REFERENCE` times would.
     pub max_lines: u64,
 }
 
@@ -402,6 +405,41 @@ fn push_response(shared: &Shared, conn: &mut Conn, conn_seq: u64, resp: &Respons
     }
 }
 
+/// Validate a `Hello` against the server's limits, returning its cache
+/// policy and digest mode, or why it is refused. The arena it may size is
+/// at most that of a `max_lines` line space whose every line is written
+/// `MAX_REFERENCE` times.
+fn check_hello(opts: &ServeOptions, h: &Hello) -> Result<(Replacement, DigestMode), String> {
+    if h.line_size == 0
+        || h.line_size as usize > MAX_LINE_BYTES
+        || h.lines == 0
+        || h.lines > opts.max_lines
+    {
+        return Err(format!(
+            "geometry out of range: line_size {} lines {} (max {})",
+            h.line_size, h.lines, opts.max_lines
+        ));
+    }
+    let slots =
+        |lines, writes| EngineConfig::for_workload(opts.shards, 1, lines, writes).slots_per_shard;
+    let max_slots = slots(
+        opts.max_lines,
+        opts.max_lines.saturating_mul(u64::from(MAX_REFERENCE)),
+    );
+    let asked = slots(h.lines, h.expected_writes);
+    if asked > max_slots {
+        return Err(format!(
+            "expected_writes {} sizes {asked} slots per shard (max {max_slots})",
+            h.expected_writes
+        ));
+    }
+    let cache_policy = Replacement::from_wire(h.cache_policy)
+        .ok_or_else(|| format!("unknown cache policy {}", h.cache_policy))?;
+    let digest_mode = DigestMode::from_wire(h.digest_mode)
+        .ok_or_else(|| format!("unknown digest mode {}", h.digest_mode))?;
+    Ok((cache_policy, digest_mode))
+}
+
 fn err(code: ErrorCode, detail: impl Into<String>) -> Response {
     Response::Error {
         code,
@@ -568,48 +606,17 @@ impl Lane {
             );
             return;
         }
-        if h.line_size == 0
-            || h.line_size as usize > MAX_LINE_BYTES
-            || h.lines == 0
-            || h.lines > self.shared.opts.max_lines
-        {
-            push_response(
-                &self.shared,
-                conn,
-                conn_seq,
-                &err(
-                    ErrorCode::BadPayload,
-                    format!(
-                        "geometry out of range: line_size {} lines {} (max {})",
-                        h.line_size, h.lines, self.shared.opts.max_lines
-                    ),
-                ),
-            );
-            return;
-        }
-        let Some(cache_policy) = Replacement::from_wire(h.cache_policy) else {
-            push_response(
-                &self.shared,
-                conn,
-                conn_seq,
-                &err(
-                    ErrorCode::BadPayload,
-                    format!("unknown cache policy {}", h.cache_policy),
-                ),
-            );
-            return;
-        };
-        let Some(digest_mode) = DigestMode::from_wire(h.digest_mode) else {
-            push_response(
-                &self.shared,
-                conn,
-                conn_seq,
-                &err(
-                    ErrorCode::BadPayload,
-                    format!("unknown digest mode {}", h.digest_mode),
-                ),
-            );
-            return;
+        let (cache_policy, digest_mode) = match check_hello(&self.shared.opts, &h) {
+            Ok(axes) => axes,
+            Err(detail) => {
+                push_response(
+                    &self.shared,
+                    conn,
+                    conn_seq,
+                    &err(ErrorCode::BadPayload, detail),
+                );
+                return;
+            }
         };
         let mut geo = self.shared.geometry.lock().expect("geometry lock");
         let resp = match geo.as_ref() {

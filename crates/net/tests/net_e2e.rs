@@ -229,6 +229,23 @@ fn malformed_frames_get_typed_errors_without_desync() {
         .expect("write");
     expect_error(read_resp(&mut stream, &mut rbuf), ErrorCode::UnknownOp);
 
+    // 2b. A Hello whose expected writes would size an arena past the
+    // `max_lines` bound (or overflow sizing it) is refused, naming them.
+    for expected_writes in [u64::MAX, 1_000_000_000_000] {
+        let mut huge = hello(&t);
+        huge.expected_writes = expected_writes;
+        stream
+            .write_all(&proto::encode_request(&Request::Hello(huge)))
+            .expect("write");
+        match read_resp(&mut stream, &mut rbuf) {
+            Response::Error {
+                code: ErrorCode::BadPayload,
+                detail,
+            } => assert!(detail.contains("expected_writes"), "{detail}"),
+            other => panic!("expected BadPayload, got {other:?}"),
+        }
+    }
+
     // 3. The same connection can still handshake…
     stream
         .write_all(&proto::encode_request(&Request::Hello(hello(&t))))
