@@ -330,14 +330,13 @@ impl MetaTable {
         } else {
             0
         };
+        // A demand insert of an entry the prefetch just brought in updates
+        // it in place, dirty bit included: the miss is its only lookup.
         let mut dirty = dirty_victims;
         if let Some(victim) = self.cache.insert(entry, write) {
             if victim.dirty {
                 dirty += 1;
             }
-        } else if write {
-            // insert() may have updated in place after prefetch; re-mark.
-            self.cache.access(entry, true);
         }
         for _ in 0..dirty {
             self.writeback(device, now_ns, metrics);
@@ -461,6 +460,28 @@ mod tests {
         }
         assert!(m.meta_nvm_writes > 0, "dirty victims must be written back");
         assert!(d.writes() >= m.meta_nvm_writes);
+    }
+
+    #[test]
+    fn write_miss_books_one_miss_and_no_hit() {
+        for sequential in [true, false] {
+            let mut d = device();
+            let mut m = BaseMetrics::default();
+            let mut t = table(sequential, 16);
+            assert!(t.probe(37, true, 0).is_none());
+            let fetched = t.fetch(37, true, &mut d, 0, &mut m);
+            assert!(!fetched.hit);
+            let stats = t.cache_stats();
+            assert_eq!(
+                (stats.misses, stats.hits),
+                (1, 0),
+                "sequential {sequential}"
+            );
+            assert_eq!(stats.demand_inserts, 1, "sequential {sequential}");
+            // Prefetched neighbours arrive clean: the one dirty entry is 37.
+            assert!(t.cache.contains(37));
+            assert_eq!(t.dirty_entries(), 1, "sequential {sequential}");
+        }
     }
 
     #[test]

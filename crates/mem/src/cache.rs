@@ -10,32 +10,28 @@
 //!
 //! # Memory layout
 //!
-//! The cache sits on every simulated memory access, so it is flat arrays
-//! rather than per-set heap `Vec`s, laid out by host cache line. Each way
-//! is an interleaved `{key, stamp}` entry (a hit reads the key and
-//! re-stamps recency in one line), four to a 64-byte line, and every set's
-//! ways start on a line boundary, so an 8-way set is exactly two lines.
-//! Beside the ways sits the set's header: per eight ways, one word of
-//! one-byte tags (a 7-bit hash of the key per way, `0x80` for a never-used
-//! way) next to the eight ways' flag bytes (valid, dirty, and S3-FIFO's
-//! queue bit and frequency) — 16 bytes, never split across a line. An
-//! evicting fill of an 8-way set so touches three host lines: the header
-//! (probe, the victim's flag, the refill's tag and flag) and the two way
-//! lines (the victim tournament's stamps, the refill). A set spans whole
-//! tag groups — slot `set * 8 * set_groups + way` indexes ways, tags and
-//! flags alike — so slots past the associativity are padding that is never
-//! used. Nothing allocates after [`MetadataCache::new`]. The tags
-//! front every set scan: a whole set's tags are matched with one u64 SWAR
-//! compare, so a lookup touches 8 bytes instead of 64 and full keys are
-//! only compared on tag hits. SWAR false positives and empty lanes are
-//! filtered by an exact byte compare from the word already in register, so
-//! the scan is exact on every platform — no portable fallback is needed
-//! (the few SWAR lines are duplicated from the core table scan; this crate
-//! is dependency-free, like the portable switch duplicated between
-//! `dewrite-hashes` and `dewrite-crypto`). LRU/FIFO replacement is
-//! behaviorally identical to the seed per-set-`Vec` implementation (kept as
-//! an oracle in [`crate::seed`]): victims are chosen by unique minimum
-//! stamp, so set-internal storage order was never observable.
+//! The cache sits on every simulated memory access, so it is one flat
+//! buffer of 128-byte records, one per eight ways, each on a 128-byte
+//! boundary. A record's first line holds what a probe and a victim choice
+//! read — the tag word (a byte per way: `0x80 |` a 7-bit key hash, `0` if
+//! never used), the flag bytes (valid, dirty, S3-FIFO's queue bit and
+//! frequency) and the `u32` stamps — and ways 0–1's keys; ways 2–7's keys
+//! fill the second. A probe that misses and an evicting LRU/FIFO fill read
+//! one line, a hit at most two. A set is `ceil(assoc / 8)` records (slot
+//! `set * 8 * set_groups + way`; slots past the associativity are padding
+//! that is never used), and an all-zero record is an empty set, so the
+//! buffer is a plain zeroed allocation, paged in as it is touched. A set's
+//! tags are matched with one u64 SWAR compare and full keys compared only
+//! on tag hits; an exact byte compare from the word in register filters
+//! SWAR false positives and empty lanes, so the scan is exact on every
+//! platform (the few SWAR lines are duplicated from the core table scan;
+//! this crate is dependency-free). Victims are the unique minimum stamp, so
+//! LRU/FIFO match the seed per-set-`Vec` implementation (the oracle in
+//! [`crate::seed`]) exactly. Stamps are only compared within a set, so
+//! they fit in `u32`: when the clock nears `u32::MAX`, every set's stamps
+//! are renumbered as their ranks and the clock restarts above them, which
+//! keeps every victim. Nothing but that rare renumbering allocates after
+//! [`MetadataCache::new`].
 //!
 //! # One fill
 //!
@@ -45,27 +41,27 @@
 //! LRU or FIFO set gives up its minimum stamp through a branch-free
 //! tournament. The run is that fill applied to `start, start + 1, …` in
 //! order — the same keys, clock ticks and victims as a per-key loop, by
-//! construction — with only the per-key overhead hoisted: the set hash
-//! advances by a constant (`hash(k + 1) = hash(k) + C`) and the clock,
-//! population and statistics ride in locals until the run ends.
+//! construction — with the per-key overhead hoisted (the set hash advances
+//! by a constant, `hash(k + 1) = hash(k) + C`; the clock's headroom is
+//! checked once; clock, population and statistics ride in locals) and the
+//! first line of the set eight keys ahead hinted, so the fills' line
+//! fetches overlap.
 //!
 //! # S3-FIFO over the same flat arrays
 //!
 //! [`Replacement::S3Fifo`] adds scan resistance without a second layout.
 //! The small/main queues are **per set** and virtual: queue membership is
-//! one flag bit and the 2-bit hit frequency lives in the same flag byte,
-//! while FIFO order within each queue reuses the monotonic `stamp` that LRU
-//! already maintains (minimum stamp = queue head, re-stamping = move to
-//! tail). The ghost queue is a per-set ring of 16-bit key fingerprints —
-//! no payload, one `u16` per way — consulted only on the insert (miss-fill)
-//! path, so the hit path stays the same few loads as LRU. Eviction prefers
-//! the small queue while it exceeds ~assoc/8 ways: an entry that was hit
-//! while in small is promoted to the main tail, an unhit one is evicted and
-//! only its fingerprint is remembered; a key whose fingerprint is still in
-//! the ghost ring re-inserts directly into main. Main evicts its head too,
-//! but re-queues entries whose frequency is nonzero (decrementing it), so
-//! repeatedly-hit entries survive long sequential sweeps that flush an LRU
-//! set end to end.
+//! one flag bit, the 2-bit hit frequency shares its flag byte, and FIFO
+//! order reuses LRU's stamps (minimum stamp = queue head, re-stamping =
+//! move to tail). The ghost queue is a per-set ring of 16-bit key
+//! fingerprints (one `u16` per way, no payload) consulted only on a miss
+//! fill, so the hit path stays LRU's. Eviction prefers the small queue
+//! while it exceeds ~assoc/8 ways: an entry hit while in small is promoted
+//! to the main tail, an unhit one is evicted and only its fingerprint
+//! remembered; a key whose fingerprint is still in the ring re-inserts
+//! into main. Main evicts its head too, but re-queues entries with nonzero
+//! frequency (decrementing it), so repeatedly-hit entries survive
+//! sequential sweeps that flush an LRU set end to end.
 
 use crate::hint;
 
@@ -189,12 +185,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Demand hit rate in `[0, 1]`; zero if no lookups.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
@@ -228,18 +219,11 @@ fn freq_of(flag: u8) -> u8 {
 /// [`FREQ_MAX`].
 #[inline]
 fn freq_bumped(flag: u8) -> u8 {
-    if freq_of(flag) < FREQ_MAX {
-        flag + (1 << FREQ_SHIFT)
-    } else {
-        flag
-    }
+    flag + (u8::from(freq_of(flag) < FREQ_MAX) << FREQ_SHIFT)
 }
 
 const SWAR_LO: u64 = 0x0101_0101_0101_0101;
 const SWAR_HI: u64 = 0x8080_8080_8080_8080;
-/// A tag word of eight never-used lanes (`0x80` per byte — the high bit is
-/// never set in a valid 7-bit tag, so empty lanes never match).
-const TAG_EMPTY_WORD: u64 = SWAR_HI;
 
 /// Per-lane hit bits (at bit `8k + 7`) for bytes of `word` equal to `tag`,
 /// via the SWAR zero-byte trick. Lanes above a true match may be false
@@ -250,111 +234,131 @@ fn swar_match_lanes(word: u64, tag: u8) -> u64 {
     x.wrapping_sub(SWAR_LO) & !x & SWAR_HI
 }
 
-/// One way's key and recency stamp, interleaved so the common LRU hit
-/// (compare key, refresh stamp) touches a single cache line instead of
-/// one line in a key array plus one in a stamp array.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    key: u64,
-    /// Recency/insertion stamp. Stamps come from a strictly monotonic
-    /// clock, so the eviction minimum is always unique.
-    stamp: u64,
-}
-
-/// Ways per group: one SWAR tag word's lanes, two host lines of ways.
+/// Ways per record: one SWAR tag word's lanes.
 const GROUP_WAYS: usize = 8;
 
 /// Host cache line size.
 const LINE_BYTES: usize = 64;
 
-/// Ways per host line.
-const WAYS_PER_LINE: usize = LINE_BYTES / size_of::<Way>();
+/// Bytes per set record: eight ways' tags, flags, stamps and keys.
+const RECORD_BYTES: usize = 2 * LINE_BYTES;
 
-/// The ways, indexed by slot, with every set's ways starting on a host
-/// line boundary so an 8-way set spans exactly two lines. The allocator
-/// hands a large buffer back 16 bytes into a line (glibc does), which
-/// spreads every 8-way set over three. A 64-byte-aligned element type
-/// would fix that too, but it allocates through `posix_memalign` plus a
-/// memset — every page resident at once, and measured peak RSS growing
-/// from one cache to the next as the aligned chunks fragment the heap —
-/// so the buffer is an ordinary zeroed one with spare ways at the end,
-/// and slot 0 sits `lead` ways in, at its first line boundary.
+/// Byte offsets of a record's fields after the tag word: the flag bytes,
+/// the `u32` stamps and ways 0–1's keys in the first line, ways 2–7's keys
+/// in the second (16 bytes spare).
+const FLAGS_AT: usize = 8;
+const STAMPS_AT: usize = 16;
+const KEYS_AT: usize = 48;
+
+/// Byte offset of slot `slot`'s `width`-byte lane of the field at `field`.
+#[inline(always)]
+fn lane_at(slot: usize, field: usize, width: usize) -> usize {
+    slot / GROUP_WAYS * RECORD_BYTES + field + slot % GROUP_WAYS * width
+}
+
+/// The records, record 0 on a 128-byte boundary `lead` bytes into a plain
+/// zeroed buffer (an aligned element type allocates through
+/// `posix_memalign` plus a memset: every page resident at once). Bytes,
+/// not words, so that a flag, a stamp and a tag are each one store.
 #[derive(Debug)]
-struct Ways {
-    buf: Box<[Way]>,
-    /// Ways before `buf`'s first line boundary, from its address: a clone
-    /// has its own buffer, so [`Clone`] computes its own.
+struct Records {
+    buf: Box<[u8]>,
+    /// Bytes before `buf`'s first 128-byte boundary (a clone computes its own).
     lead: usize,
 }
 
-impl Ways {
-    fn new(slots: usize) -> Self {
-        let buf = vec![Way { key: 0, stamp: 0 }; slots + WAYS_PER_LINE - 1].into_boxed_slice();
-        let lead = (buf.as_ptr() as usize).wrapping_neg() % LINE_BYTES / size_of::<Way>();
-        Ways { buf, lead }
+impl Records {
+    fn new(records: usize) -> Self {
+        let buf = vec![0u8; records * RECORD_BYTES + RECORD_BYTES - 1].into_boxed_slice();
+        let lead = (buf.as_ptr() as usize).wrapping_neg() % RECORD_BYTES;
+        Records { buf, lead }
     }
 
-    /// Every slot (and up to three spare ways past the last).
+    /// Every record, back to back.
     #[inline(always)]
-    fn slots(&self) -> &[Way] {
-        &self.buf[self.lead..]
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.lead..self.lead + self.buf.len() + 1 - RECORD_BYTES]
     }
 
     #[inline(always)]
-    fn slots_mut(&mut self) -> &mut [Way] {
-        &mut self.buf[self.lead..]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.buf.len() + 1 - RECORD_BYTES;
+        &mut self.buf[self.lead..self.lead + len]
     }
 }
 
-impl Clone for Ways {
-    /// The same slots, laid out from the new buffer's own line boundary.
+impl Clone for Records {
+    /// The same records, laid out from the new buffer's own boundary.
     fn clone(&self) -> Self {
-        let slots = self.buf.len() + 1 - WAYS_PER_LINE;
-        let mut clone = Ways::new(slots);
-        clone.slots_mut()[..slots].copy_from_slice(&self.slots()[..slots]);
+        let mut clone = Records::new(self.bytes().len() / RECORD_BYTES);
+        clone.bytes_mut().copy_from_slice(self.bytes());
         clone
     }
 }
 
-/// Eight ways' one-byte tags (one SWAR word) and flag bytes side by side,
-/// so that a probe, the victim's flag and the refill's tag and flag land
-/// in one host line (16-byte aligned: a group never straddles two). A
-/// set's header is its `set_groups` of these.
-#[derive(Debug, Clone, Copy)]
-#[repr(align(16))]
-struct TagGroup {
-    tags: u64,
-    flags: [u8; GROUP_WAYS],
-}
-
-/// Slot `s`'s flag byte is lane `s % 8` of header group `s / 8`. (An
-/// extension trait on the borrowed slice, so the fill keeps its pointer
-/// and length in registers.)
-trait FlagLanes {
+/// Slot-indexed views of the record bytes (`tags` takes a record), as an
+/// extension trait so the fill keeps the slice in registers.
+trait Lanes {
+    fn tags(&self, record: usize) -> u64;
     fn flag(&self, slot: usize) -> u8;
-
     fn flag_mut(&mut self, slot: usize) -> &mut u8;
+    fn stamp(&self, slot: usize) -> u32;
+    fn set_stamp(&mut self, slot: usize, stamp: u32);
+    fn key(&self, slot: usize) -> u64;
+    fn set_way(&mut self, slot: usize, key: u64, tag: u8, flag: u8, stamp: u32);
 }
 
-impl FlagLanes for [TagGroup] {
+impl Lanes for [u8] {
+    #[inline(always)]
+    fn tags(&self, record: usize) -> u64 {
+        let at = record * RECORD_BYTES;
+        u64::from_le_bytes(self[at..at + 8].try_into().expect("an 8-byte range"))
+    }
+
     #[inline(always)]
     fn flag(&self, slot: usize) -> u8 {
-        self[slot / GROUP_WAYS].flags[slot % GROUP_WAYS]
+        self[lane_at(slot, FLAGS_AT, 1)]
     }
 
     #[inline(always)]
     fn flag_mut(&mut self, slot: usize) -> &mut u8 {
-        &mut self[slot / GROUP_WAYS].flags[slot % GROUP_WAYS]
+        &mut self[lane_at(slot, FLAGS_AT, 1)]
+    }
+
+    #[inline(always)]
+    fn stamp(&self, slot: usize) -> u32 {
+        let at = lane_at(slot, STAMPS_AT, 4);
+        u32::from_le_bytes(self[at..at + 4].try_into().expect("a 4-byte range"))
+    }
+
+    #[inline(always)]
+    fn set_stamp(&mut self, slot: usize, stamp: u32) {
+        let at = lane_at(slot, STAMPS_AT, 4);
+        self[at..at + 4].copy_from_slice(&stamp.to_le_bytes());
+    }
+
+    #[inline(always)]
+    fn key(&self, slot: usize) -> u64 {
+        let at = lane_at(slot, KEYS_AT, 8);
+        u64::from_le_bytes(self[at..at + 8].try_into().expect("an 8-byte range"))
+    }
+
+    #[inline(always)]
+    fn set_way(&mut self, slot: usize, key: u64, tag: u8, flag: u8, stamp: u32) {
+        let at = lane_at(slot, KEYS_AT, 8);
+        self[at..at + 8].copy_from_slice(&key.to_le_bytes());
+        self.set_stamp(slot, stamp);
+        *self.flag_mut(slot) = flag;
+        self[lane_at(slot, 0, 1)] = tag;
     }
 }
 
-/// The counters a fill advances: recency clock, population and
-/// statistics. Kept apart from the arrays so a run fill can carry them in
-/// locals and write them back once ([`MetadataCache::prefetch_run`]).
+/// The counters a fill advances: recency clock, population and statistics,
+/// apart from the records so a run fill can carry them in locals.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
     len: usize,
-    clock: u64,
+    clock: u32,
     stats: CacheStats,
 }
 
@@ -372,14 +376,12 @@ struct Tally {
 #[derive(Debug, Clone)]
 pub struct MetadataCache {
     config: CacheConfig,
-    /// Way key/stamp pairs, indexed by slot `set * 8 * set_groups + way`.
-    ways: Ways,
-    /// Set headers: tag lanes and flag bytes, same slots. Lanes past the
-    /// associativity are padding: tag permanently `0x80`, flag 0. A way is
-    /// valid iff its tag lane's high bit is clear — tags are written
-    /// exactly when a way is (re)filled and ways are never invalidated.
-    headers: Box<[TagGroup]>,
-    /// Tag groups per set: `associativity.div_ceil(8)`.
+    /// The set records, indexed by slot `set * 8 * set_groups + way`.
+    /// Lanes past the associativity are padding: tag and flag 0. A way is
+    /// valid iff its tag lane's high bit is set — tags are written exactly
+    /// when a way is (re)filled and ways are never invalidated.
+    records: Records,
+    /// Records per set: `associativity.div_ceil(8)`.
     set_groups: usize,
     num_sets: usize,
     /// S3-FIFO only (empty otherwise): per-set rings of ghost-queue key
@@ -391,6 +393,9 @@ pub struct MetadataCache {
     /// S3-FIFO only: ways per set the small queue may occupy before
     /// eviction drains it (~1/8 of the set, at least one way).
     small_target: usize,
+    /// The most clock ticks one fill takes: its own two, and one per
+    /// S3-FIFO promotion or re-queue (see [`Sets::s3_evict`]).
+    fill_ticks: u64,
     tally: Tally,
 }
 
@@ -398,6 +403,10 @@ pub struct MetadataCache {
 /// (wrapping), which is how a run fill walks sequential keys without a
 /// multiply per key.
 const HASH_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// How far ahead of its fill a run hints a key's record: eight keys' hash
+/// steps, lead time enough for the line to arrive.
+const RUN_AHEAD_STEP: u64 = HASH_STEP.wrapping_mul(8);
 
 /// Multiplicative hashing spreads sequential keys across sets while
 /// staying deterministic. Bits 32.. pick the set; bits 57.. are the
@@ -425,12 +434,7 @@ fn reduce_set(h: u64, num_sets: usize) -> usize {
 /// the ring's ambient false-positive rate).
 #[inline]
 fn fingerprint(h: u64) -> u16 {
-    let fp = (h >> 48) as u16;
-    if fp == 0 {
-        1
-    } else {
-        fp
-    }
+    ((h >> 48) as u16).max(1)
 }
 
 /// What one pass over a set's tag words says about a key.
@@ -443,28 +447,28 @@ enum Probe {
     Full,
 }
 
-/// One pass over `set`'s tag words: the key's slot if resident (one SWAR
-/// compare per eight ways, full key compare only on tag hits; keys are
-/// unique within a set, so any match is the match), else the first
-/// never-used way, else full. Padding lanes are permanently `0x80`, but
-/// they sit above every real way of the last word, so a real free lane is
-/// always found first.
+/// The tag lane of a key hash: bits 57.., high bit set (0 = never used).
+#[inline(always)]
+fn tag_of(h: u64) -> u8 {
+    (h >> 57) as u8 | 0x80
+}
+
+/// One pass over `set`'s tag words: the key's slot if resident (full key
+/// compare only on tag hits; keys are unique within a set), else the first
+/// never-used way, else full. Padding lanes are permanently zero, but sit
+/// above every real way of the last word, so a real free lane comes first.
 #[inline(always)]
 fn probe(
-    headers: &[TagGroup],
-    ways: &[Way],
+    records: &[u8],
     (assoc, set_groups): (usize, usize),
     set: usize,
     tag: u8,
     key: u64,
 ) -> Probe {
-    let base = set * set_groups * GROUP_WAYS;
     let mut free_way = usize::MAX;
-    for (w, group) in headers[set * set_groups..(set + 1) * set_groups]
-        .iter()
-        .enumerate()
-    {
-        let word = group.tags;
+    for g in 0..set_groups {
+        let record = set * set_groups + g;
+        let word = records.tags(record);
         let mut hits = swar_match_lanes(word, tag);
         while hits != 0 {
             let lane = (hits.trailing_zeros() >> 3) as usize;
@@ -472,15 +476,15 @@ fn probe(
             // Exact byte compare from the word already in register
             // filters SWAR false positives, empty lanes, and padding.
             if (word >> (lane * 8)) as u8 == tag {
-                let slot = base + w * GROUP_WAYS + lane;
-                if ways[slot].key == key {
+                let slot = record * GROUP_WAYS + lane;
+                if records.key(slot) == key {
                     return Probe::Hit(slot);
                 }
             }
         }
-        let free = word & SWAR_HI;
+        let free = !word & SWAR_HI;
         if free != 0 && free_way == usize::MAX {
-            free_way = w * GROUP_WAYS + (free.trailing_zeros() >> 3) as usize;
+            free_way = g * GROUP_WAYS + (free.trailing_zeros() >> 3) as usize;
         }
     }
     if free_way < assoc {
@@ -490,12 +494,11 @@ fn probe(
     }
 }
 
-/// The cache's arrays and geometry, borrowed apart from its [`Tally`]: the
-/// one fill implementation runs over this view, so a demand insert can
+/// The cache's records and geometry, borrowed apart from its [`Tally`]:
+/// the one fill implementation runs over this view, so a demand insert can
 /// count straight into the cache while a run fill counts into locals.
 struct Sets<'a> {
-    ways: &'a mut [Way],
-    headers: &'a mut [TagGroup],
+    records: &'a mut [u8],
     ghosts: &'a mut [u16],
     ghost_cursor: &'a mut [u16],
     assoc: usize,
@@ -524,48 +527,40 @@ impl Sets<'_> {
         prefetch: bool,
     ) -> Option<Evicted> {
         let set = reduce_set(h, self.num_sets);
-        let tag = (h >> 57) as u8;
+        let tag = tag_of(h);
         let base = set * self.set_groups * GROUP_WAYS;
         let s3 = self.replacement == Replacement::S3Fifo;
-        let probe = probe(
-            self.headers,
-            self.ways,
-            (self.assoc, self.set_groups),
-            set,
-            tag,
-            key,
-        );
+        let geometry = (self.assoc, self.set_groups);
+        let probe = probe(self.records, geometry, set, tag, key);
 
         if let Probe::Hit(slot) = probe {
             if prefetch {
                 match self.replacement {
                     Replacement::Lru => {
                         t.clock += 1;
-                        self.ways[slot].stamp = t.clock;
+                        self.records.set_stamp(slot, t.clock);
                     }
                     Replacement::Fifo => {}
                     Replacement::S3Fifo => {
-                        let flag = self.headers.flag_mut(slot);
+                        let flag = self.records.flag_mut(slot);
                         *flag = freq_bumped(*flag);
                     }
                 }
             } else {
                 t.clock += 1;
                 if dirty {
-                    *self.headers.flag_mut(slot) |= FLAG_DIRTY;
+                    *self.records.flag_mut(slot) |= FLAG_DIRTY;
                 }
                 if s3 {
-                    let flag = self.headers.flag_mut(slot);
+                    let flag = self.records.flag_mut(slot);
                     *flag = freq_bumped(*flag);
                 } else {
-                    self.ways[slot].stamp = t.clock;
+                    self.records.set_stamp(slot, t.clock);
                 }
             }
             return None;
         }
-        if prefetch {
-            t.stats.prefetch_inserts += 1;
-        }
+        t.stats.prefetch_inserts += u64::from(prefetch);
         t.clock += 1;
 
         // S3-FIFO routes a fill whose fingerprint is still remembered in
@@ -597,10 +592,10 @@ impl Sets<'_> {
                 } else {
                     base + self.oldest_way(set)
                 };
-                let was_dirty = self.headers.flag(victim) & FLAG_DIRTY != 0;
+                let was_dirty = self.records.flag(victim) & FLAG_DIRTY != 0;
                 t.stats.dirty_evictions += u64::from(was_dirty);
                 let evicted = Evicted {
-                    key: self.ways[victim].key,
+                    key: self.records.key(victim),
                     dirty: was_dirty,
                 };
                 (victim, Some(evicted))
@@ -610,14 +605,7 @@ impl Sets<'_> {
         // `s3_evict` may have advanced the clock, so take a fresh stamp
         // (still strictly monotonic).
         t.clock += 1;
-        self.ways[slot] = Way {
-            key,
-            stamp: t.clock,
-        };
-        let group = &mut self.headers[slot / GROUP_WAYS];
-        group.flags[slot % GROUP_WAYS] = new_flag;
-        let shift = (slot % GROUP_WAYS) * 8;
-        group.tags = (group.tags & !(0xFF_u64 << shift)) | (u64::from(tag) << shift);
+        self.records.set_way(slot, key, tag, new_flag, t.clock);
         evicted
     }
 
@@ -629,7 +617,7 @@ impl Sets<'_> {
     #[inline(always)]
     fn oldest_way(&self, set: usize) -> usize {
         #[inline(always)]
-        fn older(a: (u64, usize), b: (u64, usize)) -> (u64, usize) {
+        fn older(a: (u32, usize), b: (u32, usize)) -> (u32, usize) {
             let take_b = b.0 < a.0;
             (
                 if take_b { b.0 } else { a.0 },
@@ -637,21 +625,21 @@ impl Sets<'_> {
             )
         }
         let base = set * self.set_groups * GROUP_WAYS;
-        let (full, tail) = self.ways[base..base + self.assoc].as_chunks::<GROUP_WAYS>();
-        let mut best = (u64::MAX, 0usize);
-        for (g, w) in full.iter().enumerate() {
-            let at = |i: usize| (w[i].stamp, g * GROUP_WAYS + i);
+        let at = |way: usize| (self.records.stamp(base + way), way);
+        let full = self.assoc - self.assoc % GROUP_WAYS;
+        let mut best = (u32::MAX, 0usize);
+        for g in (0..full).step_by(GROUP_WAYS) {
             let quarter = [
-                older(at(0), at(1)),
-                older(at(2), at(3)),
-                older(at(4), at(5)),
-                older(at(6), at(7)),
+                older(at(g), at(g + 1)),
+                older(at(g + 2), at(g + 3)),
+                older(at(g + 4), at(g + 5)),
+                older(at(g + 6), at(g + 7)),
             ];
             let half = [older(quarter[0], quarter[1]), older(quarter[2], quarter[3])];
             best = older(best, older(half[0], half[1]));
         }
-        for (i, w) in tail.iter().enumerate() {
-            best = older(best, (w.stamp, full.len() * GROUP_WAYS + i));
+        for way in full..self.assoc {
+            best = older(best, at(way));
         }
         best.1
     }
@@ -665,7 +653,7 @@ impl Sets<'_> {
     /// small queue, or decrements a (bounded) frequency counter — at most
     /// `assoc * (FREQ_MAX + 1)` iterations before a zero-frequency head is
     /// found.
-    fn s3_evict(&mut self, mut clock: u64, set: usize) -> (usize, u64, bool) {
+    fn s3_evict(&mut self, mut clock: u32, set: usize) -> (usize, u32, bool) {
         let assoc = self.assoc;
         let base = set * self.set_groups * GROUP_WAYS;
         loop {
@@ -674,11 +662,11 @@ impl Sets<'_> {
             // at most `assoc` flag bytes and stamps.
             let mut small_count = 0usize;
             // (stamp, slot) of each queue's head so far.
-            let mut small_head: Option<(u64, usize)> = None;
-            let mut main_head: Option<(u64, usize)> = None;
+            let mut small_head: Option<(u32, usize)> = None;
+            let mut main_head: Option<(u32, usize)> = None;
             for slot in base..base + assoc {
-                let stamp = self.ways[slot].stamp;
-                let head = if self.headers.flag(slot) & FLAG_SMALL != 0 {
+                let stamp = self.records.stamp(slot);
+                let head = if self.records.flag(slot) & FLAG_SMALL != 0 {
                     small_count += 1;
                     &mut small_head
                 } else {
@@ -690,26 +678,26 @@ impl Sets<'_> {
             }
             if small_count > self.small_target || main_head.is_none() {
                 let (_, slot) = small_head.expect("full set has a small way here");
-                if freq_of(self.headers.flag(slot)) >= 1 {
+                if freq_of(self.records.flag(slot)) >= 1 {
                     // Hit while on probation: promote to the main tail.
                     // Frequency restarts at zero so one early burst does
                     // not grant immortality in main.
-                    *self.headers.flag_mut(slot) &= !(FLAG_SMALL | FREQ_MASK);
+                    *self.records.flag_mut(slot) &= !(FLAG_SMALL | FREQ_MASK);
                     clock += 1;
-                    self.ways[slot].stamp = clock;
+                    self.records.set_stamp(slot, clock);
                     continue;
                 }
                 // One-hit wonder: evict, remembering only the fingerprint.
-                let fp = fingerprint(hash(self.ways[slot].key));
+                let fp = fingerprint(hash(self.records.key(slot)));
                 self.ghost_push(set, fp);
                 return (slot, clock, true);
             }
             let (_, slot) = main_head.expect("full set has a main way here");
-            if freq_of(self.headers.flag(slot)) > 0 {
+            if freq_of(self.records.flag(slot)) > 0 {
                 // Still hot: spend one frequency unit for another lap.
-                *self.headers.flag_mut(slot) -= 1 << FREQ_SHIFT;
+                *self.records.flag_mut(slot) -= 1 << FREQ_SHIFT;
                 clock += 1;
-                self.ways[slot].stamp = clock;
+                self.records.set_stamp(slot, clock);
                 continue;
             }
             return (slot, clock, false);
@@ -718,14 +706,11 @@ impl Sets<'_> {
 
     /// Remove `fp` from `set`'s ghost ring if present.
     fn ghost_take(&mut self, set: usize, fp: u16) -> bool {
-        let base = set * self.assoc;
-        for lane in &mut self.ghosts[base..base + self.assoc] {
-            if *lane == fp {
-                *lane = 0;
-                return true;
-            }
-        }
-        false
+        let ring = &mut self.ghosts[set * self.assoc..(set + 1) * self.assoc];
+        ring.iter_mut()
+            .find(|lane| **lane == fp)
+            .map(|lane| *lane = 0)
+            .is_some()
     }
 
     /// Append `fp` to `set`'s ghost ring, displacing the oldest entry.
@@ -749,20 +734,15 @@ impl MetadataCache {
         let slots = num_sets * config.associativity;
         let set_groups = config.associativity.div_ceil(GROUP_WAYS);
         let s3 = config.replacement == Replacement::S3Fifo;
-        let groups = num_sets * set_groups;
-        let unused_lanes = TagGroup {
-            tags: TAG_EMPTY_WORD,
-            flags: [0; GROUP_WAYS],
-        };
         MetadataCache {
             config,
-            ways: Ways::new(groups * GROUP_WAYS),
-            headers: vec![unused_lanes; groups].into_boxed_slice(),
+            records: Records::new(num_sets * set_groups),
             set_groups,
             num_sets,
             ghosts: vec![0u16; if s3 { slots } else { 0 }].into_boxed_slice(),
             ghost_cursor: vec![0u16; if s3 { num_sets } else { 0 }].into_boxed_slice(),
             small_target: (config.associativity / 8).max(1),
+            fill_ticks: 2 + config.associativity as u64 * u64::from(FREQ_MAX + 1),
             tally: Tally::default(),
         }
     }
@@ -772,13 +752,16 @@ impl MetadataCache {
         &self.config
     }
 
-    /// The arrays as the fill sees them, and the tally beside them.
+    /// The records as the fill sees them, and the tally beside them, after
+    /// renumbering the stamps if the clock has no room for `fills` fills.
     #[inline(always)]
-    fn split(&mut self) -> (Sets<'_>, &mut Tally) {
+    fn split(&mut self, fills: u64) -> (Sets<'_>, &mut Tally) {
+        if u64::from(self.tally.clock) + fills * self.fill_ticks >= u64::from(u32::MAX) {
+            self.renumber();
+        }
         (
             Sets {
-                ways: self.ways.slots_mut(),
-                headers: &mut self.headers,
+                records: self.records.bytes_mut(),
                 ghosts: &mut self.ghosts,
                 ghost_cursor: &mut self.ghost_cursor,
                 assoc: self.config.associativity,
@@ -791,14 +774,33 @@ impl MetadataCache {
         )
     }
 
+    /// Rewrite every set's stamps as their ranks (1 = oldest) and restart
+    /// the clock above them. Stamps are only compared within one set, so
+    /// every later victim is the one the unrenumbered stamps would pick.
+    #[cold]
+    fn renumber(&mut self) {
+        let assoc = self.config.associativity;
+        let mut order = Vec::with_capacity(assoc);
+        let stride = self.set_groups * RECORD_BYTES;
+        for set in self.records.bytes_mut().chunks_exact_mut(stride) {
+            order.clear();
+            let valid = (0..assoc).filter(|&way| set.flag(way) & FLAG_VALID != 0);
+            order.extend(valid.map(|way| (set.stamp(way), way)));
+            order.sort_unstable();
+            for (rank, &(_, way)) in (1..).zip(&order) {
+                set.set_stamp(way, rank);
+            }
+        }
+        self.tally.clock = assoc as u32;
+    }
+
     /// Slot index of `key` within its set, if resident.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
         let h = hash(key);
         let set = reduce_set(h, self.num_sets);
         let geometry = (self.config.associativity, self.set_groups);
-        let tag = (h >> 57) as u8;
-        match probe(&self.headers, self.ways.slots(), geometry, set, tag, key) {
+        match probe(self.records.bytes(), geometry, set, tag_of(h), key) {
             Probe::Hit(slot) => Some(slot),
             _ => None,
         }
@@ -810,23 +812,25 @@ impl MetadataCache {
     /// whether it hit.
     #[inline]
     pub fn access(&mut self, key: u64, write: bool) -> bool {
+        if self.tally.clock >= u32::MAX - 1 {
+            self.renumber();
+        }
         self.tally.clock += 1;
         if let Some(slot) = self.find(key) {
+            let records = self.records.bytes_mut();
             match self.config.replacement {
-                Replacement::Lru => self.ways.slots_mut()[slot].stamp = self.tally.clock,
+                Replacement::Lru => records.set_stamp(slot, self.tally.clock),
                 Replacement::Fifo => {}
                 Replacement::S3Fifo => {
-                    let flag = self.headers.flag(slot);
-                    if flag & FLAG_SMALL != 0 {
-                        self.tally.stats.small_hits += 1;
-                    } else {
-                        self.tally.stats.main_hits += 1;
-                    }
-                    *self.headers.flag_mut(slot) = freq_bumped(flag);
+                    let flag = records.flag(slot);
+                    let small = flag & FLAG_SMALL != 0;
+                    self.tally.stats.small_hits += u64::from(small);
+                    self.tally.stats.main_hits += u64::from(!small);
+                    *records.flag_mut(slot) = freq_bumped(flag);
                 }
             }
             if write {
-                *self.headers.flag_mut(slot) |= FLAG_DIRTY;
+                *records.flag_mut(slot) |= FLAG_DIRTY;
             }
             self.tally.stats.hits += 1;
             true
@@ -843,30 +847,23 @@ impl MetadataCache {
     }
 
     /// Host-side hint that `key` is about to be looked up or filled: start
-    /// fetching its set's header and way lines (three lines for an 8-way
-    /// set). Moves no statistic, clock or recency state — unrelated to
+    /// fetching its set's record lines (two for an 8-way set). Moves no
+    /// statistic, clock or recency state — unrelated to
     /// [`prefetch_run`](Self::prefetch_run), which models the controller's
     /// own sequential fills.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         let set = reduce_set(hash(key), self.num_sets);
-        let groups = set * self.set_groups;
-        // Four 16-byte groups per header line; the last covers a straddle.
-        for g in (groups..groups + self.set_groups).step_by(4) {
-            hint::prefetch_read(&self.headers[g]);
-        }
-        if self.set_groups > 1 {
-            hint::prefetch_read(&self.headers[groups + self.set_groups - 1]);
-        }
-        let base = groups * GROUP_WAYS;
-        for way in (0..self.config.associativity).step_by(WAYS_PER_LINE) {
-            hint::prefetch_read(&self.ways.slots()[base + way]);
+        let records = self.records.bytes();
+        for record in set * self.set_groups..(set + 1) * self.set_groups {
+            hint::prefetch_read(&records[record * RECORD_BYTES]);
+            hint::prefetch_read(&records[record * RECORD_BYTES + LINE_BYTES]);
         }
     }
 
     /// Insert `key` (demand fill). Returns the victim if one was evicted.
     pub fn insert(&mut self, key: u64, dirty: bool) -> Option<Evicted> {
-        let (mut sets, tally) = self.split();
+        let (mut sets, tally) = self.split(1);
         tally.stats.demand_inserts += 1;
         sets.fill(tally, hash(key), key, dirty, false)
     }
@@ -879,45 +876,47 @@ impl MetadataCache {
     /// same reuse signal under every policy. Returns the number of dirty
     /// victims evicted.
     ///
-    /// This is the per-key fill applied to `start, start + 1, …` in order —
-    /// same keys, same clock ticks, same victims — with what a per-key call
-    /// would redo hoisted out: the hash advances by a constant instead of
-    /// a multiply, and clock, population and statistics live in locals
-    /// until the run ends.
+    /// This is the per-key fill applied to `start, start + 1, …` in order
+    /// (module docs, "One fill"), with the clock's headroom checked once
+    /// per run, or per chunk worth half the stamp range for absurd runs.
     pub fn prefetch_run(&mut self, start: u64, count: usize) -> u64 {
         let keys = (count as u64).min((u64::MAX - start).saturating_add(1));
-        let (mut sets, tally) = self.split();
-        let mut t = *tally;
-        let mut h = hash(start);
-        for k in 0..keys {
-            sets.fill(&mut t, h, start + k, false, true);
-            h = h.wrapping_add(HASH_STEP);
+        let chunk = ((1u64 << 31) / self.fill_ticks).max(1);
+        let dirty_before = self.tally.stats.dirty_evictions;
+        for done in (0..keys).step_by(chunk as usize) {
+            let (first, n) = (start + done, chunk.min(keys - done));
+            let (mut sets, tally) = self.split(n);
+            let mut t = *tally;
+            let mut h = hash(first);
+            for key in first..=first + (n - 1) {
+                let ahead = reduce_set(h.wrapping_add(RUN_AHEAD_STEP), sets.num_sets);
+                hint::prefetch_read(&sets.records[ahead * sets.set_groups * RECORD_BYTES]);
+                sets.fill(&mut t, h, key, false, true);
+                h = h.wrapping_add(HASH_STEP);
+            }
+            *tally = t;
         }
-        let dirty_victims = t.stats.dirty_evictions - tally.stats.dirty_evictions;
-        *tally = t;
-        dirty_victims
+        self.tally.stats.dirty_evictions - dirty_before
     }
 
     /// Clear every dirty bit, returning how many entries were dirty —
     /// the write-backs a flush (epoch persistence) must perform.
     pub fn flush_dirty(&mut self) -> u64 {
-        let mut flushed = 0;
-        // Padding lanes are flag 0, never valid.
-        for flag in self.headers.iter_mut().flat_map(|g| &mut g.flags) {
-            if *flag & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY {
-                *flag &= !FLAG_DIRTY;
-                flushed += 1;
-            }
+        let flushed = self.dirty_count();
+        for record in self.records.bytes_mut().chunks_exact_mut(RECORD_BYTES) {
+            record[FLAGS_AT..FLAGS_AT + GROUP_WAYS]
+                .iter_mut()
+                .for_each(|f| *f &= !FLAG_DIRTY);
         }
         flushed
     }
 
-    /// Number of currently dirty entries.
+    /// Number of currently dirty entries (padding lanes are flag 0).
     pub fn dirty_count(&self) -> u64 {
-        self.headers
-            .iter()
-            .flat_map(|g| g.flags)
-            .filter(|&f| f & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY)
+        let records = self.records.bytes().chunks_exact(RECORD_BYTES);
+        records
+            .flat_map(|record| &record[FLAGS_AT..FLAGS_AT + GROUP_WAYS])
+            .filter(|&&f| f & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY)
             .count() as u64
     }
 
@@ -1298,20 +1297,22 @@ mod tests {
     }
 
     #[test]
-    fn way_groups_start_on_a_line_after_new_and_clone() {
+    fn set_records_start_on_a_128_byte_boundary_after_new_and_clone() {
         let victims = |mut cache: MetadataCache| -> Vec<_> {
             (200..300).map(|k| cache.insert(k, false)).collect()
         };
-        for assoc in [1usize, 3, 8, 16, 32] {
+        for assoc in [1usize, 2, 8, 16] {
             let mut c = small(assoc, 16 * assoc);
             c.prefetch_run(0, 100);
             c.insert(7, true);
             // Clones land at other addresses, hence at other leads.
             let clones: Vec<MetadataCache> = (0..8).map(|_| c.clone()).collect();
             for cache in std::iter::once(&c).chain(&clones) {
-                let ways = cache.ways.slots().as_ptr() as usize;
-                assert_eq!(ways % 64, 0, "assoc {assoc}");
-                assert_eq!(cache.headers.as_ptr() as usize % 16, 0, "assoc {assoc}");
+                let records = cache.records.bytes();
+                assert_eq!(records.len(), 16 * assoc.div_ceil(8) * RECORD_BYTES);
+                for record in records.chunks_exact(RECORD_BYTES) {
+                    assert_eq!(record.as_ptr() as usize % 128, 0, "assoc {assoc}");
+                }
                 for key in 0..120 {
                     assert_eq!(cache.dirty_bit(key), c.dirty_bit(key), "assoc {assoc}");
                 }
@@ -1495,7 +1496,7 @@ mod tests {
         /// `key`'s dirty bit, or `None` if it is not resident.
         fn dirty_bit(&self, key: u64) -> Option<bool> {
             self.find(key)
-                .map(|slot| self.headers.flag(slot) & FLAG_DIRTY != 0)
+                .map(|slot| self.records.bytes().flag(slot) & FLAG_DIRTY != 0)
         }
     }
 
@@ -1571,13 +1572,108 @@ mod tests {
         }
     }
 
+    // ---- the host prefetch hint and the clock renumbering -------------
+
+    /// Every policy at associativities 1, 2, 8 and 16, `sets` sets each.
+    fn configs(sets: usize) -> impl Iterator<Item = CacheConfig> {
+        Replacement::ALL.into_iter().flat_map(move |replacement| {
+            [1usize, 2, 8, 16].map(|associativity| CacheConfig {
+                capacity: sets * associativity,
+                associativity,
+                replacement,
+            })
+        })
+    }
+
+    /// Apply `op` to `c`: the insert's victim, a run's dirty victims, an
+    /// access's hit and a flush's count, as one comparable value.
+    fn apply(c: &mut MetadataCache, op: &CacheOp) -> (Option<Evicted>, u64) {
+        match *op {
+            CacheOp::Access(k, w) => (None, u64::from(c.access(k, w))),
+            CacheOp::Insert(k, d) => (c.insert(k, d), 0),
+            CacheOp::Prefetch(k, n) => (None, c.prefetch_run(k, n)),
+            CacheOp::Flush => (None, c.flush_dirty()),
+        }
+    }
+
+    impl MetadataCache {
+        /// An empty cache whose clock starts at `clock`.
+        fn with_clock(config: CacheConfig, clock: u32) -> Self {
+            let mut cache = MetadataCache::new(config);
+            cache.tally.clock = clock;
+            cache
+        }
+    }
+
+    /// A renumbering script's step: access, insert, dirty insert, or a
+    /// prefetch run of 1, 16 or 256 keys, over keys `0..300`.
+    fn clock_op_strategy() -> impl Strategy<Value = CacheOp> {
+        prop_oneof![
+            (0u64..300, any::<bool>()).prop_map(|(k, w)| CacheOp::Access(k, w)),
+            (0u64..300, any::<bool>()).prop_map(|(k, d)| CacheOp::Insert(k, d)),
+            (0u64..300, prop_oneof![Just(1usize), Just(16), Just(256)])
+                .prop_map(|(k, n)| CacheOp::Prefetch(k, n)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prefetch_hint_changes_nothing(
+            script in proptest::collection::vec((cache_op_strategy(), 0u64..48), 0..200),
+            sets in 1usize..5,
+        ) {
+            for config in configs(sets) {
+                let (mut hinted, mut plain) = (MetadataCache::new(config), MetadataCache::new(config));
+                for (op, hint) in &script {
+                    hinted.prefetch(*hint);
+                    if let CacheOp::Access(k, _) | CacheOp::Insert(k, _) = *op {
+                        hinted.prefetch(k);
+                    }
+                    prop_assert_eq!(apply(&mut hinted, op), apply(&mut plain, op));
+                    prop_assert_eq!(
+                        (hinted.stats(), hinted.len(), hinted.dirty_count()),
+                        (plain.stats(), plain.len(), plain.dirty_count())
+                    );
+                }
+            }
+        }
+
+        // A cache whose clock starts just below the renumbering point runs
+        // the same script as one starting at 0: the renumbered stamps must
+        // pick every victim the unrenumbered ones do.
+        #[test]
+        fn stamp_renumbering_is_exact(
+            script in proptest::collection::vec(clock_op_strategy(), 1..60),
+            headroom in prop_oneof![0u32..6_000, 0u32..24_000],
+            sets in 1usize..5,
+        ) {
+            for config in configs(sets) {
+                let mut fresh = MetadataCache::new(config);
+                let mut late = MetadataCache::with_clock(config, u32::MAX - headroom);
+                for op in &script {
+                    prop_assert_eq!(apply(&mut fresh, op), apply(&mut late, op), "{:?}", config);
+                    prop_assert_eq!(
+                        (fresh.stats(), fresh.len(), fresh.dirty_count()),
+                        (late.stats(), late.len(), late.dirty_count())
+                    );
+                    for key in 0..556 {
+                        prop_assert_eq!(fresh.dirty_bit(key), late.dirty_bit(key), "key {}", key);
+                    }
+                }
+            }
+        }
+    }
+
     // ---- S3-FIFO invariant proptests (no oracle: structural checks) ----
 
     /// Count (small, main) queue occupancy from the flag bytes.
     fn s3_queue_counts(c: &MetadataCache) -> (usize, usize) {
         let mut small = 0;
         let mut main = 0;
-        for f in c.headers.iter().flat_map(|g| g.flags) {
+        let records = c.records.bytes().chunks_exact(RECORD_BYTES);
+        for &f in records.flat_map(|record| &record[FLAGS_AT..FLAGS_AT + GROUP_WAYS]) {
             if f & FLAG_VALID != 0 {
                 if f & FLAG_SMALL != 0 {
                     small += 1;
