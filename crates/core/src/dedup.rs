@@ -11,15 +11,21 @@
 //!    and (unless saturated) a resident line's reference equals the number
 //!    of initial addresses resolving to it.
 //!
+//! The transitions (§III-B) are one [`CommitKernel`], shared by the
+//! simulator's [`DedupIndex`] and the engine's shard; what a commit changed
+//! ([`WriteOutcome`]) is also what its journal records
+//! ([`WriteOutcome::meta_ops`]).
+//!
 //! Timing is *not* modeled here — the scheme layer mirrors each table touch
 //! with metadata-cache traffic.
 
 use dewrite_nvm::LineAddr;
 
 use crate::compare::lines_equal;
+use crate::journal::MetaOp;
 use crate::tables::{
-    AddrMapTable, FreeSpaceTable, HashEntry, HashTable, InvertedTable, MAX_CANDIDATE_COMPARES,
-    MAX_REFERENCE,
+    AddrMap, FreeSpaceTable, HashEntry, HashTable, InvertedTable, OpenEntry, PresenceBitmap,
+    MAX_CANDIDATE_COMPARES, MAX_REFERENCE,
 };
 
 /// Outcome of applying a write to the index.
@@ -41,9 +47,50 @@ pub enum WriteOutcome {
         target: LineAddr,
         /// A line released by this write (its last reference went away).
         freed: Option<LineAddr>,
-        /// Whether the write reused the address's current line in place.
+        /// Whether the write reused the line its own release freed (the
+        /// address's current line, overwritten in place).
         in_place: bool,
     },
+}
+
+impl WriteOutcome {
+    /// The [`MetaOp`]s of this commit for a write of the global address
+    /// `init`, in replay order: the freed line's `ResidentDel` first (an
+    /// in-place store's too: it claimed the line its release freed), then
+    /// a store's `ResidentSet` of `digest`, the `MapSet`, and a store's
+    /// `CounterSet` of the line's new encryption `counter`. A silent store
+    /// has none. `global` turns a kernel line into its global address.
+    pub fn meta_ops(
+        self,
+        init: u64,
+        digest: u64,
+        counter: u32,
+        global: impl Fn(LineAddr) -> u64,
+    ) -> impl Iterator<Item = MetaOp> + Clone {
+        let (real, freed, stored) = match self {
+            Self::Duplicate { silent: true, .. } => return [None; 4].into_iter().flatten(),
+            Self::Duplicate { real, freed, .. } => (real, freed, false),
+            Self::Stored {
+                target,
+                freed,
+                in_place,
+            } => (target, freed.or(in_place.then_some(target)), true),
+        };
+        let real = global(real);
+        [
+            freed.map(|freed| MetaOp::ResidentDel {
+                real: global(freed),
+            }),
+            stored.then_some(MetaOp::ResidentSet { real, digest }),
+            Some(MetaOp::MapSet { init, real }),
+            stored.then_some(MetaOp::CounterSet {
+                line: real,
+                value: counter,
+            }),
+        ]
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// Result of a duplicate lookup.
@@ -78,15 +125,233 @@ impl OpenCandidates {
     }
 }
 
-/// The composed deduplication index.
+/// Where a store's line comes from: the free-space half of the
+/// [`CommitKernel`].
+pub trait FreeSpace {
+    /// Mark `line` free: its last reference went.
+    fn release(&mut self, line: LineAddr);
+
+    /// Claim a free line for a store homed at `home`; `freed` is the line
+    /// the same commit's release just freed, if any. `None` when no line
+    /// is free.
+    fn claim(&mut self, home: LineAddr, freed: Option<LineAddr>) -> Option<LineAddr>;
+
+    /// Whether `line` is free.
+    fn is_free(&self, line: LineAddr) -> bool;
+}
+
+/// The commit kernel: the tables the index invariants (module docs) tie
+/// together, readable for lookups and host hints and changed only by its
+/// steps. Map indices and lines are the owner's: global lines for the
+/// simulator, `addr / shards` and local slots for a shard.
+#[derive(Debug, Clone)]
+pub struct CommitKernel<S> {
+    hash: HashTable,
+    inverted: InvertedTable,
+    map: AddrMap,
+    space: S,
+}
+
+impl<S: FreeSpace> CommitKernel<S> {
+    /// An empty kernel over `lines` lines and as many map indices, claiming
+    /// from `space`.
+    pub fn new(lines: u64, space: S) -> Self {
+        CommitKernel {
+            hash: HashTable::new(),
+            inverted: InvertedTable::new(lines),
+            map: AddrMap::new(lines),
+            space,
+        }
+    }
+
+    /// Digest → {line, reference}.
+    pub fn hash(&self) -> &HashTable {
+        &self.hash
+    }
+
+    /// Line → digest of its resident content.
+    pub fn inverted(&self) -> &InvertedTable {
+        &self.inverted
+    }
+
+    /// Address → line, for every written address.
+    pub fn map(&self) -> &AddrMap {
+        &self.map
+    }
+
+    /// Where stores claim their lines.
+    pub fn space(&self) -> &S {
+        &self.space
+    }
+
+    /// Drop one reference of the resident line `line`, freeing it when the
+    /// last one goes; the caller remaps the address that held it. Returns
+    /// the freed line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is not resident.
+    #[inline]
+    fn release(&mut self, line: LineAddr) -> Option<LineAddr> {
+        let digest = self
+            .inverted
+            .digest_of(line)
+            .expect("released line must be resident");
+        if self.hash.release_reference(digest, line) != 0 {
+            return None;
+        }
+        self.inverted.clear(line);
+        self.space.release(line);
+        Some(line)
+    }
+
+    /// Commit a duplicate write at map index `idx` to the resident entry
+    /// `entry`, taken since the hash table was last changed: reference it,
+    /// then release `idx`'s old mapping — so an address rewritten with its
+    /// own content never transiently drops to zero — and map `idx` to it.
+    /// `None`, taking no reference, when the entry is saturated.
+    #[inline]
+    pub fn duplicate(&mut self, idx: u64, entry: OpenEntry) -> Option<WriteOutcome> {
+        if !self.hash.add_reference_at(entry) {
+            return None;
+        }
+        let freed = self.map.get(idx).and_then(|old| self.release(old));
+        self.map.set(idx, entry.real);
+        Some(WriteOutcome::Duplicate {
+            real: entry.real,
+            silent: false,
+            freed,
+        })
+    }
+
+    /// Commit a store of content `digest` at map index `idx`, homed at
+    /// `home`: release the old mapping, claim a line from the source,
+    /// install the digest and inverted row, and map `idx` to the line.
+    /// The store is in place when the source hands back the line the
+    /// release just freed. `None` when the source has no free line (the
+    /// old mapping is then already released; callers treat this as fatal).
+    #[inline]
+    pub fn store(&mut self, idx: u64, home: LineAddr, digest: u64) -> Option<WriteOutcome> {
+        let freed = self.map.get(idx).and_then(|old| self.release(old));
+        let target = self.space.claim(home, freed)?;
+        self.hash.insert(digest, target);
+        self.inverted.set(target, digest);
+        self.map.set(idx, target);
+        let in_place = freed == Some(target);
+        Some(WriteOutcome::Stored {
+            target,
+            freed: freed.filter(|_| !in_place),
+            in_place,
+        })
+    }
+
+    /// Exhaustively check the index invariants (module docs) over lines
+    /// `0..lines` — O(lines), for tests and scrubs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn check_invariants(&self, lines: u64) -> Result<(), String> {
+        // Residency bitmaps agree.
+        for i in 0..lines {
+            let line = LineAddr::new(i);
+            let digest = self.inverted.digest_of(line);
+            let occupied = !self.space.is_free(line);
+            if digest.is_some() != occupied {
+                let resident = digest.is_some();
+                return Err(format!(
+                    "line {line}: resident={resident} occupied={occupied}"
+                ));
+            }
+            if digest.is_some_and(|digest| self.hash.reference(digest, line).is_none()) {
+                return Err(format!("line {line}: resident but not hash-indexed"));
+            }
+        }
+        if self.hash.len() != self.inverted.len() {
+            return Err(format!(
+                "{} hash entries but {} resident lines",
+                self.hash.len(),
+                self.inverted.len()
+            ));
+        }
+        // Reference counts match resolution counts (excluding saturated).
+        let mut counts = std::collections::HashMap::new();
+        for (idx, real) in self.map.iter() {
+            if self.inverted.digest_of(real).is_none() {
+                return Err(format!("address {idx} maps to free line {real}"));
+            }
+            *counts.entry(real.index()).or_insert(0u64) += 1;
+        }
+        for (digest, entry) in self.hash.iter() {
+            let actual = counts.get(&entry.real.index()).copied().unwrap_or(0);
+            if entry.reference != MAX_REFERENCE && u64::from(entry.reference) != actual {
+                return Err(format!(
+                    "line {} (digest {digest:#x}): reference {} but {} resolvers",
+                    entry.real, entry.reference, actual
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The simulator's free-space source: the line-scan [`FreeSpaceTable`],
+/// split into `domains` contiguous dedup domains. A store gets back the
+/// line its own release just freed — the sole owner overwrites in place —
+/// and otherwise the first free line scanning outward from its home,
+/// without leaving the home's domain.
+#[derive(Debug, Clone)]
+pub(crate) struct DomainSpace {
+    table: FreeSpaceTable,
+    domains: u64,
+}
+
+impl DomainSpace {
+    /// The exact preimage of [`DedupIndex::domain_of`]: line `i` is in
+    /// `domain` iff `lo <= i < hi`. Ceiling division keeps the two
+    /// consistent for uneven splits (floor boundaries would let relocation
+    /// pick a target just outside the source's domain).
+    fn domain_range(&self, domain: u64) -> (u64, u64) {
+        let lines = u128::from(self.table.lines());
+        let domains = u128::from(self.domains);
+        (
+            (u128::from(domain) * lines).div_ceil(domains) as u64,
+            (u128::from(domain + 1) * lines).div_ceil(domains) as u64,
+        )
+    }
+}
+
+impl FreeSpace for DomainSpace {
+    fn release(&mut self, line: LineAddr) {
+        self.table.release(line);
+    }
+
+    fn claim(&mut self, home: LineAddr, freed: Option<LineAddr>) -> Option<LineAddr> {
+        if let Some(line) = freed {
+            self.table.occupy(line);
+            return Some(line);
+        }
+        let domain = domain_of_line(home.index(), self.domains, self.table.lines());
+        let (lo, hi) = self.domain_range(domain);
+        self.table.allocate_within(home, lo, hi)
+    }
+
+    fn is_free(&self, line: LineAddr) -> bool {
+        self.table.is_free(line)
+    }
+}
+
+/// The composed deduplication index: the [`CommitKernel`] over the
+/// simulator's free-space source, plus its lookup and write counters.
 #[derive(Debug, Clone)]
 pub struct DedupIndex {
-    hash_table: HashTable,
-    addr_map: AddrMapTable,
-    inverted: InvertedTable,
-    fsm: FreeSpaceTable,
-    written: Vec<bool>,
-    domains: u64,
+    kernel: CommitKernel<DomainSpace>,
+    /// Which addresses are written: the map's presence, one bit per
+    /// address. Reads mix written and unwritten addresses unpredictably,
+    /// and a branch on the map entry itself, often out of host cache,
+    /// cost `sim_paper` 17–24% of its median op latency; on this bit, it
+    /// costs nothing measurable.
+    written: PresenceBitmap,
     dup_writes: u64,
     stored_writes: u64,
     false_matches: u64,
@@ -108,13 +373,13 @@ impl DedupIndex {
     /// Panics if `domains` is zero or exceeds `lines`.
     pub fn with_domains(lines: u64, domains: u64) -> Self {
         assert!(domains >= 1 && domains <= lines.max(1), "bad domain count");
-        DedupIndex {
-            hash_table: HashTable::new(),
-            addr_map: AddrMapTable::new(lines),
-            inverted: InvertedTable::new(lines),
-            fsm: FreeSpaceTable::new(lines),
-            written: vec![false; lines as usize],
+        let space = DomainSpace {
+            table: FreeSpaceTable::new(lines),
             domains,
+        };
+        DedupIndex {
+            kernel: CommitKernel::new(lines, space),
+            written: PresenceBitmap::new(lines),
             dup_writes: 0,
             stored_writes: 0,
             false_matches: 0,
@@ -123,39 +388,29 @@ impl DedupIndex {
 
     /// The dedup domain of a line.
     pub fn domain_of(&self, line: LineAddr) -> u64 {
-        domain_of_line(line.index(), self.domains, self.lines())
+        domain_of_line(line.index(), self.kernel.space.domains, self.lines())
     }
 
-    /// The exact preimage of [`domain_of`](Self::domain_of): line `i` is in
-    /// `domain` iff `lo <= i < hi`. Ceiling division keeps the two
-    /// consistent for uneven splits (floor boundaries would let relocation
-    /// pick a target just outside the source's domain).
+    #[cfg(test)]
     fn domain_range(&self, domain: u64) -> (u64, u64) {
-        let lines = u128::from(self.lines());
-        let domains = u128::from(self.domains);
-        (
-            (u128::from(domain) * lines).div_ceil(domains) as u64,
-            (u128::from(domain + 1) * lines).div_ceil(domains) as u64,
-        )
+        self.kernel.space.domain_range(domain)
     }
 
     /// Number of physical lines managed.
     pub fn lines(&self) -> u64 {
-        self.fsm.lines()
+        self.kernel.space.table.lines()
     }
 
     /// Whether `init` has ever been written.
     pub fn is_written(&self, init: LineAddr) -> bool {
-        self.written[init.index() as usize]
+        self.written.get(init.index())
     }
 
     /// The physical line holding `init`'s data, or `None` if never written.
     pub fn resolve(&self, init: LineAddr) -> Option<LineAddr> {
-        if self.is_written(init) {
-            Some(self.addr_map.resolve(init))
-        } else {
-            None
-        }
+        // A written address is mapped: `unwrap_or` keeps the load branch-free.
+        let written = self.written.get(init.index());
+        written.then(|| self.kernel.map.get(init.index()).unwrap_or(init))
     }
 
     /// Search for a resident line with content equal to `data` under
@@ -175,7 +430,7 @@ impl DedupIndex {
             comparisons: 0,
         };
         let (mut saturated, mut false_matches) = (0, 0);
-        for entry in self.hash_table.bucket(digest) {
+        for entry in self.kernel.hash.bucket(digest) {
             if entry.reference == MAX_REFERENCE {
                 // Saturated: visible in the entry itself, skipped without a
                 // comparison (§III-B2).
@@ -189,30 +444,26 @@ impl DedupIndex {
             }
             false_matches += 1;
         }
-        self.hash_table.note_saturated_hits(saturated);
+        self.kernel.hash.note_saturated_hits(saturated);
         self.false_matches += false_matches;
         lookup
     }
 
-    /// Resident candidate entries for `digest`, for callers that drive the
-    /// byte comparison themselves (the scheme layer, which must charge a
-    /// timed NVM read per comparison).
-    pub fn candidates(&self, digest: u64) -> Vec<HashEntry> {
-        self.hash_table.bucket(digest).collect()
-    }
-
-    /// Like [`candidates`](Self::candidates), filtered to `init`'s dedup
-    /// domain — with multiple domains, content never matches across a
-    /// boundary — and borrowed: the bucket is walked where it lives.
+    /// Resident candidate entries for `digest` in `init`'s dedup domain —
+    /// with multiple domains, content never matches across a boundary —
+    /// for callers that drive the byte comparison themselves (the schemes,
+    /// which charge a timed NVM read per comparison). The bucket is walked
+    /// where it lives.
     pub fn candidates_for(
         &self,
         digest: u64,
         init: LineAddr,
     ) -> impl Iterator<Item = HashEntry> + '_ {
         let domain = self.domain_of(init);
-        self.hash_table
+        self.kernel
+            .hash
             .bucket(digest)
-            .filter(move |e| self.domains == 1 || self.domain_of(e.real) == domain)
+            .filter(move |e| self.kernel.space.domains == 1 || self.domain_of(e.real) == domain)
     }
 
     /// The [`OpenCandidates`] of `digest` for a write to `init`: one probe
@@ -221,8 +472,8 @@ impl DedupIndex {
     /// walk of the borrowed bucket otherwise.
     pub(crate) fn open_for(&self, digest: u64, init: LineAddr) -> OpenCandidates {
         let mut open = OpenCandidates::default();
-        if self.domains == 1 {
-            let view = self.hash_table.open(digest);
+        if self.kernel.space.domains == 1 {
+            let view = self.kernel.hash.open(digest);
             for (real, entry) in open.reals.iter_mut().zip(view.entries()) {
                 *real = entry.real;
             }
@@ -253,27 +504,27 @@ impl DedupIndex {
     /// Record a duplicate declined due to reference saturation
     /// (scheme-driven candidate loops).
     pub(crate) fn note_saturated_skip(&mut self) {
-        self.hash_table.note_saturated_hits(1);
+        self.kernel.hash.note_saturated_hits(1);
     }
 
     /// Digest of the content resident at `real`, if resident.
     pub fn digest_of(&self, real: LineAddr) -> Option<u64> {
-        self.inverted.digest_of(real)
+        self.kernel.inverted.digest_of(real)
     }
 
     /// Reference count of the resident line `real`.
     pub fn reference_of(&self, real: LineAddr) -> Option<u8> {
-        let digest = self.inverted.digest_of(real)?;
-        self.hash_table.reference(digest, real)
+        let digest = self.kernel.inverted.digest_of(real)?;
+        self.kernel.hash.reference(digest, real)
     }
 
     /// Recovery: install a resident line with reference 0; references are
     /// re-added as mappings are restored via
     /// [`restore_mapping`](Self::restore_mapping).
     pub(crate) fn restore_resident(&mut self, real: LineAddr, digest: u64) {
-        self.fsm.occupy(real);
-        self.inverted.set(real, digest);
-        self.hash_table.insert_with_reference(digest, real, 0);
+        self.kernel.space.table.occupy(real);
+        self.kernel.inverted.set(real, digest);
+        self.kernel.hash.insert_with_reference(digest, real, 0);
     }
 
     /// Recovery: re-link a written address to its resident line.
@@ -282,30 +533,14 @@ impl DedupIndex {
     ///
     /// Panics if `real` is not resident (callers validate first).
     pub(crate) fn restore_mapping(&mut self, init: LineAddr, real: LineAddr) {
-        self.written[init.index() as usize] = true;
-        if real != init {
-            self.addr_map.map_to(init, real);
-        }
+        self.kernel.map.set(init.index(), real);
+        self.written.set(init.index());
         let digest = self
+            .kernel
             .inverted
             .digest_of(real)
             .expect("restore_mapping target must be resident");
-        let _ = self.hash_table.add_reference(digest, real);
-    }
-
-    fn unlink(&mut self, old: LineAddr) -> Option<LineAddr> {
-        let digest = self
-            .inverted
-            .digest_of(old)
-            .expect("unlink target must be resident");
-        let remaining = self.hash_table.release_reference(digest, old);
-        if remaining == 0 {
-            self.inverted.clear(old);
-            self.fsm.release(old);
-            Some(old)
-        } else {
-            None
-        }
+        let _ = self.kernel.hash.add_reference(digest, real);
     }
 
     /// Apply a *duplicate* write of `init` to the content at `real`
@@ -317,36 +552,26 @@ impl DedupIndex {
     /// callers must pass a fresh `lookup` match.
     pub fn apply_duplicate(&mut self, init: LineAddr, real: LineAddr) -> WriteOutcome {
         let digest = self
-            .inverted
             .digest_of(real)
             .expect("duplicate target must be resident");
-        let old = self.resolve(init);
-        if old == Some(real) {
-            self.dup_writes += 1;
+        self.dup_writes += 1;
+        // The one commit decision the shard does not share (ROADMAP item
+        // 10): a silent rewrite takes no reference, where the kernel's
+        // add-then-release would saturate a line at 254 references.
+        if self.resolve(init) == Some(real) {
             return WriteOutcome::Duplicate {
                 real,
                 silent: true,
                 freed: None,
             };
         }
-        let added = self.hash_table.add_reference(digest, real);
-        assert!(added, "apply_duplicate on a saturated entry");
-        let mut freed = None;
-        if let Some(o) = old {
-            freed = self.unlink(o);
-        }
-        if real == init {
-            self.addr_map.unmap(init);
-        } else {
-            self.addr_map.map_to(init, real);
-        }
-        self.written[init.index() as usize] = true;
-        self.dup_writes += 1;
-        WriteOutcome::Duplicate {
-            real,
-            silent: false,
-            freed,
-        }
+        let entry = self.kernel.hash.entry(digest, real).expect("resident");
+        let outcome = self
+            .kernel
+            .duplicate(init.index(), entry)
+            .expect("apply_duplicate on a saturated entry");
+        self.written.set(init.index());
+        outcome
     }
 
     /// Apply a *non-duplicate* write of `init` with content `digest`.
@@ -359,49 +584,18 @@ impl DedupIndex {
     /// Panics if memory is exhausted (cannot happen while every initial
     /// address holds at most one reference, which the index guarantees).
     pub fn apply_store(&mut self, init: LineAddr, digest: u64) -> WriteOutcome {
-        let old = self.resolve(init);
-        let mut freed = None;
-        let (target, in_place) = match old {
-            Some(o) if self.reference_of(o) == Some(1) => {
-                // Sole owner: overwrite in place after cleaning the stale
-                // hash entry.
-                let stale = self.inverted.digest_of(o).expect("resident");
-                self.hash_table.remove(stale, o);
-                self.inverted.clear(o);
-                (o, true)
-            }
-            other => {
-                if let Some(o) = other {
-                    freed = self.unlink(o);
-                }
-                // Note: lines referenced by *saturated* entries can never be
-                // freed (their true count is unknown, §III-B2), so a
-                // pathological workload that saturates many contents can
-                // exhaust free space — real deployments provision spare
-                // capacity or garbage-collect saturated lines offline.
-                let (lo, hi) = self.domain_range(self.domain_of(init));
-                let target = self
-                    .fsm
-                    .allocate_within(init, lo, hi)
-                    .expect("free space exhausted (saturated-entry leak)");
-                (target, false)
-            }
-        };
-        self.fsm.occupy(target);
-        self.hash_table.insert(digest, target);
-        self.inverted.set(target, digest);
-        if target == init {
-            self.addr_map.unmap(init);
-        } else {
-            self.addr_map.map_to(init, target);
-        }
-        self.written[init.index() as usize] = true;
         self.stored_writes += 1;
-        WriteOutcome::Stored {
-            target,
-            freed,
-            in_place,
-        }
+        // Lines referenced by *saturated* entries can never be freed (their
+        // true count is unknown, §III-B2), so a pathological workload that
+        // saturates many contents can exhaust free space — real deployments
+        // provision spare capacity or garbage-collect saturated lines
+        // offline.
+        let outcome = self
+            .kernel
+            .store(init.index(), init, digest)
+            .expect("free space exhausted (saturated-entry leak)");
+        self.written.set(init.index());
+        outcome
     }
 
     /// Duplicate writes applied.
@@ -422,27 +616,32 @@ impl DedupIndex {
 
     /// Duplicates skipped due to reference saturation.
     pub fn saturated_skips(&self) -> u64 {
-        self.hash_table.saturated_hits()
+        self.kernel.hash.saturated_hits()
     }
 
-    /// Number of deduplicated (remapped) addresses.
+    /// Number of deduplicated addresses: written ones that map away from
+    /// their home line (a walk of the map).
     pub fn mapped_addresses(&self) -> usize {
-        self.addr_map.len()
+        self.kernel
+            .map
+            .iter()
+            .filter(|&(init, real)| real.index() != init)
+            .count()
     }
 
     /// Number of resident physical lines.
     pub fn resident_lines(&self) -> usize {
-        self.inverted.len()
+        self.kernel.inverted.len()
     }
 
     /// Free physical lines remaining.
     pub fn free_lines(&self) -> u64 {
-        self.fsm.free_lines()
+        self.kernel.space.table.free_lines()
     }
 
     /// Iterate over resident lines' reference counts (Fig. 7).
     pub fn reference_counts(&self) -> impl Iterator<Item = u8> + '_ {
-        self.hash_table.iter().map(|(_, e)| e.reference)
+        self.kernel.hash.iter().map(|(_, e)| e.reference)
     }
 
     /// Exhaustively check the index invariants (test/debug aid; O(lines)).
@@ -451,41 +650,12 @@ impl DedupIndex {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Residency bitmaps agree.
         for i in 0..self.lines() {
-            let line = LineAddr::new(i);
-            let resident = self.inverted.digest_of(line).is_some();
-            let occupied = !self.fsm.is_free(line);
-            if resident != occupied {
-                return Err(format!(
-                    "line {line}: resident={resident} occupied={occupied}"
-                ));
-            }
-            if resident {
-                let digest = self.inverted.digest_of(line).expect("checked");
-                if self.hash_table.reference(digest, line).is_none() {
-                    return Err(format!("line {line}: resident but not hash-indexed"));
-                }
+            if self.written.get(i) != self.kernel.map.get(i).is_some() {
+                return Err(format!("address {i}: written bit disagrees with the map"));
             }
         }
-        // Reference counts match resolution counts (excluding saturated).
-        let mut counts = std::collections::HashMap::new();
-        for i in 0..self.lines() {
-            let init = LineAddr::new(i);
-            if let Some(real) = self.resolve(init) {
-                *counts.entry(real.index()).or_insert(0u64) += 1;
-            }
-        }
-        for (digest, entry) in self.hash_table.iter() {
-            let actual = counts.get(&entry.real.index()).copied().unwrap_or(0);
-            if entry.reference != MAX_REFERENCE && u64::from(entry.reference) != actual {
-                return Err(format!(
-                    "line {} (digest {digest:#x}): reference {} but {} resolvers",
-                    entry.real, entry.reference, actual
-                ));
-            }
-        }
-        Ok(())
+        self.kernel.check_invariants(self.lines())
     }
 }
 
@@ -503,7 +673,10 @@ pub(crate) fn domain_of_line(index: u64, domains: u64, lines: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::counters::CounterTable;
+    use crate::snapshot::Snapshot;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     fn l(i: u64) -> LineAddr {
         LineAddr::new(i)
@@ -815,5 +988,94 @@ mod tests {
         let refs: Vec<u8> = idx.reference_counts().collect();
         assert_eq!(refs.len(), 2);
         assert_eq!(refs.iter().map(|&r| u64::from(r)).sum::<u64>(), 3);
+    }
+
+    /// `snapshot` with `ops` applied in order, each an absolute assignment
+    /// — what recovery does to a checkpoint.
+    fn replay(snapshot: &Snapshot, ops: &[MetaOp]) -> Snapshot {
+        let mut mappings: BTreeMap<_, _> = snapshot.mappings.iter().copied().collect();
+        let mut residents: BTreeMap<_, _> = snapshot.residents.iter().copied().collect();
+        let mut counters: BTreeMap<_, _> = snapshot.counters.iter().copied().collect();
+        for &op in ops {
+            match op {
+                MetaOp::MapSet { init, real } => drop(mappings.insert(init, real)),
+                MetaOp::ResidentSet { real, digest } => drop(residents.insert(real, digest)),
+                MetaOp::ResidentDel { real } => drop(residents.remove(&real)),
+                MetaOp::CounterSet { line, value } => drop(counters.insert(line, value)),
+            }
+        }
+        Snapshot {
+            mappings: mappings.into_iter().collect(),
+            residents: residents.into_iter().collect(),
+            counters: counters.into_iter().collect(),
+            ..*snapshot
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        // Every commit of the simulator's source, replayed as its
+        // `MetaOp`s onto the snapshot before it, gives the snapshot after
+        // it, and leaves the index invariants intact. 300 writes of one
+        // content saturate its first copy; then the script, over the last
+        // 55 of its referrers, the 45 of its second copy and 100 fresh
+        // addresses: half its writes are of that content (silent when the
+        // address already holds it), a quarter of one of four shared
+        // contents and a quarter of a content of its own (a sole owner,
+        // overwritten in place when its address is written again).
+        #[test]
+        fn domain_space_commits_replay_to_the_next_snapshot(
+            domains in 1u64..3,
+            script in proptest::collection::vec((200u64..400, 0u64..16), 200..300),
+        ) {
+            let mut idx = DedupIndex::with_domains(640, domains);
+            let mut counters = CounterTable::new();
+            let mut before = Snapshot::capture(&idx, &counters, 0);
+            let (mut silent_writes, mut in_place_writes) = (0, 0);
+            let writes = (0..300).map(|init| (init, 0)).chain(script);
+            for (step, (init, pick)) in writes.enumerate() {
+                // The digest is the content: no collisions, so the first
+                // live candidate in the domain is the duplicate.
+                let digest = match pick {
+                    0..=7 => 0,
+                    8..=11 => pick - 7,
+                    _ => 1000 + step as u64,
+                };
+                let init = l(init);
+                let matched = idx
+                    .candidates_for(digest, init)
+                    .find(|e| e.reference != MAX_REFERENCE)
+                    .map(|e| e.real);
+                let outcome = match matched {
+                    Some(real) => idx.apply_duplicate(init, real),
+                    None => idx.apply_store(init, digest),
+                };
+                let counter = match outcome {
+                    WriteOutcome::Duplicate { silent, .. } => {
+                        silent_writes += u32::from(silent);
+                        0
+                    }
+                    WriteOutcome::Stored { target, in_place, .. } => {
+                        in_place_writes += u32::from(in_place);
+                        counters.bump(target.index()).value()
+                    }
+                };
+                let ops: Vec<_> = outcome
+                    .meta_ops(init.index(), digest, counter, LineAddr::index)
+                    .collect();
+                let after = Snapshot::capture(&idx, &counters, 0);
+                prop_assert_eq!(&replay(&before, &ops), &after, "step {}", step);
+                prop_assert_eq!(idx.check_invariants(), Ok(()));
+                before = after;
+            }
+            prop_assert!(idx.reference_counts().any(|r| r == MAX_REFERENCE));
+            prop_assert!(
+                silent_writes > 0 && in_place_writes > 0,
+                "{} silent, {} in place",
+                silent_writes,
+                in_place_writes
+            );
+        }
     }
 }

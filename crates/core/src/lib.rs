@@ -67,7 +67,7 @@ pub use config::{
     MetadataPersistence, SystemConfig, WriteMode,
 };
 pub use counters::CounterTable;
-pub use dedup::{DedupIndex, DupLookup, WriteOutcome};
+pub use dedup::{CommitKernel, DedupIndex, DupLookup, FreeSpace, WriteOutcome};
 pub use dewrite_mem::Replacement;
 pub use digest::IndexDigest;
 pub use journal::MetaOp;

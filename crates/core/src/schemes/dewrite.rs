@@ -593,6 +593,15 @@ impl DeWrite {
             .ok_or_else(|| format!("resident line {real} has no encryption counter"))
     }
 
+    /// Journal the commit of a write of `init` with content `digest` when
+    /// the metadata journal is on; `counter` is a stored line's new
+    /// encryption counter.
+    fn journal(&mut self, init: LineAddr, outcome: WriteOutcome, digest: u64, counter: u32) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.extend(outcome.meta_ops(init.index(), digest, counter, LineAddr::index));
+        }
+    }
+
     /// Run the candidate comparison loop with timed NVM reads — or, under
     /// [`DigestMode::StrongKeyed`], accept the first live candidate on the
     /// 64-bit tag match alone: no verify-read, no decrypt, no byte compare
@@ -682,102 +691,51 @@ impl DeWrite {
         }
     }
 
-    /// Post-commit metadata updates for a duplicate write (cache traffic
-    /// only; off the critical path). Returns when the last update lands.
-    fn commit_duplicate_metadata(
+    /// Post-commit metadata-cache traffic mirroring the tables a commit
+    /// of `init` touched (off the critical path): the address-map row, the
+    /// hash entry and the target's inverted row — §III-C: a duplicate's
+    /// reference count lives in that colocated row — a store's FSM word,
+    /// and a freed line's inverted row and FSM word. Returns when the last
+    /// update lands.
+    fn commit_metadata(
         &mut self,
         init: LineAddr,
-        real: LineAddr,
+        outcome: WriteOutcome,
         digest: u64,
-        freed_probe: Option<LineAddr>,
         now_ns: u64,
     ) -> u64 {
-        let mut done = self
-            .addr_map_meta
-            .write_insert(init.index(), &mut self.device, now_ns, &mut self.metrics)
-            .done_ns;
-        done = done.max(
-            self.hash_meta
-                .write_insert(digest, &mut self.device, now_ns, &mut self.metrics)
-                .done_ns,
-        );
-        // §III-C: the dedup target's reference count lives in its colocated
-        // inverted-table row, so confirming a duplicate dirties that row too.
-        done = done.max(
-            self.inverted_meta
-                .write_insert(real.index(), &mut self.device, now_ns, &mut self.metrics)
-                .done_ns,
-        );
-        if let Some(freed) = freed_probe {
-            done = done.max(
-                self.inverted_meta
-                    .write_insert(freed.index(), &mut self.device, now_ns, &mut self.metrics)
-                    .done_ns,
-            );
-            done = done.max(
-                self.fsm_meta
-                    .write_insert(
-                        freed.index() / 2048,
-                        &mut self.device,
-                        now_ns,
-                        &mut self.metrics,
-                    )
-                    .done_ns,
-            );
-        }
-        done
-    }
-
-    /// Post-commit metadata updates for a stored (non-duplicate) write.
-    /// Returns when the last update lands.
-    fn commit_store_metadata(
-        &mut self,
-        init: LineAddr,
-        target: LineAddr,
-        digest: u64,
-        freed: Option<LineAddr>,
-        now_ns: u64,
-    ) -> u64 {
-        let mut done = self
-            .addr_map_meta
-            .write_insert(init.index(), &mut self.device, now_ns, &mut self.metrics)
-            .done_ns;
-        done = done.max(
-            self.inverted_meta
-                .write_insert(target.index(), &mut self.device, now_ns, &mut self.metrics)
-                .done_ns,
-        );
-        done = done.max(
-            self.hash_meta
-                .write_insert(digest, &mut self.device, now_ns, &mut self.metrics)
-                .done_ns,
-        );
-        done = done.max(
-            self.fsm_meta
-                .write_insert(
-                    target.index() / 2048,
-                    &mut self.device,
-                    now_ns,
-                    &mut self.metrics,
-                )
-                .done_ns,
-        );
+        let DeWrite {
+            addr_map_meta,
+            inverted_meta,
+            hash_meta,
+            fsm_meta,
+            device,
+            metrics,
+            ..
+        } = self;
+        let mut touch = |table: &mut MetaTable, key: u64| {
+            table.write_insert(key, device, now_ns, metrics).done_ns
+        };
+        let mut done = touch(addr_map_meta, init.index());
+        let freed = match outcome {
+            WriteOutcome::Duplicate { real, freed, .. } => {
+                done = done
+                    .max(touch(hash_meta, digest))
+                    .max(touch(inverted_meta, real.index()));
+                freed
+            }
+            WriteOutcome::Stored { target, freed, .. } => {
+                done = done
+                    .max(touch(inverted_meta, target.index()))
+                    .max(touch(hash_meta, digest))
+                    .max(touch(fsm_meta, target.index() / 2048));
+                freed
+            }
+        };
         if let Some(freed) = freed {
-            done = done.max(
-                self.inverted_meta
-                    .write_insert(freed.index(), &mut self.device, now_ns, &mut self.metrics)
-                    .done_ns,
-            );
-            done = done.max(
-                self.fsm_meta
-                    .write_insert(
-                        freed.index() / 2048,
-                        &mut self.device,
-                        now_ns,
-                        &mut self.metrics,
-                    )
-                    .done_ns,
-            );
+            done = done
+                .max(touch(inverted_meta, freed.index()))
+                .max(touch(fsm_meta, freed.index() / 2048));
         }
         done
     }
@@ -897,26 +855,13 @@ impl SecureMemory for DeWrite {
             Some(real) => {
                 // Duplicate: the NVM write is eliminated.
                 let outcome = self.index.apply_duplicate(init, real);
-                let WriteOutcome::Duplicate { silent, freed, .. } = outcome else {
+                let WriteOutcome::Duplicate { freed, .. } = outcome else {
                     unreachable!("apply_duplicate returns Duplicate");
                 };
                 if let Some(freed) = freed {
                     self.verify_buffer.invalidate(freed.index());
                 }
-                if let Some(journal) = self.journal.as_mut() {
-                    // A silent store changed no metadata; nothing to log.
-                    if !silent {
-                        journal.push(MetaOp::MapSet {
-                            init: init.index(),
-                            real: real.index(),
-                        });
-                        if let Some(freed) = freed {
-                            journal.push(MetaOp::ResidentDel {
-                                real: freed.index(),
-                            });
-                        }
-                    }
-                }
+                self.journal(init, outcome, digest, 0);
                 self.dmetrics.dup_eliminated += 1;
                 self.metrics.writes_eliminated += 1;
                 if speculative {
@@ -924,8 +869,7 @@ impl SecureMemory for DeWrite {
                 } else {
                     self.dmetrics.saved_encryptions += 1;
                 }
-                let meta_done =
-                    self.commit_duplicate_metadata(init, real, digest, freed, detect_done);
+                let meta_done = self.commit_metadata(init, outcome, digest, detect_done);
                 self.predictor.record(true);
                 if self.sink.is_some() {
                     let mut e = WriteEvent::new(WritePath::Duplicate);
@@ -984,25 +928,7 @@ impl SecureMemory for DeWrite {
                     self.verify_buffer.invalidate(freed.index());
                 }
                 let counter = self.counters.bump(target.index());
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.push(MetaOp::ResidentSet {
-                        real: target.index(),
-                        digest,
-                    });
-                    journal.push(MetaOp::MapSet {
-                        init: init.index(),
-                        real: target.index(),
-                    });
-                    journal.push(MetaOp::CounterSet {
-                        line: target.index(),
-                        value: counter.value(),
-                    });
-                    if let Some(freed) = freed {
-                        journal.push(MetaOp::ResidentDel {
-                            real: freed.index(),
-                        });
-                    }
-                }
+                self.journal(init, outcome, digest, counter.value());
                 self.line_buf.resize(data.len(), 0);
                 self.engine
                     .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
@@ -1014,7 +940,7 @@ impl SecureMemory for DeWrite {
                 let access =
                     self.device
                         .write_line_with_flips(target, &self.line_buf, flips, ready)?;
-                let meta_done = self.commit_store_metadata(init, target, digest, freed, ready);
+                let meta_done = self.commit_metadata(init, outcome, digest, ready);
                 self.predictor.record(false);
                 if self.sink.is_some() {
                     let mut e = WriteEvent::new(WritePath::Stored);

@@ -149,8 +149,7 @@ impl SecureMemory for TraditionalDedup {
         // Trust the fingerprint: match at full digest width, no data read.
         let matched = self
             .index
-            .candidates(digest)
-            .into_iter()
+            .candidates_for(digest, init)
             .find(|e| {
                 e.reference != crate::tables::MAX_REFERENCE
                     && self.fingerprints.get(&e.real.index()) == Some(&fingerprint)

@@ -162,49 +162,6 @@ impl SeedHashTable {
     }
 }
 
-/// Seed initAddr → realAddr map (std `HashMap`).
-#[derive(Debug, Clone, Default)]
-pub struct SeedAddrMapTable {
-    map: HashMap<u64, LineAddr>,
-}
-
-impl SeedAddrMapTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resolve `init` to the physical line holding its data.
-    pub fn resolve(&self, init: LineAddr) -> LineAddr {
-        self.map.get(&init.index()).copied().unwrap_or(init)
-    }
-
-    /// Whether `init` is deduplicated (mapped away from home).
-    pub fn is_mapped(&self, init: LineAddr) -> bool {
-        self.map.contains_key(&init.index())
-    }
-
-    /// Map `init` to `real`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real == init`.
-    pub fn map_to(&mut self, init: LineAddr, real: LineAddr) {
-        assert_ne!(init, real, "identity mappings are implicit");
-        self.map.insert(init.index(), real);
-    }
-
-    /// Remove `init`'s mapping.
-    pub fn unmap(&mut self, init: LineAddr) {
-        self.map.remove(&init.index());
-    }
-
-    /// Number of deduplicated (mapped) lines.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// Seed realAddr → digest table (std `HashMap`).
 #[derive(Debug, Clone, Default)]
 pub struct SeedInvertedTable {

@@ -125,13 +125,15 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency (mapping to a
-    /// non-resident line, out-of-range address).
+    /// non-resident line or across dedup domains, out-of-range address).
     pub fn rebuild(&self) -> Result<(DedupIndex, CounterTable), String> {
         self.rebuild_with_domains(1)
     }
 
     /// Like [`rebuild`](Self::rebuild) with the configured number of dedup
-    /// domains, so the rebuilt index keeps enforcing domain isolation.
+    /// domains, so the rebuilt index keeps enforcing domain isolation. A
+    /// checkpoint is outside input: a mapping whose target lies in another
+    /// domain would restore sharing across tenants, and is rejected.
     pub fn rebuild_with_domains(&self, domains: u64) -> Result<(DedupIndex, CounterTable), String> {
         let mut index = DedupIndex::with_domains(self.lines, domains.max(1));
         let resident: HashMap<u64, u64> = self.residents.iter().copied().collect();
@@ -151,6 +153,15 @@ impl Snapshot {
             if !resident.contains_key(&real) {
                 return Err(format!(
                     "mapping {init}->{real} targets a non-resident line"
+                ));
+            }
+            let (from, to) = (
+                index.domain_of(LineAddr::new(init)),
+                index.domain_of(LineAddr::new(real)),
+            );
+            if from != to {
+                return Err(format!(
+                    "mapping {init}->{real} crosses from dedup domain {from} to {to}"
                 ));
             }
             index.restore_mapping(LineAddr::new(init), LineAddr::new(real));
@@ -494,6 +505,22 @@ mod tests {
         };
         let err = snap.rebuild().expect_err("dangling mapping");
         assert!(err.contains("non-resident"), "{err}");
+    }
+
+    #[test]
+    fn rebuild_rejects_cross_domain_mapping() {
+        let snap = Snapshot {
+            config_fp: 0,
+            lines: 64,
+            mappings: vec![(0, 40)],
+            residents: vec![(40, 7)],
+            counters: vec![],
+        };
+        assert!(snap.rebuild().is_ok(), "one domain shares everything");
+        let err = snap
+            .rebuild_with_domains(2)
+            .expect_err("cross-domain mapping");
+        assert!(err.contains("mapping 0->40 crosses"), "{err}");
     }
 
     #[test]

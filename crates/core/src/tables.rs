@@ -7,7 +7,7 @@
 //!
 //! * [`HashTable`] — digest → {realAddr, reference}; multiple entries per
 //!   digest are possible (CRC-32 collisions) and references saturate at 255.
-//! * [`AddrMapTable`] — initAddr → realAddr for deduplicated lines.
+//! * [`AddrMap`] — initAddr → realAddr for every written address.
 //! * [`InvertedTable`] — realAddr → digest, for cleaning stale hashes when a
 //!   resident line is overwritten or freed.
 //! * [`FreeSpaceTable`] — one bit per line; allocation prefers a caller-
@@ -30,7 +30,8 @@
 //!   to a contiguous side bucket that *is* the seed's `Vec` bucket — `push`
 //!   on insert, `swap_remove` on delete — so candidate order, observable
 //!   through match selection, is the seed's by construction.
-//! * [`AddrMapTable`] and [`InvertedTable`] are dense `Box<[...]>` arrays
+//! * [`AddrMap`] is a dense `Vec<u64>` indexed by address with a
+//!   never-written sentinel, and [`InvertedTable`] a dense `Box<[u64]>`
 //!   indexed by `LineAddr` with a presence bitmap: the line space is
 //!   bounded and known at construction, so no hashing at all.
 //!
@@ -647,6 +648,20 @@ impl HashTable {
         self.bump(at.slot, at.index)
     }
 
+    /// The entry of `real` under `digest` as an [`OpenEntry`] for
+    /// [`add_reference_at`](Self::add_reference_at), found by the one
+    /// search [`add_reference`](Self::add_reference) makes. Its
+    /// `saturated_before` is not counted and reads 0.
+    pub fn entry(&self, digest: u64, real: LineAddr) -> Option<OpenEntry> {
+        let (slot, index) = self.locate(digest, real.index())?;
+        Some(OpenEntry {
+            real,
+            saturated_before: 0,
+            slot,
+            index,
+        })
+    }
+
     /// Delete entry `index` of `slot`'s bucket — `swap_remove`, the seed's
     /// own step — folding a bucket back into its slot when one entry is
     /// left and freeing the slot when none is.
@@ -780,25 +795,25 @@ impl HashTable {
 
 /// One-bit-per-index presence bitmap for the dense tables.
 #[derive(Debug, Clone)]
-struct PresenceBitmap {
+pub(crate) struct PresenceBitmap {
     words: Box<[u64]>,
 }
 
 impl PresenceBitmap {
-    fn new(len: u64) -> Self {
+    pub(crate) fn new(len: u64) -> Self {
         PresenceBitmap {
             words: vec![0u64; (len as usize).div_ceil(64)].into_boxed_slice(),
         }
     }
 
     #[inline]
-    fn get(&self, idx: u64) -> bool {
+    pub(crate) fn get(&self, idx: u64) -> bool {
         self.words[(idx >> 6) as usize] & (1u64 << (idx & 63)) != 0
     }
 
     /// Set the bit; returns whether it was newly set.
     #[inline]
-    fn set(&mut self, idx: u64) -> bool {
+    pub(crate) fn set(&mut self, idx: u64) -> bool {
         let word = &mut self.words[(idx >> 6) as usize];
         let bit = 1u64 << (idx & 63);
         let fresh = *word & bit == 0;
@@ -808,7 +823,7 @@ impl PresenceBitmap {
 
     /// Clear the bit; returns whether it was set.
     #[inline]
-    fn clear(&mut self, idx: u64) -> bool {
+    pub(crate) fn clear(&mut self, idx: u64) -> bool {
         let word = &mut self.words[(idx >> 6) as usize];
         let bit = 1u64 << (idx & 63);
         let was = *word & bit != 0;
@@ -817,94 +832,66 @@ impl PresenceBitmap {
     }
 }
 
-/// The initAddr → realAddr mapping for deduplicated lines.
+/// [`AddrMap`]'s sentinel: the address has never been written.
+const UNMAPPED: u64 = u64::MAX;
+
+/// The initAddr → realAddr map of every written address.
 ///
-/// A line absent from the table is *not deduplicated*: its data lives in its
-/// home location (realAddr = initAddr). This matches the paper's colocation
-/// observation — absent/"null" slots hold the encryption counter instead.
-///
-/// The line space is bounded and known at construction, so this is a dense
-/// `Box<[u64]>` indexed by `LineAddr` with a presence bitmap — no hashing.
+/// A dense `Vec<u64>` indexed by address, with a sentinel for the
+/// never-written ones: an identity mapping is stored like any other, so
+/// presence alone says whether an address holds data. Pre-sized to the
+/// line space and grown on demand past it (a shard indexes it by
+/// `addr / shards`, which an address space larger than its arena outruns).
 #[derive(Debug, Clone)]
-pub struct AddrMapTable {
-    real: Box<[u64]>,
-    present: PresenceBitmap,
-    len: usize,
+pub struct AddrMap {
+    real: Vec<u64>,
 }
 
-impl AddrMapTable {
-    /// An empty table over `lines` initial addresses.
-    pub fn new(lines: u64) -> Self {
-        AddrMapTable {
-            real: vec![0u64; lines as usize].into_boxed_slice(),
-            present: PresenceBitmap::new(lines),
-            len: 0,
+impl AddrMap {
+    /// An empty map pre-sized for `len` addresses.
+    pub fn new(len: u64) -> Self {
+        AddrMap {
+            real: vec![UNMAPPED; len as usize],
         }
     }
 
-    /// Resolve `init` to the physical line holding its data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` is outside the constructed line space.
+    /// The line `idx` maps to, or `None` if it was never written.
     #[inline]
-    pub fn resolve(&self, init: LineAddr) -> LineAddr {
-        let idx = init.index();
-        assert!((idx as usize) < self.real.len(), "line {init} out of range");
-        // Unconditional load keeps the select branchless: on mixed
-        // mapped/unmapped streams the data-dependent branch would
-        // mispredict half the time and serialise behind the bitmap word.
-        let real = LineAddr::new(self.real[idx as usize]);
-        if self.present.get(idx) {
-            real
-        } else {
-            init
-        }
+    pub fn get(&self, idx: u64) -> Option<LineAddr> {
+        self.real
+            .get(idx as usize)
+            .copied()
+            .filter(|&real| real != UNMAPPED)
+            .map(LineAddr::new)
     }
 
-    /// Whether `init` is deduplicated (mapped away from home).
+    /// Map `idx` to `real`, growing the map if `idx` lies past its end.
     #[inline]
-    pub fn is_mapped(&self, init: LineAddr) -> bool {
-        self.present.get(init.index())
-    }
-
-    /// Map `init` to `real`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real == init` — identity mappings are represented by
-    /// absence.
-    pub fn map_to(&mut self, init: LineAddr, real: LineAddr) {
-        assert_ne!(init, real, "identity mappings are implicit");
-        let idx = init.index();
-        self.real[idx as usize] = real.index();
-        if self.present.set(idx) {
-            self.len += 1;
+    pub fn set(&mut self, idx: u64, real: LineAddr) {
+        let idx = idx as usize;
+        if idx >= self.real.len() {
+            self.real.resize(idx + 1, UNMAPPED);
         }
+        self.real[idx] = real.index();
     }
 
-    /// Remove `init`'s mapping (its data is back in its home line).
-    pub fn unmap(&mut self, init: LineAddr) {
-        if self.present.clear(init.index()) {
-            self.len -= 1;
-        }
+    /// Addresses the map spans: its pre-sized length, or more once grown.
+    pub fn span(&self) -> u64 {
+        self.real.len() as u64
     }
 
-    /// Number of deduplicated (mapped) lines.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no lines are deduplicated.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Every written address and the line it maps to, in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, LineAddr)> + '_ {
+        (0u64..)
+            .zip(&self.real)
+            .filter(|&(_, &real)| real != UNMAPPED)
+            .map(|(idx, &real)| (idx, LineAddr::new(real)))
     }
 }
 
 /// The realAddr → digest table for stale-hash cleaning.
 ///
-/// Dense `Box<[u64]>` indexed by `LineAddr` with a presence bitmap, like
-/// [`AddrMapTable`].
+/// Dense `Box<[u64]>` indexed by `LineAddr` with a presence bitmap.
 #[derive(Debug, Clone)]
 pub struct InvertedTable {
     digest: Box<[u64]>,
@@ -1557,28 +1544,6 @@ mod tests {
         }
 
         #[test]
-        fn addr_map_matches_seed_oracle(
-            ops in proptest::collection::vec((0u64..32, 0u64..32, any::<bool>()), 0..200)
-        ) {
-            let mut seed = crate::seed::SeedAddrMapTable::new();
-            let mut flat = AddrMapTable::new(32);
-            for (init, real, map) in ops {
-                if map && init != real {
-                    seed.map_to(l(init), l(real));
-                    flat.map_to(l(init), l(real));
-                } else if !map {
-                    seed.unmap(l(init));
-                    flat.unmap(l(init));
-                }
-                prop_assert_eq!(seed.len(), flat.len());
-                for i in 0..32u64 {
-                    prop_assert_eq!(seed.resolve(l(i)), flat.resolve(l(i)));
-                    prop_assert_eq!(seed.is_mapped(l(i)), flat.is_mapped(l(i)));
-                }
-            }
-        }
-
-        #[test]
         fn inverted_matches_seed_oracle(
             ops in proptest::collection::vec((0u64..32, 0u64..8, any::<bool>()), 0..200)
         ) {
@@ -1756,32 +1721,21 @@ mod tests {
         }
     }
 
-    // ---- AddrMapTable ----
-
-    #[test]
-    fn addr_map_defaults_to_identity() {
-        let m = AddrMapTable::new(16);
-        assert_eq!(m.resolve(l(4)), l(4));
-        assert!(!m.is_mapped(l(4)));
-        assert!(m.is_empty());
-    }
+    // ---- AddrMap ----
 
     #[test]
     fn addr_map_roundtrip() {
-        let mut m = AddrMapTable::new(16);
-        m.map_to(l(4), l(9));
-        assert_eq!(m.resolve(l(4)), l(9));
-        assert!(m.is_mapped(l(4)));
-        assert_eq!(m.len(), 1);
-        m.unmap(l(4));
-        assert_eq!(m.resolve(l(4)), l(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "identity mappings")]
-    fn addr_map_rejects_identity() {
-        let mut m = AddrMapTable::new(16);
-        m.map_to(l(4), l(4));
+        let mut m = AddrMap::new(16);
+        assert_eq!(m.get(4), None, "unwritten");
+        m.set(4, l(4));
+        assert_eq!(m.get(4), Some(l(4)), "identity is stored");
+        m.set(4, l(9));
+        assert_eq!(m.get(4), Some(l(9)), "overwrite");
+        assert_eq!(m.span(), 16);
+        m.set(40, l(2));
+        assert_eq!(m.span(), 41, "grown past the pre-sized length");
+        assert_eq!((m.get(39), m.get(40), m.get(41)), (None, Some(l(2)), None));
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(4, l(9)), (40, l(2))]);
     }
 
     // ---- InvertedTable ----
