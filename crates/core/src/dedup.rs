@@ -348,9 +348,9 @@ pub struct DedupIndex {
     kernel: CommitKernel<DomainSpace>,
     /// Which addresses are written: the map's presence, one bit per
     /// address. Reads mix written and unwritten addresses unpredictably,
-    /// and a branch on the map entry itself, often out of host cache,
-    /// cost `sim_paper` 17–24% of its median op latency; on this bit, it
-    /// costs nothing measurable.
+    /// and a branch on the map entry itself, often out of host cache, cost
+    /// the `sim_paper` benchmark 17–24% of its median op latency; on this
+    /// bit, nothing measurable (EXPERIMENTS.md, "One commit kernel").
     written: PresenceBitmap,
     dup_writes: u64,
     stored_writes: u64,
