@@ -346,7 +346,7 @@ fn main() -> ExitCode {
                 continue;
             };
             compared += 1;
-            let (op99, np99) = (o.write_latency_hist.p99_ns(), n.write_latency_hist.p99_ns());
+            let (op99, np99) = (o.write_latency.p99_ns(), n.write_latency.p99_ns());
             if op99 > 0 && (np99 as f64) > (op99 as f64) * (1.0 + tol) {
                 regressions.push(format!(
                     "{app}/{scheme}: p99 write latency regressed {op99} ns -> {np99} ns"

@@ -123,11 +123,7 @@ pub fn ext_repl(ctx: &mut Ctx) {
                 s.inverted.hit_rate(),
                 s.fsm.hit_rate(),
             ]);
-            (
-                hit,
-                report.write_reduction(),
-                report.write_latency_hist.p99_ns(),
-            )
+            (hit, report.write_reduction(), report.write_latency.p99_ns())
         };
         (profile.name.to_string(), Replacement::ALL.map(run))
     });
@@ -177,7 +173,7 @@ pub fn ext_digest(ctx: &mut Ctx) {
             (
                 report.write_reduction(),
                 dm.assumed_dups,
-                report.write_latency_hist.p99_ns(),
+                report.write_latency.p99_ns(),
                 report.energy.total_pj(),
             )
         };

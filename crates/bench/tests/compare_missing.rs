@@ -15,7 +15,6 @@ fn report(app: &str, scheme: &str, dewrite: bool, mean_ns: u64) -> RunReport {
         ..RunReport::default()
     };
     r.write_latency.record(mean_ns);
-    r.write_latency_hist.record(mean_ns);
     if dewrite {
         r.dewrite = Some(DeWriteMetrics::default());
     }

@@ -21,7 +21,6 @@
 
 use dewrite_nvm::LineAddr;
 
-use crate::compare::lines_equal;
 use crate::journal::MetaOp;
 use crate::tables::{
     AddrMap, FreeSpaceTable, HashEntry, HashTable, InvertedTable, OpenEntry, PresenceBitmap,
@@ -91,15 +90,6 @@ impl WriteOutcome {
         .into_iter()
         .flatten()
     }
-}
-
-/// Result of a duplicate lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DupLookup {
-    /// The matching resident line, if content-identical and not saturated.
-    pub matched: Option<LineAddr>,
-    /// How many candidate lines were byte-compared (collision accounting).
-    pub comparisons: u32,
 }
 
 /// What a scheme-driven confirmation walks: the first
@@ -413,42 +403,6 @@ impl DedupIndex {
         written.then(|| self.kernel.map.get(init.index()).unwrap_or(init))
     }
 
-    /// Search for a resident line with content equal to `data` under
-    /// `digest`. `content_of` supplies the (decrypted) bytes of a candidate
-    /// line; the scheme layer charges one NVM read per invocation.
-    ///
-    /// Saturated entries are skipped (§III-B2: a line at reference 255 is
-    /// "highly referenced" and further duplicates are not deduplicated).
-    pub fn lookup(
-        &mut self,
-        digest: u64,
-        data: &[u8],
-        mut content_of: impl FnMut(LineAddr) -> Vec<u8>,
-    ) -> DupLookup {
-        let mut lookup = DupLookup {
-            matched: None,
-            comparisons: 0,
-        };
-        let (mut saturated, mut false_matches) = (0, 0);
-        for entry in self.kernel.hash.bucket(digest) {
-            if entry.reference == MAX_REFERENCE {
-                // Saturated: visible in the entry itself, skipped without a
-                // comparison (§III-B2).
-                saturated += 1;
-                continue;
-            }
-            lookup.comparisons += 1;
-            if lines_equal(&content_of(entry.real), data) {
-                lookup.matched = Some(entry.real);
-                break;
-            }
-            false_matches += 1;
-        }
-        self.kernel.hash.note_saturated_hits(saturated);
-        self.false_matches += false_matches;
-        lookup
-    }
-
     /// Resident candidate entries for `digest` in `init`'s dedup domain —
     /// with multiple domains, content never matches across a boundary —
     /// for callers that drive the byte comparison themselves (the schemes,
@@ -673,6 +627,7 @@ pub(crate) fn domain_of_line(index: u64, domains: u64, lines: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::lines_equal;
     use crate::counters::CounterTable;
     use crate::snapshot::Snapshot;
     use proptest::prelude::*;
@@ -744,7 +699,31 @@ mod tests {
         }
     }
 
-    /// Drive a full write through lookup + apply, like a scheme would.
+    /// Confirm a write of `data` to `init` like a scheme does: byte-compare
+    /// the [`OpenCandidates`] in bucket order, counting a false match per
+    /// failed compare and a saturated skip when none matched past a
+    /// saturated entry. Returns the match and the compares made.
+    fn confirm(
+        idx: &mut DedupIndex,
+        shadow: &Shadow,
+        init: u64,
+        data: &[u8],
+        digest: u64,
+    ) -> (Option<LineAddr>, usize) {
+        let open = idx.open_for(digest, l(init));
+        for (compares, &real) in open.reals().iter().enumerate() {
+            if lines_equal(&shadow.content(real), data) {
+                return (Some(real), compares + 1);
+            }
+            idx.note_false_match();
+        }
+        if open.skipped_saturated {
+            idx.note_saturated_skip();
+        }
+        (None, open.reals().len())
+    }
+
+    /// Drive a full write through confirm + apply, like a scheme would.
     fn write(
         idx: &mut DedupIndex,
         shadow: &mut Shadow,
@@ -752,8 +731,7 @@ mod tests {
         data: &[u8],
         digest: u64,
     ) -> WriteOutcome {
-        let lookup = idx.lookup(digest, data, |real| shadow.content(real));
-        let outcome = match lookup.matched {
+        let outcome = match confirm(idx, shadow, init, data, digest).0 {
             Some(real) => idx.apply_duplicate(l(init), real),
             None => idx.apply_store(l(init), digest),
         };
@@ -834,8 +812,7 @@ mod tests {
             }
         );
         // Stale hash was cleaned: old content no longer matches anywhere.
-        let lookup = idx.lookup(1, b"old!", |r| sh.content(r));
-        assert_eq!(lookup.matched, None);
+        assert_eq!(confirm(&mut idx, &sh, 5, b"old!", 1), (None, 0));
     }
 
     #[test]
@@ -884,15 +861,12 @@ mod tests {
         let mut sh = Shadow::default();
         // Two different contents forced under the same digest.
         write(&mut idx, &mut sh, 0, b"aaaa", 42);
-        let lookup = idx.lookup(42, b"bbbb", |r| sh.content(r));
-        assert_eq!(lookup.matched, None);
-        assert_eq!(lookup.comparisons, 1);
+        assert_eq!(confirm(&mut idx, &sh, 1, b"bbbb", 42), (None, 1));
         assert_eq!(idx.false_matches(), 1);
         // Storing the colliding content keeps both in one bucket.
         idx.apply_store(l(1), 42);
         sh.store(l(1), b"bbbb");
-        let hit = idx.lookup(42, b"bbbb", |r| sh.content(r));
-        assert_eq!(hit.matched, Some(l(1)));
+        assert_eq!(confirm(&mut idx, &sh, 2, b"bbbb", 42), (Some(l(1)), 2));
         idx.check_invariants().unwrap();
     }
 

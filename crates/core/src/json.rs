@@ -396,6 +396,17 @@ fn hist_from_json(j: &Json) -> Result<LatencyHistogram, String> {
     LatencyHistogram::from_parts(stats, buckets)
 }
 
+/// A latency stream written twice, as the summary `key` and the histogram
+/// `key_hist`: read from the histogram, refused when the two disagree.
+fn latency_from_json(j: &Json, key: &str) -> Result<LatencyHistogram, String> {
+    let hist_key = format!("{key}_hist");
+    let hist = hist_from_json(req(j, &hist_key)?)?;
+    if lat_from_json(req(j, key)?)? != hist.stats() {
+        return Err(format!("`{key}` disagrees with `{hist_key}`"));
+    }
+    Ok(hist)
+}
+
 fn stages_to_json(b: &StageBreakdown) -> Json {
     Json::Obj(
         Stage::ALL
@@ -543,7 +554,10 @@ impl RunReport {
             ("instructions".into(), num(self.instructions)),
             ("cycles".into(), Json::Num(self.cycles)),
             ("ipc".into(), Json::Num(self.ipc)),
-            ("write_latency".into(), lat_to_json(&self.write_latency)),
+            (
+                "write_latency".into(),
+                lat_to_json(&self.write_latency.stats()),
+            ),
             (
                 "write_latency_eliminated".into(),
                 lat_to_json(&self.write_latency_eliminated),
@@ -552,16 +566,16 @@ impl RunReport {
                 "write_latency_stored".into(),
                 lat_to_json(&self.write_latency_stored),
             ),
-            ("read_latency".into(), lat_to_json(&self.read_latency)),
+            (
+                "read_latency".into(),
+                lat_to_json(&self.read_latency.stats()),
+            ),
             ("write_critical".into(), lat_to_json(&self.write_critical)),
             (
                 "write_latency_hist".into(),
-                hist_to_json(&self.write_latency_hist),
+                hist_to_json(&self.write_latency),
             ),
-            (
-                "read_latency_hist".into(),
-                hist_to_json(&self.read_latency_hist),
-            ),
+            ("read_latency_hist".into(), hist_to_json(&self.read_latency)),
             ("stages".into(), stages_to_json(&self.stage_breakdown)),
             (
                 "write_paths".into(),
@@ -618,13 +632,11 @@ impl RunReport {
             instructions: u64_field(j, "instructions")?,
             cycles: f64_field(j, "cycles")?,
             ipc: f64_field(j, "ipc")?,
-            write_latency: lat_from_json(req(j, "write_latency")?)?,
+            write_latency: latency_from_json(j, "write_latency")?,
             write_latency_eliminated: lat_from_json(req(j, "write_latency_eliminated")?)?,
             write_latency_stored: lat_from_json(req(j, "write_latency_stored")?)?,
-            read_latency: lat_from_json(req(j, "read_latency")?)?,
+            read_latency: latency_from_json(j, "read_latency")?,
             write_critical: lat_from_json(req(j, "write_critical")?)?,
-            write_latency_hist: hist_from_json(req(j, "write_latency_hist")?)?,
-            read_latency_hist: hist_from_json(req(j, "read_latency_hist")?)?,
             stage_breakdown: breakdown_from_json(req(j, "write_paths")?, req(j, "stages")?)?,
             base: base_from_json(req(j, "base")?)?,
             energy: energy_from_json(req(j, "energy")?)?,
@@ -872,6 +884,35 @@ mod tests {
         let r = RunReport::default();
         let back = RunReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn latency_summary_must_match_its_histogram() {
+        let mut r = RunReport::default();
+        for ns in [93, 93, 480] {
+            r.write_latency.record(ns);
+        }
+        r.read_latency.record(76);
+        let doc = r.to_json();
+        assert_eq!(RunReport::from_json(&doc).unwrap(), r);
+        for (key, field) in [
+            ("write_latency", "count"),
+            ("write_latency", "max_ns"),
+            ("read_latency", "total_ns"),
+        ] {
+            let mut bad = doc.clone();
+            let Json::Obj(pairs) = &mut bad else {
+                unreachable!()
+            };
+            let (_, summary) = pairs.iter_mut().find(|(k, _)| k == key).unwrap();
+            let Json::Obj(summary) = summary else {
+                unreachable!()
+            };
+            let (_, v) = summary.iter_mut().find(|(k, _)| k == field).unwrap();
+            *v = num(v.as_u64().unwrap() + 1);
+            let err = RunReport::from_json(&bad).unwrap_err();
+            assert_eq!(err, format!("`{key}` disagrees with `{key}_hist`"));
+        }
     }
 
     #[test]

@@ -20,14 +20,15 @@ pub struct RunReport {
     pub cycles: f64,
     /// Instructions per cycle (Fig. 17's metric).
     pub ipc: f64,
-    /// Full write latencies, issue → durable (Fig. 14).
-    pub write_latency: LatencyStats,
+    /// Full write latencies, issue → durable (Fig. 14): the summary and
+    /// the distribution (p50/p95/p99, not just the mean).
+    pub write_latency: LatencyHistogram,
     /// Write latencies of eliminated (duplicate) writes only.
     pub write_latency_eliminated: LatencyStats,
     /// Write latencies of writes that reached the NVM array.
     pub write_latency_stored: LatencyStats,
-    /// Read latencies (Fig. 16).
-    pub read_latency: LatencyStats,
+    /// Read latencies (Fig. 16), summary and distribution.
+    pub read_latency: LatencyHistogram,
     /// Controller critical-path write latencies (Fig. 15's metric).
     pub write_critical: LatencyStats,
     /// Scheme counters (writes, eliminations, metadata traffic …).
@@ -40,10 +41,6 @@ pub struct RunReport {
     pub bit_flip_ratio: f64,
     /// DeWrite-specific metrics, when the scheme is DeWrite.
     pub dewrite: Option<DeWriteMetrics>,
-    /// Full write-latency distribution (p50/p95/p99, not just the mean).
-    pub write_latency_hist: LatencyHistogram,
-    /// Read-latency distribution.
-    pub read_latency_hist: LatencyHistogram,
     /// Per-stage write-pipeline latency breakdown (empty when the scheme
     /// does not support event tracing).
     pub stage_breakdown: StageBreakdown,
@@ -116,8 +113,6 @@ impl RunReport {
         self.write_latency_stored.merge(&other.write_latency_stored);
         self.read_latency.merge(&other.read_latency);
         self.write_critical.merge(&other.write_critical);
-        self.write_latency_hist.merge(&other.write_latency_hist);
-        self.read_latency_hist.merge(&other.read_latency_hist);
         self.stage_breakdown.merge(&other.stage_breakdown);
 
         self.base.writes += other.base.writes;

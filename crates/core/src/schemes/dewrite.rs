@@ -27,7 +27,7 @@ use dewrite_crypto::{
     aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
 use dewrite_mem::CacheStats;
-use dewrite_nvm::{LineAddr, NvmDevice, NvmError, Timing};
+use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError, Timing};
 
 use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, DigestMode, MetadataPersistence, SystemConfig, WriteMode};
@@ -39,9 +39,6 @@ use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::tables::MAX_REFERENCE;
 use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
-
-/// Energy of one hardware line comparison, pJ.
-const COMPARE_ENERGY_PJ: u64 = 30;
 
 /// DeWrite-specific counters beyond [`BaseMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -662,7 +659,7 @@ impl DeWrite {
                     &self.plain_buf
                 }
             };
-            self.device.charge_dedup_pj(COMPARE_ENERGY_PJ);
+            self.device.charge_dedup_pj(EnergyParams::PCM.compare_pj);
             // Per the paper's accounting (§IV-D), dedup-logic energy is the
             // CRC + comparison only: the candidate's pad is assumed
             // regenerable from its colocated counter while the array read is

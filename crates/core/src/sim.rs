@@ -108,13 +108,11 @@ impl Simulator {
         let mut cores: Vec<CoreModel> =
             (0..self.cores).map(|_| CoreModel::new(self.core)).collect();
         let start_ns = t;
-        let mut write_latency = LatencyStats::new();
+        let mut write_latency = LatencyHistogram::new();
         let mut write_latency_eliminated = LatencyStats::new();
         let mut write_latency_stored = LatencyStats::new();
         let mut write_critical = LatencyStats::new();
-        let mut read_latency = LatencyStats::new();
-        let mut write_latency_hist = LatencyHistogram::new();
-        let mut read_latency_hist = LatencyHistogram::new();
+        let mut read_latency = LatencyHistogram::new();
         let mut outstanding: VecDeque<u64> = VecDeque::new();
         let mut writes_since_persist = vec![0u32; self.cores];
         let mut read_stall_credit = 0.0f64;
@@ -135,7 +133,6 @@ impl Simulator {
                 TraceOp::Read { addr } => {
                     let r = mem.read(addr, now)?;
                     read_latency.record(r.latency_ns);
-                    read_latency_hist.record(r.latency_ns);
                     // Only a fraction of reads are demand misses on the
                     // critical path; the rest are overlapped (OoO window /
                     // prefetch) and merely occupy the memory system.
@@ -148,7 +145,6 @@ impl Simulator {
                 TraceOp::Write { addr, data } => {
                     let w = mem.write(addr, &data, now)?;
                     write_latency.record(w.total_ns);
-                    write_latency_hist.record(w.total_ns);
                     if w.eliminated {
                         write_latency_eliminated.record(w.total_ns);
                     } else {
@@ -249,8 +245,6 @@ impl Simulator {
                 flips as f64 / total_write_bits as f64
             },
             dewrite: None,
-            write_latency_hist,
-            read_latency_hist,
             stage_breakdown,
         })
     }
@@ -539,9 +533,7 @@ mod tests {
         use crate::trace::Stage;
         let (dw, base) = run_app("mcf", 2_000);
         assert_eq!(dw.stage_breakdown.writes(), dw.base.writes);
-        assert_eq!(dw.write_latency_hist.count(), dw.write_latency.count());
-        assert_eq!(dw.read_latency_hist.count(), dw.read_latency.count());
-        assert!(dw.write_latency_hist.p99_ns() >= dw.write_latency_hist.p50_ns());
+        assert!(dw.write_latency.p99_ns() >= dw.write_latency.p50_ns());
         assert!(dw.stage_breakdown.stage(Stage::Digest).count() > 0);
         assert!(dw.stage_breakdown.stage(Stage::Metadata).count() > 0);
         // The baseline traces too, with its own (smaller) stage set.

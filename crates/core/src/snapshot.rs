@@ -91,10 +91,10 @@ impl Snapshot {
                 residents.push((i, digest));
             }
         }
-        // The table walks its lines in ascending order: sorted as stored.
+        // The index and the table walk their lines in ascending order:
+        // sorted as built.
         let counters: Vec<(u64, u32)> = counters.iter().map(|(l, c)| (l, c.value())).collect();
-        mappings.sort_unstable();
-        residents.sort_unstable();
+        debug_assert!(mappings.is_sorted() && residents.is_sorted());
         Snapshot {
             config_fp,
             lines: index.lines(),

@@ -1,8 +1,12 @@
-//! AES-128 (FIPS-197) from scratch: the S-boxes and key schedule every
+//! AES-128 (FIPS-197) from scratch: the S-box and key schedule every
 //! backend shares, and a test-only reference cipher.
 //!
+//! Only the forward cipher exists: counter mode decrypts by XORing the
+//! same pad `AES_K(addr ‖ ctr ‖ i)` it encrypted with, and direct
+//! encryption of metadata is a modelled latency, not bytes.
+//!
 //! The reference cipher is a straightforward table-free software
-//! implementation: S-box / inverse S-box lookups, `xtime` for the
+//! implementation: S-box lookups, `xtime` for the
 //! MixColumns field multiplications, and on-the-fly key expansion at
 //! construction. It is not constant-time and is not intended for protecting
 //! real data. The simulator runs on [`crate::Aes128`], which dispatches to
@@ -29,7 +33,6 @@
 //! ];
 //! let aes = Aes128::new(&key);
 //! assert_eq!(aes.encrypt_block(&pt), ct);
-//! assert_eq!(aes.decrypt_block(&ct), pt);
 //! ```
 
 /// The AES S-box.
@@ -52,26 +55,6 @@ pub(crate) const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse AES S-box.
-pub(crate) const INV_SBOX: [u8; 256] = [
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e, 0x81, 0xf3, 0xd7, 0xfb,
-    0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87, 0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb,
-    0x54, 0x7b, 0x94, 0x32, 0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49, 0x6d, 0x8b, 0xd1, 0x25,
-    0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16, 0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92,
-    0x6c, 0x70, 0x48, 0x50, 0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05, 0xb8, 0xb3, 0x45, 0x06,
-    0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02, 0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b,
-    0x3a, 0x91, 0x11, 0x41, 0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8, 0x1c, 0x75, 0xdf, 0x6e,
-    0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89, 0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b,
-    0xfc, 0x56, 0x3e, 0x4b, 0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59, 0x27, 0x80, 0xec, 0x5f,
-    0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d, 0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef,
-    0xa0, 0xe0, 0x3b, 0x4d, 0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63, 0x55, 0x21, 0x0c, 0x7d,
-];
-
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -80,21 +63,6 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 #[inline]
 fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
-}
-
-/// GF(2^8) multiplication via repeated xtime.
-#[cfg(test)]
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// Expand `key` into the 11 AES-128 round keys (FIPS-197 §5.2), shared by
@@ -167,13 +135,6 @@ impl Aes128Reference {
         }
     }
 
-    #[inline]
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for s in state.iter_mut() {
-            *s = INV_SBOX[*s as usize];
-        }
-    }
-
     /// State layout: column-major, state[r + 4c] = byte (row r, column c).
     #[inline]
     fn shift_rows(state: &mut [u8; 16]) {
@@ -195,25 +156,6 @@ impl Aes128Reference {
     }
 
     #[inline]
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        // Row 1: rotate right by 1.
-        let t = state[13];
-        state[13] = state[9];
-        state[9] = state[5];
-        state[5] = state[1];
-        state[1] = t;
-        // Row 2: rotate right by 2.
-        state.swap(2, 10);
-        state.swap(6, 14);
-        // Row 3: rotate right by 3 (= left by 1).
-        let t = state[3];
-        state[3] = state[7];
-        state[7] = state[11];
-        state[11] = state[15];
-        state[15] = t;
-    }
-
-    #[inline]
     fn mix_columns(state: &mut [u8; 16]) {
         for c in 0..4 {
             let col = &mut state[4 * c..4 * c + 4];
@@ -222,18 +164,6 @@ impl Aes128Reference {
             col[1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
             col[2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
             col[3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
-        }
-    }
-
-    #[inline]
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = &mut state[4 * c..4 * c + 4];
-            let (a0, a1, a2, a3) = (col[0], col[1], col[2], col[3]);
-            col[0] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09);
-            col[1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d);
-            col[2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b);
-            col[3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e);
         }
     }
 
@@ -250,22 +180,6 @@ impl Aes128Reference {
         Self::sub_bytes(&mut state);
         Self::shift_rows(&mut state);
         Self::add_round_key(&mut state, &self.round_keys[10]);
-        state
-    }
-
-    /// Decrypt one 16-byte block.
-    pub(crate) fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        let mut state = *ciphertext;
-        Self::add_round_key(&mut state, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(&mut state);
-            Self::inv_sub_bytes(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
-            Self::inv_mix_columns(&mut state);
-        }
-        Self::inv_shift_rows(&mut state);
-        Self::inv_sub_bytes(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[0]);
         state
     }
 }
@@ -291,7 +205,6 @@ mod tests {
         ];
         let aes = Aes128Reference::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     #[test]
@@ -308,7 +221,6 @@ mod tests {
         ];
         let aes = Aes128Reference::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     #[test]
@@ -318,21 +230,7 @@ mod tests {
         assert!(!dbg.contains("42"), "{dbg}");
     }
 
-    #[test]
-    fn gmul_known_products() {
-        assert_eq!(gmul(0x57, 0x83), 0xc1); // FIPS-197 §4.2 example
-        assert_eq!(gmul(0x57, 0x13), 0xfe);
-        assert_eq!(gmul(0x01, 0xab), 0xab);
-        assert_eq!(gmul(0x02, 0x80), 0x1b);
-    }
-
     proptest! {
-        #[test]
-        fn roundtrip(key in any::<[u8; 16]>(), pt in any::<[u8; 16]>()) {
-            let aes = Aes128Reference::new(&key);
-            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-
         #[test]
         fn diffusion_half_the_bits_flip(key in any::<[u8; 16]>(), pt in any::<[u8; 16]>(), bit in 0usize..128) {
             let aes = Aes128Reference::new(&key);

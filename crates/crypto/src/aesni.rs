@@ -2,8 +2,8 @@
 //!
 //! One `AESENC` per round instead of 16 table lookups. The key schedule is
 //! expanded in software (shared with every other backend, so all engines
-//! run the identical schedule) and the decryption keys are derived with
-//! `AESIMC` (equivalent inverse cipher), mirroring the T-table backend.
+//! run the identical schedule). Only the encryption direction exists:
+//! counter mode never runs the inverse cipher.
 //!
 //! The counter-mode pad ([`Aes128Ni::ctr_xor`]) has two legs that make the
 //! same bytes. The 8-lane leg walks eight blocks in eight xmm registers
@@ -26,9 +26,8 @@
 use std::arch::x86_64::{
     __m128i, __m512i, _mm512_add_epi32, _mm512_aesenc_epi128, _mm512_aesenclast_epi128,
     _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_set_epi32, _mm512_storeu_si512,
-    _mm512_xor_si512, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128,
-    _mm_aesenclast_si128, _mm_aesimc_si128, _mm_loadu_si128, _mm_set_epi32, _mm_storeu_si128,
-    _mm_xor_si128,
+    _mm512_xor_si512, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi32,
+    _mm_storeu_si128, _mm_xor_si128,
 };
 
 use crate::aes::expand_key;
@@ -37,7 +36,6 @@ use crate::aes::expand_key;
 #[derive(Clone, Copy)]
 pub(crate) struct Aes128Ni {
     enc: [__m128i; 11],
-    dec: [__m128i; 11],
     /// The CPU has `vaes` and `avx512f`: 256-byte steps of the counter-mode
     /// pad take the VAES-512 leg.
     wide: bool,
@@ -58,30 +56,9 @@ impl Aes128Ni {
         }
         let wide = std::arch::is_x86_feature_detected!("vaes")
             && std::arch::is_x86_feature_detected!("avx512f");
-        // SAFETY: the `aes` feature was just detected.
-        let (enc, dec) = unsafe { Self::schedule(key) };
-        Some(Aes128Ni { enc, dec, wide })
-    }
-
-    /// The encryption round keys and, through `AESIMC`, the decryption
-    /// ones.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `aes`.
-    #[target_feature(enable = "aes")]
-    unsafe fn schedule(key: &[u8; 16]) -> ([__m128i; 11], [__m128i; 11]) {
-        let rks = expand_key(key);
-        // SAFETY: `rk` is exactly 16 bytes; unaligned load.
-        let load = |rk: &[u8; 16]| unsafe { _mm_loadu_si128(rk.as_ptr().cast()) };
-        let enc: [__m128i; 11] = std::array::from_fn(|i| load(&rks[i]));
-        let mut dec = enc;
-        dec[0] = enc[10];
-        dec[10] = enc[0];
-        for r in 1..10 {
-            dec[r] = _mm_aesimc_si128(enc[10 - r]);
-        }
-        (enc, dec)
+        // SAFETY: each round key is exactly 16 bytes; unaligned load.
+        let enc = expand_key(key).map(|rk| unsafe { _mm_loadu_si128(rk.as_ptr().cast()) });
+        Some(Aes128Ni { enc, wide })
     }
 
     /// The same cipher confined to the 8-lane xmm leg, for testing that leg
@@ -102,13 +79,6 @@ impl Aes128Ni {
         unsafe { self.encrypt_block_ni(plaintext) }
     }
 
-    /// Decrypt one 16-byte block.
-    #[inline]
-    pub(crate) fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        // SAFETY: `self` exists, so `new` detected `aes`.
-        unsafe { self.decrypt_block_ni(ciphertext) }
-    }
-
     /// # Safety
     ///
     /// The CPU must support `aes`.
@@ -121,24 +91,6 @@ impl Aes128Ni {
                 b = _mm_aesenc_si128(b, *rk);
             }
             b = _mm_aesenclast_si128(b, self.enc[10]);
-            let mut out = [0u8; 16];
-            _mm_storeu_si128(out.as_mut_ptr().cast(), b);
-            out
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support `aes`.
-    #[target_feature(enable = "aes")]
-    unsafe fn decrypt_block_ni(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        unsafe {
-            let mut b = _mm_loadu_si128(ciphertext.as_ptr().cast());
-            b = _mm_xor_si128(b, self.dec[0]);
-            for rk in &self.dec[1..10] {
-                b = _mm_aesdec_si128(b, *rk);
-            }
-            b = _mm_aesdeclast_si128(b, self.dec[10]);
             let mut out = [0u8; 16];
             _mm_storeu_si128(out.as_mut_ptr().cast(), b);
             out
@@ -314,22 +266,18 @@ mod tests {
             return;
         };
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     proptest! {
         // Differential test: AES-NI must agree with the from-scratch
-        // oracle on every random (key, block) pair, in both directions.
+        // oracle on every random (key, block) pair.
         #[test]
         fn matches_reference_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
             let Some(hw) = Aes128Ni::new(&key) else {
                 return;
             };
             let oracle = Aes128Reference::new(&key);
-            let ct = hw.encrypt_block(&block);
-            prop_assert_eq!(ct, oracle.encrypt_block(&block));
-            prop_assert_eq!(hw.decrypt_block(&block), oracle.decrypt_block(&block));
-            prop_assert_eq!(hw.decrypt_block(&ct), block);
+            prop_assert_eq!(hw.encrypt_block(&block), oracle.encrypt_block(&block));
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Counter-mode and direct encryption engines over cache lines.
+//! The counter-mode encryption engine over cache lines.
 
 use crate::counter::LineCounter;
 use crate::Aes128;
@@ -126,120 +126,6 @@ impl CounterModeEngine {
     }
 }
 
-/// Direct (block-cipher) encryption, used for the metadata region (§III-B1:
-/// "to avoid storing the counters of the metadata, the metadata are encrypted
-/// using the direct encryption scheme").
-///
-/// Each 16-byte block is passed through AES, whitened with its address so
-/// identical blocks at different addresses produce different ciphertext
-/// (an ECB-with-tweak construction; the simulator needs realistic ciphertext
-/// bytes, not a production XTS implementation). Decryption cannot overlap
-/// the memory read — that latency asymmetry versus counter mode is exactly
-/// what the paper exploits by keeping metadata cache hit rates high.
-///
-/// ```
-/// use dewrite_crypto::DirectEngine;
-/// let engine = DirectEngine::new(&[9u8; 16]);
-/// let data = vec![0x11u8; 64];
-/// let ct = engine.encrypt(&data, 0x40);
-/// assert_eq!(engine.decrypt(&ct, 0x40), data);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DirectEngine {
-    aes: Aes128,
-}
-
-impl DirectEngine {
-    /// Create a direct-encryption engine keyed with `key`.
-    pub fn new(key: &[u8; 16]) -> Self {
-        DirectEngine {
-            aes: Aes128::new(key),
-        }
-    }
-
-    fn tweak(addr: u64, block_idx: u32) -> [u8; 16] {
-        let mut t = [0u8; 16];
-        t[0..8].copy_from_slice(&addr.to_le_bytes());
-        t[8..12].copy_from_slice(&block_idx.to_le_bytes());
-        t
-    }
-
-    /// Encrypt `data` (padded to 16-byte blocks) stored at `addr`, writing
-    /// the ciphertext into `out` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not `data.len()` rounded up to a multiple of
-    /// 16 (the ciphertext length).
-    pub fn encrypt_into(&self, data: &[u8], addr: u64, out: &mut [u8]) {
-        assert_eq!(
-            out.len(),
-            data.len().div_ceil(16) * 16,
-            "ciphertext buffer must be the block-padded data length"
-        );
-        for (i, (chunk, ct)) in data.chunks(16).zip(out.chunks_exact_mut(16)).enumerate() {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            let tweak = Self::tweak(addr, i as u32);
-            for (b, t) in block.iter_mut().zip(tweak.iter()) {
-                *b ^= t;
-            }
-            ct.copy_from_slice(&self.aes.encrypt_block(&block));
-        }
-    }
-
-    /// Encrypt `data` (padded internally to 16-byte blocks) stored at `addr`.
-    ///
-    /// Allocating convenience wrapper over [`Self::encrypt_into`].
-    pub fn encrypt(&self, data: &[u8], addr: u64) -> Vec<u8> {
-        let mut out = vec![0u8; data.len().div_ceil(16) * 16];
-        self.encrypt_into(data, addr, &mut out);
-        out
-    }
-
-    /// Decrypt `data` read from `addr` into `out` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of 16 — direct-encrypted
-    /// metadata is always written in whole blocks — or if
-    /// `out.len() != data.len()`.
-    pub fn decrypt_into(&self, data: &[u8], addr: u64, out: &mut [u8]) {
-        assert!(
-            data.len().is_multiple_of(16),
-            "direct-encrypted data must be block aligned, got {} bytes",
-            data.len()
-        );
-        assert_eq!(out.len(), data.len(), "plaintext buffer must match data");
-        for (i, (chunk, pt_out)) in data
-            .chunks_exact(16)
-            .zip(out.chunks_exact_mut(16))
-            .enumerate()
-        {
-            let block: [u8; 16] = chunk.try_into().expect("chunks_exact yields 16");
-            let mut pt = self.aes.decrypt_block(&block);
-            let tweak = Self::tweak(addr, i as u32);
-            for (b, t) in pt.iter_mut().zip(tweak.iter()) {
-                *b ^= t;
-            }
-            pt_out.copy_from_slice(&pt);
-        }
-    }
-
-    /// Decrypt `data` read from `addr`.
-    ///
-    /// Allocating convenience wrapper over [`Self::decrypt_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of 16.
-    pub fn decrypt(&self, data: &[u8], addr: u64) -> Vec<u8> {
-        let mut out = vec![0u8; data.len()];
-        self.decrypt_into(data, addr, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,20 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_rejects_ragged_decrypt() {
-        let d = DirectEngine::new(&[1; 16]);
-        let result = std::panic::catch_unwind(|| d.decrypt(&[0u8; 15], 0));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn direct_identical_blocks_differ_by_address() {
-        let d = DirectEngine::new(&[1; 16]);
-        let data = [0xEEu8; 16];
-        assert_ne!(d.encrypt(&data, 0x0), d.encrypt(&data, 0x10));
-    }
-
-    #[test]
     fn into_buffer_forms_match_allocating_forms() {
         let e = engine();
         let pt: Vec<u8> = (0..256).map(|i| (i * 13 % 251) as u8).collect();
@@ -339,15 +211,6 @@ mod tests {
         let mut rt = [0u8; 256];
         e.decrypt_line_into(&ct_buf, 0xF00, c, &mut rt);
         assert_eq!(rt.to_vec(), pt);
-
-        let d = DirectEngine::new(&[3; 16]);
-        let data = [0x5Au8; 48];
-        let mut dct = [0u8; 48];
-        d.encrypt_into(&data, 0x80, &mut dct);
-        assert_eq!(dct.to_vec(), d.encrypt(&data, 0x80));
-        let mut dpt = [0u8; 48];
-        d.decrypt_into(&dct, 0x80, &mut dpt);
-        assert_eq!(dpt, data);
     }
 
     // The engine composes copy + batched pad; pin the result to the
@@ -393,19 +256,6 @@ mod tests {
             let c = LineCounter::from_value(ctr);
             let ct = e.encrypt_line(&pt, addr, c);
             prop_assert_eq!(e.decrypt_line(&ct, addr, c), pt);
-        }
-
-        #[test]
-        fn direct_roundtrip_block_multiples(
-            key in any::<[u8; 16]>(),
-            blocks in 1usize..8,
-            addr in any::<u64>(),
-            seed in any::<u8>(),
-        ) {
-            let d = DirectEngine::new(&key);
-            let data: Vec<u8> = (0..blocks * 16).map(|i| seed.wrapping_add(i as u8)).collect();
-            let ct = d.encrypt(&data, addr);
-            prop_assert_eq!(d.decrypt(&ct, addr), data);
         }
     }
 }

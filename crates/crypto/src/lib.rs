@@ -1,16 +1,16 @@
 //! Memory encryption for non-volatile main memory (NVMM).
 //!
-//! Implements the two CPU-side encryption models described in §II-B of the
-//! DeWrite paper:
+//! One encryption engine, [`CounterModeEngine`], the data path of §II-B of
+//! the DeWrite paper: a one-time pad is derived from the secret key, the
+//! line address, and a per-line counter ([`LineCounter`]); pad generation
+//! overlaps the NVM read so only an XOR sits on the read critical path, and
+//! decryption is the same XOR with the same pad. The cipher therefore only
+//! ever runs forwards.
 //!
-//! * **Counter-mode encryption** ([`CounterModeEngine`]) — the data path.
-//!   A one-time pad is derived from the secret key, the line address, and a
-//!   per-line counter ([`LineCounter`]); pad generation overlaps the NVM read
-//!   so only an XOR sits on the read critical path.
-//! * **Direct encryption** ([`DirectEngine`]) — the metadata path. Blocks are
-//!   passed through the cipher directly; decryption serializes with the
-//!   memory access, which is acceptable because metadata-cache hit rates are
-//!   high.
+//! The paper's other model, **direct encryption** of the metadata region,
+//! produces no bytes here: the simulator charges it as a latency on every
+//! metadata-table fetch that misses the metadata cache (`MetaTable::fetch`
+//! in `dewrite-core`).
 //!
 //! The block cipher is AES-128 with three interchangeable backends behind
 //! the [`Aes128`] dispatcher: precomputed T-tables (portable fast path),
@@ -56,6 +56,6 @@ pub(crate) use aes::Aes128Reference;
 pub use counter::{LineCounter, COUNTER_BITS, COUNTER_MAX};
 pub use dispatch::{portable_only, set_portable_only, Aes128, AesBackend};
 pub use engine::{
-    aes_line_energy_pj, CounterModeEngine, DirectEngine, AES_BLOCK_ENERGY_PJ, AES_LINE_LATENCY_NS,
+    aes_line_energy_pj, CounterModeEngine, AES_BLOCK_ENERGY_PJ, AES_LINE_LATENCY_NS,
     OTP_XOR_LATENCY_NS,
 };

@@ -2,8 +2,9 @@
 //!
 //! The classic software-AES optimization (Rijndael reference code, OpenSSL's
 //! `aes_core.c`): SubBytes, ShiftRows and MixColumns are fused into four
-//! 256-entry u32 lookup tables per direction, turning one round into 16
-//! table loads and 16 XORs. The tables are generated at **compile time**
+//! 256-entry u32 lookup tables, turning one round into 16 table loads and
+//! 16 XORs. Only the encryption direction exists: counter mode never runs
+//! the inverse cipher. The tables are generated at **compile time**
 //! (`const fn`) from the same S-box as the reference implementation, so
 //! construction costs only the key expansion.
 //!
@@ -11,28 +12,11 @@
 //! (`w[c] = state[4c..4c+4]`, row 0 in the most significant byte), matching
 //! FIPS-197's column-major layout.
 
-use crate::aes::{expand_key, INV_SBOX, SBOX};
+use crate::aes::{expand_key, SBOX};
 
 /// Multiply by {02} in GF(2^8), `const` variant.
 const fn ct_xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
-}
-
-/// GF(2^8) multiplication, `const` variant.
-const fn ct_gmul(a: u8, b: u8) -> u8 {
-    let mut p = 0u8;
-    let mut a = a;
-    let mut b = b;
-    let mut i = 0;
-    while i < 8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = ct_xtime(a);
-        b >>= 1;
-        i += 1;
-    }
-    p
 }
 
 /// Encryption table 0: `TE0[x] = [2,1,1,3]·S[x]` packed big-endian; tables
@@ -43,23 +27,6 @@ const fn build_te0() -> [u32; 256] {
     while i < 256 {
         let s = SBOX[i];
         t[i] = u32::from_be_bytes([ct_xtime(s), s, s, ct_xtime(s) ^ s]);
-        i += 1;
-    }
-    t
-}
-
-/// Decryption table 0: `TD0[x] = [0e,09,0d,0b]·S⁻¹[x]` packed big-endian.
-const fn build_td0() -> [u32; 256] {
-    let mut t = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let s = INV_SBOX[i];
-        t[i] = u32::from_be_bytes([
-            ct_gmul(s, 0x0e),
-            ct_gmul(s, 0x09),
-            ct_gmul(s, 0x0d),
-            ct_gmul(s, 0x0b),
-        ]);
         i += 1;
     }
     t
@@ -76,15 +43,10 @@ const fn rotate_table(t: &[u32; 256], bytes: u32) -> [u32; 256] {
 }
 
 const TE0_TABLE: [u32; 256] = build_te0();
-const TD0_TABLE: [u32; 256] = build_td0();
 static TE0: [u32; 256] = TE0_TABLE;
 static TE1: [u32; 256] = rotate_table(&TE0_TABLE, 1);
 static TE2: [u32; 256] = rotate_table(&TE0_TABLE, 2);
 static TE3: [u32; 256] = rotate_table(&TE0_TABLE, 3);
-static TD0: [u32; 256] = TD0_TABLE;
-static TD1: [u32; 256] = rotate_table(&TD0_TABLE, 1);
-static TD2: [u32; 256] = rotate_table(&TD0_TABLE, 2);
-static TD3: [u32; 256] = rotate_table(&TD0_TABLE, 3);
 
 #[inline(always)]
 fn b0(w: u32) -> usize {
@@ -113,21 +75,10 @@ fn words(rk: &[u8; 16]) -> [u32; 4] {
     ]
 }
 
-/// Apply InvMixColumns to one round-key word (equivalent-inverse-cipher key
-/// schedule, FIPS-197 §5.3.5). `TD0[SBOX[b]]` is `[0e,09,0d,0b]·b`.
-#[inline]
-fn inv_mix_word(w: u32) -> u32 {
-    TD0[SBOX[b0(w)] as usize]
-        ^ TD1[SBOX[b1(w)] as usize]
-        ^ TD2[SBOX[b2(w)] as usize]
-        ^ TD3[SBOX[b3(w)] as usize]
-}
-
-/// T-table AES-128 with an equivalent-inverse-cipher decryption schedule.
+/// T-table AES-128, encryption only.
 #[derive(Clone)]
 pub(crate) struct Aes128Soft {
     enc: [[u32; 4]; 11],
-    dec: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128Soft {
@@ -139,26 +90,9 @@ impl std::fmt::Debug for Aes128Soft {
 
 impl Aes128Soft {
     pub(crate) fn new(key: &[u8; 16]) -> Self {
-        let rks = expand_key(key);
-        let mut enc = [[0u32; 4]; 11];
-        for (r, rk) in rks.iter().enumerate() {
-            enc[r] = words(rk);
+        Aes128Soft {
+            enc: expand_key(key).map(|rk| words(&rk)),
         }
-        // Equivalent inverse cipher: reverse the schedule and run all but
-        // the outer two round keys through InvMixColumns.
-        let mut dec = [[0u32; 4]; 11];
-        dec[0] = enc[10];
-        dec[10] = enc[0];
-        for r in 1..10 {
-            let w = enc[10 - r];
-            dec[r] = [
-                inv_mix_word(w[0]),
-                inv_mix_word(w[1]),
-                inv_mix_word(w[2]),
-                inv_mix_word(w[3]),
-            ];
-        }
-        Aes128Soft { enc, dec }
     }
 
     pub(crate) fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
@@ -190,42 +124,6 @@ impl Aes128Soft {
         out[12..16].copy_from_slice(&o3.to_be_bytes());
         out
     }
-
-    pub(crate) fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        let rk = &self.dec;
-        let mut w0 = u32::from_be_bytes(ciphertext[0..4].try_into().unwrap()) ^ rk[0][0];
-        let mut w1 = u32::from_be_bytes(ciphertext[4..8].try_into().unwrap()) ^ rk[0][1];
-        let mut w2 = u32::from_be_bytes(ciphertext[8..12].try_into().unwrap()) ^ rk[0][2];
-        let mut w3 = u32::from_be_bytes(ciphertext[12..16].try_into().unwrap()) ^ rk[0][3];
-        for r in rk[1..10].iter() {
-            // InvShiftRows rotates rows right, so the column indices walk
-            // backwards.
-            let t0 = TD0[b0(w0)] ^ TD1[b1(w3)] ^ TD2[b2(w2)] ^ TD3[b3(w1)] ^ r[0];
-            let t1 = TD0[b0(w1)] ^ TD1[b1(w0)] ^ TD2[b2(w3)] ^ TD3[b3(w2)] ^ r[1];
-            let t2 = TD0[b0(w2)] ^ TD1[b1(w1)] ^ TD2[b2(w0)] ^ TD3[b3(w3)] ^ r[2];
-            let t3 = TD0[b0(w3)] ^ TD1[b1(w2)] ^ TD2[b2(w1)] ^ TD3[b3(w0)] ^ r[3];
-            (w0, w1, w2, w3) = (t0, t1, t2, t3);
-        }
-        let last = &rk[10];
-        let f = |a: u32, b: u32, c: u32, d: u32, k: u32| {
-            u32::from_be_bytes([
-                INV_SBOX[b0(a)],
-                INV_SBOX[b1(b)],
-                INV_SBOX[b2(c)],
-                INV_SBOX[b3(d)],
-            ]) ^ k
-        };
-        let o0 = f(w0, w3, w2, w1, last[0]);
-        let o1 = f(w1, w0, w3, w2, last[1]);
-        let o2 = f(w2, w1, w0, w3, last[2]);
-        let o3 = f(w3, w2, w1, w0, last[3]);
-        let mut out = [0u8; 16];
-        out[0..4].copy_from_slice(&o0.to_be_bytes());
-        out[4..8].copy_from_slice(&o1.to_be_bytes());
-        out[8..12].copy_from_slice(&o2.to_be_bytes());
-        out[12..16].copy_from_slice(&o3.to_be_bytes());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -250,21 +148,16 @@ mod tests {
         ];
         let aes = Aes128Soft::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     proptest! {
         // The tentpole differential test: T-table AES must agree with the
-        // from-scratch oracle on every random (key, block) pair, in both
-        // directions.
+        // from-scratch oracle on every random (key, block) pair.
         #[test]
         fn matches_reference_oracle(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
             let fast = Aes128Soft::new(&key);
             let oracle = Aes128Reference::new(&key);
-            let ct = fast.encrypt_block(&block);
-            prop_assert_eq!(ct, oracle.encrypt_block(&block));
-            prop_assert_eq!(fast.decrypt_block(&block), oracle.decrypt_block(&block));
-            prop_assert_eq!(fast.decrypt_block(&ct), block);
+            prop_assert_eq!(fast.encrypt_block(&block), oracle.encrypt_block(&block));
         }
     }
 }

@@ -39,10 +39,12 @@ use dewrite_core::{
     durable_fingerprint, lines_equal, CommitKernel, DeWriteMetrics, DigestMode, FreeSpace,
     HistoryPredictor, IndexDigest, RunReport, Snapshot, Stage, WriteEvent, WriteOutcome, WritePath,
 };
-use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
+use dewrite_crypto::{
+    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+};
 use dewrite_hashes::HashAlgorithm;
 use dewrite_mem::{hint, CacheConfig, CacheStats, MetadataCache, Replacement};
-use dewrite_nvm::{EnergyParams, FsmStats, FsmTree, LineAddr};
+use dewrite_nvm::{EnergyParams, FsmStats, FsmTree, LineAddr, Timing};
 use dewrite_persist::{DurableOptions, EpochLog, PersistStats};
 
 use std::path::Path;
@@ -99,25 +101,17 @@ fn shard_kernel(slots: u64, policy: FsmPolicy) -> CommitKernel<ShardSpace> {
     CommitKernel::new(slots, ShardSpace { tree, policy })
 }
 
-/// Simulated PCM array read latency, ns.
-const ARRAY_READ_NS: u64 = 75;
-/// Simulated PCM array write latency, ns.
-const ARRAY_WRITE_NS: u64 = 300;
 /// Metadata-cache hit / table update latency, ns.
 const META_NS: u64 = 1;
-/// Byte-compare latency per candidate, ns.
-const COMPARE_NS: u64 = 1;
-/// Final counter-mode XOR on the read path, ns.
-const OTP_XOR_NS: u64 = 1;
 
-/// Simulated read latency, ns: metadata lookup and array read, plus the
-/// pad XOR when the line is mapped (a never-written line has nothing to
-/// decrypt).
+/// Simulated read latency, ns: metadata lookup and PCM array read, plus
+/// the pad XOR when the line is mapped (a never-written line has nothing
+/// to decrypt).
 const fn read_ns(mapped: bool) -> u64 {
     if mapped {
-        META_NS + ARRAY_READ_NS + OTP_XOR_NS
+        META_NS + Timing::PCM.read_ns + OTP_XOR_LATENCY_NS
     } else {
-        META_NS + ARRAY_READ_NS
+        META_NS + Timing::PCM.read_ns
     }
 }
 
@@ -170,15 +164,16 @@ impl WriteShape {
     /// [`charge`](Self::charge) expands it into the report.
     #[inline]
     fn cost(self, digest_ns: u64) -> (u64, u64, WriteEvent) {
+        let timing = Timing::PCM;
         let speculative = !self.predicted_dup;
         let probe_ns = if self.cache_hit {
             META_NS
         } else {
-            ARRAY_READ_NS
+            timing.read_ns
         };
         let k = self.verified as u64;
-        let verify_ns = k * ARRAY_READ_NS;
-        let compare_ns = k * COMPARE_NS;
+        let verify_ns = k * timing.read_ns;
+        let compare_ns = k * timing.compare_ns;
         let detection_ns = probe_ns + verify_ns + compare_ns;
 
         let mut event = WriteEvent::new(if self.eliminated {
@@ -207,7 +202,7 @@ impl WriteShape {
             (critical_ns, critical_ns)
         } else {
             event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
-            event.set_stage(Stage::ArrayWrite, ARRAY_WRITE_NS);
+            event.set_stage(Stage::ArrayWrite, timing.write_ns);
             // Parallel path overlaps encryption with detection; direct path
             // serializes them.
             let front_ns = if speculative {
@@ -216,7 +211,7 @@ impl WriteShape {
                 detection_ns + AES_LINE_LATENCY_NS
             };
             let critical_ns = digest_ns + front_ns + META_NS;
-            (critical_ns, critical_ns + ARRAY_WRITE_NS)
+            (critical_ns, critical_ns + timing.write_ns)
         };
         (critical_ns, total_ns, event)
     }
@@ -231,7 +226,6 @@ impl WriteShape {
         let (critical_ns, total_ns, event) = self.cost(digest_cost.latency_ns);
         report.stage_breakdown.observe_n(&event, n);
         report.write_latency.record_n(total_ns, n);
-        report.write_latency_hist.record_n(total_ns, n);
         report.write_critical.record_n(critical_ns, n);
         if self.eliminated {
             report.write_latency_eliminated.record_n(total_ns, n);
@@ -1031,14 +1025,14 @@ impl ShardController {
         }
         for (mapped, &n) in [false, true].into_iter().zip(&self.read_kinds) {
             report.read_latency.record_n(read_ns(mapped), n);
-            report.read_latency_hist.record_n(read_ns(mapped), n);
         }
         report.base.reads = report.read_latency.count();
         report.base.meta_nvm_writes = self.meta.stats().dirty_evictions;
         report.energy.nvm_read_pj += report.base.reads * pcm.read_line_pj;
         report.energy.nvm_write_pj += self.flip_bits * pcm.write_bit_pj;
 
-        let sim_ns = report.write_latency.total_ns() + report.read_latency.total_ns();
+        let sim_ns =
+            report.write_latency.stats().total_ns() + report.read_latency.stats().total_ns();
         report.cycles = sim_ns as f64;
         if sim_ns > 0 {
             report.ipc = self.instructions as f64 / sim_ns as f64;
@@ -1268,12 +1262,10 @@ mod tests {
         const ADDRS: u64 = 700;
         let mut s = ShardController::new(0, 1, 2048, LINE, KEY);
         s.set_digest_mode(mode);
-        let mut write_latency = LatencyStats::new();
+        let mut write_latency = LatencyHistogram::new();
         let mut eliminated = LatencyStats::new();
         let mut stored = LatencyStats::new();
-        let mut write_hist = LatencyHistogram::new();
-        let mut read_latency = LatencyStats::new();
-        let mut read_hist = LatencyHistogram::new();
+        let mut read_latency = LatencyHistogram::new();
         let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ u64::from(mode.to_wire());
         let mut next = || {
             rng ^= rng << 13;
@@ -1288,7 +1280,6 @@ mod tests {
             if r % 4 == 0 {
                 let ns = s.read(LineAddr::new((r >> 8) % (ADDRS + 100)), 1);
                 read_latency.record(ns);
-                read_hist.record(ns);
                 continue;
             }
             // A small content pool, three quarters of it one line, so
@@ -1300,7 +1291,6 @@ mod tests {
             };
             let w = s.write(LineAddr::new((r >> 8) % ADDRS), &line(tag), 1);
             write_latency.record(w.sim_ns);
-            write_hist.record(w.sim_ns);
             if w.eliminated {
                 eliminated.record(w.sim_ns);
             } else {
@@ -1313,16 +1303,14 @@ mod tests {
             "saturation occurred"
         );
         assert!(eliminated.count() > 0 && stored.count() > 0);
-        assert!(read_hist.stats().min_ns() < read_hist.stats().max_ns());
+        assert!(read_latency.stats().min_ns() < read_latency.stats().max_ns());
         assert_eq!(r.write_latency, write_latency);
         assert_eq!(r.write_latency_eliminated, eliminated);
         assert_eq!(r.write_latency_stored, stored);
-        assert_eq!(r.write_latency_hist, write_hist);
         assert_eq!(r.read_latency, read_latency);
-        assert_eq!(r.read_latency_hist, read_hist);
         assert_eq!(
             r.cycles,
-            (write_latency.total_ns() + read_latency.total_ns()) as f64
+            (write_latency.stats().total_ns() + read_latency.stats().total_ns()) as f64
         );
         s.scrub().expect("clean");
     }
@@ -1434,15 +1422,17 @@ mod tests {
         let compare = r.stage_breakdown.stage(Stage::Compare).stats();
         assert_eq!(verify.count(), 8);
         assert_eq!(compare.count(), 8);
-        assert_eq!(verify.total_ns(), 20 * ARRAY_READ_NS);
-        assert_eq!(compare.total_ns(), 20 * COMPARE_NS);
-        assert_eq!(
-            (verify.min_ns(), verify.max_ns()),
-            (ARRAY_READ_NS, 4 * ARRAY_READ_NS)
-        );
+        let Timing {
+            read_ns,
+            compare_ns,
+            ..
+        } = Timing::PCM;
+        assert_eq!(verify.total_ns(), 20 * read_ns);
+        assert_eq!(compare.total_ns(), 20 * compare_ns);
+        assert_eq!((verify.min_ns(), verify.max_ns()), (read_ns, 4 * read_ns));
         assert_eq!(
             (compare.min_ns(), compare.max_ns()),
-            (COMPARE_NS, 4 * COMPARE_NS)
+            (compare_ns, 4 * compare_ns)
         );
         assert_eq!(s.scrub().unwrap(), 5);
     }

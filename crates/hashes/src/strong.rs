@@ -12,17 +12,16 @@
 //! The kernel is dependency-free and processes a 256 B line as four 64 B
 //! blocks, one per lane:
 //!
-//! * **Fast leg** — all four lanes are compressed simultaneously. On
-//!   x86-64 this runs the explicit 128-bit kernel in
-//!   [`crate::strong_simd`]: the four lanes' states are transposed into
-//!   one `__m128i` per state word so every quarter-round step is a single
-//!   vector instruction, and the final root compression runs
-//!   row-vectorized (the BLAKE2s layout: the four G columns of one state
-//!   in one vector). The kernel tier is detected once at construction —
-//!   AVX-512VL (single-instruction rotates, spill-free 32-register file)
-//!   when available, SSSE3 otherwise. Elsewhere it falls back to a
-//!   structure-of-arrays form (`[u32; 4]` per state word) that LLVM
-//!   autovectorizes (NEON on aarch64, SWAR anywhere else).
+//! * **Fast leg** — all four lanes are compressed simultaneously by the
+//!   explicit 128-bit kernel in [`crate::strong_simd`]: the four lanes'
+//!   states are transposed into one `__m128i` per state word so every
+//!   quarter-round step is a single vector instruction, and the final root
+//!   compression runs row-vectorized (the BLAKE2s layout: the four G
+//!   columns of one state in one vector). The kernel tier is detected once
+//!   at construction — AVX-512VL (single-instruction rotates, spill-free
+//!   32-register file) when available, SSSE3 otherwise. Whole 256 B groups
+//!   take the kernel; a ragged tail, and every input on a host with
+//!   neither tier (or off x86-64), runs the portable leg's scalar code.
 //! * **Portable leg** — the same schedule computed lane-at-a-time with
 //!   scalar arithmetic; selected by `DEWRITE_PORTABLE=1` (see
 //!   [`portable_only`]) or [`StrongKeyed::portable`].
@@ -107,7 +106,9 @@ pub const STRONG_DEFAULT_KEY: [u8; STRONG_KEY_BYTES] = *b"dewrite-strong-keyed-d
 /// Which implementation a [`StrongKeyed`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrongLeg {
-    /// 4-lane structure-of-arrays compression (autovectorized SIMD/SWAR).
+    /// The explicit SIMD kernel (x86-64 with SSSE3 or AVX-512VL) for whole
+    /// 256 B groups; the scalar code of [`Portable`](Self::Portable) for a
+    /// ragged tail and on hosts without either tier.
     Fast,
     /// Scalar lane-at-a-time compression.
     Portable,
@@ -124,17 +125,15 @@ impl std::fmt::Display for StrongLeg {
 
 /// Reusable working state for the keyed digest.
 ///
-/// The kernel itself never heap-allocates, but the lane block buffers are
-/// 320 B of state that the hot path would otherwise re-zero on every call;
-/// callers (one per engine shard) keep one scratch and pass it to
-/// [`StrongKeyed::digest_with`], matching the `encrypt_line_into` idiom used
-/// by the crypto path.
+/// The kernel itself never heap-allocates, but the block buffer and lane
+/// chaining values are 192 B of state that the hot path would otherwise
+/// re-zero on every call; callers (one per engine shard) keep one scratch
+/// and pass it to [`StrongKeyed::digest_with`], matching the
+/// `encrypt_line_into` idiom used by the crypto path.
 #[derive(Debug, Clone)]
 pub struct StrongScratch {
-    /// Message blocks, one per lane, as little-endian words.
-    blocks: [[u32; 16]; LANES],
-    /// Real byte count of each lane's current block.
-    lens: [u32; LANES],
+    /// The message block being compressed, as little-endian words.
+    block: [u32; 16],
     /// Per-lane chaining values.
     cvs: [[u32; 8]; LANES],
 }
@@ -143,8 +142,7 @@ impl StrongScratch {
     /// Create a zeroed scratch state.
     pub const fn new() -> Self {
         StrongScratch {
-            blocks: [[0u32; 16]; LANES],
-            lens: [0u32; LANES],
+            block: [0u32; 16],
             cvs: [[0u32; 8]; LANES],
         }
     }
@@ -215,95 +213,6 @@ fn compress(
     out
 }
 
-/// Four lanes of state word `w`, one element per lane. Element-wise loops
-/// over this type are what the autovectorizer turns into 128-bit SIMD.
-type V4 = [u32; LANES];
-
-/// The quarter round across all four lanes at once. Each per-lane loop is a
-/// straight-line element-wise op over `[u32; 4]`, the canonical
-/// autovectorization shape (SSE2/AVX on x86-64, NEON on aarch64, SWAR
-/// elsewhere).
-// Each loop reads two distinct rows of `state` by index; the iterator
-// form needs `split_at_mut` per step and breaks the element-wise shape
-// the autovectorizer keys on.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-fn g4(state: &mut [V4; 16], a: usize, b: usize, c: usize, d: usize, mx: V4, my: V4) {
-    for l in 0..LANES {
-        state[a][l] = state[a][l].wrapping_add(state[b][l]).wrapping_add(mx[l]);
-    }
-    for l in 0..LANES {
-        state[d][l] = (state[d][l] ^ state[a][l]).rotate_right(16);
-    }
-    for l in 0..LANES {
-        state[c][l] = state[c][l].wrapping_add(state[d][l]);
-    }
-    for l in 0..LANES {
-        state[b][l] = (state[b][l] ^ state[c][l]).rotate_right(12);
-    }
-    for l in 0..LANES {
-        state[a][l] = state[a][l].wrapping_add(state[b][l]).wrapping_add(my[l]);
-    }
-    for l in 0..LANES {
-        state[d][l] = (state[d][l] ^ state[a][l]).rotate_right(8);
-    }
-    for l in 0..LANES {
-        state[c][l] = state[c][l].wrapping_add(state[d][l]);
-    }
-    for l in 0..LANES {
-        state[b][l] = (state[b][l] ^ state[c][l]).rotate_right(7);
-    }
-}
-
-/// Compress one block in each of the four lanes simultaneously.
-/// Bit-identical to four [`compress`] calls with the same inputs.
-fn compress4(
-    cvs: &mut [[u32; 8]; LANES],
-    blocks: &[[u32; 16]; LANES],
-    counters: [u64; LANES],
-    block_lens: [u32; LANES],
-    flags: u32,
-) {
-    let mut state = [[0u32; LANES]; 16];
-    for w in 0..8 {
-        for l in 0..LANES {
-            state[w][l] = cvs[l][w];
-        }
-    }
-    for w in 0..4 {
-        state[8 + w] = [IV[w]; LANES];
-    }
-    for l in 0..LANES {
-        state[12][l] = counters[l] as u32;
-        state[13][l] = (counters[l] >> 32) as u32;
-    }
-    state[14] = block_lens;
-    state[15] = [flags; LANES];
-
-    // Transpose the message into word-major lane vectors.
-    let mut m = [[0u32; LANES]; 16];
-    for w in 0..16 {
-        for l in 0..LANES {
-            m[w][l] = blocks[l][w];
-        }
-    }
-    for sched in &MSG_SCHEDULE {
-        g4(&mut state, 0, 4, 8, 12, m[sched[0]], m[sched[1]]);
-        g4(&mut state, 1, 5, 9, 13, m[sched[2]], m[sched[3]]);
-        g4(&mut state, 2, 6, 10, 14, m[sched[4]], m[sched[5]]);
-        g4(&mut state, 3, 7, 11, 15, m[sched[6]], m[sched[7]]);
-        g4(&mut state, 0, 5, 10, 15, m[sched[8]], m[sched[9]]);
-        g4(&mut state, 1, 6, 11, 12, m[sched[10]], m[sched[11]]);
-        g4(&mut state, 2, 7, 8, 13, m[sched[12]], m[sched[13]]);
-        g4(&mut state, 3, 4, 9, 14, m[sched[14]], m[sched[15]]);
-    }
-    for w in 0..8 {
-        for l in 0..LANES {
-            cvs[l][w] = state[w][l] ^ state[8 + w][l];
-        }
-    }
-}
-
 /// Load block `index` of `data` into `words`, zero-padding past the end.
 /// Returns the number of real bytes in the block.
 #[inline]
@@ -355,7 +264,7 @@ pub struct StrongKeyed {
 /// Explicit-SIMD kernel tiers, best-first fallback at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SimdTier {
-    /// No explicit kernel: structure-of-arrays autovectorized/SWAR path.
+    /// No explicit kernel: scalar compression.
     None,
     /// 128-bit kernel with `pshufb`/shift-or rotations.
     Ssse3,
@@ -433,8 +342,8 @@ impl StrongKeyed {
 
     /// Whether the fast leg resolved to a real SIMD tier on this host.
     /// `false` on the portable leg, on non-x86-64 targets, and on x86-64
-    /// hosts without SSSE3 — where the fast leg falls back to the SWAR
-    /// kernel and wall-clock gates against cryptographic baselines would
+    /// hosts without SSSE3 — where the fast leg falls back to the scalar
+    /// code and wall-clock gates against cryptographic baselines would
     /// measure the fallback, not the kernel.
     pub fn simd_active(&self) -> bool {
         self.simd != SimdTier::None
@@ -478,16 +387,11 @@ impl StrongKeyed {
         }
         let nblocks = data.len().div_ceil(BLOCK_BYTES).max(1);
         scratch.cvs = [self.key; LANES];
-        let full_steps = if self.leg == StrongLeg::Fast {
-            nblocks / LANES
-        } else {
-            0
-        };
-        // Steps whose four blocks are all full go straight from the input
-        // bytes through the explicit SIMD kernel; only a ragged final
-        // group (or a non-SIMD host) takes the staged load_block path.
+        // Whole four-block groups go straight from the input bytes through
+        // the explicit SIMD kernel; the rest (a ragged final group, or all
+        // of it on a host without one) is compressed a block at a time.
         let byte_steps = if self.simd != SimdTier::None {
-            full_steps.min(data.len() / (LANES * BLOCK_BYTES))
+            data.len() / (LANES * BLOCK_BYTES)
         } else {
             0
         };
@@ -517,31 +421,12 @@ impl StrongKeyed {
                 }
             }
         }
-        for step in byte_steps..full_steps {
-            let base = step * LANES;
-            for l in 0..LANES {
-                scratch.lens[l] = load_block(data, base + l, &mut scratch.blocks[l]);
-            }
-            let counters = [
-                base as u64,
-                (base + 1) as u64,
-                (base + 2) as u64,
-                (base + 3) as u64,
-            ];
-            compress4(
-                &mut scratch.cvs,
-                &scratch.blocks,
-                counters,
-                scratch.lens,
-                FLAG_CHUNK,
-            );
-        }
-        for b in full_steps * LANES..nblocks {
+        for b in byte_steps * LANES..nblocks {
             let lane = b % LANES;
-            let len = load_block(data, b, &mut scratch.blocks[lane]);
+            let len = load_block(data, b, &mut scratch.block);
             scratch.cvs[lane] = compress(
                 &scratch.cvs[lane],
-                &scratch.blocks[lane],
+                &scratch.block,
                 b as u64,
                 len,
                 FLAG_CHUNK,
@@ -713,8 +598,8 @@ mod tests {
     }
 
     proptest! {
-        // Differential: the 4-lane fast leg must be bit-identical to the
-        // scalar leg at every length (ragged tails, partial lane steps).
+        // Differential: the fast leg must be bit-identical to the scalar
+        // leg at every length (ragged tails, partial lane steps).
         #[test]
         fn strong_fast_matches_portable(
             data in proptest::collection::vec(any::<u8>(), 0..600),

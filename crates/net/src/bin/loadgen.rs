@@ -357,7 +357,7 @@ fn run_json(engine_run: &EngineRun, global_rate: f64, producers: usize) -> Json 
                 ("aes_line_ops", num(m.base.aes_line_ops)),
                 ("verify_reads", num(m.base.verify_reads)),
                 ("write_mean_ns", flt(m.write_latency.mean_ns())),
-                ("write_p99_ns", num(m.write_latency_hist.p99_ns())),
+                ("write_p99_ns", num(m.write_latency.p99_ns())),
                 (
                     "predictor_accuracy",
                     flt(m.dewrite.map_or(0.0, |d| d.predictor_accuracy)),
