@@ -33,7 +33,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("ext-history", "Extension: history width sweep"),
     ("ext-hash", "Extension: fingerprint ablation"),
     ("ext-repl", "Extension: cache replacement ablation"),
-    ("ext-digest", "Extension: digest mode (verify-free) sweep"),
     ("ext-stt", "Extension: NVM technology sensitivity"),
     ("ext-gran", "Extension: dedup granularity"),
     ("ext-persist", "Extension: metadata persistence policies"),
@@ -81,7 +80,6 @@ fn run_one(ctx: &mut Ctx, name: &str) -> bool {
         "ext-history" => extensions::ext_history(ctx),
         "ext-hash" => extensions::ext_hash(ctx),
         "ext-repl" => extensions::ext_repl(ctx),
-        "ext-digest" => extensions::ext_digest(ctx),
         "ext-stt" => extensions::ext_stt(ctx),
         "ext-gran" => extensions::ext_gran(ctx),
         "ext-persist" => extensions::ext_persist(ctx),

@@ -12,8 +12,8 @@ use std::process::ExitCode;
 
 use dewrite_bench::runner::{Scale, KEY};
 use dewrite_core::{
-    BitEncoding, CmeBaseline, DeWrite, DeWriteConfig, DigestMode, Json, MetadataPersistence,
-    Replacement, RunReport, SilentShredder, Simulator, SystemConfig, TraditionalDedup, WriteMode,
+    BitEncoding, CmeBaseline, DeWrite, DeWriteConfig, Json, MetadataPersistence, Replacement,
+    RunReport, SilentShredder, Simulator, SystemConfig, TraditionalDedup, WriteMode,
 };
 use dewrite_hashes::HashAlgorithm;
 use dewrite_nvm::Timing;
@@ -32,7 +32,6 @@ struct Options {
     persistence: MetadataPersistence,
     stt: bool,
     cache_policy: Replacement,
-    digest_mode: DigestMode,
     json: bool,
     folded: bool,
 }
@@ -52,7 +51,6 @@ impl Default for Options {
             persistence: MetadataPersistence::BatteryBacked,
             stt: false,
             cache_policy: Replacement::Lru,
-            digest_mode: DigestMode::default(),
             json: false,
             folded: false,
         }
@@ -73,7 +71,6 @@ fn usage() -> ExitCode {
     eprintln!("  --persistence P     battery | write-through | epoch:N");
     eprintln!("  --stt               use STT-RAM timing instead of PCM");
     eprintln!("  --cache-policy P    metadata-cache eviction: lru | fifo | s3-fifo [lru]");
-    eprintln!("  --digest-mode M     dedup digest: crc32-verify | strong-keyed [crc32-verify]");
     eprintln!("  --json              print the full report as JSON instead of text");
     eprintln!(
         "  --folded            print the stage breakdown as collapsed stacks (flamegraph.pl input)"
@@ -134,11 +131,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--cache-policy: {e}"))?
             }
-            "--digest-mode" => {
-                o.digest_mode = value()?
-                    .parse()
-                    .map_err(|e: String| format!("--digest-mode: {e}"))?
-            }
             "--json" => o.json = true,
             "--folded" => o.folded = true,
             "--help" | "-h" => return Err(String::new()),
@@ -190,10 +182,6 @@ fn print_report(r: &RunReport) {
         println!(
             "PNA                 : {} skips, {} missed duplicates; {} CRC collisions",
             dm.pna_skips, dm.pna_missed_dups, dm.false_matches
-        );
-        println!(
-            "verify-free         : {} duplicates assumed on digest match alone",
-            dm.assumed_dups
         );
     }
 }
@@ -273,7 +261,6 @@ fn main() -> ExitCode {
             dw.pna = opts.pna;
             dw.persistence = opts.persistence;
             dw.meta_cache.replacement = opts.cache_policy;
-            dw.digest_mode = opts.digest_mode;
             let mut mem = DeWrite::new(config, dw, KEY);
             let r = sim.run(&mut mem, profile.name, &warmup, trace);
             dewrite_cache = Some(mem.cache_stats().to_json());

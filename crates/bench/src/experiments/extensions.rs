@@ -3,8 +3,7 @@
 //! NVM technology, and deduplication granularity.
 
 use dewrite_core::{
-    DeWrite, DeWriteConfig, DigestMode, HistoryPredictor, MetadataPersistence, Simulator,
-    SystemConfig,
+    DeWrite, DeWriteConfig, HistoryPredictor, MetadataPersistence, Simulator, SystemConfig,
 };
 use dewrite_hashes::HashAlgorithm;
 use dewrite_mem::Replacement;
@@ -96,8 +95,8 @@ pub fn ext_hash(ctx: &mut Ctx) {
 }
 
 /// Replacement-policy ablation: LRU vs FIFO vs scan-resistant S3-FIFO
-/// metadata caches, one row per (app, policy) so `bench_compare` can diff
-/// dedup rate and tail latency per policy across trajectories.
+/// metadata caches, one row per (app, policy): dedup rate and tail
+/// latency per policy.
 pub fn ext_repl(ctx: &mut Ctx) {
     let apps = ["mcf", "cactusADM", "vips", "streamcluster"];
     let profiles: Vec<_> = apps
@@ -144,66 +143,6 @@ pub fn ext_repl(ctx: &mut Ctx) {
         }
     }
     ctx.emit(&t, "ext_repl");
-}
-
-/// Digest-mode sweep: crc32-verify vs strong-keyed verify-free across
-/// apps, including the adversarial duplicate-flood trace. Verify-free
-/// trades the per-duplicate array read for a longer (but still in-line)
-/// fingerprint: the dedup rate is unchanged on collision-free traces,
-/// every elimination is an assumed duplicate, and the vanished verify
-/// reads show up in tail latency and energy on duplicate-heavy mixes.
-pub fn ext_digest(ctx: &mut Ctx) {
-    let apps = ["mcf", "vips", "dedup", "dupflood"];
-    let profiles: Vec<_> = apps
-        .iter()
-        .map(|n| app_by_name(n).expect("known"))
-        .collect();
-    let scale = ctx.scale;
-    let rows = par_map_apps(&profiles, |profile, seed| {
-        let w = Workload::generate(profile, scale, seed);
-        let config = w.system_config();
-        let run = |mode: DigestMode| {
-            let mut dw = DeWriteConfig::paper();
-            dw.digest_mode = mode;
-            let mut mem = DeWrite::new(config.clone(), dw, KEY);
-            let report = Simulator::new(&config)
-                .run(&mut mem, profile.name, &w.warmup, w.trace.iter().cloned())
-                .expect("fits");
-            let dm = mem.dewrite_metrics();
-            (
-                report.write_reduction(),
-                dm.assumed_dups,
-                report.write_latency.p99_ns(),
-                report.energy.total_pj(),
-            )
-        };
-        (profile.name.to_string(), DigestMode::ALL.map(run))
-    });
-
-    let mut t = Table::new(
-        "Extension — digest mode (verify-read vs verify-free strong tag, per app x mode)",
-        &[
-            "app",
-            "digest mode",
-            "dedup rate",
-            "assumed dups",
-            "p99 write (ns)",
-            "energy (uJ)",
-        ],
-    );
-    for (name, per_mode) in &rows {
-        for (mode, (dedup, assumed, p99, pj)) in DigestMode::ALL.iter().zip(per_mode) {
-            t.row(vec![
-                format!("{name}/{mode}"),
-                mode.to_string(),
-                pct(*dedup),
-                assumed.to_string(),
-                p99.to_string(),
-                f3(*pj as f64 / 1e6),
-            ]);
-        }
-    }
-    ctx.emit(&t, "ext_digest");
 }
 
 /// NVM-technology sensitivity: PCM vs a faster STT-RAM-like device. The

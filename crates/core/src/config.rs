@@ -30,61 +30,31 @@ impl std::fmt::Display for WriteMode {
     }
 }
 
-/// How a dedup-index digest match is turned into a duplicate verdict
-/// (ROADMAP's strong-hash open item; mirrors SPACE's blake3 content-store
-/// bet).
+/// How a dedup-index digest match is turned into a duplicate verdict.
+///
+/// CRC-32 plus a verify read is the only mode; the type and its wire byte
+/// remain because the `benchmark/` package still passes a mode through
+/// `dewrite_engine::EngineConfig::digest_mode`, and the protocol's `Hello`
+/// handshake still carries the byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DigestMode {
     /// The paper's scheme: a light CRC-32 fingerprint whose matches are
     /// confirmed with a candidate verify-read plus byte compare (§III-B).
     #[default]
     Crc32Verify,
-    /// A BLAKE3-style keyed digest truncated to a 64-bit tag; a tag match
-    /// is assumed to be a duplicate and the verify leg is skipped entirely
-    /// (counted as `assumed_dups`).
-    StrongKeyed,
 }
 
 impl DigestMode {
-    /// Both modes, in presentation order (useful for sweeps).
-    pub const ALL: [DigestMode; 2] = [DigestMode::Crc32Verify, DigestMode::StrongKeyed];
-
-    /// Stable one-byte wire/JSON encoding.
+    /// Stable one-byte wire encoding (always 0).
     pub fn to_wire(self) -> u8 {
         match self {
             DigestMode::Crc32Verify => 0,
-            DigestMode::StrongKeyed => 1,
         }
     }
 
-    /// Decode [`Self::to_wire`]'s byte; `None` for unknown values.
+    /// Decode [`Self::to_wire`]'s byte; `None` for any value but 0.
     pub fn from_wire(v: u8) -> Option<DigestMode> {
-        Some(match v {
-            0 => DigestMode::Crc32Verify,
-            1 => DigestMode::StrongKeyed,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for DigestMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DigestMode::Crc32Verify => "crc32-verify",
-            DigestMode::StrongKeyed => "strong-keyed",
-        })
-    }
-}
-
-impl std::str::FromStr for DigestMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "crc32-verify" | "crc32" => DigestMode::Crc32Verify,
-            "strong-keyed" | "strong" => DigestMode::StrongKeyed,
-            other => return Err(format!("unknown digest mode {other:?}")),
-        })
+        (v == 0).then_some(DigestMode::Crc32Verify)
     }
 }
 
@@ -186,13 +156,9 @@ pub struct DeWriteConfig {
     pub pna: bool,
     /// History-window width in bits (3 in the paper).
     pub history_bits: usize,
-    /// Light-weight fingerprint function (used by [`DigestMode::Crc32Verify`];
-    /// [`DigestMode::StrongKeyed`] derives its keyed digest from the memory
-    /// encryption key instead).
+    /// Light-weight fingerprint function; a digest match is always
+    /// confirmed by a verify read and byte compare.
     pub hasher: HashAlgorithm,
-    /// How digest matches become duplicate verdicts (verify-read vs
-    /// verify-free strong tag).
-    pub digest_mode: DigestMode,
     /// Metadata cache partitioning.
     pub meta_cache: MetaCacheConfig,
     /// Entries in the dedup logic's verify buffer: a small SRAM holding the
@@ -230,7 +196,6 @@ impl DeWriteConfig {
             HashAlgorithm::Crc32c => 1,
             HashAlgorithm::Md5 => 2,
             HashAlgorithm::Sha1 => 3,
-            HashAlgorithm::StrongKeyed => 4,
         };
         durable_fingerprint(&[
             b"dewrite-config-v2",
@@ -238,9 +203,9 @@ impl DeWriteConfig {
             &[u8::from(self.pna)],
             &(self.history_bits as u64).to_le_bytes(),
             &[hasher],
-            // Digest mode changes both the stored digest width and how
-            // durable digests were produced, so it is semantic.
-            &[self.digest_mode.to_wire()],
+            // Once the digest-mode byte; CRC-32 plus verify wrote 0, so
+            // hashing a 0 keeps every durable fingerprint unchanged.
+            &[0],
             // Counter width in bits (LineCounter is u32); a future width
             // change must alter the fingerprint.
             &32u64.to_le_bytes(),
@@ -255,7 +220,6 @@ impl DeWriteConfig {
             pna: true,
             history_bits: 3,
             hasher: HashAlgorithm::Crc32,
-            digest_mode: DigestMode::Crc32Verify,
             meta_cache: MetaCacheConfig::paper(),
             verify_buffer_entries: 64,
             persistence: MetadataPersistence::BatteryBacked,

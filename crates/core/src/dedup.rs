@@ -498,12 +498,12 @@ impl DedupIndex {
     }
 
     /// Apply a *duplicate* write of `init` to the content at `real`
-    /// (as returned by [`lookup`](Self::lookup)).
+    /// (a candidate from `open_for`, confirmed equal).
     ///
     /// # Panics
     ///
     /// Panics if `real` is not resident or its reference is saturated —
-    /// callers must pass a fresh `lookup` match.
+    /// callers must pass a fresh `open_for` candidate.
     pub fn apply_duplicate(&mut self, init: LineAddr, real: LineAddr) -> WriteOutcome {
         let digest = self
             .digest_of(real)

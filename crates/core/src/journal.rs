@@ -37,8 +37,7 @@ pub enum MetaOp {
     ResidentSet {
         /// Physical line address.
         real: u64,
-        /// Content fingerprint: the folded 32-bit light hash zero-extended, or
-        /// the 64-bit strong tag, per the digest mode.
+        /// Content fingerprint: the folded 32-bit light hash zero-extended.
         digest: u64,
     },
     /// Inverted-table clear: `real` lost its last reference and was freed.

@@ -486,7 +486,9 @@ impl DeWriteMetrics {
             ("pna_missed_dups".into(), num(self.pna_missed_dups)),
             ("saturated_skips".into(), num(self.saturated_skips)),
             ("false_matches".into(), num(self.false_matches)),
-            ("assumed_dups".into(), num(self.assumed_dups)),
+            // Counted duplicates a removed verify-free mode accepted; kept
+            // at 0 so reports stay byte-identical.
+            ("assumed_dups".into(), num(0)),
             ("parallel_writes".into(), num(self.parallel_writes)),
             ("direct_writes".into(), num(self.direct_writes)),
             ("wasted_encryptions".into(), num(self.wasted_encryptions)),
@@ -510,9 +512,6 @@ impl DeWriteMetrics {
             pna_missed_dups: u64_field(j, "pna_missed_dups")?,
             saturated_skips: u64_field(j, "saturated_skips")?,
             false_matches: u64_field(j, "false_matches")?,
-            // Absent from reports written before the digest-mode axis
-            // existed; default to the only value they could have had.
-            assumed_dups: u64_field(j, "assumed_dups").unwrap_or(0),
             parallel_writes: u64_field(j, "parallel_writes")?,
             direct_writes: u64_field(j, "direct_writes")?,
             wasted_encryptions: u64_field(j, "wasted_encryptions")?,

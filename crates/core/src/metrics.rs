@@ -144,7 +144,6 @@ impl RunReport {
                 m.pna_missed_dups += o.pna_missed_dups;
                 m.saturated_skips += o.saturated_skips;
                 m.false_matches += o.false_matches;
-                m.assumed_dups += o.assumed_dups;
                 m.parallel_writes += o.parallel_writes;
                 m.direct_writes += o.direct_writes;
                 m.wasted_encryptions += o.wasted_encryptions;

@@ -30,7 +30,7 @@ use dewrite_mem::CacheStats;
 use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError, Timing};
 
 use crate::compare::lines_equal;
-use crate::config::{DeWriteConfig, DigestMode, MetadataPersistence, SystemConfig, WriteMode};
+use crate::config::{DeWriteConfig, MetadataPersistence, SystemConfig, WriteMode};
 use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::digest::IndexDigest;
@@ -53,9 +53,6 @@ pub struct DeWriteMetrics {
     pub saturated_skips: u64,
     /// Digest matches whose byte comparison failed (CRC collisions).
     pub false_matches: u64,
-    /// Duplicates accepted on a strong-tag match alone, without a
-    /// verify-read (always zero under [`DigestMode::Crc32Verify`]).
-    pub assumed_dups: u64,
     /// Writes taking the parallel path (speculative encryption).
     pub parallel_writes: u64,
     /// Writes taking the direct path (deferred encryption).
@@ -398,7 +395,7 @@ impl DeWrite {
 
         DeWrite {
             engine: CounterModeEngine::new(key),
-            digest: IndexDigest::new(dw.hasher, dw.digest_mode, key),
+            digest: IndexDigest::new(dw.hasher),
             index,
             counters,
             predictor: HistoryPredictor::new(dw.history_bits),
@@ -511,7 +508,7 @@ impl DeWrite {
                 .digest_of(real)
                 .ok_or_else(|| format!("{init} resolves to non-resident {real}"))?;
             self.plaintext_into(real, &mut plaintext)?;
-            let actual = self.digest.digest_readonly(&plaintext);
+            let actual = self.digest.digest(&plaintext);
             if actual != expected_digest {
                 return Err(format!(
                     "line {real}: stored content hashes to {actual:#x}, \
@@ -599,10 +596,7 @@ impl DeWrite {
         }
     }
 
-    /// Run the candidate comparison loop with timed NVM reads — or, under
-    /// [`DigestMode::StrongKeyed`], accept the first live candidate on the
-    /// 64-bit tag match alone: no verify-read, no decrypt, no byte compare
-    /// (the verify-free commit path; counted as `assumed_dups`).
+    /// Run the candidate comparison loop with timed NVM reads.
     fn confirm_duplicate(
         &mut self,
         init: LineAddr,
@@ -621,23 +615,6 @@ impl DeWrite {
         // inline view of the bucket (at most the compare cap of them).
         let candidates = self.index.open_for(digest, init);
         let skipped_saturated = candidates.skipped_saturated;
-        if self.digest.mode() == DigestMode::StrongKeyed {
-            // Verify-free: every candidate already matched the full stored
-            // tag, so the first live one *is* the duplicate. Detection
-            // resolves at the hash-store query; the array is never read.
-            let matched = candidates.reals().first().copied();
-            if matched.is_some() {
-                self.dmetrics.assumed_dups += 1;
-            } else if skipped_saturated {
-                self.index.note_saturated_skip();
-            }
-            return ConfirmOutcome {
-                matched,
-                done_ns: t,
-                verify_ns,
-                compare_ns,
-            };
-        }
         for &real in candidates.reals() {
             // Hot candidates sit in the dedup logic's verify buffer and
             // confirm without touching the array; the rest are read,
@@ -757,8 +734,7 @@ impl SecureMemory for DeWrite {
         }
         self.metrics.writes += 1;
 
-        // 1. Fingerprint: the light hash (15 ns), or the strong keyed tag
-        // (40 ns) whose match needs no verification.
+        // 1. Fingerprint: the light hash (15 ns).
         let cost = self.digest.cost();
         let digest_ns = cost.latency_ns;
         let digest = self.digest.digest(data);
@@ -1267,101 +1243,6 @@ mod tests {
         let reduction = b.writes_eliminated as f64 / b.writes as f64;
         assert!((0.35..0.55).contains(&reduction), "reduction {reduction}");
         m.index().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn verify_free_matches_verify_on_for_collision_free_traces() {
-        // The same deterministic workload through both digest modes: on a
-        // trace whose distinct contents collide in neither fingerprint,
-        // the two modes must make identical dedup decisions — the same
-        // per-write eliminations, the same totals, the same read-back
-        // bytes. Only the *accounting* of how duplicates were confirmed
-        // may differ. PNA is off in both legs: its prediction consults
-        // digest-indexed cache state, so with it on, the two modes could
-        // legitimately skip different queries.
-        let cfg = DeWriteConfig {
-            pna: false,
-            ..DeWriteConfig::paper()
-        };
-        let sys = SystemConfig::for_lines(4096);
-        let mut verify = DeWrite::new(sys.clone(), cfg, KEY);
-        let mut free = DeWrite::new(
-            sys,
-            DeWriteConfig {
-                digest_mode: DigestMode::StrongKeyed,
-                ..cfg
-            },
-            KEY,
-        );
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        let mut t = 0u64;
-        for i in 0..600u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = LineAddr::new(x % 512);
-            let content = line((x % 24) as u8); // 24 contents: duplicate-heavy
-            let a = verify.write(addr, &content, t).unwrap();
-            let b = free.write(addr, &content, t).unwrap();
-            assert_eq!(a.eliminated, b.eliminated, "write {i} decision diverged");
-            t += 2_000;
-        }
-        assert_eq!(
-            verify.base_metrics().writes_eliminated,
-            free.base_metrics().writes_eliminated
-        );
-        for a in 0..512u64 {
-            t += 1_000;
-            assert_eq!(
-                verify.read(LineAddr::new(a), t).unwrap().data,
-                free.read(LineAddr::new(a), t).unwrap().data,
-                "address {a} read back differently"
-            );
-        }
-        let vm = verify.dewrite_metrics();
-        let fm = free.dewrite_metrics();
-        assert_eq!(vm.dup_eliminated, fm.dup_eliminated);
-        assert_eq!(vm.assumed_dups, 0, "crc32-verify never assumes");
-        assert_eq!(fm.assumed_dups, fm.dup_eliminated);
-        verify.index().check_invariants().unwrap();
-        free.index().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn verify_free_accounting_covers_every_elimination_without_reads() {
-        // Accounting invariant of the verify-free commit path: every
-        // eliminated write was an assumed duplicate, and the confirmation
-        // loop never touched the array — no verify reads, no byte
-        // compares, hence no observable false matches.
-        let drive = |mode: DigestMode| {
-            let mut m = DeWrite::new(
-                SystemConfig::for_lines(2048),
-                DeWriteConfig {
-                    digest_mode: mode,
-                    verify_buffer_entries: 0, // every confirm pays the read
-                    ..DeWriteConfig::paper()
-                },
-                KEY,
-            );
-            let mut t = 0u64;
-            for i in 0..400u64 {
-                t += 5_000;
-                m.write(LineAddr::new(i % 256), &line((i % 8) as u8), t)
-                    .unwrap();
-            }
-            m
-        };
-        let free = drive(DigestMode::StrongKeyed);
-        let fb = free.base_metrics();
-        let fd = free.dewrite_metrics();
-        assert!(fb.writes_eliminated > 0, "stream must contain duplicates");
-        assert_eq!(fd.assumed_dups, fd.dup_eliminated);
-        assert_eq!(fd.assumed_dups, fb.writes_eliminated);
-        assert_eq!(fb.verify_reads, 0, "verify-free must never read to confirm");
-        assert_eq!(fd.false_matches, 0);
-        let verify = drive(DigestMode::Crc32Verify);
-        assert_eq!(verify.dewrite_metrics().assumed_dups, 0);
-        assert!(verify.base_metrics().verify_reads > 0);
     }
 
     #[test]

@@ -87,11 +87,8 @@ pub struct EngineConfig {
     /// fixed policy, but policies differ from each other: they change
     /// which digest lookups hit and therefore simulated latency.
     pub cache_policy: Replacement,
-    /// Per-shard digest mode ([`ShardController::set_digest_mode`]):
-    /// CRC-32 with verify-reads (the default, bit-identical to the seed)
-    /// or the 64-bit strong keyed tag with verify-free commits. The merged
-    /// simulated report is bit-identical across shard/producer counts
-    /// for any fixed mode.
+    /// The digest mode; [`DigestMode::Crc32Verify`] is the only one.
+    /// Kept because the `benchmark/` package reads it.
     pub digest_mode: DigestMode,
 }
 
@@ -173,7 +170,6 @@ impl EngineConfig {
         );
         ctrl.set_fsm_policy(self.fsm);
         ctrl.set_cache_policy(self.cache_policy);
-        ctrl.set_digest_mode(self.digest_mode);
         if let Some(root) = &self.persist_dir {
             ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), self.durable_options())
                 .expect("attach shard metadata persistence");
@@ -678,56 +674,6 @@ mod tests {
                             assert_eq!(s.cache.main_hits, 0, "{policy}");
                             assert_eq!(s.cache.ghost_hits, 0, "{policy}");
                             assert_eq!(s.cache.scan_evictions, 0, "{policy}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_is_bit_identical_per_digest_mode_across_producers() {
-        // Same determinism contract along the digest-mode axis: for a fixed
-        // mode and shard count the merged simulated report must not depend
-        // on how many producers run the shards. The two modes legitimately
-        // differ from each other (verify-free commits skip the verify-read,
-        // changing both latency and energy).
-        let (records, lines) = trace(2_000, 256, 31);
-        for mode in DigestMode::ALL {
-            for shards in [1usize, 4] {
-                let mut reference: Option<String> = None;
-                for producers in [1, 2, shards, 0] {
-                    let mut config = config_for(shards, lines, records.len());
-                    config.producers = producers;
-                    config.digest_mode = mode;
-                    config.scrub = true;
-                    let run = run(&config, "mcf", records.clone());
-                    for s in &run.shards {
-                        assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
-                    }
-                    let json = run.merged.to_json().to_string();
-                    match &reference {
-                        None => reference = Some(json),
-                        Some(r) => assert_eq!(
-                            r, &json,
-                            "{mode}/{shards} shards: producers {producers} changed the \
-                             merged report"
-                        ),
-                    }
-                    let dw = run.merged.dewrite.expect("engine reports dewrite metrics");
-                    match mode {
-                        DigestMode::Crc32Verify => {
-                            assert_eq!(dw.assumed_dups, 0, "verify mode never assumes");
-                        }
-                        DigestMode::StrongKeyed => {
-                            assert_eq!(
-                                run.merged.base.verify_reads, 0,
-                                "verify-free mode never issues the verify-read"
-                            );
-                            assert_eq!(
-                                dw.assumed_dups, dw.dup_eliminated,
-                                "every strong-mode elimination is an assumed duplicate"
-                            );
                         }
                     }
                 }

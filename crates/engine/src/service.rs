@@ -1241,66 +1241,63 @@ mod tests {
 
     #[test]
     fn contended_submitters_replay_the_trace_bit_identically() {
-        use crate::{DigestMode, Replacement};
+        use crate::Replacement;
         use std::sync::atomic::AtomicU64;
         use std::sync::Barrier;
 
         const SUBMITTERS: usize = 4;
         let (records, lines) = trace(2_000, 256, 31);
         let total = records.len() as u64;
-        for mode in DigestMode::ALL {
-            for policy in Replacement::ALL {
-                let mut config = EngineConfig::for_workload(2, 256, lines, total);
-                config.digest_mode = mode;
-                config.cache_policy = policy;
-                let baseline = run(&config, "mcf", records.clone());
+        for policy in Replacement::ALL {
+            let mut config = EngineConfig::for_workload(2, 256, lines, total);
+            config.cache_policy = policy;
+            let baseline = run(&config, "mcf", records.clone());
 
-                let svc = EngineService::start(&config, "mcf", 2, 1024);
-                // Deal the window-rotated stream round-robin: every
-                // submitter holds a slice of both shards' sequences, so
-                // each keeps unblocking requests the others buffered.
-                let mut slices: Vec<Vec<ServiceRequest>> =
-                    (0..SUBMITTERS).map(|_| Vec::new()).collect();
-                for (i, mut req) in requests(&records, 2, 7).into_iter().enumerate() {
-                    req.lane = (i % SUBMITTERS) / 2;
-                    slices[i % SUBMITTERS].push(req);
-                }
-                let completed = AtomicU64::new(0);
-                let go = Barrier::new(SUBMITTERS);
-                std::thread::scope(|scope| {
-                    for (t, slice) in slices.into_iter().enumerate() {
-                        let (svc, completed, go) = (&svc, &completed, &go);
-                        scope.spawn(move || {
-                            let lane = t / 2;
-                            let drain = || {
-                                while let Some(c) = svc.try_complete(lane) {
-                                    assert_data(&c);
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            };
-                            go.wait();
-                            for mut req in slice {
-                                while let Err(back) = svc.try_submit(req) {
-                                    req = back;
-                                    drain();
-                                }
-                                drain();
-                            }
-                            while completed.load(Ordering::Relaxed) < total {
-                                drain();
-                                std::thread::yield_now();
-                            }
-                        });
-                    }
-                });
-                let served = svc.shutdown();
-                assert_eq!(served.ops, baseline.ops);
-                assert_eq!(
-                    baseline.merged.to_json().to_string(),
-                    served.merged.to_json().to_string(),
-                    "{mode}/{policy}: lock contention changed the merged report"
-                );
+            let svc = EngineService::start(&config, "mcf", 2, 1024);
+            // Deal the window-rotated stream round-robin: every
+            // submitter holds a slice of both shards' sequences, so
+            // each keeps unblocking requests the others buffered.
+            let mut slices: Vec<Vec<ServiceRequest>> =
+                (0..SUBMITTERS).map(|_| Vec::new()).collect();
+            for (i, mut req) in requests(&records, 2, 7).into_iter().enumerate() {
+                req.lane = (i % SUBMITTERS) / 2;
+                slices[i % SUBMITTERS].push(req);
             }
+            let completed = AtomicU64::new(0);
+            let go = Barrier::new(SUBMITTERS);
+            std::thread::scope(|scope| {
+                for (t, slice) in slices.into_iter().enumerate() {
+                    let (svc, completed, go) = (&svc, &completed, &go);
+                    scope.spawn(move || {
+                        let lane = t / 2;
+                        let drain = || {
+                            while let Some(c) = svc.try_complete(lane) {
+                                assert_data(&c);
+                                completed.fetch_add(1, Ordering::Relaxed);
+                            }
+                        };
+                        go.wait();
+                        for mut req in slice {
+                            while let Err(back) = svc.try_submit(req) {
+                                req = back;
+                                drain();
+                            }
+                            drain();
+                        }
+                        while completed.load(Ordering::Relaxed) < total {
+                            drain();
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            let served = svc.shutdown();
+            assert_eq!(served.ops, baseline.ops);
+            assert_eq!(
+                baseline.merged.to_json().to_string(),
+                served.merged.to_json().to_string(),
+                "{policy}: lock contention changed the merged report"
+            );
         }
     }
 }

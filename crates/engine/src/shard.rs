@@ -159,7 +159,7 @@ impl WriteShape {
     }
 
     /// The simulated `(critical, total)` latency, ns, and the trace event
-    /// of a write of this shape, given the digest mode's latency:
+    /// of a write of this shape, given the digest's latency:
     /// [`ShardController::write`] returns its total and
     /// [`charge`](Self::charge) expands it into the report.
     #[inline]
@@ -261,12 +261,7 @@ impl WriteShape {
         // A match is always an elimination (see `ShardController::write`),
         // so the verify walk missed on every candidate but the last of an
         // eliminated write.
-        match digest.mode() {
-            DigestMode::Crc32Verify => {
-                dewrite.false_matches += n * (k - u64::from(self.eliminated))
-            }
-            DigestMode::StrongKeyed => dewrite.assumed_dups += n * u64::from(self.eliminated),
-        }
+        dewrite.false_matches += n * (k - u64::from(self.eliminated));
         if self.eliminated {
             base.writes_eliminated += n;
             dewrite.dup_eliminated += n;
@@ -352,11 +347,8 @@ pub struct ShardController {
     slots: u64,
 
     crypt: CounterModeEngine,
-    /// What keys the dedup index — see [`ShardController::set_digest_mode`].
+    /// What keys the dedup index: the folded CRC-32.
     digest: IndexDigest,
-    /// The raw encryption key, kept to derive the strong digest key when
-    /// the mode is switched after construction.
-    key: [u8; 16],
 
     /// The hash and inverted tables over local slots, the address map and
     /// the free-space tree. The map takes global initial address `a` to a
@@ -415,8 +407,7 @@ impl ShardController {
             line_size,
             slots,
             crypt: CounterModeEngine::new(key),
-            digest: IndexDigest::new(HashAlgorithm::Crc32, DigestMode::Crc32Verify, key),
-            key: *key,
+            digest: IndexDigest::new(HashAlgorithm::Crc32),
             kernel: shard_kernel(slots, FsmPolicy::default()),
             counters: vec![0u32; slots as usize],
             store: vec![0u8; slots as usize * line_size],
@@ -486,26 +477,9 @@ impl ShardController {
         }
     }
 
-    /// Select the digest mode keying the dedup index. Under
-    /// [`DigestMode::Crc32Verify`] (the default) digests are the folded
-    /// CRC-32 zero-extended and every candidate match is confirmed by a
-    /// verify-read; under [`DigestMode::StrongKeyed`] the index keys on the
-    /// 64-bit keyed strong tag and a tag match is accepted as a duplicate
-    /// with no verify-read. The strong key is derived from the shard's
-    /// memory-encryption key, so all shards of one engine agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard has already processed operations — the stored
-    /// digests would no longer match the digest function.
-    pub fn set_digest_mode(&mut self, mode: DigestMode) {
-        assert!(
-            self.ops() == 0,
-            "cannot switch the digest mode after {} operations",
-            self.ops()
-        );
-        self.digest = IndexDigest::new(HashAlgorithm::Crc32, mode, &self.key);
-    }
+    /// Does nothing: CRC-32 plus a verify read is the only digest mode.
+    /// Kept because the `benchmark/` package brings a shard up through it.
+    pub fn set_digest_mode(&mut self, _mode: DigestMode) {}
 
     /// Metadata-cache counters (hits, misses, queue splits, filtered scan
     /// evictions — the S3-FIFO fields stay zero under LRU/FIFO).
@@ -520,9 +494,10 @@ impl ShardController {
 
     /// Stable fingerprint of a shard's durable-format-relevant geometry:
     /// two stores agree on it exactly when their persisted metadata is
-    /// mutually interpretable (same interleaving, arena, line size, shard
-    /// identity, and digest mode — the stored digests are only meaningful
-    /// under the digest function that produced them).
+    /// mutually interpretable (same interleaving, arena, line size and
+    /// shard identity). `mode` is hashed as its wire byte, always 0, so
+    /// the fingerprint is unchanged from when a second mode existed; the
+    /// argument stays because the `benchmark/` package passes it.
     pub fn persist_fingerprint(
         id: usize,
         shards: usize,
@@ -558,7 +533,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest.mode(),
+                DigestMode::Crc32Verify,
             ),
             &snapshot,
             opts,
@@ -664,7 +639,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest.mode(),
+                DigestMode::Crc32Verify,
             ),
             lines,
             mappings,
@@ -836,22 +811,12 @@ impl ShardController {
             // skipped every saturated entry up to where it stopped.
             let view = self.kernel.hash().open(digest);
             let mut skipped = view.saturated_walked();
-            if self.digest.mode() == DigestMode::StrongKeyed {
-                // Verify-free: a 64-bit keyed-tag match *is* the duplicate
-                // decision — accept the first unsaturated candidate with no
-                // array read, no decryption, no byte compare.
-                if let Some(&first) = view.entries().first() {
-                    skipped = first.saturated_before;
-                    dup = Some(first);
-                }
-            } else {
-                for &entry in view.entries() {
-                    verified += 1;
-                    if lines_equal(self.verify_line(entry.real.index()), data) {
-                        skipped = entry.saturated_before;
-                        dup = Some(entry);
-                        break;
-                    }
+            for &entry in view.entries() {
+                verified += 1;
+                if lines_equal(self.verify_line(entry.real.index()), data) {
+                    skipped = entry.saturated_before;
+                    dup = Some(entry);
+                    break;
                 }
             }
             self.saturated_skips += u64::from(skipped);
@@ -890,7 +855,7 @@ impl ShardController {
         self.predictor.record(eliminated);
         // `open` yields only unsaturated entries and a reference is refused
         // only at saturation, so a match is always an elimination: the
-        // shape alone fixes the false matches and assumed duplicates.
+        // shape alone fixes the false matches.
         debug_assert_eq!(eliminated, dup.is_some(), "a match took no reference");
         let shape = WriteShape {
             eliminated,
@@ -973,7 +938,7 @@ impl ShardController {
             let line = LineAddr::new(slot);
             let digest = self.kernel.inverted().digest_of(line).expect("occupied");
             self.decrypt_slot(slot);
-            let actual = self.digest.digest_readonly(&self.scratch);
+            let actual = self.digest.digest(&self.scratch);
             if actual != digest {
                 return Err(format!(
                     "shard {id}: slot {slot} content digests to {actual:#x}, inverted row says {digest:#x}"
@@ -1201,12 +1166,12 @@ mod tests {
     /// One content written to `255·k + r` addresses leaves `k` saturated
     /// residues and one open entry under a single digest; every count is
     /// then closed-form, whatever the bucket is made of.
-    fn saturated_chain_closed_form(mode: DigestMode) {
+    #[test]
+    fn saturated_chain_counts_are_closed_form_crc32_verify() {
         const K: u64 = 3;
         const R: u64 = 40;
         const N: u64 = 255 * K + R;
         let mut s = ShardController::new(0, 1, 2 * N, LINE, KEY);
-        s.set_digest_mode(mode);
         for a in 0..N {
             s.write(LineAddr::new(a), &line(1), 0);
         }
@@ -1220,11 +1185,7 @@ mod tests {
             d.saturated_skips,
             (1..=N).map(|w| (w - 1) / 255).sum::<u64>()
         );
-        let (verified, assumed) = match mode {
-            DigestMode::Crc32Verify => (N - (K + 1), 0),
-            DigestMode::StrongKeyed => (0, N - (K + 1)),
-        };
-        assert_eq!((r.base.verify_reads, d.assumed_dups), (verified, assumed));
+        assert_eq!(r.base.verify_reads, N - (K + 1));
         assert_eq!(d.false_matches, 0);
         assert_eq!(s.scrub().unwrap(), K + 1);
 
@@ -1243,30 +1204,20 @@ mod tests {
         assert_eq!(s.scrub().unwrap(), N + K);
     }
 
-    #[test]
-    fn saturated_chain_counts_are_closed_form_crc32_verify() {
-        saturated_chain_closed_form(DigestMode::Crc32Verify);
-    }
-
-    #[test]
-    fn saturated_chain_counts_are_closed_form_strong_keyed() {
-        saturated_chain_closed_form(DigestMode::StrongKeyed);
-    }
-
     /// Drive a random script through one shard, fold every latency its
     /// calls return into fresh recorders one observation at a time, and
     /// demand the report's distributions — built from per-shape counts —
     /// equal them: the write-time and report-time costs cannot diverge.
-    fn report_latencies_match_the_returned_ones(mode: DigestMode) {
+    #[test]
+    fn report_latencies_match_the_returned_ones_crc32_verify() {
         const OPS: u64 = 6000;
         const ADDRS: u64 = 700;
         let mut s = ShardController::new(0, 1, 2048, LINE, KEY);
-        s.set_digest_mode(mode);
         let mut write_latency = LatencyHistogram::new();
         let mut eliminated = LatencyStats::new();
         let mut stored = LatencyStats::new();
         let mut read_latency = LatencyHistogram::new();
-        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ u64::from(mode.to_wire());
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
         let mut next = || {
             rng ^= rng << 13;
             rng ^= rng >> 7;
@@ -1315,19 +1266,9 @@ mod tests {
         s.scrub().expect("clean");
     }
 
-    #[test]
-    fn report_latencies_match_the_returned_ones_crc32_verify() {
-        report_latencies_match_the_returned_ones(DigestMode::Crc32Verify);
-    }
-
-    #[test]
-    fn report_latencies_match_the_returned_ones_strong_keyed() {
-        report_latencies_match_the_returned_ones(DigestMode::StrongKeyed);
-    }
-
-    /// The shard's index digest under [`DigestMode::Crc32Verify`].
+    /// The shard's index digest.
     fn crc_digest(data: &[u8]) -> u64 {
-        IndexDigest::new(HashAlgorithm::Crc32, DigestMode::Crc32Verify, KEY).digest_readonly(data)
+        IndexDigest::new(HashAlgorithm::Crc32).digest(data)
     }
 
     /// `base` with four bytes at `at` patched so that it digests to
@@ -1440,10 +1381,10 @@ mod tests {
     /// The colliding lines stored at addresses 0–4, then rewritten in
     /// order at 5–8, then one mapped and one never-written read: every
     /// counter and energy term of the report in closed form.
-    fn write_accounting_closed_form(mode: DigestMode) {
+    #[test]
+    fn write_accounting_is_closed_form_crc32_verify() {
         let lines = colliding_lines();
         let mut s = ShardController::new(0, 1, 64, LINE_256, KEY);
-        s.set_digest_mode(mode);
         for (addr, data) in lines.iter().chain(&lines[..4]).enumerate() {
             s.write(LineAddr::new(addr as u64), data, 0);
         }
@@ -1456,15 +1397,10 @@ mod tests {
         // take the parallel path (6 and 7 waste their encryption) and 8–9
         // the direct one. A cache miss on the parallel path skips the
         // probe (PNA); the metadata cache holds every digest once seen.
-        let (misses, verified, false_matches, assumed) = match mode {
-            // One shared digest: only the first write misses. Stored line
-            // k walks the k − 1 before it, all misses; eliminated line k
-            // matches after k − 1 misses.
-            DigestMode::Crc32Verify => (1, 10 + 10, 10 + 6, 0),
-            // Five distinct tags: each stored write misses and skips the
-            // probe, and each rewrite is accepted on its tag alone.
-            DigestMode::StrongKeyed => (5, 0, 0, 4),
-        };
+        // One shared digest: only the first write misses. Stored line k
+        // walks the k − 1 before it, all misses; eliminated line k matches
+        // after k − 1 misses.
+        let (misses, verified, false_matches) = (1, 10 + 10, 10 + 6);
         let r = s.report("acct");
         let d = r.dewrite.unwrap();
         assert_eq!(
@@ -1478,8 +1414,8 @@ mod tests {
         );
         assert_eq!((r.base.hash_ops, r.base.meta_nvm_reads), (9, misses));
         assert_eq!(
-            (r.base.verify_reads, d.false_matches, d.assumed_dups),
-            (verified, false_matches, assumed)
+            (r.base.verify_reads, d.false_matches),
+            (verified, false_matches)
         );
         assert_eq!(
             (d.parallel_writes, d.direct_writes, d.pna_skips),
@@ -1504,9 +1440,7 @@ mod tests {
             })
             .sum();
         let pcm = EnergyParams::PCM;
-        let digest_pj = IndexDigest::new(HashAlgorithm::Crc32, mode, KEY)
-            .cost()
-            .energy_pj;
+        let digest_pj = IndexDigest::new(HashAlgorithm::Crc32).cost().energy_pj;
         assert_eq!(r.energy.dedup_pj, 9 * digest_pj + verified * pcm.compare_pj);
         assert_eq!(
             r.energy.nvm_read_pj,
@@ -1518,16 +1452,6 @@ mod tests {
             5 * pcm.write_base_pj + flip_bits * pcm.write_bit_pj
         );
         assert_eq!(s.scrub().unwrap(), 5);
-    }
-
-    #[test]
-    fn write_accounting_is_closed_form_crc32_verify() {
-        write_accounting_closed_form(DigestMode::Crc32Verify);
-    }
-
-    #[test]
-    fn write_accounting_is_closed_form_strong_keyed() {
-        write_accounting_closed_form(DigestMode::StrongKeyed);
     }
 
     /// A slot freed and stored again is verified against its new content:
@@ -1685,10 +1609,8 @@ mod tests {
     /// change here makes every existing store unrecoverable.
     #[test]
     fn durable_fingerprints_are_pinned() {
-        let mut config = dewrite_core::DeWriteConfig::paper();
+        let config = dewrite_core::DeWriteConfig::paper();
         assert_eq!(config.fingerprint(), 0xe6b2_4db6_ed4b_68be);
-        config.digest_mode = DigestMode::StrongKeyed;
-        assert_eq!(config.fingerprint(), 0x9556_09d5_5b97_d6cd);
 
         let fp = ShardController::persist_fingerprint;
         assert_eq!(
@@ -1696,16 +1618,8 @@ mod tests {
             0xad88_60d3_3882_e679
         );
         assert_eq!(
-            fp(0, 1, 256, 256, DigestMode::StrongKeyed),
-            0xad88_5fd3_3882_e4c6
-        );
-        assert_eq!(
             fp(1, 4, 4096, 64, DigestMode::Crc32Verify),
             0x493d_081d_c498_1795
-        );
-        assert_eq!(
-            fp(1, 4, 4096, 64, DigestMode::StrongKeyed),
-            0x493d_071d_c498_15e2
         );
     }
 

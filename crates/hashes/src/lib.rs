@@ -38,16 +38,12 @@ mod crc32_hw;
 mod md5;
 mod portable;
 mod sha1;
-mod strong;
-#[cfg(target_arch = "x86_64")]
-mod strong_simd;
 mod traits;
 
 pub use crc32::{Crc32, Crc32c, CrcBackend};
 pub use md5::{md5_digest, Md5};
 pub use portable::{portable_only, set_portable_only};
 pub use sha1::{sha1_digest, Sha1};
-pub use strong::{StrongKeyed, StrongLeg, StrongScratch, STRONG_DEFAULT_KEY, STRONG_KEY_BYTES};
 pub use traits::{HashAlgorithm, HashCost, LineHasher};
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Forced-portable switch for hash backends.
 //!
 //! Mirrors the switch in `dewrite-crypto` (this crate has no dependency on
-//! it, so the few lines are duplicated rather than coupled): `Crc32c` and
-//! `StrongKeyed` choose their backend at construction, `Crc32` (whose
-//! `new` is `const`) consults the switch on every `checksum` call, and
+//! it, so the few lines are duplicated rather than coupled): `Crc32c`
+//! chooses its backend at construction, `Crc32` (whose `new` is `const`)
+//! consults the switch on every `checksum` call, and
 //! CI's determinism leg forces the portable path via `DEWRITE_PORTABLE=1`
 //! to prove reports are bit-identical across backends.
 
@@ -31,8 +31,8 @@ pub fn portable_only() -> bool {
 }
 
 /// Override backend selection: `true` forces portable paths, `false`
-/// re-enables hardware dispatch. Takes effect for `Crc32c`/`StrongKeyed`
-/// hashers constructed *after* this call and for every later
+/// re-enables hardware dispatch. Takes effect for `Crc32c` hashers
+/// constructed *after* this call and for every later
 /// `Crc32::checksum` call, existing instances included (same result
 /// either way). Intended for tests and determinism checks.
 pub fn set_portable_only(portable: bool) {

@@ -1,6 +1,6 @@
 //! The [`LineHasher`] abstraction and per-algorithm hardware cost model.
 
-use crate::{Crc32, Crc32c, Md5, Sha1, StrongKeyed};
+use crate::{Crc32, Crc32c, Md5, Sha1};
 
 /// Hardware cost of computing one cache-line fingerprint.
 ///
@@ -30,19 +30,10 @@ pub enum HashAlgorithm {
     Md5,
     /// SHA-1 — traditional deduplication fingerprint (160-bit).
     Sha1,
-    /// BLAKE3-style keyed compression — the strong-digest mode's kernel.
-    /// The index stores its 64-bit truncated tag and treats a tag match as
-    /// a duplicate without a verify-read.
-    StrongKeyed,
 }
 
 impl HashAlgorithm {
-    /// The paper's Table I(a) algorithms, in display order. [`StrongKeyed`]
-    /// (this reproduction's extension) is deliberately excluded: generic
-    /// unkeyed hash-ablation sweeps iterate `ALL`, and the keyed digest is
-    /// only meaningful with the verify-free commit path it enables.
-    ///
-    /// [`StrongKeyed`]: HashAlgorithm::StrongKeyed
+    /// The paper's Table I(a) algorithms, in display order.
     pub const ALL: [HashAlgorithm; 4] = [
         HashAlgorithm::Crc32,
         HashAlgorithm::Crc32c,
@@ -50,11 +41,7 @@ impl HashAlgorithm {
         HashAlgorithm::Sha1,
     ];
 
-    /// The hardware cost model for this algorithm (Table I(a); the
-    /// strong-keyed entry is this reproduction's estimate for a pipelined
-    /// ChaCha-round circuit — 7 rounds over six 64 B compressions, slower
-    /// than a CRC tree but an order of magnitude cheaper than the iterated
-    /// MD5/SHA-1 cores, and its 64-bit tag is what the dedup index stores).
+    /// The hardware cost model for this algorithm (Table I(a)).
     pub fn cost(self) -> HashCost {
         match self {
             HashAlgorithm::Crc32 | HashAlgorithm::Crc32c => HashCost {
@@ -72,11 +59,6 @@ impl HashAlgorithm {
                 digest_bits: 160,
                 energy_pj: 5_000,
             },
-            HashAlgorithm::StrongKeyed => HashCost {
-                latency_ns: 40,
-                digest_bits: 64,
-                energy_pj: 200,
-            },
         }
     }
 
@@ -93,7 +75,6 @@ impl HashAlgorithm {
             HashAlgorithm::Crc32c => Box::new(Crc32c::new()),
             HashAlgorithm::Md5 => Box::new(Md5::new()),
             HashAlgorithm::Sha1 => Box::new(Sha1::new()),
-            HashAlgorithm::StrongKeyed => Box::new(StrongKeyed::new()),
         }
     }
 }
@@ -105,7 +86,6 @@ impl std::fmt::Display for HashAlgorithm {
             HashAlgorithm::Crc32c => "CRC-32C",
             HashAlgorithm::Md5 => "MD5",
             HashAlgorithm::Sha1 => "SHA-1",
-            HashAlgorithm::StrongKeyed => "Strong-Keyed",
         };
         f.write_str(name)
     }

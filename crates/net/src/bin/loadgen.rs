@@ -50,7 +50,6 @@ struct Options {
     persist_dir: Option<String>,
     fsm: FsmPolicy,
     cache_policy: Replacement,
-    digest_mode: DigestMode,
     net: Option<String>,
     connections: Vec<usize>,
     net_window: usize,
@@ -75,7 +74,6 @@ impl Default for Options {
             persist_dir: None,
             fsm: FsmPolicy::default(),
             cache_policy: Replacement::default(),
-            digest_mode: DigestMode::default(),
             net: None,
             connections: vec![64],
             net_window: 32,
@@ -96,8 +94,6 @@ fn usage() -> ExitCode {
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
     eprintln!("  --cache-policy P  metadata-cache eviction: lru | fifo | s3-fifo [lru];");
     eprintln!("                    in net mode the policy rides in the Hello handshake");
-    eprintln!("  --digest-mode M   dedup digest: crc32-verify | strong-keyed [crc32-verify];");
-    eprintln!("                    in net mode the mode rides in the Hello handshake");
     eprintln!("  --check           scrub every shard after the drain (net mode: also");
     eprintln!("                    assert report bit-identity + zero errors)");
     eprintln!("  --net ADDR        socket-client mode against a running dewrite-serve;");
@@ -194,11 +190,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 o.cache_policy = value()?
                     .parse::<Replacement>()
                     .map_err(|e| format!("--cache-policy: {e}"))?
-            }
-            "--digest-mode" => {
-                o.digest_mode = value()?
-                    .parse::<DigestMode>()
-                    .map_err(|e| format!("--digest-mode: {e}"))?
             }
             "--net" => o.net = Some(value()?),
             "--connections" => {
@@ -416,7 +407,7 @@ fn net_main(o: &Options, addr: &str) -> ExitCode {
             lines: trace.lines,
             expected_writes: trace.writes,
             cache_policy: o.cache_policy.to_wire(),
-            digest_mode: o.digest_mode.to_wire(),
+            digest_mode: DigestMode::Crc32Verify.to_wire(),
             app: app.clone(),
         };
         let mut expected_report: Option<String> = None;
@@ -431,7 +422,6 @@ fn net_main(o: &Options, addr: &str) -> ExitCode {
                     let mut config =
                         EngineConfig::for_workload(info.shards, 256, trace.lines, trace.writes);
                     config.cache_policy = o.cache_policy;
-                    config.digest_mode = o.digest_mode;
                     if config.slots_per_shard != info.slots_per_shard {
                         return Err(std::io::Error::other(format!(
                             "server sized {} slots/shard where the local config \
@@ -541,7 +531,6 @@ fn net_main(o: &Options, addr: &str) -> ExitCode {
                 ("working_set_lines", num(o.ws_lines)),
                 ("content_pool", num(o.pool as u64)),
                 ("cache_policy", Json::Str(o.cache_policy.to_string())),
-                ("digest_mode", Json::Str(o.digest_mode.to_string())),
                 ("mode", Json::Str(o.mode.clone())),
                 ("rate_ops_per_sec", flt(o.rate)),
                 ("seed", num(o.seed)),
@@ -630,7 +619,6 @@ fn main() -> ExitCode {
             config.producers = o.producers;
             config.fsm = o.fsm;
             config.cache_policy = o.cache_policy;
-            config.digest_mode = o.digest_mode;
             if let Some(root) = &o.persist_dir {
                 // One store per (app, shard count) run so sweeps don't
                 // overwrite each other's recovery state.
@@ -688,7 +676,6 @@ fn main() -> ExitCode {
                     ),
                 ),
                 ("cache_policy", Json::Str(o.cache_policy.to_string())),
-                ("digest_mode", Json::Str(o.digest_mode.to_string())),
                 (
                     "persist_dir",
                     match &o.persist_dir {

@@ -144,10 +144,9 @@ pub struct Hello {
     /// so the server's shards and the client's local shadow run always
     /// agree and the bit-identity check stays meaningful per policy.
     pub cache_policy: u8,
-    /// Dedup digest mode, as `DigestMode::to_wire` (0 crc32-verify,
-    /// 1 strong-keyed). In the handshake for the same reason as
-    /// `cache_policy`: the mode changes the simulated report, so server
-    /// and shadow run must agree per connection.
+    /// Dedup digest mode, as `DigestMode::to_wire`: 0 (crc32-verify) is
+    /// the only mode, and a server refuses any other byte. The byte stays
+    /// so protocol v3 is unchanged.
     pub digest_mode: u8,
     /// Application name stamped on reports.
     pub app: String,

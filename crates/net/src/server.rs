@@ -136,7 +136,6 @@ struct Geometry {
     lines: u64,
     expected_writes: u64,
     cache_policy: Replacement,
-    digest_mode: DigestMode,
     app: String,
     slots_per_shard: u64,
 }
@@ -406,10 +405,10 @@ fn push_response(shared: &Shared, conn: &mut Conn, conn_seq: u64, resp: &Respons
 }
 
 /// Validate a `Hello` against the server's limits, returning its cache
-/// policy and digest mode, or why it is refused. The arena it may size is
-/// at most that of a `max_lines` line space whose every line is written
-/// `MAX_REFERENCE` times.
-fn check_hello(opts: &ServeOptions, h: &Hello) -> Result<(Replacement, DigestMode), String> {
+/// policy, or why it is refused. The arena it may size is at most that of
+/// a `max_lines` line space whose every line is written `MAX_REFERENCE`
+/// times. The digest-mode byte must name crc32-verify, the only mode.
+fn check_hello(opts: &ServeOptions, h: &Hello) -> Result<Replacement, String> {
     if h.line_size == 0
         || h.line_size as usize > MAX_LINE_BYTES
         || h.lines == 0
@@ -435,9 +434,10 @@ fn check_hello(opts: &ServeOptions, h: &Hello) -> Result<(Replacement, DigestMod
     }
     let cache_policy = Replacement::from_wire(h.cache_policy)
         .ok_or_else(|| format!("unknown cache policy {}", h.cache_policy))?;
-    let digest_mode = DigestMode::from_wire(h.digest_mode)
-        .ok_or_else(|| format!("unknown digest mode {}", h.digest_mode))?;
-    Ok((cache_policy, digest_mode))
+    if DigestMode::from_wire(h.digest_mode).is_none() {
+        return Err(format!("unknown digest mode {}", h.digest_mode));
+    }
+    Ok(cache_policy)
 }
 
 fn err(code: ErrorCode, detail: impl Into<String>) -> Response {
@@ -606,8 +606,8 @@ impl Lane {
             );
             return;
         }
-        let (cache_policy, digest_mode) = match check_hello(&self.shared.opts, &h) {
-            Ok(axes) => axes,
+        let cache_policy = match check_hello(&self.shared.opts, &h) {
+            Ok(policy) => policy,
             Err(detail) => {
                 push_response(
                     &self.shared,
@@ -625,7 +625,6 @@ impl Lane {
                     && g.lines == h.lines
                     && g.expected_writes == h.expected_writes
                     && g.cache_policy == cache_policy
-                    && g.digest_mode == digest_mode
                     && g.app == h.app
                 {
                     Ok(g.slots_per_shard)
@@ -634,13 +633,8 @@ impl Lane {
                         ErrorCode::ConfigMismatch,
                         format!(
                             "engine serves app '{}' ({} lines of {}B, {} expected writes, \
-                             {} cache, {} digest); reset before changing the workload",
-                            g.app,
-                            g.lines,
-                            g.line_size,
-                            g.expected_writes,
-                            g.cache_policy,
-                            g.digest_mode
+                             {} cache); reset before changing the workload",
+                            g.app, g.lines, g.line_size, g.expected_writes, g.cache_policy
                         ),
                     ))
                 }
@@ -655,7 +649,6 @@ impl Lane {
                 );
                 config.queue_depth = opts.queue_depth;
                 config.cache_policy = cache_policy;
-                config.digest_mode = digest_mode;
                 config.persist_epoch = opts.persist_epoch;
                 config.persist_sync = opts.persist_sync;
                 config.persist_dir = opts.persist_dir.as_ref().map(|root| {
@@ -672,7 +665,6 @@ impl Lane {
                     lines: h.lines,
                     expected_writes: h.expected_writes,
                     cache_policy,
-                    digest_mode,
                     app: h.app.clone(),
                     slots_per_shard: config.slots_per_shard,
                 });

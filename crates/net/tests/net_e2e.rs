@@ -246,6 +246,23 @@ fn malformed_frames_get_typed_errors_without_desync() {
         }
     }
 
+    // 2c. CRC-32 plus verify (byte 0) is the only digest mode: any other
+    // byte is refused, naming it, and brings up no engine.
+    for digest_mode in [1, 2, 0xFF] {
+        let mut other_mode = hello(&t);
+        other_mode.digest_mode = digest_mode;
+        stream
+            .write_all(&proto::encode_request(&Request::Hello(other_mode)))
+            .expect("write");
+        match read_resp(&mut stream, &mut rbuf) {
+            Response::Error {
+                code: ErrorCode::BadPayload,
+                detail,
+            } => assert!(detail.contains("digest mode"), "{detail}"),
+            other => panic!("expected BadPayload, got {other:?}"),
+        }
+    }
+
     // 3. The same connection can still handshake…
     stream
         .write_all(&proto::encode_request(&Request::Hello(hello(&t))))

@@ -344,7 +344,7 @@ fn wrong_version_hello_is_rejected() {
 
 #[test]
 fn digest_mode_byte_roundtrips_every_wire_value() {
-    // Both defined modes plus out-of-range values: the codec carries the
+    // The defined mode plus undefined values: the codec carries the
     // byte verbatim (range validation is the server's Hello handler, the
     // same split as cache_policy), so nothing in the transport layer can
     // silently remap a mode.

@@ -28,8 +28,8 @@ use crate::PersistError;
 /// Magic bytes opening every WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"DWWL";
 /// Current WAL format version. v2 widened `ResidentSet.digest` from u32 to
-/// u64 to carry the strong keyed tag; v1 segments are rejected at open (the
-/// recovery path then falls back to the snapshot alone).
+/// u64; v1 segments are rejected at open (the recovery path then falls
+/// back to the snapshot alone).
 pub const WAL_VERSION: u16 = 2;
 /// Size of the WAL file header, bytes.
 pub const WAL_HEADER_BYTES: usize = 18;

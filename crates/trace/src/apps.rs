@@ -122,15 +122,12 @@ pub fn scan_adversary() -> AppProfile {
     }
 }
 
-/// A collision-flood adversary for the verify-free digest path: almost
-/// every write repeats content from a tiny pool, so nearly every commit
-/// rides the duplicate path. Under crc32-verify each of those commits
-/// pays a 75 ns verify-read; under strong-keyed none do — this trace
-/// maximizes the gap between the modes, and its saturated reference
-/// counters (far more than 255 copies per content) exercise the
-/// saturated-skip path that verify-free commits must still honor.
-/// High state persistence keeps the predictor confidently on the
-/// duplicate path, isolating the digest-mode difference.
+/// A duplicate flood: almost every write repeats content from a tiny
+/// pool, so nearly every commit rides the duplicate path and pays its
+/// verify (a verify-buffer hit or a 75 ns verify-read). Its reference
+/// counters saturate (far more than 255 copies per content), which
+/// exercises the saturated-skip path. High state persistence keeps the
+/// predictor confidently on the duplicate path.
 pub fn dup_flood() -> AppProfile {
     AppProfile {
         name: "dupflood",

@@ -12,7 +12,7 @@
 
 use dewrite::persist::{recover_state, DurableOptions};
 use dewrite::trace::{app_by_name, TraceGenerator, TraceOp, TraceRecord};
-use dewrite_engine::{DigestMode, EngineConfig, FsmPolicy, ShardController};
+use dewrite_engine::{EngineConfig, FsmPolicy, ShardController};
 
 const OPS: usize = 20_000;
 const LINE: usize = 256;
@@ -25,7 +25,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 /// A fresh one-shard controller sized as the engine sizes it, and the
 /// trace of `app` (warm-up first) it is about to replay.
-fn bring_up(app: &str, fsm: FsmPolicy, mode: DigestMode) -> (ShardController, Vec<TraceRecord>) {
+fn bring_up(app: &str, fsm: FsmPolicy) -> (ShardController, Vec<TraceRecord>) {
     let mut profile = app_by_name(app).expect("known app");
     profile.working_set_lines = 1 << 13;
     profile.content_pool_size = 512;
@@ -38,7 +38,6 @@ fn bring_up(app: &str, fsm: FsmPolicy, mode: DigestMode) -> (ShardController, Ve
     let mut ctrl =
         ShardController::new(0, 1, config.slots_per_shard, config.line_size, &config.key);
     ctrl.set_fsm_policy(fsm);
-    ctrl.set_digest_mode(mode);
     (ctrl, records)
 }
 
@@ -71,45 +70,24 @@ fn digest(ctrl: &mut ShardController, app: &str) -> u64 {
 }
 
 const POLICIES: [FsmPolicy; 2] = [FsmPolicy::Tree, FsmPolicy::TreeWear];
-const MODES: [DigestMode; 2] = [DigestMode::Crc32Verify, DigestMode::StrongKeyed];
 
-/// Per app: one row per [`POLICIES`] entry, one column per [`MODES`] entry.
-const GOLDEN: [(&str, [[u64; 2]; 2]); 3] = [
-    (
-        "worst-case",
-        [
-            [0xee97_df0a_b706_b146, 0xc35b_8885_2afa_18fd],
-            [0xa9e9_101a_5144_a087, 0xd444_9c3b_d1de_5f03],
-        ],
-    ),
-    (
-        "mcf",
-        [
-            [0x0663_8832_b62c_9546, 0x144c_f1a8_3cac_b304],
-            [0x978d_29c9_3d51_7802, 0x34c7_c241_881d_8b44],
-        ],
-    ),
-    (
-        "lbm",
-        [
-            [0x3779_d391_bde8_28b2, 0x6a66_26ca_757e_cd12],
-            [0x006e_b7da_b423_25c0, 0xa677_3e75_d8a2_679e],
-        ],
-    ),
+/// Per app: one digest per [`POLICIES`] entry.
+const GOLDEN: [(&str, [u64; 2]); 3] = [
+    ("worst-case", [0xee97_df0a_b706_b146, 0xa9e9_101a_5144_a087]),
+    ("mcf", [0x0663_8832_b62c_9546, 0x978d_29c9_3d51_7802]),
+    ("lbm", [0x3779_d391_bde8_28b2, 0x006e_b7da_b423_25c0]),
 ];
 
 #[test]
 fn engine_golden() {
     let mut got = Vec::new();
     for (app, _) in GOLDEN {
-        let mut per_policy = [[0u64; 2]; 2];
+        let mut per_policy = [0u64; 2];
         for (p, &fsm) in POLICIES.iter().enumerate() {
-            for (m, &mode) in MODES.iter().enumerate() {
-                let (mut ctrl, records) = bring_up(app, fsm, mode);
-                replay(&mut ctrl, &records);
-                ctrl.scrub().expect("scrub");
-                per_policy[p][m] = digest(&mut ctrl, app);
-            }
+            let (mut ctrl, records) = bring_up(app, fsm);
+            replay(&mut ctrl, &records);
+            ctrl.scrub().expect("scrub");
+            per_policy[p] = digest(&mut ctrl, app);
         }
         println!("    (\"{app}\", {per_policy:#018x?}),");
         got.push((app, per_policy));
@@ -123,7 +101,7 @@ fn engine_golden() {
 fn engine_golden_durable() {
     let dir = std::env::temp_dir().join(format!("dewrite-engine-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (mut ctrl, records) = bring_up("mcf", FsmPolicy::Tree, DigestMode::Crc32Verify);
+    let (mut ctrl, records) = bring_up("mcf", FsmPolicy::Tree);
     ctrl.attach_persistence(
         &dir,
         DurableOptions {
@@ -136,7 +114,7 @@ fn engine_golden_durable() {
     replay(&mut ctrl, &records);
     ctrl.flush_wal().expect("flush");
     ctrl.scrub().expect("scrub");
-    assert_eq!(digest(&mut ctrl, "mcf"), GOLDEN[1].1[0][0]);
+    assert_eq!(digest(&mut ctrl, "mcf"), GOLDEN[1].1[0]);
 
     let live = ctrl.snapshot();
     let fp = live.config_fp;

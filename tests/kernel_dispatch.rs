@@ -1,7 +1,7 @@
 //! Every dispatched kernel lands on the leg the CPU and `DEWRITE_PORTABLE`
-//! allow: AES-NI, the PCLMULQDQ CRC-32 fold, SSE4.2 CRC-32C and the strong
-//! digest's SIMD tier where the host has the instructions and the override
-//! is off; the T-table, slice-by-8 and scalar legs otherwise.
+//! allow: AES-NI, the PCLMULQDQ CRC-32 fold and SSE4.2 CRC-32C where the
+//! host has the instructions and the override is off; the T-table and
+//! slice-by-8 legs otherwise.
 //!
 //! The expected leg comes from `is_x86_feature_detected!` and the
 //! environment directly, not from the libraries' own detection, so a
@@ -10,7 +10,7 @@
 //! process-wide portable override under it.
 
 use dewrite::crypto::{Aes128, AesBackend};
-use dewrite::hashes::{Crc32, Crc32c, CrcBackend, StrongKeyed};
+use dewrite::hashes::{Crc32, Crc32c, CrcBackend};
 
 /// What `DEWRITE_PORTABLE` asks for: any non-empty value other than `0`
 /// forces the portable legs.
@@ -23,8 +23,6 @@ struct HostFeatures {
     aes: bool,
     pclmulqdq: bool,
     sse42: bool,
-    /// SSSE3, or AVX-512VL (with the AVX-512F it extends).
-    strong_simd: bool,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -34,7 +32,6 @@ fn host_features() -> HostFeatures {
         aes: has!("aes"),
         pclmulqdq: has!("pclmulqdq"),
         sse42: has!("sse4.2"),
-        strong_simd: has!("ssse3") || (has!("avx512f") && has!("avx512vl")),
     }
 }
 
@@ -44,7 +41,6 @@ fn host_features() -> HostFeatures {
         aes: false,
         pclmulqdq: false,
         sse42: false,
-        strong_simd: false,
     }
 }
 
@@ -76,10 +72,4 @@ fn dispatched_kernels_take_the_legs_the_host_allows() {
         CrcBackend::Slice8
     };
     assert_eq!(crc32c, expect_crc32c, "CRC-32C backend");
-
-    assert_eq!(
-        StrongKeyed::new().simd_active(),
-        hardware && host.strong_simd,
-        "strong keyed digest SIMD tier"
-    );
 }

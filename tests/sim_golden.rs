@@ -8,8 +8,8 @@
 //! A mismatch means a simulated number moved.
 
 use dewrite::core::{
-    CmeBaseline, DeWrite, DeWriteConfig, DigestMode, SecureMemory, SilentShredder, Simulator,
-    SystemConfig, TraditionalDedup,
+    CmeBaseline, DeWrite, DeWriteConfig, SecureMemory, SilentShredder, Simulator, SystemConfig,
+    TraditionalDedup,
 };
 use dewrite::hashes::HashAlgorithm;
 use dewrite::trace::{app_by_name, TraceGenerator, TraceRecord};
@@ -42,16 +42,8 @@ fn digest(app: &str, scheme: &str, tweak: impl Fn(&mut SystemConfig)) -> u64 {
     tweak(&mut config);
     let sim = Simulator::new(&config);
     let report = match scheme {
-        "dewrite" | "dewrite_strong" => {
-            let dw = DeWriteConfig {
-                digest_mode: if scheme == "dewrite" {
-                    DigestMode::Crc32Verify
-                } else {
-                    DigestMode::StrongKeyed
-                },
-                ..DeWriteConfig::paper()
-            };
-            let mut mem = DeWrite::new(config.clone(), dw, KEY);
+        "dewrite" => {
+            let mut mem = DeWrite::new(config.clone(), DeWriteConfig::paper(), KEY);
             let mut report = sim.run(&mut mem, app, &warmup, records).expect("run");
             report.dewrite = Some(mem.dewrite_metrics());
             mem.scrub().expect("scrub");
@@ -74,15 +66,13 @@ fn digest(app: &str, scheme: &str, tweak: impl Fn(&mut SystemConfig)) -> u64 {
     fnv1a(&report.to_json().to_string())
 }
 
-const GOLDEN: [(&str, &str, u64); 10] = [
+const GOLDEN: [(&str, &str, u64); 8] = [
     ("mcf", "cme", 0x0685_6d5a_93da_7a19),
     ("mcf", "dewrite", 0x00a0_4b35_4dcf_fcb7),
-    ("mcf", "dewrite_strong", 0xe6f4_6a7d_f366_f6b3),
     ("mcf", "traditional", 0xc1bc_9480_1274_45e4),
     ("mcf", "shredder", 0x0b2b_6a71_67e3_08c9),
     ("lbm", "cme", 0xe51d_5510_218d_6392),
     ("lbm", "dewrite", 0xa674_2b84_259d_4814),
-    ("lbm", "dewrite_strong", 0xb0b1_2493_f10b_cc76),
     ("lbm", "traditional", 0x34a9_a5c8_ae82_94d5),
     ("lbm", "shredder", 0xe716_cbb3_d0a1_4832),
 ];
