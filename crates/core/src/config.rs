@@ -183,8 +183,10 @@ impl DeWriteConfig {
     /// verify buffer, persistence policy) are excluded: they can change
     /// between a snapshot and its restore without invalidating the state.
     ///
-    /// Stamped into every [`Snapshot`](crate::Snapshot) and WAL header;
-    /// [`DeWrite::power_on`](crate::DeWrite::power_on) rejects mismatches.
+    /// Stamped into every [`Snapshot`](crate::Snapshot) a `DeWrite`
+    /// captures; [`DeWrite::power_on`](crate::DeWrite::power_on) rejects
+    /// mismatches. (The engine's shard stores are stamped with their own
+    /// `ShardController::persist_fingerprint`.)
     pub fn fingerprint(&self) -> u64 {
         let mode = match self.mode {
             WriteMode::Direct => 0u8,

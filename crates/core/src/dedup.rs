@@ -13,7 +13,7 @@
 //!
 //! The transitions (§III-B) are one [`CommitKernel`], shared by the
 //! simulator's [`DedupIndex`] and the engine's shard; what a commit changed
-//! ([`WriteOutcome`]) is also what its journal records
+//! ([`WriteOutcome`]) is also what the shard's WAL journals
 //! ([`WriteOutcome::meta_ops`]).
 //!
 //! Timing is *not* modeled here — the scheme layer mirrors each table touch

@@ -12,10 +12,10 @@
 //! Predictor and cache state are excluded entirely: they are performance
 //! hints that any controller rebuilds cold after a restart.
 //!
-//! Producers: [`DeWrite`](crate::DeWrite) (after
-//! [`set_meta_journal`](crate::DeWrite::set_meta_journal)) and the engine's
-//! `ShardController`. Consumer: the `dewrite-persist` crate's write-ahead
-//! log, which encodes these ops into checksummed epoch records.
+//! Producer: [`WriteOutcome::meta_ops`](crate::WriteOutcome::meta_ops),
+//! which the engine's `ShardController` journals for every write once
+//! persistence is attached. Consumer: the `dewrite-persist` crate's
+//! write-ahead log, which encodes these ops into checksummed epoch records.
 
 /// One durable metadata mutation, in snapshot-level terms.
 ///

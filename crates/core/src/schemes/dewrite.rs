@@ -34,7 +34,6 @@ use crate::config::{DeWriteConfig, MetadataPersistence, SystemConfig, WriteMode}
 use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::digest::IndexDigest;
-use crate::journal::MetaOp;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::tables::MAX_REFERENCE;
@@ -199,9 +198,6 @@ pub struct DeWrite {
     verify_buffer: VerifyBuffer,
     /// Data writes since the last epoch flush.
     writes_since_flush: u32,
-    /// Metadata-mutation journal for external persistence (WAL); `None`
-    /// (the default) keeps the hot path free of journaling work.
-    journal: Option<Vec<MetaOp>>,
     /// Optional per-write event sink (observability; None on the hot path).
     sink: Option<Box<dyn EventSink>>,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
@@ -245,22 +241,6 @@ impl DeWrite {
     /// (the checkpoint primitive of the persistence layer).
     pub fn snapshot(&self) -> crate::snapshot::Snapshot {
         crate::snapshot::Snapshot::capture(&self.index, &self.counters, self.dw.fingerprint())
-    }
-
-    /// Enable (`true`) or disable (`false`) the metadata-mutation journal.
-    /// While enabled, every write appends its durable-state changes as
-    /// [`MetaOp`]s, collected with [`drain_meta_ops`](Self::drain_meta_ops).
-    pub fn set_meta_journal(&mut self, enabled: bool) {
-        self.journal = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// Take the journal ops accumulated since the last drain (empty when
-    /// journaling is disabled).
-    pub fn drain_meta_ops(&mut self) -> Vec<MetaOp> {
-        self.journal
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Power on: rebuild a controller over an existing `device` from a
@@ -407,7 +387,6 @@ impl DeWrite {
             dmetrics: DeWriteMetrics::default(),
             verify_buffer: VerifyBuffer::new(dw.verify_buffer_entries, line_size),
             writes_since_flush: 0,
-            journal: None,
             sink: None,
             line_buf: Vec::new(),
             plain_buf: vec![0u8; line_size],
@@ -585,15 +564,6 @@ impl DeWrite {
         let ciphertext = self.device.line(real).expect("resident line in range");
         decrypt_resident(&self.engine, &self.counters, real, ciphertext, out)
             .ok_or_else(|| format!("resident line {real} has no encryption counter"))
-    }
-
-    /// Journal the commit of a write of `init` with content `digest` when
-    /// the metadata journal is on; `counter` is a stored line's new
-    /// encryption counter.
-    fn journal(&mut self, init: LineAddr, outcome: WriteOutcome, digest: u64, counter: u32) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.extend(outcome.meta_ops(init.index(), digest, counter, LineAddr::index));
-        }
     }
 
     /// Run the candidate comparison loop with timed NVM reads.
@@ -834,7 +804,6 @@ impl SecureMemory for DeWrite {
                 if let Some(freed) = freed {
                     self.verify_buffer.invalidate(freed.index());
                 }
-                self.journal(init, outcome, digest, 0);
                 self.dmetrics.dup_eliminated += 1;
                 self.metrics.writes_eliminated += 1;
                 if speculative {
@@ -901,7 +870,6 @@ impl SecureMemory for DeWrite {
                     self.verify_buffer.invalidate(freed.index());
                 }
                 let counter = self.counters.bump(target.index());
-                self.journal(init, outcome, digest, counter.value());
                 self.line_buf.resize(data.len(), 0);
                 self.engine
                     .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
@@ -1037,7 +1005,6 @@ impl SecureMemory for DeWrite {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     const KEY: &[u8; 16] = b"dewrite test key";
 
@@ -1386,75 +1353,6 @@ mod tests {
         assert!(b.stage(Stage::Digest).mean_ns() > 0.0);
         // Detection on the duplicate write did verify + compare work.
         assert!(b.stage(Stage::Compare).count() >= 1);
-    }
-
-    #[test]
-    fn journal_replay_matches_snapshot() {
-        // Replaying the drained MetaOps onto plain maps must reproduce the
-        // exact durable state a snapshot captures — the property the WAL
-        // recovery path depends on.
-        let mut m = mem();
-        m.set_meta_journal(true);
-        let mut maps: HashMap<u64, u64> = HashMap::new();
-        let mut residents: HashMap<u64, u64> = HashMap::new();
-        let mut ctrs: HashMap<u64, u32> = HashMap::new();
-        let dup = line(1);
-        let mut t = 0;
-        for i in 0..120u64 {
-            let data = if i % 3 == 0 {
-                dup.clone()
-            } else {
-                let mut d = line(i as u8);
-                d[0..8].copy_from_slice(&i.to_le_bytes());
-                d
-            };
-            // Reuse a small address range so overwrites, frees, and silent
-            // stores all occur.
-            m.write(LineAddr::new(i % 40), &data, t).unwrap();
-            t += 5_000;
-            for op in m.drain_meta_ops() {
-                match op {
-                    MetaOp::MapSet { init, real } => {
-                        maps.insert(init, real);
-                    }
-                    MetaOp::ResidentSet { real, digest } => {
-                        residents.insert(real, digest);
-                    }
-                    MetaOp::ResidentDel { real } => {
-                        residents.remove(&real);
-                    }
-                    MetaOp::CounterSet { line, value } => {
-                        ctrs.insert(line, value);
-                    }
-                }
-            }
-        }
-        let snap = m.snapshot();
-        assert_eq!(
-            maps,
-            snap.mappings.iter().copied().collect::<HashMap<_, _>>()
-        );
-        assert_eq!(
-            residents,
-            snap.residents.iter().copied().collect::<HashMap<_, _>>()
-        );
-        assert_eq!(
-            ctrs,
-            snap.counters.iter().copied().collect::<HashMap<_, _>>()
-        );
-    }
-
-    #[test]
-    fn journal_disabled_stays_empty() {
-        let mut m = mem();
-        m.write(LineAddr::new(0), &line(3), 0).unwrap();
-        assert!(m.drain_meta_ops().is_empty());
-        m.set_meta_journal(true);
-        m.write(LineAddr::new(1), &line(4), 10_000).unwrap();
-        assert!(!m.drain_meta_ops().is_empty());
-        m.set_meta_journal(false);
-        m.write(LineAddr::new(2), &line(5), 20_000).unwrap();
-        assert!(m.drain_meta_ops().is_empty());
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl Checkpoint {
             return Err(bad("checkpoint header truncated"));
         }
         if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(bad("not a DeWrite checkpoint"));
+            return Err(bad("bad checkpoint magic"));
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
         if version != CHECKPOINT_VERSION {

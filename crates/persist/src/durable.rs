@@ -1,6 +1,5 @@
-//! Epoch-batched durable logging: [`EpochLog`] (the reusable policy engine,
-//! shared with the engine's per-shard controllers) and [`DurableDeWrite`]
-//! (a `DeWrite` whose metadata survives a crash).
+//! Epoch-batched durable logging: [`EpochLog`], the policy engine behind
+//! the engine's per-shard controllers (`ShardController::attach_persistence`).
 //!
 //! SecPM-style epoch batching: instead of one log write per metadata
 //! update, the [`MetaOp`]s of `epoch_writes` consecutive data writes are
@@ -12,14 +11,10 @@
 
 use std::path::Path;
 
-use dewrite_core::{
-    DeWrite, DeWriteConfig, MetaOp, ReadResult, SecureMemory, Snapshot, SystemConfig, WriteResult,
-};
-use dewrite_nvm::LineAddr;
+use dewrite_core::{MetaOp, Snapshot};
 
 use crate::store::{MetaStore, PersistStats};
 use crate::wal::RecordBuf;
-use crate::PersistError;
 
 /// Tuning knobs of the durable layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,117 +184,5 @@ impl EpochLog {
     /// run ahead of the last checkpoint.
     pub fn stats(&self) -> PersistStats {
         self.store.stats()
-    }
-}
-
-/// A [`DeWrite`] whose dedup metadata is made durable through an
-/// [`EpochLog`]: every write's metadata mutations are journaled, batched
-/// into epoch WAL records, and periodically checkpointed, so
-/// [`DeWrite::recover`](crate::RecoverDeWrite::recover) can rebuild the
-/// controller after a crash.
-#[derive(Debug)]
-pub struct DurableDeWrite {
-    mem: DeWrite,
-    log: EpochLog,
-}
-
-impl DurableDeWrite {
-    /// Build a fresh controller persisting to `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store-creation failures.
-    pub fn create(
-        dir: &Path,
-        config: SystemConfig,
-        dw: DeWriteConfig,
-        key: &[u8; 16],
-        opts: DurableOptions,
-    ) -> Result<Self, PersistError> {
-        let mut mem = DeWrite::new(config, dw, key);
-        mem.set_meta_journal(true);
-        let log = EpochLog::create(dir, dw.fingerprint(), &mem.snapshot(), opts)?;
-        Ok(DurableDeWrite { mem, log })
-    }
-
-    /// Write a line (the durable analogue of [`SecureMemory::write`]):
-    /// applies the write, journals its metadata mutations, and flushes /
-    /// checkpoints per the epoch policy.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Memory`] for address/size rejections,
-    /// [`PersistError::Io`] for log failures.
-    pub fn write(
-        &mut self,
-        addr: LineAddr,
-        data: &[u8],
-        now_ns: u64,
-    ) -> Result<WriteResult, PersistError> {
-        let result = self
-            .mem
-            .write(addr, data, now_ns)
-            .map_err(|e| PersistError::Memory(e.to_string()))?;
-        let ops = self.mem.drain_meta_ops();
-        if self.log.record_write(ops)? {
-            let snapshot = self.mem.snapshot();
-            self.log.checkpoint(&snapshot)?;
-        }
-        Ok(result)
-    }
-
-    /// Read a line (pass-through).
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Memory`] for address rejections.
-    pub fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, PersistError> {
-        self.mem
-            .read(addr, now_ns)
-            .map_err(|e| PersistError::Memory(e.to_string()))
-    }
-
-    /// Force the open epoch to the log (bounding crash loss to zero until
-    /// the next write).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.log.flush()
-    }
-
-    /// Force a checkpoint of the current state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn checkpoint(&mut self) -> std::io::Result<()> {
-        let snapshot = self.mem.snapshot();
-        self.log.checkpoint(&snapshot)
-    }
-
-    /// The wrapped controller.
-    pub fn mem(&self) -> &DeWrite {
-        &self.mem
-    }
-
-    /// The epoch log (exposure/statistics).
-    pub fn log(&self) -> &EpochLog {
-        &self.log
-    }
-
-    /// Clean shutdown: flush the open epoch, write a final checkpoint, and
-    /// hand back the controller (snapshot + device via its `power_off`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (the controller is lost in that case,
-    /// as it would be on a real failed shutdown — recovery handles it).
-    pub fn shutdown(mut self) -> Result<DeWrite, PersistError> {
-        self.flush()?;
-        let snapshot = self.mem.snapshot();
-        self.log.checkpoint(&snapshot)?;
-        Ok(self.mem)
     }
 }

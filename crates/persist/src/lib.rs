@@ -1,10 +1,11 @@
-//! Crash-consistent persistence for the DeWrite dedup metadata.
+//! Crash-consistent persistence for the dedup metadata of the engine's shards.
 //!
 //! The paper keeps the dedup tables and encryption counters in NVM, so they
-//! survive power loss by construction; the simulator's authoritative copies
-//! are in-controller structures that vanish with the process. This crate
-//! makes them durable the way a real controller with a volatile metadata
-//! cache would (SecPM-style, §V of the paper):
+//! survive power loss by construction; here they are host structures that
+//! vanish with the process. This crate makes the engine's per-shard tables
+//! (`ShardController::attach_persistence`) durable the way a real
+//! controller with a volatile metadata cache would (SecPM-style, §V of the
+//! paper):
 //!
 //! * a **write-ahead log** ([`wal`]) of checksummed, length-prefixed
 //!   records, each carrying the [`MetaOp`](dewrite_core::MetaOp)s of one
@@ -12,10 +13,11 @@
 //! * periodic **checkpoints** ([`Checkpoint`]) serialized from the core's
 //!   [`Snapshot`](dewrite_core::Snapshot), after which older log segments
 //!   are pruned;
-//! * a **recovery path** ([`recover_state`], [`RecoverDeWrite`]) that loads
-//!   the newest valid checkpoint (falling back to the previous one if the
-//!   newest is corrupt), replays the log suffix, detects and discards a
-//!   torn tail, and hands back a controller that passes `scrub()`;
+//! * a **recovery path** ([`recover_state`]) that loads the newest valid
+//!   checkpoint (falling back to the previous one if the newest is
+//!   corrupt), replays the log suffix, detects and discards a torn tail,
+//!   and hands back the [`Snapshot`](dewrite_core::Snapshot) of the last
+//!   flushed epoch;
 //! * a **fault-injection shim** ([`TornWriter`], [`apply_fault`]) that
 //!   truncates or bit-flips at a chosen byte boundary, driving the
 //!   kill-at-random-point torture tests.
@@ -35,8 +37,8 @@ mod torn;
 mod wal;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use durable::{DurableDeWrite, DurableOptions, EpochLog};
-pub use recover::{recover_state, RecoverDeWrite, RecoveryStats};
+pub use durable::{DurableOptions, EpochLog};
+pub use recover::{recover_state, RecoveryStats};
 pub use store::{MetaStore, PersistStats};
 pub use torn::{apply_fault, Fault, TornWriter};
 pub use wal::{
@@ -55,11 +57,6 @@ pub enum PersistError {
     /// The durable state is structurally broken beyond a discardable torn
     /// tail (no valid checkpoint, a gap in the log chain).
     Corrupt(String),
-    /// The recovered state failed controller-level validation
-    /// (`power_on` or `scrub`).
-    Recovery(String),
-    /// The wrapped memory rejected an operation (address/size error).
-    Memory(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -68,8 +65,6 @@ impl std::fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "persistence I/O error: {e}"),
             PersistError::ConfigMismatch(m) => write!(f, "configuration mismatch: {m}"),
             PersistError::Corrupt(m) => write!(f, "durable state corrupt: {m}"),
-            PersistError::Recovery(m) => write!(f, "recovery failed: {m}"),
-            PersistError::Memory(m) => write!(f, "memory operation failed: {m}"),
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Recovery: newest valid checkpoint + WAL suffix replay → a scrub-clean
-//! controller.
+//! Recovery: newest valid checkpoint + WAL suffix replay → the
+//! [`Snapshot`] the store's last flushed epoch left.
 //!
 //! The algorithm (mirroring what a controller's recovery microcode would do
 //! over the NVM metadata region):
@@ -14,23 +14,20 @@
 //!    in the write-count chain is a hard corruption error;
 //! 3. a torn tail (short/garbled record at the end of the stream) is
 //!    *discarded*: the crash lost at most the final unflushed epoch — the
-//!    atomic unit of loss under epoch persistence;
-//! 4. the reassembled [`Snapshot`] powers a controller on
-//!    ([`RecoverDeWrite::recover`]) and must pass `scrub()`.
+//!    atomic unit of loss under epoch persistence.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
-use dewrite_core::{DeWrite, DeWriteConfig, Json, MetaOp, Snapshot, SystemConfig};
-use dewrite_nvm::NvmDevice;
+use dewrite_core::{MetaOp, Snapshot};
 
 use crate::checkpoint::Checkpoint;
 use crate::store::{ckpt_path, list_seqs, wal_path, CKPT_EXT, CKPT_PREFIX, WAL_EXT, WAL_PREFIX};
 use crate::wal::{WalRecords, WalTail};
 use crate::PersistError;
 
-/// What recovery found and did (the torture summary's per-run payload).
+/// What recovery found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
     /// Sequence number of the checkpoint recovery started from.
@@ -51,47 +48,6 @@ pub struct RecoveryStats {
     pub torn_tail: bool,
     /// Bytes discarded as torn.
     pub discarded_bytes: u64,
-}
-
-impl RecoveryStats {
-    /// The stats as a JSON object (for reports and CI artifacts).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "checkpoint_seq".into(),
-                Json::Num(self.checkpoint_seq as f64),
-            ),
-            (
-                "checkpoint_writes".into(),
-                Json::Num(self.checkpoint_writes as f64),
-            ),
-            (
-                "checkpoints_skipped".into(),
-                Json::Num(self.checkpoints_skipped as f64),
-            ),
-            (
-                "segments_scanned".into(),
-                Json::Num(self.segments_scanned as f64),
-            ),
-            (
-                "records_replayed".into(),
-                Json::Num(self.records_replayed as f64),
-            ),
-            (
-                "records_skipped".into(),
-                Json::Num(self.records_skipped as f64),
-            ),
-            (
-                "writes_covered".into(),
-                Json::Num(self.writes_covered as f64),
-            ),
-            ("torn_tail".into(), Json::Bool(self.torn_tail)),
-            (
-                "discarded_bytes".into(),
-                Json::Num(self.discarded_bytes as f64),
-            ),
-        ])
-    }
 }
 
 /// One entry per key in ascending key order; of several entries for one
@@ -195,9 +151,9 @@ impl ReplayState {
 /// Load the newest valid checkpoint under `dir` and replay the WAL suffix,
 /// returning the reassembled snapshot and what recovery did.
 ///
-/// `fingerprint` must be the current configuration's
-/// [`DeWriteConfig::fingerprint`]; `max_lines` bounds decode allocations
-/// (pass the configured `data_lines`).
+/// `fingerprint` must be the one the store was created under (a shard's
+/// `ShardController::persist_fingerprint`); `max_lines` bounds decode
+/// allocations.
 ///
 /// # Errors
 ///
@@ -293,43 +249,6 @@ pub fn recover_state(
     }
 
     Ok((state.into_snapshot(), stats))
-}
-
-/// Extension trait hanging the recovery constructor on [`DeWrite`]
-/// (imported from this crate: `DeWrite::recover(...)`).
-pub trait RecoverDeWrite: Sized {
-    /// Rebuild a controller from the durable store at `dir` over an
-    /// existing `device`, replaying the WAL suffix and verifying the
-    /// result with a full `scrub()`.
-    ///
-    /// # Errors
-    ///
-    /// All of [`recover_state`]'s errors, plus
-    /// [`PersistError::Recovery`] when `power_on` or the scrub rejects the
-    /// reassembled state.
-    fn recover(
-        dir: &Path,
-        config: SystemConfig,
-        dw: DeWriteConfig,
-        key: &[u8; 16],
-        device: NvmDevice,
-    ) -> Result<(Self, RecoveryStats), PersistError>;
-}
-
-impl RecoverDeWrite for DeWrite {
-    fn recover(
-        dir: &Path,
-        config: SystemConfig,
-        dw: DeWriteConfig,
-        key: &[u8; 16],
-        device: NvmDevice,
-    ) -> Result<(Self, RecoveryStats), PersistError> {
-        let (snapshot, stats) = recover_state(dir, dw.fingerprint(), config.data_lines)?;
-        let mem = DeWrite::power_on(config, dw, key, device, &snapshot)
-            .map_err(PersistError::Recovery)?;
-        mem.scrub().map_err(PersistError::Recovery)?;
-        Ok((mem, stats))
-    }
 }
 
 #[cfg(test)]

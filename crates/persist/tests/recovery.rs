@@ -1,21 +1,21 @@
-//! End-to-end persistence: durable workload → crash or clean shutdown →
-//! `DeWrite::recover` → every line verified, plus proptest codec hardening
-//! (run on both `DEWRITE_PORTABLE` legs by CI).
+//! Refusals of `recover_state` on shard stores it must not reinterpret,
+//! plus proptest codec hardening (run on both `DEWRITE_PORTABLE` legs by
+//! CI).
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
-use dewrite_core::{DeWrite, DeWriteConfig, SecureMemory, Snapshot, SystemConfig};
+use dewrite_core::Snapshot;
+use dewrite_engine::{DigestMode, ShardController};
 use dewrite_nvm::LineAddr;
 use dewrite_persist::{
-    decode_wal, encode_record, encode_wal_header, DurableDeWrite, DurableOptions, EpochLog,
-    PersistError, RecoverDeWrite, WalRecord, WalTail,
+    decode_wal, encode_record, encode_wal_header, recover_state, DurableOptions, EpochLog,
+    PersistError, WalRecord, WalTail,
 };
 use proptest::prelude::*;
 
 const KEY: &[u8; 16] = b"persist test key";
-const LINES: u64 = 512;
+const MAX_LINES: u64 = 1 << 20;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -26,96 +26,9 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn config() -> SystemConfig {
-    SystemConfig::for_lines(LINES)
-}
-
-/// Deterministic line content for write `i` (small tag space → duplicates).
-fn content(i: u64) -> (LineAddr, Vec<u8>) {
-    let addr = LineAddr::new((i * 7 + i / 5) % 64);
-    let tag = (i % 6) as u8;
-    let data: Vec<u8> = (0..256).map(|j| tag.wrapping_add((j / 16) as u8)).collect();
-    (addr, data)
-}
-
-fn run_workload(mem: &mut DurableDeWrite, writes: u64) -> HashMap<u64, Vec<u8>> {
-    let mut shadow = HashMap::new();
-    for i in 0..writes {
-        let (addr, data) = content(i);
-        mem.write(addr, &data, i * 600).expect("write");
-        shadow.insert(addr.index(), data);
-    }
-    shadow
-}
-
-#[test]
-fn clean_shutdown_then_recover_restores_every_line() {
-    let dir = tmpdir("clean");
-    let opts = DurableOptions {
-        epoch_writes: 16,
-        checkpoint_epochs: 4,
-        sync: false,
-    };
-    let mut mem =
-        DurableDeWrite::create(&dir, config(), DeWriteConfig::paper(), KEY, opts).expect("create");
-    let shadow = run_workload(&mut mem, 300);
-    let inner = mem.shutdown().expect("shutdown");
-    let (_, device) = inner.power_off();
-
-    let (mut recovered, stats) =
-        DeWrite::recover(&dir, config(), DeWriteConfig::paper(), KEY, device).expect("recover");
-    assert_eq!(
-        stats.writes_covered, 300,
-        "clean shutdown covers all writes"
-    );
-    assert!(!stats.torn_tail, "clean shutdown leaves no torn tail");
-    let mut t = 1_000_000;
-    for (&addr, expect) in &shadow {
-        let got = recovered.read(LineAddr::new(addr), t).expect("read").data;
-        assert_eq!(&got, expect, "line {addr}");
-        t += 500;
-    }
-    recovered.index().check_invariants().expect("invariants");
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn crash_without_shutdown_recovers_flushed_epochs() {
-    let dir = tmpdir("crash");
-    let opts = DurableOptions {
-        epoch_writes: 8,
-        checkpoint_epochs: 4,
-        sync: false,
-    };
-    let mut mem =
-        DurableDeWrite::create(&dir, config(), DeWriteConfig::paper(), KEY, opts).expect("create");
-    // 100 writes = 12 full epochs (96 writes) + 4 unflushed: the crash
-    // (dropping without shutdown) loses exactly the open epoch.
-    run_workload(&mut mem, 100);
-    assert_eq!(mem.log().unflushed_writes(), 4);
-    drop(mem);
-
-    // Rebuild the reference device state at the epoch boundary (write 96):
-    // the epoch is the atomic unit of loss for data + metadata alike.
-    let mut reference = DeWrite::new(config(), DeWriteConfig::paper(), KEY);
-    let mut shadow = HashMap::new();
-    for i in 0..96 {
-        let (addr, data) = content(i);
-        reference.write(addr, &data, i * 600).expect("write");
-        shadow.insert(addr.index(), data);
-    }
-    let (_, device) = reference.power_off();
-
-    let (mut recovered, stats) =
-        DeWrite::recover(&dir, config(), DeWriteConfig::paper(), KEY, device).expect("recover");
-    assert_eq!(stats.writes_covered, 96, "recovers to the epoch boundary");
-    let mut t = 1_000_000;
-    for (&addr, expect) in &shadow {
-        let got = recovered.read(LineAddr::new(addr), t).expect("read").data;
-        assert_eq!(&got, expect, "line {addr}");
-        t += 500;
-    }
-    fs::remove_dir_all(&dir).unwrap();
+/// Fingerprint of shard `id` of 2 over `slots` slots of 256 B lines.
+fn fingerprint(id: usize, slots: u64) -> u64 {
+    ShardController::persist_fingerprint(id, 2, slots, 256, DigestMode::Crc32Verify)
 }
 
 #[test]
@@ -125,19 +38,37 @@ fn recover_rejects_mismatched_configuration() {
         sync: false,
         ..DurableOptions::default()
     };
-    let mut mem =
-        DurableDeWrite::create(&dir, config(), DeWriteConfig::paper(), KEY, opts).expect("create");
-    run_workload(&mut mem, 50);
-    let inner = mem.shutdown().expect("shutdown");
-    let (_, device) = inner.power_off();
+    let mut shard = ShardController::new(1, 2, 128, 256, KEY);
+    shard.attach_persistence(&dir, opts).expect("attach");
+    for i in 0..50u64 {
+        let data: Vec<u8> = (0..256u64).map(|j| (i % 6 + j / 16) as u8).collect();
+        shard.write(LineAddr::new((i * 7 + i / 5) % 64 * 2 + 1), &data, 0);
+    }
+    shard.persist_shutdown().expect("shutdown");
+    let own = fingerprint(1, 128);
 
-    let mut other = DeWriteConfig::paper();
-    other.dedup_domains = 2;
-    let err = DeWrite::recover(&dir, config(), other, KEY, device).expect_err("fingerprint");
-    assert!(
-        matches!(err, PersistError::ConfigMismatch(_)),
-        "expected ConfigMismatch, got {err}"
-    );
+    // Another shard's store (other id, or other slot count) is refused
+    // whole. Then again with every WAL segment gone, as a crash between
+    // writing a checkpoint and opening its segment can leave it: the
+    // checkpoint's own fingerprint must refuse it.
+    for wal in [true, false] {
+        let (snapshot, _) = recover_state(&dir, own, MAX_LINES).expect("own fingerprint");
+        assert_eq!(snapshot, shard.snapshot(), "wal {wal}: own store recovers");
+        for (id, slots) in [(0, 128), (1, 256)] {
+            let err = recover_state(&dir, fingerprint(id, slots), MAX_LINES)
+                .expect_err("foreign fingerprint");
+            assert!(
+                matches!(err, PersistError::ConfigMismatch(_)),
+                "wal {wal}, shard {id} over {slots} slots: expected ConfigMismatch, got {err}"
+            );
+        }
+        for entry in fs::read_dir(&dir).expect("read store dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|ext| ext == "log") {
+                fs::remove_file(path).expect("remove segment");
+            }
+        }
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -145,10 +76,7 @@ fn recover_rejects_mismatched_configuration() {
 fn recover_without_any_state_is_corrupt() {
     let dir = tmpdir("empty");
     fs::create_dir_all(&dir).unwrap();
-    let cfg = config();
-    let device = dewrite_nvm::NvmDevice::new(cfg.nvm.clone()).unwrap();
-    let err = DeWrite::recover(&dir, cfg, DeWriteConfig::paper(), KEY, device)
-        .expect_err("no checkpoint");
+    let err = recover_state(&dir, fingerprint(1, 128), MAX_LINES).expect_err("no checkpoint");
     assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,69 +1,144 @@
-//! Kill-at-random-point recovery torture: run a durable workload, crash it,
-//! then sweep faults over the on-disk metadata store — truncations at and
-//! around every record boundary, single-bit flips in record headers,
-//! payloads, and file headers, and corrupted checkpoints — and prove that
-//! every survivable fault recovers *exactly* to an epoch boundary whose
-//! lines all verify against a deterministic shadow replay, while every
-//! unsurvivable fault is rejected as corrupt (never silently mis-recovered).
+//! Kill-at-random-point recovery torture over `ShardController` stores:
+//! run a durable workload, crash it, then sweep faults over the on-disk
+//! metadata store — truncations at and around every record boundary,
+//! single-bit flips in record headers, payloads, and file headers, and
+//! corrupted checkpoints — and prove that every survivable fault recovers
+//! *exactly* to an epoch boundary whose metadata equals a fresh shard's fed
+//! the same prefix, while every unsurvivable fault is rejected as corrupt
+//! (never silently mis-recovered).
 //!
 //! Two further cases cover what the checkpoint trigger made possible: a
 //! WAL segment as long as the checkpoint image it follows, killed at
 //! random byte offsets, and a torn newest checkpoint behind such a segment.
-//!
-//! Writes a machine-readable sweep summary to `$TORTURE_OUT` (default
-//! `target/torture_summary.json`) for the CI artifact.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dewrite::core::{DeWrite, DeWriteConfig, Json, SecureMemory, SystemConfig};
+use dewrite::core::Snapshot;
 use dewrite::nvm::LineAddr;
 use dewrite::persist::{
-    apply_fault, decode_wal, encode_record, recover_state, DurableDeWrite, DurableOptions, Fault,
-    PersistError, PersistStats, RecoverDeWrite, RecoveryStats, WAL_HEADER_BYTES,
+    apply_fault, decode_wal, encode_record, recover_state, DurableOptions, Fault, PersistError,
+    PersistStats, RecoveryStats, WAL_HEADER_BYTES,
 };
 use dewrite::trace::{app_by_name, shard_of_line, TraceOp};
-use dewrite_engine::{EngineConfig, ShardController};
+use dewrite_engine::{DigestMode, EngineConfig, ShardController};
 use dewrite_net::proto::{Hello, NET_VERSION};
 use dewrite_net::{Control, NetServer, ServeOptions};
 
 const KEY: &[u8; 16] = b"torture test key";
-const LINES: u64 = 512;
-const WRITES: u64 = 600;
+const LINE: usize = 256;
+/// Writes per epoch record.
 const EPOCH: u32 = 16;
+/// The minimum spacing of automatic checkpoints, in epochs.
+const CHECKPOINT_EPOCHS: u32 = 8;
+/// Bound on the lines a recovered snapshot may claim.
+const MAX_LINES: u64 = 1 << 20;
 
-fn config() -> SystemConfig {
-    SystemConfig::for_lines(LINES)
+/// A shard store's identity: which shard of how many, over how many slots.
+#[derive(Clone, Copy)]
+struct Geometry {
+    id: usize,
+    shards: usize,
+    slots: u64,
 }
 
-/// Deterministic line content for write `i`: a 96-line address space and a
-/// 7-tag content pool, so the workload remaps, deduplicates, and frees.
-fn content(i: u64) -> (LineAddr, Vec<u8>) {
-    let addr = LineAddr::new((i * 11 + i / 7) % 96);
-    let tag = (i % 7) as u8;
-    let data: Vec<u8> = (0..256).map(|j| tag.wrapping_add((j / 16) as u8)).collect();
-    (addr, data)
+/// The sweep's shard is 1 of 2, so every op's global address differs from
+/// its slot.
+const SWEEP: Geometry = Geometry {
+    id: 1,
+    shards: 2,
+    slots: 256,
+};
+/// The long segments' shard: big enough for a ~200 KB image.
+const LONG: Geometry = Geometry {
+    id: 0,
+    shards: 1,
+    slots: 1 << 14,
+};
+
+impl Geometry {
+    fn shard(self) -> ShardController {
+        ShardController::new(self.id, self.shards, self.slots, LINE, KEY)
+    }
+
+    fn fingerprint(self) -> u64 {
+        ShardController::persist_fingerprint(
+            self.id,
+            self.shards,
+            self.slots,
+            LINE,
+            DigestMode::Crc32Verify,
+        )
+    }
+
+    /// The snapshot of a fresh shard fed writes `0..writes` of `write`.
+    fn reference(self, write: fn(&mut ShardController, u64), writes: u64) -> Snapshot {
+        let mut shard = self.shard();
+        for i in 0..writes {
+            write(&mut shard, i);
+        }
+        shard.snapshot()
+    }
 }
 
-/// Run the durable workload and crash it (drop without shutdown), leaving
-/// the open epoch unflushed. Returns the store directory.
-fn build_store(tag: &str) -> PathBuf {
+/// Attach a store to a fresh `geometry` shard, feed it `write(shard, i)`
+/// for i = 0, 1, … until `stop(i, shard)` says so after write i, then
+/// crash it (drop without a shutdown), losing the open epoch. Returns the
+/// store directory.
+fn build_store(
+    tag: &str,
+    geometry: Geometry,
+    write: fn(&mut ShardController, u64),
+    mut stop: impl FnMut(u64, &ShardController) -> bool,
+) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dewrite-torture-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
+    let mut shard = geometry.shard();
     let opts = DurableOptions {
         epoch_writes: EPOCH,
-        checkpoint_epochs: 8,
+        checkpoint_epochs: CHECKPOINT_EPOCHS,
         sync: false,
     };
-    let mut mem =
-        DurableDeWrite::create(&dir, config(), DeWriteConfig::paper(), KEY, opts).expect("create");
-    for i in 0..WRITES {
-        let (addr, data) = content(i);
-        mem.write(addr, &data, i * 600).expect("write");
+    shard.attach_persistence(&dir, opts).expect("attach");
+    for i in 0.. {
+        write(&mut shard, i);
+        if stop(i, &shard) {
+            break;
+        }
     }
-    drop(mem); // crash: the open epoch is lost
+    drop(shard); // crash: the open epoch is lost
     dir
+}
+
+/// `ends[k]` is the byte offset right after record k of the segment image
+/// `wal`, `covered[k]` the write count it reaches. The encoding is
+/// deterministic, so re-encoding each record reproduces its extent.
+fn record_layout(wal: &[u8], fp: u64) -> (Vec<usize>, Vec<u64>) {
+    let decoded = decode_wal(wal, fp).expect("pristine decode");
+    let mut ends = Vec::new();
+    let mut covered = Vec::new();
+    let mut off = WAL_HEADER_BYTES;
+    for rec in &decoded.records {
+        off += encode_record(rec).len();
+        ends.push(off);
+        covered.push(rec.writes_covered);
+    }
+    assert_eq!(off, wal.len(), "crashed mid-epoch: no partial record");
+    (ends, covered)
+}
+
+/// Writes of the sweep workload: the crash loses the last 600 % 16 = 8.
+const WRITES: u64 = 600;
+
+/// Write `i` of the sweep workload: a 96-address space (shard 1's odd
+/// addresses) and a 7-tag content pool, so the workload remaps,
+/// deduplicates, and frees.
+fn sweep_write(shard: &mut ShardController, i: u64) {
+    let addr = LineAddr::new((i * 11 + i / 7) % 96 * 2 + 1);
+    let tag = (i % 7) as u8;
+    let data: Vec<u8> = (0..256).map(|j| tag.wrapping_add((j / 16) as u8)).collect();
+    shard.write(addr, &data, 0);
 }
 
 /// Store files with the given prefix/extension, ascending by sequence.
@@ -112,22 +187,8 @@ struct Case {
     expect: Expect,
 }
 
-/// Rebuild the reference controller state at write boundary `w` by
-/// deterministic replay, returning it plus the shadow map of its lines.
-fn reference_at(w: u64) -> (DeWrite, HashMap<u64, Vec<u8>>) {
-    let mut mem = DeWrite::new(config(), DeWriteConfig::paper(), KEY);
-    let mut shadow = HashMap::new();
-    for i in 0..w {
-        let (addr, data) = content(i);
-        mem.write(addr, &data, i * 600).expect("write");
-        shadow.insert(addr.index(), data);
-    }
-    (mem, shadow)
-}
-
 /// Run one fault case against a clone of `store` and panic on any deviation
-/// from its expectation. Returns the stats (successful cases) for the
-/// summary.
+/// from its expectation. Returns the stats of a case that recovers.
 fn run_case(store: &Path, scratch: &Path, case: &Case) -> Option<RecoveryStats> {
     clone_store(store, scratch);
     for (file, fault) in &case.faults {
@@ -136,10 +197,10 @@ fn run_case(store: &Path, scratch: &Path, case: &Case) -> Option<RecoveryStats> 
         apply_fault(&mut bytes, *fault);
         fs::write(&path, &bytes).expect("write faulted file");
     }
+    let recovered = recover_state(scratch, SWEEP.fingerprint(), MAX_LINES);
     match &case.expect {
         Expect::Reject => {
-            let device = dewrite::nvm::NvmDevice::new(config().nvm.clone()).expect("device");
-            let err = DeWrite::recover(scratch, config(), DeWriteConfig::paper(), KEY, device)
+            let err = recovered
                 .err()
                 .unwrap_or_else(|| panic!("{}: must be rejected, but recovered", case.label));
             assert!(
@@ -154,13 +215,8 @@ fn run_case(store: &Path, scratch: &Path, case: &Case) -> Option<RecoveryStats> 
             torn,
             skipped,
         } => {
-            // The epoch is the atomic unit of loss for data and metadata
-            // alike: rebuild the device as it stood at the boundary.
-            let (reference, shadow) = reference_at(*writes);
-            let (ref_snapshot, device) = reference.power_off();
-            let (mut recovered, stats) =
-                DeWrite::recover(scratch, config(), DeWriteConfig::paper(), KEY, device)
-                    .unwrap_or_else(|e| panic!("{}: recovery failed: {e}", case.label));
+            let (snapshot, stats) =
+                recovered.unwrap_or_else(|e| panic!("{}: recovery failed: {e}", case.label));
             assert_eq!(
                 stats.writes_covered, *writes,
                 "{}: recovered to the wrong boundary",
@@ -174,22 +230,14 @@ fn run_case(store: &Path, scratch: &Path, case: &Case) -> Option<RecoveryStats> 
                     case.label
                 );
             }
+            // The epoch is the atomic unit of loss: the recovered metadata
+            // is a fresh shard's fed the first `writes` writes.
             assert_eq!(
-                recovered.snapshot(),
-                ref_snapshot,
+                snapshot,
+                SWEEP.reference(sweep_write, *writes),
                 "{}: recovered metadata differs from the replayed reference",
                 case.label
             );
-            let mut t = 1_000_000_000;
-            for (&addr, expect) in &shadow {
-                let got = recovered.read(LineAddr::new(addr), t).expect("read").data;
-                assert_eq!(&got, expect, "{}: line {addr} corrupted", case.label);
-                t += 500;
-            }
-            recovered
-                .index()
-                .check_invariants()
-                .unwrap_or_else(|e| panic!("{}: invariants: {e}", case.label));
             Some(stats)
         }
     }
@@ -197,8 +245,8 @@ fn run_case(store: &Path, scratch: &Path, case: &Case) -> Option<RecoveryStats> 
 
 #[test]
 fn torture_sweep_over_tear_points_and_bit_flips() {
-    let store = build_store("sweep");
-    let fp = DeWriteConfig::paper().fingerprint();
+    let store = build_store("sweep", SWEEP, sweep_write, |i, _| i + 1 == WRITES);
+    let fp = SWEEP.fingerprint();
 
     let ckpts = seq_files(&store, "ckpt-", ".dwck");
     let wals = seq_files(&store, "wal-", ".log");
@@ -209,26 +257,13 @@ fn torture_sweep_over_tear_points_and_bit_flips() {
     let (_, newest_ckpt) = ckpts.last().expect("a checkpoint").clone();
     let (_, older_ckpt) = ckpts[ckpts.len() - 2].clone();
 
-    // Decode the pristine newest segment once to learn its record layout:
-    // `ends[k]` is the byte offset right after record k, and `covered[k]`
-    // the cumulative write count it reaches. The encoding is deterministic,
-    // so re-encoding each record reproduces its on-disk extent.
+    // The pristine newest segment's record layout.
     let wal_bytes = fs::read(store.join(&newest_wal)).expect("read newest wal");
-    let decoded = decode_wal(&wal_bytes, fp).expect("pristine decode");
-    let base_writes = decoded
-        .records
+    let (ends, covered) = record_layout(&wal_bytes, fp);
+    let base_writes = covered
         .first()
-        .map(|r| r.base_writes)
+        .map(|w| w - u64::from(EPOCH))
         .expect("crashed run leaves records in the newest segment");
-    let mut ends = Vec::new();
-    let mut covered = Vec::new();
-    let mut off = WAL_HEADER_BYTES;
-    for rec in &decoded.records {
-        off += encode_record(rec).len();
-        ends.push(off);
-        covered.push(rec.writes_covered);
-    }
-    assert_eq!(off, wal_bytes.len(), "crashed mid-epoch: no partial record");
     let flushed = *covered.last().expect("records");
     assert_eq!(flushed, WRITES - WRITES % u64::from(EPOCH));
 
@@ -360,24 +395,15 @@ fn torture_sweep_over_tear_points_and_bit_flips() {
     let mut rejected = 0u64;
     let mut torn_seen = 0u64;
     let mut boundaries: BTreeSet<u64> = BTreeSet::new();
-    let mut case_objs: Vec<Json> = Vec::new();
     for case in &cases {
-        let stats = run_case(&store, &scratch, case);
-        let mut fields = vec![("label".to_string(), Json::Str(case.label.clone()))];
-        match stats {
+        match run_case(&store, &scratch, case) {
             Some(s) => {
                 recovered += 1;
                 torn_seen += u64::from(s.torn_tail);
                 boundaries.insert(s.writes_covered);
-                fields.push(("outcome".into(), Json::Str("recovered".into())));
-                fields.push(("stats".into(), s.to_json()));
             }
-            None => {
-                rejected += 1;
-                fields.push(("outcome".into(), Json::Str("rejected".into())));
-            }
+            None => rejected += 1,
         }
-        case_objs.push(Json::Obj(fields));
     }
     let _ = fs::remove_dir_all(&scratch);
     let _ = fs::remove_dir_all(&store);
@@ -393,28 +419,11 @@ fn torture_sweep_over_tear_points_and_bit_flips() {
         );
     }
 
-    let summary = Json::Obj(vec![
-        ("workload_writes".into(), Json::Num(WRITES as f64)),
-        ("epoch_writes".into(), Json::Num(f64::from(EPOCH))),
-        ("flushed_writes".into(), Json::Num(flushed as f64)),
-        ("cases".into(), Json::Num(cases.len() as f64)),
-        ("recovered".into(), Json::Num(recovered as f64)),
-        ("rejected".into(), Json::Num(rejected as f64)),
-        ("torn_tails_detected".into(), Json::Num(torn_seen as f64)),
-        (
-            "distinct_boundaries".into(),
-            Json::Arr(boundaries.iter().map(|&b| Json::Num(b as f64)).collect()),
-        ),
-        ("case_results".into(), Json::Arr(case_objs)),
-    ]);
-    let out = std::env::var("TORTURE_OUT").unwrap_or_else(|_| {
-        let _ = fs::create_dir_all("target");
-        "target/torture_summary.json".into()
-    });
-    fs::write(&out, format!("{summary}\n")).expect("write torture summary");
     println!(
-        "torture: {} cases, {recovered} recovered, {rejected} rejected -> {out}",
-        cases.len()
+        "torture: {} cases, {recovered} recovered, {rejected} rejected, {torn_seen} torn tails, \
+         {} boundaries",
+        cases.len(),
+        boundaries.len()
     );
 }
 
@@ -560,23 +569,6 @@ fn socket_kill_mid_stream_recovers_every_shard_to_an_epoch_boundary() {
 // outgrown the image, so a segment holds hundreds of epochs, not eight.
 // ---------------------------------------------------------------------------
 
-const LONG_SLOTS: u64 = 1 << 14;
-const LONG_EPOCH: u32 = 16;
-
-fn long_fingerprint() -> u64 {
-    ShardController::persist_fingerprint(
-        0,
-        1,
-        LONG_SLOTS,
-        256,
-        dewrite_engine::DigestMode::Crc32Verify,
-    )
-}
-
-fn long_shard() -> ShardController {
-    ShardController::new(0, 1, LONG_SLOTS, 256, KEY)
-}
-
 /// Write `i` of the long workload: 6000 addresses over a 3000-content
 /// pool, so the image settles near 200 KB while writes keep remapping,
 /// deduplicating and freeing.
@@ -598,67 +590,40 @@ struct LongStore {
 }
 
 fn build_long_store(tag: &str) -> LongStore {
-    let dir =
-        std::env::temp_dir().join(format!("dewrite-torture-long-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let mut shard = long_shard();
-    let opts = DurableOptions {
-        epoch_writes: LONG_EPOCH,
-        checkpoint_epochs: 8,
-        sync: false,
-    };
-    shard.attach_persistence(&dir, opts).expect("attach");
-    let mut stats = shard.persist_stats().expect("attached");
+    let mut stats: Option<PersistStats> = None;
     let mut older_image_bytes = 0;
-    for i in 0.. {
+    let dir = build_store(&format!("long-{tag}"), LONG, long_write, |i, shard| {
         assert!(
             i < 200_000,
             "the long workload never reached a long segment"
         );
-        long_write(&mut shard, i);
         let now = shard.persist_stats().expect("attached");
-        if now.checkpoints > stats.checkpoints {
-            older_image_bytes = stats.image_bytes;
+        if let Some(before) = stats.replace(now) {
+            if now.checkpoints > before.checkpoints {
+                older_image_bytes = before.image_bytes;
+            }
         }
-        stats = now;
         // Stop three quarters of the way to the next checkpoint, three
         // writes into an epoch, once the image has stopped being small.
-        if stats.image_bytes > 150_000
-            && stats.segment_bytes * 4 >= stats.image_bytes * 3
-            && i % u64::from(LONG_EPOCH) == 2
-        {
-            break;
+        let stop = now.image_bytes > 150_000
+            && now.segment_bytes * 4 >= now.image_bytes * 3
+            && i % u64::from(EPOCH) == 2;
+        if stop {
+            assert_eq!(shard.unflushed_wal_writes(), 3);
         }
-    }
-    assert_eq!(shard.unflushed_wal_writes(), 3);
-    drop(shard); // crash: the open epoch is lost
+        stop
+    });
     LongStore {
         dir,
-        at_crash: stats,
+        at_crash: stats.expect("the workload wrote"),
         older_image_bytes,
     }
-}
-
-/// `ends[k]` is the byte offset right after record k of the segment image
-/// `wal`, `covered[k]` the write count it reaches.
-fn record_layout(wal: &[u8], fp: u64) -> (Vec<usize>, Vec<u64>) {
-    let decoded = decode_wal(wal, fp).expect("pristine decode");
-    let mut ends = Vec::new();
-    let mut covered = Vec::new();
-    let mut off = WAL_HEADER_BYTES;
-    for rec in &decoded.records {
-        off += encode_record(rec).len();
-        ends.push(off);
-        covered.push(rec.writes_covered);
-    }
-    assert_eq!(off, wal.len(), "crashed mid-epoch: no partial record");
-    (ends, covered)
 }
 
 #[test]
 fn long_segment_kill_points_recover_to_epoch_boundaries() {
     let store = build_long_store("kill");
-    let fp = long_fingerprint();
+    let fp = LONG.fingerprint();
     let (_, newest_wal) = seq_files(&store.dir, "wal-", ".log")
         .pop()
         .expect("a wal segment");
@@ -666,7 +631,7 @@ fn long_segment_kill_points_recover_to_epoch_boundaries() {
     assert_eq!(wal_bytes.len() as u64, store.at_crash.segment_bytes);
     let (ends, covered) = record_layout(&wal_bytes, fp);
     assert!(ends.len() >= 100, "only {} records", ends.len());
-    let base_writes = covered[0] - u64::from(LONG_EPOCH);
+    let base_writes = covered[0] - u64::from(EPOCH);
 
     // Kill points: pseudo-random offsets across the segment, plus the
     // intact file. Ascending, so one reference shard can follow them.
@@ -683,7 +648,7 @@ fn long_segment_kill_points_recover_to_epoch_boundaries() {
 
     let scratch =
         std::env::temp_dir().join(format!("dewrite-torture-long-cut-{}", std::process::id()));
-    let mut reference = long_shard();
+    let mut reference = LONG.shard();
     let mut fed = 0u64;
     let mut boundaries = BTreeSet::new();
     for cut in cuts {
@@ -693,7 +658,7 @@ fn long_segment_kill_points_recover_to_epoch_boundaries() {
         apply_fault(&mut bytes, Fault::Truncate { at: cut as u64 });
         fs::write(&path, &bytes).expect("write faulted file");
 
-        let (snap, stats) = recover_state(&scratch, fp, 1 << 20)
+        let (snap, stats) = recover_state(&scratch, fp, MAX_LINES)
             .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
         let whole = ends.iter().take_while(|&&e| e <= cut).count();
         let expect = if whole == 0 {
@@ -702,7 +667,7 @@ fn long_segment_kill_points_recover_to_epoch_boundaries() {
             covered[whole - 1]
         };
         assert_eq!(stats.writes_covered, expect, "cut {cut}: wrong boundary");
-        assert_eq!(stats.writes_covered % u64::from(LONG_EPOCH), 0);
+        assert_eq!(stats.writes_covered % u64::from(EPOCH), 0);
         assert_eq!(stats.records_replayed, whole as u64, "cut {cut}");
         let on_boundary = cut == WAL_HEADER_BYTES || ends.contains(&cut);
         assert_eq!(stats.torn_tail, !on_boundary, "cut {cut}: torn verdict");
@@ -727,7 +692,7 @@ fn long_segment_kill_points_recover_to_epoch_boundaries() {
 #[test]
 fn torn_checkpoint_after_long_segment_falls_back_and_replays_it() {
     let store = build_long_store("fallback");
-    let fp = long_fingerprint();
+    let fp = LONG.fingerprint();
     let wals = seq_files(&store.dir, "wal-", ".log");
     let ckpts = seq_files(&store.dir, "ckpt-", ".dwck");
     assert_eq!((wals.len(), ckpts.len()), (2, 2), "two pairs on disk");
@@ -743,7 +708,7 @@ fn torn_checkpoint_after_long_segment_falls_back_and_replays_it() {
     let (newest_ends, newest_covered) = record_layout(&newest_wal, fp);
     let flushed = *newest_covered.last().expect("records");
 
-    let (pristine, stats) = recover_state(&store.dir, fp, 1 << 20).expect("pristine recovery");
+    let (pristine, stats) = recover_state(&store.dir, fp, MAX_LINES).expect("pristine recovery");
     assert_eq!(stats.checkpoint_seq, newest_seq);
     assert_eq!(stats.records_replayed, newest_ends.len() as u64);
     assert_eq!(stats.writes_covered, flushed);
@@ -753,7 +718,7 @@ fn torn_checkpoint_after_long_segment_falls_back_and_replays_it() {
     apply_fault(&mut bytes, Fault::BitFlip { at: 40, bit: 2 });
     fs::write(&path, &bytes).expect("tear newest checkpoint");
 
-    let (fallback, stats) = recover_state(&store.dir, fp, 1 << 20).expect("fallback recovery");
+    let (fallback, stats) = recover_state(&store.dir, fp, MAX_LINES).expect("fallback recovery");
     assert_eq!(stats.checkpoints_skipped, 1);
     assert_eq!(stats.checkpoint_seq, newest_seq - 1);
     assert_eq!(stats.segments_scanned, 2);
@@ -766,10 +731,6 @@ fn torn_checkpoint_after_long_segment_falls_back_and_replays_it() {
     assert!(!stats.torn_tail);
     assert_eq!(fallback, pristine, "both routes reach the same state");
 
-    let mut reference = long_shard();
-    for i in 0..flushed {
-        long_write(&mut reference, i);
-    }
-    assert_eq!(fallback, reference.snapshot());
+    assert_eq!(fallback, LONG.reference(long_write, flushed));
     let _ = fs::remove_dir_all(&store.dir);
 }
