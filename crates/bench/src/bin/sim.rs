@@ -70,7 +70,7 @@ fn usage() -> ExitCode {
     eprintln!("  --encoding E        raw | dcw | fnw");
     eprintln!("  --persistence P     battery | write-through | epoch:N");
     eprintln!("  --stt               use STT-RAM timing instead of PCM");
-    eprintln!("  --cache-policy P    metadata-cache eviction: lru | fifo | s3-fifo [lru]");
+    eprintln!("  --cache-policy P    metadata-cache eviction: lru | s3-fifo [lru]");
     eprintln!("  --json              print the full report as JSON instead of text");
     eprintln!(
         "  --folded            print the stage breakdown as collapsed stacks (flamegraph.pl input)"

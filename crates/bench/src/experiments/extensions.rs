@@ -94,9 +94,9 @@ pub fn ext_hash(ctx: &mut Ctx) {
     ctx.emit(&t, "ext_hash");
 }
 
-/// Replacement-policy ablation: LRU vs FIFO vs scan-resistant S3-FIFO
-/// metadata caches, one row per (app, policy): dedup rate and tail
-/// latency per policy.
+/// Replacement-policy ablation: LRU vs scan-resistant S3-FIFO metadata
+/// caches, one row per (app, policy): dedup rate and tail latency per
+/// policy.
 pub fn ext_repl(ctx: &mut Ctx) {
     let apps = ["mcf", "cactusADM", "vips", "streamcluster"];
     let profiles: Vec<_> = apps

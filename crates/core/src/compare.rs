@@ -11,50 +11,17 @@
 //! scalar `u64`s. The crate stays `forbid(unsafe_code)` — no intrinsics,
 //! just an autovectorization-friendly shape.
 //!
-//! Like the crypto and hash engines, the kernel honors the forced-portable
-//! switch (`DEWRITE_PORTABLE=1`, or [`dewrite_hashes::set_portable_only`]):
-//! when portable-only is set, a plain byte-at-a-time loop (the seed-era
-//! shape) runs instead, so CI's determinism leg exercises both paths.
-//! Equality is equality either way — the switch can never change a
-//! simulated report, which is exactly why the fast path needs no oracle
-//! beyond the differential tests below.
+//! Equality is equality: the kernel can never change a simulated report,
+//! so it needs no oracle beyond the differential tests against `==` below.
 
 /// Whether two lines hold identical bytes.
 ///
-/// Lines of different lengths are never equal. Dispatches to the chunked
-/// kernel unless portable-only mode is forced.
+/// Lines of different lengths are never equal. Compares 32-byte blocks as
+/// four `u64` XOR lanes, one branch per block; then an 8-byte tail loop;
+/// then a byte tail. A 256 B line is eight block iterations and zero tail
+/// work.
 #[inline]
 pub fn lines_equal(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    if dewrite_hashes::portable_only() {
-        lines_equal_portable(a, b)
-    } else {
-        lines_equal_chunked(a, b)
-    }
-}
-
-/// The seed-era shape: one byte per iteration, early exit on the first
-/// mismatch. Kept as the forced-portable path and the benchmark baseline.
-#[inline]
-pub fn lines_equal_portable(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    for i in 0..a.len() {
-        if a[i] != b[i] {
-            return false;
-        }
-    }
-    true
-}
-
-/// Chunked compare: 32-byte blocks as four `u64` XOR lanes, one branch per
-/// block; then an 8-byte tail loop; then a byte tail. A 256 B line is eight
-/// block iterations and zero tail work.
-#[inline]
-pub fn lines_equal_chunked(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -96,10 +63,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn all_agree(a: &[u8], b: &[u8]) {
-        let expect = a == b;
-        assert_eq!(lines_equal_chunked(a, b), expect, "chunked vs ==");
-        assert_eq!(lines_equal_portable(a, b), expect, "portable vs ==");
-        assert_eq!(lines_equal(a, b), expect, "dispatched vs ==");
+        assert_eq!(lines_equal(a, b), a == b, "chunked vs ==");
     }
 
     #[test]
@@ -107,7 +71,7 @@ mod tests {
         all_agree(&[], &[]);
         assert!(!lines_equal(&[1], &[]));
         assert!(!lines_equal(&[1, 2, 3], &[1, 2]));
-        assert!(!lines_equal_chunked(&[0u8; 256], &[0u8; 255]));
+        assert!(!lines_equal(&[0u8; 256], &[0u8; 255]));
     }
 
     #[test]
@@ -127,8 +91,8 @@ mod tests {
     }
 
     proptest! {
-        // Differential: chunked and portable must both agree with `==` on
-        // arbitrary 256 B pairs.
+        // Differential: the kernel must agree with `==` on arbitrary 256 B
+        // pairs.
         #[test]
         fn differential_arbitrary_pairs(
             a in proptest::collection::vec(any::<u8>(), 256),
@@ -152,19 +116,16 @@ mod tests {
         ) {
             let mut b = a.clone();
             b[byte] ^= 1 << bit;
-            prop_assert!(!lines_equal_chunked(&a, &b));
-            prop_assert!(!lines_equal_portable(&a, &b));
-            all_agree(&a, &b);
+            prop_assert!(!lines_equal(&a, &b));
         }
 
-        // The last byte is the worst case for early-exit loops: both
-        // kernels must still catch it.
+        // A difference in the last byte only shows in the last block: the
+        // kernel must still catch it.
         #[test]
         fn differential_last_byte_diff(a in proptest::collection::vec(any::<u8>(), 256)) {
             let mut b = a.clone();
             b[255] = b[255].wrapping_add(1);
-            prop_assert!(!lines_equal_chunked(&a, &b));
-            prop_assert!(!lines_equal_portable(&a, &b));
+            prop_assert!(!lines_equal(&a, &b));
         }
     }
 }

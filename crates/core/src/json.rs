@@ -3,12 +3,12 @@
 //! The build environment is offline (no serde), so reports carry their own
 //! hand-rolled JSON value type with a compact writer and a
 //! recursive-descent parser. The schema is versioned
-//! ([`SCHEMA_VERSION`]) and round-trips: `RunReport::from_json`
-//! reconstructs everything `RunReport::to_json` emits, including the
-//! per-stage latency histograms.
+//! ([`SCHEMA_VERSION`]) and write-only: `RunReport::to_json` emits it,
+//! including the per-stage latency histograms, and readers (the benchmark,
+//! tests) walk the parsed [`Json`] tree themselves.
 //!
 //! Numbers are `f64`; all integer counters in the reports stay below 2^53,
-//! so the round-trip is exact.
+//! so they print exactly.
 
 use dewrite_mem::{LatencyHistogram, LatencyStats};
 use dewrite_nvm::EnergyBreakdown;
@@ -309,35 +309,6 @@ fn num(n: u64) -> Json {
     Json::Num(n as f64)
 }
 
-fn field<T>(j: &Json, key: &str, read: impl Fn(&Json) -> Option<T>) -> Result<T, String> {
-    j.get(key)
-        .and_then(read)
-        .ok_or_else(|| format!("missing or mistyped field `{key}`"))
-}
-
-fn req<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
-    field(j, key, Json::as_u64)
-}
-
-fn f64_field(j: &Json, key: &str) -> Result<f64, String> {
-    field(j, key, Json::as_f64)
-}
-
-/// A `u64` field that defaults to zero when absent — for counters added
-/// after schema version 1 shipped, so older exports still parse.
-fn u64_field_or_zero(j: &Json, key: &str) -> Result<u64, String> {
-    match j.get(key) {
-        None => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("field `{key}` is not a u64")),
-    }
-}
-
 fn lat_to_json(s: &LatencyStats) -> Json {
     Json::Obj(vec![
         ("count".into(), num(s.count())),
@@ -346,15 +317,6 @@ fn lat_to_json(s: &LatencyStats) -> Json {
         ("max_ns".into(), num(s.max_ns())),
         ("mean_ns".into(), Json::Num(s.mean_ns())),
     ])
-}
-
-fn lat_from_json(j: &Json) -> Result<LatencyStats, String> {
-    Ok(LatencyStats::from_parts(
-        u64_field(j, "count")?,
-        u64_field(j, "total_ns")?,
-        u64_field(j, "min_ns")?,
-        u64_field(j, "max_ns")?,
-    ))
 }
 
 fn hist_to_json(h: &LatencyHistogram) -> Json {
@@ -375,38 +337,6 @@ fn hist_to_json(h: &LatencyHistogram) -> Json {
     Json::Obj(pairs)
 }
 
-fn hist_from_json(j: &Json) -> Result<LatencyHistogram, String> {
-    let stats = lat_from_json(j)?;
-    let buckets = req(j, "buckets")?
-        .as_arr()
-        .ok_or("field `buckets` is not an array")?;
-    let buckets: Vec<(u16, u64)> = buckets
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("bad bucket pair")?;
-            let bucket = pair[0].as_u64().ok_or("bad bucket index")?;
-            let bucket = u16::try_from(bucket).map_err(|e| e.to_string())?;
-            let count = pair[1].as_u64().ok_or("bad bucket count")?;
-            Ok((bucket, count))
-        })
-        .collect::<Result<_, String>>()?;
-    LatencyHistogram::from_parts(stats, buckets)
-}
-
-/// A latency stream written twice, as the summary `key` and the histogram
-/// `key_hist`: read from the histogram, refused when the two disagree.
-fn latency_from_json(j: &Json, key: &str) -> Result<LatencyHistogram, String> {
-    let hist_key = format!("{key}_hist");
-    let hist = hist_from_json(req(j, &hist_key)?)?;
-    if lat_from_json(req(j, key)?)? != hist.stats() {
-        return Err(format!("`{key}` disagrees with `{hist_key}`"));
-    }
-    Ok(hist)
-}
-
 fn stages_to_json(b: &StageBreakdown) -> Json {
     Json::Obj(
         Stage::ALL
@@ -414,21 +344,6 @@ fn stages_to_json(b: &StageBreakdown) -> Json {
             .map(|s| (s.name().to_string(), hist_to_json(b.stage(s))))
             .collect(),
     )
-}
-
-fn breakdown_from_json(paths: &Json, stages: &Json) -> Result<StageBreakdown, String> {
-    let mut b = StageBreakdown::default();
-    b.duplicate_writes = u64_field(paths, "duplicate_writes")?;
-    b.stored_writes = u64_field(paths, "stored_writes")?;
-    b.predicted_dup = u64_field(paths, "predicted_dup")?;
-    b.pna_skips = u64_field(paths, "pna_skips")?;
-    for stage in Stage::ALL {
-        let hist = stages
-            .get(stage.name())
-            .ok_or_else(|| format!("missing stage `{}`", stage.name()))?;
-        *b.stage_mut(stage) = hist_from_json(hist)?;
-    }
-    Ok(b)
 }
 
 fn base_to_json(b: &BaseMetrics) -> Json {
@@ -445,20 +360,6 @@ fn base_to_json(b: &BaseMetrics) -> Json {
     ])
 }
 
-fn base_from_json(j: &Json) -> Result<BaseMetrics, String> {
-    Ok(BaseMetrics {
-        writes: u64_field(j, "writes")?,
-        writes_eliminated: u64_field(j, "writes_eliminated")?,
-        coalesced_writes: u64_field_or_zero(j, "coalesced_writes")?,
-        reads: u64_field(j, "reads")?,
-        aes_line_ops: u64_field(j, "aes_line_ops")?,
-        hash_ops: u64_field(j, "hash_ops")?,
-        verify_reads: u64_field(j, "verify_reads")?,
-        meta_nvm_reads: u64_field(j, "meta_nvm_reads")?,
-        meta_nvm_writes: u64_field(j, "meta_nvm_writes")?,
-    })
-}
-
 fn energy_to_json(e: &EnergyBreakdown) -> Json {
     Json::Obj(vec![
         ("nvm_read_pj".into(), num(e.nvm_read_pj)),
@@ -466,15 +367,6 @@ fn energy_to_json(e: &EnergyBreakdown) -> Json {
         ("aes_pj".into(), num(e.aes_pj)),
         ("dedup_pj".into(), num(e.dedup_pj)),
     ])
-}
-
-fn energy_from_json(j: &Json) -> Result<EnergyBreakdown, String> {
-    Ok(EnergyBreakdown {
-        nvm_read_pj: u64_field(j, "nvm_read_pj")?,
-        nvm_write_pj: u64_field(j, "nvm_write_pj")?,
-        aes_pj: u64_field(j, "aes_pj")?,
-        dedup_pj: u64_field(j, "dedup_pj")?,
-    })
 }
 
 impl DeWriteMetrics {
@@ -498,26 +390,6 @@ impl DeWriteMetrics {
                 Json::Num(self.predictor_accuracy),
             ),
         ])
-    }
-
-    /// Deserialize from the stable report schema.
-    ///
-    /// # Errors
-    ///
-    /// Returns which field is missing or mistyped.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(DeWriteMetrics {
-            dup_eliminated: u64_field(j, "dup_eliminated")?,
-            pna_skips: u64_field(j, "pna_skips")?,
-            pna_missed_dups: u64_field(j, "pna_missed_dups")?,
-            saturated_skips: u64_field(j, "saturated_skips")?,
-            false_matches: u64_field(j, "false_matches")?,
-            parallel_writes: u64_field(j, "parallel_writes")?,
-            direct_writes: u64_field(j, "direct_writes")?,
-            wasted_encryptions: u64_field(j, "wasted_encryptions")?,
-            saved_encryptions: u64_field(j, "saved_encryptions")?,
-            predictor_accuracy: f64_field(j, "predictor_accuracy")?,
-        })
     }
 }
 
@@ -607,43 +479,6 @@ impl RunReport {
             ),
         ])
     }
-
-    /// Reconstruct a report from its schema. Unknown fields are ignored;
-    /// newer schema versions are rejected.
-    ///
-    /// # Errors
-    ///
-    /// Returns which field is missing, mistyped, or inconsistent.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let version = u64_field(j, "schema_version")?;
-        if version > SCHEMA_VERSION {
-            return Err(format!(
-                "report schema version {version} is newer than supported {SCHEMA_VERSION}"
-            ));
-        }
-        let dewrite = match j.get("dewrite") {
-            None | Some(Json::Null) => None,
-            Some(m) => Some(DeWriteMetrics::from_json(m)?),
-        };
-        Ok(RunReport {
-            scheme: field(j, "scheme", |v| v.as_str().map(String::from))?,
-            app: field(j, "app", |v| v.as_str().map(String::from))?,
-            instructions: u64_field(j, "instructions")?,
-            cycles: f64_field(j, "cycles")?,
-            ipc: f64_field(j, "ipc")?,
-            write_latency: latency_from_json(j, "write_latency")?,
-            write_latency_eliminated: lat_from_json(req(j, "write_latency_eliminated")?)?,
-            write_latency_stored: lat_from_json(req(j, "write_latency_stored")?)?,
-            read_latency: latency_from_json(j, "read_latency")?,
-            write_critical: lat_from_json(req(j, "write_critical")?)?,
-            stage_breakdown: breakdown_from_json(req(j, "write_paths")?, req(j, "stages")?)?,
-            base: base_from_json(req(j, "base")?)?,
-            energy: energy_from_json(req(j, "energy")?)?,
-            nvm_data_writes: u64_field(j, "nvm_data_writes")?,
-            bit_flip_ratio: f64_field(j, "bit_flip_ratio")?,
-            dewrite,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -688,49 +523,6 @@ mod tests {
     fn integers_emit_without_decimal_point() {
         assert_eq!(num(42).to_string(), "42");
         assert_eq!(Json::Num(0.25).to_string(), "0.25");
-    }
-
-    #[test]
-    fn histogram_round_trips() {
-        let mut h = LatencyHistogram::new();
-        for ns in [3, 75, 75, 91, 300, 4_096, 70_000] {
-            h.record(ns);
-        }
-        let j = hist_to_json(&h);
-        let back = hist_from_json(&j).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(j.get("p50_ns").unwrap().as_u64(), Some(h.p50_ns()));
-    }
-
-    #[test]
-    fn histogram_import_validates_counts() {
-        let mut h = LatencyHistogram::new();
-        h.record(10);
-        let Json::Obj(mut pairs) = hist_to_json(&h) else {
-            unreachable!()
-        };
-        for (k, v) in &mut pairs {
-            if k == "buckets" {
-                *v = Json::Arr(vec![]);
-            }
-        }
-        assert!(hist_from_json(&Json::Obj(pairs)).is_err());
-    }
-
-    #[test]
-    fn histogram_import_rejects_buckets_past_the_last() {
-        let mut h = LatencyHistogram::new();
-        h.record(10);
-        let Json::Obj(mut pairs) = hist_to_json(&h) else {
-            unreachable!()
-        };
-        for (k, v) in &mut pairs {
-            if k == "buckets" {
-                *v = Json::Arr(vec![Json::Arr(vec![num(60_000), num(1)])]);
-            }
-        }
-        let err = hist_from_json(&Json::Obj(pairs)).unwrap_err();
-        assert!(err.contains("past the last bucket"), "{err}");
     }
 
     /// The sparse histogram the JSON form was defined against: an ordered
@@ -819,8 +611,6 @@ mod tests {
         Record(usize, u64),
         /// Merge the other histogram into this one.
         Merge(usize),
-        /// Rebuild this one from its own parts, padded with zero counts.
-        Reimport(usize),
     }
 
     fn hist_op_strategy() -> impl proptest::strategy::Strategy<Value = HistOp> {
@@ -830,7 +620,6 @@ mod tests {
             (0usize..2, ns()).prop_map(|(h, ns)| HistOp::Record(h, ns)),
             (0usize..2, ns()).prop_map(|(h, ns)| HistOp::Record(h, ns)),
             (0usize..2).prop_map(HistOp::Merge),
-            (0usize..2).prop_map(HistOp::Reimport),
         ]
     }
 
@@ -854,13 +643,6 @@ mod tests {
                         model[h].merge(&other);
                         model[1 - h] = other;
                     }
-                    HistOp::Reimport(h) => {
-                        let padded: Vec<_> = dense[h]
-                            .bucket_counts()
-                            .flat_map(|(b, n)| [(b, n), (b + 1, 0)])
-                            .collect();
-                        dense[h] = LatencyHistogram::from_parts(dense[h].stats(), padded).unwrap();
-                    }
                 }
                 for (d, m) in dense.iter().zip(&model) {
                     let sparse: Vec<_> = m.buckets.iter().map(|(&b, &n)| (b, n)).collect();
@@ -876,52 +658,5 @@ mod tests {
                 proptest::prop_assert_eq!(dense[0] == dense[1], model[0] == model[1]);
             }
         }
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let r = RunReport::default();
-        let back = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn latency_summary_must_match_its_histogram() {
-        let mut r = RunReport::default();
-        for ns in [93, 93, 480] {
-            r.write_latency.record(ns);
-        }
-        r.read_latency.record(76);
-        let doc = r.to_json();
-        assert_eq!(RunReport::from_json(&doc).unwrap(), r);
-        for (key, field) in [
-            ("write_latency", "count"),
-            ("write_latency", "max_ns"),
-            ("read_latency", "total_ns"),
-        ] {
-            let mut bad = doc.clone();
-            let Json::Obj(pairs) = &mut bad else {
-                unreachable!()
-            };
-            let (_, summary) = pairs.iter_mut().find(|(k, _)| k == key).unwrap();
-            let Json::Obj(summary) = summary else {
-                unreachable!()
-            };
-            let (_, v) = summary.iter_mut().find(|(k, _)| k == field).unwrap();
-            *v = num(v.as_u64().unwrap() + 1);
-            let err = RunReport::from_json(&bad).unwrap_err();
-            assert_eq!(err, format!("`{key}` disagrees with `{key}_hist`"));
-        }
-    }
-
-    #[test]
-    fn newer_schema_versions_are_rejected() {
-        let mut r = RunReport::default().to_json();
-        let Json::Obj(pairs) = &mut r else {
-            unreachable!()
-        };
-        pairs[0].1 = num(SCHEMA_VERSION + 1);
-        let err = RunReport::from_json(&r).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
     }
 }

@@ -61,7 +61,7 @@ pub use bitlevel::{
     dcw_flips, fnw_flips, CmeLine, DeuceLine, DEUCE_EPOCH, DEUCE_WORD_BYTES, FNW_GROUP_BITS,
 };
 pub use colocate::{ColocatedStore, ColocationStats};
-pub use compare::{lines_equal, lines_equal_chunked, lines_equal_portable};
+pub use compare::lines_equal;
 pub use config::{
     durable_fingerprint, BitEncoding, DeWriteConfig, DigestMode, MetaCacheConfig,
     MetadataPersistence, SystemConfig, WriteMode,

@@ -22,9 +22,8 @@
 //! * [`HashTable`] is a SwissTable-style open-addressing table with **one
 //!   slot per digest**: one control byte per slot (a 7-bit tag, or
 //!   empty/tombstone), probed a 16-byte group at a time with a portable u64
-//!   SWAR scan (`DEWRITE_PORTABLE=1` forces a byte loop); at 7/8 of slots
-//!   used it doubles if a tombstone purge would leave over 3/4 live, else
-//!   purges in place.
+//!   SWAR scan, the one scan on every host; at 7/8 of slots used it doubles
+//!   if a tombstone purge would leave over 3/4 live, else purges in place.
 //!   A one-entry bucket lives inline in its `{digest, real, reference}`
 //!   slot; two or more entries (CRC collisions, saturated residues) spill
 //!   to a contiguous side bucket that *is* the seed's `Vec` bucket — `push`
@@ -299,38 +298,28 @@ impl HashTable {
         [0, 8].map(|at| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")))
     }
 
-    /// One-load lookup scan of group `g`: a candidate-lane mask per word (a
-    /// hit bit at `8k + 7` per lane, exact on the portable path, superset-
-    /// with-verification on the SWAR path — iterated directly, no gather
-    /// multiply) and whether the group holds an empty (never-used) slot,
-    /// exact on both paths — probe chains terminate in such a group.
+    /// One-load SWAR lookup scan of group `g`: a candidate-lane mask per
+    /// word (a hit bit at `8k + 7` per lane, a superset the caller verifies
+    /// against the control byte — iterated directly, no gather multiply)
+    /// and whether the group holds an empty (never-used) slot, exact —
+    /// probe chains terminate in such a group.
     #[inline]
-    fn scan_lookup(&self, g: usize, tag: u8, portable: bool) -> ([u64; 2], bool) {
-        if portable {
-            let ctrl = self.group(g);
-            let mut words = [0u64; 2];
-            for lane in (0..GROUP).filter(|&lane| ctrl[lane] == tag) {
-                words[lane / 8] |= 0x80 << ((lane % 8) * 8);
-            }
-            (words, ctrl.contains(&CTRL_EMPTY))
-        } else {
-            let words = self.group_words(g);
-            (
-                words.map(|w| swar_match_bits(w, tag)),
-                words.iter().any(|&w| swar_empty_bits(w) != 0),
-            )
-        }
+    fn scan_lookup(&self, g: usize, tag: u8) -> ([u64; 2], bool) {
+        let words = self.group_words(g);
+        (
+            words.map(|w| swar_match_bits(w, tag)),
+            words.iter().any(|&w| swar_empty_bits(w) != 0),
+        )
     }
 
     /// The slot of `digest`, probing until it or the chain's terminating
     /// empty group.
     #[inline]
     fn find(&self, digest: u64) -> Option<usize> {
-        let portable = dewrite_hashes::portable_only();
         let (tag, mut g) = self.tag_and_start(digest);
         let mut stride = 0usize;
         loop {
-            let (words, has_empty) = self.scan_lookup(g, tag, portable);
+            let (words, has_empty) = self.scan_lookup(g, tag);
             for (w, mut hits) in words.into_iter().enumerate() {
                 while hits != 0 {
                     let lane = (hits.trailing_zeros() >> 3) as usize;
@@ -435,11 +424,10 @@ impl HashTable {
                 open += 1;
             }
         };
-        let portable = dewrite_hashes::portable_only();
         let (words, tail) = refs.as_chunks::<8>();
         for (w, word) in words.iter().enumerate() {
             // A word of saturated entries is passed whole: one u64 compare.
-            if portable || *word != [MAX_REFERENCE; 8] {
+            if *word != [MAX_REFERENCE; 8] {
                 scan(w * 8, word);
             }
         }
@@ -1395,43 +1383,6 @@ mod tests {
         assert_eq!(order, vec![0, 3]);
     }
 
-    #[test]
-    fn portable_and_swar_scans_agree() {
-        let build = || {
-            let mut t = HashTable::new();
-            for i in 0..300u64 {
-                t.insert(i % 31, l(i));
-            }
-            for i in (0..300u64).step_by(3) {
-                t.remove(i % 31, l(i));
-            }
-            t
-        };
-        dewrite_hashes::set_portable_only(false);
-        let fast = build();
-        let fast_c: Vec<Vec<u64>> = (0..31u64)
-            .map(|d| fast.candidates(d).iter().map(|e| e.real.index()).collect())
-            .collect();
-        dewrite_hashes::set_portable_only(true);
-        let portable = build();
-        let portable_c: Vec<Vec<u64>> = (0..31u64)
-            .map(|d| {
-                portable
-                    .candidates(d)
-                    .iter()
-                    .map(|e| e.real.index())
-                    .collect()
-            })
-            .collect();
-        // Either scan path must also read the other's table identically.
-        let cross: Vec<Vec<u64>> = (0..31u64)
-            .map(|d| fast.candidates(d).iter().map(|e| e.real.index()).collect())
-            .collect();
-        dewrite_hashes::set_portable_only(false);
-        assert_eq!(fast_c, portable_c);
-        assert_eq!(fast_c, cross);
-    }
-
     // ---- differential proptests vs the seed oracles -------------------
 
     /// One randomized hash-table op.
@@ -1675,10 +1626,7 @@ mod tests {
         fn hash_table_matches_seed_on_long_saturated_chains(
             prefill in 0u64..=CHAIN_LINES,
             ops in proptest::collection::vec(chain_op_strategy(), 0..160),
-            portable in any::<bool>(),
         ) {
-            let was_portable = dewrite_hashes::portable_only();
-            dewrite_hashes::set_portable_only(portable);
             let mut seed = crate::seed::SeedHashTable::new();
             let mut flat = HashTable::new();
             let step = |seed: &mut crate::seed::SeedHashTable, flat: &mut HashTable, op: HashOp| {
@@ -1717,7 +1665,6 @@ mod tests {
                 prop_assert!(flat.candidates(d).is_empty());
             }
             prop_assert_eq!(flat.len(), 300);
-            dewrite_hashes::set_portable_only(was_portable);
         }
     }
 

@@ -162,11 +162,6 @@ impl StageBreakdown {
         &self.stages[stage as usize]
     }
 
-    /// Mutable access for imports (JSON) and custom aggregation.
-    pub fn stage_mut(&mut self, stage: Stage) -> &mut LatencyHistogram {
-        &mut self.stages[stage as usize]
-    }
-
     /// Total writes observed.
     pub fn writes(&self) -> u64 {
         self.duplicate_writes + self.stored_writes

@@ -12,12 +12,10 @@
 //! the sub-16-byte tail and short inputs to the tables.
 //!
 //! Backend choice never changes the checksum — the hardware and slice-by-8
-//! paths are differentially tested against the byte-at-a-time loop and a
-//! bitwise (table-free) reference. `DEWRITE_PORTABLE=1` pins both CRCs to
-//! slice-by-8; [`Crc32::portable`] / [`Crc32c::portable`] do the same for
-//! one instance. The byte-at-a-time engine the repo started with is
-//! retained as [`Crc32::checksum_bytewise`] so benchmarks can measure the
-//! upgrade.
+//! paths are differentially tested against the byte-at-a-time loop the
+//! repo started with (now a test-only oracle) and a bitwise (table-free)
+//! reference. `DEWRITE_PORTABLE=1` pins both CRCs to slice-by-8;
+//! [`Crc32::portable`] / [`Crc32c::portable`] do the same for one instance.
 
 use crate::portable::portable_only;
 use crate::traits::{HashAlgorithm, LineHasher};
@@ -102,7 +100,9 @@ impl CrcEngine {
         crc
     }
 
-    /// The seed-era byte-at-a-time loop, kept for benchmark baselines.
+    /// The seed-era byte-at-a-time loop: the tests' oracle for the
+    /// slice-by-8 and hardware legs.
+    #[cfg(test)]
     fn checksum_bytewise(&self, data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in data {
@@ -181,12 +181,6 @@ impl Crc32 {
             return self.engine.update(state, tail) ^ 0xFFFF_FFFF;
         }
         self.engine.checksum(data)
-    }
-
-    /// The seed-era byte-at-a-time checksum, retained as a benchmark
-    /// baseline. Identical results, ~an eighth of the throughput.
-    pub fn checksum_bytewise(&self, data: &[u8]) -> u32 {
-        self.engine.checksum_bytewise(data)
     }
 }
 
@@ -285,12 +279,6 @@ impl Crc32c {
             }
             _ => self.engine.checksum(data),
         }
-    }
-
-    /// The seed-era byte-at-a-time checksum, retained as a benchmark
-    /// baseline.
-    pub fn checksum_bytewise(&self, data: &[u8]) -> u32 {
-        self.engine.checksum_bytewise(data)
     }
 }
 
@@ -403,7 +391,7 @@ mod tests {
                     let slice = &data[start..start + len];
                     assert_eq!(
                         crc.checksum(slice),
-                        crc.checksum_bytewise(slice),
+                        crc.engine.checksum_bytewise(slice),
                         "start {start} len {len}"
                     );
                 }
@@ -428,9 +416,9 @@ mod tests {
     fn bytewise_baseline_matches_slice8() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let crc = Crc32::portable();
-        assert_eq!(crc.checksum(&data), crc.checksum_bytewise(&data));
+        assert_eq!(crc.checksum(&data), crc.engine.checksum_bytewise(&data));
         let crcc = Crc32c::portable();
-        assert_eq!(crcc.checksum(&data), crcc.checksum_bytewise(&data));
+        assert_eq!(crcc.checksum(&data), crcc.engine.checksum_bytewise(&data));
     }
 
     proptest! {

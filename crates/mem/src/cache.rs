@@ -3,8 +3,8 @@
 //! Secure-NVMM proposals keep a write-back cache of per-line counters in the
 //! memory controller; DeWrite reuses it for all deduplication metadata
 //! (§III-B). This is a set-associative, write-back cache over abstract
-//! 64-bit entry keys — callers namespace keys per table — with LRU, FIFO,
-//! or scan-resistant S3-FIFO replacement and support for the
+//! 64-bit entry keys — callers namespace keys per table — with LRU or
+//! scan-resistant S3-FIFO replacement and support for the
 //! sequential-prefetch insertions the address-mapping / inverted-hash / FSM
 //! tables rely on (Fig. 21 sweeps both capacity and prefetch granularity).
 //!
@@ -16,7 +16,7 @@
 //! read — the tag word (a byte per way: `0x80 |` a 7-bit key hash, `0` if
 //! never used), the flag bytes (valid, dirty, S3-FIFO's queue bit and
 //! frequency) and the `u32` stamps — and ways 0–1's keys; ways 2–7's keys
-//! fill the second. A probe that misses and an evicting LRU/FIFO fill read
+//! fill the second. A probe that misses and an evicting LRU fill read
 //! one line, a hit at most two. A set is `ceil(assoc / 8)` records (slot
 //! `set * 8 * set_groups + way`; slots past the associativity are padding
 //! that is never used), and an all-zero record is an empty set, so the
@@ -26,7 +26,7 @@
 //! SWAR false positives and empty lanes, so the scan is exact on every
 //! platform (the few SWAR lines are duplicated from the core table scan;
 //! this crate is dependency-free). Victims are the unique minimum stamp, so
-//! LRU/FIFO match the seed per-set-`Vec` implementation (the oracle in
+//! LRU matches the seed per-set-`Vec` implementation (the oracle in
 //! [`crate::seed`]) exactly. Stamps are only compared within a set, so
 //! they fit in `u32`: when the clock nears `u32::MAX`, every set's stamps
 //! are renumbered as their ranks and the clock restarts above them, which
@@ -38,7 +38,7 @@
 //! A demand [`MetadataCache::insert`] and every key of a
 //! [`MetadataCache::prefetch_run`] go through the same slot fill: one pass
 //! over the set's tag words answers hit / first free way / full, and a full
-//! LRU or FIFO set gives up its minimum stamp through a branch-free
+//! LRU set gives up its minimum stamp through a branch-free
 //! tournament. The run is that fill applied to `start, start + 1, …` in
 //! order — the same keys, clock ticks and victims as a per-key loop, by
 //! construction — with the per-key overhead hoisted (the set hash advances
@@ -71,8 +71,6 @@ pub enum Replacement {
     /// Least-recently-used (the paper's choice).
     #[default]
     Lru,
-    /// First-in-first-out (ablation alternative).
-    Fifo,
     /// Scan-resistant S3-FIFO (small/main/ghost queues, frequency-capped
     /// promotion) per set, over the same flat arrays.
     S3Fifo,
@@ -80,13 +78,13 @@ pub enum Replacement {
 
 impl Replacement {
     /// All policies, in presentation order (useful for sweeps).
-    pub const ALL: [Replacement; 3] = [Replacement::Lru, Replacement::Fifo, Replacement::S3Fifo];
+    pub const ALL: [Replacement; 2] = [Replacement::Lru, Replacement::S3Fifo];
 
-    /// Stable one-byte wire/JSON encoding.
+    /// Stable one-byte wire/JSON encoding. Byte 1 is unassigned: it named a
+    /// removed FIFO policy, and decoding refuses it.
     pub fn to_wire(self) -> u8 {
         match self {
             Replacement::Lru => 0,
-            Replacement::Fifo => 1,
             Replacement::S3Fifo => 2,
         }
     }
@@ -95,7 +93,6 @@ impl Replacement {
     pub fn from_wire(v: u8) -> Option<Replacement> {
         Some(match v {
             0 => Replacement::Lru,
-            1 => Replacement::Fifo,
             2 => Replacement::S3Fifo,
             _ => return None,
         })
@@ -106,7 +103,6 @@ impl std::fmt::Display for Replacement {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Replacement::Lru => "lru",
-            Replacement::Fifo => "fifo",
             Replacement::S3Fifo => "s3-fifo",
         })
     }
@@ -118,7 +114,6 @@ impl std::str::FromStr for Replacement {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Ok(match s {
             "lru" => Replacement::Lru,
-            "fifo" => Replacement::Fifo,
             "s3-fifo" | "s3fifo" => Replacement::S3Fifo,
             other => return Err(format!("unknown cache policy {other:?}")),
         })
@@ -540,7 +535,6 @@ impl Sets<'_> {
                         t.clock += 1;
                         self.records.set_stamp(slot, t.clock);
                     }
-                    Replacement::Fifo => {}
                     Replacement::S3Fifo => {
                         let flag = self.records.flag_mut(slot);
                         *flag = freq_bumped(*flag);
@@ -580,10 +574,9 @@ impl Sets<'_> {
                 (base + way, None)
             }
             _ => {
-                // Every way is valid; pick the victim by policy. LRU/FIFO:
-                // the (unique) smallest stamp — last touch under LRU,
-                // insertion time under FIFO (stamps are only refreshed
-                // under LRU). S3-FIFO: drain the queues.
+                // Every way is valid; pick the victim by policy. LRU: the
+                // (unique) smallest stamp, the last touch. S3-FIFO: drain
+                // the queues.
                 let victim = if s3 {
                     let (victim, clock, scanned) = self.s3_evict(t.clock, set);
                     t.clock = clock;
@@ -807,9 +800,8 @@ impl MetadataCache {
     }
 
     /// Demand lookup. On a hit, refreshes the policy's reuse signal —
-    /// recency under LRU, the capped frequency counter under S3-FIFO,
-    /// nothing under FIFO — and ORs in the `write` dirty bit. Returns
-    /// whether it hit.
+    /// recency under LRU, the capped frequency counter under S3-FIFO —
+    /// and ORs in the `write` dirty bit. Returns whether it hit.
     #[inline]
     pub fn access(&mut self, key: u64, write: bool) -> bool {
         if self.tally.clock >= u32::MAX - 1 {
@@ -820,7 +812,6 @@ impl MetadataCache {
             let records = self.records.bytes_mut();
             match self.config.replacement {
                 Replacement::Lru => records.set_stamp(slot, self.tally.clock),
-                Replacement::Fifo => {}
                 Replacement::S3Fifo => {
                     let flag = records.flag(slot);
                     let small = flag & FLAG_SMALL != 0;
@@ -991,20 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let mut c = MetadataCache::new(CacheConfig {
-            capacity: 2,
-            associativity: 2,
-            replacement: Replacement::Fifo,
-        });
-        c.insert(1, false);
-        c.insert(2, false);
-        assert!(c.access(1, false)); // touch does not refresh under FIFO
-        let v = c.insert(3, false).expect("full set evicts");
-        assert_eq!(v.key, 1, "FIFO evicts the oldest insertion");
-    }
-
-    #[test]
     fn reinsert_updates_in_place() {
         let mut c = small(2, 2);
         c.insert(1, false);
@@ -1111,6 +1088,7 @@ mod tests {
         }
         assert_eq!("s3fifo".parse::<Replacement>(), Ok(Replacement::S3Fifo));
         assert!("clock".parse::<Replacement>().is_err());
+        assert_eq!(Replacement::from_wire(1), None);
         assert_eq!(Replacement::from_wire(9), None);
     }
 
@@ -1187,9 +1165,8 @@ mod tests {
         };
         let (lru, s3fifo) = (hot_hits(Replacement::Lru), hot_hits(Replacement::S3Fifo));
         assert!(s3fifo >= 2 * lru, "S3-FIFO {s3fifo} vs LRU {lru}");
-        // Of 16 384 hot touches: hit rates 0.130, 0.165 and 1.000.
+        // Of 16 384 hot touches: hit rates 0.130 and 1.000.
         assert_eq!(lru, 2129);
-        assert_eq!(hot_hits(Replacement::Fifo), 2704);
         assert_eq!(s3fifo, 16_384);
     }
 
@@ -1280,20 +1257,6 @@ mod tests {
             c.insert(k, false);
         }
         assert!(!c.contains(77));
-    }
-
-    #[test]
-    fn prefetch_touch_ignores_fifo() {
-        let mut c = MetadataCache::new(CacheConfig {
-            capacity: 2,
-            associativity: 2,
-            replacement: Replacement::Fifo,
-        });
-        c.insert(1, false);
-        c.insert(2, false);
-        c.prefetch_run(1, 1);
-        let v = c.insert(3, false).expect("full set evicts");
-        assert_eq!(v.key, 1, "FIFO order is insertion order, touch or not");
     }
 
     #[test]
@@ -1391,16 +1354,6 @@ mod tests {
             );
         }
 
-        #[test]
-        fn fifo_cache_matches_seed_oracle(
-            ops in proptest::collection::vec(cache_op_strategy(), 0..250)
-        ) {
-            run_differential(
-                CacheConfig { capacity: 8, associativity: 2, replacement: Replacement::Fifo },
-                ops,
-            );
-        }
-
         // Headers with padding lanes (3, 12) and with two tag groups (12,
         // 16): flush_dirty and dirty_count walk every header lane.
         #[test]
@@ -1408,12 +1361,14 @@ mod tests {
             ops in proptest::collection::vec(cache_op_strategy(), 0..250),
             associativity in prop_oneof![Just(3usize), Just(8), Just(12), Just(16)],
         ) {
-            for replacement in [Replacement::Lru, Replacement::Fifo] {
-                run_differential(
-                    CacheConfig { capacity: 2 * associativity, associativity, replacement },
-                    ops.clone(),
-                );
-            }
+            run_differential(
+                CacheConfig {
+                    capacity: 2 * associativity,
+                    associativity,
+                    replacement: Replacement::Lru,
+                },
+                ops,
+            );
         }
 
         #[test]

@@ -25,21 +25,6 @@ impl LatencyStats {
         Self::default()
     }
 
-    /// Reassemble a summary from its raw counters (JSON import). The parts
-    /// must come from a prior summary; they are not re-validated beyond the
-    /// empty case.
-    pub fn from_parts(count: u64, total_ns: u64, min_ns: u64, max_ns: u64) -> Self {
-        if count == 0 {
-            return Self::default();
-        }
-        LatencyStats {
-            count,
-            total_ns,
-            min_ns,
-            max_ns,
-        }
-    }
-
     /// Record one observation.
     pub fn record(&mut self, ns: u64) {
         if self.count == 0 {
@@ -139,7 +124,7 @@ impl std::fmt::Display for LatencyStats {
 /// never longer — the last element is never zero, so equal histograms are
 /// equal arrays. Recording is an index and an increment, merging an
 /// element-wise add; the serialized form stays the sparse, ordered
-/// `(bucket, count)` list and round-trips exactly.
+/// `(bucket, count)` list.
 ///
 /// ```
 /// use dewrite_mem::LatencyHistogram;
@@ -161,9 +146,6 @@ pub struct LatencyHistogram {
 
 /// Linear sub-buckets per power-of-two major bucket.
 const SUB_BUCKETS: u64 = 16;
-
-/// Bucket ids in use: `bucket_of(u64::MAX) + 1`.
-const BUCKETS: usize = (63 - 3) * SUB_BUCKETS as usize + SUB_BUCKETS as usize;
 
 fn bucket_of(ns: u64) -> u16 {
     if ns < SUB_BUCKETS {
@@ -189,47 +171,6 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reassemble a histogram from a summary and its sparse bucket counts
-    /// (JSON import). Bucket counts must sum to the summary's count;
-    /// zero counts are dropped, so the result is canonical whatever the
-    /// exporter wrote.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem when a bucket id is past the
-    /// last real bucket or the counts do not add up.
-    pub fn from_parts(
-        stats: LatencyStats,
-        buckets: impl IntoIterator<Item = (u16, u64)>,
-    ) -> Result<Self, String> {
-        let mut h = LatencyHistogram {
-            stats,
-            buckets: Vec::new(),
-        };
-        let mut total = 0u64;
-        for (bucket, n) in buckets {
-            if usize::from(bucket) >= BUCKETS {
-                return Err(format!(
-                    "histogram bucket {bucket} is past the last bucket {}",
-                    BUCKETS - 1
-                ));
-            }
-            total = total
-                .checked_add(n)
-                .ok_or("histogram bucket counts overflow")?;
-            if n > 0 {
-                *h.bucket_mut(bucket) += n;
-            }
-        }
-        if total != stats.count() {
-            return Err(format!(
-                "histogram buckets hold {total} observations, summary says {}",
-                stats.count()
-            ));
-        }
-        Ok(h)
     }
 
     /// `bucket`'s count, growing the array to reach it. Callers add a
@@ -277,7 +218,7 @@ impl LatencyHistogram {
     }
 
     /// The occupied buckets as `(bucket, count)` pairs in ascending bucket
-    /// order (serialization; exact round-trip via [`from_parts`](Self::from_parts)).
+    /// order (the serialized form).
     pub fn bucket_counts(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
         self.buckets
             .iter()
@@ -482,47 +423,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn histogram_round_trips_through_parts() {
-        let mut h = LatencyHistogram::new();
-        for i in 0..200u64 {
-            h.record(i * i);
-        }
-        let rebuilt = LatencyHistogram::from_parts(h.stats(), h.bucket_counts()).unwrap();
-        assert_eq!(rebuilt, h);
-        // Mismatched counts are rejected.
-        assert!(LatencyHistogram::from_parts(h.stats(), [(0u16, 1u64)]).is_err());
-    }
-
-    #[test]
-    fn histogram_import_rejects_unreal_buckets_and_drops_zero_counts() {
-        assert_eq!(usize::from(bucket_of(u64::MAX)), BUCKETS - 1);
-        let last = (BUCKETS - 1) as u16;
-        let mut h = LatencyHistogram::new();
-        h.record(u64::MAX);
-        h.record(0);
-        assert_eq!(
-            LatencyHistogram::from_parts(h.stats(), [(0, 1), (last, 1)]).unwrap(),
-            h
-        );
-        for bucket in [last + 1, u16::MAX] {
-            let err = LatencyHistogram::from_parts(h.stats(), [(0, 1), (bucket, 1)]).unwrap_err();
-            assert!(err.contains("past the last bucket"), "{err}");
-        }
-        // Zero-count entries — even past the data's last bucket — leave no
-        // trace: the import equals the recorded histogram and re-exports
-        // the canonical pairs.
-        let padded =
-            LatencyHistogram::from_parts(h.stats(), [(0, 1), (3, 0), (500, 0), (last, 1)]).unwrap();
-        assert_eq!(padded, h);
-        let mut low = LatencyHistogram::new();
-        low.record(20);
-        let padded = LatencyHistogram::from_parts(low.stats(), [(20, 1), (last, 0)]).unwrap();
-        assert_eq!(padded, low);
-        assert_eq!(padded.bucket_counts().collect::<Vec<_>>(), [(20, 1)]);
-        assert!(LatencyHistogram::from_parts(h.stats(), [(1, u64::MAX), (2, 3)]).is_err());
     }
 
     proptest! {

@@ -92,7 +92,7 @@ fn usage() -> ExitCode {
     eprintln!("  --lines N         working-set lines; k/m ok [16k]");
     eprintln!("  --pool N          recurring-content pool size [1024]");
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
-    eprintln!("  --cache-policy P  metadata-cache eviction: lru | fifo | s3-fifo [lru];");
+    eprintln!("  --cache-policy P  metadata-cache eviction: lru | s3-fifo [lru];");
     eprintln!("                    in net mode the policy rides in the Hello handshake");
     eprintln!("  --check           scrub every shard after the drain (net mode: also");
     eprintln!("                    assert report bit-identity + zero errors)");

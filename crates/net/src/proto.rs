@@ -140,9 +140,10 @@ pub struct Hello {
     /// in-process `EngineConfig::for_workload`).
     pub expected_writes: u64,
     /// Metadata-cache eviction policy, as `Replacement::to_wire` (0 LRU,
-    /// 1 FIFO, 2 S3-FIFO). Carried in the handshake — not a server flag —
-    /// so the server's shards and the client's local shadow run always
-    /// agree and the bit-identity check stays meaningful per policy.
+    /// 2 S3-FIFO; a server refuses any other byte). Carried in the
+    /// handshake — not a server flag — so the server's shards and the
+    /// client's local shadow run always agree and the bit-identity check
+    /// stays meaningful per policy.
     pub cache_policy: u8,
     /// Dedup digest mode, as `DigestMode::to_wire`: 0 (crc32-verify) is
     /// the only mode, and a server refuses any other byte. The byte stays

@@ -374,6 +374,56 @@ fn malformed_frames_get_typed_errors_without_desync() {
 }
 
 #[test]
+fn handshake_refuses_unknown_cache_policy_bytes() {
+    let t = trace(200, 5);
+    let (server, addr) = start_server(2);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut rbuf = Vec::new();
+
+    // Bytes 0 (LRU) and 2 (S3-FIFO) name policies; any other is refused,
+    // naming the byte, and brings up no engine.
+    for cache_policy in [1, 3] {
+        let mut unknown = hello(&t);
+        unknown.cache_policy = cache_policy;
+        stream
+            .write_all(&proto::encode_request(&Request::Hello(unknown)))
+            .expect("write");
+        match read_resp(&mut stream, &mut rbuf) {
+            Response::Error {
+                code: ErrorCode::BadPayload,
+                detail,
+            } => assert!(
+                detail.contains(&format!("cache policy {cache_policy}")),
+                "{detail}"
+            ),
+            other => panic!("expected BadPayload, got {other:?}"),
+        }
+    }
+
+    // The same connection still handshakes with LRU.
+    stream
+        .write_all(&proto::encode_request(&Request::Hello(hello(&t))))
+        .expect("write");
+    match read_resp(&mut stream, &mut rbuf) {
+        Response::HelloOk { lines, .. } => assert_eq!(lines, t.lines),
+        other => panic!("expected HelloOk, got {other:?}"),
+    }
+    drop(stream);
+    let (mut control, _) = Control::connect(&addr, &hello(&t)).expect("reconnect");
+    control.shutdown().expect("shutdown");
+    assert!(!server.join().aborted);
+
+    // A fresh server accepts S3-FIFO.
+    let (server, addr) = start_server(2);
+    let mut s3fifo = hello(&t);
+    s3fifo.cache_policy = 2;
+    let (mut control, _) = Control::connect(&addr, &s3fifo).expect("S3-FIFO handshake");
+    control.shutdown().expect("shutdown");
+    assert!(!server.join().aborted);
+}
+
+#[test]
 fn a_saturated_lane_still_accepts_and_answers_a_new_connection() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
