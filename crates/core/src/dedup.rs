@@ -14,14 +14,20 @@
 //! The transitions (§III-B) are one [`CommitKernel`], shared by the
 //! simulator's [`DedupIndex`] and the engine's shard; what a commit changed
 //! ([`WriteOutcome`]) is also what the shard's WAL journals
-//! ([`WriteOutcome::meta_ops`]).
+//! ([`WriteOutcome::meta_ops`]). The kernel also owns the per-line
+//! encryption counters the paper colocates with its rows (§III-C): a store
+//! bumps its line's counter, a free never resets it, and
+//! [`CommitKernel::snapshot`] captures them with the tables.
 //!
 //! Timing is *not* modeled here — the scheme layer mirrors each table touch
 //! with metadata-cache traffic.
 
+use dewrite_crypto::LineCounter;
 use dewrite_nvm::LineAddr;
 
+use crate::counters::CounterTable;
 use crate::journal::MetaOp;
+use crate::snapshot::Snapshot;
 use crate::tables::{
     AddrMap, FreeSpaceTable, HashEntry, HashTable, InvertedTable, OpenEntry, PresenceBitmap,
     MAX_CANDIDATE_COMPARES, MAX_REFERENCE,
@@ -49,6 +55,8 @@ pub enum WriteOutcome {
         /// Whether the write reused the line its own release freed (the
         /// address's current line, overwritten in place).
         in_place: bool,
+        /// `target`'s encryption counter, bumped for this write.
+        counter: LineCounter,
     },
 }
 
@@ -57,34 +65,34 @@ impl WriteOutcome {
     /// `init`, in replay order: the freed line's `ResidentDel` first (an
     /// in-place store's too: it claimed the line its release freed), then
     /// a store's `ResidentSet` of `digest`, the `MapSet`, and a store's
-    /// `CounterSet` of the line's new encryption `counter`. A silent store
+    /// `CounterSet` of the line's new encryption counter. A silent store
     /// has none. `global` turns a kernel line into its global address.
     pub fn meta_ops(
         self,
         init: u64,
         digest: u64,
-        counter: u32,
         global: impl Fn(LineAddr) -> u64,
     ) -> impl Iterator<Item = MetaOp> + Clone {
-        let (real, freed, stored) = match self {
+        let (real, freed, counter) = match self {
             Self::Duplicate { silent: true, .. } => return [None; 4].into_iter().flatten(),
-            Self::Duplicate { real, freed, .. } => (real, freed, false),
+            Self::Duplicate { real, freed, .. } => (real, freed, None),
             Self::Stored {
                 target,
                 freed,
                 in_place,
-            } => (target, freed.or(in_place.then_some(target)), true),
+                counter,
+            } => (target, freed.or(in_place.then_some(target)), Some(counter)),
         };
         let real = global(real);
         [
             freed.map(|freed| MetaOp::ResidentDel {
                 real: global(freed),
             }),
-            stored.then_some(MetaOp::ResidentSet { real, digest }),
+            counter.map(|_| MetaOp::ResidentSet { real, digest }),
             Some(MetaOp::MapSet { init, real }),
-            stored.then_some(MetaOp::CounterSet {
+            counter.map(|counter| MetaOp::CounterSet {
                 line: real,
-                value: counter,
+                value: counter.value(),
             }),
         ]
         .into_iter()
@@ -131,14 +139,16 @@ pub trait FreeSpace {
 }
 
 /// The commit kernel: the tables the index invariants (module docs) tie
-/// together, readable for lookups and host hints and changed only by its
-/// steps. Map indices and lines are the owner's: global lines for the
-/// simulator, `addr / shards` and local slots for a shard.
+/// together and the lines' encryption counters, readable for lookups and
+/// host hints and changed only by its steps. Map indices and lines are the
+/// owner's: global lines for the simulator, `addr / shards` and local
+/// slots for a shard.
 #[derive(Debug, Clone)]
 pub struct CommitKernel<S> {
     hash: HashTable,
     inverted: InvertedTable,
     map: AddrMap,
+    counters: CounterTable,
     space: S,
 }
 
@@ -150,6 +160,7 @@ impl<S: FreeSpace> CommitKernel<S> {
             hash: HashTable::new(),
             inverted: InvertedTable::new(lines),
             map: AddrMap::new(lines),
+            counters: CounterTable::new(lines),
             space,
         }
     }
@@ -169,9 +180,44 @@ impl<S: FreeSpace> CommitKernel<S> {
         &self.map
     }
 
+    /// Line → encryption counter: bumped by every store, never reset.
+    pub fn counters(&self) -> &CounterTable {
+        &self.counters
+    }
+
     /// Where stores claim their lines.
     pub fn space(&self) -> &S {
         &self.space
+    }
+
+    /// The durable state as a [`Snapshot`] stamped `config_fp` over
+    /// `lines` global lines: every mapping, every resident line's digest
+    /// and every nonzero counter, each in ascending order. `global` turns
+    /// a map index or a line into its global address, monotonically.
+    pub fn snapshot(&self, config_fp: u64, lines: u64, global: impl Fn(u64) -> u64) -> Snapshot {
+        // Each table is sized exactly before it is filled: a checkpoint
+        // stalls the write path, and a megabyte-sized `Vec` grown by
+        // doubling pays for its final size again in copies and fresh
+        // pages. A counting pass over a dense array is far cheaper.
+        let mut snapshot = Snapshot {
+            config_fp,
+            lines,
+            mappings: Vec::with_capacity(self.map.iter().count()),
+            residents: Vec::with_capacity(self.inverted.len()),
+            counters: Vec::with_capacity(self.counters.iter().count()),
+        };
+        for (idx, real) in self.map.iter() {
+            snapshot.mappings.push((global(idx), global(real.index())));
+        }
+        for (real, digest) in self.inverted.iter() {
+            snapshot.residents.push((global(real.index()), digest));
+        }
+        for (line, counter) in self.counters.iter() {
+            snapshot.counters.push((global(line), counter.value()));
+        }
+        // Each walk is ascending and `global` monotonic: sorted as built.
+        debug_assert!(snapshot.mappings.is_sorted() && snapshot.residents.is_sorted());
+        snapshot
     }
 
     /// Drop one reference of the resident line `line`, freeing it when the
@@ -216,10 +262,16 @@ impl<S: FreeSpace> CommitKernel<S> {
 
     /// Commit a store of content `digest` at map index `idx`, homed at
     /// `home`: release the old mapping, claim a line from the source,
-    /// install the digest and inverted row, and map `idx` to the line.
-    /// The store is in place when the source hands back the line the
-    /// release just freed. `None` when the source has no free line (the
-    /// old mapping is then already released; callers treat this as fatal).
+    /// install the digest and inverted row, map `idx` to the line and bump
+    /// its counter. The store is in place when the source hands back the
+    /// line the release just freed. `None` when the source has no free
+    /// line (the old mapping is then already released; callers treat this
+    /// as fatal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the claimed line's counter is exhausted
+    /// ([`CounterTable::bump`]).
     #[inline]
     pub fn store(&mut self, idx: u64, home: LineAddr, digest: u64) -> Option<WriteOutcome> {
         let freed = self.map.get(idx).and_then(|old| self.release(old));
@@ -232,6 +284,7 @@ impl<S: FreeSpace> CommitKernel<S> {
             target,
             freed: freed.filter(|_| !in_place),
             in_place,
+            counter: self.counters.bump(target.index()),
         })
     }
 
@@ -391,6 +444,16 @@ impl DedupIndex {
         self.kernel.space.table.lines()
     }
 
+    /// The commit kernel (the snapshot capture).
+    pub(crate) fn kernel(&self) -> &CommitKernel<DomainSpace> {
+        &self.kernel
+    }
+
+    /// Line → encryption counter of every line ever stored.
+    pub(crate) fn counters(&self) -> &CounterTable {
+        &self.kernel.counters
+    }
+
     /// Whether `init` has ever been written.
     pub fn is_written(&self, init: LineAddr) -> bool {
         self.written.get(init.index())
@@ -495,6 +558,11 @@ impl DedupIndex {
             .digest_of(real)
             .expect("restore_mapping target must be resident");
         let _ = self.kernel.hash.add_reference(digest, real);
+    }
+
+    /// Recovery: install `line`'s stored encryption counter.
+    pub(crate) fn restore_counter(&mut self, line: LineAddr, counter: LineCounter) {
+        self.kernel.counters.set(line.index(), counter);
     }
 
     /// Apply a *duplicate* write of `init` to the content at `real`
@@ -628,8 +696,6 @@ pub(crate) fn domain_of_line(index: u64, domains: u64, lines: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::compare::lines_equal;
-    use crate::counters::CounterTable;
-    use crate::snapshot::Snapshot;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
 
@@ -752,7 +818,8 @@ mod tests {
             WriteOutcome::Stored {
                 target: l(3),
                 freed: None,
-                in_place: false
+                in_place: false,
+                counter: LineCounter::from_value(1),
             }
         );
         assert_eq!(idx.resolve(l(3)), Some(l(3)));
@@ -808,7 +875,8 @@ mod tests {
             WriteOutcome::Stored {
                 target: l(2),
                 freed: None,
-                in_place: true
+                in_place: true,
+                counter: LineCounter::from_value(2),
             }
         );
         // Stale hash was cleaned: old content no longer matches anywhere.
@@ -828,6 +896,7 @@ mod tests {
                 target,
                 freed,
                 in_place,
+                ..
             } => {
                 assert_ne!(target, l(0), "must not clobber shared line");
                 assert_eq!(freed, None);
@@ -1004,8 +1073,7 @@ mod tests {
             script in proptest::collection::vec((200u64..400, 0u64..16), 200..300),
         ) {
             let mut idx = DedupIndex::with_domains(640, domains);
-            let mut counters = CounterTable::new();
-            let mut before = Snapshot::capture(&idx, &counters, 0);
+            let mut before = Snapshot::capture(&idx, 0);
             let (mut silent_writes, mut in_place_writes) = (0, 0);
             let writes = (0..300).map(|init| (init, 0)).chain(script);
             for (step, (init, pick)) in writes.enumerate() {
@@ -1025,20 +1093,14 @@ mod tests {
                     Some(real) => idx.apply_duplicate(init, real),
                     None => idx.apply_store(init, digest),
                 };
-                let counter = match outcome {
-                    WriteOutcome::Duplicate { silent, .. } => {
-                        silent_writes += u32::from(silent);
-                        0
-                    }
-                    WriteOutcome::Stored { target, in_place, .. } => {
-                        in_place_writes += u32::from(in_place);
-                        counters.bump(target.index()).value()
-                    }
-                };
+                match outcome {
+                    WriteOutcome::Duplicate { silent, .. } => silent_writes += u32::from(silent),
+                    WriteOutcome::Stored { in_place, .. } => in_place_writes += u32::from(in_place),
+                }
                 let ops: Vec<_> = outcome
-                    .meta_ops(init.index(), digest, counter, LineAddr::index)
+                    .meta_ops(init.index(), digest, LineAddr::index)
                     .collect();
-                let after = Snapshot::capture(&idx, &counters, 0);
+                let after = Snapshot::capture(&idx, 0);
                 prop_assert_eq!(&replay(&before, &ops), &after, "step {}", step);
                 prop_assert_eq!(idx.check_invariants(), Ok(()));
                 before = after;

@@ -80,4 +80,4 @@ pub use schemes::{
 };
 pub use sim::Simulator;
 pub use snapshot::{Snapshot, MAX_SNAPSHOT_LINES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use trace::{EventSink, Stage, StageBreakdown, StageCollector, WriteEvent, WritePath};
+pub use trace::{Stage, StageBreakdown, WriteEvent, WritePath};

@@ -9,7 +9,7 @@ use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 use crate::config::SystemConfig;
 use crate::counters::CounterTable;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
-use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
+use crate::trace::{Stage, StageBreakdown, WriteEvent, WritePath};
 
 /// Counter-cache capacity of the baseline: the full 2 MB metadata cache
 /// holding 4 B counters.
@@ -47,7 +47,8 @@ pub struct CmeBaseline {
     counters: CounterTable,
     counter_table: MetaTable,
     metrics: BaseMetrics,
-    sink: Option<Box<dyn EventSink>>,
+    /// Per-stage latencies of the writes since tracing started.
+    stages: Option<StageBreakdown>,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
     /// Scratch plaintext line a [`ReadResult`] borrows.
@@ -85,13 +86,13 @@ impl CmeBaseline {
             line_size,
         );
         CmeBaseline {
+            counters: CounterTable::new(config.data_lines),
             config,
             device,
             engine: CounterModeEngine::new(key),
-            counters: CounterTable::new(),
             counter_table,
             metrics: BaseMetrics::default(),
-            sink: None,
+            stages: None,
             line_buf: Vec::new(),
             read_buf: vec![0u8; line_size],
         }
@@ -152,14 +153,14 @@ impl SecureMemory for CmeBaseline {
             .device
             .write_line_with_flips(addr, &self.line_buf, flips, enc_done)?;
 
-        if let Some(sink) = self.sink.as_mut() {
+        if let Some(stages) = self.stages.as_mut() {
             let mut e = WriteEvent::new(WritePath::Stored);
             e.total_ns = access.slot.finish_ns - now_ns;
             // Counter fetch + AES are one serial stage in the baseline.
             e.set_stage(Stage::Encrypt, enc_done - now_ns);
             e.set_stage(Stage::ArrayWrite, access.slot.finish_ns - enc_done);
             e.set_stage(Stage::Metadata, ctr.done_ns - now_ns);
-            sink.record(&e);
+            stages.observe(&e);
         }
 
         Ok(WriteResult {
@@ -220,12 +221,12 @@ impl SecureMemory for CmeBaseline {
         self.metrics
     }
 
-    fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = Some(sink);
+    fn start_stage_breakdown(&mut self) {
+        self.stages = Some(StageBreakdown::default());
     }
 
-    fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
+    fn take_stage_breakdown(&mut self) -> Option<StageBreakdown> {
+        self.stages.take()
     }
 }
 
@@ -335,21 +336,16 @@ mod tests {
 
     #[test]
     fn event_sink_records_baseline_stages() {
-        use crate::trace::{Stage, StageCollector};
         let mut m = mem();
-        m.set_event_sink(Box::new(StageCollector::default()));
+        m.start_stage_breakdown();
         m.write(LineAddr::new(0), &vec![1u8; 256], 0).unwrap();
-        let mut sink = m.take_event_sink().expect("sink installed");
-        let c = sink
-            .as_any_mut()
-            .downcast_mut::<StageCollector>()
-            .expect("collector type");
-        assert_eq!(c.breakdown.stored_writes, 1);
-        assert_eq!(c.breakdown.duplicate_writes, 0);
-        assert_eq!(c.breakdown.stage(Stage::Encrypt).count(), 1);
-        assert_eq!(c.breakdown.stage(Stage::ArrayWrite).count(), 1);
+        let b = m.take_stage_breakdown().expect("breakdown started");
+        assert_eq!(b.stored_writes, 1);
+        assert_eq!(b.duplicate_writes, 0);
+        assert_eq!(b.stage(Stage::Encrypt).count(), 1);
+        assert_eq!(b.stage(Stage::ArrayWrite).count(), 1);
         assert_eq!(
-            c.breakdown.stage(Stage::Digest).count(),
+            b.stage(Stage::Digest).count(),
             0,
             "no fingerprinting in CME"
         );

@@ -31,13 +31,12 @@ use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError, Timing};
 
 use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, MetadataPersistence, SystemConfig, WriteMode};
-use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::digest::IndexDigest;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::tables::MAX_REFERENCE;
-use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
+use crate::trace::{Stage, StageBreakdown, WriteEvent, WritePath};
 
 /// DeWrite-specific counters beyond [`BaseMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -148,16 +147,16 @@ impl VerifyBuffer {
 }
 
 /// Decrypt the resident line `real`, stored as `ciphertext`, under its
-/// counter into `out`; `None` if the line has no counter (which a resident
-/// line always does unless controller state was lost).
+/// counter in `index` into `out`; `None` if the line has no counter (which
+/// a resident line always does unless controller state was lost).
 fn decrypt_resident(
     engine: &CounterModeEngine,
-    counters: &CounterTable,
+    index: &DedupIndex,
     real: LineAddr,
     ciphertext: &[u8],
     out: &mut [u8],
 ) -> Option<()> {
-    let counter = counters.get(real.index())?;
+    let counter = index.counters().get(real.index())?;
     engine.decrypt_line_into(ciphertext, real.index(), counter, out);
     Some(())
 }
@@ -186,7 +185,6 @@ pub struct DeWrite {
     engine: CounterModeEngine,
     digest: IndexDigest,
     index: DedupIndex,
-    counters: CounterTable,
     predictor: HistoryPredictor,
     addr_map_meta: MetaTable,
     inverted_meta: MetaTable,
@@ -198,8 +196,9 @@ pub struct DeWrite {
     verify_buffer: VerifyBuffer,
     /// Data writes since the last epoch flush.
     writes_since_flush: u32,
-    /// Optional per-write event sink (observability; None on the hot path).
-    sink: Option<Box<dyn EventSink>>,
+    /// Per-stage latencies of the writes since tracing started
+    /// (observability; `None` on the hot path).
+    stages: Option<StageBreakdown>,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
     line_buf: Vec<u8>,
     /// Scratch plaintext line: what a candidate decrypts into for its byte
@@ -227,7 +226,7 @@ impl DeWrite {
     pub fn new(config: SystemConfig, dw: DeWriteConfig, key: &[u8; 16]) -> Self {
         let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
         let index = DedupIndex::with_domains(config.data_lines, dw.dedup_domains.max(1));
-        Self::assemble(config, dw, key, device, index, CounterTable::new())
+        Self::assemble(config, dw, key, device, index)
     }
 
     /// Power off: hand back the durable state (metadata snapshot) and the
@@ -240,7 +239,7 @@ impl DeWrite {
     /// Capture the durable metadata state without consuming the controller
     /// (the checkpoint primitive of the persistence layer).
     pub fn snapshot(&self) -> crate::snapshot::Snapshot {
-        crate::snapshot::Snapshot::capture(&self.index, &self.counters, self.dw.fingerprint())
+        crate::snapshot::Snapshot::capture(&self.index, self.dw.fingerprint())
     }
 
     /// Power on: rebuild a controller over an existing `device` from a
@@ -277,8 +276,8 @@ impl DeWrite {
         if device.config() != &config.nvm {
             return Err("device configuration does not match".into());
         }
-        let (index, counters) = snapshot.rebuild_with_domains(dw.dedup_domains.max(1))?;
-        Ok(Self::assemble(config, dw, key, device, index, counters))
+        let index = snapshot.rebuild_with_domains(dw.dedup_domains.max(1))?;
+        Ok(Self::assemble(config, dw, key, device, index))
     }
 
     fn assemble(
@@ -287,7 +286,6 @@ impl DeWrite {
         key: &[u8; 16],
         device: NvmDevice,
         index: DedupIndex,
-        counters: CounterTable,
     ) -> Self {
         config.validate().expect("invalid system config");
         let line_size = config.nvm.line_size;
@@ -377,7 +375,6 @@ impl DeWrite {
             engine: CounterModeEngine::new(key),
             digest: IndexDigest::new(dw.hasher),
             index,
-            counters,
             predictor: HistoryPredictor::new(dw.history_bits),
             addr_map_meta,
             inverted_meta,
@@ -387,7 +384,7 @@ impl DeWrite {
             dmetrics: DeWriteMetrics::default(),
             verify_buffer: VerifyBuffer::new(dw.verify_buffer_entries, line_size),
             writes_since_flush: 0,
-            sink: None,
+            stages: None,
             line_buf: Vec::new(),
             plain_buf: vec![0u8; line_size],
             device,
@@ -453,7 +450,7 @@ impl DeWrite {
                 store.set_resident_hash(line, Some(IndexDigest::fold(digest)));
             }
         }
-        for (line, counter) in self.counters.iter() {
+        for (line, counter) in self.index.counters().iter() {
             store.set_counter(LineAddr::new(line), counter);
         }
         store
@@ -562,7 +559,7 @@ impl DeWrite {
     /// garbage; fail loudly instead.
     fn plaintext_into(&self, real: LineAddr, out: &mut [u8]) -> Result<(), String> {
         let ciphertext = self.device.line(real).expect("resident line in range");
-        decrypt_resident(&self.engine, &self.counters, real, ciphertext, out)
+        decrypt_resident(&self.engine, &self.index, real, ciphertext, out)
             .ok_or_else(|| format!("resident line {real} has no encryption counter"))
     }
 
@@ -600,7 +597,7 @@ impl DeWrite {
                     verify_ns += access.slot.finish_ns - t;
                     t = access.slot.finish_ns;
                     let plain = &mut self.plain_buf;
-                    decrypt_resident(&self.engine, &self.counters, real, ciphertext, plain)
+                    decrypt_resident(&self.engine, &self.index, real, ciphertext, plain)
                         .expect("resident candidate must have a counter");
                     self.verify_buffer.insert(real.index(), &self.plain_buf);
                     &self.plain_buf
@@ -763,7 +760,7 @@ impl SecureMemory for DeWrite {
                 e.reference != MAX_REFERENCE && {
                     let ciphertext = self.device.line(e.real).expect("in range");
                     let plain = &mut self.plain_buf;
-                    decrypt_resident(&self.engine, &self.counters, e.real, ciphertext, plain)
+                    decrypt_resident(&self.engine, &self.index, e.real, ciphertext, plain)
                         .expect("resident line must have a counter");
                     lines_equal(&self.plain_buf, data)
                 }
@@ -813,7 +810,7 @@ impl SecureMemory for DeWrite {
                 }
                 let meta_done = self.commit_metadata(init, outcome, digest, detect_done);
                 self.predictor.record(true);
-                if self.sink.is_some() {
+                if self.stages.is_some() {
                     let mut e = WriteEvent::new(WritePath::Duplicate);
                     e.predicted_dup = predicted_dup;
                     e.pna_skip = pna_skip;
@@ -843,7 +840,13 @@ impl SecureMemory for DeWrite {
             None => {
                 // Non-duplicate: store.
                 let outcome = self.index.apply_store(init, digest);
-                let WriteOutcome::Stored { target, freed, .. } = outcome else {
+                let WriteOutcome::Stored {
+                    target,
+                    freed,
+                    counter,
+                    ..
+                } = outcome
+                else {
                     unreachable!("apply_store returns Stored");
                 };
 
@@ -869,7 +872,6 @@ impl SecureMemory for DeWrite {
                 if let Some(freed) = freed {
                     self.verify_buffer.invalidate(freed.index());
                 }
-                let counter = self.counters.bump(target.index());
                 self.line_buf.resize(data.len(), 0);
                 self.engine
                     .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
@@ -883,7 +885,7 @@ impl SecureMemory for DeWrite {
                         .write_line_with_flips(target, &self.line_buf, flips, ready)?;
                 let meta_done = self.commit_metadata(init, outcome, digest, ready);
                 self.predictor.record(false);
-                if self.sink.is_some() {
+                if self.stages.is_some() {
                     let mut e = WriteEvent::new(WritePath::Stored);
                     e.predicted_dup = predicted_dup;
                     e.pna_skip = pna_skip;
@@ -917,8 +919,8 @@ impl SecureMemory for DeWrite {
             }
         };
         self.apply_persistence(now_ns);
-        if let (Some(e), Some(sink)) = (event, self.sink.as_mut()) {
-            sink.record(&e);
+        if let (Some(e), Some(stages)) = (event, self.stages.as_mut()) {
+            stages.observe(&e);
         }
         Ok(result)
     }
@@ -957,7 +959,7 @@ impl SecureMemory for DeWrite {
                 // pad generation (starts once the counter is known).
                 let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
                 let plain = &mut self.plain_buf;
-                decrypt_resident(&self.engine, &self.counters, real, ciphertext, plain)
+                decrypt_resident(&self.engine, &self.index, real, ciphertext, plain)
                     .expect("resident line has counter");
                 // Read-side pad energy is not charged (write-dominated
                 // accounting, identical across schemes; see CmeBaseline).
@@ -992,12 +994,12 @@ impl SecureMemory for DeWrite {
         self.metrics
     }
 
-    fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = Some(sink);
+    fn start_stage_breakdown(&mut self) {
+        self.stages = Some(StageBreakdown::default());
     }
 
-    fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
+    fn take_stage_breakdown(&mut self) -> Option<StageBreakdown> {
+        self.stages.take()
     }
 }
 
@@ -1302,10 +1304,28 @@ mod tests {
         m.scrub().expect("clean before the fault");
         let real = m.index().resolve(LineAddr::new(3)).expect("written");
         // Simulate lost counter metadata (e.g. a crash before flush).
-        m.counters
-            .set(real.index(), dewrite_crypto::LineCounter::new());
+        m.index
+            .restore_counter(real, dewrite_crypto::LineCounter::new());
         let err = m.scrub().expect_err("missing counter must fail the scrub");
         assert!(err.contains("no encryption counter"), "{err}");
+    }
+
+    /// A line whose counter is exhausted is refused a further store, even
+    /// across a power cycle: encrypting under its counter again would
+    /// reuse a pad.
+    #[test]
+    #[should_panic(expected = "counter of line 3 is exhausted")]
+    fn exhausted_counter_refuses_a_store_after_power_on() {
+        let config = SystemConfig::for_lines(4096);
+        let dw = DeWriteConfig::paper();
+        let mut m = DeWrite::new(config.clone(), dw, KEY);
+        m.write(LineAddr::new(3), &line(5), 0).unwrap();
+        let (mut snapshot, device) = m.power_off();
+        assert_eq!(snapshot.counters, vec![(3, 1)]);
+        snapshot.counters[0].1 = dewrite_crypto::COUNTER_MAX;
+        let mut m = DeWrite::power_on(config, dw, KEY, device, &snapshot).expect("power on");
+        // The sole owner's new content overwrites line 3 in place.
+        m.write(LineAddr::new(3), &line(6), 10_000).unwrap();
     }
 
     #[test]
@@ -1329,18 +1349,12 @@ mod tests {
 
     #[test]
     fn event_sink_sees_both_write_paths() {
-        use crate::trace::{Stage, StageCollector};
         let mut m = mem();
-        m.set_event_sink(Box::new(StageCollector::default()));
+        m.start_stage_breakdown();
         let data = line(6);
         m.write(LineAddr::new(0), &data, 0).unwrap();
         m.write(LineAddr::new(1), &data, 50_000).unwrap(); // duplicate
-        let mut sink = m.take_event_sink().expect("sink installed");
-        let collector = sink
-            .as_any_mut()
-            .downcast_mut::<StageCollector>()
-            .expect("collector type");
-        let b = &collector.breakdown;
+        let b = m.take_stage_breakdown().expect("breakdown started");
         assert_eq!(b.stored_writes, 1);
         assert_eq!(b.duplicate_writes, 1);
         assert_eq!(b.stage(Stage::Digest).count(), 2);

@@ -127,18 +127,17 @@ pub trait SecureMemory: Send {
     /// Common counters.
     fn base_metrics(&self) -> BaseMetrics;
 
-    /// Install an [`EventSink`](crate::trace::EventSink) that observes one
-    /// [`WriteEvent`](crate::trace::WriteEvent) per accepted write.
+    /// Start an empty [`StageBreakdown`](crate::trace::StageBreakdown)
+    /// that folds in one [`WriteEvent`](crate::trace::WriteEvent) per
+    /// accepted write.
     ///
-    /// Schemes without tracing support drop the sink (the default); they
+    /// Schemes without tracing support ignore this (the default); they
     /// then report an empty stage breakdown rather than a wrong one.
-    fn set_event_sink(&mut self, sink: Box<dyn crate::trace::EventSink>) {
-        drop(sink);
-    }
+    fn start_stage_breakdown(&mut self) {}
 
-    /// Remove and return the installed sink, if tracing is supported and a
-    /// sink is present.
-    fn take_event_sink(&mut self) -> Option<Box<dyn crate::trace::EventSink>> {
+    /// Stop and return the started breakdown, if tracing is supported and
+    /// one was started.
+    fn take_stage_breakdown(&mut self) -> Option<crate::trace::StageBreakdown> {
         None
     }
 }

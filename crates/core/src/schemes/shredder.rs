@@ -83,7 +83,7 @@ impl SilentShredder {
         );
         SilentShredder {
             engine: CounterModeEngine::new(key),
-            counters: CounterTable::new(),
+            counters: CounterTable::new(config.data_lines),
             zeroed: HashSet::new(),
             counter_table,
             zero_table,

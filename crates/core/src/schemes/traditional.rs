@@ -20,7 +20,6 @@ use dewrite_mem::Replacement;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
-use crate::counters::CounterTable;
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 
@@ -34,7 +33,6 @@ pub struct TraditionalDedup {
     /// Full-width fingerprints per resident line — matches are trusted at
     /// fingerprint width, not confirmed by reading data.
     fingerprints: HashMap<u64, u64>,
-    counters: CounterTable,
     meta_table: MetaTable,
     metrics: BaseMetrics,
     /// Scratch ciphertext buffer reused across writes (no per-write alloc).
@@ -80,7 +78,6 @@ impl TraditionalDedup {
             hasher: algorithm.hasher(),
             index: DedupIndex::new(config.data_lines),
             fingerprints: HashMap::new(),
-            counters: CounterTable::new(),
             meta_table,
             metrics: BaseMetrics::default(),
             line_buf: Vec::new(),
@@ -175,7 +172,13 @@ impl SecureMemory for TraditionalDedup {
             }
             None => {
                 let outcome = self.index.apply_store(init, digest);
-                let WriteOutcome::Stored { target, freed, .. } = outcome else {
+                let WriteOutcome::Stored {
+                    target,
+                    freed,
+                    counter,
+                    ..
+                } = outcome
+                else {
                     unreachable!("apply_store returns Stored");
                 };
                 if let Some(freed) = freed {
@@ -191,7 +194,6 @@ impl SecureMemory for TraditionalDedup {
                     q.done_ns,
                     &mut self.metrics,
                 );
-                let counter = self.counters.bump(target.index());
                 self.metrics.aes_line_ops += 1;
                 self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
                 let enc_done = ctr_acc.done_ns + AES_LINE_LATENCY_NS;
@@ -228,7 +230,8 @@ impl SecureMemory for TraditionalDedup {
             Some(real) => {
                 let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
                 let counter = self
-                    .counters
+                    .index
+                    .counters()
                     .get(real.index())
                     .expect("resident has counter");
                 // Read-side pad energy is not charged (write-dominated

@@ -37,7 +37,6 @@ use dewrite_trace::{TraceOp, TraceRecord};
 use crate::config::SystemConfig;
 use crate::metrics::RunReport;
 use crate::schemes::SecureMemory;
-use crate::trace::StageCollector;
 
 /// Trace-replay engine, configured from a [`SystemConfig`].
 #[derive(Debug, Clone)]
@@ -89,9 +88,9 @@ impl Simulator {
             }
         }
 
-        // Observe the measured window only: the collector goes in after
-        // warmup and comes back out with the per-stage breakdown.
-        mem.set_event_sink(Box::new(StageCollector::default()));
+        // Observe the measured window only: the per-stage breakdown starts
+        // after warmup.
+        mem.start_stage_breakdown();
 
         // Snapshot counters so the report covers the measured window only.
         let base_before = mem.base_metrics();
@@ -200,14 +199,7 @@ impl Simulator {
         let instructions: u64 = cores.iter().map(CoreModel::instructions).sum();
         let wall_cycles = cores.iter().map(CoreModel::cycles).fold(0.0f64, f64::max);
 
-        let stage_breakdown = mem
-            .take_event_sink()
-            .and_then(|mut sink| {
-                sink.as_any_mut()
-                    .downcast_mut::<StageCollector>()
-                    .map(|c| std::mem::take(&mut c.breakdown))
-            })
-            .unwrap_or_default();
+        let stage_breakdown = mem.take_stage_breakdown().unwrap_or_default();
 
         let base_after = mem.base_metrics();
         let energy_after = *mem.device().energy();

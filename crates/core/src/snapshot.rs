@@ -8,7 +8,9 @@
 //! snapshot: [`DeWrite::snapshot`](crate::DeWrite::snapshot) captures it,
 //! [`DeWrite::power_on`](crate::DeWrite::power_on) rebuilds a controller
 //! over the same device, and [`DeWrite::scrub`](crate::DeWrite::scrub)
-//! verifies the result.
+//! verifies the result. Both the simulator and the engine's shard capture
+//! through one [`CommitKernel::snapshot`](crate::CommitKernel::snapshot),
+//! which holds the tables and the counters alike.
 //!
 //! # Format (version 2)
 //!
@@ -26,11 +28,10 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
-use dewrite_crypto::LineCounter;
+use dewrite_crypto::{LineCounter, COUNTER_MAX};
 use dewrite_hashes::Crc32;
 use dewrite_nvm::LineAddr;
 
-use crate::counters::CounterTable;
 use crate::dedup::DedupIndex;
 
 /// Magic bytes of a snapshot stream.
@@ -77,31 +78,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture the durable state from an index and counter table, stamped
-    /// with the owning configuration's fingerprint.
-    pub fn capture(index: &DedupIndex, counters: &CounterTable, config_fp: u64) -> Self {
-        let mut mappings = Vec::new();
-        let mut residents = Vec::new();
-        for i in 0..index.lines() {
-            let init = LineAddr::new(i);
-            if let Some(real) = index.resolve(init) {
-                mappings.push((i, real.index()));
-            }
-            if let Some(digest) = index.digest_of(init) {
-                residents.push((i, digest));
-            }
-        }
-        // The index and the table walk their lines in ascending order:
-        // sorted as built.
-        let counters: Vec<(u64, u32)> = counters.iter().map(|(l, c)| (l, c.value())).collect();
-        debug_assert!(mappings.is_sorted() && residents.is_sorted());
-        Snapshot {
-            config_fp,
-            lines: index.lines(),
-            mappings,
-            residents,
-            counters,
-        }
+    /// Capture the durable state of an index, its counters included,
+    /// stamped with the owning configuration's fingerprint.
+    pub fn capture(index: &DedupIndex, config_fp: u64) -> Self {
+        index
+            .kernel()
+            .snapshot(config_fp, index.lines(), |line| line)
     }
 
     /// An empty snapshot over `lines` lines (the state of a fresh
@@ -116,7 +98,7 @@ impl Snapshot {
         }
     }
 
-    /// Rebuild the dedup index and counter table.
+    /// Rebuild the dedup index, its counters included.
     ///
     /// The hash table is reconstructed from the resident set: one entry per
     /// resident line, with reference counts recomputed from the mappings —
@@ -125,8 +107,9 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency (mapping to a
-    /// non-resident line or across dedup domains, out-of-range address).
-    pub fn rebuild(&self) -> Result<(DedupIndex, CounterTable), String> {
+    /// non-resident line or across dedup domains, out-of-range address,
+    /// counter wider than its 28 bits).
+    pub fn rebuild(&self) -> Result<DedupIndex, String> {
         self.rebuild_with_domains(1)
     }
 
@@ -134,7 +117,7 @@ impl Snapshot {
     /// domains, so the rebuilt index keeps enforcing domain isolation. A
     /// checkpoint is outside input: a mapping whose target lies in another
     /// domain would restore sharing across tenants, and is rejected.
-    pub fn rebuild_with_domains(&self, domains: u64) -> Result<(DedupIndex, CounterTable), String> {
+    pub fn rebuild_with_domains(&self, domains: u64) -> Result<DedupIndex, String> {
         let mut index = DedupIndex::with_domains(self.lines, domains.max(1));
         let resident: HashMap<u64, u64> = self.residents.iter().copied().collect();
 
@@ -170,16 +153,20 @@ impl Snapshot {
             .check_invariants()
             .map_err(|e| format!("rebuilt index is inconsistent: {e}"))?;
 
-        let mut counters = CounterTable::new();
         for &(line, value) in &self.counters {
-            // The table is indexed by line: an address outside the index
-            // would size its directory from corrupt input.
             if line >= self.lines {
                 return Err(format!("counter line {line} out of range"));
             }
-            counters.set(line, LineCounter::from_value(value));
+            // The checksum covers the bytes, not their meaning: a value
+            // wider than the counter is corrupt input, not a panic.
+            if value > COUNTER_MAX {
+                return Err(format!(
+                    "counter of line {line} is {value}, wider than 28 bits"
+                ));
+            }
+            index.restore_counter(LineAddr::new(line), LineCounter::from_value(value));
         }
-        Ok((index, counters))
+        Ok(index)
     }
 
     /// Exact size of the image [`encode_into`](Self::encode_into) appends.
@@ -381,7 +368,7 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    fn sample_index() -> (DedupIndex, CounterTable) {
+    fn sample_index() -> DedupIndex {
         let mut idx = DedupIndex::new(16);
         // line 0 stores content A (digest 10), lines 1 and 2 dedup to it;
         // line 3 stores content B (digest 20).
@@ -389,18 +376,18 @@ mod tests {
         idx.apply_duplicate(LineAddr::new(1), LineAddr::new(0));
         idx.apply_duplicate(LineAddr::new(2), LineAddr::new(0));
         idx.apply_store(LineAddr::new(3), 20);
-        let mut counters = CounterTable::new();
-        counters.set(3, LineCounter::from_value(2));
-        counters.set(0, LineCounter::from_value(5));
-        (idx, counters)
+        idx.restore_counter(LineAddr::new(3), LineCounter::from_value(2));
+        idx.restore_counter(LineAddr::new(0), LineCounter::from_value(5));
+        idx
     }
 
     #[test]
     fn capture_rebuild_roundtrip() {
-        let (idx, counters) = sample_index();
-        let snap = Snapshot::capture(&idx, &counters, 0xFEED);
+        let idx = sample_index();
+        let snap = Snapshot::capture(&idx, 0xFEED);
         assert_eq!(snap.config_fp, 0xFEED);
-        let (rebuilt, rcounters) = snap.rebuild().expect("rebuild");
+        let rebuilt = snap.rebuild().expect("rebuild");
+        let rcounters = rebuilt.counters();
         assert_eq!(rebuilt.resolve(LineAddr::new(1)), Some(LineAddr::new(0)));
         assert_eq!(rebuilt.resolve(LineAddr::new(2)), Some(LineAddr::new(0)));
         assert_eq!(rebuilt.resolve(LineAddr::new(3)), Some(LineAddr::new(3)));
@@ -414,8 +401,7 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip() {
-        let (idx, counters) = sample_index();
-        let snap = Snapshot::capture(&idx, &counters, 77);
+        let snap = Snapshot::capture(&sample_index(), 77);
         let mut buf = Vec::new();
         snap.write_to(&mut buf).expect("encode");
         let decoded = Snapshot::read_from(buf.as_slice()).expect("decode");
@@ -425,8 +411,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic_and_truncation() {
         assert!(Snapshot::read_from(&b"NOPE"[..]).is_err());
-        let (idx, counters) = sample_index();
-        let snap = Snapshot::capture(&idx, &counters, 0);
+        let snap = Snapshot::capture(&sample_index(), 0);
         let mut buf = Vec::new();
         snap.write_to(&mut buf).expect("encode");
         // Truncation at EVERY byte offset must error, never panic.
@@ -440,8 +425,7 @@ mod tests {
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        let (idx, counters) = sample_index();
-        let snap = Snapshot::capture(&idx, &counters, 42);
+        let snap = Snapshot::capture(&sample_index(), 42);
         let mut buf = Vec::new();
         snap.write_to(&mut buf).expect("encode");
         for byte in 0..buf.len() {
@@ -542,5 +526,11 @@ mod tests {
         };
         let err = snap.rebuild().expect_err("counter beyond the index");
         assert!(err.contains("counter line"), "{err}");
+        let snap = Snapshot {
+            counters: vec![(1, 1 << 28)],
+            ..snap
+        };
+        let err = snap.rebuild().expect_err("counter wider than 28 bits");
+        assert!(err.contains("counter of line 1"), "{err}");
     }
 }

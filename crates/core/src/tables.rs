@@ -818,6 +818,20 @@ impl PresenceBitmap {
         *word &= !bit;
         was
     }
+
+    /// Every set index, ascending: a word at a time, a set bit at a time.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0u64..).zip(self.words.iter()).flat_map(|(w, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                (left != 0).then(|| {
+                    let bit = left.trailing_zeros();
+                    left &= left - 1;
+                    w * 64 + u64::from(bit)
+                })
+            })
+        })
+    }
 }
 
 /// [`AddrMap`]'s sentinel: the address has never been written.
@@ -934,6 +948,13 @@ impl InvertedTable {
         } else {
             None
         }
+    }
+
+    /// Every resident line and its digest, in ascending line order.
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, u64)> + '_ {
+        self.present
+            .iter()
+            .map(|idx| (LineAddr::new(idx), self.digest[idx as usize]))
     }
 
     /// Number of resident (hash-indexed) lines.
@@ -1511,6 +1532,10 @@ mod tests {
                 for i in 0..32u64 {
                     prop_assert_eq!(seed.digest_of(l(i)), flat.digest_of(l(i)));
                 }
+                let rows: Vec<_> = (0..32u64)
+                    .filter_map(|i| seed.digest_of(l(i)).map(|digest| (l(i), digest)))
+                    .collect();
+                prop_assert_eq!(flat.iter().collect::<Vec<_>>(), rows);
             }
         }
     }

@@ -2,17 +2,18 @@
 //! collection.
 //!
 //! Schemes that support tracing ([`DeWrite`](crate::DeWrite),
-//! [`CmeBaseline`](crate::CmeBaseline)) carry an optional [`EventSink`].
-//! When one is installed, every accepted write emits a [`WriteEvent`] — a
-//! plain stack struct carrying the path taken (duplicate / stored), the
-//! prediction and PNA decisions, and the nanoseconds each pipeline
-//! [`Stage`] contributed. When no sink is installed the hot path pays one
-//! branch and no allocation.
+//! [`CmeBaseline`](crate::CmeBaseline)) carry an optional
+//! [`StageBreakdown`]. Once one is started
+//! ([`SecureMemory::start_stage_breakdown`](crate::SecureMemory::start_stage_breakdown)),
+//! every accepted write builds a [`WriteEvent`] — a plain stack struct
+//! carrying the path taken (duplicate / stored), the prediction and PNA
+//! decisions, and the nanoseconds each pipeline [`Stage`] contributed —
+//! and folds it in. When none is started the hot path pays one branch and
+//! no allocation.
 //!
-//! The [`Simulator`](crate::Simulator) installs a [`StageCollector`] for
-//! the measured window and folds the resulting [`StageBreakdown`] —
-//! per-stage latency histograms with p50/p95/p99 — into the
-//! [`RunReport`](crate::RunReport).
+//! The [`Simulator`](crate::Simulator) starts a breakdown for the measured
+//! window and takes it — per-stage latency histograms with p50/p95/p99 —
+//! into the [`RunReport`](crate::RunReport).
 
 use dewrite_mem::LatencyHistogram;
 
@@ -127,20 +128,6 @@ impl WriteEvent {
     }
 }
 
-/// Receiver for [`WriteEvent`]s, installed on a scheme via
-/// [`SecureMemory::set_event_sink`](crate::SecureMemory::set_event_sink).
-///
-/// `Send` is a supertrait so schemes carrying a boxed sink stay `Send` and
-/// can be moved onto engine shard threads.
-pub trait EventSink: Send {
-    /// Observe one write.
-    fn record(&mut self, event: &WriteEvent);
-
-    /// Downcast support, so callers that installed a concrete sink can get
-    /// it back out of the `Box<dyn EventSink>`.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-}
-
 /// Aggregated per-stage latency distributions over a window of writes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageBreakdown {
@@ -169,6 +156,7 @@ impl StageBreakdown {
 
     /// Fold `n` copies of one event in: equal to `n` calls of
     /// [`observe`](Self::observe), in one step.
+    #[inline]
     pub fn observe_n(&mut self, event: &WriteEvent, n: u64) {
         match event.path {
             WritePath::Duplicate => self.duplicate_writes += n,
@@ -184,18 +172,9 @@ impl StageBreakdown {
     }
 
     /// Fold one event in.
+    #[inline]
     pub fn observe(&mut self, event: &WriteEvent) {
-        match event.path {
-            WritePath::Duplicate => self.duplicate_writes += 1,
-            WritePath::Stored => self.stored_writes += 1,
-        }
-        self.predicted_dup += u64::from(event.predicted_dup);
-        self.pna_skips += u64::from(event.pna_skip);
-        for stage in Stage::ALL {
-            if let Some(ns) = event.stage_ns(stage) {
-                self.stages[stage as usize].record(ns);
-            }
-        }
+        self.observe_n(event, 1);
     }
 
     /// Render the breakdown as collapsed-stack ("folded") text, the input
@@ -234,23 +213,6 @@ impl StageBreakdown {
     }
 }
 
-/// The standard [`EventSink`]: aggregates events into a [`StageBreakdown`].
-#[derive(Debug, Default)]
-pub struct StageCollector {
-    /// The aggregate so far.
-    pub breakdown: StageBreakdown,
-}
-
-impl EventSink for StageCollector {
-    fn record(&mut self, event: &WriteEvent) {
-        self.breakdown.observe(event);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +238,7 @@ mod tests {
 
     #[test]
     fn collector_aggregates_paths_and_stages() {
-        let mut c = StageCollector::default();
+        let mut b = StageBreakdown::default();
         let mut dup = WriteEvent::new(WritePath::Duplicate);
         dup.predicted_dup = true;
         dup.set_stage(Stage::Digest, 15);
@@ -285,11 +247,10 @@ mod tests {
         stored.pna_skip = true;
         stored.set_stage(Stage::Digest, 15);
         stored.set_stage(Stage::ArrayWrite, 300);
-        c.record(&dup);
-        c.record(&stored);
-        c.record(&stored);
+        b.observe(&dup);
+        b.observe(&stored);
+        b.observe(&stored);
 
-        let b = &c.breakdown;
         assert_eq!(b.writes(), 3);
         assert_eq!(b.duplicate_writes, 1);
         assert_eq!(b.stored_writes, 2);

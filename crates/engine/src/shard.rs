@@ -14,8 +14,9 @@
 //!   and a free-space map, the two-level [`FsmTree`] (per-chunk counters
 //!   skip drained regions), claimed in home-preference or wear-rotation
 //!   order as [`FsmPolicy`] selects — a claim or a release is plain loads
-//!   and stores, never an atomic read-modify-write;
-//! * **CME counters** colocated with the address map;
+//!   and stores, never an atomic read-modify-write; and the per-slot
+//!   **CME counters**, which the kernel bumps on every store and never
+//!   resets, so a pad is never reused when a slot is claimed again;
 //! * a metadata cache and a 3-bit [`HistoryPredictor`];
 //! * a host-side **verify buffer**: the plaintext of recently verified
 //!   resident lines keyed by `(slot, counter)`, so a hot duplicate's
@@ -350,15 +351,12 @@ pub struct ShardController {
     /// What keys the dedup index: the folded CRC-32.
     digest: IndexDigest,
 
-    /// The hash and inverted tables over local slots, the address map and
-    /// the free-space tree. The map takes global initial address `a` to a
-    /// local slot at index `a / shards`: owned addresses are exactly
-    /// `{a : a mod shards == id}`, so the index is unique.
+    /// The hash and inverted tables over local slots, the address map,
+    /// the slots' encryption counters and the free-space tree. The map
+    /// takes global initial address `a` to a local slot at index
+    /// `a / shards`: owned addresses are exactly `{a : a mod shards == id}`,
+    /// so the index is unique.
     kernel: CommitKernel<ShardSpace>,
-    /// Per-slot CME write counters, colocated with the address map.
-    /// Monotonic for the shard's lifetime — pad uniqueness survives slot
-    /// reuse.
-    counters: Vec<u32>,
     /// Ciphertext arena, one line per slot.
     store: Vec<u8>,
     meta: MetadataCache,
@@ -409,7 +407,6 @@ impl ShardController {
             crypt: CounterModeEngine::new(key),
             digest: IndexDigest::new(HashAlgorithm::Crc32),
             kernel: shard_kernel(slots, FsmPolicy::default()),
-            counters: vec![0u32; slots as usize],
             store: vec![0u8; slots as usize * line_size],
             meta: MetadataCache::new(CacheConfig::with_capacity((slots as usize / 4).max(64))),
             predictor: HistoryPredictor::new(3),
@@ -600,52 +597,20 @@ impl ShardController {
     }
 
     /// Capture the shard's durable metadata as a [`Snapshot`] in global
-    /// address terms: mappings are initial address → resident line, and
-    /// resident/counter lines are [`ShardController::slot_global`] values,
-    /// so per-shard snapshots compose without collisions.
+    /// address terms: a map index or slot `x` is written as
+    /// `x * shards + id`, so mappings are initial address → resident line
+    /// and per-shard snapshots compose without collisions.
     pub fn snapshot(&self) -> Snapshot {
-        let map = self.kernel.map();
-        let lines = map.span().max(self.slots) * self.shards as u64;
-        // Each table is sized exactly before it is filled: a checkpoint
-        // stalls the write path, and a megabyte-sized `Vec` grown by
-        // doubling pays for its final size again in copies and fresh
-        // pages. A counting pass over a dense array is far cheaper.
-        let mut mappings = Vec::with_capacity(map.iter().count());
-        for (idx, slot) in map.iter() {
-            let init = idx * self.shards as u64 + self.id as u64;
-            mappings.push((init, self.slot_global(slot.index())));
-        }
-        let inverted = self.kernel.inverted();
-        let mut residents = Vec::with_capacity(inverted.len());
-        self.kernel.space().tree.for_each_occupied(|slot| {
-            let digest = inverted
-                .digest_of(LineAddr::new(slot))
-                .expect("occupied slot must have an inverted-hash row");
-            residents.push((self.slot_global(slot), digest));
-        });
-        // `for_each_occupied` walks slots upward and `slot_global` is
-        // monotonic in the slot.
-        debug_assert!(residents.is_sorted());
-        let touched = self.counters.iter().filter(|&&c| c != 0).count();
-        let mut counters = Vec::with_capacity(touched);
-        for (slot, &c) in self.counters.iter().enumerate() {
-            if c != 0 {
-                counters.push((self.slot_global(slot as u64), c));
-            }
-        }
-        Snapshot {
-            config_fp: Self::persist_fingerprint(
-                self.id,
-                self.shards,
-                self.slots,
-                self.line_size,
-                DigestMode::Crc32Verify,
-            ),
-            lines,
-            mappings,
-            residents,
-            counters,
-        }
+        let fp = Self::persist_fingerprint(
+            self.id,
+            self.shards,
+            self.slots,
+            self.line_size,
+            DigestMode::Crc32Verify,
+        );
+        let (shards, id) = (self.shards as u64, self.id as u64);
+        let lines = self.kernel.map().span().max(self.slots) * shards;
+        self.kernel.snapshot(fp, lines, move |x| x * shards + id)
     }
 
     /// Journal `outcome`, the commit of a write of `digest` at `addr`,
@@ -656,14 +621,8 @@ impl ShardController {
         if self.log.is_none() && !cfg!(test) {
             return;
         }
-        let counter = match outcome {
-            WriteOutcome::Stored { target, .. } => self.counters[target.index() as usize],
-            WriteOutcome::Duplicate { .. } => 0,
-        };
         let (shards, id) = (self.shards as u64, self.id as u64);
-        let ops = outcome.meta_ops(addr.index(), digest, counter, move |slot| {
-            slot.index() * shards + id
-        });
+        let ops = outcome.meta_ops(addr.index(), digest, move |slot| slot.index() * shards + id);
         #[cfg(test)]
         {
             self.journaled = ops.clone().collect();
@@ -700,11 +659,19 @@ impl ShardController {
         start..start + self.line_size
     }
 
+    /// The encryption counter of the line resident in `slot`.
+    fn counter(&self, slot: u64) -> LineCounter {
+        self.kernel
+            .counters()
+            .get(slot)
+            .expect("a resident slot has been stored")
+    }
+
     /// Decrypt the line resident in `slot` into the scratch buffer.
     fn decrypt_slot(&mut self, slot: u64) {
         let range = self.slot_range(slot);
         let addr = self.slot_global(slot);
-        let ctr = LineCounter::from_value(self.counters[slot as usize]);
+        let ctr = self.counter(slot);
         self.crypt
             .decrypt_line_into(&self.store[range], addr, ctr, &mut self.scratch);
     }
@@ -714,11 +681,11 @@ impl ShardController {
     /// the slot's current counter.
     #[inline]
     fn verify_line(&mut self, slot: u64) -> &[u8] {
-        let counter = self.counters[slot as usize];
+        let counter = self.counter(slot);
         let (range, addr) = (self.slot_range(slot), self.slot_global(slot));
         let (crypt, ciphertext) = (&self.crypt, &self.store[range]);
-        self.verify.line(slot, counter, |out| {
-            crypt.decrypt_line_into(ciphertext, addr, LineCounter::from_value(counter), out);
+        self.verify.line(slot, counter.value(), |out| {
+            crypt.decrypt_line_into(ciphertext, addr, counter, out);
         })
     }
 
@@ -741,7 +708,7 @@ impl ShardController {
         let old = self.mapped_slot(idx);
         if let Some(home) = home {
             hint::prefetch_read_bytes(&self.store[self.slot_range(home)]);
-            hint::prefetch_read(&self.counters[home as usize]);
+            self.kernel.counters().prefetch(home);
             self.kernel.inverted().prefetch(LineAddr::new(home));
         }
         if let Some(old) = old.filter(|&old| Some(old) != home) {
@@ -831,16 +798,17 @@ impl ShardController {
                     .kernel
                     .store(idx, LineAddr::new(home), digest)
                     .expect("shard arena exhausted: size slots for the workload");
-                let WriteOutcome::Stored { target, .. } = outcome else {
+                let WriteOutcome::Stored {
+                    target, counter, ..
+                } = outcome
+                else {
                     unreachable!("a store commits a stored line");
                 };
                 let slot = target.index();
-                self.counters[slot as usize] += 1;
-                let ctr = LineCounter::from_value(self.counters[slot as usize]);
                 let global = self.slot_global(slot);
                 let range = self.slot_range(slot);
                 self.crypt
-                    .encrypt_line_into(data, global, ctr, &mut self.scratch);
+                    .encrypt_line_into(data, global, counter, &mut self.scratch);
                 self.flip_bits += dewrite_nvm::bit_flips(&self.store[range.clone()], &self.scratch);
                 self.store[range].copy_from_slice(&self.scratch);
                 outcome
@@ -947,7 +915,11 @@ impl ShardController {
         }
         for entry in 0..self.verify.keys.len() {
             let (slot, counter) = self.verify.keys[entry];
-            let current = self.counters[slot as usize];
+            let current = self
+                .kernel
+                .counters()
+                .get(slot)
+                .map_or(0, LineCounter::value);
             if counter > current {
                 return Err(format!(
                     "shard {id}: verify buffer holds slot {slot} at counter {counter}, ahead of its {current}"
@@ -1427,15 +1399,12 @@ mod tests {
         // Each stored line lands in its fresh, zeroed home slot with
         // counter 1, so it programs every set bit of its ciphertext.
         let crypt = CounterModeEngine::new(KEY);
+        let mut first = LineCounter::new();
+        assert!(first.increment());
         let mut ct = vec![0u8; LINE_256];
         let flip_bits: u64 = (0..5)
             .map(|addr| {
-                crypt.encrypt_line_into(
-                    &lines[addr],
-                    addr as u64,
-                    LineCounter::from_value(1),
-                    &mut ct,
-                );
+                crypt.encrypt_line_into(&lines[addr], addr as u64, first, &mut ct);
                 ct.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
             })
             .sum();
@@ -1462,7 +1431,7 @@ mod tests {
         let (a, b, c, d) = (line(1), line(2), line(3), line(4));
         // A at address 0, whose home is slot 0.
         assert!(!s.write(LineAddr::new(0), &a, 0).eliminated);
-        assert_eq!((s.mapped_slot(0), s.counters[0]), (Some(0), 1));
+        assert_eq!((s.mapped_slot(0), s.counter(0).value()), (Some(0), 1));
         // A elsewhere verifies against slot 0 and fills its buffer line.
         assert!(s.write(LineAddr::new(1), &a, 0).eliminated);
         assert_eq!(s.verify.keys[0], (0, 1));
@@ -1472,7 +1441,7 @@ mod tests {
         assert!(s.kernel.space().is_free(LineAddr::new(0)));
         // D is stored at slot 0 under its second counter.
         assert!(!s.write(LineAddr::new(0), &d, 0).eliminated);
-        assert_eq!((s.mapped_slot(0), s.counters[0]), (Some(0), 2));
+        assert_eq!((s.mapped_slot(0), s.counter(0).value()), (Some(0), 2));
         // D at a third address must find it there.
         assert!(
             s.write(LineAddr::new(2), &d, 0).eliminated,
