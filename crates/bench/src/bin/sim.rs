@@ -10,14 +10,14 @@
 
 use std::process::ExitCode;
 
-use dewrite_bench::runner::{Scale, KEY};
+use dewrite_bench::runner::{Scale, Workload, KEY};
 use dewrite_core::{
     BitEncoding, CmeBaseline, DeWrite, DeWriteConfig, Json, MetadataPersistence, Replacement,
-    RunReport, SilentShredder, Simulator, SystemConfig, TraditionalDedup, WriteMode,
+    RunReport, SilentShredder, Simulator, TraditionalDedup, WriteMode,
 };
 use dewrite_hashes::HashAlgorithm;
 use dewrite_nvm::Timing;
-use dewrite_trace::{app_by_name, worst_case, TraceGenerator};
+use dewrite_trace::{app_by_name, worst_case};
 
 struct Options {
     app: String,
@@ -211,20 +211,14 @@ fn main() -> ExitCode {
         writes: opts.writes,
         ..Scale::default_scale()
     };
-    let profile = scale.shape(profile);
-
-    let mut gen = TraceGenerator::new(profile.clone(), 256, opts.seed);
-    let warmup = gen.warmup_records();
-    let mut trace = Vec::new();
-    let mut writes = 0;
-    while writes < opts.writes {
-        let rec = gen.next().expect("infinite generator");
-        writes += usize::from(rec.op.is_write());
-        trace.push(rec);
-    }
-
-    let mut config =
-        SystemConfig::for_lines(profile.working_set_lines + profile.content_pool_size as u64 + 64);
+    let workload = Workload::generate(&profile, scale, opts.seed);
+    let mut config = workload.system_config();
+    let Workload {
+        profile,
+        warmup,
+        trace,
+        ..
+    } = workload;
     if let Some(b) = opts.banks {
         config.nvm.banks = b;
     }

@@ -441,7 +441,6 @@ pub fn ext_combined(ctx: &mut Ctx) {
 /// exploits in virtualized hosts, here at line granularity. (The paper
 /// scopes out the associated dedup side channels, §V; so do we.)
 pub fn ext_colo(ctx: &mut Ctx) {
-    use dewrite_core::CmeBaseline;
     use dewrite_nvm::LineAddr;
     use dewrite_trace::{TraceGenerator, TraceOp, TraceRecord};
 
@@ -513,7 +512,6 @@ pub fn ext_colo(ctx: &mut Ctx) {
             let r = Simulator::new(&config)
                 .run(&mut mem, "colo", warm, trace.iter().cloned())
                 .expect("fits");
-            let _ = CmeBaseline::new(config, KEY); // (type parity; unused)
             r.write_reduction()
         };
 

@@ -1,14 +1,12 @@
 //! The traditional secure-NVM baseline: counter-mode encryption, no dedup.
 
-use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
-};
+use dewrite_crypto::AES_LINE_LATENCY_NS;
 use dewrite_mem::Replacement;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
 use crate::counters::CounterTable;
-use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
+use crate::schemes::{BaseMetrics, CmeArray, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::trace::{Stage, StageBreakdown, WriteEvent, WritePath};
 
 /// Counter-cache capacity of the baseline: the full 2 MB metadata cache
@@ -41,25 +39,18 @@ const COUNTER_PREFETCH: usize = 64;
 /// # }
 /// ```
 pub struct CmeBaseline {
-    config: SystemConfig,
-    device: NvmDevice,
-    engine: CounterModeEngine,
+    pub(crate) array: CmeArray,
     counters: CounterTable,
     counter_table: MetaTable,
-    metrics: BaseMetrics,
     /// Per-stage latencies of the writes since tracing started.
     stages: Option<StageBreakdown>,
-    /// Scratch ciphertext buffer reused across writes (no per-write alloc).
-    line_buf: Vec<u8>,
-    /// Scratch plaintext line a [`ReadResult`] borrows.
-    read_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for CmeBaseline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CmeBaseline")
-            .field("writes", &self.metrics.writes)
-            .field("reads", &self.metrics.reads)
+            .field("writes", &self.array.metrics.writes)
+            .field("reads", &self.array.metrics.reads)
             .finish_non_exhaustive()
     }
 }
@@ -71,47 +62,69 @@ impl CmeBaseline {
     ///
     /// Panics if `config` fails validation.
     pub fn new(config: SystemConfig, key: &[u8; 16]) -> Self {
-        config.validate().expect("invalid system config");
-        let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
-        let line_size = config.nvm.line_size;
+        Self::with_counter_region(config, key, SystemConfig::meta_lines)
+    }
+
+    /// Build the baseline with its counter table backed by the first
+    /// `region_lines(&config)` lines of the metadata region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails validation.
+    pub(crate) fn with_counter_region(
+        config: SystemConfig,
+        key: &[u8; 16],
+        region_lines: fn(&SystemConfig) -> u64,
+    ) -> Self {
+        let array = CmeArray::new(config, key, None);
+        let config = &array.config;
         let counter_table = MetaTable::new(
             COUNTER_CACHE_ENTRIES,
             Replacement::Lru,
             config.meta_base(),
-            config.meta_lines(),
+            region_lines(config),
             4,
             COUNTER_PREFETCH,
             true,
             config.meta_cache_hit_ns,
-            line_size,
+            config.nvm.line_size,
         );
         CmeBaseline {
             counters: CounterTable::new(config.data_lines),
-            config,
-            device,
-            engine: CounterModeEngine::new(key),
             counter_table,
-            metrics: BaseMetrics::default(),
             stages: None,
-            line_buf: Vec::new(),
-            read_buf: vec![0u8; line_size],
-        }
-    }
-
-    fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
-        if addr.index() >= self.config.data_lines {
-            Err(NvmError::AddressOutOfRange {
-                addr,
-                num_lines: self.config.data_lines,
-            })
-        } else {
-            Ok(())
+            array,
         }
     }
 
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
-        &self.config
+        &self.array.config
+    }
+
+    /// Serve a read of `addr`, already accepted by
+    /// [`CmeArray::begin_read`] at `now_ns`, from `start_ns` on.
+    pub(crate) fn read_from(
+        &mut self,
+        addr: LineAddr,
+        now_ns: u64,
+        start_ns: u64,
+    ) -> Result<ReadResult<'_>, NvmError> {
+        let ctr = self.counter_table.access(
+            addr.index(),
+            false,
+            &mut self.array.device,
+            start_ns,
+            &mut self.array.metrics,
+        );
+        let done = match self.counters.get(addr.index()) {
+            // OTP generation overlaps the array read once the counter is
+            // known; the XOR is the only serial step.
+            Some(counter) => self.array.load(addr, counter, start_ns, ctr.done_ns)?,
+            // Never written: fresh cells read as zeros, nothing to decrypt.
+            None => self.array.load_unwritten(addr, start_ns)?.max(ctr.done_ns),
+        };
+        Ok(self.array.read_result(now_ns, done))
     }
 }
 
@@ -121,104 +134,52 @@ impl SecureMemory for CmeBaseline {
     }
 
     fn write(&mut self, addr: LineAddr, data: &[u8], now_ns: u64) -> Result<WriteResult, NvmError> {
-        self.check_addr(addr)?;
-        if data.len() != self.config.nvm.line_size {
-            return Err(NvmError::WrongLineSize {
-                got: data.len(),
-                expected: self.config.nvm.line_size,
-            });
-        }
-        self.metrics.writes += 1;
+        self.array.begin_write(addr, data)?;
 
         // Fetch + bump the counter (dirty in the counter cache).
         let ctr = self.counter_table.access(
             addr.index(),
             true,
-            &mut self.device,
+            &mut self.array.device,
             now_ns,
-            &mut self.metrics,
+            &mut self.array.metrics,
         );
         let counter = self.counters.bump(addr.index());
 
         // Encrypt, then write.
         let enc_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-        self.metrics.aes_line_ops += 1;
-        self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
-        self.line_buf.resize(data.len(), 0);
-        self.engine
-            .encrypt_line_into(data, addr.index(), counter, &mut self.line_buf);
-        let old = self.device.line(addr)?;
-        let flips = crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
-        let access = self
-            .device
-            .write_line_with_flips(addr, &self.line_buf, flips, enc_done)?;
+        self.array.charge_encryption();
+        let finish = self.array.store(addr, data, counter, enc_done)?;
 
         if let Some(stages) = self.stages.as_mut() {
             let mut e = WriteEvent::new(WritePath::Stored);
-            e.total_ns = access.slot.finish_ns - now_ns;
+            e.total_ns = finish - now_ns;
             // Counter fetch + AES are one serial stage in the baseline.
             e.set_stage(Stage::Encrypt, enc_done - now_ns);
-            e.set_stage(Stage::ArrayWrite, access.slot.finish_ns - enc_done);
+            e.set_stage(Stage::ArrayWrite, finish - enc_done);
             e.set_stage(Stage::Metadata, ctr.done_ns - now_ns);
             stages.observe(&e);
         }
 
         Ok(WriteResult {
             critical_ns: enc_done - now_ns,
-            nvm_finish_ns: Some(access.slot.finish_ns),
+            nvm_finish_ns: Some(finish),
             eliminated: false,
-            total_ns: access.slot.finish_ns - now_ns,
+            total_ns: finish - now_ns,
         })
     }
 
     fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
-        self.check_addr(addr)?;
-        self.metrics.reads += 1;
-
-        let ctr = self.counter_table.access(
-            addr.index(),
-            false,
-            &mut self.device,
-            now_ns,
-            &mut self.metrics,
-        );
-        let (ciphertext, access) = self.device.read_line(addr, now_ns)?;
-
-        let done = match self.counters.get(addr.index()) {
-            Some(counter) => {
-                // OTP generation overlaps the array read once the counter is
-                // known; the XOR is the only serial step. Pad energy is not
-                // charged: the paper's energy accounting is write-dominated
-                // (pads for reads are precomputed while counters sit in the
-                // cache), and both schemes treat reads identically.
-                let pad_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-                self.engine.decrypt_line_into(
-                    ciphertext,
-                    addr.index(),
-                    counter,
-                    &mut self.read_buf,
-                );
-                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
-            }
-            None => {
-                // Never written: fresh cells read as zeros, nothing to
-                // decrypt.
-                self.read_buf.copy_from_slice(ciphertext);
-                access.slot.finish_ns.max(ctr.done_ns)
-            }
-        };
-        Ok(ReadResult {
-            data: &self.read_buf,
-            latency_ns: done - now_ns,
-        })
+        self.array.begin_read(addr)?;
+        self.read_from(addr, now_ns, now_ns)
     }
 
     fn device(&self) -> &NvmDevice {
-        &self.device
+        &self.array.device
     }
 
     fn base_metrics(&self) -> BaseMetrics {
-        self.metrics
+        self.array.metrics
     }
 
     fn start_stage_breakdown(&mut self) {
@@ -255,7 +216,7 @@ mod tests {
         let mut m = mem();
         let line = vec![0xABu8; 256];
         m.write(LineAddr::new(3), &line, 0).unwrap();
-        let raw = m.device.peek_line(LineAddr::new(3)).unwrap();
+        let raw = m.device().peek_line(LineAddr::new(3)).unwrap();
         assert_ne!(raw, line, "plaintext must never reach the array");
     }
 
@@ -264,9 +225,9 @@ mod tests {
         let mut m = mem();
         let line = vec![1u8; 256];
         m.write(LineAddr::new(0), &line, 0).unwrap();
-        let ct1 = m.device.peek_line(LineAddr::new(0)).unwrap();
+        let ct1 = m.device().peek_line(LineAddr::new(0)).unwrap();
         m.write(LineAddr::new(0), &line, 1_000).unwrap();
-        let ct2 = m.device.peek_line(LineAddr::new(0)).unwrap();
+        let ct2 = m.device().peek_line(LineAddr::new(0)).unwrap();
         assert_ne!(ct1, ct2, "counter bump must re-randomize ciphertext");
         // …and the diffusion flips ~half the bits (the paper's premise).
         let flips = dewrite_nvm::bit_flips(&ct1, &ct2);

@@ -23,18 +23,16 @@
 //! read is in flight, its cost hidden within the read — the paper's own
 //! idealization.
 
-use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
-};
+use dewrite_crypto::AES_LINE_LATENCY_NS;
 use dewrite_mem::CacheStats;
-use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError, Timing};
+use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError};
 
 use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, MetadataPersistence, SystemConfig, WriteMode};
 use crate::dedup::{DedupIndex, WriteOutcome};
 use crate::digest::IndexDigest;
 use crate::predictor::HistoryPredictor;
-use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
+use crate::schemes::{BaseMetrics, CmeArray, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::tables::MAX_REFERENCE;
 use crate::trace::{Stage, StageBreakdown, WriteEvent, WritePath};
 
@@ -146,21 +144,6 @@ impl VerifyBuffer {
     }
 }
 
-/// Decrypt the resident line `real`, stored as `ciphertext`, under its
-/// counter in `index` into `out`; `None` if the line has no counter (which
-/// a resident line always does unless controller state was lost).
-fn decrypt_resident(
-    engine: &CounterModeEngine,
-    index: &DedupIndex,
-    real: LineAddr,
-    ciphertext: &[u8],
-    out: &mut [u8],
-) -> Option<()> {
-    let counter = index.counters().get(real.index())?;
-    engine.decrypt_line_into(ciphertext, real.index(), counter, out);
-    Some(())
-}
-
 /// The DeWrite controller over an NVM device.
 ///
 /// ```
@@ -179,10 +162,8 @@ fn decrypt_resident(
 /// # }
 /// ```
 pub struct DeWrite {
-    config: SystemConfig,
+    array: CmeArray,
     dw: DeWriteConfig,
-    device: NvmDevice,
-    engine: CounterModeEngine,
     digest: IndexDigest,
     index: DedupIndex,
     predictor: HistoryPredictor,
@@ -190,7 +171,6 @@ pub struct DeWrite {
     inverted_meta: MetaTable,
     hash_meta: MetaTable,
     fsm_meta: MetaTable,
-    metrics: BaseMetrics,
     dmetrics: DeWriteMetrics,
     /// Recently verified candidate contents.
     verify_buffer: VerifyBuffer,
@@ -199,11 +179,6 @@ pub struct DeWrite {
     /// Per-stage latencies of the writes since tracing started
     /// (observability; `None` on the hot path).
     stages: Option<StageBreakdown>,
-    /// Scratch ciphertext buffer reused across writes (no per-write alloc).
-    line_buf: Vec<u8>,
-    /// Scratch plaintext line: what a candidate decrypts into for its byte
-    /// comparison, and what a [`ReadResult`] borrows.
-    plain_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for DeWrite {
@@ -212,7 +187,7 @@ impl std::fmt::Debug for DeWrite {
             .field("mode", &self.dw.mode)
             .field("pna", &self.dw.pna)
             .field("hasher", &self.digest.algorithm())
-            .field("writes", &self.metrics.writes)
+            .field("writes", &self.array.metrics.writes)
             .finish_non_exhaustive()
     }
 }
@@ -224,16 +199,15 @@ impl DeWrite {
     ///
     /// Panics if `config` fails validation.
     pub fn new(config: SystemConfig, dw: DeWriteConfig, key: &[u8; 16]) -> Self {
-        let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
         let index = DedupIndex::with_domains(config.data_lines, dw.dedup_domains.max(1));
-        Self::assemble(config, dw, key, device, index)
+        Self::assemble(CmeArray::new(config, key, None), dw, index)
     }
 
     /// Power off: hand back the durable state (metadata snapshot) and the
     /// physical device, consuming the controller.
     pub fn power_off(self) -> (crate::snapshot::Snapshot, NvmDevice) {
         let snapshot = self.snapshot();
-        (snapshot, self.device)
+        (snapshot, self.array.device)
     }
 
     /// Capture the durable metadata state without consuming the controller
@@ -277,17 +251,12 @@ impl DeWrite {
             return Err("device configuration does not match".into());
         }
         let index = snapshot.rebuild_with_domains(dw.dedup_domains.max(1))?;
-        Ok(Self::assemble(config, dw, key, device, index))
+        let array = CmeArray::new(config, key, Some(device));
+        Ok(Self::assemble(array, dw, index))
     }
 
-    fn assemble(
-        config: SystemConfig,
-        dw: DeWriteConfig,
-        key: &[u8; 16],
-        device: NvmDevice,
-        index: DedupIndex,
-    ) -> Self {
-        config.validate().expect("invalid system config");
+    fn assemble(array: CmeArray, dw: DeWriteConfig, index: DedupIndex) -> Self {
+        let config = &array.config;
         let line_size = config.nvm.line_size;
         let hit = config.meta_cache_hit_ns;
         let meta = config.meta_base();
@@ -315,7 +284,7 @@ impl DeWrite {
         );
 
         let mc = dw.meta_cache;
-        let addr_map_meta = MetaTable::new(
+        let mut addr_map_meta = MetaTable::new(
             mc.addr_map_entries,
             mc.replacement,
             addr_base,
@@ -326,7 +295,7 @@ impl DeWrite {
             hit,
             line_size,
         );
-        let inverted_meta = MetaTable::new(
+        let mut inverted_meta = MetaTable::new(
             mc.inverted_entries,
             mc.replacement,
             inv_base,
@@ -337,7 +306,7 @@ impl DeWrite {
             hit,
             line_size,
         );
-        let hash_meta = MetaTable::new(
+        let mut hash_meta = MetaTable::new(
             mc.hash_entries,
             mc.replacement,
             hash_base,
@@ -348,7 +317,7 @@ impl DeWrite {
             hit,
             line_size,
         );
-        let fsm_meta = MetaTable::new(
+        let mut fsm_meta = MetaTable::new(
             mc.fsm_groups,
             mc.replacement,
             fsm_base,
@@ -360,10 +329,6 @@ impl DeWrite {
             line_size,
         );
 
-        let mut addr_map_meta = addr_map_meta;
-        let mut inverted_meta = inverted_meta;
-        let mut hash_meta = hash_meta;
-        let mut fsm_meta = fsm_meta;
         if dw.persistence == MetadataPersistence::WriteThrough {
             addr_map_meta.set_write_through(true);
             inverted_meta.set_write_through(true);
@@ -372,7 +337,6 @@ impl DeWrite {
         }
 
         DeWrite {
-            engine: CounterModeEngine::new(key),
             digest: IndexDigest::new(dw.hasher),
             index,
             predictor: HistoryPredictor::new(dw.history_bits),
@@ -380,15 +344,11 @@ impl DeWrite {
             inverted_meta,
             hash_meta,
             fsm_meta,
-            metrics: BaseMetrics::default(),
             dmetrics: DeWriteMetrics::default(),
             verify_buffer: VerifyBuffer::new(dw.verify_buffer_entries, line_size),
             writes_since_flush: 0,
             stages: None,
-            line_buf: Vec::new(),
-            plain_buf: vec![0u8; line_size],
-            device,
-            config,
+            array,
             dw,
         }
     }
@@ -407,20 +367,18 @@ impl DeWrite {
     /// Flush all dirty cached metadata to NVM. Returns the number of
     /// entries written back.
     pub fn flush_metadata(&mut self, now_ns: u64) -> u64 {
-        let mut flushed = 0;
-        flushed += self
-            .addr_map_meta
-            .flush_all(&mut self.device, now_ns, &mut self.metrics);
-        flushed += self
-            .inverted_meta
-            .flush_all(&mut self.device, now_ns, &mut self.metrics);
-        flushed += self
-            .hash_meta
-            .flush_all(&mut self.device, now_ns, &mut self.metrics);
-        flushed += self
-            .fsm_meta
-            .flush_all(&mut self.device, now_ns, &mut self.metrics);
-        flushed
+        let CmeArray {
+            device, metrics, ..
+        } = &mut self.array;
+        [
+            &mut self.addr_map_meta,
+            &mut self.inverted_meta,
+            &mut self.hash_meta,
+            &mut self.fsm_meta,
+        ]
+        .into_iter()
+        .map(|table| table.flush_all(device, now_ns, metrics))
+        .sum()
     }
 
     /// Dirty (crash-vulnerable) metadata entries currently cached. Zero
@@ -438,8 +396,8 @@ impl DeWrite {
     /// null-slot invariant and the 6.25% storage arithmetic on real end
     /// states (`repro ext-layout`).
     pub fn colocation_layout(&self) -> crate::colocate::ColocatedStore {
-        let mut store = crate::colocate::ColocatedStore::new(self.config.data_lines);
-        for i in 0..self.config.data_lines {
+        let mut store = crate::colocate::ColocatedStore::new(self.array.config.data_lines);
+        for i in 0..self.array.config.data_lines {
             let line = LineAddr::new(i);
             if let Some(real) = self.index.resolve(line) {
                 if real != line {
@@ -473,8 +431,8 @@ impl DeWrite {
     pub fn scrub(&self) -> Result<u64, String> {
         self.index.check_invariants()?;
         let mut checked = 0;
-        let mut plaintext = vec![0u8; self.config.nvm.line_size];
-        for i in 0..self.config.data_lines {
+        let mut plaintext = vec![0u8; self.array.config.nvm.line_size];
+        for i in 0..self.array.config.data_lines {
             let init = LineAddr::new(i);
             let Some(real) = self.index.resolve(init) else {
                 continue;
@@ -502,25 +460,14 @@ impl DeWrite {
     /// is issued, so nothing is booked: no device write, wear, energy or
     /// bank time.
     pub fn inject_corruption(&mut self, line: LineAddr) {
-        self.device.line_mut(line).expect("line in range")[0] ^= 0xFF;
+        self.array.device.line_mut(line).expect("line in range")[0] ^= 0xFF;
         // The dedup logic's verify buffer would mask the corruption.
         self.verify_buffer.invalidate(line.index());
     }
 
-    fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
-        if addr.index() >= self.config.data_lines {
-            Err(NvmError::AddressOutOfRange {
-                addr,
-                num_lines: self.config.data_lines,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
-        &self.config
+        &self.array.config
     }
 
     /// DeWrite-specific metrics (predictor accuracy filled in).
@@ -558,9 +505,13 @@ impl DeWrite {
     /// snapshot). Returning the raw ciphertext would silently compare
     /// garbage; fail loudly instead.
     fn plaintext_into(&self, real: LineAddr, out: &mut [u8]) -> Result<(), String> {
-        let ciphertext = self.device.line(real).expect("resident line in range");
-        decrypt_resident(&self.engine, &self.index, real, ciphertext, out)
-            .ok_or_else(|| format!("resident line {real} has no encryption counter"))
+        let counter = self
+            .index
+            .counters()
+            .get(real.index())
+            .ok_or_else(|| format!("resident line {real} has no encryption counter"))?;
+        self.array.decrypt_into(real, counter, out);
+        Ok(())
     }
 
     /// Run the candidate comparison loop with timed NVM reads.
@@ -571,7 +522,7 @@ impl DeWrite {
         data: &[u8],
         start_ns: u64,
     ) -> ConfirmOutcome {
-        let timing: Timing = self.config.nvm.timing;
+        let compare = self.array.config.nvm.timing.compare_ns;
         let mut t = start_ns;
         let mut verify_ns = 0;
         let mut compare_ns = 0;
@@ -586,32 +537,35 @@ impl DeWrite {
             // Hot candidates sit in the dedup logic's verify buffer and
             // confirm without touching the array; the rest are read,
             // decrypted into the scratch line and buffered.
-            let content = match self.verify_buffer.touch(real.index()) {
-                Some(buffer) => self.verify_buffer.contents(buffer),
+            let equal = match self.verify_buffer.touch(real.index()) {
+                Some(buffer) => lines_equal(self.verify_buffer.contents(buffer), data),
                 None => {
-                    let (ciphertext, access) = self
+                    let access = self
+                        .array
                         .device
-                        .read_line(real, t)
+                        .read_timing(real, t)
                         .expect("candidate line in range");
-                    self.metrics.verify_reads += 1;
+                    self.array.metrics.verify_reads += 1;
                     verify_ns += access.slot.finish_ns - t;
                     t = access.slot.finish_ns;
-                    let plain = &mut self.plain_buf;
-                    decrypt_resident(&self.engine, &self.index, real, ciphertext, plain)
-                        .expect("resident candidate must have a counter");
-                    self.verify_buffer.insert(real.index(), &self.plain_buf);
-                    &self.plain_buf
+                    let counter = self.index.counters().get(real.index());
+                    let counter = counter.expect("resident candidate must have a counter");
+                    let plain = self.array.decrypt(real, counter);
+                    self.verify_buffer.insert(real.index(), plain);
+                    lines_equal(plain, data)
                 }
             };
-            self.device.charge_dedup_pj(EnergyParams::PCM.compare_pj);
+            self.array
+                .device
+                .charge_dedup_pj(EnergyParams::PCM.compare_pj);
             // Per the paper's accounting (§IV-D), dedup-logic energy is the
             // CRC + comparison only: the candidate's pad is assumed
             // regenerable from its colocated counter while the array read is
             // in flight, with both its latency and energy hidden in the
             // read (Table I charges the duplicate path 15 + 75 + 1 ns).
-            t += timing.compare_ns;
-            compare_ns += timing.compare_ns;
-            if lines_equal(content, data) {
+            t += compare;
+            compare_ns += compare;
+            if equal {
                 return ConfirmOutcome {
                     matched: Some(real),
                     done_ns: t,
@@ -650,12 +604,13 @@ impl DeWrite {
             inverted_meta,
             hash_meta,
             fsm_meta,
-            device,
-            metrics,
+            array,
             ..
         } = self;
         let mut touch = |table: &mut MetaTable, key: u64| {
-            table.write_insert(key, device, now_ns, metrics).done_ns
+            table
+                .write_insert(key, &mut array.device, now_ns, &mut array.metrics)
+                .done_ns
         };
         let mut done = touch(addr_map_meta, init.index());
         let freed = match outcome {
@@ -692,22 +647,15 @@ impl SecureMemory for DeWrite {
     }
 
     fn write(&mut self, init: LineAddr, data: &[u8], now_ns: u64) -> Result<WriteResult, NvmError> {
-        self.check_addr(init)?;
-        if data.len() != self.config.nvm.line_size {
-            return Err(NvmError::WrongLineSize {
-                got: data.len(),
-                expected: self.config.nvm.line_size,
-            });
-        }
-        self.metrics.writes += 1;
+        self.array.begin_write(init, data)?;
 
         // 1. Fingerprint: the light hash (15 ns).
         let cost = self.digest.cost();
         let digest_ns = cost.latency_ns;
         let digest = self.digest.digest(data);
         let hash_done = now_ns + digest_ns;
-        self.metrics.hash_ops += 1;
-        self.device.charge_dedup_pj(cost.energy_pj);
+        self.array.metrics.hash_ops += 1;
+        self.array.device.charge_dedup_pj(cost.energy_pj);
 
         // 2. Mode decision (parallelism between dedup and encryption).
         let predicted_dup = self.predictor.predict_duplicate();
@@ -730,15 +678,15 @@ impl SecureMemory for DeWrite {
                 // PNA: decline the in-NVM query; treat as non-duplicate.
                 self.dmetrics.pna_skips += 1;
                 pna_skip = true;
-                (false, hash_done + self.config.meta_cache_hit_ns)
+                (false, hash_done + self.array.config.meta_cache_hit_ns)
             }
             None => {
                 let acc = self.hash_meta.fetch(
                     digest,
                     false,
-                    &mut self.device,
+                    &mut self.array.device,
                     hash_done,
-                    &mut self.metrics,
+                    &mut self.array.metrics,
                 );
                 (true, acc.done_ns)
             }
@@ -756,13 +704,12 @@ impl SecureMemory for DeWrite {
             // Ground truth for PNA accounting: would a live candidate have
             // matched? (The bucket is walked where it lives; each candidate
             // decrypts into the scratch line.)
+            let counters = self.index.counters();
             let missed = self.index.candidates_for(digest, init).any(|e| {
                 e.reference != MAX_REFERENCE && {
-                    let ciphertext = self.device.line(e.real).expect("in range");
-                    let plain = &mut self.plain_buf;
-                    decrypt_resident(&self.engine, &self.index, e.real, ciphertext, plain)
-                        .expect("resident line must have a counter");
-                    lines_equal(&self.plain_buf, data)
+                    let counter = counters.get(e.real.index());
+                    let counter = counter.expect("resident line must have a counter");
+                    lines_equal(self.array.decrypt(e.real, counter), data)
                 }
             });
             if missed {
@@ -779,12 +726,11 @@ impl SecureMemory for DeWrite {
             let acc = self.inverted_meta.access(
                 row.index(),
                 false,
-                &mut self.device,
+                &mut self.array.device,
                 now_ns,
-                &mut self.metrics,
+                &mut self.array.metrics,
             );
-            self.metrics.aes_line_ops += 1;
-            self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
+            self.array.charge_encryption();
             Some(acc.done_ns + AES_LINE_LATENCY_NS)
         } else {
             None
@@ -802,7 +748,7 @@ impl SecureMemory for DeWrite {
                     self.verify_buffer.invalidate(freed.index());
                 }
                 self.dmetrics.dup_eliminated += 1;
-                self.metrics.writes_eliminated += 1;
+                self.array.metrics.writes_eliminated += 1;
                 if speculative {
                     self.dmetrics.wasted_encryptions += 1;
                 } else {
@@ -858,12 +804,11 @@ impl SecureMemory for DeWrite {
                         let acc = self.inverted_meta.access(
                             target.index(),
                             false,
-                            &mut self.device,
+                            &mut self.array.device,
                             detect_done,
-                            &mut self.metrics,
+                            &mut self.array.metrics,
                         );
-                        self.metrics.aes_line_ops += 1;
-                        self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
+                        self.array.charge_encryption();
                         acc.done_ns + AES_LINE_LATENCY_NS
                     }
                 };
@@ -872,24 +817,15 @@ impl SecureMemory for DeWrite {
                 if let Some(freed) = freed {
                     self.verify_buffer.invalidate(freed.index());
                 }
-                self.line_buf.resize(data.len(), 0);
-                self.engine
-                    .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
-
                 let ready = detect_done.max(enc_done);
-                let old = self.device.line(target)?;
-                let flips =
-                    crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
-                let access =
-                    self.device
-                        .write_line_with_flips(target, &self.line_buf, flips, ready)?;
+                let finish = self.array.store(target, data, counter, ready)?;
                 let meta_done = self.commit_metadata(init, outcome, digest, ready);
                 self.predictor.record(false);
                 if self.stages.is_some() {
                     let mut e = WriteEvent::new(WritePath::Stored);
                     e.predicted_dup = predicted_dup;
                     e.pna_skip = pna_skip;
-                    e.total_ns = access.slot.finish_ns - now_ns;
+                    e.total_ns = finish - now_ns;
                     e.set_stage(Stage::Digest, digest_ns);
                     e.set_stage(Stage::HashProbe, query_done - hash_done);
                     if let Some(ns) = verify_ns {
@@ -906,15 +842,15 @@ impl SecureMemory for DeWrite {
                         detect_done
                     };
                     e.set_stage(Stage::Encrypt, enc_done - enc_start);
-                    e.set_stage(Stage::ArrayWrite, access.slot.finish_ns - ready);
+                    e.set_stage(Stage::ArrayWrite, finish - ready);
                     e.set_stage(Stage::Metadata, meta_done.saturating_sub(ready));
                     event = Some(e);
                 }
                 WriteResult {
                     critical_ns: ready - now_ns,
-                    nvm_finish_ns: Some(access.slot.finish_ns),
+                    nvm_finish_ns: Some(finish),
                     eliminated: false,
-                    total_ns: access.slot.finish_ns - now_ns,
+                    total_ns: finish - now_ns,
                 }
             }
         };
@@ -926,16 +862,15 @@ impl SecureMemory for DeWrite {
     }
 
     fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
-        self.check_addr(init)?;
-        self.metrics.reads += 1;
+        self.array.begin_read(init)?;
 
         // 1. Address-mapping row (mapping + colocated counter of `init`).
         let map_acc = self.addr_map_meta.access(
             init.index(),
             false,
-            &mut self.device,
+            &mut self.array.device,
             now_ns,
-            &mut self.metrics,
+            &mut self.array.metrics,
         );
 
         let done = match self.index.resolve(init) {
@@ -948,50 +883,36 @@ impl SecureMemory for DeWrite {
                         .access(
                             real.index(),
                             false,
-                            &mut self.device,
+                            &mut self.array.device,
                             map_acc.done_ns,
-                            &mut self.metrics,
+                            &mut self.array.metrics,
                         )
                         .done_ns
                 };
 
                 // 3. Array read (starts once the mapping is known) overlaps
                 // pad generation (starts once the counter is known).
-                let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
-                let plain = &mut self.plain_buf;
-                decrypt_resident(&self.engine, &self.index, real, ciphertext, plain)
-                    .expect("resident line has counter");
-                // Read-side pad energy is not charged (write-dominated
-                // accounting, identical across schemes; see CmeBaseline).
-                let pad_done = ctr_done + AES_LINE_LATENCY_NS;
-                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
+                let counter = self.index.counters().get(real.index());
+                let counter = counter.expect("resident line has counter");
+                self.array.load(real, counter, map_acc.done_ns, ctr_done)?
             }
-            None => {
-                // Never written: logically zero. The home line may have
-                // been reallocated to hold another address's data, so the
-                // physical bytes must NOT be exposed — the controller knows
-                // from the (absent) mapping that this address is unwritten.
-                // The array read still happens (timing parity with a
-                // controller that probes before deciding).
-                self.plain_buf.fill(0);
-                self.device
-                    .read_timing(init, map_acc.done_ns)?
-                    .slot
-                    .finish_ns
-            }
+            // Never written: logically zero. The home line may have been
+            // reallocated to hold another address's data, so the physical
+            // bytes must NOT be exposed — the controller knows from the
+            // (absent) mapping that this address is unwritten. The array
+            // read still happens (timing parity with a controller that
+            // probes before deciding).
+            None => self.array.load_unwritten(init, map_acc.done_ns)?,
         };
-        Ok(ReadResult {
-            data: &self.plain_buf,
-            latency_ns: done - now_ns,
-        })
+        Ok(self.array.read_result(now_ns, done))
     }
 
     fn device(&self) -> &NvmDevice {
-        &self.device
+        &self.array.device
     }
 
     fn base_metrics(&self) -> BaseMetrics {
-        self.metrics
+        self.array.metrics
     }
 
     fn start_stage_breakdown(&mut self) {

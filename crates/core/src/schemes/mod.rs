@@ -12,6 +12,12 @@
 //!   prediction-based parallelism, PNA, and colocated metadata.
 //! * [`TraditionalDedup`] — in-line dedup with a cryptographic fingerprint
 //!   (SHA-1/MD5), the strawman of Table I.
+//! * [`SilentShredder`] — the CME baseline plus a zero bitmap that
+//!   eliminates writes of all-zero lines (§V).
+//!
+//! All four store and load data lines through one [`CmeArray`]: the range
+//! and size checks, counter-mode encryption with encoded bit flips, and
+//! the read that overlaps the array access with the pad.
 
 mod cme;
 mod dewrite;
@@ -23,18 +29,13 @@ pub use dewrite::{DeWrite, DeWriteCacheStats, DeWriteMetrics};
 pub use shredder::SilentShredder;
 pub use traditional::TraditionalDedup;
 
+use dewrite_crypto::{
+    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+};
 use dewrite_mem::{CacheConfig, CacheStats, MetadataCache, Replacement};
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
-/// Programmed-cell count for writing `new` over `old` under `encoding`.
-pub(crate) fn encoded_flips(encoding: crate::config::BitEncoding, old: &[u8], new: &[u8]) -> u64 {
-    use crate::config::BitEncoding;
-    match encoding {
-        BitEncoding::Raw => (new.len() * 8) as u64,
-        BitEncoding::Dcw => crate::bitlevel::dcw_flips(old, new),
-        BitEncoding::Fnw => crate::bitlevel::fnw_flips(old, new),
-    }
-}
+use crate::config::{BitEncoding, SystemConfig};
 
 /// Latency of direct (block-cipher) en/decryption of one metadata line, ns.
 /// Direct decryption cannot overlap the NVM read (§III-B1).
@@ -139,6 +140,164 @@ pub trait SecureMemory: Send {
     /// one was started.
     fn take_stage_breakdown(&mut self) -> Option<crate::trace::StageBreakdown> {
         None
+    }
+}
+
+/// The counter-mode data-line path the simulated schemes share: the
+/// device, the engine, the common counters and two scratch lines.
+///
+/// A written line is encrypted under its counter and programmed with its
+/// encoded bit flips; a read overlaps the array access with the pad and
+/// finishes with the XOR. Read-side pads are never charged: the paper's
+/// energy accounting is write-dominated (pads for reads are precomputed
+/// while counters sit in the cache), and every scheme treats reads alike.
+/// Counters, metadata tables and timing decisions stay with the schemes.
+pub(crate) struct CmeArray {
+    config: SystemConfig,
+    device: NvmDevice,
+    engine: CounterModeEngine,
+    metrics: BaseMetrics,
+    /// Scratch ciphertext line a store encrypts into.
+    cipher_buf: Vec<u8>,
+    /// Scratch plaintext line: what a load decrypts into and a
+    /// [`ReadResult`] borrows.
+    plain_buf: Vec<u8>,
+}
+
+impl CmeArray {
+    /// The line path over `device` (power-on), or over a fresh device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails validation.
+    pub(crate) fn new(config: SystemConfig, key: &[u8; 16], device: Option<NvmDevice>) -> Self {
+        config.validate().expect("invalid system config");
+        let device =
+            device.unwrap_or_else(|| NvmDevice::new(config.nvm.clone()).expect("validated config"));
+        let line_size = config.nvm.line_size;
+        CmeArray {
+            config,
+            device,
+            engine: CounterModeEngine::new(key),
+            metrics: BaseMetrics::default(),
+            cipher_buf: vec![0u8; line_size],
+            plain_buf: vec![0u8; line_size],
+        }
+    }
+
+    fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
+        if addr.index() >= self.config.data_lines {
+            Err(NvmError::AddressOutOfRange {
+                addr,
+                num_lines: self.config.data_lines,
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Accept a write of `data` to `addr`: it must be one line inside the
+    /// workload-visible region. Counts the write.
+    pub(crate) fn begin_write(&mut self, addr: LineAddr, data: &[u8]) -> Result<(), NvmError> {
+        self.check_addr(addr)?;
+        if data.len() != self.config.nvm.line_size {
+            return Err(NvmError::WrongLineSize {
+                got: data.len(),
+                expected: self.config.nvm.line_size,
+            });
+        }
+        self.metrics.writes += 1;
+        Ok(())
+    }
+
+    /// Accept a read of `addr`, inside the workload-visible region. Counts
+    /// the read.
+    pub(crate) fn begin_read(&mut self, addr: LineAddr) -> Result<(), NvmError> {
+        self.check_addr(addr)?;
+        self.metrics.reads += 1;
+        Ok(())
+    }
+
+    /// Charge one line encryption: its count and its AES energy.
+    pub(crate) fn charge_encryption(&mut self) {
+        self.metrics.aes_line_ops += 1;
+        let pj = aes_line_energy_pj(self.config.nvm.line_size);
+        self.device.charge_aes_pj(pj);
+    }
+
+    /// Encrypt `data` for `target` under `counter` and write it, issued at
+    /// `ready_ns`, programming the cells the configured bit encoding
+    /// flips. Returns when the array write finishes.
+    pub(crate) fn store(
+        &mut self,
+        target: LineAddr,
+        data: &[u8],
+        counter: LineCounter,
+        ready_ns: u64,
+    ) -> Result<u64, NvmError> {
+        let ciphertext = &mut self.cipher_buf;
+        self.engine
+            .encrypt_line_into(data, target.index(), counter, ciphertext);
+        let old = self.device.line(target)?;
+        let flips = match self.config.bit_encoding {
+            BitEncoding::Raw => (ciphertext.len() * 8) as u64,
+            BitEncoding::Dcw => crate::bitlevel::dcw_flips(old, ciphertext),
+            BitEncoding::Fnw => crate::bitlevel::fnw_flips(old, ciphertext),
+        };
+        let access = self
+            .device
+            .write_line_with_flips(target, ciphertext, flips, ready_ns)?;
+        Ok(access.slot.finish_ns)
+    }
+
+    /// Read `real` from the array at `array_ns` and decrypt it under
+    /// `counter`, whose pad generation starts at `counter_ns`, into the
+    /// scratch line. Returns when the plaintext is ready.
+    pub(crate) fn load(
+        &mut self,
+        real: LineAddr,
+        counter: LineCounter,
+        array_ns: u64,
+        counter_ns: u64,
+    ) -> Result<u64, NvmError> {
+        let access = self.device.read_timing(real, array_ns)?;
+        self.decrypt(real, counter);
+        let pad_done = counter_ns + AES_LINE_LATENCY_NS;
+        Ok(access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS)
+    }
+
+    /// A read of a line never written: the array access still happens at
+    /// `at_ns`, but the scratch line reads zeros (a remapping scheme may
+    /// have reused the home line for another address's ciphertext).
+    /// Returns when the array read finishes.
+    pub(crate) fn load_unwritten(&mut self, init: LineAddr, at_ns: u64) -> Result<u64, NvmError> {
+        self.plain_buf.fill(0);
+        Ok(self.device.read_timing(init, at_ns)?.slot.finish_ns)
+    }
+
+    /// Decrypt `real`'s stored line under `counter` into `out`, modelling
+    /// no access.
+    pub(crate) fn decrypt_into(&self, real: LineAddr, counter: LineCounter, out: &mut [u8]) {
+        let ciphertext = self.device.line(real).expect("data line in range");
+        self.engine
+            .decrypt_line_into(ciphertext, real.index(), counter, out);
+    }
+
+    /// [`decrypt_into`](Self::decrypt_into) the scratch line, borrowed.
+    pub(crate) fn decrypt(&mut self, real: LineAddr, counter: LineCounter) -> &[u8] {
+        let ciphertext = self.device.line(real).expect("data line in range");
+        self.engine
+            .decrypt_line_into(ciphertext, real.index(), counter, &mut self.plain_buf);
+        &self.plain_buf
+    }
+
+    /// The scratch line as the result of a read issued at `now_ns` and
+    /// finished at `done_ns`.
+    pub(crate) fn read_result(&self, now_ns: u64, done_ns: u64) -> ReadResult<'_> {
+        ReadResult {
+            data: &self.plain_buf,
+            latency_ns: done_ns - now_ns,
+        }
     }
 }
 

@@ -7,45 +7,32 @@
 //! writes, which is why DeWrite's general deduplication wins — this scheme
 //! exists to measure exactly that gap through the full system.
 //!
-//! Implementation: a zero-bitmap rides in the metadata cache (1 bit per
-//! line, like the FSM table); zero writes flip the bit and skip both
-//! encryption and the array write; reads of zeroed lines return zeros
-//! without decryption.
+//! Implementation: the [`CmeBaseline`] plus a zero bitmap that rides in
+//! the metadata cache (1 bit per line, like the FSM table). The counter
+//! table takes the first half of the metadata region and the bitmap the
+//! rest. Zero writes set the bit and skip both encryption and the array
+//! write; reads check the bit first, and zeroed lines return zeros without
+//! decryption. Every other access is the baseline's, started once the
+//! bitmap lookup is done.
 
 use std::collections::HashSet;
 
-use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
-};
 use dewrite_mem::Replacement;
 use dewrite_nvm::{is_zero_line, LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
-use crate::counters::CounterTable;
-use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
+use crate::schemes::{BaseMetrics, CmeBaseline, MetaTable, ReadResult, SecureMemory, WriteResult};
 
-/// Counter-cache sizing shared with [`CmeBaseline`](crate::CmeBaseline).
-const COUNTER_CACHE_ENTRIES: usize = (2 << 20) / 4;
-const COUNTER_PREFETCH: usize = 64;
 /// Zero-bitmap cache: one bit per line, cached in 2048-flag groups.
 const ZERO_GROUPS: usize = ((128 << 10) * 8) / 2048;
 
 /// Counter-mode encryption + zero-line write elimination.
 #[derive(Debug)]
 pub struct SilentShredder {
-    config: SystemConfig,
-    device: NvmDevice,
-    engine: CounterModeEngine,
-    counters: CounterTable,
+    cme: CmeBaseline,
     /// Lines currently "shredded" (logically zero, nothing in the array).
     zeroed: HashSet<u64>,
-    counter_table: MetaTable,
     zero_table: MetaTable,
-    metrics: BaseMetrics,
-    /// Scratch ciphertext buffer reused across writes (no per-write alloc).
-    line_buf: Vec<u8>,
-    /// Scratch plaintext line a [`ReadResult`] borrows.
-    read_buf: Vec<u8>,
 }
 
 impl SilentShredder {
@@ -55,60 +42,30 @@ impl SilentShredder {
     ///
     /// Panics if `config` fails validation.
     pub fn new(config: SystemConfig, key: &[u8; 16]) -> Self {
-        config.validate().expect("invalid system config");
-        let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
-        let line_size = config.nvm.line_size;
+        let cme = CmeBaseline::with_counter_region(config, key, |c| c.meta_lines() / 2);
+        let config = cme.config();
         let meta_lines = config.meta_lines();
-        let counter_table = MetaTable::new(
-            COUNTER_CACHE_ENTRIES,
-            Replacement::Lru,
-            config.meta_base(),
-            meta_lines / 2,
-            4,
-            COUNTER_PREFETCH,
-            true,
-            config.meta_cache_hit_ns,
-            line_size,
-        );
         let zero_table = MetaTable::new(
             ZERO_GROUPS,
             Replacement::Lru,
             config.meta_base() + meta_lines / 2,
             (meta_lines - meta_lines / 2).max(1),
-            line_size,
+            config.nvm.line_size,
             1,
             true,
             config.meta_cache_hit_ns,
-            line_size,
+            config.nvm.line_size,
         );
         SilentShredder {
-            engine: CounterModeEngine::new(key),
-            counters: CounterTable::new(config.data_lines),
+            cme,
             zeroed: HashSet::new(),
-            counter_table,
             zero_table,
-            metrics: BaseMetrics::default(),
-            line_buf: Vec::new(),
-            read_buf: vec![0u8; line_size],
-            device,
-            config,
-        }
-    }
-
-    fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
-        if addr.index() >= self.config.data_lines {
-            Err(NvmError::AddressOutOfRange {
-                addr,
-                num_lines: self.config.data_lines,
-            })
-        } else {
-            Ok(())
         }
     }
 
     /// Writes eliminated because the line was all zeros.
     pub fn zero_eliminations(&self) -> u64 {
-        self.metrics.writes_eliminated
+        self.cme.array.metrics.writes_eliminated
     }
 }
 
@@ -118,118 +75,54 @@ impl SecureMemory for SilentShredder {
     }
 
     fn write(&mut self, addr: LineAddr, data: &[u8], now_ns: u64) -> Result<WriteResult, NvmError> {
-        self.check_addr(addr)?;
-        if data.len() != self.config.nvm.line_size {
-            return Err(NvmError::WrongLineSize {
-                got: data.len(),
-                expected: self.config.nvm.line_size,
-            });
-        }
-        self.metrics.writes += 1;
-
         // The zero check is free in hardware (wide NOR over the line).
-        if is_zero_line(data) {
-            let acc = self.zero_table.write_insert(
-                addr.index() / 2048,
-                &mut self.device,
-                now_ns,
-                &mut self.metrics,
-            );
-            self.zeroed.insert(addr.index());
-            self.metrics.writes_eliminated += 1;
-            return Ok(WriteResult {
-                critical_ns: acc.done_ns - now_ns,
-                nvm_finish_ns: None,
-                eliminated: true,
-                total_ns: acc.done_ns - now_ns,
-            });
+        if !is_zero_line(data) {
+            // A plain counter-mode write; the line is live once accepted.
+            let result = self.cme.write(addr, data, now_ns)?;
+            self.zeroed.remove(&addr.index());
+            return Ok(result);
         }
-
-        // Otherwise: plain counter-mode write (as the baseline).
-        self.zeroed.remove(&addr.index());
-        let ctr = self.counter_table.access(
-            addr.index(),
-            true,
-            &mut self.device,
+        let array = &mut self.cme.array;
+        array.begin_write(addr, data)?;
+        let acc = self.zero_table.write_insert(
+            addr.index() / 2048,
+            &mut array.device,
             now_ns,
-            &mut self.metrics,
+            &mut array.metrics,
         );
-        let counter = self.counters.bump(addr.index());
-        let enc_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-        self.metrics.aes_line_ops += 1;
-        self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
-        self.line_buf.resize(data.len(), 0);
-        self.engine
-            .encrypt_line_into(data, addr.index(), counter, &mut self.line_buf);
-        let old = self.device.line(addr)?;
-        let flips = crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
-        let access = self
-            .device
-            .write_line_with_flips(addr, &self.line_buf, flips, enc_done)?;
+        self.zeroed.insert(addr.index());
+        array.metrics.writes_eliminated += 1;
         Ok(WriteResult {
-            critical_ns: enc_done - now_ns,
-            nvm_finish_ns: Some(access.slot.finish_ns),
-            eliminated: false,
-            total_ns: access.slot.finish_ns - now_ns,
+            critical_ns: acc.done_ns - now_ns,
+            nvm_finish_ns: None,
+            eliminated: true,
+            total_ns: acc.done_ns - now_ns,
         })
     }
 
     fn read(&mut self, addr: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
-        self.check_addr(addr)?;
-        self.metrics.reads += 1;
-
+        self.cme.array.begin_read(addr)?;
         // Zero-bitmap check first: shredded lines short-circuit the array.
         let zacc = self.zero_table.access(
             addr.index() / 2048,
             false,
-            &mut self.device,
+            &mut self.cme.array.device,
             now_ns,
-            &mut self.metrics,
+            &mut self.cme.array.metrics,
         );
         if self.zeroed.contains(&addr.index()) {
-            self.read_buf.fill(0);
-            return Ok(ReadResult {
-                data: &self.read_buf,
-                latency_ns: zacc.done_ns - now_ns,
-            });
+            self.cme.array.plain_buf.fill(0);
+            return Ok(self.cme.array.read_result(now_ns, zacc.done_ns));
         }
-
-        let ctr = self.counter_table.access(
-            addr.index(),
-            false,
-            &mut self.device,
-            zacc.done_ns,
-            &mut self.metrics,
-        );
-        let (ciphertext, access) = self.device.read_line(addr, zacc.done_ns)?;
-        let done = match self.counters.get(addr.index()) {
-            Some(counter) => {
-                let pad_done = ctr.done_ns + AES_LINE_LATENCY_NS;
-                self.engine.decrypt_line_into(
-                    ciphertext,
-                    addr.index(),
-                    counter,
-                    &mut self.read_buf,
-                );
-                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
-            }
-            None => {
-                self.read_buf.copy_from_slice(ciphertext);
-                access.slot.finish_ns.max(ctr.done_ns)
-            }
-        };
-        Ok(ReadResult {
-            data: &self.read_buf,
-            latency_ns: done - now_ns,
-        })
+        self.cme.read_from(addr, now_ns, zacc.done_ns)
     }
 
     fn device(&self) -> &NvmDevice {
-        &self.device
+        self.cme.device()
     }
 
     fn base_metrics(&self) -> BaseMetrics {
-        self.metrics
+        self.cme.base_metrics()
     }
 }
 

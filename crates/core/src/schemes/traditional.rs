@@ -12,40 +12,31 @@
 
 use std::collections::HashMap;
 
-use dewrite_crypto::{
-    aes_line_energy_pj, CounterModeEngine, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
-};
+use dewrite_crypto::AES_LINE_LATENCY_NS;
 use dewrite_hashes::{HashAlgorithm, LineHasher};
 use dewrite_mem::Replacement;
 use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
 use crate::dedup::{DedupIndex, WriteOutcome};
-use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
+use crate::schemes::{BaseMetrics, CmeArray, MetaTable, ReadResult, SecureMemory, WriteResult};
 
 /// In-line dedup with a cryptographic fingerprint (Table I's "Traditional").
 pub struct TraditionalDedup {
-    config: SystemConfig,
-    device: NvmDevice,
-    engine: CounterModeEngine,
+    array: CmeArray,
     hasher: Box<dyn LineHasher>,
     index: DedupIndex,
     /// Full-width fingerprints per resident line — matches are trusted at
     /// fingerprint width, not confirmed by reading data.
     fingerprints: HashMap<u64, u64>,
     meta_table: MetaTable,
-    metrics: BaseMetrics,
-    /// Scratch ciphertext buffer reused across writes (no per-write alloc).
-    line_buf: Vec<u8>,
-    /// Scratch plaintext line a [`ReadResult`] borrows.
-    read_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for TraditionalDedup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraditionalDedup")
             .field("hasher", &self.hasher.algorithm())
-            .field("writes", &self.metrics.writes)
+            .field("writes", &self.array.metrics.writes)
             .finish_non_exhaustive()
     }
 }
@@ -58,9 +49,8 @@ impl TraditionalDedup {
     ///
     /// Panics if `config` fails validation.
     pub fn new(config: SystemConfig, algorithm: HashAlgorithm, key: &[u8; 16]) -> Self {
-        config.validate().expect("invalid system config");
-        let device = NvmDevice::new(config.nvm.clone()).expect("validated config");
-        let line_size = config.nvm.line_size;
+        let array = CmeArray::new(config, key, None);
+        let config = &array.config;
         // One unified fingerprint-store cache (2 MB of 20 B entries).
         let meta_table = MetaTable::new(
             (2 << 20) / 20,
@@ -71,30 +61,14 @@ impl TraditionalDedup {
             1,
             false,
             config.meta_cache_hit_ns,
-            line_size,
+            config.nvm.line_size,
         );
         TraditionalDedup {
-            engine: CounterModeEngine::new(key),
             hasher: algorithm.hasher(),
             index: DedupIndex::new(config.data_lines),
             fingerprints: HashMap::new(),
             meta_table,
-            metrics: BaseMetrics::default(),
-            line_buf: Vec::new(),
-            read_buf: vec![0u8; line_size],
-            device,
-            config,
-        }
-    }
-
-    fn check_addr(&self, addr: LineAddr) -> Result<(), NvmError> {
-        if addr.index() >= self.config.data_lines {
-            Err(NvmError::AddressOutOfRange {
-                addr,
-                num_lines: self.config.data_lines,
-            })
-        } else {
-            Ok(())
+            array,
         }
     }
 
@@ -114,14 +88,7 @@ impl SecureMemory for TraditionalDedup {
     }
 
     fn write(&mut self, init: LineAddr, data: &[u8], now_ns: u64) -> Result<WriteResult, NvmError> {
-        self.check_addr(init)?;
-        if data.len() != self.config.nvm.line_size {
-            return Err(NvmError::WrongLineSize {
-                got: data.len(),
-                expected: self.config.nvm.line_size,
-            });
-        }
-        self.metrics.writes += 1;
+        self.array.begin_write(init, data)?;
 
         // Cryptographic fingerprint: the expensive step (≥312 ns).
         let cost = self.hasher.cost();
@@ -131,16 +98,16 @@ impl SecureMemory for TraditionalDedup {
         // the full-width fingerprint comparison below.
         let digest = u64::from(Self::fold(fingerprint));
         let hash_done = now_ns + cost.latency_ns;
-        self.metrics.hash_ops += 1;
-        self.device.charge_dedup_pj(cost.energy_pj);
+        self.array.metrics.hash_ops += 1;
+        self.array.device.charge_dedup_pj(cost.energy_pj);
 
         // Fingerprint-store query (t_Q of Table I).
         let q = self.meta_table.access(
             digest,
             false,
-            &mut self.device,
+            &mut self.array.device,
             hash_done,
-            &mut self.metrics,
+            &mut self.array.metrics,
         );
 
         // Trust the fingerprint: match at full digest width, no data read.
@@ -153,120 +120,86 @@ impl SecureMemory for TraditionalDedup {
             })
             .map(|e| e.real);
 
-        match matched {
-            Some(real) => {
-                self.index.apply_duplicate(init, real);
-                self.metrics.writes_eliminated += 1;
-                self.meta_table.write_insert(
-                    init.index(),
-                    &mut self.device,
-                    q.done_ns,
-                    &mut self.metrics,
-                );
-                Ok(WriteResult {
-                    critical_ns: q.done_ns - now_ns,
-                    nvm_finish_ns: None,
-                    eliminated: true,
-                    total_ns: q.done_ns - now_ns,
-                })
-            }
-            None => {
-                let outcome = self.index.apply_store(init, digest);
-                let WriteOutcome::Stored {
-                    target,
-                    freed,
-                    counter,
-                    ..
-                } = outcome
-                else {
-                    unreachable!("apply_store returns Stored");
-                };
-                if let Some(freed) = freed {
-                    self.fingerprints.remove(&freed.index());
-                }
-                self.fingerprints.insert(target.index(), fingerprint);
-
-                // Serial: detection, then counter + encryption, then write.
-                let ctr_acc = self.meta_table.access(
-                    target.index(),
-                    true,
-                    &mut self.device,
-                    q.done_ns,
-                    &mut self.metrics,
-                );
-                self.metrics.aes_line_ops += 1;
-                self.device.charge_aes_pj(aes_line_energy_pj(data.len()));
-                let enc_done = ctr_acc.done_ns + AES_LINE_LATENCY_NS;
-                self.line_buf.resize(data.len(), 0);
-                self.engine
-                    .encrypt_line_into(data, target.index(), counter, &mut self.line_buf);
-                let old = self.device.line(target)?;
-                let flips =
-                    crate::schemes::encoded_flips(self.config.bit_encoding, old, &self.line_buf);
-                let access =
-                    self.device
-                        .write_line_with_flips(target, &self.line_buf, flips, enc_done)?;
-                Ok(WriteResult {
-                    critical_ns: enc_done - now_ns,
-                    nvm_finish_ns: Some(access.slot.finish_ns),
-                    eliminated: false,
-                    total_ns: access.slot.finish_ns - now_ns,
-                })
-            }
+        let outcome = match matched {
+            Some(real) => self.index.apply_duplicate(init, real),
+            None => self.index.apply_store(init, digest),
+        };
+        let (WriteOutcome::Duplicate { freed, .. } | WriteOutcome::Stored { freed, .. }) = outcome;
+        if let Some(freed) = freed {
+            self.fingerprints.remove(&freed.index());
         }
+        let WriteOutcome::Stored {
+            target, counter, ..
+        } = outcome
+        else {
+            // A duplicate: the NVM write is eliminated.
+            self.array.metrics.writes_eliminated += 1;
+            self.meta_table.write_insert(
+                init.index(),
+                &mut self.array.device,
+                q.done_ns,
+                &mut self.array.metrics,
+            );
+            return Ok(WriteResult {
+                critical_ns: q.done_ns - now_ns,
+                nvm_finish_ns: None,
+                eliminated: true,
+                total_ns: q.done_ns - now_ns,
+            });
+        };
+        self.fingerprints.insert(target.index(), fingerprint);
+
+        // Serial: detection, then counter + encryption, then write.
+        let ctr_acc = self.meta_table.access(
+            target.index(),
+            true,
+            &mut self.array.device,
+            q.done_ns,
+            &mut self.array.metrics,
+        );
+        self.array.charge_encryption();
+        let enc_done = ctr_acc.done_ns + AES_LINE_LATENCY_NS;
+        let finish = self.array.store(target, data, counter, enc_done)?;
+        Ok(WriteResult {
+            critical_ns: enc_done - now_ns,
+            nvm_finish_ns: Some(finish),
+            eliminated: false,
+            total_ns: finish - now_ns,
+        })
     }
 
     fn read(&mut self, init: LineAddr, now_ns: u64) -> Result<ReadResult<'_>, NvmError> {
-        self.check_addr(init)?;
-        self.metrics.reads += 1;
+        self.array.begin_read(init)?;
         let map_acc = self.meta_table.access(
             init.index(),
             false,
-            &mut self.device,
+            &mut self.array.device,
             now_ns,
-            &mut self.metrics,
+            &mut self.array.metrics,
         );
         let done = match self.index.resolve(init) {
             Some(real) => {
-                let (ciphertext, access) = self.device.read_line(real, map_acc.done_ns)?;
                 let counter = self
                     .index
                     .counters()
                     .get(real.index())
                     .expect("resident has counter");
-                // Read-side pad energy is not charged (write-dominated
-                // accounting; see CmeBaseline::read).
-                let pad_done = map_acc.done_ns + AES_LINE_LATENCY_NS;
-                self.engine.decrypt_line_into(
-                    ciphertext,
-                    real.index(),
-                    counter,
-                    &mut self.read_buf,
-                );
-                access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS
+                self.array
+                    .load(real, counter, map_acc.done_ns, map_acc.done_ns)?
             }
-            None => {
-                // Never written: logically zero (the home line may hold a
-                // relocated neighbor's ciphertext; never expose it).
-                self.read_buf.fill(0);
-                self.device
-                    .read_timing(init, map_acc.done_ns)?
-                    .slot
-                    .finish_ns
-            }
+            // Never written: logically zero (the home line may hold a
+            // relocated neighbor's ciphertext; never expose it).
+            None => self.array.load_unwritten(init, map_acc.done_ns)?,
         };
-        Ok(ReadResult {
-            data: &self.read_buf,
-            latency_ns: done - now_ns,
-        })
+        Ok(self.array.read_result(now_ns, done))
     }
 
     fn device(&self) -> &NvmDevice {
-        &self.device
+        &self.array.device
     }
 
     fn base_metrics(&self) -> BaseMetrics {
-        self.metrics
+        self.array.metrics
     }
 }
 
@@ -331,6 +264,17 @@ mod tests {
         let w = m.write(LineAddr::new(7), &data, 5_000).unwrap();
         assert!(w.eliminated);
         assert!(m.name().contains("MD5"));
+    }
+
+    #[test]
+    fn duplicate_write_forgets_the_fingerprint_of_the_line_it_frees() {
+        let mut m = mem();
+        m.write(LineAddr::new(0), &line(1), 0).unwrap();
+        m.write(LineAddr::new(1), &line(2), 5_000).unwrap();
+        // Line 1's content moves to line 0's: its own line is freed.
+        let w = m.write(LineAddr::new(1), &line(1), 10_000).unwrap();
+        assert!(w.eliminated);
+        assert_eq!(m.fingerprints.len(), m.index().resident_lines());
     }
 
     #[test]
