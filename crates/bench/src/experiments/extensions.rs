@@ -528,12 +528,12 @@ pub fn ext_colo(ctx: &mut Ctx) {
     ctx.emit(&t, "ext_colo");
 }
 
-/// §III-C validation: materialize the byte-accurate colocated layout from
-/// each application's end state and measure how often the "at least one
-/// null slot per row" observation holds (it is what lets counters embed),
-/// plus the storage-overhead arithmetic of §IV-E1.
+/// §III-C validation: place each application's end-state counters in the
+/// colocated layout, counted from the dedup index, and measure how often
+/// the "at least one null slot per row" observation holds (it is what lets
+/// counters embed), plus the storage-overhead arithmetic of §IV-E1.
 pub fn ext_layout(ctx: &mut Ctx) {
-    use dewrite_core::{ColocatedStore, DeWrite as Dw};
+    use dewrite_core::{ColocationStats, DeWrite as Dw};
     let apps = all_apps();
     let scale = ctx.scale;
     let rows = par_map_apps(&apps, |profile, seed| {
@@ -543,9 +543,7 @@ pub fn ext_layout(ctx: &mut Ctx) {
         Simulator::new(&config)
             .run(&mut mem, profile.name, &w.warmup, w.trace.iter().cloned())
             .expect("fits");
-        let layout = mem.colocation_layout();
-        let stats = layout.stats();
-        (profile.name.to_string(), stats)
+        (profile.name.to_string(), mem.index().colocation())
     });
 
     let mut t = Table::new(
@@ -585,7 +583,7 @@ pub fn ext_layout(ctx: &mut Ctx) {
     for ls in [64usize, 128, 256, 512] {
         o.row(vec![
             format!("{ls} B"),
-            pct(ColocatedStore::storage_overhead(ls)),
+            pct(ColocationStats::storage_overhead(ls)),
         ]);
     }
     ctx.emit(&o, "ext_layout_overhead");

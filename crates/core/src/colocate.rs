@@ -1,4 +1,4 @@
-//! The colocated metadata layout of §III-C (Figs. 8 and 9), byte-accurate.
+//! The colocated metadata layout of §III-C (Figs. 8 and 9), counted.
 //!
 //! Per memory line the layout keeps two 33-bit slots (4 B payload + 1 flag
 //! bit): the **address-mapping slot** (a real address when the line's
@@ -13,77 +13,12 @@
 //! still holds *shared* content (referenced by others) after the address
 //! was remapped elsewhere has **both** slots occupied — mapping for itself,
 //! hash for the content squatting in its home. Such counters spill to a
-//! small overflow table; [`ColocationStats`] reports how rare that is
+//! small overflow table. [`DedupIndex::colocation`](crate::DedupIndex::colocation)
+//! places every counter of an end state and returns the [`ColocationStats`]
 //! (validating the paper's ≥1-null-slot claim on real end states), and
-//! [`ColocatedStore::storage_overhead`] reproduces the 6.25% arithmetic.
+//! [`ColocationStats::storage_overhead`] reproduces the 6.25% arithmetic.
 
-use std::collections::HashMap;
-
-use dewrite_crypto::{LineCounter, COUNTER_MAX};
-use dewrite_nvm::LineAddr;
-
-/// What one 33-bit slot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Slot {
-    /// Null (flag irrelevant): free to hold a counter.
-    #[default]
-    Empty,
-    /// The slot's own payload (real address or digest), flag = 0.
-    Payload(u32),
-    /// An embedded 28-bit encryption counter, flag = 1.
-    Counter(u32),
-}
-
-/// One line's metadata row: `(addr-map slot, inverted-hash slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Row {
-    /// Address-mapping slot (real address when deduplicated).
-    pub addr_map: Slot,
-    /// Inverted-hash slot (digest of the resident content).
-    pub inverted: Slot,
-}
-
-impl Row {
-    /// Pack the row into its 9-byte on-NVM representation:
-    /// `[flags][addr_map u32][inverted u32]`, where bit 0 / bit 1 of the
-    /// flag byte mark a counter in the respective slot and bits 4/5 mark
-    /// occupancy.
-    pub fn to_bytes(self) -> [u8; 9] {
-        let mut out = [0u8; 9];
-        let encode = |slot: Slot| -> (u8, u8, u32) {
-            match slot {
-                Slot::Empty => (0, 0, 0),
-                Slot::Payload(v) => (0, 1, v),
-                Slot::Counter(v) => (1, 1, v),
-            }
-        };
-        let (f0, o0, v0) = encode(self.addr_map);
-        let (f1, o1, v1) = encode(self.inverted);
-        out[0] = f0 | (f1 << 1) | (o0 << 4) | (o1 << 5);
-        out[1..5].copy_from_slice(&v0.to_le_bytes());
-        out[5..9].copy_from_slice(&v1.to_le_bytes());
-        out
-    }
-
-    /// Unpack a row from its 9-byte representation.
-    pub fn from_bytes(bytes: &[u8; 9]) -> Row {
-        let decode = |flag: bool, occupied: bool, v: u32| -> Slot {
-            match (occupied, flag) {
-                (false, _) => Slot::Empty,
-                (true, false) => Slot::Payload(v),
-                (true, true) => Slot::Counter(v),
-            }
-        };
-        let v0 = u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes"));
-        let v1 = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes"));
-        Row {
-            addr_map: decode(bytes[0] & 1 != 0, bytes[0] & 0x10 != 0, v0),
-            inverted: decode(bytes[0] & 2 != 0, bytes[0] & 0x20 != 0, v1),
-        }
-    }
-}
-
-/// Aggregate layout statistics.
+/// Where the counters of one end state sit under the colocated layout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColocationStats {
     /// Lines tracked.
@@ -109,151 +44,6 @@ impl ColocationStats {
             (total - self.overflow_counters) as f64 / total as f64
         }
     }
-}
-
-/// The byte-accurate colocated metadata store.
-#[derive(Debug, Clone)]
-pub struct ColocatedStore {
-    rows: Vec<Row>,
-    overflow: HashMap<u64, u32>,
-}
-
-impl ColocatedStore {
-    /// An empty layout over `lines` lines.
-    pub fn new(lines: u64) -> Self {
-        ColocatedStore {
-            rows: vec![Row::default(); lines as usize],
-            overflow: HashMap::new(),
-        }
-    }
-
-    /// Number of lines tracked.
-    pub fn lines(&self) -> u64 {
-        self.rows.len() as u64
-    }
-
-    fn row_mut(&mut self, line: LineAddr) -> &mut Row {
-        &mut self.rows[line.index() as usize]
-    }
-
-    /// The row for `line`.
-    pub fn row(&self, line: LineAddr) -> Row {
-        self.rows[line.index() as usize]
-    }
-
-    /// Extract the counter currently stored for `line`, wherever it lives.
-    fn take_counter(&mut self, line: LineAddr) -> Option<u32> {
-        if let Some(v) = self.overflow.remove(&line.index()) {
-            return Some(v);
-        }
-        let row = self.row_mut(line);
-        if let Slot::Counter(v) = row.addr_map {
-            row.addr_map = Slot::Empty;
-            return Some(v);
-        }
-        if let Slot::Counter(v) = row.inverted {
-            row.inverted = Slot::Empty;
-            return Some(v);
-        }
-        None
-    }
-
-    /// Place `counter` for `line` into a null slot, spilling to overflow
-    /// when both slots hold payloads.
-    fn place_counter(&mut self, line: LineAddr, counter: u32) {
-        let row = self.row_mut(line);
-        match (&row.addr_map, &row.inverted) {
-            (Slot::Empty, _) => row.addr_map = Slot::Counter(counter),
-            (_, Slot::Empty) => row.inverted = Slot::Counter(counter),
-            _ => {
-                self.overflow.insert(line.index(), counter);
-            }
-        }
-    }
-
-    /// Record that `init` maps to `real` (or back home when `None`).
-    pub fn set_mapping(&mut self, init: LineAddr, real: Option<LineAddr>) {
-        let counter = self.take_counter(init);
-        let row = self.row_mut(init);
-        row.addr_map = match real {
-            Some(r) => Slot::Payload(r.index() as u32),
-            None => Slot::Empty,
-        };
-        if let Some(c) = counter {
-            self.place_counter(init, c);
-        }
-    }
-
-    /// Record the digest of the content resident at `line` (or clear it
-    /// when the line is freed).
-    pub fn set_resident_hash(&mut self, line: LineAddr, digest: Option<u32>) {
-        let counter = self.take_counter(line);
-        let row = self.row_mut(line);
-        row.inverted = match digest {
-            Some(d) => Slot::Payload(d),
-            None => Slot::Empty,
-        };
-        if let Some(c) = counter {
-            self.place_counter(line, c);
-        }
-    }
-
-    /// Store `counter` for `line`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value exceeds 28 bits (the paper's counter width).
-    pub fn set_counter(&mut self, line: LineAddr, counter: LineCounter) {
-        assert!(counter.value() <= COUNTER_MAX);
-        let _ = self.take_counter(line);
-        self.place_counter(line, counter.value());
-    }
-
-    /// The counter stored for `line`, if any.
-    pub fn counter(&self, line: LineAddr) -> Option<LineCounter> {
-        if let Some(&v) = self.overflow.get(&line.index()) {
-            return Some(LineCounter::from_value(v));
-        }
-        let row = self.rows[line.index() as usize];
-        match (row.addr_map, row.inverted) {
-            (Slot::Counter(v), _) | (_, Slot::Counter(v)) => Some(LineCounter::from_value(v)),
-            _ => None,
-        }
-    }
-
-    /// The mapping payload for `init`, if deduplicated.
-    pub fn mapping(&self, init: LineAddr) -> Option<LineAddr> {
-        match self.rows[init.index() as usize].addr_map {
-            Slot::Payload(v) => Some(LineAddr::new(u64::from(v))),
-            _ => None,
-        }
-    }
-
-    /// The resident digest at `line`, if any.
-    pub fn resident_hash(&self, line: LineAddr) -> Option<u32> {
-        match self.rows[line.index() as usize].inverted {
-            Slot::Payload(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Aggregate statistics over the layout.
-    pub fn stats(&self) -> ColocationStats {
-        let mut s = ColocationStats {
-            lines: self.lines(),
-            overflow_counters: self.overflow.len() as u64,
-            ..Default::default()
-        };
-        for (i, row) in self.rows.iter().enumerate() {
-            match (row.addr_map, row.inverted) {
-                (Slot::Counter(_), _) => s.counters_in_addr_map += 1,
-                (_, Slot::Counter(_)) => s.counters_in_inverted += 1,
-                _ if self.overflow.contains_key(&(i as u64)) => {}
-                _ => s.no_counter += 1,
-            }
-        }
-        s
-    }
 
     /// Metadata bytes per line under this layout: two 4 B+flag slots
     /// (address map + inverted hash, counters embedded) + the hash-table
@@ -263,142 +53,16 @@ impl ColocatedStore {
         let per_line_bits = (4 * 8 + 1) + (4 * 8 + 1) + 8 * 8 + 1; // §IV-E1: 4B+4B+8B+3bit
         per_line_bits as f64 / (line_size * 8) as f64
     }
-
-    /// Serialize every row (9 B each) — the metadata region image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.rows.len() * 9);
-        for row in &self.rows {
-            out.extend_from_slice(&row.to_bytes());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn l(i: u64) -> LineAddr {
-        LineAddr::new(i)
-    }
-
-    #[test]
-    fn counter_lives_in_a_null_slot() {
-        let mut s = ColocatedStore::new(8);
-        s.set_counter(l(0), LineCounter::from_value(7));
-        assert_eq!(s.counter(l(0)), Some(LineCounter::from_value(7)));
-        assert_eq!(s.stats().counters_in_addr_map, 1);
-        assert_eq!(s.stats().overflow_counters, 0);
-    }
-
-    #[test]
-    fn counter_relocates_when_mapping_arrives() {
-        let mut s = ColocatedStore::new(8);
-        s.set_counter(l(2), LineCounter::from_value(9));
-        // A mapping occupies the addr-map slot; the counter must move to
-        // the inverted slot (Fig. 9's "either-or" placement).
-        s.set_mapping(l(2), Some(l(5)));
-        assert_eq!(s.mapping(l(2)), Some(l(5)));
-        assert_eq!(s.counter(l(2)), Some(LineCounter::from_value(9)));
-        assert_eq!(s.stats().counters_in_inverted, 1);
-    }
-
-    #[test]
-    fn both_slots_busy_spills_to_overflow() {
-        let mut s = ColocatedStore::new(8);
-        s.set_counter(l(3), LineCounter::from_value(4));
-        s.set_mapping(l(3), Some(l(6))); // line 3 remapped away…
-        s.set_resident_hash(l(3), Some(0xABCD)); // …while its home still holds shared content
-        assert_eq!(s.counter(l(3)), Some(LineCounter::from_value(4)));
-        let st = s.stats();
-        assert_eq!(st.overflow_counters, 1);
-        assert!(st.embedded_fraction() < 1.0);
-        // Freeing the resident content brings the counter back in-row.
-        s.set_resident_hash(l(3), None);
-        assert_eq!(s.stats().overflow_counters, 0);
-        assert_eq!(s.counter(l(3)), Some(LineCounter::from_value(4)));
-    }
-
-    #[test]
-    fn row_bytes_roundtrip() {
-        let cases = [
-            Row::default(),
-            Row {
-                addr_map: Slot::Payload(0xDEAD_BEEF),
-                inverted: Slot::Empty,
-            },
-            Row {
-                addr_map: Slot::Counter(123),
-                inverted: Slot::Payload(0xFFFF_FFFF),
-            },
-            Row {
-                addr_map: Slot::Payload(0),
-                inverted: Slot::Counter(0),
-            },
-        ];
-        for row in cases {
-            assert_eq!(Row::from_bytes(&row.to_bytes()), row, "{row:?}");
-        }
-    }
 
     #[test]
     fn overhead_matches_paper_arithmetic() {
         // §IV-E1: (4B + 4B + 8B + 3 bit) / 256 B ≈ 6.4%.
-        let overhead = ColocatedStore::storage_overhead(256);
+        let overhead = ColocationStats::storage_overhead(256);
         assert!((0.06..0.07).contains(&overhead), "{overhead}");
-    }
-
-    #[test]
-    fn payload_and_counter_accessors_are_disjoint() {
-        let mut s = ColocatedStore::new(4);
-        s.set_resident_hash(l(1), Some(0x1234));
-        assert_eq!(s.resident_hash(l(1)), Some(0x1234));
-        assert_eq!(s.counter(l(1)), None);
-        s.set_counter(l(1), LineCounter::from_value(1));
-        assert_eq!(s.resident_hash(l(1)), Some(0x1234));
-        assert_eq!(s.counter(l(1)), Some(LineCounter::from_value(1)));
-        assert_eq!(s.mapping(l(1)), None);
-    }
-
-    proptest! {
-        #[test]
-        fn counters_never_lost(ops in proptest::collection::vec((0u64..8, 0u8..4, 0u32..1000), 0..100)) {
-            let mut s = ColocatedStore::new(8);
-            let mut expected: std::collections::HashMap<u64, u32> = Default::default();
-            for (line, op, val) in ops {
-                match op {
-                    0 => {
-                        s.set_counter(l(line), LineCounter::from_value(val));
-                        expected.insert(line, val);
-                    }
-                    1 => s.set_mapping(l(line), if val % 2 == 0 { Some(l(u64::from(val) % 8)) } else { None }),
-                    2 => s.set_resident_hash(l(line), if val % 2 == 0 { Some(val) } else { None }),
-                    _ => {
-                        // Counter must match whatever we last stored.
-                        let got = s.counter(l(line)).map(|c| c.value());
-                        prop_assert_eq!(got, expected.get(&line).copied());
-                    }
-                }
-            }
-            for (line, val) in expected {
-                prop_assert_eq!(s.counter(l(line)), Some(LineCounter::from_value(val)));
-            }
-        }
-
-        #[test]
-        fn row_roundtrip_any(a in any::<u32>(), b in any::<u32>(), kinds in 0u8..9) {
-            let slot = |k: u8, v: u32| match k % 3 {
-                0 => Slot::Empty,
-                1 => Slot::Payload(v),
-                _ => Slot::Counter(v),
-            };
-            let row = Row { addr_map: slot(kinds % 3, a), inverted: slot(kinds / 3, b) };
-            let decoded = Row::from_bytes(&row.to_bytes());
-            // Empty slots lose their payload by design; compare canonically.
-            let canon = |s: Slot| match s { Slot::Empty => Slot::Empty, other => other };
-            prop_assert_eq!(canon(decoded.addr_map), canon(row.addr_map));
-            prop_assert_eq!(canon(decoded.inverted), canon(row.inverted));
-        }
     }
 }

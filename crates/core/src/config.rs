@@ -161,11 +161,6 @@ pub struct DeWriteConfig {
     pub hasher: HashAlgorithm,
     /// Metadata cache partitioning.
     pub meta_cache: MetaCacheConfig,
-    /// Entries in the dedup logic's verify buffer: a small SRAM holding the
-    /// contents of recently verified candidate lines (64 × 256 B = 16 KB),
-    /// so repeated duplicates of hot contents (the Zipf head of Fig. 7)
-    /// confirm without re-reading the NVM array. Zero disables it.
-    pub verify_buffer_entries: usize,
     /// How cached metadata survives power failure.
     pub persistence: MetadataPersistence,
     /// Number of dedup domains (contiguous, equal address-space partitions).
@@ -180,8 +175,8 @@ impl DeWriteConfig {
     /// how durable metadata (snapshots, WAL records) must be interpreted —
     /// write-path mode, PNA, history width, fingerprint function, counter
     /// width, and dedup-domain count. Performance-only knobs (cache sizes,
-    /// verify buffer, persistence policy) are excluded: they can change
-    /// between a snapshot and its restore without invalidating the state.
+    /// persistence policy) are excluded: they can change between a
+    /// snapshot and its restore without invalidating the state.
     ///
     /// Stamped into every [`Snapshot`](crate::Snapshot) a `DeWrite`
     /// captures; [`DeWrite::power_on`](crate::DeWrite::power_on) rejects
@@ -223,7 +218,6 @@ impl DeWriteConfig {
             history_bits: 3,
             hasher: HashAlgorithm::Crc32,
             meta_cache: MetaCacheConfig::paper(),
-            verify_buffer_entries: 64,
             persistence: MetadataPersistence::BatteryBacked,
             dedup_domains: 1,
         }

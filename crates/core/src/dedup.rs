@@ -25,6 +25,7 @@
 use dewrite_crypto::LineCounter;
 use dewrite_nvm::LineAddr;
 
+use crate::colocate::ColocationStats;
 use crate::counters::CounterTable;
 use crate::journal::MetaOp;
 use crate::snapshot::Snapshot;
@@ -385,7 +386,7 @@ impl FreeSpace for DomainSpace {
 }
 
 /// The composed deduplication index: the [`CommitKernel`] over the
-/// simulator's free-space source, plus its lookup and write counters.
+/// simulator's free-space source, plus its lookup counters.
 #[derive(Debug, Clone)]
 pub struct DedupIndex {
     kernel: CommitKernel<DomainSpace>,
@@ -395,8 +396,6 @@ pub struct DedupIndex {
     /// the `sim_paper` benchmark 17–24% of its median op latency; on this
     /// bit, nothing measurable (EXPERIMENTS.md, "One commit kernel").
     written: PresenceBitmap,
-    dup_writes: u64,
-    stored_writes: u64,
     false_matches: u64,
 }
 
@@ -423,8 +422,6 @@ impl DedupIndex {
         DedupIndex {
             kernel: CommitKernel::new(lines, space),
             written: PresenceBitmap::new(lines),
-            dup_writes: 0,
-            stored_writes: 0,
             false_matches: 0,
         }
     }
@@ -432,11 +429,6 @@ impl DedupIndex {
     /// The dedup domain of a line.
     pub fn domain_of(&self, line: LineAddr) -> u64 {
         domain_of_line(line.index(), self.kernel.space.domains, self.lines())
-    }
-
-    #[cfg(test)]
-    fn domain_range(&self, domain: u64) -> (u64, u64) {
-        self.kernel.space.domain_range(domain)
     }
 
     /// Number of physical lines managed.
@@ -452,11 +444,6 @@ impl DedupIndex {
     /// Line → encryption counter of every line ever stored.
     pub(crate) fn counters(&self) -> &CounterTable {
         &self.kernel.counters
-    }
-
-    /// Whether `init` has ever been written.
-    pub fn is_written(&self, init: LineAddr) -> bool {
-        self.written.get(init.index())
     }
 
     /// The physical line holding `init`'s data, or `None` if never written.
@@ -576,7 +563,6 @@ impl DedupIndex {
         let digest = self
             .digest_of(real)
             .expect("duplicate target must be resident");
-        self.dup_writes += 1;
         // The one commit decision the shard does not share (ROADMAP item
         // 10): a silent rewrite takes no reference, where the kernel's
         // add-then-release would saturate a line at 254 references.
@@ -606,7 +592,6 @@ impl DedupIndex {
     /// Panics if memory is exhausted (cannot happen while every initial
     /// address holds at most one reference, which the index guarantees).
     pub fn apply_store(&mut self, init: LineAddr, digest: u64) -> WriteOutcome {
-        self.stored_writes += 1;
         // Lines referenced by *saturated* entries can never be freed (their
         // true count is unknown, §III-B2), so a pathological workload that
         // saturates many contents can exhaust free space — real deployments
@@ -620,16 +605,6 @@ impl DedupIndex {
         outcome
     }
 
-    /// Duplicate writes applied.
-    pub fn dup_writes(&self) -> u64 {
-        self.dup_writes
-    }
-
-    /// Non-duplicate writes applied.
-    pub fn stored_writes(&self) -> u64 {
-        self.stored_writes
-    }
-
     /// Digest matches whose byte comparison failed (true CRC collisions,
     /// Fig. 6).
     pub fn false_matches(&self) -> u64 {
@@ -641,14 +616,29 @@ impl DedupIndex {
         self.kernel.hash.saturated_hits()
     }
 
-    /// Number of deduplicated addresses: written ones that map away from
-    /// their home line (a walk of the map).
-    pub fn mapped_addresses(&self) -> usize {
-        self.kernel
-            .map
-            .iter()
-            .filter(|&(init, real)| real.index() != init)
-            .count()
+    /// Where §III-C's colocated layout puts each encryption counter, in
+    /// the order the layout tries the slots: line `l`'s address-map slot
+    /// while address `l` is not remapped away from home, else its
+    /// inverted slot while no content is resident in `l`, else the
+    /// overflow table (both slots busy).
+    pub fn colocation(&self) -> ColocationStats {
+        let mut stats = ColocationStats {
+            lines: self.lines(),
+            no_counter: self.lines(),
+            ..ColocationStats::default()
+        };
+        for (line, _) in self.kernel.counters.iter() {
+            let l = LineAddr::new(line);
+            stats.no_counter -= 1;
+            if self.resolve(l).is_none_or(|real| real == l) {
+                stats.counters_in_addr_map += 1;
+            } else if self.digest_of(l).is_none() {
+                stats.counters_in_inverted += 1;
+            } else {
+                stats.overflow_counters += 1;
+            }
+        }
+        stats
     }
 
     /// Number of resident physical lines.
@@ -842,7 +832,6 @@ mod tests {
         );
         assert_eq!(idx.resolve(l(5)), Some(l(0)));
         assert_eq!(idx.reference_of(l(0)), Some(2));
-        assert_eq!(idx.mapped_addresses(), 1);
         // Line 5's home is still free — never used.
         assert_eq!(idx.free_lines(), 15);
     }
@@ -959,7 +948,6 @@ mod tests {
     fn unwritten_addresses_resolve_to_none() {
         let idx = DedupIndex::new(4);
         assert_eq!(idx.resolve(l(2)), None);
-        assert!(!idx.is_written(l(2)));
     }
 
     #[test]
@@ -1011,7 +999,7 @@ mod tests {
     fn domain_of_agrees_with_domain_range() {
         let idx = DedupIndex::with_domains(100, 7); // uneven split
         for domain in 0..7 {
-            let (lo, hi) = idx.domain_range(domain);
+            let (lo, hi) = idx.kernel.space.domain_range(domain);
             for i in lo..hi {
                 assert_eq!(idx.domain_of(l(i)), domain, "line {i}");
             }
@@ -1025,12 +1013,41 @@ mod tests {
         write(&mut idx, &mut sh, 0, b"x", 1);
         write(&mut idx, &mut sh, 1, b"x", 1);
         write(&mut idx, &mut sh, 2, b"y", 2);
-        assert_eq!(idx.dup_writes(), 1);
-        assert_eq!(idx.stored_writes(), 2);
         assert_eq!(idx.resident_lines(), 2);
         let refs: Vec<u8> = idx.reference_counts().collect();
         assert_eq!(refs.len(), 2);
         assert_eq!(refs.iter().map(|&r| u64::from(r)).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn colocation_tries_the_map_slot_then_the_inverted_slot_then_overflow() {
+        let mut idx = DedupIndex::new(8);
+        let mut sh = Shadow::default();
+        // Address 5 moves to line 6 while address 0 still shares line 5's
+        // content: both of line 5's slots are busy. Its detour through a
+        // spare line leaves a counter on a line whose address is unwritten
+        // (map slot). Address 1 leaves home for line 5, so line 1 keeps a
+        // counter and no content (inverted slot). Line 0 is never stored.
+        for (init, data, digest) in [
+            (5, b"aaaa", 1),
+            (0, b"aaaa", 1),
+            (6, b"bbbb", 2),
+            (5, b"bbbb", 2),
+            (5, b"cccc", 3),
+            (5, b"bbbb", 2),
+            (1, b"dddd", 4),
+            (1, b"aaaa", 1),
+        ] {
+            write(&mut idx, &mut sh, init, data, digest);
+        }
+        let stats = ColocationStats {
+            lines: 8,
+            counters_in_addr_map: 2, // line 6 and the spare
+            counters_in_inverted: 1, // line 1
+            overflow_counters: 1,    // line 5
+            no_counter: 4,
+        };
+        assert_eq!(idx.colocation(), stats);
     }
 
     /// `snapshot` with `ops` applied in order, each an absolute assignment

@@ -60,7 +60,7 @@ pub mod trace;
 pub use bitlevel::{
     dcw_flips, fnw_flips, CmeLine, DeuceLine, DEUCE_EPOCH, DEUCE_WORD_BYTES, FNW_GROUP_BITS,
 };
-pub use colocate::{ColocatedStore, ColocationStats};
+pub use colocate::ColocationStats;
 pub use compare::lines_equal;
 pub use config::{
     durable_fingerprint, BitEncoding, DeWriteConfig, DigestMode, MetaCacheConfig,

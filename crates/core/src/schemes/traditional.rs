@@ -19,6 +19,7 @@ use dewrite_nvm::{LineAddr, NvmDevice, NvmError};
 
 use crate::config::SystemConfig;
 use crate::dedup::{DedupIndex, WriteOutcome};
+use crate::digest::IndexDigest;
 use crate::schemes::{BaseMetrics, CmeArray, MetaTable, ReadResult, SecureMemory, WriteResult};
 
 /// In-line dedup with a cryptographic fingerprint (Table I's "Traditional").
@@ -76,10 +77,6 @@ impl TraditionalDedup {
     pub fn index(&self) -> &DedupIndex {
         &self.index
     }
-
-    fn fold(d: u64) -> u32 {
-        (d ^ (d >> 32)) as u32
-    }
 }
 
 impl SecureMemory for TraditionalDedup {
@@ -96,7 +93,7 @@ impl SecureMemory for TraditionalDedup {
         // The index key stays the folded 32-bit value (zero-extended) so
         // probe sequences are identical to the seed; correctness comes from
         // the full-width fingerprint comparison below.
-        let digest = u64::from(Self::fold(fingerprint));
+        let digest = u64::from(IndexDigest::fold(fingerprint));
         let hash_done = now_ns + cost.latency_ns;
         self.array.metrics.hash_ops += 1;
         self.array.device.charge_dedup_pj(cost.energy_pj);

@@ -150,8 +150,8 @@ impl EngineConfig {
         }
     }
 
-    /// Build shard `id` as this config describes it: FSM policy, cache
-    /// policy and digest mode applied, persistence attached under
+    /// Build shard `id` as this config describes it: FSM policy and cache
+    /// policy applied, persistence attached under
     /// `persist_dir/shard-<id>/`. The one place a config axis reaches a
     /// [`ShardController`], for [`run`] and
     /// [`EngineService`](crate::EngineService) alike.

@@ -479,7 +479,7 @@ impl ShardController {
     pub fn set_digest_mode(&mut self, _mode: DigestMode) {}
 
     /// Metadata-cache counters (hits, misses, queue splits, filtered scan
-    /// evictions — the S3-FIFO fields stay zero under LRU/FIFO).
+    /// evictions — the S3-FIFO fields stay zero under LRU).
     pub fn cache_stats(&self) -> CacheStats {
         self.meta.stats()
     }

@@ -120,12 +120,11 @@ fn power_on_rejects_mismatched_dewrite_config() {
 
 #[test]
 fn config_fingerprint_ignores_performance_knobs() {
-    // Cache sizes, verify buffer, and persistence policy don't change how
-    // durable state is interpreted — snapshots must survive tuning changes.
+    // Cache sizes and persistence policy don't change how durable state is
+    // interpreted — snapshots must survive tuning changes.
     let base = DeWriteConfig::paper();
     let mut tuned = DeWriteConfig::paper();
     tuned.meta_cache.hash_entries = 32;
-    tuned.verify_buffer_entries = 0;
     tuned.persistence = dewrite::core::MetadataPersistence::EpochFlush { interval: 8 };
     assert_eq!(base.fingerprint(), tuned.fingerprint());
 
