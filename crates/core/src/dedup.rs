@@ -5,7 +5,7 @@
 //! and non-duplicate writes, maintaining the invariants:
 //!
 //! 1. a physical line is *resident* iff the inverted table knows its digest
-//!    iff the free-space table marks it occupied;
+//!    iff the free-space map marks it occupied;
 //! 2. every resident line has a hash-table entry with reference ≥ 1;
 //! 3. every written initial address resolves to exactly one resident line,
 //!    and (unless saturated) a resident line's reference equals the number
@@ -23,14 +23,14 @@
 //! with metadata-cache traffic.
 
 use dewrite_crypto::LineCounter;
-use dewrite_nvm::LineAddr;
+use dewrite_nvm::{FsmTree, LineAddr};
 
 use crate::colocate::ColocationStats;
 use crate::counters::CounterTable;
 use crate::journal::MetaOp;
 use crate::snapshot::Snapshot;
 use crate::tables::{
-    AddrMap, FreeSpaceTable, HashEntry, HashTable, InvertedTable, OpenEntry, PresenceBitmap,
+    AddrMap, HashEntry, HashTable, InvertedTable, OpenEntry, PresenceBitmap,
     MAX_CANDIDATE_COMPARES, MAX_REFERENCE,
 };
 
@@ -339,14 +339,14 @@ impl<S: FreeSpace> CommitKernel<S> {
     }
 }
 
-/// The simulator's free-space source: the line-scan [`FreeSpaceTable`],
-/// split into `domains` contiguous dedup domains. A store gets back the
-/// line its own release just freed — the sole owner overwrites in place —
-/// and otherwise the first free line scanning outward from its home,
-/// without leaving the home's domain.
+/// The simulator's free-space source: an [`FsmTree`] claimed in line
+/// order ([`FsmTree::allocate_within`]), split into `domains` contiguous
+/// dedup domains. A store gets back the line its own release just freed —
+/// the sole owner overwrites in place — and otherwise the first free line
+/// scanning outward from its home, without leaving the home's domain.
 #[derive(Debug, Clone)]
 pub(crate) struct DomainSpace {
-    table: FreeSpaceTable,
+    tree: FsmTree,
     domains: u64,
 }
 
@@ -356,7 +356,7 @@ impl DomainSpace {
     /// consistent for uneven splits (floor boundaries would let relocation
     /// pick a target just outside the source's domain).
     fn domain_range(&self, domain: u64) -> (u64, u64) {
-        let lines = u128::from(self.table.lines());
+        let lines = u128::from(self.tree.lines());
         let domains = u128::from(self.domains);
         (
             (u128::from(domain) * lines).div_ceil(domains) as u64,
@@ -367,21 +367,25 @@ impl DomainSpace {
 
 impl FreeSpace for DomainSpace {
     fn release(&mut self, line: LineAddr) {
-        self.table.release(line);
+        let was_taken = self.tree.release(line.index());
+        assert!(was_taken, "double free of line {line}");
     }
 
     fn claim(&mut self, home: LineAddr, freed: Option<LineAddr>) -> Option<LineAddr> {
         if let Some(line) = freed {
-            self.table.occupy(line);
+            let was_free = self.tree.occupy(line.index());
+            assert!(was_free, "freed line {line} is not free");
             return Some(line);
         }
-        let domain = domain_of_line(home.index(), self.domains, self.table.lines());
+        let domain = domain_of_line(home.index(), self.domains, self.tree.lines());
         let (lo, hi) = self.domain_range(domain);
-        self.table.allocate_within(home, lo, hi)
+        self.tree
+            .allocate_within(home.index(), lo, hi)
+            .map(LineAddr::new)
     }
 
     fn is_free(&self, line: LineAddr) -> bool {
-        self.table.is_free(line)
+        self.tree.is_free(line.index())
     }
 }
 
@@ -416,7 +420,7 @@ impl DedupIndex {
     pub fn with_domains(lines: u64, domains: u64) -> Self {
         assert!(domains >= 1 && domains <= lines.max(1), "bad domain count");
         let space = DomainSpace {
-            table: FreeSpaceTable::new(lines),
+            tree: FsmTree::new(lines),
             domains,
         };
         DedupIndex {
@@ -433,7 +437,7 @@ impl DedupIndex {
 
     /// Number of physical lines managed.
     pub fn lines(&self) -> u64 {
-        self.kernel.space.table.lines()
+        self.kernel.space.tree.lines()
     }
 
     /// The commit kernel (the snapshot capture).
@@ -526,7 +530,8 @@ impl DedupIndex {
     /// re-added as mappings are restored via
     /// [`restore_mapping`](Self::restore_mapping).
     pub(crate) fn restore_resident(&mut self, real: LineAddr, digest: u64) {
-        self.kernel.space.table.occupy(real);
+        // Snapshot input is validated by the rebuild's invariant check.
+        let _ = self.kernel.space.tree.occupy(real.index());
         self.kernel.inverted.set(real, digest);
         self.kernel.hash.insert_with_reference(digest, real, 0);
     }
@@ -648,7 +653,7 @@ impl DedupIndex {
 
     /// Free physical lines remaining.
     pub fn free_lines(&self) -> u64 {
-        self.kernel.space.table.free_lines()
+        self.kernel.space.tree.free_lines()
     }
 
     /// Iterate over resident lines' reference counts (Fig. 7).

@@ -1,4 +1,5 @@
-//! The four deduplication data structures (§III-B2), laid out flat.
+//! Three of the four deduplication data structures (§III-B2), laid out
+//! flat; the fourth, the free-space bitmap, is [`dewrite_nvm::FsmTree`].
 //!
 //! This module implements the *functional* layer of the tables — exact
 //! contents and invariants. Timing (metadata-cache hits, NVM accesses,
@@ -10,8 +11,6 @@
 //! * [`AddrMap`] — initAddr → realAddr for every written address.
 //! * [`InvertedTable`] — realAddr → digest, for cleaning stale hashes when a
 //!   resident line is overwritten or freed.
-//! * [`FreeSpaceTable`] — one bit per line; allocation prefers a caller-
-//!   provided home line for locality.
 //!
 //! # Memory layout
 //!
@@ -968,96 +967,6 @@ impl InvertedTable {
     }
 }
 
-/// The free-space bitmap (1 bit per line).
-#[derive(Debug, Clone)]
-pub struct FreeSpaceTable {
-    // true = free
-    free: Vec<bool>,
-    free_count: u64,
-}
-
-impl FreeSpaceTable {
-    /// All `lines` start free.
-    pub fn new(lines: u64) -> Self {
-        FreeSpaceTable {
-            free: vec![true; lines as usize],
-            free_count: lines,
-        }
-    }
-
-    /// Number of lines tracked.
-    pub fn lines(&self) -> u64 {
-        self.free.len() as u64
-    }
-
-    /// Number of free lines.
-    pub fn free_lines(&self) -> u64 {
-        self.free_count
-    }
-
-    /// Whether `line` is free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line` is out of range.
-    pub fn is_free(&self, line: LineAddr) -> bool {
-        self.free[line.index() as usize]
-    }
-
-    /// Mark `line` occupied.
-    pub fn occupy(&mut self, line: LineAddr) {
-        let slot = &mut self.free[line.index() as usize];
-        if *slot {
-            *slot = false;
-            self.free_count -= 1;
-        }
-    }
-
-    /// Mark `line` free.
-    pub fn release(&mut self, line: LineAddr) {
-        let slot = &mut self.free[line.index() as usize];
-        if !*slot {
-            *slot = true;
-            self.free_count += 1;
-        }
-    }
-
-    /// Allocate a line, preferring `home` if free, otherwise scanning
-    /// outward from it (preserves locality as the sequential tables assume).
-    /// Returns `None` when memory is exhausted.
-    pub fn allocate(&mut self, home: LineAddr) -> Option<LineAddr> {
-        self.allocate_within(home, 0, self.free.len() as u64)
-    }
-
-    /// Allocate within the half-open range `[lo, hi)` only, preferring
-    /// `home` (which must lie in the range). Used by per-tenant dedup
-    /// domains so relocated lines never leave their domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty, out of bounds, or excludes `home`.
-    pub fn allocate_within(&mut self, home: LineAddr, lo: u64, hi: u64) -> Option<LineAddr> {
-        assert!(
-            lo < hi && hi <= self.free.len() as u64,
-            "bad range {lo}..{hi}"
-        );
-        assert!(
-            (lo..hi).contains(&home.index()),
-            "home {home} outside range {lo}..{hi}"
-        );
-        let span = hi - lo;
-        let start = home.index();
-        for offset in 0..span {
-            let idx = lo + ((start - lo) + offset) % span;
-            if self.free[idx as usize] {
-                self.occupy(LineAddr::new(idx));
-                return Some(LineAddr::new(idx));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1724,63 +1633,7 @@ mod tests {
         assert_eq!(t.clear(l(1)), None);
     }
 
-    // ---- FreeSpaceTable ----
-
-    #[test]
-    fn fsm_allocates_home_first() {
-        let mut f = FreeSpaceTable::new(8);
-        assert_eq!(f.free_lines(), 8);
-        assert_eq!(f.allocate(l(3)), Some(l(3)));
-        assert!(!f.is_free(l(3)));
-        assert_eq!(f.free_lines(), 7);
-    }
-
-    #[test]
-    fn fsm_scans_outward_when_home_taken() {
-        let mut f = FreeSpaceTable::new(4);
-        f.occupy(l(1));
-        assert_eq!(f.allocate(l(1)), Some(l(2)));
-    }
-
-    #[test]
-    fn fsm_wraps_around() {
-        let mut f = FreeSpaceTable::new(4);
-        f.occupy(l(3));
-        f.occupy(l(0));
-        assert_eq!(f.allocate(l(3)), Some(l(1)));
-    }
-
-    #[test]
-    fn fsm_exhaustion_returns_none() {
-        let mut f = FreeSpaceTable::new(2);
-        assert!(f.allocate(l(0)).is_some());
-        assert!(f.allocate(l(0)).is_some());
-        assert_eq!(f.allocate(l(0)), None);
-        assert_eq!(f.free_lines(), 0);
-    }
-
-    #[test]
-    fn fsm_release_and_idempotence() {
-        let mut f = FreeSpaceTable::new(2);
-        f.occupy(l(0));
-        f.occupy(l(0)); // idempotent
-        assert_eq!(f.free_lines(), 1);
-        f.release(l(0));
-        f.release(l(0)); // idempotent
-        assert_eq!(f.free_lines(), 2);
-    }
-
     proptest! {
-        #[test]
-        fn fsm_free_count_is_consistent(ops in proptest::collection::vec((0u64..32, any::<bool>()), 0..200)) {
-            let mut f = FreeSpaceTable::new(32);
-            for (line, occupy) in ops {
-                if occupy { f.occupy(l(line)); } else { f.release(l(line)); }
-                let actual = (0..32).filter(|&i| f.is_free(l(i))).count() as u64;
-                prop_assert_eq!(actual, f.free_lines());
-            }
-        }
-
         #[test]
         fn hash_len_matches_iter(inserts in proptest::collection::vec((0u64..8, 0u64..64), 0..64)) {
             let mut t = HashTable::new();

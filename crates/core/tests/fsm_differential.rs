@@ -1,17 +1,15 @@
 //! Differential property testing for the free-space manager: under any
 //! script of occupy/release/allocate calls the two-level [`FsmTree`] must
 //! be indistinguishable from a flat one-bit-per-line word scan — same
-//! placement decisions, same occupancy, same free counts — and must agree
-//! on occupancy with the simulator's sequential [`FreeSpaceTable`].
+//! placement decisions, same occupancy, same free counts.
 //!
-//! The flat scan is the *placement* oracle: `FsmTree::allocate` visits
-//! words in exactly the flat order, so every allocation must land on the
-//! identical line. The seed table scans line by line rather than word by
-//! word, so its own `allocate` picks different lines; it serves as an
-//! *occupancy* oracle instead, mirroring whatever line the tree chose.
+//! The flat scan is the *placement* oracle of `FsmTree::allocate` (the
+//! shard's and the replay's word order) and the *occupancy* oracle of the
+//! rotating mode, which mirrors whatever line the tree chose. The
+//! simulator's line-order claim, `FsmTree::allocate_within`, is checked
+//! call by call against a line-by-line scan of the flat oracle.
 
-use dewrite_core::tables::FreeSpaceTable;
-use dewrite_nvm::{FsmTree, LineAddr};
+use dewrite_nvm::FsmTree;
 use proptest::prelude::*;
 
 /// Deliberately not a multiple of `CHUNK_LINES` (512) so every script
@@ -34,10 +32,19 @@ impl FlatOracle {
         ((line / 64) as usize, 1u64 << (line % 64))
     }
 
+    fn free_lines(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    fn is_free(&self, line: u64) -> bool {
+        let (wi, mask) = Self::bit(line);
+        self.words[wi] & mask != 0
+    }
+
     /// Clear `line`'s bit; whether it was free.
     fn occupy(&mut self, line: u64) -> bool {
+        let was_free = self.is_free(line);
         let (wi, mask) = Self::bit(line);
-        let was_free = self.words[wi] & mask != 0;
         self.words[wi] &= !mask;
         was_free
     }
@@ -68,6 +75,14 @@ impl FlatOracle {
             })
         })
     }
+
+    /// The line-scan rule `allocate_within` must reproduce: the first
+    /// free line of `home..hi`, then of `lo..home`.
+    fn allocate_within(&mut self, home: u64, lo: u64, hi: u64) -> Option<u64> {
+        let line = (home..hi).chain(lo..home).find(|&l| self.is_free(l))?;
+        self.occupy(line);
+        Some(line)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -76,33 +91,35 @@ enum FsmOp {
     Occupy(u64),
     /// Release a specific line (idempotent on every structure).
     Release(u64),
-    /// Allocate with a home-line preference.
-    Allocate(u64),
+    /// Allocate with a home-line preference: over the whole map, or (line
+    /// order) within `lo..hi`, `lo <= home < hi`.
+    Allocate { home: u64, lo: u64, hi: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = FsmOp> {
     // The Allocate arm appears twice to weight scripts toward
     // allocation, so they drain regions and hit the chunk-skip path
-    // rather than just toggling individual bits.
+    // rather than just toggling individual bits. Uniform bounds fall off
+    // word and chunk boundaries almost always, and on them now and then.
+    let allocate = (0..LINES, 0..LINES, 0..LINES).prop_map(|(home, a, b)| FsmOp::Allocate {
+        home,
+        lo: a % (home + 1),
+        hi: home + 1 + b % (LINES - home),
+    });
     prop_oneof![
         (0..LINES).prop_map(FsmOp::Occupy),
         (0..LINES).prop_map(FsmOp::Release),
-        (0..LINES).prop_map(FsmOp::Allocate),
-        (0..LINES).prop_map(FsmOp::Allocate),
+        allocate.clone(),
+        allocate,
     ]
 }
 
-/// Assert the tree agrees with the seed table line for line and count for
-/// count.
-fn assert_same_occupancy(tree: &FsmTree, seed: &FreeSpaceTable) {
-    assert_eq!(tree.free_lines(), seed.free_lines(), "free count vs seed");
-    for line in 0..LINES {
-        assert_eq!(
-            tree.is_free(line),
-            seed.is_free(LineAddr::new(line)),
-            "line {line} occupancy vs seed"
-        );
-    }
+/// Assert the tree agrees with the flat oracle line for line and count
+/// for count.
+fn assert_same_occupancy(tree: &FsmTree, flat: &FlatOracle) {
+    let flat_occupied: Vec<u64> = (0..LINES).filter(|&l| !flat.is_free(l)).collect();
+    assert_eq!(tree.occupied(), flat_occupied, "occupancy vs flat");
+    assert_eq!(tree.free_lines(), flat.free_lines(), "free count vs flat");
 }
 
 proptest! {
@@ -117,45 +134,71 @@ proptest! {
         let mut tree = FsmTree::new(LINES);
         let pristine = tree.clone();
         let mut flat = FlatOracle::new();
-        let mut seed = FreeSpaceTable::new(LINES);
         for op in &ops {
             match *op {
                 FsmOp::Occupy(line) => {
                     prop_assert_eq!(tree.occupy(line), flat.occupy(line),
                         "occupy({}) outcome diverged", line);
-                    seed.occupy(LineAddr::new(line));
                 }
                 FsmOp::Release(line) => {
                     prop_assert_eq!(tree.release(line), flat.release(line),
                         "release({}) outcome diverged", line);
-                    seed.release(LineAddr::new(line));
                 }
-                FsmOp::Allocate(home) => {
-                    let t = tree.allocate(home);
-                    prop_assert_eq!(t, flat.allocate(home), "allocate({}) placement diverged", home);
-                    if let Some(line) = t {
-                        // Mirror into the seed table: its own scan order
-                        // differs, so it only checks occupancy.
-                        seed.occupy(LineAddr::new(line));
-                    }
+                FsmOp::Allocate { home, .. } => {
+                    prop_assert_eq!(tree.allocate(home), flat.allocate(home),
+                        "allocate({}) placement diverged", home);
                 }
             }
         }
-        assert_same_occupancy(&tree, &seed);
+        assert_same_occupancy(&tree, &flat);
         prop_assert_eq!(pristine.free_lines(), LINES, "clone shares state with the original");
         prop_assert!(pristine.occupied().is_empty());
+    }
+
+    // Line-order allocation, the simulator's claim: the first free line
+    // of `home..hi`, then of `lo..home`, call by call. `drained` empties
+    // whole chunks first, so scans cross chunks the counters skip.
+    #[test]
+    fn line_order_claims_match_a_line_scan(
+        drained in proptest::collection::vec(any::<bool>(), 3),
+        ops in proptest::collection::vec(op_strategy(), 1..400)
+    ) {
+        let mut tree = FsmTree::new(LINES);
+        let mut flat = FlatOracle::new();
+        for line in (0..LINES).filter(|line| drained[(line / 512) as usize]) {
+            tree.occupy(line);
+            flat.occupy(line);
+        }
+        for op in &ops {
+            match *op {
+                FsmOp::Occupy(line) => {
+                    tree.occupy(line);
+                    flat.occupy(line);
+                }
+                FsmOp::Release(line) => {
+                    tree.release(line);
+                    flat.release(line);
+                }
+                FsmOp::Allocate { home, lo, hi } => {
+                    prop_assert_eq!(tree.allocate_within(home, lo, hi),
+                        flat.allocate_within(home, lo, hi),
+                        "allocate_within({}, {}, {}) placement diverged", home, lo, hi);
+                }
+            }
+        }
+        assert_same_occupancy(&tree, &flat);
     }
 
     // Rotating allocation trades placement identity for wear rotation, so
     // the flat scan stops being a placement oracle — but occupancy,
     // conservation and the claim count must still hold exactly, with the
-    // seed table mirroring every claim.
+    // flat oracle mirroring every claim.
     #[test]
     fn rotating_mode_preserves_occupancy_and_counts(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
         let mut tree = FsmTree::new(LINES);
-        let mut seed = FreeSpaceTable::new(LINES);
+        let mut flat = FlatOracle::new();
         let mut claims = 0u64;
         for op in &ops {
             match *op {
@@ -163,18 +206,16 @@ proptest! {
                     if tree.occupy(line) {
                         claims += 1;
                     }
-                    seed.occupy(LineAddr::new(line));
+                    flat.occupy(line);
                 }
                 FsmOp::Release(line) => {
                     tree.release(line);
-                    seed.release(LineAddr::new(line));
+                    flat.release(line);
                 }
-                FsmOp::Allocate(_) => {
+                FsmOp::Allocate { .. } => {
                     if let Some(line) = tree.allocate_rotating() {
                         prop_assert!(line < LINES, "claimed tail line {}", line);
-                        prop_assert!(seed.is_free(LineAddr::new(line)),
-                            "double-claimed line {}", line);
-                        seed.occupy(LineAddr::new(line));
+                        prop_assert!(flat.occupy(line), "double-claimed line {}", line);
                         claims += 1;
                     } else {
                         prop_assert_eq!(tree.free_lines(), 0,
@@ -182,9 +223,9 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(tree.free_lines(), seed.free_lines());
+            prop_assert_eq!(tree.free_lines(), flat.free_lines());
         }
-        assert_same_occupancy(&tree, &seed);
+        assert_same_occupancy(&tree, &flat);
         prop_assert_eq!(tree.stats().claims, claims, "claim stats drifted");
     }
 }

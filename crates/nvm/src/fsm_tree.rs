@@ -12,8 +12,9 @@
 //!   so "which region has space" is answered by scanning counters (512
 //!   lines summarized per 4 bytes) instead of bitmap words.
 //!
-//! The tree has one owner (an engine shard, the benchmark's replay), so
-//! every mutation takes `&mut self` and is a plain load and store.
+//! Each tree has one owner (an engine shard, the simulator's dedup index,
+//! the benchmark's replay), so every mutation takes `&mut self` and is a
+//! plain load and store.
 //!
 //! # Home-preference mode
 //!
@@ -25,6 +26,14 @@
 //! found first, so placement is exactly a flat word scan's. The
 //! differential proptests in `dewrite-core` pin that against a
 //! test-local flat oracle.
+//!
+//! # Line-order mode
+//!
+//! [`FsmTree::allocate_within`] confines a claim to `lo..hi` and scans it
+//! line by line from the home: the first free line of `home..hi`, then of
+//! `lo..home`. This is the simulator's placement (per-domain bounds, and
+//! a line scan rather than a word scan); counters skip drained chunks
+//! here too, so placement is exactly the line scan's.
 //!
 //! # Wear-aware rotation
 //!
@@ -318,6 +327,62 @@ impl FsmTree {
         }
         self.stats.scan_steps += steps;
         None
+    }
+
+    /// The lowest free line in `lo..hi`, skipping drained chunks by their
+    /// counters, counting one step per counter and word consulted.
+    fn first_free_in(&self, lo: u64, hi: u64, steps: &mut u64) -> Option<u64> {
+        if lo >= hi {
+            return None;
+        }
+        for ci in (lo / CHUNK_LINES) as usize..=((hi - 1) / CHUNK_LINES) as usize {
+            *steps += 1;
+            if self.chunk_free[ci] == 0 {
+                continue;
+            }
+            let words = Self::chunk_words(ci);
+            let first = words.start.max((lo / WORD_BITS) as usize);
+            let last = words.end.min(hi.div_ceil(WORD_BITS) as usize);
+            for wi in first..last {
+                *steps += 1;
+                let base = wi as u64 * WORD_BITS;
+                let from_lo = !0u64 << lo.saturating_sub(base);
+                let below_hi = !0u64 >> WORD_BITS.saturating_sub(hi - base);
+                let word = self.words[wi] & from_lo & below_hi;
+                if word != 0 {
+                    return Some(base + u64::from(word.trailing_zeros()));
+                }
+            }
+        }
+        None
+    }
+
+    /// Allocate the first free line of `home..hi`, else of `lo..home`:
+    /// line order from the home, wrapping inside `lo..hi` (see the module
+    /// docs). Returns `None` when the range has no free line.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo <= home < hi <= lines`.
+    pub fn allocate_within(&mut self, home: u64, lo: u64, hi: u64) -> Option<u64> {
+        assert!(
+            lo <= home && home < hi && hi <= self.lines,
+            "home {home} outside range {lo}..{hi} of {}",
+            self.lines
+        );
+        let mut steps = 0u64;
+        let found = self
+            .first_free_in(home, hi, &mut steps)
+            .or_else(|| self.first_free_in(lo, home, &mut steps));
+        match found {
+            Some(line) => {
+                let (wi, mask) = self.locate(line);
+                self.words[wi] &= !mask;
+                self.note_claim((line / CHUNK_LINES) as usize, steps);
+            }
+            None => self.stats.scan_steps += steps,
+        }
+        found
     }
 
     /// Pick a refill chunk: the least-worn bucket among chunks with at

@@ -100,6 +100,34 @@ fn relocated_lines_stay_inside_their_domain() {
     );
 }
 
+/// Where a fresh write to `addr` lands once a duplicate at `dup` shares
+/// its line, so the fresh content must relocate.
+fn relocation_target(domains: u64, addr: u64, dup: u64) -> u64 {
+    let mut mem = memory(domains);
+    mem.write(LineAddr::new(addr), &[0x11; 256], 0)
+        .expect("write");
+    mem.write(LineAddr::new(dup), &[0x11; 256], 10_000)
+        .expect("write");
+    mem.write(LineAddr::new(addr), &[0x22; 256], 20_000)
+        .expect("write");
+    mem.index()
+        .resolve(LineAddr::new(addr))
+        .expect("written")
+        .index()
+}
+
+#[test]
+fn relocation_wraps_inside_its_domain() {
+    // Domain 0 is [0, 1024): the scan from its last line wraps to its first.
+    assert_eq!(relocation_target(2, 1023, 1010), 0);
+}
+
+#[test]
+fn relocation_claims_the_next_free_line() {
+    // Line order from the home, not the home word's lowest free line (64).
+    assert_eq!(relocation_target(1, 127, 100), 128);
+}
+
 #[test]
 fn many_domains_degrade_reduction_gracefully() {
     // The isolation/efficiency trade-off: more domains = fewer cross-tenant
