@@ -19,7 +19,6 @@ use crate::tables::{HashEntry, MAX_REFERENCE};
 pub struct SeedHashTable {
     buckets: HashMap<u64, Vec<HashEntry>>,
     entries: usize,
-    collision_buckets: u64,
     saturated_hits: u64,
 }
 
@@ -55,9 +54,6 @@ impl SeedHashTable {
             "line {real} already indexed under digest {digest:#x}"
         );
         bucket.push(HashEntry { real, reference });
-        if bucket.len() == 2 {
-            self.collision_buckets += 1;
-        }
         self.entries += 1;
     }
 
@@ -149,11 +145,6 @@ impl SeedHashTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
-    }
-
-    /// Buckets that ever held ≥2 entries.
-    pub fn collision_buckets(&self) -> u64 {
-        self.collision_buckets
     }
 
     /// Duplicate detections skipped because the entry was saturated.

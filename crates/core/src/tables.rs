@@ -208,7 +208,6 @@ pub struct HashTable {
     /// under two digests at once (tests do this, the product cannot — the
     /// inverted table gives a line one digest) falls back to a scan.
     pos: Vec<u32>,
-    collision_buckets: u64,
     saturated_hits: u64,
     #[cfg(test)]
     rehashes: Rehashes,
@@ -264,7 +263,6 @@ impl HashTable {
             side: Vec::new(),
             side_free: Vec::new(),
             pos: Vec::new(),
-            collision_buckets: 0,
             saturated_hits: 0,
             #[cfg(test)]
             rehashes: Rehashes::default(),
@@ -568,10 +566,9 @@ impl HashTable {
             let index = side.reals.len() - 1;
             self.set_pos(real, index);
         } else {
-            // The bucket just reached two entries (seed: `bucket.len() == 2`).
-            // A freed side bucket is empty but keeps its vectors' capacity,
-            // so spill/fold churn stops allocating once warm.
-            self.collision_buckets += 1;
+            // The bucket just reached two entries. A freed side bucket is
+            // empty but keeps its vectors' capacity, so spill/fold churn
+            // stops allocating once warm.
             let id = self.side_free.pop().unwrap_or_else(|| {
                 self.side.push(SideBucket::default());
                 self.side.len() - 1
@@ -749,11 +746,6 @@ impl HashTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
-    }
-
-    /// Buckets that ever held ≥2 entries (digest collisions, Fig. 6).
-    pub fn collision_buckets(&self) -> u64 {
-        self.collision_buckets
     }
 
     /// Duplicate detections skipped because the entry was saturated.
@@ -1000,7 +992,6 @@ mod tests {
         t.insert(0xAB, l(1));
         t.insert(0xAB, l(2)); // different content, same digest
         assert_eq!(t.candidates(0xAB).len(), 2);
-        assert_eq!(t.collision_buckets(), 1);
     }
 
     #[test]
@@ -1349,7 +1340,6 @@ mod tests {
     fn assert_hash_tables_agree(seed: &crate::seed::SeedHashTable, flat: &HashTable) {
         assert_eq!(seed.len(), flat.len());
         assert_eq!(seed.is_empty(), flat.is_empty());
-        assert_eq!(seed.collision_buckets(), flat.collision_buckets());
         assert_eq!(seed.saturated_hits(), flat.saturated_hits());
         for d in 0..4u64 {
             assert_eq!(
@@ -1493,7 +1483,6 @@ mod tests {
     /// against the seed oracle.
     fn assert_chain_agrees(seed: &crate::seed::SeedHashTable, flat: &HashTable, digest: u64) {
         assert_eq!(seed.len(), flat.len());
-        assert_eq!(seed.collision_buckets(), flat.collision_buckets());
         assert_eq!(seed.saturated_hits(), flat.saturated_hits());
         let bucket = seed.candidates(digest);
         assert_eq!(bucket, flat.candidates(digest).as_slice());

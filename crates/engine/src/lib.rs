@@ -18,10 +18,11 @@
 //! the per-shard simulated reports fold into one deterministic aggregate
 //! via `RunReport::merge_all`. [`EngineService`] is the long-running form
 //! for served deployments, where the submitter is not known in advance, so
-//! ownership is a per-shard lock: non-blocking
-//! [`EngineService::try_submit`] runs the target shard on the submitting
-//! thread under that shard's lock, with per-lane completion queues,
-//! per-shard sequence-number reordering (so any interleaving of network
+//! ownership is a per-shard lock: [`EngineService::apply`] and
+//! [`EngineService::try_submit`] run the target shard on the submitting
+//! thread under that shard's lock and refuse nothing (the caller bounds
+//! what it has in flight), with per-lane completion queues, per-shard
+//! sequence-number reordering (so any interleaving of network
 //! connections replays each shard's exact trace subsequence), and a
 //! graceful drain that flushes and checkpoints attached persistence.
 //! Neither owns a thread beyond the ones its caller brings (`run`'s are

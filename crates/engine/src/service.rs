@@ -3,28 +3,30 @@
 //!
 //! [`run`](crate::run) drives one fixed trace through the shards and
 //! returns; a served system instead needs an engine that outlives any one
-//! client, accepts work from *many* concurrent submitters, and sheds load
-//! instead of blocking the caller. [`EngineService`] provides exactly
-//! that:
+//! client and accepts work from *many* concurrent submitters without
+//! blocking them. [`EngineService`] provides exactly that:
 //!
-//! * [`EngineService::try_apply`] is **non-blocking** and **executes the
-//!   operation on the submitting thread**: it locks the target shard,
-//!   applies the operation (plus every held successor it unblocks) and
-//!   queues the completions before it returns. It borrows the line
-//!   ([`DataOp`]), so a submitter that decoded it from a receive buffer
-//!   copies nothing; only an operation that arrives ahead of its turn is
-//!   copied, into the shard's reorder ring. A full completion lane refuses
-//!   the operation (`false`) so an event loop can park the connection
-//!   instead of itself.
+//! * [`EngineService::apply`] **executes the operation on the submitting
+//!   thread**: it locks the target shard, applies the operation (plus
+//!   every held successor it unblocks) and queues the completions before
+//!   it returns. It borrows the line ([`DataOp`]), so a submitter that
+//!   decoded it from a receive buffer copies nothing; only an operation
+//!   that arrives ahead of its turn is copied, into the shard's reorder
+//!   ring.
 //! * [`EngineService::try_submit`] takes an owned [`ServiceRequest`] — a
-//!   control operation, or a data operation a submitter had to hold —
-//!   down the same path, handing it back ([`Err`]) on refusal.
-//! * Completions come back on per-*lane* bounded queues (one lane per
-//!   event-loop thread), carrying the submitter's `(conn, conn_seq)`
-//!   correlation tags so responses can be re-ordered per connection.
+//!   control operation, or a data operation that owns its line — down the
+//!   same path.
+//! * Completions come back on per-*lane* queues (one lane per event-loop
+//!   thread), carrying the submitter's `(conn, conn_seq)` correlation tags
+//!   so responses can be re-ordered per connection.
 //! * Control operations (scrub / flush-checkpoint / report) take the same
 //!   path with [`CONTROL_SEQ`], one per shard, and are aggregated by the
 //!   caller.
+//!
+//! The service refuses no operation for want of room. Its caller bounds
+//! what it has in flight (the network frontend's per-connection window),
+//! and every queued completion answers one of those operations, so the
+//! caller's bound is each lane's bound too.
 //!
 //! # Threading model
 //!
@@ -35,9 +37,9 @@
 //! than the operation (a queue hop each way, and a sleeping worker is a
 //! scheduler wake-up away), so two submitters meeting on one shard simply
 //! serialise for one operation. The lock also orders the shard's WAL
-//! appends. Nothing waits while a shard lock is held: a completion whose
-//! lane turns out to be full parks in the shard's overflow list, and the
-//! shard refuses new work until that list has drained.
+//! appends. Each lane's queue has a lock of its own, held for one push or
+//! one pop; a shard pushes while holding its lock, and a pop takes no
+//! shard lock, so the one lock order is shard → lane.
 //!
 //! # Determinism under concurrent submitters
 //!
@@ -58,11 +60,9 @@
 //! no matter how the records travelled.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use crossbeam_queue::ArrayQueue;
 use dewrite_mem::LatencyHistogram;
 use dewrite_nvm::LineAddr;
 
@@ -150,7 +150,7 @@ impl ServiceRequest {
 
 /// A data operation that borrows its line: what a submitter already
 /// holding the bytes (a lane's receive buffer) hands
-/// [`EngineService::try_apply`] without copying them. The fields mean what
+/// [`EngineService::apply`] without copying them. The fields mean what
 /// [`ServiceRequest`]'s do.
 #[derive(Debug, Clone, Copy)]
 pub struct DataOp<'a> {
@@ -176,31 +176,6 @@ pub struct DataOp<'a> {
 }
 
 impl DataOp<'_> {
-    /// The owned request, with a copy of the line: for a submitter that
-    /// must hold an operation the service refused.
-    pub fn to_request(&self) -> ServiceRequest {
-        let op = match self.data {
-            Some(data) => ServiceOp::Write {
-                addr: self.addr,
-                data: data.to_vec(),
-                gap: self.gap,
-            },
-            None => ServiceOp::Read {
-                addr: self.addr,
-                gap: self.gap,
-            },
-        };
-        ServiceRequest {
-            shard: self.shard,
-            seq: self.seq,
-            lane: self.lane,
-            conn: self.conn,
-            conn_seq: self.conn_seq,
-            issued_ns: self.issued_ns,
-            op,
-        }
-    }
-
     /// The same operation with `data` as its line.
     fn with_line<'b>(&self, data: Option<&'b [u8]>) -> DataOp<'b> {
         DataOp {
@@ -238,8 +213,8 @@ pub enum CompletionBody {
     Flush(Result<(), String>),
     /// This shard's report as a JSON string.
     Report(String),
-    /// The request was not applied (reorder-window overflow, a sequence
-    /// gap at shutdown, or a malformed submission).
+    /// The request was not applied (reorder-window overflow, a duplicate
+    /// or resubmitted sequence, or a malformed submission).
     Rejected(String),
 }
 
@@ -285,18 +260,13 @@ struct Shard {
     /// touches the ring.
     held: usize,
     host: LatencyHistogram,
-    /// Completions (with their lane) that found the lane full, oldest
-    /// first. Non-empty means the shard takes no new work.
-    overflow: VecDeque<(usize, Completion)>,
 }
 
 /// The long-running sharded engine service. See the module docs.
 pub struct EngineService {
     shards: Vec<Mutex<Shard>>,
-    lanes: Vec<Arc<ArrayQueue<Completion>>>,
-    /// Completions parked in overflow lists, over all shards: lets
-    /// [`try_complete`](Self::try_complete) skip the shard locks.
-    overflowed: AtomicUsize,
+    /// One completion queue per lane, oldest first.
+    lanes: Vec<Mutex<VecDeque<Completion>>>,
     app: String,
     /// Bytes per line: the stride of each shard's held lines.
     line_size: usize,
@@ -314,18 +284,18 @@ impl std::fmt::Debug for EngineService {
 
 impl EngineService {
     /// Build one controller and one reorder ring per shard, plus `lanes`
-    /// bounded completion queues of `lane_capacity` entries each. No thread
-    /// is started: submitters run the shards.
+    /// completion queues, each allocated with room for `lane_capacity`
+    /// entries before it first grows. No thread is started: submitters run
+    /// the shards.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid config: zero shards/lanes/capacities.
+    /// Panics on an invalid config: zero shards, lanes or queue depth.
     pub fn start(config: &EngineConfig, app: &str, lanes: usize, lane_capacity: usize) -> Self {
         let shards = config.shards;
         assert!(shards > 0, "need at least one shard");
         assert!(lanes > 0, "need at least one completion lane");
         assert!(config.queue_depth > 0, "reorder window must hold a request");
-        assert!(lane_capacity > 0, "completion lanes must hold an entry");
 
         let window = config.queue_depth * REORDER_WINDOW_FACTOR;
         let shards = (0..shards)
@@ -338,16 +308,14 @@ impl EngineService {
                     lines: vec![0; window * config.line_size],
                     held: 0,
                     host: LatencyHistogram::new(),
-                    overflow: VecDeque::new(),
                 })
             })
             .collect();
         EngineService {
             shards,
             lanes: (0..lanes)
-                .map(|_| Arc::new(ArrayQueue::new(lane_capacity)))
+                .map(|_| Mutex::new(VecDeque::with_capacity(lane_capacity)))
                 .collect(),
-            overflowed: AtomicUsize::new(0),
             app: app.to_string(),
             line_size: config.line_size,
             start: Instant::now(),
@@ -369,69 +337,52 @@ impl EngineService {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Submit a data operation without blocking, executing on the calling
-    /// thread and without taking its line. By the time this returns
-    /// `true`, an operation that is next in its shard's sequence has been
-    /// applied, with every held successor it unblocks, and the completions
-    /// are queued; one that arrived early has had its line copied into the
-    /// shard's reorder ring to wait for its turn. `false` refuses it
-    /// exactly when [`try_submit`](Self::try_submit) would — the caller's
-    /// back-pressure signal: hold the operation
-    /// ([`DataOp::to_request`]), stop reading that submitter, drain the
-    /// lane, retry.
+    /// Submit a data operation, executing it on the calling thread without
+    /// taking its line. By the time this returns, an operation that is
+    /// next in its shard's sequence has been applied, with every held
+    /// successor it unblocks, and the completions are queued; one that
+    /// arrived early has had its line copied into the shard's reorder ring
+    /// to wait for its turn; one that can never apply has been answered
+    /// with [`CompletionBody::Rejected`].
     ///
     /// # Panics
     ///
     /// Panics if `op.shard` or `op.lane` is out of range, a write's line is
     /// not the configured line size, or a submitter panicked inside this
     /// shard earlier.
-    #[must_use = "a refused operation was not applied"]
-    pub fn try_apply(&self, op: &DataOp<'_>) -> bool {
-        self.admit(op.shard, op.lane, |shard| self.handle_data(shard, op))
+    pub fn apply(&self, op: &DataOp<'_>) {
+        let mut shard = self.admit(op.shard, op.lane);
+        self.handle_data(&mut shard, op);
     }
 
-    /// Submit an owned request without blocking, executing on the calling
-    /// thread: a data operation goes through
-    /// [`try_apply`](Self::try_apply), borrowing its own line; a control
-    /// operation applies at once. `Err` hands the request back — the
-    /// caller's back-pressure signal: hold the request, stop reading that
-    /// submitter, drain the lane, retry.
+    /// Submit an owned request, executing it on the calling thread: a data
+    /// operation goes through [`apply`](Self::apply), borrowing its own
+    /// line; a control operation applies at once.
     ///
     /// # Errors
     ///
-    /// Returns `Err(request)` when completion lane `request.lane` has no
-    /// room, or shard `request.shard` still holds completions that found
-    /// their lane full.
+    /// Never: the service takes every request (see the module docs on
+    /// what bounds the lanes). Callers may still match on the `Result`.
     ///
     /// # Panics
     ///
-    /// As [`try_apply`](Self::try_apply).
+    /// As [`apply`](Self::apply).
     pub fn try_submit(&self, request: ServiceRequest) -> Result<(), ServiceRequest> {
-        let admitted = match request.data_op() {
-            Some(op) => self.try_apply(&op),
-            None => self.admit(request.shard, request.lane, |shard| {
-                self.handle_control(shard, &request);
-            }),
-        };
-        if admitted {
-            Ok(())
-        } else {
-            Err(request)
+        match request.data_op() {
+            Some(op) => self.apply(&op),
+            None => {
+                let mut shard = self.admit(request.shard, request.lane);
+                self.handle_control(&mut shard, &request);
+            }
         }
+        Ok(())
     }
 
-    /// Lock shard `shard` and run `f` on it, unless lane `lane` has no room
-    /// or the shard still holds completions that found their lane full.
-    /// Returns whether `f` ran.
-    fn admit(&self, shard: usize, lane: usize, f: impl FnOnce(&mut Shard)) -> bool {
+    /// Lock shard `shard` for an operation answered on lane `lane`.
+    fn admit(&self, shard: usize, lane: usize) -> MutexGuard<'_, Shard> {
         assert!(shard < self.shards.len(), "shard out of range");
         assert!(lane < self.lanes.len(), "lane out of range");
-        let mut shard = self.lock(shard);
-        if !self.flush_overflow(&mut shard) || self.lanes[lane].is_full() {
-            return false;
-        }
-        f(&mut shard);
-        true
+        self.lock(shard)
     }
 
     /// Pop one completion from `lane`, if any is ready.
@@ -440,31 +391,18 @@ impl EngineService {
     ///
     /// Panics if `lane` is out of range.
     pub fn try_complete(&self, lane: usize) -> Option<Completion> {
-        let ready = self.lanes[lane].pop();
-        if ready.is_some() || self.overflowed.load(Ordering::Acquire) == 0 {
-            return ready;
-        }
-        // The lane has room again: parked completions can move without
-        // waiting for the next submit to their shard.
-        for shard in 0..self.shards.len() {
-            self.flush_overflow(&mut self.lock(shard));
-        }
-        self.lanes[lane].pop()
+        self.lanes[lane].lock().expect(LANE_POISONED).pop_front()
     }
 
-    #[cfg(test)]
-    fn lane_arc(&self, lane: usize) -> Arc<ArrayQueue<Completion>> {
-        Arc::clone(&self.lanes[lane])
-    }
-
-    /// Graceful shutdown, on the calling thread: reject what a sequence
-    /// gap left in the reorder rings, flush the open WAL epoch,
-    /// checkpoint, and sync the stores (when persistence
-    /// is attached), then fold the per-shard reports in shard order — the
-    /// same deterministic merge as [`run`](crate::run).
+    /// Graceful shutdown, on the calling thread: flush the open WAL epoch,
+    /// checkpoint, and sync the stores (when persistence is attached), then
+    /// fold the per-shard reports in shard order — the same deterministic
+    /// merge as [`run`](crate::run).
     ///
     /// The caller must have collected all outstanding completions first;
-    /// any left in the lanes are dropped with the service.
+    /// any left in the lanes are dropped with the service, and so is a
+    /// request that a sequence gap left waiting in a reorder ring (it
+    /// never applied).
     ///
     /// # Panics
     ///
@@ -476,25 +414,6 @@ impl EngineService {
             .into_iter()
             .map(|shard| {
                 let mut shard = shard.into_inner().expect(POISONED);
-                // A held request at graceful shutdown is a submitter that
-                // left a sequence gap; it can never legally apply. Each is
-                // answered, in `seq` order.
-                let mut held: Vec<Held> =
-                    shard.reorder.iter_mut().filter_map(Option::take).collect();
-                held.sort_unstable_by_key(|h| h.op.seq);
-                for Held { op, .. } in held {
-                    let done = Completion {
-                        shard: shard.id,
-                        conn: op.conn,
-                        conn_seq: op.conn_seq,
-                        body: CompletionBody::Rejected(format!(
-                            "sequence gap at shutdown: shard waited for {}, held {}",
-                            shard.next_seq, op.seq
-                        )),
-                    };
-                    // A full lane drops it, as the service is about to.
-                    let _ = self.lanes[op.lane].push(done);
-                }
                 // End-of-service durability point: flush the open WAL
                 // epoch, checkpoint, and force the store to stable storage
                 // even when the run logged with `sync: false`.
@@ -520,40 +439,22 @@ impl EngineService {
         self.shards[shard].lock().expect(POISONED)
     }
 
-    /// Move parked completions to their lanes, oldest first. Returns
-    /// whether the overflow list is now empty.
-    fn flush_overflow(&self, shard: &mut Shard) -> bool {
-        while let Some((lane, done)) = shard.overflow.pop_front() {
-            if let Err(back) = self.lanes[lane].push(done) {
-                shard.overflow.push_front((lane, back));
-                return false;
-            }
-            self.overflowed.fetch_sub(1, Ordering::Release);
-        }
-        true
-    }
-
-    /// Queue a completion on `lane`; a full lane parks it in the shard's
-    /// overflow list instead of waiting (the shard lock is held).
-    fn emit(&self, shard: &mut Shard, lane: usize, conn: u64, conn_seq: u64, body: CompletionBody) {
-        let mut done = Completion {
+    /// Queue a completion on `lane`.
+    fn emit(&self, shard: &Shard, lane: usize, conn: u64, conn_seq: u64, body: CompletionBody) {
+        let done = Completion {
             shard: shard.id,
             conn,
             conn_seq,
             body,
         };
-        if shard.overflow.is_empty() {
-            match self.lanes[lane].push(done) {
-                Ok(()) => return,
-                Err(back) => done = back,
-            }
-        }
-        shard.overflow.push_back((lane, done));
-        self.overflowed.fetch_add(1, Ordering::Release);
+        self.lanes[lane]
+            .lock()
+            .expect(LANE_POISONED)
+            .push_back(done);
     }
 
     /// Answer `op` with a rejection.
-    fn reject(&self, shard: &mut Shard, op: &DataOp<'_>, why: String) {
+    fn reject(&self, shard: &Shard, op: &DataOp<'_>, why: String) {
         let body = CompletionBody::Rejected(why);
         self.emit(shard, op.lane, op.conn, op.conn_seq, body);
     }
@@ -575,7 +476,7 @@ impl EngineService {
         let next_seq = shard.next_seq;
         let window = shard.reorder.len() as u64;
         if op.seq == next_seq {
-            self.apply(shard, op);
+            self.execute(shard, op);
             if shard.held > 0 {
                 self.release(shard);
             }
@@ -631,14 +532,14 @@ impl EngineService {
             debug_assert_eq!(held.op.seq, shard.next_seq, "one seq per slot");
             shard.held -= 1;
             let line = &lines[slot * self.line_size..][..self.line_size];
-            self.apply(shard, &held.op.with_line(held.write.then_some(line)));
+            self.execute(shard, &held.op.with_line(held.write.then_some(line)));
         }
         shard.lines = lines;
     }
 
     /// Apply `op`, the next in its shard's sequence, and queue its
     /// completion.
-    fn apply(&self, shard: &mut Shard, op: &DataOp<'_>) {
+    fn execute(&self, shard: &mut Shard, op: &DataOp<'_>) {
         let body = match op.data {
             Some(data) => {
                 let w = shard.ctrl.write(op.addr, data, op.gap);
@@ -663,6 +564,8 @@ impl EngineService {
 
 /// Why a shard lock can be poisoned.
 const POISONED: &str = "a submitter panicked inside this shard";
+/// Why a lane lock can be poisoned: a push or pop panicked.
+const LANE_POISONED: &str = "a completion lane push or pop panicked";
 
 /// Apply one control operation at its queue position.
 fn apply_control(ctrl: &mut ShardController, app: &str, op: &ServiceOp) -> CompletionBody {
@@ -755,37 +658,26 @@ mod tests {
         );
     }
 
+    /// Submit `req`, which the service always takes.
+    fn submit(svc: &EngineService, req: ServiceRequest) {
+        svc.try_submit(req).expect("the service refuses nothing");
+    }
+
     /// Feed `records` through the service as one submitter, in an order
     /// perturbed by `rotate`.
     fn drive(config: &EngineConfig, records: &[TraceRecord], rotate: usize) -> EngineRun {
         let svc = EngineService::start(config, "mcf", 1, 1024);
         let reqs = requests(records, svc.shards(), rotate);
-        let total = reqs.len() as u64;
-        let mut pending = 0u64;
-        let mut completed = 0u64;
-        let mut it = reqs.into_iter();
-        let mut held: Option<ServiceRequest> = None;
-        while completed < total {
-            if held.is_none() {
-                held = it.next();
-            }
-            if let Some(req) = held.take() {
-                if let Err(back) = svc.try_submit(req) {
-                    held = Some(back);
-                } else {
-                    pending += 1;
-                }
-            }
+        let total = reqs.len();
+        let mut completed = 0;
+        for req in reqs {
+            submit(&svc, req);
             while let Some(c) = svc.try_complete(0) {
-                match c.body {
-                    CompletionBody::Write { .. } | CompletionBody::Read { .. } => {}
-                    other => panic!("unexpected completion {other:?}"),
-                }
+                assert_data(&c);
                 completed += 1;
-                pending -= 1;
             }
         }
-        assert_eq!(pending, 0);
+        assert_eq!(completed, total);
         svc.shutdown()
     }
 
@@ -821,7 +713,6 @@ mod tests {
         let svc = EngineService::start(&config, "mcf", 1, 1024);
         let shards = svc.shards();
         let mut seqs = vec![0u64; shards];
-        let mut outstanding = 0u64;
         for rec in &records {
             let shard = shard_of_line(rec.op.addr(), shards);
             let op = match &rec.op {
@@ -835,7 +726,7 @@ mod tests {
                     gap: rec.gap_instructions,
                 },
             };
-            let mut req = ServiceRequest {
+            let req = ServiceRequest {
                 shard,
                 seq: seqs[shard],
                 lane: 0,
@@ -845,27 +736,15 @@ mod tests {
                 op,
             };
             seqs[shard] += 1;
-            loop {
-                match svc.try_submit(req) {
-                    Ok(()) => break,
-                    Err(back) => req = back,
-                }
-                while svc.try_complete(0).is_some() {
-                    outstanding -= 1;
-                }
-            }
-            outstanding += 1;
+            submit(&svc, req);
         }
-        while outstanding > 0 {
-            if svc.try_complete(0).is_some() {
-                outstanding -= 1;
-            }
-        }
+        let completed = std::iter::from_fn(|| svc.try_complete(0)).count();
+        assert_eq!(completed, records.len());
 
         // Broadcast scrub + report, one control request per shard.
         for op in [ServiceOp::Scrub, ServiceOp::Report] {
             for shard in 0..shards {
-                let mut req = ServiceRequest {
+                let req = ServiceRequest {
                     shard,
                     seq: CONTROL_SEQ,
                     lane: 0,
@@ -874,9 +753,7 @@ mod tests {
                     issued_ns: svc.elapsed_ns(),
                     op: op.clone(),
                 };
-                while let Err(back) = svc.try_submit(req) {
-                    req = back;
-                }
+                submit(&svc, req);
             }
             let mut reports: Vec<Option<String>> = vec![None; shards];
             let mut seen = 0;
@@ -910,7 +787,7 @@ mod tests {
 
     /// Submit one control operation to shard 0 and wait for its completion.
     fn control(svc: &EngineService, op: ServiceOp) -> CompletionBody {
-        let mut req = ServiceRequest {
+        let req = ServiceRequest {
             shard: 0,
             seq: CONTROL_SEQ,
             lane: 0,
@@ -919,9 +796,7 @@ mod tests {
             issued_ns: 0,
             op,
         };
-        while let Err(back) = svc.try_submit(req) {
-            req = back;
-        }
+        submit(svc, req);
         svc.try_complete(0).expect("a submit completes inline").body
     }
 
@@ -951,7 +826,7 @@ mod tests {
                     } else {
                         u64::MAX
                     };
-                    svc.try_submit(req).expect("lane has room");
+                    submit(&svc, req);
                     while let Some(c) = svc.try_complete(0) {
                         assert_data(&c);
                     }
@@ -977,13 +852,13 @@ mod tests {
     }
 
     #[test]
-    fn sequence_gap_is_rejected_at_shutdown_and_overflow_sheds() {
+    fn a_request_behind_a_sequence_gap_never_applies() {
         let (records, lines) = trace(200, 128, 3);
         let mut config = EngineConfig::for_workload(1, 256, lines, records.len() as u64);
         config.queue_depth = 8;
         let svc = EngineService::start(&config, "mcf", 1, 1024);
-        // Sequence 5 with 0..5 never submitted: parked, then rejected at
-        // graceful shutdown.
+        // Sequence 5 with 0..5 never submitted: it waits for its turn,
+        // which never comes.
         let rec = records
             .iter()
             .find(|r| r.op.is_write())
@@ -1004,31 +879,10 @@ mod tests {
                 gap: 0,
             },
         };
-        svc.try_submit(req).expect("lane has room");
-        // The rejection is emitted during shutdown's drain, so poll the
-        // lane from a side thread.
-        let lane = svc.lane_arc(0);
-        let poller = std::thread::spawn(move || {
-            for _ in 0..5_000 {
-                if let Some(c) = lane.pop() {
-                    return Some(c);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            None
-        });
+        submit(&svc, req);
+        assert!(svc.try_complete(0).is_none(), "an early request waits");
         let run = svc.shutdown();
         assert_eq!(run.ops, 0, "the gapped request must never apply");
-        let c = poller
-            .join()
-            .expect("poller panicked")
-            .expect("gap rejection arrives during the shutdown drain");
-        assert_eq!((c.conn, c.conn_seq), (9, 42));
-        assert!(
-            matches!(c.body, CompletionBody::Rejected(ref m) if m.contains("sequence gap")),
-            "got {:?}",
-            c.body
-        );
     }
 
     /// `req` again, answered under `conn_seq`.
@@ -1043,14 +897,14 @@ mod tests {
     /// `conn_seq` of the extra copies the rejection tests submit.
     const EXTRA: u64 = 1 << 40;
 
-    /// Submit `req` (the lane always has room here) and return every
-    /// completion it produced, counting each original request's in `seen`.
+    /// Submit `req` and return every completion it produced, counting each
+    /// original request's in `seen`.
     fn submit_and_drain(
         svc: &EngineService,
         req: ServiceRequest,
         seen: &mut [u32],
     ) -> Vec<Completion> {
-        svc.try_submit(req).expect("lane has room");
+        submit(svc, req);
         let done: Vec<Completion> = std::iter::from_fn(|| svc.try_complete(0)).collect();
         for c in done.iter().filter(|c| c.conn_seq < EXTRA) {
             assert_data(c);
@@ -1186,51 +1040,33 @@ mod tests {
     }
 
     #[test]
-    fn full_lane_sheds_without_losing_or_duplicating_a_completion() {
+    fn a_lane_past_its_initial_capacity_takes_every_completion_once_in_order() {
         let (mut records, lines) = trace(0, 128, 5);
         records.truncate(64);
         assert_eq!(records.len(), 64, "warm-up alone covers the 64 submits");
         let config = EngineConfig::for_workload(1, 256, lines, records.len() as u64);
         let baseline = run(&config, "mcf", records.clone());
 
-        // Windows of 8 submitted as 1..=7 then 0: seven requests buffer
-        // without a completion, the eighth releases all eight into a lane
-        // that holds four — the rest must park in the shard, not wait.
+        // Windows of 8 submitted as 1..=7 then 0: seven requests wait
+        // without a completion, the eighth releases all eight. Nothing is
+        // collected until all 64 are in, so a lane allocated for four
+        // holds 64.
         let svc = EngineService::start(&config, "mcf", 1, 4);
-        let mut seen = vec![0u32; records.len()];
-        let mut held = Vec::new();
         for req in requests(&records, 1, 8) {
-            if let Err(back) = svc.try_submit(req) {
-                held.push(back);
-            }
+            assert!(svc.try_submit(req).is_ok(), "the service refuses nothing");
         }
-        assert!(
-            !held.is_empty(),
-            "a 4-entry lane cannot take 64 completions"
-        );
-        assert!(
-            svc.overflowed.load(Ordering::Acquire) > 0,
-            "the fan-out past the lane's capacity parks in the shard"
-        );
-        while !held.is_empty() {
-            while let Some(c) = svc.try_complete(0) {
+        // One shard: a request's `conn_seq`, its index in `records`, is
+        // also its `seq`.
+        let order: Vec<u64> = std::iter::from_fn(|| svc.try_complete(0))
+            .map(|c| {
                 assert_data(&c);
-                seen[c.conn_seq as usize] += 1;
-            }
-            let mut again = Vec::new();
-            for req in held {
-                if let Err(back) = svc.try_submit(req) {
-                    again.push(back);
-                }
-            }
-            held = again;
-        }
-        while let Some(c) = svc.try_complete(0) {
-            seen[c.conn_seq as usize] += 1;
-        }
-        assert!(
-            seen.iter().all(|&n| n == 1),
-            "every request completes exactly once: {seen:?}"
+                c.conn_seq
+            })
+            .collect();
+        assert_eq!(
+            order,
+            (0..64).collect::<Vec<u64>>(),
+            "every completion arrives once, in the shard's sequence order"
         );
         let served = svc.shutdown();
         assert_eq!(
@@ -1242,7 +1078,7 @@ mod tests {
     #[test]
     fn contended_submitters_replay_the_trace_bit_identically() {
         use crate::Replacement;
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Barrier;
 
         const SUBMITTERS: usize = 4;
@@ -1277,11 +1113,8 @@ mod tests {
                             }
                         };
                         go.wait();
-                        for mut req in slice {
-                            while let Err(back) = svc.try_submit(req) {
-                                req = back;
-                                drain();
-                            }
+                        for req in slice {
+                            submit(svc, req);
                             drain();
                         }
                         while completed.load(Ordering::Relaxed) < total {

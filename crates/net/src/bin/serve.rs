@@ -25,8 +25,8 @@ OPTIONS:
     --threads N          event-loop lanes; 0 = all hardware threads (default 0)
     --window N           per-connection in-flight window (default 64)
     --queue-depth N      sizes the per-shard reorder window (a request may
-                         arrive up to 4N-1 sequence numbers early) and the
-                         lanes' completion queues (default 1024)
+                         arrive up to 4N-1 sequence numbers early) and
+                         pre-sizes the lanes' completion queues (default 1024)
     --persist-dir DIR    crash-consistent metadata persistence root
                          (each engine generation under gen-<n>/shard-<id>/)
     --persist-epoch N    data writes per WAL epoch record (default 64)

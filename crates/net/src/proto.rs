@@ -236,7 +236,7 @@ pub enum RequestRef<'a> {
 
 impl RequestRef<'_> {
     /// The owned request, copying a `Write`'s line.
-    pub fn into_request(self) -> Request {
+    pub fn into_owned(self) -> Request {
         match self {
             RequestRef::Hello(h) => Request::Hello(h),
             RequestRef::Write {
@@ -538,7 +538,7 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
 /// stays aligned.
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
     decode_request_ref(payload)
-        .map(RequestRef::into_request)
+        .map(RequestRef::into_owned)
         .map_err(|(_, detail)| detail)
 }
 

@@ -4,33 +4,34 @@
 //! # Event-loop model
 //!
 //! `threads` **lanes** each own a disjoint set of connections and run the
-//! same sweep: retry back-pressured submits, read each socket once and
-//! decode its frames in place (a `Write`'s line stays a slice of the
-//! receive buffer, copied only if the engine must hold it), drain the
-//! engine's completion queue for this lane,
-//! flush write buffers, then park on the engine's spin→yield→sleep
-//! [`Backoff`] when a sweep makes no progress. The lanes are the only
-//! serving threads: [`EngineService::try_apply`] runs the shard on the
-//! lane that decoded the request (WAL appends and `persist_sync` included,
-//! and a control operation such as a checkpoint stalls that lane for its
-//! duration), so a request is read, executed and answered within one
-//! sweep. Lane 0 additionally owns the (nonblocking) listener and deals
-//! new connections round-robin to the lanes' inboxes; it probes `accept`
-//! on idle sweeps and on every [`ACCEPT_EVERY`]th busy one. There are no
-//! poll/epoll syscalls and no async runtime — the sweep is a straight
-//! scan.
+//! same sweep: read each socket once and decode its frames in place (a
+//! `Write`'s line stays a slice of the receive buffer, copied only if the
+//! engine must hold it for its turn), drain the engine's completion queue
+//! for this lane, flush write buffers, then park on the engine's
+//! spin→yield→sleep [`Backoff`] when a sweep makes no progress. The lanes
+//! are the only serving threads: [`EngineService::apply`] runs the shard
+//! on the lane that decoded the request (WAL appends and `persist_sync`
+//! included, and a control operation such as a checkpoint stalls that
+//! lane for its duration), so a request is read, executed and answered
+//! within one sweep. Lane 0 additionally owns the (nonblocking) listener
+//! and sends new connections round-robin to the lanes' inbox channels; it
+//! probes `accept` on idle sweeps and on every [`ACCEPT_EVERY`]th busy
+//! one. There are no poll/epoll syscalls and no async runtime — the sweep
+//! is a straight scan.
 //!
-//! # Ordering and back-pressure
+//! # Ordering and flow control
 //!
 //! Responses stream back to each connection strictly in request order:
 //! every decoded request takes the connection's next `conn_seq`, and
 //! out-of-order completions park in a per-connection ring of `window`
-//! response slots until their turn. When the lane's
-//! completion queue is full, [`EngineService::try_apply`] refuses the
-//! request; the lane copies it and parks it on the connection's pending
-//! queue and **stops reading that socket** (its buffered frames stay
-//! undecoded), so TCP flow control propagates the stall to the client —
-//! back-pressure end to end, no unbounded buffering anywhere.
+//! response slots until their turn. The window is the one flow control:
+//! a connection with `window` requests unanswered **stops being read**
+//! (its buffered frames stay undecoded), so TCP flow control propagates
+//! the stall to the client. The engine refuses nothing, and needs not:
+//! every completion in a lane's queue answers a request that one of the
+//! lane's connections decoded and is still waiting on, so the lane holds
+//! at most its connections' windows (a control broadcast counts once per
+//! shard).
 //!
 //! # Engine lifecycle
 //!
@@ -45,16 +46,16 @@
 //! kills the engine *without* flushing — the crash-recovery tests' kill
 //! switch.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_queue::ArrayQueue;
 use dewrite_core::tables::MAX_REFERENCE;
 use dewrite_engine::{
     Backoff, Completion, CompletionBody, DataOp, DigestMode, EngineConfig, EngineRun,
@@ -81,8 +82,9 @@ pub struct ServeOptions {
     /// decoded but not yet answered).
     pub window: u32,
     /// Sizes the engine's per-shard reorder window (a request may arrive
-    /// up to `4 × queue_depth − 1` sequence numbers early) and the lanes'
-    /// completion queues.
+    /// up to `4 × queue_depth − 1` sequence numbers early), and pre-sizes
+    /// the lanes' completion queues (at least 4 096 entries each; they
+    /// grow past that rather than refuse).
     pub queue_depth: usize,
     /// Root for crash-consistent metadata persistence; each engine
     /// generation logs under `gen-<n>/shard-<id>/`.
@@ -155,8 +157,6 @@ struct Shared {
     generation: AtomicU64,
     /// Requests submitted to the engine and not yet completed.
     in_flight: AtomicU64,
-    /// Requests parked on connection pending queues (back-pressure).
-    pending_submits: AtomicU64,
     draining: AtomicBool,
     shutdown: AtomicBool,
     abort: AtomicBool,
@@ -177,7 +177,6 @@ impl Shared {
             geometry: Mutex::new(None),
             generation: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
-            pending_submits: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             abort: AtomicBool::new(false),
@@ -191,8 +190,6 @@ impl Shared {
     }
 }
 
-/// Connections a lane can hold queued in its hand-off inbox.
-const INBOX_CAPACITY: usize = 1024;
 /// Socket read chunk: one `read` per connection per sweep.
 const READ_CHUNK: usize = 16 * 1024;
 /// Busy sweeps lane 0 lets pass between two `accept` probes (an `EAGAIN`
@@ -256,8 +253,6 @@ struct Conn {
     parked: Vec<Option<Response>>,
     /// Occupied `parked` slots.
     parked_count: usize,
-    /// Requests handed back by a full shard queue, retried each sweep.
-    pending: VecDeque<ServiceRequest>,
     /// Control broadcasts in flight, keyed by `conn_seq`.
     aggregates: HashMap<u64, Aggregate>,
     /// Engine submissions not yet completed.
@@ -284,7 +279,6 @@ impl Conn {
             next_emit: 0,
             parked: Vec::new(),
             parked_count: 0,
-            pending: VecDeque::new(),
             aggregates: HashMap::new(),
             live: 0,
             session: None,
@@ -295,11 +289,6 @@ impl Conn {
     /// Requests decoded but not yet answered into the write buffer.
     fn unanswered(&self) -> u64 {
         self.next_assign - self.next_emit
-    }
-
-    /// Nothing left that anyone is waiting on.
-    fn drained(&self) -> bool {
-        self.live == 0 && self.pending.is_empty()
     }
 }
 
@@ -343,7 +332,7 @@ impl Conns {
     fn reap(&mut self) -> u64 {
         let mut reaped = 0;
         for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|c| !c.open && c.drained()) {
+            if slot.as_ref().is_some_and(|c| !c.open && c.live == 0) {
                 *slot = None;
                 reaped += 1;
             }
@@ -510,7 +499,8 @@ struct DeferredReset {
 struct Lane {
     lane: usize,
     shared: Arc<Shared>,
-    inbox: Arc<ArrayQueue<TcpStream>>,
+    /// New connections lane 0 dealt to this lane.
+    inbox: Receiver<TcpStream>,
     deferred: Vec<DeferredReset>,
     progress: bool,
     /// This sweep's engine handle: taken once at the top of the sweep (and
@@ -522,7 +512,7 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(lane: usize, shared: Arc<Shared>, inbox: Arc<ArrayQueue<TcpStream>>) -> Lane {
+    fn new(lane: usize, shared: Arc<Shared>, inbox: Receiver<TcpStream>) -> Lane {
         Lane {
             lane,
             shared,
@@ -557,43 +547,12 @@ impl Lane {
         }
     }
 
-    /// Count a submission in flight around `attempt`, and park what the
-    /// engine hands back on the connection's pending queue. `in_flight` is
-    /// raised *before* the attempt so the drain check never observes a
-    /// request that is in a queue but not yet counted.
-    fn submit(&self, conn: &mut Conn, attempt: impl FnOnce() -> Result<(), ServiceRequest>) {
+    /// Count one more submission in flight, *before* the engine sees it,
+    /// so the drain check never observes a request that is in a queue but
+    /// not yet counted.
+    fn count_in_flight(&self, conn: &mut Conn) {
         conn.live += 1;
         self.shared.in_flight.fetch_add(1, Ordering::Release);
-        if let Err(back) = attempt() {
-            conn.live -= 1;
-            self.shared.in_flight.fetch_sub(1, Ordering::Release);
-            self.shared.pending_submits.fetch_add(1, Ordering::Release);
-            conn.pending.push_back(back);
-        }
-    }
-
-    fn retry_pending(&mut self, conn: &mut Conn) {
-        if conn.pending.is_empty() {
-            return;
-        }
-        let Some(svc) = self.svc.as_deref() else {
-            return;
-        };
-        while let Some(req) = conn.pending.pop_front() {
-            self.shared.in_flight.fetch_add(1, Ordering::Release);
-            match svc.try_submit(req) {
-                Ok(()) => {
-                    self.shared.pending_submits.fetch_sub(1, Ordering::Release);
-                    conn.live += 1;
-                    self.progress = true;
-                }
-                Err(back) => {
-                    self.shared.in_flight.fetch_sub(1, Ordering::Release);
-                    conn.pending.push_front(back);
-                    break;
-                }
-            }
-        }
     }
 
     fn on_hello(&mut self, conn: &mut Conn, conn_seq: u64, h: Hello) {
@@ -804,14 +763,8 @@ impl Lane {
             gap,
             data,
         };
-        // The line is copied only if the engine refuses the operation.
-        self.submit(conn, || {
-            if svc.try_apply(&op) {
-                Ok(())
-            } else {
-                Err(op.to_request())
-            }
-        });
+        self.count_in_flight(conn);
+        svc.apply(&op);
     }
 
     fn on_control(&self, conn: &mut Conn, conn_seq: u64, kind: AggKind) {
@@ -850,7 +803,9 @@ impl Lane {
                 issued_ns: conn.arrived_ns,
                 op: op.clone(),
             };
-            self.submit(conn, || svc.try_submit(request));
+            self.count_in_flight(conn);
+            // Never `Err`: the service takes every request.
+            let _ = svc.try_submit(request);
         }
     }
 
@@ -923,7 +878,7 @@ impl Lane {
         let rbuf = std::mem::take(&mut conn.rbuf);
         let mut off = 0usize;
         while conn.open && !conn.fatal {
-            if conn.unanswered() >= window || !conn.pending.is_empty() {
+            if conn.unanswered() >= window {
                 break;
             }
             // Once draining, no new work enters the engine — `in_flight`
@@ -1053,9 +1008,7 @@ impl Lane {
             return;
         }
         for d in std::mem::take(&mut self.deferred) {
-            let resp = if self.shared.in_flight.load(Ordering::Acquire) != 0
-                || self.shared.pending_submits.load(Ordering::Acquire) != 0
-            {
+            let resp = if self.shared.in_flight.load(Ordering::Acquire) != 0 {
                 err(
                     ErrorCode::NotReady,
                     "operations in flight; quiesce before reset",
@@ -1078,8 +1031,7 @@ impl Lane {
         }
     }
 
-    /// Drop connections that are closed and fully drained (their pending
-    /// queues are empty: nothing to uncount).
+    /// Drop connections that are closed and have nothing in the engine.
     fn reap(&mut self, conns: &mut Conns) {
         let reaped = conns.reap();
         if reaped > 0 {
@@ -1088,13 +1040,12 @@ impl Lane {
         }
     }
 
-    /// One pass over the connections: submit (back-pressured retries,
-    /// then whatever the socket holds), collect this lane's completions —
-    /// which the submits just produced, so a request is answered in the
-    /// sweep that read it — and write the responses out.
+    /// One pass over the connections: submit whatever the sockets hold,
+    /// collect this lane's completions — which the submits just produced,
+    /// so a request is answered in the sweep that read it — and write the
+    /// responses out.
     fn sweep_conns(&mut self, conns: &mut Conns) {
         for conn in conns.iter_mut() {
-            self.retry_pending(conn);
             if conn.open && !conn.fatal {
                 self.read_and_decode(conn);
             }
@@ -1117,11 +1068,13 @@ fn unflushed(conns: &Conns) -> bool {
         .any(|c| c.open && (c.wpos < c.wbuf.len() || (c.parked_count > 0 && c.live == 0)))
 }
 
-fn run_lane(
-    mut lane: Lane,
-    listener: Option<TcpListener>,
-    inboxes: Vec<Arc<ArrayQueue<TcpStream>>>,
-) {
+/// Lane 0's accept side: the listener, and every lane's inbox sender.
+struct Acceptor {
+    listener: TcpListener,
+    inboxes: Vec<Sender<TcpStream>>,
+}
+
+fn run_lane(mut lane: Lane, acceptor: Option<Acceptor>) {
     let mut conns = Conns::default();
     let mut parker = Backoff::new();
     let mut deal = 0usize;
@@ -1144,20 +1097,18 @@ fn run_lane(
         // Lane 0 accepts and deals connections round-robin — after an idle
         // sweep, and at least every `ACCEPT_EVERY`th sweep however busy.
         since_accept += 1;
-        if let Some(l) = listener
+        if let Some(a) = acceptor
             .as_ref()
             .filter(|_| was_idle || since_accept >= ACCEPT_EVERY)
         {
             since_accept = 0;
             while !lane.shared.draining.load(Ordering::Acquire) {
-                match l.accept() {
+                match a.listener.accept() {
                     Ok((stream, _)) => {
-                        let target = deal % inboxes.len();
+                        // A send fails only once the target lane has
+                        // exited, and the stream is then dropped.
+                        let _ = a.inboxes[deal % a.inboxes.len()].send(stream);
                         deal += 1;
-                        if inboxes[target].push(stream).is_err() {
-                            // Inbox full: the lane is saturated; drop the
-                            // connection (client retries).
-                        }
                         lane.progress = true;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1166,7 +1117,7 @@ fn run_lane(
                 }
             }
         }
-        while let Some(stream) = lane.inbox.pop() {
+        while let Ok(stream) = lane.inbox.try_recv() {
             lane.adopt(&mut conns, stream);
         }
 
@@ -1182,7 +1133,6 @@ fn run_lane(
             && lane.shared.draining.load(Ordering::Acquire)
             && !lane.shared.shutdown.load(Ordering::Acquire)
             && lane.shared.in_flight.load(Ordering::Acquire) == 0
-            && lane.shared.pending_submits.load(Ordering::Acquire) == 0
         {
             if let Some(svc) = take_service(&lane.shared) {
                 let run = svc.shutdown();
@@ -1249,20 +1199,15 @@ impl NetServer {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         };
         let shared = Arc::new(Shared::new(opts, threads));
-        let inboxes: Vec<Arc<ArrayQueue<TcpStream>>> = (0..threads)
-            .map(|_| Arc::new(ArrayQueue::new(INBOX_CAPACITY)))
-            .collect();
-        let handles = (0..threads)
-            .map(|i| {
-                let lane = Lane::new(i, Arc::clone(&shared), Arc::clone(&inboxes[i]));
-                let listener = if i == 0 {
-                    Some(listener.try_clone()).transpose()
-                } else {
-                    Ok(None)
-                };
-                let inboxes = inboxes.iter().map(Arc::clone).collect::<Vec<_>>();
-                let listener = listener.expect("clone listener");
-                std::thread::spawn(move || run_lane(lane, listener, inboxes))
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..threads).map(|_| mpsc::channel()).unzip();
+        let mut acceptor = Some(Acceptor { listener, inboxes });
+        let handles = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(i, inbox)| {
+                let lane = Lane::new(i, Arc::clone(&shared), inbox);
+                let acceptor = acceptor.take();
+                std::thread::spawn(move || run_lane(lane, acceptor))
             })
             .collect();
         Ok(NetServer {
@@ -1333,7 +1278,7 @@ mod tests {
     #[test]
     fn completion_for_a_reaped_connection_misses_the_slots_new_occupant() {
         let shared = Arc::new(Shared::new(ServeOptions::default(), 1));
-        let mut lane = Lane::new(0, Arc::clone(&shared), Arc::new(ArrayQueue::new(1)));
+        let mut lane = Lane::new(0, Arc::clone(&shared), mpsc::channel().1);
         let mut conns = Conns::default();
 
         let (a, _a_client) = socket_pair();

@@ -174,6 +174,45 @@ fn sixty_four_connections_replay_cleanly() {
 }
 
 #[test]
+fn one_lane_answers_more_in_flight_than_its_queue_first_holds() {
+    const CONNECTIONS: usize = 80;
+    const WINDOW: u32 = 64;
+    let t = trace(12_000, 17);
+    // One lane serves every connection: up to 80 × 64 = 5 120 requests in
+    // flight, past the 4 096 completions its queue is allocated for. One
+    // shard sees them as a span of 5 120 sequence numbers, inside a
+    // reorder ring of 4 × 2 048.
+    let server = NetServer::bind(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        shards: 1,
+        threads: 1,
+        window: WINDOW,
+        queue_depth: 2048,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let h = hello(&t);
+    let (mut control, info) = Control::connect(&addr, &h).expect("control connect");
+    let (local, expected) = baseline(&t, info.shards);
+
+    let summary =
+        drive(&closed(&addr, CONNECTIONS, WINDOW as usize), &h, &t.records).expect("drive");
+    assert_eq!(summary.errors, 0, "nothing is refused or rejected");
+    assert_eq!(summary.ops as usize, t.records.len());
+    assert_eq!(control.report().expect("report"), expected);
+
+    control.shutdown().expect("shutdown");
+    let outcome = server.join();
+    assert_eq!(outcome.errors, 0);
+    let served = outcome.run.expect("graceful shutdown keeps the run");
+    assert_eq!(
+        served.merged.to_json().to_string(),
+        local.merged.to_json().to_string()
+    );
+}
+
+#[test]
 fn reset_tears_down_and_the_next_generation_matches_again() {
     let t = trace(1500, 3);
     let (server, addr) = start_server(2);

@@ -259,7 +259,7 @@ proptest! {
         }
         for input in &inputs {
             match (proto::decode_request_ref(input), proto::decode_request(input)) {
-                (Ok(borrowed), Ok(owned)) => prop_assert_eq!(borrowed.into_request(), owned),
+                (Ok(borrowed), Ok(owned)) => prop_assert_eq!(borrowed.into_owned(), owned),
                 (Err((code, detail)), Err(owned)) => {
                     prop_assert_eq!(&detail, &owned);
                     let unknown_tag = input.first().is_some_and(|tag| !(1..=9).contains(tag));
