@@ -117,8 +117,8 @@ pub struct DeuceLine {
     epoch_plain: Vec<u8>,
     plain: Vec<u8>,
     ciphertext: Vec<u8>,
-    /// Scratch pad buffer reused across writes (no per-write alloc).
-    pad_buf: Vec<u8>,
+    /// Scratch for the whole line's fresh ciphertext (no per-write alloc).
+    fresh: Vec<u8>,
     /// Scratch for the next ciphertext, swapped in after each write.
     ct_buf: Vec<u8>,
     writes_since_epoch: u32,
@@ -133,7 +133,7 @@ impl DeuceLine {
             epoch_plain: vec![0u8; line_size],
             plain: vec![0u8; line_size],
             ciphertext: vec![0u8; line_size],
-            pad_buf: vec![0u8; line_size],
+            fresh: vec![0u8; line_size],
             ct_buf: vec![0u8; line_size],
             // The first write to a line starts its first epoch with a full
             // encryption.
@@ -154,16 +154,16 @@ impl DeuceLine {
         let _ = self.counter.increment();
         self.writes_since_epoch += 1;
 
-        self.pad_buf.resize(plaintext.len(), 0);
-        engine.one_time_pad_into(self.addr, self.counter, &mut self.pad_buf);
+        // Re-encrypted bytes are `plaintext ^ pad`: the whole line's fresh
+        // ciphertext, from which the re-encrypted words are taken.
+        self.fresh.resize(plaintext.len(), 0);
+        engine.encrypt_line_into(plaintext, self.addr, self.counter, &mut self.fresh);
         self.ct_buf.clear();
         self.ct_buf.extend_from_slice(&self.ciphertext);
 
         if self.writes_since_epoch >= DEUCE_EPOCH {
             // Epoch boundary: full re-encryption, reset the modified set.
-            for ((c, p), k) in self.ct_buf.iter_mut().zip(plaintext).zip(&self.pad_buf) {
-                *c = p ^ k;
-            }
+            self.ct_buf.copy_from_slice(&self.fresh);
             self.epoch_plain.copy_from_slice(plaintext);
             self.writes_since_epoch = 0;
         } else {
@@ -173,13 +173,7 @@ impl DeuceLine {
                 let lo = w * DEUCE_WORD_BYTES;
                 let hi = lo + DEUCE_WORD_BYTES;
                 if plaintext[lo..hi] != self.epoch_plain[lo..hi] {
-                    for ((c, p), k) in self.ct_buf[lo..hi]
-                        .iter_mut()
-                        .zip(&plaintext[lo..hi])
-                        .zip(&self.pad_buf[lo..hi])
-                    {
-                        *c = p ^ k;
-                    }
+                    self.ct_buf[lo..hi].copy_from_slice(&self.fresh[lo..hi]);
                 }
             }
         }

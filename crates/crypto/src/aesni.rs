@@ -5,39 +5,44 @@
 //! run the identical schedule). Only the encryption direction exists:
 //! counter mode never runs the inverse cipher.
 //!
-//! The counter-mode pad ([`Aes128Ni::ctr_xor`]) has two legs that make the
-//! same bytes. The 8-lane leg walks eight blocks in eight xmm registers
-//! through the rounds side by side. Where the CPU also has `vaes` and
-//! `avx512f`, whole 256-byte steps take the VAES-512 leg instead: one
-//! `VAESENC` on a zmm register runs a round of four blocks, so four
-//! registers carry sixteen blocks — a 256 B line — through the ten rounds
-//! in forty instructions where the 8-lane leg issues a hundred and sixty;
-//! whatever is left over goes to the 8-lane leg. Which legs a cipher has is
-//! decided once, when it is built.
+//! The counter-mode kernel ([`Aes128Ni::ctr`]) writes `dst = src ^ pad` in
+//! one pass and has two legs that make the same bytes. The 8-lane leg walks
+//! eight blocks in eight xmm registers through the rounds side by side.
+//! Where the CPU also has `vaes`, `avx512f` and `avx512vpopcntdq`, whole
+//! 256-byte steps take the VAES-512 leg instead: one `VAESENC` on a zmm
+//! register runs a round of four blocks, so four registers carry sixteen
+//! blocks — a 256 B line — through the ten rounds in forty instructions
+//! where the 8-lane leg issues a hundred and sixty; whatever is left over
+//! goes to the 8-lane leg. Storing over an old line, each leg also counts
+//! the bits the store flips as it goes: `VPOPCNTQ` on the wide leg, `POPCNT`
+//! on the 8-lane leg. Which legs a cipher has is decided once, when it is
+//! built.
 //!
 //! This module is the only `unsafe` code in the crate, and its interface
 //! is safe. Safety rests on two invariants this file alone can break: an
-//! [`Aes128Ni`] exists only if [`Aes128Ni::new`] found the `aes` feature
-//! (its fields are private and `new` is the one constructor), and its
-//! `wide` flag is set only there, from `new`'s own detection of `vaes` +
-//! `avx512f`.
+//! [`Aes128Ni`] exists only if [`Aes128Ni::new`] found the `aes` and
+//! `popcnt` features (its fields are private and `new` is the one
+//! constructor), and its `wide` flag is set only there, from `new`'s own
+//! detection of `vaes`, `avx512f` and `avx512vpopcntdq`.
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128i, __m512i, _mm512_add_epi32, _mm512_aesenc_epi128, _mm512_aesenclast_epi128,
-    _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_set_epi32, _mm512_storeu_si512,
-    _mm512_xor_si512, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi32,
-    _mm_storeu_si128, _mm_xor_si128,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_add_epi64, _mm512_aesenc_epi128,
+    _mm512_aesenclast_epi128, _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_popcnt_epi64,
+    _mm512_reduce_add_epi64, _mm512_set_epi32, _mm512_setzero_si512, _mm512_storeu_si512,
+    _mm512_xor_si512, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_loadu_si128,
+    _mm_set_epi32, _mm_storeu_si128, _mm_unpackhi_epi64, _mm_xor_si128,
 };
 
 use crate::aes::expand_key;
+use crate::dispatch::xor_pad;
 
 /// AES-128 on the AES-NI units.
 #[derive(Clone, Copy)]
 pub(crate) struct Aes128Ni {
     enc: [__m128i; 11],
-    /// The CPU has `vaes` and `avx512f`: 256-byte steps of the counter-mode
-    /// pad take the VAES-512 leg.
+    /// The CPU has `vaes`, `avx512f` and `avx512vpopcntdq`: 256-byte steps
+    /// of the counter-mode kernel take the VAES-512 leg.
     wide: bool,
 }
 
@@ -49,13 +54,14 @@ impl std::fmt::Debug for Aes128Ni {
 }
 
 impl Aes128Ni {
-    /// Build the hardware cipher, or `None` when the CPU lacks AES-NI.
+    /// Build the hardware cipher, or `None` when the CPU lacks AES-NI (or
+    /// `POPCNT`, which every AES-NI CPU has).
     pub(crate) fn new(key: &[u8; 16]) -> Option<Self> {
-        if !std::arch::is_x86_feature_detected!("aes") {
+        use std::arch::is_x86_feature_detected as has;
+        if !(has!("aes") && has!("popcnt")) {
             return None;
         }
-        let wide = std::arch::is_x86_feature_detected!("vaes")
-            && std::arch::is_x86_feature_detected!("avx512f");
+        let wide = has!("vaes") && has!("avx512f") && has!("avx512vpopcntdq");
         // SAFETY: each round key is exactly 16 bytes; unaligned load.
         let enc = expand_key(key).map(|rk| unsafe { _mm_loadu_si128(rk.as_ptr().cast()) });
         Some(Aes128Ni { enc, wide })
@@ -97,28 +103,45 @@ impl Aes128Ni {
         }
     }
 
-    /// XOR the counter-mode pad `AES_K(addr ‖ counter ‖ i)` into `buf` (see
-    /// [`Aes128::ctr_xor`](crate::Aes128)): whole 256-byte steps on the
-    /// VAES-512 leg when the cipher has it, the rest eight blocks at a
-    /// time.
-    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+    /// `dst = src ^ pad` for the counter-mode pad `AES_K(addr ‖ counter ‖ i)`
+    /// (see [`Aes128::ctr_xor`](crate::Aes128)), in one pass: whole 256-byte
+    /// steps on the VAES-512 leg when the cipher has it, the rest eight
+    /// blocks at a time. With `FLIPS`, also the number of bits in which the
+    /// new `dst` differs from the old, counted as each block is stored
+    /// (0 without).
+    pub(crate) fn ctr<const FLIPS: bool>(
+        &self,
+        addr: u64,
+        counter: u32,
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> u64 {
         let wide_len = if self.wide {
-            buf.len() - buf.len() % WIDE_STEP
+            src.len() - src.len() % WIDE_STEP
         } else {
             0
         };
-        let (head, rest) = buf.split_at_mut(wide_len);
-        if !head.is_empty() {
-            // SAFETY: `self` exists, so `new` detected `aes`; it sets `wide`
-            // only after detecting `vaes` and `avx512f` too.
-            unsafe { self.ctr_xor_wide(addr, counter, head) };
+        let (src_head, src_rest) = src.split_at(wide_len);
+        let (dst_head, dst_rest) = dst.split_at_mut(wide_len);
+        let mut flips = 0;
+        if !src_head.is_empty() {
+            // SAFETY: `self` exists, so `new` detected `aes` and `popcnt`;
+            // it sets `wide` only after detecting `vaes`, `avx512f` and
+            // `avx512vpopcntdq` too.
+            flips += unsafe { self.ctr_wide::<FLIPS>(addr, counter, src_head, dst_head) };
         }
-        // SAFETY: `self` exists, so `new` detected `aes`.
-        unsafe { self.ctr_xor_x8(addr, counter, (wide_len / 16) as u32, rest) };
+        if !src_rest.is_empty() {
+            // SAFETY: `self` exists, so `new` detected `aes` and `popcnt`.
+            flips += unsafe {
+                self.ctr_x8::<FLIPS>(addr, counter, (wide_len / 16) as u32, src_rest, dst_rest)
+            };
+        }
+        flips
     }
 
-    /// The 8-lane leg: the pad for `buf`, whose first block is block
-    /// `first_block` of the line.
+    /// The 8-lane leg: `dst = src ^ pad`, the first block being block
+    /// `first_block` of the line; with `FLIPS`, `POPCNT` counts each
+    /// block's flipped bits before it is stored.
     ///
     /// One `AESENC` has a latency of several cycles but the unit accepts a
     /// new one every cycle, so eight independent blocks walked through the
@@ -127,9 +150,16 @@ impl Aes128Ni {
     ///
     /// # Safety
     ///
-    /// The CPU must support `aes`.
-    #[target_feature(enable = "aes")]
-    unsafe fn ctr_xor_x8(&self, addr: u64, counter: u32, mut first_block: u32, buf: &mut [u8]) {
+    /// The CPU must support `aes` and `popcnt`.
+    #[target_feature(enable = "aes,popcnt")]
+    unsafe fn ctr_x8<const FLIPS: bool>(
+        &self,
+        addr: u64,
+        counter: u32,
+        mut first_block: u32,
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> u64 {
         let base = ctr_base(addr, counter);
         let pad8 = |first_block: u32| -> [__m128i; CTR_LANES] {
             let mut b: [__m128i; CTR_LANES] = std::array::from_fn(|i| {
@@ -148,20 +178,32 @@ impl Aes128Ni {
             b
         };
 
-        let mut chunks = buf.chunks_exact_mut(16 * CTR_LANES);
-        for chunk in &mut chunks {
+        let mut flips = 0u64;
+        let mut src_chunks = src.chunks_exact(16 * CTR_LANES);
+        let mut dst_chunks = dst.chunks_exact_mut(16 * CTR_LANES);
+        for (s, d) in (&mut src_chunks).zip(&mut dst_chunks) {
             let pad = pad8(first_block);
-            for (block, k) in chunk.chunks_exact_mut(16).zip(pad) {
-                // SAFETY: `block` is exactly 16 bytes; unaligned load/store.
+            for ((s, d), k) in s.chunks_exact(16).zip(d.chunks_exact_mut(16)).zip(pad) {
+                // SAFETY: `s` and `d` are exactly 16 bytes; unaligned
+                // loads and store.
                 unsafe {
-                    let p = block.as_mut_ptr().cast::<__m128i>();
-                    _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), k));
+                    let p = d.as_mut_ptr().cast::<__m128i>();
+                    let new = _mm_xor_si128(_mm_loadu_si128(s.as_ptr().cast()), k);
+                    if FLIPS {
+                        let diff = _mm_xor_si128(_mm_loadu_si128(p), new);
+                        let (lo, hi) = (
+                            _mm_cvtsi128_si64(diff),
+                            _mm_cvtsi128_si64(_mm_unpackhi_epi64(diff, diff)),
+                        );
+                        flips += u64::from(lo.count_ones() + hi.count_ones());
+                    }
+                    _mm_storeu_si128(p, new);
                 }
             }
             first_block = first_block.wrapping_add(CTR_LANES as u32);
         }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
+        let (src_tail, dst_tail) = (src_chunks.remainder(), dst_chunks.into_remainder());
+        if !src_tail.is_empty() {
             // A short tail still costs one pipelined pass: cheaper than two
             // serial blocks, and it keeps a single code path.
             let mut pad = [0u8; 16 * CTR_LANES];
@@ -169,24 +211,31 @@ impl Aes128Ni {
                 // SAFETY: `block` is exactly 16 bytes; unaligned store.
                 unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), k) };
             }
-            for (b, k) in tail.iter_mut().zip(pad) {
-                *b ^= k;
-            }
+            flips += xor_pad::<FLIPS>(src_tail, &pad[..src_tail.len()], dst_tail);
         }
+        flips
     }
 
-    /// The VAES-512 leg: the pad for `buf`, a whole number of
+    /// The VAES-512 leg: `dst = src ^ pad` over a whole number of
     /// [`WIDE_STEP`]-byte steps starting at block 0 of the line. Each step
     /// is four zmm registers of four counter blocks each, walked through
     /// the rounds side by side; a round key is broadcast to all four
-    /// 128-bit lanes as its round comes up.
+    /// 128-bit lanes as its round comes up. With `FLIPS`, `VPOPCNTQ` counts
+    /// each 64 bytes' flipped bits into a running sum before they are
+    /// stored.
     ///
     /// # Safety
     ///
-    /// The CPU must support `aes`, `vaes` and `avx512f`.
-    #[target_feature(enable = "aes,vaes,avx512f")]
-    unsafe fn ctr_xor_wide(&self, addr: u64, counter: u32, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len() % WIDE_STEP, 0);
+    /// The CPU must support `aes`, `vaes`, `avx512f` and `avx512vpopcntdq`.
+    #[target_feature(enable = "aes,vaes,avx512f,avx512vpopcntdq")]
+    unsafe fn ctr_wide<const FLIPS: bool>(
+        &self,
+        addr: u64,
+        counter: u32,
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> u64 {
+        debug_assert_eq!(src.len() % WIDE_STEP, 0);
         let base = ctr_base(addr, counter);
         let rk = |round: usize| _mm512_broadcast_i32x4(self.enc[round]);
         // Block indices 0..4 in the four lanes' top words; each further
@@ -196,7 +245,11 @@ impl Aes128Ni {
             _mm512_set_epi32(3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
         );
         let four_on = _mm512_set_epi32(4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0);
-        for step in buf.chunks_exact_mut(WIDE_STEP) {
+        let mut flips = _mm512_setzero_si512();
+        for (s, d) in src
+            .chunks_exact(WIDE_STEP)
+            .zip(dst.chunks_exact_mut(WIDE_STEP))
+        {
             let whiten = rk(0);
             let mut b: [__m512i; WIDE_REGS] = std::array::from_fn(|_| {
                 let seed = next;
@@ -210,15 +263,22 @@ impl Aes128Ni {
                 }
             }
             let last = rk(10);
-            for (quad, x) in step.chunks_exact_mut(64).zip(b) {
+            for ((s, d), x) in s.chunks_exact(64).zip(d.chunks_exact_mut(64)).zip(b) {
                 let pad = _mm512_aesenclast_epi128(x, last);
-                // SAFETY: `quad` is exactly 64 bytes; unaligned load/store.
+                // SAFETY: `s` and `d` are exactly 64 bytes; unaligned
+                // loads and store.
                 unsafe {
-                    let p = quad.as_mut_ptr().cast::<__m512i>();
-                    _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), pad));
+                    let p = d.as_mut_ptr().cast::<__m512i>();
+                    let new = _mm512_xor_si512(_mm512_loadu_si512(s.as_ptr().cast()), pad);
+                    if FLIPS {
+                        let diff = _mm512_xor_si512(_mm512_loadu_si512(p), new);
+                        flips = _mm512_add_epi64(flips, _mm512_popcnt_epi64(diff));
+                    }
+                    _mm512_storeu_si512(p, new);
                 }
             }
         }
+        _mm512_reduce_add_epi64(flips) as u64
     }
 }
 
@@ -230,7 +290,7 @@ fn ctr_base(addr: u64, counter: u32) -> __m128i {
     _mm_set_epi32(0, counter as i32, (addr >> 32) as i32, addr as i32)
 }
 
-/// Blocks walked through the rounds side by side by [`Aes128Ni::ctr_xor`]:
+/// Blocks walked through the rounds side by side by [`Aes128Ni::ctr`]:
 /// enough to cover the `AESENC` latency, few enough to stay in the sixteen
 /// xmm registers alongside the round key in flight.
 const CTR_LANES: usize = 8;

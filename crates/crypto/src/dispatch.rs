@@ -3,7 +3,8 @@
 //! [`Aes128`] picks the fastest available backend at construction:
 //!
 //! 1. **AES-NI** (`_mm_aesenc_si128`) when the CPU advertises the `aes`
-//!    feature and the portable override is off;
+//!    feature (and `popcnt`, which every AES-NI CPU has) and the portable
+//!    override is off;
 //! 2. **T-tables** ([`crate::ttable`]) otherwise — the portable fast path.
 //!
 //! Every backend expands the same key schedule and produces bit-identical
@@ -11,14 +12,18 @@
 //! from-scratch reference cipher in `aes.rs`), so backend choice
 //! can never change simulation results — only host speed.
 //!
-//! The counter-mode pad (`Aes128::ctr_xor`) is made three ways. The
-//! T-table backend loops over its block function. The AES-NI backend walks
-//! eight blocks through the rounds side by side in xmm registers, and —
-//! when the CPU also advertises `vaes` and `avx512f`, detected once as the
-//! engine is built — makes every whole 256 bytes of pad sixteen blocks at a
-//! time in four zmm registers instead (`aesni.rs`). That is a second leg of
-//! the same backend, not a backend of its own: [`AesBackend::AesNi`] covers
-//! both, and `DEWRITE_PORTABLE=1` turns both off.
+//! The counter-mode kernel (`Aes128::ctr_xor`, `dst = src ^ pad` in one
+//! pass) is made three ways. The T-table backend loops over its block
+//! function. The AES-NI backend walks eight blocks through the rounds side
+//! by side in xmm registers, and — when the CPU also advertises `vaes`,
+//! `avx512f` and `avx512vpopcntdq`, detected once as the engine is built —
+//! makes every whole 256 bytes sixteen blocks at a time in four zmm
+//! registers instead (`aesni.rs`). That is a second leg of the same
+//! backend, not a backend of its own: [`AesBackend::AesNi`] covers both,
+//! and `DEWRITE_PORTABLE=1` turns both off. Each leg's one loop also
+//! serves the store kernel (`Aes128::ctr_xor_over`), which writes over an
+//! old line and counts the bits it flips in the same pass: `count_ones`,
+//! `POPCNT` and `VPOPCNTQ` respectively.
 //!
 //! # Forcing the portable path
 //!
@@ -188,27 +193,70 @@ impl Aes128 {
         }
     }
 
-    /// XOR the counter-mode one-time pad into `buf`: block `i` of the pad
-    /// is `AES_K(addr ‖ counter ‖ i)` (little-endian fields, Fig. 1 of the
-    /// paper), and a ragged final block uses the pad's leading bytes. The
-    /// batched primitive each backend implements its own way — AES-NI walks
-    /// eight blocks (sixteen, with VAES-512) through the rounds side by
-    /// side, the T-table leg loops over its block function — so line
-    /// encryption never dispatches per 16 bytes.
-    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, buf: &mut [u8]) {
+    /// `dst = src ^ pad`, written in one pass, where block `i` of the
+    /// counter-mode one-time pad is `AES_K(addr ‖ counter ‖ i)`
+    /// (little-endian fields, Fig. 1 of the paper) and a ragged final block
+    /// uses the pad's leading bytes. The batched primitive each backend
+    /// implements its own way — AES-NI walks eight blocks (sixteen, with
+    /// VAES-512) through the rounds side by side, the T-table leg loops over
+    /// its block function — so line encryption never dispatches per 16
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    pub(crate) fn ctr_xor(&self, addr: u64, counter: u32, src: &[u8], dst: &mut [u8]) {
+        self.ctr::<false>(addr, counter, src, dst);
+    }
+
+    /// [`Self::ctr_xor`] over an old line: `line = src ^ pad`, returning how
+    /// many bits of `line` the store flipped — `dewrite_nvm::bit_flips(old,
+    /// new)`, counted in the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `line` differ in length.
+    pub(crate) fn ctr_xor_over(&self, addr: u64, counter: u32, src: &[u8], line: &mut [u8]) -> u64 {
+        self.ctr::<true>(addr, counter, src, line)
+    }
+
+    /// The one counter-mode loop per leg; `FLIPS` says whether it counts.
+    #[inline]
+    fn ctr<const FLIPS: bool>(&self, addr: u64, counter: u32, src: &[u8], dst: &mut [u8]) -> u64 {
+        assert_eq!(src.len(), dst.len(), "counter mode maps a line onto a line");
         match &self.backend {
-            Backend::Soft(s) => {
-                for (i, chunk) in buf.chunks_mut(16).enumerate() {
-                    let pad = s.encrypt_block(&ctr_seed(addr, counter, i as u32));
-                    for (b, k) in chunk.iter_mut().zip(pad) {
-                        *b ^= k;
-                    }
-                }
-            }
+            Backend::Soft(s) => s.ctr::<FLIPS>(addr, counter, src, dst),
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => ni.ctr_xor(addr, counter, buf),
+            Backend::Ni(ni) => ni.ctr::<FLIPS>(addr, counter, src, dst),
         }
     }
+}
+
+/// `dst = src ^ pad` over three equal-length slices, a `u64` word at a
+/// time; with `FLIPS`, also the bits in which the new `dst` differs from
+/// the old (0 without). The T-table leg's loop body, and the AES-NI leg's
+/// ragged tail.
+pub(crate) fn xor_pad<const FLIPS: bool>(src: &[u8], pad: &[u8], dst: &mut [u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("chunks_exact yields 8"));
+    let mut flips = 0;
+    let (mut src_words, mut pad_words) = (src.chunks_exact(8), pad.chunks_exact(8));
+    let mut dst_words = dst.chunks_exact_mut(8);
+    for ((d, s), p) in (&mut dst_words).zip(&mut src_words).zip(&mut pad_words) {
+        let new = word(s) ^ word(p);
+        if FLIPS {
+            flips += u64::from((word(d) ^ new).count_ones());
+        }
+        d.copy_from_slice(&new.to_le_bytes());
+    }
+    let tail = src_words.remainder().iter().zip(pad_words.remainder());
+    for (d, (s, p)) in dst_words.into_remainder().iter_mut().zip(tail) {
+        let new = s ^ p;
+        if FLIPS {
+            flips += u64::from((*d ^ new).count_ones());
+        }
+        *d = new;
+    }
+    flips
 }
 
 #[cfg(test)]
@@ -229,7 +277,7 @@ mod tests {
         // leg: no hardware leg to confine, and the per-block bytes.
         assert!(aes.eight_lane_pad().is_none());
         let mut pad = vec![0u8; 4096 + 17];
-        aes.ctr_xor(0x1000, 7, &mut pad);
+        aes.ctr_xor(0x1000, 7, &vec![0u8; 4096 + 17], &mut pad);
         let mut per_block = vec![0u8; 4096 + 17];
         ctr_xor_per_block(&aes, 0x1000, 7, &mut per_block);
         assert_eq!(pad, per_block);
@@ -272,53 +320,77 @@ mod tests {
         }
     }
 
-    // Differential: the batched pad on every leg the host offers — the
-    // T-table loop, the 8-lane AES-NI leg and, where `vaes` + `avx512f`
-    // exist, the VAES-512 leg (then the 8-lane leg is forced separately, so
-    // both hardware legs run) — vs the per-block loop, over lengths that
-    // straddle the 16 B block and the 128 B and 256 B pipeline steps (the
-    // longest runs on to block 257, so the counter block's index word
-    // carries out of its low byte), wide addresses and the largest counter.
-    #[test]
-    fn ctr_batched_matches_per_block() {
-        let key = *b"ctr-batch-oracle";
-        let hardware = Aes128::hardware(&key);
+    /// Every leg the host offers — the T-table loop, the 8-lane AES-NI leg
+    /// and, where `vaes` + `avx512f` + `avx512vpopcntdq` exist, the VAES-512
+    /// leg (then the 8-lane leg is forced separately, so both hardware legs
+    /// run).
+    fn legs(key: &[u8; 16]) -> [(&'static str, Option<Aes128>); 3] {
+        let hardware = Aes128::hardware(key);
         let eight_lane = hardware.as_ref().and_then(Aes128::eight_lane_pad);
-        let legs = [
-            ("t-table", Some(Aes128::portable(&key))),
+        [
+            ("t-table", Some(Aes128::portable(key))),
             ("hardware", hardware),
             ("8-lane", eight_lane),
-        ];
-        for (leg, aes) in legs {
+        ]
+    }
+
+    /// Lengths that straddle the 16 B block and the 128 B and 256 B
+    /// pipeline steps (the longest runs on to block 257, so the counter
+    /// block's index word carries out of its low byte).
+    const LENS: [usize; 16] = [
+        0,
+        1,
+        15,
+        16,
+        17,
+        127,
+        128,
+        129,
+        255,
+        256,
+        257,
+        511,
+        512,
+        513,
+        4096,
+        4096 + 17,
+    ];
+
+    /// Wide addresses and the largest counter.
+    const SEEDS: [(u64, u32); 5] = [
+        (0, 0),
+        (0x1000, 7),
+        (1 << 32, 1),
+        (u64::MAX, u32::MAX),
+        (0xDEAD_BEEF_0BAD_F00D, u32::MAX),
+    ];
+
+    /// `len` bytes of xorshift output: old lines and garbage that share no
+    /// structure with the plaintext.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    // Differential: the batched `dst = src ^ pad` on every leg vs the
+    // per-block loop, into a destination that starts out as garbage, over
+    // the length, address and counter grid.
+    #[test]
+    fn ctr_batched_matches_per_block() {
+        for (leg, aes) in legs(b"ctr-batch-oracle") {
             let Some(aes) = aes else { continue };
-            for len in [
-                0,
-                1,
-                15,
-                16,
-                17,
-                127,
-                128,
-                129,
-                255,
-                256,
-                257,
-                511,
-                512,
-                513,
-                4096,
-                4096 + 17,
-            ] {
-                for (addr, counter) in [
-                    (0u64, 0u32),
-                    (0x1000, 7),
-                    (1 << 32, 1),
-                    (u64::MAX, u32::MAX),
-                    (0xDEAD_BEEF_0BAD_F00D, u32::MAX),
-                ] {
+            for len in LENS {
+                for (addr, counter) in SEEDS {
                     let data: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
-                    let mut batched = data.clone();
-                    aes.ctr_xor(addr, counter, &mut batched);
+                    let mut batched = noise(addr ^ len as u64, len);
+                    aes.ctr_xor(addr, counter, &data, &mut batched);
                     let mut per_block = data.clone();
                     ctr_xor_per_block(&aes, addr, counter, &mut per_block);
                     assert_eq!(
@@ -326,8 +398,40 @@ mod tests {
                         "{leg} len {len} addr {addr:#x} counter {counter:#x}"
                     );
                     // XOR with the same pad is an involution.
-                    aes.ctr_xor(addr, counter, &mut batched);
-                    assert_eq!(batched, data, "{leg} len {len}");
+                    let mut back = noise(!addr, len);
+                    aes.ctr_xor(addr, counter, &batched, &mut back);
+                    assert_eq!(back, data, "{leg} len {len}");
+                }
+            }
+        }
+    }
+
+    // Differential: the store kernel on every leg, over random old lines.
+    // The line must end as the per-block ciphertext, and the count must be
+    // a byte loop's popcount of old ^ new — not of new alone, which a zero
+    // old line could not tell apart.
+    #[test]
+    fn ctr_over_matches_per_block_and_counts_flips() {
+        for (leg, aes) in legs(b"ctr-over-oracle!") {
+            let Some(aes) = aes else { continue };
+            for len in LENS {
+                for (addr, counter) in SEEDS {
+                    let data = noise(addr.rotate_left(7) ^ counter as u64, len);
+                    let old = noise(addr ^ len as u64 ^ 0x5EED, len);
+                    let mut expected = data.clone();
+                    ctr_xor_per_block(&aes, addr, counter, &mut expected);
+                    let flips: u64 = old
+                        .iter()
+                        .zip(&expected)
+                        .map(|(o, n)| u64::from((o ^ n).count_ones()))
+                        .sum();
+                    let mut line = old.clone();
+                    let counted = aes.ctr_xor_over(addr, counter, &data, &mut line);
+                    let at = format!("{leg} len {len} addr {addr:#x} counter {counter:#x}");
+                    assert_eq!(line, expected, "{at}");
+                    assert_eq!(counted, flips, "{at}");
+                    // Rewriting the same ciphertext flips nothing.
+                    assert_eq!(aes.ctr_xor_over(addr, counter, &data, &mut line), 0, "{at}");
                 }
             }
         }

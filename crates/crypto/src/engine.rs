@@ -50,28 +50,18 @@ impl CounterModeEngine {
         }
     }
 
-    /// Write the one-time pad for a line of `out.len()` bytes into `out`,
-    /// without allocating.
+    /// Generate the full one-time pad for a line of `len` bytes: the
+    /// ciphertext of a zero line.
     ///
-    /// Exposed so callers that overlap pad generation with an NVM read (the
-    /// counter-cache-hit fast path) can model the two steps separately.
-    pub fn one_time_pad_into(&self, addr: u64, counter: LineCounter, out: &mut [u8]) {
-        out.fill(0);
-        self.aes.ctr_xor(addr, counter.value(), out);
-    }
-
-    /// Generate the full one-time pad for a line of `len` bytes.
-    ///
-    /// Allocating convenience wrapper over [`Self::one_time_pad_into`]; hot
-    /// paths should hold a scratch buffer and call the `_into` form.
+    /// Allocating; for inspecting pads. Every product path XORs the pad
+    /// straight from source to destination through the `_into` and
+    /// [`Self::encrypt_line_over`] forms instead.
     pub fn one_time_pad(&self, addr: u64, counter: LineCounter, len: usize) -> Vec<u8> {
-        let mut pad = vec![0u8; len];
-        self.one_time_pad_into(addr, counter, &mut pad);
-        pad
+        self.encrypt_line(&vec![0u8; len], addr, counter)
     }
 
     /// Encrypt `plaintext` for storage at `addr` under `counter`, writing the
-    /// ciphertext into `out` without allocating.
+    /// ciphertext into `out` in one pass, without allocating.
     ///
     /// # Panics
     ///
@@ -83,13 +73,38 @@ impl CounterModeEngine {
         counter: LineCounter,
         out: &mut [u8],
     ) {
-        assert_eq!(
-            out.len(),
-            plaintext.len(),
-            "ciphertext buffer must match plaintext length"
-        );
-        out.copy_from_slice(plaintext);
-        self.aes.ctr_xor(addr, counter.value(), out);
+        self.aes.ctr_xor(addr, counter.value(), plaintext, out);
+    }
+
+    /// Encrypt `plaintext` for storage at `addr` under `counter` over
+    /// `line`, the ciphertext stored there now, and return how many bits
+    /// the store flipped: exactly `dewrite_nvm::bit_flips(old, new)`, the
+    /// count a data-comparison write programs, made in the same single pass
+    /// that writes the ciphertext.
+    ///
+    /// ```
+    /// use dewrite_crypto::{CounterModeEngine, LineCounter};
+    /// let engine = CounterModeEngine::new(&[7u8; 16]);
+    /// let ctr = LineCounter::from_value(1);
+    /// let mut line = vec![0u8; 256];
+    /// let flips = engine.encrypt_line_over(&[0xAB; 256], 0x1000, ctr, &mut line);
+    /// assert_eq!(line, engine.encrypt_line(&[0xAB; 256], 0x1000, ctr));
+    /// let set: u32 = line.iter().map(|b| b.count_ones()).sum();
+    /// assert_eq!(flips, u64::from(set)); // a zero line flips every set bit
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line.len() != plaintext.len()`.
+    pub fn encrypt_line_over(
+        &self,
+        plaintext: &[u8],
+        addr: u64,
+        counter: LineCounter,
+        line: &mut [u8],
+    ) -> u64 {
+        self.aes
+            .ctr_xor_over(addr, counter.value(), plaintext, line)
     }
 
     /// Decrypt `ciphertext` read from `addr` under `counter` into `out`.
@@ -204,17 +219,13 @@ mod tests {
         e.encrypt_line_into(&pt, 0xF00, c, &mut ct_buf);
         assert_eq!(ct_buf.to_vec(), e.encrypt_line(&pt, 0xF00, c));
 
-        let mut pad_buf = [0u8; 256];
-        e.one_time_pad_into(0xF00, c, &mut pad_buf);
-        assert_eq!(pad_buf.to_vec(), e.one_time_pad(0xF00, c, 256));
-
         let mut rt = [0u8; 256];
         e.decrypt_line_into(&ct_buf, 0xF00, c, &mut rt);
         assert_eq!(rt.to_vec(), pt);
     }
 
-    // The engine composes copy + batched pad; pin the result to the
-    // definition `ct[i] = pt[i] ^ AES_K(addr ‖ ctr ‖ i/16)[i % 16]`.
+    // Pin the one-pass kernel to the definition
+    // `ct[i] = pt[i] ^ AES_K(addr ‖ ctr ‖ i/16)[i % 16]`.
     #[test]
     fn ciphertext_is_plaintext_xor_per_block_pad() {
         let e = engine();
@@ -236,12 +247,36 @@ mod tests {
     }
 
     #[test]
-    fn otp_into_handles_ragged_tail() {
+    fn otp_handles_ragged_tail() {
         let e = engine();
         let c = LineCounter::from_value(2);
-        let mut buf = [0u8; 37];
-        e.one_time_pad_into(0x40, c, &mut buf);
-        assert_eq!(buf.to_vec(), e.one_time_pad(0x40, c, 37));
+        let pad = e.one_time_pad(0x40, c, 37);
+        assert_eq!(pad[..], e.one_time_pad(0x40, c, 64)[..37]);
+    }
+
+    // Storing over a line equals encrypting into a fresh buffer, and counts
+    // the bits that differ from what the line held.
+    #[test]
+    fn encrypt_over_matches_encrypt_and_counts_flips() {
+        let e = engine();
+        for len in [0, 1, 37, 64, 256, 257] {
+            let old: Vec<u8> = (0..len).map(|i| (i * 91 % 255) as u8).collect();
+            let pt: Vec<u8> = (0..len).map(|i| (i * 29 % 253) as u8).collect();
+            let c = LineCounter::from_value(3);
+            let new = e.encrypt_line(&pt, 0x80, c);
+            let expected: u32 = old
+                .iter()
+                .zip(&new)
+                .map(|(o, n)| (o ^ n).count_ones())
+                .sum();
+            let mut line = old.clone();
+            assert_eq!(
+                e.encrypt_line_over(&pt, 0x80, c, &mut line),
+                u64::from(expected),
+                "len {len}"
+            );
+            assert_eq!(line, new, "len {len}");
+        }
     }
 
     proptest! {

@@ -13,6 +13,7 @@
 //! FIPS-197's column-major layout.
 
 use crate::aes::{expand_key, SBOX};
+use crate::dispatch::{ctr_seed, xor_pad};
 
 /// Multiply by {02} in GF(2^8), `const` variant.
 const fn ct_xtime(b: u8) -> u8 {
@@ -123,6 +124,27 @@ impl Aes128Soft {
         out[8..12].copy_from_slice(&o2.to_be_bytes());
         out[12..16].copy_from_slice(&o3.to_be_bytes());
         out
+    }
+
+    /// `dst = src ^ pad` for the counter-mode pad (see
+    /// [`Aes128::ctr_xor`](crate::Aes128)), a block at a time; with
+    /// `FLIPS`, also the bits in which the new `dst` differs from the old
+    /// (`count_ones`; 0 without).
+    pub(crate) fn ctr<const FLIPS: bool>(
+        &self,
+        addr: u64,
+        counter: u32,
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> u64 {
+        src.chunks(16)
+            .zip(dst.chunks_mut(16))
+            .enumerate()
+            .map(|(i, (s, d))| {
+                let pad = self.encrypt_block(&ctr_seed(addr, counter, i as u32));
+                xor_pad::<FLIPS>(s, &pad[..s.len()], d)
+            })
+            .sum()
     }
 }
 

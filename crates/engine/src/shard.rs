@@ -362,6 +362,7 @@ pub struct ShardController {
     meta: MetadataCache,
     predictor: HistoryPredictor,
 
+    /// The plaintext a read or a scrub decrypts into.
     scratch: Vec<u8>,
     /// Plaintext of verified resident lines; see [`VerifyBuffer`].
     verify: VerifyBuffer,
@@ -807,10 +808,9 @@ impl ShardController {
                 let slot = target.index();
                 let global = self.slot_global(slot);
                 let range = self.slot_range(slot);
-                self.crypt
-                    .encrypt_line_into(data, global, counter, &mut self.scratch);
-                self.flip_bits += dewrite_nvm::bit_flips(&self.store[range.clone()], &self.scratch);
-                self.store[range].copy_from_slice(&self.scratch);
+                self.flip_bits +=
+                    self.crypt
+                        .encrypt_line_over(data, global, counter, &mut self.store[range]);
                 outcome
             }
         };
@@ -1421,6 +1421,40 @@ mod tests {
             5 * pcm.write_base_pj + flip_bits * pcm.write_bit_pj
         );
         assert_eq!(s.scrub().unwrap(), 5);
+    }
+
+    /// A sole owner's line overwritten in place is charged for the bits its
+    /// new ciphertext flips in the old one. Over a zeroed slot that is every
+    /// set bit of the new ciphertext, so only a second store into the same
+    /// slot tells the two counts apart.
+    #[test]
+    fn overwrite_in_place_charges_flips_against_the_old_ciphertext() {
+        let mut s = ShardController::new(0, 1, 64, LINE_256, KEY);
+        let a = vec![0x5Au8; LINE_256];
+        let b: Vec<u8> = (0..LINE_256).map(|i| (i * 7) as u8).collect();
+        assert!(!s.write(LineAddr::new(0), &a, 0).eliminated);
+        assert!(!s.write(LineAddr::new(0), &b, 0).eliminated);
+        // The release frees the home slot and the claim hands it back: both
+        // stores land in slot 0, at counters 1 then 2.
+        assert_eq!((s.mapped_slot(0), s.counter(0).value()), (Some(0), 2));
+
+        let crypt = CounterModeEngine::new(KEY);
+        let mut counter = LineCounter::new();
+        let mut ct = |plaintext: &[u8]| {
+            assert!(counter.increment());
+            let mut out = vec![0u8; LINE_256];
+            crypt.encrypt_line_into(plaintext, 0, counter, &mut out);
+            out
+        };
+        let (ct_a, ct_b) = (ct(&a), ct(&b));
+        let flips =
+            dewrite_nvm::bit_flips(&[0u8; LINE_256], &ct_a) + dewrite_nvm::bit_flips(&ct_a, &ct_b);
+        let pcm = EnergyParams::PCM;
+        assert_eq!(
+            s.report("overwrite").energy.nvm_write_pj,
+            2 * pcm.write_base_pj + flips * pcm.write_bit_pj
+        );
+        assert_eq!(s.scrub().unwrap(), 1);
     }
 
     /// A slot freed and stored again is verified against its new content:

@@ -20,6 +20,8 @@ fn portable_forced() -> bool {
 
 /// The CPU features each hardware leg needs.
 struct HostFeatures {
+    /// `aes` and `popcnt`: the AES-NI leg's store kernel counts flipped
+    /// bits with `POPCNT`.
     aes: bool,
     pclmulqdq: bool,
     sse42: bool,
@@ -29,7 +31,7 @@ struct HostFeatures {
 fn host_features() -> HostFeatures {
     use std::arch::is_x86_feature_detected as has;
     HostFeatures {
-        aes: has!("aes"),
+        aes: has!("aes") && has!("popcnt"),
         pclmulqdq: has!("pclmulqdq"),
         sse42: has!("sse4.2"),
     }
