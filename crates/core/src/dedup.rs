@@ -296,6 +296,11 @@ impl<S: FreeSpace> CommitKernel<S> {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self, lines: u64) -> Result<(), String> {
+        if let Some(id) = self.hash.wrong_open_list() {
+            return Err(format!(
+                "side bucket {id}: open list is not its unsaturated positions"
+            ));
+        }
         // Residency bitmaps agree.
         for i in 0..lines {
             let line = LineAddr::new(i);
@@ -475,9 +480,9 @@ impl DedupIndex {
     }
 
     /// The [`OpenCandidates`] of `digest` for a write to `init`: one probe
-    /// and one pass over the bucket's reference bytes
-    /// ([`HashTable::open`]) when the index is a single domain, a filtered
-    /// walk of the borrowed bucket otherwise.
+    /// and the head of the bucket's open list ([`HashTable::open`]) when
+    /// the index is a single domain, a filtered walk of the borrowed
+    /// bucket otherwise.
     pub(crate) fn open_for(&self, digest: u64, init: LineAddr) -> OpenCandidates {
         let mut open = OpenCandidates::default();
         if self.kernel.space.domains == 1 {
@@ -931,6 +936,18 @@ mod tests {
         sh.store(l(1), b"bbbb");
         assert_eq!(confirm(&mut idx, &sh, 2, b"bbbb", 42), (Some(l(1)), 2));
         idx.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_wrong_open_list() {
+        let mut idx = DedupIndex::new(16);
+        let mut sh = Shadow::default();
+        write(&mut idx, &mut sh, 0, b"aaaa", 42);
+        write(&mut idx, &mut sh, 1, b"bbbb", 42);
+        idx.check_invariants().unwrap();
+        idx.kernel.hash.corrupt_open_list();
+        let err = idx.check_invariants().unwrap_err();
+        assert!(err.contains("open list"), "{err}");
     }
 
     #[test]

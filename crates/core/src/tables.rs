@@ -27,7 +27,8 @@
 //!   slot; two or more entries (CRC collisions, saturated residues) spill
 //!   to a contiguous side bucket that *is* the seed's `Vec` bucket — `push`
 //!   on insert, `swap_remove` on delete — so candidate order, observable
-//!   through match selection, is the seed's by construction.
+//!   through match selection, is the seed's by construction. Each side
+//!   bucket also lists its unsaturated positions: all that `open` reads.
 //! * [`AddrMap`] is a dense `Vec<u64>` indexed by address with a
 //!   never-written sentinel, and [`InvertedTable`] a dense `Box<[u64]>`
 //!   indexed by `LineAddr` with a presence bitmap: the line space is
@@ -154,7 +155,7 @@ pub struct OpenEntry {
 
 /// What a write needs of a bucket, with nothing copied and nothing
 /// allocated: its first [`MAX_CANDIDATE_COMPARES`] unsaturated entries in
-/// bucket order and its saturated total.
+/// bucket order and its saturated total, read from a bucket's open list.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpenView {
     entries: [OpenEntry; MAX_CANDIDATE_COMPARES],
@@ -241,6 +242,19 @@ struct Slot {
 struct SideBucket {
     reals: Vec<u64>,
     refs: Vec<u8>,
+    /// Ascending positions of the entries below [`MAX_REFERENCE`].
+    open: Vec<u32>,
+}
+
+impl SideBucket {
+    /// Append an entry, listing it if it arrives unsaturated.
+    fn push(&mut self, real: u64, reference: u8) {
+        if reference != MAX_REFERENCE {
+            self.open.push(self.reals.len() as u32);
+        }
+        self.reals.push(real);
+        self.refs.push(reference);
+    }
 }
 
 impl Default for HashTable {
@@ -398,39 +412,32 @@ impl HashTable {
         }
     }
 
-    /// The [`OpenView`] of `digest`'s bucket: one probe, then one pass over
-    /// the bucket's reference bytes, a word at a time.
+    /// The [`OpenView`] of `digest`'s bucket: one probe, then a one-entry
+    /// bucket's slot or the head of a spilled bucket's open list.
     #[inline]
     pub fn open(&self, digest: u64) -> OpenView {
         let mut view = OpenView::default();
         let Some(slot) = self.find(digest) else {
             return view;
         };
-        let (reals, refs) = self.bucket_at(slot);
-        let mut open = 0usize;
-        let mut scan = |base: usize, refs: &[u8]| {
-            for (i, _) in refs.iter().enumerate().filter(|(_, &r)| r != MAX_REFERENCE) {
-                if open < MAX_CANDIDATE_COMPARES {
-                    view.entries[open] = OpenEntry {
-                        real: LineAddr::new(reals[base + i]),
-                        saturated_before: (base + i - open) as u32,
-                        slot,
-                        index: base + i,
-                    };
-                }
-                open += 1;
-            }
+        let s = &self.slots[slot];
+        let (reals, open): (&[u64], &[u32]) = if s.spilled {
+            let side = &self.side[s.real as usize];
+            (&side.reals, &side.open)
+        } else {
+            let open = usize::from(s.reference != MAX_REFERENCE);
+            (std::slice::from_ref(&s.real), &[0][..open])
         };
-        let (words, tail) = refs.as_chunks::<8>();
-        for (w, word) in words.iter().enumerate() {
-            // A word of saturated entries is passed whole: one u64 compare.
-            if *word != [MAX_REFERENCE; 8] {
-                scan(w * 8, word);
-            }
+        for ((entry, &pos), k) in view.entries.iter_mut().zip(open).zip(0u32..) {
+            *entry = OpenEntry {
+                real: LineAddr::new(reals[pos as usize]),
+                saturated_before: pos - k,
+                slot,
+                index: pos as usize,
+            };
         }
-        scan(words.len() * 8, tail);
-        view.len = open.min(MAX_CANDIDATE_COMPARES);
-        view.saturated = (refs.len() - open) as u32;
+        view.len = open.len().min(MAX_CANDIDATE_COMPARES);
+        view.saturated = (reals.len() - open.len()) as u32;
         view
     }
 
@@ -561,8 +568,7 @@ impl HashTable {
         let s = self.slots[slot];
         if s.spilled {
             let side = &mut self.side[s.real as usize];
-            side.reals.push(real);
-            side.refs.push(reference);
+            side.push(real, reference);
             let index = side.reals.len() - 1;
             self.set_pos(real, index);
         } else {
@@ -574,8 +580,8 @@ impl HashTable {
                 self.side.len() - 1
             });
             let bucket = &mut self.side[id];
-            bucket.reals.extend([s.real, real]);
-            bucket.refs.extend([s.reference, reference]);
+            bucket.push(s.real, s.reference);
+            bucket.push(real, reference);
             self.slots[slot].real = id as u64;
             self.slots[slot].spilled = true;
             self.set_pos(s.real, 0);
@@ -600,6 +606,10 @@ impl HashTable {
             return false;
         }
         *reference += 1;
+        if *reference == MAX_REFERENCE && self.slots[slot].spilled {
+            let side = &mut self.side[self.slots[slot].real as usize];
+            side.open.retain(|&p| p as usize != index);
+        }
         true
     }
 
@@ -679,6 +689,13 @@ impl HashTable {
         let side = &mut self.side[id];
         side.reals.swap_remove(index);
         side.refs.swap_remove(index);
+        // The last entry moved into the hole, and its open position with it.
+        let (hole, last) = (index as u32, side.reals.len() as u32);
+        side.open.retain(|&p| p != hole);
+        if side.open.pop_if(|p| *p == last).is_some() {
+            let at = side.open.partition_point(|&p| p < hole);
+            side.open.insert(at, hole);
+        }
         if side.reals.len() == 1 {
             self.slots[slot] = Slot {
                 digest: s.digest,
@@ -688,6 +705,7 @@ impl HashTable {
             };
             side.reals.clear();
             side.refs.clear();
+            side.open.clear();
             self.side_free.push(id);
         } else if let Some(&moved) = side.reals.get(index) {
             self.pos[moved as usize] = index as u32;
@@ -757,6 +775,24 @@ impl HashTable {
     /// through [`add_reference`](Self::add_reference).
     pub(crate) fn note_saturated_hits(&mut self, n: u64) {
         self.saturated_hits += n;
+    }
+
+    /// The first side bucket whose open list is not the ascending
+    /// positions of its unsaturated entries (a freed one lists none), if
+    /// any: O(entries), for scrubs.
+    pub(crate) fn wrong_open_list(&self) -> Option<usize> {
+        self.side.iter().position(|side| {
+            let open =
+                (0..side.refs.len() as u32).filter(|&p| side.refs[p as usize] != MAX_REFERENCE);
+            !open.eq(side.open.iter().copied())
+        })
+    }
+
+    /// Append a position to the first spilled bucket's open list.
+    #[cfg(test)]
+    pub(crate) fn corrupt_open_list(&mut self) {
+        let side = self.side.first_mut().expect("a spilled bucket");
+        side.open.push(side.reals.len() as u32);
     }
 
     /// Iterate over `(digest, entry)` pairs (reference-count distribution,
@@ -1589,6 +1625,84 @@ mod tests {
             }
             prop_assert_eq!(flat.len(), 300);
         }
+    }
+
+    #[test]
+    fn open_lists_track_a_4096_entry_bucket_through_every_transition() {
+        const LINES: u64 = 4096;
+        /// Apply `op` to both tables, check digest 0's bucket order and
+        /// open view against the seed oracle and every open list against
+        /// its bucket, and return the view as `(line, saturated_before)`.
+        fn step(
+            seed: &mut crate::seed::SeedHashTable,
+            flat: &mut HashTable,
+            op: HashOp,
+        ) -> Vec<(LineAddr, u32)> {
+            apply_chain_op(seed, flat, &op);
+            let bucket = seed.candidates(0);
+            assert_eq!(bucket, flat.candidates(0).as_slice());
+            assert_eq!(flat.wrong_open_list(), None);
+            let view = flat.open(0);
+            let entries: Vec<_> = view
+                .entries()
+                .iter()
+                .map(|e| (e.real, e.saturated_before))
+                .collect();
+            assert_eq!((entries.clone(), view.saturated), open_view_of(bucket));
+            entries
+        }
+        let (seed, flat) = (
+            &mut crate::seed::SeedHashTable::new(),
+            &mut HashTable::new(),
+        );
+        // Open entries straddle 8-entry reference words — positions 7 and 8
+        // of every 512, and the last — one short of saturation; the rest
+        // arrive saturated.
+        for r in 0..LINES {
+            let open = matches!(r % 512, 7 | 8) || r == LINES - 1;
+            let arriving = MAX_REFERENCE - u8::from(open);
+            step(seed, flat, HashOp::InsertWithRef(0, r, arriving));
+        }
+        // Saturate a middle open entry inside the view, then one past it.
+        step(seed, flat, HashOp::AddRef(0, 8));
+        let view = step(seed, flat, HashOp::AddRef(0, 2055));
+        assert_eq!(
+            view,
+            [(l(7), 7), (l(519), 518), (l(520), 518), (l(1031), 1028)]
+        );
+        // Delete an open entry while the last entry is open: the last one
+        // takes its position and stays listed.
+        let view = step(seed, flat, HashOp::Remove(0, 7));
+        assert_eq!(
+            view,
+            [(l(4095), 7), (l(519), 518), (l(520), 518), (l(1031), 1028)]
+        );
+        // Delete one while the last entry (line 4094) is sealed.
+        let view = step(seed, flat, HashOp::Remove(0, 519));
+        assert_eq!(
+            view,
+            [
+                (l(4095), 7),
+                (l(520), 519),
+                (l(1031), 1029),
+                (l(1032), 1029)
+            ]
+        );
+        // Fold back to one entry from alternating ends, then re-spill.
+        while seed.candidates(0).len() > 1 {
+            let bucket = seed.candidates(0);
+            let victim = if bucket.len() % 2 == 0 {
+                bucket.first()
+            } else {
+                bucket.last()
+            };
+            let victim = victim.expect("non-empty").real.index();
+            step(seed, flat, HashOp::Remove(0, victim));
+        }
+        assert!(!flat.slots[flat.find(0).expect("one entry")].spilled);
+        step(seed, flat, HashOp::InsertWithRef(0, LINES, MAX_REFERENCE));
+        step(seed, flat, HashOp::Insert(0, LINES + 1));
+        assert_eq!(flat.candidates(0).len(), 3);
     }
 
     // ---- AddrMap ----

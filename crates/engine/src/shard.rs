@@ -1176,6 +1176,30 @@ mod tests {
         assert_eq!(s.scrub().unwrap(), N + K);
     }
 
+    /// The closed forms above with 40 residues: the open entry sits past
+    /// several 8-entry reference words and past the compare cap.
+    #[test]
+    fn saturated_chain_past_the_compare_cap_is_closed_form_crc32_verify() {
+        const K: u64 = 40;
+        const R: u64 = 40;
+        const N: u64 = 255 * K + R;
+        let mut s = ShardController::new(0, 1, 2 * N, LINE, KEY);
+        for a in 0..N {
+            s.write(LineAddr::new(a), &line(1), 0);
+        }
+        let r = s.report("chain");
+        let d = r.dewrite.unwrap();
+        assert_eq!(r.nvm_data_writes, K + 1);
+        assert_eq!(r.base.writes_eliminated, N - (K + 1));
+        assert_eq!(
+            d.saturated_skips,
+            (1..=N).map(|w| (w - 1) / 255).sum::<u64>()
+        );
+        assert_eq!(r.base.verify_reads, N - (K + 1));
+        assert_eq!(d.false_matches, 0);
+        assert_eq!(s.scrub().unwrap(), K + 1);
+    }
+
     /// Drive a random script through one shard, fold every latency its
     /// calls return into fresh recorders one observation at a time, and
     /// demand the report's distributions — built from per-shape counts —
