@@ -26,7 +26,7 @@
 //! [`ShardSummary`] / [`EngineRun`] fields separate from the merged
 //! simulated report.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dewrite_core::tables::MAX_REFERENCE;
 use dewrite_core::{DigestMode, RunReport};
@@ -295,42 +295,69 @@ impl EngineRun {
     }
 }
 
-/// Spin → yield → sleep-park back-off with an exponentially growing pause
-/// capped at 256 µs. A thread polling a socket or a completion lane that
-/// has nothing for it is waiting on whichever peer is the actual
-/// bottleneck — parking gets it off the core so that peer can have it.
-/// Used by the `dewrite-net` event loops and clients.
+/// Spin-then-sleep back-off for a thread polling something that has
+/// nothing for it: a lane sweeping its sockets, a client waiting on a
+/// completion, a lane waiting to reclaim the engine. Such a thread is
+/// waiting on whichever peer is the actual bottleneck, and parking gets
+/// it off the core so that peer can have it.
+///
+/// The first idle [`wait`](Backoff::wait) after a [`reset`](Backoff::reset)
+/// (or [`new`](Backoff::new)) starts a spin budget of 20 µs of wall time;
+/// every `wait` inside it is one [`spin_loop`](std::hint::spin_loop)
+/// hint. From then on each `wait` sleeps, 1, 2, 4 … µs, doubling up to a
+/// cap of 256 µs. The budget is time, not a count of rounds, because a
+/// round's cost differs about a thousandfold between callers (a
+/// completion probe against a sweep over sockets): 64 rounds kept a lane
+/// spinning ≈ 250 µs, so at 10k requests/s it never slept. 20 µs is well
+/// under the cost of one sleep (below), so a quick turnaround is caught
+/// spinning. There is no yield stage: with a core free, `yield_now`
+/// returns at once and is one more spin.
+///
+/// A sleep lasts at least the thread's timer slack, not its nominal
+/// pause: Linux gives ordinary threads 50 µs, and `thread::sleep` of
+/// 1 µs measured 54–58 µs at the median on a 2-vCPU host (DESIGN.md §8).
 #[derive(Debug, Default)]
 pub struct Backoff {
-    rounds: u32,
+    /// When the current idle stretch began: the first `wait` after a
+    /// reset; `None` while there is progress.
+    idle_since: Option<Instant>,
+    /// Sleeps taken in this idle stretch.
+    sleeps: u32,
 }
 
 impl Backoff {
-    const SPIN: u32 = 64;
-    const YIELD: u32 = 16;
+    const SPIN_BUDGET: Duration = Duration::from_micros(20);
     const MAX_SLEEP_EXP: u32 = 8; // 2^8 µs = 256 µs
 
     /// A fresh back-off in the spinning stage.
     pub fn new() -> Self {
-        Backoff { rounds: 0 }
+        Backoff::default()
     }
 
-    /// Progress was made: restart from the spinning stage.
+    /// Progress was made: the next idle `wait` starts a fresh spin budget.
     pub fn reset(&mut self) {
-        self.rounds = 0;
+        *self = Backoff::default();
     }
 
-    /// No progress: spin, then yield, then sleep with exponential pause.
+    /// No progress: spin while the budget lasts, then sleep with an
+    /// exponentially growing pause.
     pub fn wait(&mut self) {
-        if self.rounds < Self::SPIN {
-            std::hint::spin_loop();
-        } else if self.rounds < Self::SPIN + Self::YIELD {
-            std::thread::yield_now();
-        } else {
-            let exp = (self.rounds - Self::SPIN - Self::YIELD).min(Self::MAX_SLEEP_EXP);
-            std::thread::sleep(std::time::Duration::from_micros(1 << exp));
+        match self.pause(Instant::now()) {
+            None => std::hint::spin_loop(),
+            Some(nap) => std::thread::sleep(nap),
         }
-        self.rounds = self.rounds.saturating_add(1);
+    }
+
+    /// The decision for one idle `wait` at `now`: `None` to spin, or how
+    /// long to sleep.
+    fn pause(&mut self, now: Instant) -> Option<Duration> {
+        let since = *self.idle_since.get_or_insert(now);
+        if now.saturating_duration_since(since) < Self::SPIN_BUDGET {
+            return None;
+        }
+        let exp = self.sleeps.min(Self::MAX_SLEEP_EXP);
+        self.sleeps = self.sleeps.saturating_add(1);
+        Some(Duration::from_micros(1 << exp))
     }
 }
 
@@ -457,6 +484,65 @@ mod tests {
 
     fn config_for(shards: usize, lines: u64, total_ops: usize) -> EngineConfig {
         EngineConfig::for_workload(shards, 256, lines, total_ops as u64)
+    }
+
+    const US: Duration = Duration::from_micros(1);
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// A synthetic clock far from the real one, so a budget started by
+    /// anything but the first idle `pause` shows.
+    fn epoch() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
+    }
+
+    #[test]
+    fn backoff_spins_until_the_budget_then_sleeps() {
+        let mut b = Backoff::new();
+        let t0 = epoch();
+        assert_eq!(b.pause(t0), None);
+        assert_eq!(b.pause(t0 + 7 * US), None);
+        assert_eq!(b.pause(t0 + Backoff::SPIN_BUDGET - NS), None);
+        assert_eq!(b.pause(t0 + Backoff::SPIN_BUDGET), Some(US));
+        assert_eq!(b.pause(t0 + Backoff::SPIN_BUDGET + NS), Some(2 * US));
+    }
+
+    #[test]
+    fn backoff_sleeps_double_to_a_cap() {
+        let mut b = Backoff::new();
+        let t0 = epoch();
+        assert_eq!(b.pause(t0), None);
+        let late = t0 + Backoff::SPIN_BUDGET;
+        let naps: Vec<u64> = (0..12)
+            .map(|_| b.pause(late).expect("past the budget").as_micros() as u64)
+            .collect();
+        assert_eq!(naps, [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256, 256]);
+    }
+
+    #[test]
+    fn backoff_reset_restarts_the_spin() {
+        let mut b = Backoff::new();
+        let t0 = epoch();
+        assert_eq!(b.pause(t0), None);
+        for _ in 0..4 {
+            assert!(b.pause(t0 + 100 * US).is_some());
+        }
+        b.reset();
+        let t1 = t0 + 200 * US;
+        assert_eq!(b.pause(t1), None);
+        assert_eq!(b.pause(t1 + Backoff::SPIN_BUDGET - NS), None);
+        assert_eq!(b.pause(t1 + Backoff::SPIN_BUDGET), Some(US));
+    }
+
+    #[test]
+    fn backoff_budget_starts_at_the_first_idle_wait() {
+        // Reset long before the thread next goes idle: the budget counts
+        // from that first idle `pause`, not from the reset or `new`.
+        let mut b = Backoff::new();
+        b.reset();
+        let t0 = epoch();
+        assert_eq!(b.pause(t0), None);
+        assert_eq!(b.pause(t0 + Backoff::SPIN_BUDGET - NS), None);
+        assert_eq!(b.pause(t0 + Backoff::SPIN_BUDGET), Some(US));
     }
 
     #[test]
