@@ -17,12 +17,7 @@
 //!   and stores, never an atomic read-modify-write; and the per-slot
 //!   **CME counters**, which the kernel bumps on every store and never
 //!   resets, so a pad is never reused when a slot is claimed again;
-//! * a metadata cache and a 3-bit [`HistoryPredictor`];
-//! * a host-side **verify buffer**: the plaintext of recently verified
-//!   resident lines keyed by `(slot, counter)`, so a hot duplicate's
-//!   candidate is decrypted once per version rather than once per write.
-//!   It caches a pure function and is never simulated; `read` and `scrub`
-//!   decrypt from the arena.
+//! * a metadata cache and a 3-bit [`HistoryPredictor`].
 //!
 //! All methods take `&mut self`: concurrency comes from shard ownership,
 //! never shared mutation — whoever runs a shard holds it exclusively for
@@ -278,59 +273,6 @@ impl WriteShape {
     }
 }
 
-/// Lines the verify buffer holds at most: 256 KiB at 256 B lines
-/// (EXPERIMENTS.md, "Verify buffer").
-const VERIFY_BUFFER_LINES: u64 = 1024;
-
-/// The shard's host-side cache of decrypted resident lines for the verify
-/// walk: a direct-mapped array of plaintext lines keyed by `(slot,
-/// counter)` and indexed by `slot & (len − 1)`.
-///
-/// Every store bumps its slot's counter before it writes the arena, so a
-/// key names exactly one ciphertext: the buffer needs no invalidation and
-/// can never return a stale line. It caches a pure function, not a
-/// modeled structure — every candidate is still compared and charged its
-/// simulated verify read (DESIGN.md §9).
-struct VerifyBuffer {
-    /// The `(slot, counter)` each entry's line is the plaintext of.
-    /// Counter 0, which no resident line has, marks an empty entry.
-    keys: Vec<(u64, u32)>,
-    /// The entries' plaintext lines, `line_size` bytes each.
-    lines: Vec<u8>,
-    line_size: usize,
-}
-
-impl VerifyBuffer {
-    /// An empty buffer for a shard of `slots` slots.
-    fn new(slots: u64, line_size: usize) -> Self {
-        let len = slots.next_power_of_two().min(VERIFY_BUFFER_LINES) as usize;
-        VerifyBuffer {
-            keys: vec![(0, 0); len],
-            lines: vec![0; len * line_size],
-            line_size,
-        }
-    }
-
-    /// The plaintext of `slot`'s line under `counter`: the buffered line
-    /// when the key matches, else `decrypt`ed straight into the entry,
-    /// which then holds that key.
-    #[inline]
-    fn line(&mut self, slot: u64, counter: u32, decrypt: impl FnOnce(&mut [u8])) -> &[u8] {
-        let entry = slot as usize & (self.keys.len() - 1);
-        let line = &mut self.lines[entry * self.line_size..][..self.line_size];
-        if self.keys[entry] != (slot, counter) {
-            decrypt(line);
-            self.keys[entry] = (slot, counter);
-        }
-        line
-    }
-
-    /// Entry `entry`'s line.
-    fn line_at(&self, entry: usize) -> &[u8] {
-        &self.lines[entry * self.line_size..][..self.line_size]
-    }
-}
-
 /// What one write did, plus its simulated latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardWrite {
@@ -362,10 +304,8 @@ pub struct ShardController {
     meta: MetadataCache,
     predictor: HistoryPredictor,
 
-    /// The plaintext a read or a scrub decrypts into.
+    /// The plaintext a read, a verify or a scrub decrypts into.
     scratch: Vec<u8>,
-    /// Plaintext of verified resident lines; see [`VerifyBuffer`].
-    verify: VerifyBuffer,
 
     /// Optional epoch-batched metadata WAL. Host-side only: logging is
     /// never charged to simulated time, so the [`RunReport`] is
@@ -412,7 +352,6 @@ impl ShardController {
             meta: MetadataCache::new(CacheConfig::with_capacity((slots as usize / 4).max(64))),
             predictor: HistoryPredictor::new(3),
             scratch: vec![0u8; line_size],
-            verify: VerifyBuffer::new(slots, line_size),
             log: None,
             write_shapes: [0; WRITE_SHAPES],
             read_kinds: [0; 2],
@@ -677,19 +616,6 @@ impl ShardController {
             .decrypt_line_into(&self.store[range], addr, ctr, &mut self.scratch);
     }
 
-    /// The plaintext of the line resident in `slot`, through the verify
-    /// buffer: decrypted from the arena only when the buffer does not hold
-    /// the slot's current counter.
-    #[inline]
-    fn verify_line(&mut self, slot: u64) -> &[u8] {
-        let counter = self.counter(slot);
-        let (range, addr) = (self.slot_range(slot), self.slot_global(slot));
-        let (crypt, ciphertext) = (&self.crypt, &self.store[range]);
-        self.verify.line(slot, counter.value(), |out| {
-            crypt.decrypt_line_into(ciphertext, addr, counter, out);
-        })
-    }
-
     /// The local slot mapped at address-map index `idx`, if any.
     #[inline]
     fn mapped_slot(&self, idx: u64) -> Option<u64> {
@@ -781,7 +707,8 @@ impl ShardController {
             let mut skipped = view.saturated_walked();
             for &entry in view.entries() {
                 verified += 1;
-                if lines_equal(self.verify_line(entry.real.index()), data) {
+                self.decrypt_slot(entry.real.index());
+                if lines_equal(&self.scratch, data) {
                     skipped = entry.saturated_before;
                     dup = Some(entry);
                     break;
@@ -870,11 +797,7 @@ impl ShardController {
     ///   reference count equal to the addresses resolving to its slot;
     /// * every resident line decrypts to content whose digest matches its
     ///   inverted-hash row;
-    /// * the free count is consistent;
-    /// * every verify-buffer line keyed at its slot's current counter is
-    ///   what the arena decrypts to, and no key is ahead of its counter.
-    ///
-    /// The arena checks decrypt from the arena, never from the buffer.
+    /// * the free count is consistent.
     ///
     /// Returns the number of resident lines checked.
     ///
@@ -911,27 +834,6 @@ impl ShardController {
                 return Err(format!(
                     "shard {id}: slot {slot} content digests to {actual:#x}, inverted row says {digest:#x}"
                 ));
-            }
-        }
-        for entry in 0..self.verify.keys.len() {
-            let (slot, counter) = self.verify.keys[entry];
-            let current = self
-                .kernel
-                .counters()
-                .get(slot)
-                .map_or(0, LineCounter::value);
-            if counter > current {
-                return Err(format!(
-                    "shard {id}: verify buffer holds slot {slot} at counter {counter}, ahead of its {current}"
-                ));
-            }
-            if counter != 0 && counter == current {
-                self.decrypt_slot(slot);
-                if self.scratch != self.verify.line_at(entry) {
-                    return Err(format!(
-                        "shard {id}: verify buffer's line for slot {slot} at counter {counter} differs from the arena's"
-                    ));
-                }
             }
         }
         Ok(occupied.len() as u64)
@@ -1481,18 +1383,39 @@ mod tests {
         assert_eq!(s.scrub().unwrap(), 1);
     }
 
-    /// A slot freed and stored again is verified against its new content:
-    /// the buffer line its old content left must not answer for it.
+    /// A duplicate is confirmed against what the arena holds: a corrupted
+    /// resident line confirms nothing, however recently it matched, and
+    /// `scrub` names it.
     #[test]
-    fn verify_buffer_refills_after_slot_reuse() {
+    fn a_duplicate_is_confirmed_against_the_arena() {
+        let mut s = shard();
+        let a = line(1);
+        // A at address 0, whose home is slot 0, then A elsewhere.
+        assert!(!s.write(LineAddr::new(0), &a, 0).eliminated);
+        assert_eq!(s.mapped_slot(0), Some(0));
+        assert!(s.write(LineAddr::new(1), &a, 0).eliminated);
+        // One byte of slot 0's ciphertext flips.
+        let range = s.slot_range(0);
+        s.store[range.start] ^= 0x01;
+        // A third copy of A no longer matches slot 0: it is stored.
+        assert!(
+            !s.write(LineAddr::new(2), &a, 0).eliminated,
+            "a corrupted resident line confirmed a duplicate"
+        );
+        let err = s.scrub().unwrap_err();
+        assert!(err.contains("slot 0 content digests"), "{err}");
+    }
+
+    /// A slot freed and stored again is verified against its new content.
+    #[test]
+    fn a_reused_slot_is_verified_against_its_new_content() {
         let mut s = shard();
         let (a, b, c, d) = (line(1), line(2), line(3), line(4));
         // A at address 0, whose home is slot 0.
         assert!(!s.write(LineAddr::new(0), &a, 0).eliminated);
         assert_eq!((s.mapped_slot(0), s.counter(0).value()), (Some(0), 1));
-        // A elsewhere verifies against slot 0 and fills its buffer line.
+        // A elsewhere verifies against slot 0.
         assert!(s.write(LineAddr::new(1), &a, 0).eliminated);
-        assert_eq!(s.verify.keys[0], (0, 1));
         // Overwriting both addresses drops slot 0's last reference.
         s.write(LineAddr::new(0), &b, 0);
         s.write(LineAddr::new(1), &c, 0);
@@ -1503,21 +1426,19 @@ mod tests {
         // D at a third address must find it there.
         assert!(
             s.write(LineAddr::new(2), &d, 0).eliminated,
-            "the verify buffer answered with slot 0's old content"
+            "slot 0 was verified against its old content"
         );
-        assert_eq!(s.verify.keys[0], (0, 2));
         assert_eq!(s.scrub().unwrap(), 2);
     }
 
     proptest::proptest! {
         // Random writes over a 64-slot shard, five of seven contents in
         // one CRC-32 bucket: walks verify several candidates, slots are
-        // freed and stored again under new counters, and a stale buffer
-        // line would confirm a same-digest impostor. After every write
-        // the address reads back what was written and the shard scrubs
-        // clean, buffer coherence included.
+        // freed and stored again under new counters, and a stale line
+        // would confirm a same-digest impostor. After every write the
+        // address reads back what was written and the shard scrubs clean.
         #[test]
-        fn verify_buffer_stays_coherent_under_colliding_scripts(
+        fn colliding_scripts_read_back_and_scrub_clean(
             script in proptest::collection::vec((0u64..48, 0usize..7), 1..160),
         ) {
             let mut contents = colliding_lines();
