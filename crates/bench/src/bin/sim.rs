@@ -17,7 +17,7 @@ use dewrite_core::{
 };
 use dewrite_hashes::HashAlgorithm;
 use dewrite_nvm::Timing;
-use dewrite_trace::{app_by_name, worst_case};
+use dewrite_trace::app_by_name;
 
 struct Options {
     app: String,
@@ -59,7 +59,8 @@ impl Default for Options {
 
 fn usage() -> ExitCode {
     eprintln!("usage: sim [options]");
-    eprintln!("  --app NAME          workload (see trace-tool apps; or worst-case) [mcf]");
+    eprintln!("  --app NAME          workload: one of the 20 trace::apps profiles (the rows of");
+    eprintln!("                      repro fig2), or worst-case | scan | dupflood [mcf]");
     eprintln!("  --scheme NAME       dewrite | baseline | shredder | traditional-sha1 | traditional-md5 [dewrite]");
     eprintln!("  --writes N          trace length in writes [20000]");
     eprintln!("  --seed N            trace RNG seed [1]");
@@ -198,12 +199,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let profile = if opts.app == "worst-case" {
-        Some(worst_case())
-    } else {
-        app_by_name(&opts.app)
-    };
-    let Some(profile) = profile else {
+    let Some(profile) = app_by_name(&opts.app) else {
         eprintln!("unknown application {:?}", opts.app);
         return usage();
     };

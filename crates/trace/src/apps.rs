@@ -72,9 +72,9 @@ pub fn all_apps() -> Vec<AppProfile> {
 }
 
 /// Look up an application profile by name. The synthetic profiles
-/// (`worst-case`, `scan`) resolve here too — they are reachable from
-/// every driver (`sim`, `loadgen`, `repro`) without being counted in
-/// [`all_apps`] and the paper's 20-app aggregates.
+/// (`worst-case`, `scan`, `dupflood`) resolve here too — they are
+/// reachable from every driver (`sim`, `loadgen`, `repro`) without being
+/// counted in [`all_apps`] and the paper's 20-app aggregates.
 pub fn app_by_name(name: &str) -> Option<AppProfile> {
     match name {
         "worst-case" => Some(worst_case()),

@@ -1,4 +1,4 @@
-//! Workload generation, capture, and analysis for the DeWrite reproduction.
+//! Workload generation and analysis for the DeWrite reproduction.
 //!
 //! The paper evaluates on 20 applications from SPEC CPU2006 and PARSEC 2.1.
 //! Those suites (and gem5 to run them) are unavailable here, so this crate
@@ -8,9 +8,9 @@
 //! duplication-state persistence (Fig. 4), plus read/write mix and write
 //! density. A [`TraceGenerator`] turns a profile into a deterministic,
 //! seeded stream of line-granular [`TraceRecord`]s; the [`DupOracle`]
-//! measures ground-truth duplication of any trace; [`TraceWriter`] /
-//! [`TraceReader`] capture traces to a compact binary format for
-//! bit-identical replay across schemes.
+//! measures ground-truth duplication of any trace. Every driver
+//! regenerates its records from (app, seed), so the same pair replays
+//! bit-identically across schemes without a trace file.
 //!
 //! # Example
 //!
@@ -48,5 +48,5 @@ pub use apps::{
 pub use generator::TraceGenerator;
 pub use partition::shard_of_line;
 pub use profile::{AppProfile, Suite};
-pub use record::{TraceOp, TraceReader, TraceRecord, TraceWriter, TRACE_MAGIC, TRACE_VERSION};
+pub use record::{TraceOp, TraceRecord};
 pub use zipf::Zipf;

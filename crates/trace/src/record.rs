@@ -1,20 +1,11 @@
-//! Trace records and a compact binary codec for record/replay.
+//! Trace records.
 //!
 //! Traces are streams of [`TraceRecord`]s: line-granular reads and writes
 //! annotated with the number of instructions executed since the previous
-//! memory operation (which drives the IPC model). The codec is a simple
-//! length-prefixed binary format (`DWTR` magic, version, line size), so
-//! generated workloads can be captured once and replayed bit-identically
-//! across schemes.
-
-use std::io::{self, Read, Write};
+//! memory operation (which drives the IPC model). Drivers regenerate them
+//! in memory from (app, seed) rather than reading them from a file.
 
 use dewrite_nvm::LineAddr;
-
-/// Magic bytes identifying a DeWrite trace stream.
-pub const TRACE_MAGIC: [u8; 4] = *b"DWTR";
-/// Current trace format version.
-pub const TRACE_VERSION: u16 = 1;
 
 /// One memory operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,296 +47,9 @@ pub struct TraceRecord {
     pub op: TraceOp,
 }
 
-/// Streaming trace encoder.
-///
-/// ```
-/// use dewrite_trace::{TraceWriter, TraceReader, TraceRecord, TraceOp};
-/// use dewrite_nvm::LineAddr;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut buf = Vec::new();
-/// let mut w = TraceWriter::new(&mut buf, 256)?;
-/// w.write_record(&TraceRecord {
-///     gap_instructions: 10,
-///     op: TraceOp::Write { addr: LineAddr::new(3), data: vec![9u8; 256] },
-/// })?;
-/// drop(w);
-///
-/// let mut r = TraceReader::new(buf.as_slice())?;
-/// assert_eq!(r.line_size(), 256);
-/// let rec = r.read_record()?.expect("one record");
-/// assert!(rec.op.is_write());
-/// assert!(r.read_record()?.is_none());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    sink: W,
-    line_size: usize,
-    records: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Start a trace stream on `sink` for lines of `line_size` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the header.
-    pub fn new(mut sink: W, line_size: usize) -> io::Result<Self> {
-        sink.write_all(&TRACE_MAGIC)?;
-        sink.write_all(&TRACE_VERSION.to_le_bytes())?;
-        sink.write_all(&(line_size as u32).to_le_bytes())?;
-        Ok(TraceWriter {
-            sink,
-            line_size,
-            records: 0,
-        })
-    }
-
-    /// Append one record.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::InvalidInput`] if a write record's data is
-    /// not exactly one line; otherwise propagates I/O errors.
-    pub fn write_record(&mut self, rec: &TraceRecord) -> io::Result<()> {
-        match &rec.op {
-            TraceOp::Read { addr } => {
-                self.sink.write_all(&[0u8])?;
-                self.sink.write_all(&rec.gap_instructions.to_le_bytes())?;
-                self.sink.write_all(&addr.index().to_le_bytes())?;
-            }
-            TraceOp::Write { addr, data } => {
-                if data.len() != self.line_size {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "write data {} bytes, trace line size {}",
-                            data.len(),
-                            self.line_size
-                        ),
-                    ));
-                }
-                self.sink.write_all(&[1u8])?;
-                self.sink.write_all(&rec.gap_instructions.to_le_bytes())?;
-                self.sink.write_all(&addr.index().to_le_bytes())?;
-                self.sink.write_all(data)?;
-            }
-        }
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
-    /// Flush and return the underlying sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flush error.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-/// Streaming trace decoder. See [`TraceWriter`] for an end-to-end example.
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    source: R,
-    line_size: usize,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Open a trace stream, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic or
-    /// unsupported version.
-    pub fn new(mut source: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        source.read_exact(&mut magic)?;
-        if magic != TRACE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a DeWrite trace",
-            ));
-        }
-        let mut ver = [0u8; 2];
-        source.read_exact(&mut ver)?;
-        let version = u16::from_le_bytes(ver);
-        if version != TRACE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported trace version {version}"),
-            ));
-        }
-        let mut ls = [0u8; 4];
-        source.read_exact(&mut ls)?;
-        Ok(TraceReader {
-            source,
-            line_size: u32::from_le_bytes(ls) as usize,
-        })
-    }
-
-    /// The line size declared in the header.
-    pub fn line_size(&self) -> usize {
-        self.line_size
-    }
-
-    /// Read the next record, or `None` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated records or unknown op tags.
-    pub fn read_record(&mut self) -> io::Result<Option<TraceRecord>> {
-        let mut tag = [0u8; 1];
-        match self.source.read(&mut tag)? {
-            0 => return Ok(None),
-            1 => {}
-            _ => unreachable!("read of 1-byte buffer returned >1"),
-        }
-        let mut gap = [0u8; 4];
-        self.source.read_exact(&mut gap)?;
-        let mut addr = [0u8; 8];
-        self.source.read_exact(&mut addr)?;
-        let gap_instructions = u32::from_le_bytes(gap);
-        let addr = LineAddr::new(u64::from_le_bytes(addr));
-        let op = match tag[0] {
-            0 => TraceOp::Read { addr },
-            1 => {
-                let mut data = vec![0u8; self.line_size];
-                self.source.read_exact(&mut data)?;
-                TraceOp::Write { addr, data }
-            }
-            t => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown trace op tag {t}"),
-                ))
-            }
-        };
-        Ok(Some(TraceRecord {
-            gap_instructions,
-            op,
-        }))
-    }
-
-    /// Drain the remaining records into a vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any decode error.
-    pub fn read_all(&mut self) -> io::Result<Vec<TraceRecord>> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.read_record()? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(records: &[TraceRecord]) -> Vec<TraceRecord> {
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, 64).unwrap();
-        for r in records {
-            w.write_record(r).unwrap();
-        }
-        assert_eq!(w.records_written(), records.len() as u64);
-        w.into_inner().unwrap();
-        let mut r = TraceReader::new(buf.as_slice()).unwrap();
-        r.read_all().unwrap()
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        assert!(roundtrip(&[]).is_empty());
-    }
-
-    #[test]
-    fn mixed_trace_roundtrips() {
-        let records = vec![
-            TraceRecord {
-                gap_instructions: 5,
-                op: TraceOp::Read {
-                    addr: LineAddr::new(1),
-                },
-            },
-            TraceRecord {
-                gap_instructions: 100,
-                op: TraceOp::Write {
-                    addr: LineAddr::new(2),
-                    data: (0..64).map(|i| i as u8).collect(),
-                },
-            },
-            TraceRecord {
-                gap_instructions: 0,
-                op: TraceOp::Read {
-                    addr: LineAddr::new(u64::MAX / 2),
-                },
-            },
-        ];
-        assert_eq!(roundtrip(&records), records);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = TraceReader::new(&b"NOPE\x01\x00\x40\x00\x00\x00"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn rejects_bad_version() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&TRACE_MAGIC);
-        buf.extend_from_slice(&99u16.to_le_bytes());
-        buf.extend_from_slice(&64u32.to_le_bytes());
-        assert!(TraceReader::new(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn rejects_wrong_line_size_on_write() {
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, 64).unwrap();
-        let rec = TraceRecord {
-            gap_instructions: 0,
-            op: TraceOp::Write {
-                addr: LineAddr::new(0),
-                data: vec![0u8; 32],
-            },
-        };
-        assert_eq!(
-            w.write_record(&rec).unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-    }
-
-    #[test]
-    fn truncated_record_is_an_error() {
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, 64).unwrap();
-        w.write_record(&TraceRecord {
-            gap_instructions: 1,
-            op: TraceOp::Write {
-                addr: LineAddr::new(1),
-                data: vec![7u8; 64],
-            },
-        })
-        .unwrap();
-        w.into_inner().unwrap();
-        buf.truncate(buf.len() - 10);
-        let mut r = TraceReader::new(buf.as_slice()).unwrap();
-        assert!(r.read_record().is_err());
-    }
 
     #[test]
     fn op_helpers() {

@@ -10,7 +10,7 @@
 //! * [`hashes`] — CRC-32/CRC-32C/SHA-1/MD5 with the paper's hardware cost
 //!   model;
 //! * [`trace`] — calibrated synthetic workloads for the 20 SPEC/PARSEC
-//!   applications, plus trace capture/replay and the duplication oracle;
+//!   applications and the duplication oracle;
 //! * [`mem`] — metadata cache, in-order core model, latency statistics;
 //! * [`core`] — DeWrite itself, every baseline scheme, and the trace-driven
 //!   simulator;
