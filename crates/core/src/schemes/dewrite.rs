@@ -518,14 +518,14 @@ impl DeWrite {
             let equal = match self.verify_buffer.touch(real.index()) {
                 Some(buffer) => lines_equal(self.verify_buffer.contents(buffer), data),
                 None => {
-                    let access = self
+                    let slot = self
                         .array
                         .device
                         .read_timing(real, t)
                         .expect("candidate line in range");
                     self.array.metrics.verify_reads += 1;
-                    verify_ns += access.slot.finish_ns - t;
-                    t = access.slot.finish_ns;
+                    verify_ns += slot.finish_ns - t;
+                    t = slot.finish_ns;
                     let counter = self.index.counters().get(real.index());
                     let counter = counter.expect("resident candidate must have a counter");
                     let plain = self.array.decrypt(real, counter);
@@ -1088,7 +1088,15 @@ mod tests {
         let mut m = mem();
         assert!(m.write(LineAddr::new(4096), &line(0), 0).is_err());
         assert!(m.read(LineAddr::new(4096), 0).is_err());
-        assert!(m.write(LineAddr::new(0), &[0u8; 16], 0).is_err());
+        let err = m.write(LineAddr::new(0), &[0u8; 16], 0).unwrap_err();
+        assert_eq!(
+            err,
+            NvmError::WrongLineSize {
+                got: 16,
+                expected: 256
+            }
+        );
+        assert!(!err.to_string().is_empty());
     }
 
     #[test]

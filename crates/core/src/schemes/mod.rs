@@ -144,10 +144,12 @@ pub trait SecureMemory: Send {
 }
 
 /// The counter-mode data-line path the simulated schemes share: the
-/// device, the engine, the common counters and two scratch lines.
+/// device, the engine, the common counters and the scratch line a load
+/// decrypts into.
 ///
-/// A written line is encrypted under its counter and programmed with its
-/// encoded bit flips; a read overlaps the array access with the pad and
+/// A written line is encrypted under its counter straight over the stored
+/// ciphertext, and the device is charged for the cells the configured
+/// encoding programs; a read overlaps the array access with the pad and
 /// finishes with the XOR. Read-side pads are never charged: the paper's
 /// energy accounting is write-dominated (pads for reads are precomputed
 /// while counters sit in the cache), and every scheme treats reads alike.
@@ -157,10 +159,9 @@ pub(crate) struct CmeArray {
     device: NvmDevice,
     engine: CounterModeEngine,
     metrics: BaseMetrics,
-    /// Scratch ciphertext line a store encrypts into.
-    cipher_buf: Vec<u8>,
     /// Scratch plaintext line: what a load decrypts into and a
-    /// [`ReadResult`] borrows.
+    /// [`ReadResult`] borrows; a Flip-N-Write store keeps the old
+    /// ciphertext here.
     plain_buf: Vec<u8>,
 }
 
@@ -180,7 +181,6 @@ impl CmeArray {
             device,
             engine: CounterModeEngine::new(key),
             metrics: BaseMetrics::default(),
-            cipher_buf: vec![0u8; line_size],
             plain_buf: vec![0u8; line_size],
         }
     }
@@ -225,9 +225,10 @@ impl CmeArray {
         self.device.charge_aes_pj(pj);
     }
 
-    /// Encrypt `data` for `target` under `counter` and write it, issued at
-    /// `ready_ns`, programming the cells the configured bit encoding
-    /// flips. Returns when the array write finishes.
+    /// Encrypt `data` for `target` under `counter` and write it over the
+    /// stored ciphertext, issued at `ready_ns`, programming the cells the
+    /// configured bit encoding flips. Returns when the array write
+    /// finishes.
     pub(crate) fn store(
         &mut self,
         target: LineAddr,
@@ -235,19 +236,23 @@ impl CmeArray {
         counter: LineCounter,
         ready_ns: u64,
     ) -> Result<u64, NvmError> {
-        let ciphertext = &mut self.cipher_buf;
-        self.engine
-            .encrypt_line_into(data, target.index(), counter, ciphertext);
-        let old = self.device.line(target)?;
-        let flips = match self.config.bit_encoding {
-            BitEncoding::Raw => (ciphertext.len() * 8) as u64,
-            BitEncoding::Dcw => crate::bitlevel::dcw_flips(old, ciphertext),
-            BitEncoding::Fnw => crate::bitlevel::fnw_flips(old, ciphertext),
-        };
-        let access = self
+        let (engine, old, addr) = (&self.engine, &mut self.plain_buf, target.index());
+        let encoding = self.config.bit_encoding;
+        let slot = self
             .device
-            .write_line_with_flips(target, ciphertext, flips, ready_ns)?;
-        Ok(access.slot.finish_ns)
+            .write_with(target, ready_ns, |line| match encoding {
+                BitEncoding::Dcw => engine.encrypt_line_over(data, addr, counter, line),
+                BitEncoding::Raw => {
+                    engine.encrypt_line_into(data, addr, counter, line);
+                    (line.len() * 8) as u64
+                }
+                BitEncoding::Fnw => {
+                    old.copy_from_slice(line);
+                    engine.encrypt_line_into(data, addr, counter, line);
+                    crate::bitlevel::fnw_flips(old, line)
+                }
+            })?;
+        Ok(slot.finish_ns)
     }
 
     /// Read `real` from the array at `array_ns` and decrypt it under
@@ -260,10 +265,10 @@ impl CmeArray {
         array_ns: u64,
         counter_ns: u64,
     ) -> Result<u64, NvmError> {
-        let access = self.device.read_timing(real, array_ns)?;
+        let slot = self.device.read_timing(real, array_ns)?;
         self.decrypt(real, counter);
         let pad_done = counter_ns + AES_LINE_LATENCY_NS;
-        Ok(access.slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS)
+        Ok(slot.finish_ns.max(pad_done) + OTP_XOR_LATENCY_NS)
     }
 
     /// A read of a line never written: the array access still happens at
@@ -272,7 +277,7 @@ impl CmeArray {
     /// Returns when the array read finishes.
     pub(crate) fn load_unwritten(&mut self, init: LineAddr, at_ns: u64) -> Result<u64, NvmError> {
         self.plain_buf.fill(0);
-        Ok(self.device.read_timing(init, at_ns)?.slot.finish_ns)
+        Ok(self.device.read_timing(init, at_ns)?.finish_ns)
     }
 
     /// Decrypt `real`'s stored line under `counter` into `out`, modelling
@@ -326,7 +331,6 @@ pub(crate) struct MetaTable {
     sequential: bool,
     hit_ns: u64,
     line_size: usize,
-    zero_line: Vec<u8>,
     write_through: bool,
 }
 
@@ -356,7 +360,6 @@ impl MetaTable {
             sequential,
             hit_ns,
             line_size,
-            zero_line: vec![0u8; line_size],
             write_through: false,
         }
     }
@@ -471,11 +474,11 @@ impl MetaTable {
                 self.backing_line(entry + i * (self.line_size / self.entry_bytes.max(1)) as u64);
             // The entries themselves live in controller structures: only
             // the fetch's timing and energy are modeled.
-            let access = device
+            let slot = device
                 .read_timing(line, now_ns)
                 .expect("metadata region line in range");
             metrics.meta_nvm_reads += 1;
-            done = done.max(access.slot.finish_ns);
+            done = done.max(slot.finish_ns);
         }
         // Direct decryption serializes after the read.
         done += DIRECT_CRYPT_NS;
@@ -512,7 +515,7 @@ impl MetaTable {
         // not matter for timing/energy, so reuse the entry's own line.
         let line = self.backing_line(metrics.meta_nvm_writes);
         device
-            .write_line_with_flips(line, &self.zero_line, META_WRITE_FLIPS, now_ns)
+            .write_with(line, now_ns, |_| META_WRITE_FLIPS)
             .expect("metadata region line in range");
         device.charge_aes_pj(dewrite_crypto::aes_line_energy_pj(self.line_size));
         metrics.meta_nvm_writes += 1;
@@ -548,7 +551,8 @@ impl MetaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dewrite_nvm::NvmConfig;
+    use crate::bitlevel::fnw_flips;
+    use dewrite_nvm::{bit_flips, NvmConfig};
 
     fn device() -> NvmDevice {
         NvmDevice::new(NvmConfig::small()).unwrap()
@@ -566,6 +570,51 @@ mod tests {
             1,
             256,
         )
+    }
+
+    /// Each encoding's store programs the ciphertext and charges what a
+    /// copy of the old line says that encoding flips.
+    #[test]
+    fn store_programs_each_encodings_flips() {
+        fn charged(device: &NvmDevice) -> (u64, u64) {
+            (
+                device.wear().total_bits_flipped(),
+                device.energy().nvm_write_pj,
+            )
+        }
+        let key = [9u8; 16];
+        let engine = CounterModeEngine::new(&key);
+        let content = |seed: u8| -> Vec<u8> { (0..=255u8).map(|i| i.wrapping_mul(seed)).collect() };
+        let (a, b) = (LineAddr::new(3), LineAddr::new(40));
+        // Over zero cells, new content, the same content under a bumped
+        // counter, then a second target.
+        let script = [(a, 1, 1), (a, 7, 2), (a, 7, 3), (b, 7, 1)];
+        for encoding in [BitEncoding::Raw, BitEncoding::Dcw, BitEncoding::Fnw] {
+            let mut config = SystemConfig::for_lines(64);
+            config.bit_encoding = encoding;
+            let mut array = CmeArray::new(config, &key, None);
+            for (step, &(target, seed, ctr)) in script.iter().enumerate() {
+                let (data, counter) = (content(seed), LineCounter::from_value(ctr));
+                let new = engine.encrypt_line(&data, target.index(), counter);
+                let old = array.device.line(target).unwrap().to_vec();
+                let flips = match encoding {
+                    BitEncoding::Raw => (old.len() * 8) as u64,
+                    BitEncoding::Dcw => bit_flips(&old, &new),
+                    BitEncoding::Fnw => fnw_flips(&old, &new),
+                };
+                let (bits, pj) = charged(&array.device);
+                array.store(target, &data, counter, 0).unwrap();
+                let device = &array.device;
+                assert_eq!(device.line(target).unwrap(), new, "{encoding} {step}");
+                let (bits_after, pj_after) = charged(device);
+                let charge = (flips, device.config().energy.write_energy_pj(flips));
+                assert_eq!(
+                    (bits_after - bits, pj_after - pj),
+                    charge,
+                    "{encoding} {step}"
+                );
+            }
+        }
     }
 
     #[test]

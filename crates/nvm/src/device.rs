@@ -3,7 +3,7 @@
 use crate::bank::{BankSet, BankSlot};
 use crate::config::NvmConfig;
 use crate::energy::EnergyBreakdown;
-use crate::line::{bit_flips, LineAddr};
+use crate::line::LineAddr;
 use crate::wear::WearTracker;
 
 /// Error type for device operations.
@@ -46,17 +46,6 @@ impl std::fmt::Display for NvmError {
 
 impl std::error::Error for NvmError {}
 
-/// Timing/energy outcome of one device access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// Bank scheduling outcome (start / finish / queueing wait).
-    pub slot: BankSlot,
-    /// Bits actually programmed (0 for reads).
-    pub bits_flipped: u64,
-    /// Array energy consumed by this access, in pJ.
-    pub energy_pj: u64,
-}
-
 /// Lines per page of the sparse store's index: a page is materialized by
 /// the first write to any of its lines.
 pub const LINES_PER_PAGE: usize = 64;
@@ -94,13 +83,16 @@ struct Page {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut nvm = NvmDevice::new(NvmConfig::small())?;
-/// let line = vec![7u8; 256];
-/// let w = nvm.write_line(LineAddr::new(4), &line, 0)?;
-/// assert_eq!(w.slot.finish_ns, 300);
+/// let w = nvm.write_with(LineAddr::new(4), 0, |line| {
+///     line.fill(7);
+///     3 * 256 // every set bit of a 7, programmed from zero cells
+/// })?;
+/// assert_eq!(w.finish_ns, 300);
 /// // The write installed the row, so this read is a 15 ns row-buffer hit.
-/// let (data, r) = nvm.read_line(LineAddr::new(4), w.slot.finish_ns)?;
-/// assert_eq!(data, line);
-/// assert_eq!(r.slot.finish_ns, 315);
+/// let r = nvm.read_timing(LineAddr::new(4), w.finish_ns)?;
+/// assert_eq!(r.finish_ns, 315);
+/// assert_eq!(nvm.line(LineAddr::new(4))?, &[7u8; 256][..]);
+/// assert_eq!(nvm.wear().total_bits_flipped(), 768);
 /// # Ok(())
 /// # }
 /// ```
@@ -157,17 +149,6 @@ impl NvmDevice {
             Err(NvmError::AddressOutOfRange {
                 addr,
                 num_lines: self.config.num_lines(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn check_len(&self, len: usize) -> Result<(), NvmError> {
-        if len != self.config.line_size {
-            Err(NvmError::WrongLineSize {
-                got: len,
-                expected: self.config.line_size,
             })
         } else {
             Ok(())
@@ -268,14 +249,15 @@ impl NvmDevice {
     }
 
     /// Model a read of `addr` arriving at the controller at `now_ns` —
-    /// bank scheduling, row-buffer state, energy, the read count — without
-    /// handing out the contents: metadata fetches (whose entries live in
-    /// controller structures) and probes of never-written lines.
+    /// bank scheduling, row-buffer state, energy, the read count — and
+    /// return its bank slot. The contents are not handed out: a data read
+    /// borrows them with [`line`](Self::line); a metadata fetch (whose
+    /// entries live in controller structures) needs none.
     ///
     /// # Errors
     ///
     /// Fails if `addr` is out of range.
-    pub fn read_timing(&mut self, addr: LineAddr, now_ns: u64) -> Result<Access, NvmError> {
+    pub fn read_timing(&mut self, addr: LineAddr, now_ns: u64) -> Result<BankSlot, NvmError> {
         self.check_addr(addr)?;
         let (slot, row_hit) = self.banks.schedule_row(
             addr.index(),
@@ -291,58 +273,30 @@ impl NvmDevice {
         };
         self.energy.nvm_read_pj += energy;
         self.reads += 1;
-        Ok(Access {
-            slot,
-            bits_flipped: 0,
-            energy_pj: energy,
-        })
+        Ok(slot)
     }
 
-    /// Read a line, arriving at the controller at `now_ns`: the stored
-    /// contents, borrowed, with the access they cost.
+    /// Write `addr`, arriving at the controller at `now_ns`: `program`
+    /// overwrites the stored line in place and returns how many cells it
+    /// programmed, and the write is charged bank time, array energy and
+    /// wear for that count. The encoding (DCW, Flip-N-Write, …) is the
+    /// caller's: it picks the cells, the array charges for them.
     ///
     /// # Errors
     ///
-    /// Fails if `addr` is out of range.
-    pub fn read_line(&mut self, addr: LineAddr, now_ns: u64) -> Result<(&[u8], Access), NvmError> {
-        let access = self.read_timing(addr, now_ns)?;
-        Ok((self.line(addr)?, access))
-    }
-
-    /// Write a full line; bits programmed are computed against the current
-    /// contents (Data Comparison Write happens at the cell level on PCM).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `addr` is out of range or `data` is not one line.
-    pub fn write_line(
+    /// Fails if `addr` is out of range; `program` is then not called.
+    #[inline]
+    pub fn write_with(
         &mut self,
         addr: LineAddr,
-        data: &[u8],
         now_ns: u64,
-    ) -> Result<Access, NvmError> {
+        program: impl FnOnce(&mut [u8]) -> u64,
+    ) -> Result<BankSlot, NvmError> {
         self.check_addr(addr)?;
-        self.check_len(data.len())?;
-        let flips = bit_flips(self.line(addr)?, data);
-        self.write_line_with_flips(addr, data, flips, now_ns)
-    }
-
-    /// Write a line, charging wear/energy for an explicit `bits_flipped`
-    /// count. Used by encoding schemes (e.g. Flip-N-Write) whose effective
-    /// programmed-bit count differs from the raw XOR difference.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `addr` is out of range or `data` is not one line.
-    pub fn write_line_with_flips(
-        &mut self,
-        addr: LineAddr,
-        data: &[u8],
-        bits_flipped: u64,
-        now_ns: u64,
-    ) -> Result<Access, NvmError> {
-        self.check_addr(addr)?;
-        self.check_len(data.len())?;
+        let (line, writes) = self.line_entry_mut(addr);
+        let bits_flipped = program(line);
+        *writes += 1;
+        let line_writes = *writes;
         // Writes always program the array (PCM has no write coalescing in
         // the row buffer) but do install the row.
         let (slot, _) = self.banks.schedule_row(
@@ -352,20 +306,11 @@ impl NvmDevice {
             self.config.timing.write_ns,
             self.config.timing.write_ns,
         );
-        let energy = self.config.energy.write_energy_pj(bits_flipped);
-        self.energy.nvm_write_pj += energy;
+        self.energy.nvm_write_pj += self.config.energy.write_energy_pj(bits_flipped);
         self.writes += 1;
-        let (line, writes) = self.line_entry_mut(addr);
-        line.copy_from_slice(data);
-        *writes += 1;
-        let line_writes = *writes;
         self.wear
             .record_write(line_writes, bits_flipped, self.config.line_bits());
-        Ok(Access {
-            slot,
-            bits_flipped,
-            energy_pj: energy,
-        })
+        Ok(slot)
     }
 
     /// Wear statistics accumulated so far.
@@ -419,44 +364,60 @@ impl NvmDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::bit_flips;
     use proptest::prelude::*;
 
     fn device() -> NvmDevice {
         NvmDevice::new(NvmConfig::small()).unwrap()
     }
 
+    /// Program `data` into `addr` as a data-comparison write: the count
+    /// handed back is `bit_flips(old, new)`.
+    fn write(d: &mut NvmDevice, addr: u64, data: &[u8], now_ns: u64) -> (BankSlot, u64) {
+        let addr = LineAddr::new(addr);
+        let flips = bit_flips(d.line(addr).unwrap(), data);
+        let slot = d
+            .write_with(addr, now_ns, |line| {
+                line.copy_from_slice(data);
+                flips
+            })
+            .unwrap();
+        (slot, flips)
+    }
+
     #[test]
     fn unwritten_lines_read_zero() {
         let mut d = device();
-        let (data, acc) = d.read_line(LineAddr::new(0), 0).unwrap();
-        assert!(data.iter().all(|&b| b == 0));
-        assert_eq!(acc.bits_flipped, 0);
-        assert_eq!(acc.slot.finish_ns, 75);
+        let slot = d.read_timing(LineAddr::new(0), 0).unwrap();
+        assert_eq!(slot.finish_ns, 75);
+        assert!(d.line(LineAddr::new(0)).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(d.wear().total_bits_flipped(), 0);
     }
 
     #[test]
     fn write_then_read_roundtrip() {
         let mut d = device();
         let line: Vec<u8> = (0..256).map(|i| i as u8).collect();
-        d.write_line(LineAddr::new(9), &line, 0).unwrap();
-        let (data, _) = d.read_line(LineAddr::new(9), 1_000).unwrap();
-        assert_eq!(data, line);
+        write(&mut d, 9, &line, 0);
+        d.read_timing(LineAddr::new(9), 1_000).unwrap();
+        assert_eq!(d.line(LineAddr::new(9)).unwrap(), line);
     }
 
     #[test]
     fn write_counts_flips_against_current_content() {
         let mut d = device();
+        let pcm = d.config().energy;
         let a = vec![0xFFu8; 256];
-        let w1 = d.write_line(LineAddr::new(1), &a, 0).unwrap();
-        assert_eq!(w1.bits_flipped, 2048); // from all-zeros
-
-        let w2 = d.write_line(LineAddr::new(1), &a, 400).unwrap();
-        assert_eq!(w2.bits_flipped, 0); // silent write
-
         let mut b = a.clone();
         b[0] = 0xFE;
-        let w3 = d.write_line(LineAddr::new(1), &b, 800).unwrap();
-        assert_eq!(w3.bits_flipped, 1);
+        // From all-zeros, then a silent write, then one bit.
+        for (data, now, expected) in [(&a, 0, 2048), (&a, 400, 0), (&b, 800, 1)] {
+            let (bits0, pj0) = (d.wear().total_bits_flipped(), d.energy().nvm_write_pj);
+            let (_, flips) = write(&mut d, 1, data, now);
+            assert_eq!(flips, expected);
+            assert_eq!(d.wear().total_bits_flipped() - bits0, flips);
+            assert_eq!(d.energy().nvm_write_pj - pj0, pcm.write_energy_pj(flips));
+        }
     }
 
     #[test]
@@ -464,14 +425,11 @@ mod tests {
         let mut d = device();
         let banks = d.config().banks as u64;
         let line = vec![1u8; 256];
-        let w = d.write_line(LineAddr::new(0), &line, 0).unwrap();
-        assert_eq!(w.slot.wait_ns, 0);
+        assert_eq!(write(&mut d, 0, &line, 0).0.wait_ns, 0);
         // Same bank: line index 0 and index `banks` collide.
-        let w2 = d.write_line(LineAddr::new(banks), &line, 0).unwrap();
-        assert_eq!(w2.slot.wait_ns, 300);
+        assert_eq!(write(&mut d, banks, &line, 0).0.wait_ns, 300);
         // Different bank: no wait.
-        let w3 = d.write_line(LineAddr::new(1), &line, 0).unwrap();
-        assert_eq!(w3.slot.wait_ns, 0);
+        assert_eq!(write(&mut d, 1, &line, 0).0.wait_ns, 0);
     }
 
     #[test]
@@ -479,33 +437,23 @@ mod tests {
         let mut d = device();
         let too_far = LineAddr::new(d.config().num_lines());
         assert!(matches!(
-            d.read_line(too_far, 0),
+            d.read_timing(too_far, 0),
             Err(NvmError::AddressOutOfRange { .. })
         ));
-        let line = vec![0u8; 256];
-        assert!(d.write_line(too_far, &line, 0).is_err());
-    }
-
-    #[test]
-    fn wrong_length_rejected() {
-        let mut d = device();
-        let err = d.write_line(LineAddr::new(0), &[0u8; 64], 0).unwrap_err();
-        assert!(matches!(
-            err,
-            NvmError::WrongLineSize {
-                got: 64,
-                expected: 256
-            }
-        ));
+        let err = d
+            .write_with(too_far, 0, |_| panic!("program called out of range"))
+            .unwrap_err();
+        assert!(matches!(err, NvmError::AddressOutOfRange { .. }));
         assert!(!err.to_string().is_empty());
+        assert_eq!((d.writes(), d.lines_in_use()), (0, 0));
     }
 
     #[test]
     fn energy_and_wear_accumulate() {
         let mut d = device();
         let line = vec![0xAAu8; 256];
-        d.write_line(LineAddr::new(0), &line, 0).unwrap();
-        d.read_line(LineAddr::new(0), 500).unwrap();
+        write(&mut d, 0, &line, 0);
+        d.read_timing(LineAddr::new(0), 500).unwrap();
         assert!(d.energy().nvm_write_pj > 0);
         assert!(d.energy().nvm_read_pj > 0);
         assert_eq!(d.wear().total_line_writes(), 1);
@@ -522,9 +470,9 @@ mod tests {
         assert_eq!(d.lines_in_use(), 0);
         let last = LineAddr::new(d.config().num_lines() - 1);
         let line = vec![0x5Au8; 256];
-        d.write_line(LineAddr::new(0), &line, 0).unwrap();
-        d.write_line(last, &line, 0).unwrap();
-        d.write_line(last, &line, 1_000).unwrap();
+        write(&mut d, 0, &line, 0);
+        write(&mut d, last.index(), &line, 0);
+        write(&mut d, last.index(), &line, 1_000);
         assert_eq!(d.lines_in_use(), 2);
         assert_eq!(d.wear().distinct_lines_written(), 2);
         assert_eq!(d.wear().max_line_writes(), 2);
@@ -545,7 +493,7 @@ mod tests {
     fn line_mut_changes_contents_and_nothing_else() {
         let mut d = device();
         let line = vec![0x11u8; 256];
-        d.write_line(LineAddr::new(3), &line, 0).unwrap();
+        write(&mut d, 3, &line, 0);
         let (writes, reads, energy) = (d.writes(), d.reads(), *d.energy());
         d.line_mut(LineAddr::new(3)).unwrap()[0] ^= 0xFF;
         // A never-written line can be disturbed too; it stays "not in use".
@@ -563,24 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_only_read_is_the_read_without_the_bytes() {
-        let mut a = device();
-        let mut b = device();
-        let line = vec![3u8; 256];
-        for d in [&mut a, &mut b] {
-            d.write_line(LineAddr::new(8), &line, 0).unwrap();
-        }
-        for (addr, now) in [(8, 400), (8, 420), (9, 430), (8 + 64, 500)] {
-            let addr = LineAddr::new(addr);
-            let timed = a.read_timing(addr, now).unwrap();
-            let (_, full) = b.read_line(addr, now).unwrap();
-            assert_eq!(timed, full);
-        }
-        assert_eq!(a.reads(), b.reads());
-        assert_eq!(a.energy(), b.energy());
-    }
-
-    #[test]
     fn external_energy_charges() {
         let mut d = device();
         d.charge_aes_pj(100);
@@ -594,17 +524,20 @@ mod tests {
         fn roundtrip_any_content(content in proptest::collection::vec(any::<u8>(), 256),
                                  idx in 0u64..4096) {
             let mut d = device();
-            d.write_line(LineAddr::new(idx), &content, 0).unwrap();
-            let (data, _) = d.read_line(LineAddr::new(idx), 1_000).unwrap();
-            prop_assert_eq!(data, content);
+            write(&mut d, idx, &content, 0);
+            d.read_timing(LineAddr::new(idx), 1_000).unwrap();
+            prop_assert_eq!(d.line(LineAddr::new(idx)).unwrap(), &content[..]);
         }
 
         #[test]
         fn rewriting_same_data_flips_nothing(content in proptest::collection::vec(any::<u8>(), 256)) {
             let mut d = device();
-            d.write_line(LineAddr::new(5), &content, 0).unwrap();
-            let w = d.write_line(LineAddr::new(5), &content, 1_000).unwrap();
-            prop_assert_eq!(w.bits_flipped, 0);
+            write(&mut d, 5, &content, 0);
+            let (bits, pj) = (d.wear().total_bits_flipped(), d.energy().nvm_write_pj);
+            let (_, flips) = write(&mut d, 5, &content, 1_000);
+            prop_assert_eq!(flips, 0);
+            prop_assert_eq!(d.wear().total_bits_flipped(), bits);
+            prop_assert_eq!(d.energy().nvm_write_pj - pj, d.config().energy.write_energy_pj(0));
         }
     }
 }

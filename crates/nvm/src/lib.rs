@@ -30,9 +30,13 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut nvm = NvmDevice::new(NvmConfig::small())?;
-//! let write = nvm.write_line(LineAddr::new(0), &[0xFF; 256], 0)?;
-//! assert_eq!(write.bits_flipped, 2048); // fresh cells were all zero
-//! assert_eq!(write.slot.finish_ns, 300); // PCM write latency
+//! // The caller programs the line and says how many cells that flipped.
+//! let write = nvm.write_with(LineAddr::new(0), 0, |line| {
+//!     line.fill(0xFF);
+//!     2048 // fresh cells were all zero
+//! })?;
+//! assert_eq!(write.finish_ns, 300); // PCM write latency
+//! assert_eq!(nvm.wear().total_bits_flipped(), 2048);
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +56,7 @@ mod wearlevel;
 
 pub use bank::{Bank, BankSet, BankSlot};
 pub use config::NvmConfig;
-pub use device::{Access, NvmDevice, NvmError, LINES_PER_PAGE};
+pub use device::{NvmDevice, NvmError, LINES_PER_PAGE};
 pub use energy::{EnergyBreakdown, EnergyParams};
 pub use fsm_tree::{
     FsmStats, FsmTree, CHUNK_LINES, CHUNK_WORDS, REFILL_MIN_FREE, WEAR_BUCKET_SHIFT,
